@@ -5,7 +5,8 @@
 //! FHP lattice over S boards (each a 2-PE, depth-2 WSA pipeline) and
 //! exchanges 2-column halos every pass; `lattice_vlsi::FarmModel`
 //! predicts pass time, link demand, and scaling efficiency from the
-//! same partition geometry. Two regimes:
+//! same partition geometry, on the single-row board grid `(1, S)`.
+//! Three regimes:
 //!
 //! * unthrottled links — compute-bound: measured pass ticks must track
 //!   the model within 10% and strong-scaling efficiency falls only via
@@ -68,18 +69,19 @@ fn main() {
         let farm = LatticeFarm::new(s, ShardEngine::Wsa { width: P }, K);
         let report = farm.run(&rule, &grid, 0, GENS).expect("farm run");
         let meas_pass = report.machine_ticks().to_f64() / report.passes as f64;
-        let ratio = meas_pass / model.pass_ticks(s).to_f64();
+        let g = farm.grid;
+        let ratio = meas_pass / model.pass_ticks2(g).to_f64();
         worst_ratio = worst_ratio.max((ratio - 1.0).abs() + 1.0);
         free_t.row_strings(vec![
             s.to_string(),
             fnum(meas_pass, 0),
-            fnum(model.pass_ticks(s).to_f64(), 0),
+            fnum(model.pass_ticks2(g).to_f64(), 0),
             fnum(ratio, 3),
             fnum(report.updates_per_tick().get(), 2),
-            fnum(model.updates_per_tick(s).get(), 2),
-            fnum(model.strong_efficiency(s), 3),
+            fnum(model.updates_per_tick2(g).get(), 2),
+            fnum(model.strong_efficiency(g), 3),
             fnum(report.redundancy(), 3),
-            fnum(model.link_demand(s).get(), 1),
+            fnum(model.link_demand2(g).0.get(), 1),
         ]);
     }
     free_t.note(format!(
@@ -126,12 +128,13 @@ fn main() {
             fnum(report.halo_ticks.to_f64() / report.passes as f64, 0),
             fnum(report.machine.ticks.to_f64() / report.passes as f64, 0),
             fnum(rate, 2),
-            fnum(starved_model.updates_per_tick(s).get(), 2),
+            fnum(starved_model.updates_per_tick2(farm.grid).get(), 2),
             fnum(rate / base_rate, 2),
         ]);
     }
-    match starved_model.critical_shards(16) {
-        Some(crit) => slow_t.note(format!(
+    let single_row: Vec<(usize, usize)> = (1..=16).map(|s| (1, s)).collect();
+    match starved_model.critical_grid(&single_row) {
+        Some((_, crit)) => slow_t.note(format!(
             "Model rollover at S = {crit}: beyond it the exchange barrier outweighs \
              compute and the speedup curve flattens — the §8 bandwidth wall, one \
              packaging level up."
@@ -182,7 +185,7 @@ fn main() {
             .expect("ARQ must absorb transient link weather");
         let r = ft.report.retransmits as f64 / ft.report.passes as f64;
         let meas = ft.report.machine_ticks().to_f64() / ft.report.passes as f64;
-        let pred = noisy_model.pass_ticks_with_retransmits(shards, r);
+        let pred = noisy_model.pass_ticks_with_retransmits(farm.grid, r);
         let ratio = meas / pred;
         worst_noisy = worst_noisy.max((ratio - 1.0).abs() + 1.0);
         noisy_t.row_strings(vec![
@@ -239,7 +242,7 @@ fn main() {
         );
         let serial_pass = sr.machine_ticks().to_f64() / sr.passes as f64;
         let overlap_pass = or.machine_ticks().to_f64() / or.passes as f64;
-        let predicted = overlap_model.pass_ticks(s).to_f64();
+        let predicted = overlap_model.pass_ticks2(overlap.grid).to_f64();
         let ratio = overlap_pass / predicted;
         worst_overlap = worst_overlap.max((ratio - 1.0).abs() + 1.0);
         assert!(

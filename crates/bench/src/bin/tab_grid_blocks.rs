@@ -1,8 +1,8 @@
 //! E13 — rectangular block sharding on a two-tier torus interconnect,
 //! measured vs the two-axis links-per-board model.
 //!
-//! E9/E11 pinned the columnar farm to `FarmModel`'s one-axis algebra;
-//! this table pins the R×C generalization the same way. A `LatticeFarm`
+//! E9/E11 pinned single-row grids `(1, S)` to `FarmModel`; this table
+//! pins multi-row R×C grids the same way. A `LatticeFarm`
 //! on a board grid exchanges column halos over intra-rack links and row
 //! halos over inter-rack links (corners ride the column frames, billed
 //! once); `FarmModel::pass_ticks2` predicts pass time from the same

@@ -141,30 +141,37 @@ pub fn load<S: State>(bytes: &[u8]) -> Result<(Grid<S>, Ticks), LatticeError> {
     tb.copy_from_slice(take(&mut pos, 8)?);
     let time = Ticks::new(u64::from_le_bytes(tb));
 
-    // Every run covers at most u32::MAX sites, so the declared run
-    // count bounds the coverable lattice. This keeps a forged huge
-    // header from driving allocations: no run may grow `data` past
-    // `shape.len()`, and `shape.len()` is bounded by the run count.
-    let max_coverable = run_count as u128 * u32::MAX as u128;
-    if shape.len() as u128 > max_coverable {
-        return Err(err("declared lattice larger than the run stream can cover"));
-    }
-
-    let mut data: Vec<S> = Vec::with_capacity(shape.len());
-    for _ in 0..run_count {
+    // The header's dims are not trusted to size anything: the run
+    // bytes (bounded by the checked image length) are scanned once to
+    // sum the counts, and the lattice is allocated only once that sum
+    // equals `shape.len()`, so a flipped high bit in a dims word is
+    // rejected instead of driving a multi-gigabyte allocation.
+    let run_bytes = take(&mut pos, run_count * RUN_BYTES)?;
+    let run = |r: &[u8]| {
         let mut cb = [0u8; 4];
-        cb.copy_from_slice(take(&mut pos, 4)?);
-        let count = u32::from_le_bytes(cb) as usize;
+        cb.copy_from_slice(&r[..4]);
         let mut wb = [0u8; 8];
-        wb.copy_from_slice(take(&mut pos, 8)?);
-        let value = S::from_word(u64::from_le_bytes(wb));
-        if count == 0 || data.len() + count > shape.len() {
-            return Err(err("run overflows the lattice"));
+        wb.copy_from_slice(&r[4..]);
+        (u32::from_le_bytes(cb) as usize, u64::from_le_bytes(wb))
+    };
+    let mut total = 0usize;
+    for r in run_bytes.chunks_exact(RUN_BYTES) {
+        let (count, _) = run(r);
+        if count == 0 {
+            return Err(err("empty run"));
         }
-        data.resize(data.len() + count, value);
+        total = total.checked_add(count).ok_or_else(|| err("run stream overflows"))?;
     }
-    if data.len() != shape.len() {
+    if total > shape.len() {
+        return Err(err("run overflows the lattice"));
+    }
+    if total < shape.len() {
         return Err(err("run stream stops short of the lattice"));
+    }
+    let mut data: Vec<S> = Vec::with_capacity(total);
+    for r in run_bytes.chunks_exact(RUN_BYTES) {
+        let (count, word) = run(r);
+        data.resize(data.len() + count, S::from_word(word));
     }
     Ok((Grid::from_vec(shape, data)?, time))
 }
@@ -265,6 +272,24 @@ mod tests {
                 assert!(detail.contains("truncated"), "{detail}");
             }
             other => panic!("expected truncation rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_flipped_high_dims_bit_is_rejected_before_allocation() {
+        // A valid 4x7 image whose row count took a single-bit hit in
+        // bit 35: the header now declares a 2^35-row lattice. The run
+        // stream still covers only 28 sites, so load must reject the
+        // image rather than reserve ~32 GiB for it.
+        let g = Grid::from_fn(Shape::grid2(4, 7).unwrap(), |c| (c.col() % 3) as u8);
+        let mut bytes = save(&g, Ticks::new(5));
+        let rows_word = FIXED_HEADER;
+        bytes[rows_word + 4] ^= 1 << 3;
+        match load::<u8>(&bytes) {
+            Err(LatticeError::Corrupted { detail, .. }) => {
+                assert!(detail.contains("stops short"), "{detail}");
+            }
+            other => panic!("expected structured rejection, got {other:?}"),
         }
     }
 

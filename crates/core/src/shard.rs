@@ -1,111 +1,87 @@
-//! Columnar sharding geometry, shared by the board farm
-//! (`lattice-farm`) and its analytical model (`lattice-vlsi`) so the
-//! executed and the predicted machine can never disagree about slabs.
+//! Block sharding geometry, shared by the board farm (`lattice-farm`)
+//! and its analytical model (`lattice-vlsi`) so the executed and the
+//! predicted machine can never disagree about blocks.
 //!
-//! The lattice is divided into `S` contiguous, balanced columnar slabs,
-//! one per board. A farm runs `k` generations per bulk-synchronous pass
-//! and therefore needs a `k`-column halo on each interior side: a slab
-//! augmented with `k` true generation-`t` columns can evolve `k` steps
-//! with every *owned* column exact, because boundary pollution travels
-//! one column per generation and never crosses the halo.
+//! The lattice is cut into an `R × C` grid of contiguous, balanced
+//! rectangular blocks, one per board; a shard count `S` is the
+//! single-row grid `(1, S)`. A farm runs `k` generations per
+//! bulk-synchronous pass and therefore needs a `k`-deep halo on each
+//! seamed side: a block augmented with `k` true generation-`t` rows and
+//! columns can evolve `k` steps with every *owned* site exact, because
+//! boundary pollution travels one site per generation and never crosses
+//! the halo.
 
 use crate::error::LatticeError;
 
-/// One board's slab: the columns it owns plus the halo columns it
-/// imports each pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slab {
-    /// Shard index, left to right.
-    pub index: usize,
-    /// First owned global column.
-    pub col0: usize,
-    /// Owned columns.
-    pub width: usize,
-    /// Halo columns imported across the left link.
-    pub halo_left: usize,
-    /// Halo columns imported across the right link.
-    pub halo_right: usize,
+/// One axis of a block partition: the `len` sites from `start` that
+/// one part owns, plus the halo it imports on either side.
+struct Span {
+    start: usize,
+    len: usize,
+    halo_lo: usize,
+    halo_hi: usize,
 }
 
-impl Slab {
-    /// One past the last owned global column.
-    pub fn col_end(&self) -> usize {
-        self.col0 + self.width
-    }
-
-    /// Total columns in the halo-augmented slab the board streams.
-    pub fn aug_width(&self) -> usize {
-        self.halo_left + self.width + self.halo_right
-    }
-
-    /// Halo sites imported per pass when the augmented slab is
-    /// `aug_rows` tall.
-    pub fn halo_sites(&self, aug_rows: usize) -> usize {
-        (self.halo_left + self.halo_right) * aug_rows
-    }
-}
-
-/// Splits `cols` columns into `shards` balanced contiguous slabs with a
-/// `halo`-column exchange margin (the generations per pass).
+/// Splits an `n`-site axis into `parts` balanced contiguous spans with a
+/// `halo`-site exchange margin (the generations per pass).
 ///
-/// Widths differ by at most one (the first `cols mod shards` slabs get
-/// the extra column). Under the null boundary (`periodic = false`)
-/// halos are clamped at the true lattice edges — an edge slab's
-/// augmented boundary must *coincide* with the lattice boundary, since
-/// padding it with fabricated null columns would let particles that
-/// really exit the lattice collide in the padding and re-enter. On a
-/// torus every slab imports the full `halo` from both neighbors.
+/// Lengths differ by at most one (the first `n mod parts` spans get the
+/// extra site). Under the null boundary (`periodic = false`) halos are
+/// clamped at the true lattice edges — an edge block's augmented
+/// boundary must *coincide* with the lattice boundary, since padding it
+/// with fabricated null sites would let particles that really exit the
+/// lattice collide in the padding and re-enter. On a torus every span
+/// imports the full `halo` from both neighbors.
 ///
-/// On a torus every slab must own at least `halo` columns: a narrower
-/// slab's halo windows would import overlapping or self-owned columns
-/// (for a single shard the wrap would have to circle the lattice more
+/// On a torus every span must own at least `halo` sites: a narrower
+/// span's halo windows would import overlapping or self-owned sites
+/// (for a single part the wrap would have to circle the lattice more
 /// than once), so the exchange geometry is ill-formed and the request
 /// is rejected with a structured error.
-pub fn partition(
-    cols: usize,
-    shards: usize,
+fn partition(
+    n: usize,
+    parts: usize,
     halo: usize,
     periodic: bool,
-) -> Result<Vec<Slab>, LatticeError> {
-    if shards == 0 {
+) -> Result<Vec<Span>, LatticeError> {
+    if parts == 0 {
         return Err(LatticeError::InvalidConfig("a farm needs at least one shard".into()));
     }
-    if shards > cols {
+    if parts > n {
         return Err(LatticeError::InvalidConfig(format!(
-            "{shards} shards over {cols} columns leaves a board with no slab"
+            "{parts} shards over {n} columns leaves a board with no slab"
         )));
     }
-    let base = cols / shards;
-    let extra = cols % shards;
+    let base = n / parts;
+    let extra = n % parts;
     if periodic && base < halo {
-        // The first slab of width `base` (index `extra`) is the
-        // narrowest; once every width is ≥ halo no window can reach
+        // The first span of length `base` (index `extra`) is the
+        // narrowest; once every length is ≥ halo no window can reach
         // past the immediate neighbor, so checking the minimum
         // suffices.
         return Err(LatticeError::InvalidConfig(format!(
             "torus shard {extra} owns {base} columns but the halo is {halo} wide: its \
              left and right halo windows would import overlapping or self-owned \
-             columns ({cols} cols / {shards} shards, depth {halo})"
+             columns ({n} cols / {parts} shards, depth {halo})"
         )));
     }
-    let mut slabs = Vec::with_capacity(shards);
-    let mut col0 = 0usize;
-    for index in 0..shards {
-        let width = base + usize::from(index < extra);
-        let (halo_left, halo_right) =
-            if periodic { (halo, halo) } else { (halo.min(col0), halo.min(cols - col0 - width)) };
-        slabs.push(Slab { index, col0, width, halo_left, halo_right });
-        col0 += width;
+    let mut spans = Vec::with_capacity(parts);
+    let mut start = 0usize;
+    for index in 0..parts {
+        let len = base + usize::from(index < extra);
+        let (halo_lo, halo_hi) =
+            if periodic { (halo, halo) } else { (halo.min(start), halo.min(n - start - len)) };
+        spans.push(Span { start, len, halo_lo, halo_hi });
+        start += len;
     }
-    debug_assert_eq!(col0, cols);
-    Ok(slabs)
+    debug_assert_eq!(start, n);
+    Ok(spans)
 }
 
 /// One board's rectangular block in an `R × C` grid partition: the
 /// sub-lattice it owns plus the halo rows and columns it imports each
-/// pass. Degenerates to a [`Slab`] at `R = 1` (`row0 = 0`, full rows,
-/// no vertical halos — the torus's vertical wrap stays on board, as it
-/// always has for columnar slabs).
+/// pass. At `R = 1` a block is a columnar slab (`row0 = 0`, full rows,
+/// no vertical halos — the torus's vertical wrap stays on board).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Block {
     /// Shard index, row-major over the board grid
@@ -163,31 +139,20 @@ impl Block {
         (self.halo_left + self.halo_right) * self.aug_height(wrap)
             + (self.halo_up + self.halo_down) * self.width
     }
-
-    /// The columnar view of this block — exact when `R = 1`.
-    pub fn as_slab(&self) -> Slab {
-        Slab {
-            index: self.index,
-            col0: self.col0,
-            width: self.width,
-            halo_left: self.halo_left,
-            halo_right: self.halo_right,
-        }
-    }
 }
 
-/// Splits a `rows × cols` lattice into an `grid_rows × grid_cols` grid
+/// Splits a `rows × cols` lattice into a `grid_rows × grid_cols` grid
 /// of balanced rectangular [`Block`]s with a `halo` exchange margin on
-/// every seamed side.
+/// every seamed side. A shard count `S` is the grid `(1, S)`.
 ///
-/// The column axis is exactly [`partition`] (torus: full halos both
-/// sides, including the self-wrap at `grid_cols = 1`; null boundary:
-/// clamped at the true edges; torus shards narrower than the halo
-/// rejected). The row axis follows the same rules except at
-/// `grid_rows = 1`, where vertical halos are zero — the torus's
-/// vertical wrap is handled on board, so `partition2d(rows, cols, 1,
-/// C, halo, periodic)` reproduces `partition(cols, C, halo, periodic)`
-/// slab for slab.
+/// Each axis is split independently: sizes differ by at most one site
+/// (the first `n mod parts` bands get the extra one); the torus imports
+/// full halos on both sides (including the self-wrap of a single band)
+/// and rejects bands narrower than the halo, whose windows would import
+/// overlapping or self-owned sites; the null boundary clamps halos at
+/// the true lattice edges. The one exception is `grid_rows = 1`, where
+/// vertical halos are zero — the torus's vertical wrap is handled on
+/// board, never across a link.
 pub fn partition2d(
     rows: usize,
     cols: usize,
@@ -196,128 +161,31 @@ pub fn partition2d(
     halo: usize,
     periodic: bool,
 ) -> Result<Vec<Block>, LatticeError> {
-    let col_slabs = partition(cols, grid_cols, halo, periodic)?;
-    let row_slabs = if grid_rows == 1 {
-        vec![Slab { index: 0, col0: 0, width: rows, halo_left: 0, halo_right: 0 }]
+    let col_spans = partition(cols, grid_cols, halo, periodic)?;
+    let row_spans = if grid_rows == 1 {
+        vec![Span { start: 0, len: rows, halo_lo: 0, halo_hi: 0 }]
     } else {
         partition(rows, grid_rows, halo, periodic)?
     };
     let mut blocks = Vec::with_capacity(grid_rows * grid_cols);
-    for rs in &row_slabs {
-        for cs in &col_slabs {
+    for (grid_row, rs) in row_spans.iter().enumerate() {
+        for (grid_col, cs) in col_spans.iter().enumerate() {
             blocks.push(Block {
-                index: rs.index * grid_cols + cs.index,
-                grid_row: rs.index,
-                grid_col: cs.index,
-                row0: rs.col0,
-                rows: rs.width,
-                col0: cs.col0,
-                width: cs.width,
-                halo_up: rs.halo_left,
-                halo_down: rs.halo_right,
-                halo_left: cs.halo_left,
-                halo_right: cs.halo_right,
+                index: grid_row * grid_cols + grid_col,
+                grid_row,
+                grid_col,
+                row0: rs.start,
+                rows: rs.len,
+                col0: cs.start,
+                width: cs.len,
+                halo_up: rs.halo_lo,
+                halo_down: rs.halo_hi,
+                halo_left: cs.halo_lo,
+                halo_right: cs.halo_hi,
             });
         }
     }
     Ok(blocks)
-}
-
-/// One engine sub-run of a board's pass under overlapped exchange: a
-/// contiguous span of the slab's *augmented* columns, plus the owned
-/// columns whose end-of-pass values that run certifies exact.
-///
-/// Coordinates: `a0`/`width` index the augmented slab (`0` is the
-/// leftmost halo column); `own_lo`/`own_hi` index the slab's *owned*
-/// columns (`0` is `Slab::col0`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepRegion {
-    /// First augmented column of the sub-run.
-    pub a0: usize,
-    /// Augmented columns the sub-run streams.
-    pub width: usize,
-    /// First owned column stitched from this run.
-    pub own_lo: usize,
-    /// One past the last owned column stitched from this run.
-    pub own_hi: usize,
-    /// Boundary sweeps run first each pass; their output is exactly
-    /// what the next pass's halo frames carry, so the frames can ship
-    /// while the interior sweep is still evolving.
-    pub boundary: bool,
-}
-
-impl SweepRegion {
-    /// Owned columns this run certifies.
-    pub fn own_width(&self) -> usize {
-        self.own_hi - self.own_lo
-    }
-}
-
-/// Splits a slab's per-pass sweep into the boundary regions adjacent to
-/// each seam plus one interior region, for communication/compute
-/// overlap: the boundary regions are computed first, their `k` owned
-/// columns nearest each seam are all any neighbor imports next pass, so
-/// those halo frames ship while the interior region evolves.
-///
-/// With `overlap` off (or a slab with no seams) the whole augmented
-/// slab is one non-boundary region — today's serialized sweep.
-///
-/// Geometry (pollution travels one column per generation, `halo = k`
-/// generations per pass):
-///
-/// * A seam-side boundary region spans the halo plus `2k` owned columns
-///   (`halo + 2k` augmented columns, clipped to the slab). Its outer
-///   `k` owned columns are exact: the cut edge it introduces sits `2k`
-///   columns from the seam, so its pollution front stops `k` short of
-///   the shipped columns.
-/// * The interior region spans exactly the owned columns; each seam-side
-///   cut edge pollutes `k` columns inward, which is precisely the strip
-///   the boundary region already certified.
-/// * Clamped sides (`halo < k`, the augmented edge *is* the lattice
-///   edge) introduce no pollution, so a clamped side needs no boundary
-///   region and loses no columns.
-///
-/// Requires `width >= halo` on any slab with a seam — narrower slabs
-/// cannot even source a full halo frame from their own columns and are
-/// rejected by the farm's partition validation.
-pub fn sweep_regions(slab: &Slab, halo: usize, overlap: bool) -> Vec<SweepRegion> {
-    let (w, hl, hr) = (slab.width, slab.halo_left, slab.halo_right);
-    let aug = slab.aug_width();
-    let full = SweepRegion { a0: 0, width: aug, own_lo: 0, own_hi: w, boundary: false };
-    if !overlap || (hl == 0 && hr == 0) {
-        return vec![full];
-    }
-    let mut regions = Vec::with_capacity(3);
-    // Owned columns certified by the left / right boundary sweeps. When
-    // the slab is narrower than 2k the two claims meet; the left sweep
-    // wins the contested columns and the right one keeps only its own
-    // exact outer strip.
-    let left_cover = if hl > 0 { halo.min(w) } else { 0 };
-    let right_lo = if hr > 0 { w.saturating_sub(halo).max(left_cover) } else { w };
-    if hl > 0 {
-        let width = (hl + 2 * halo).min(aug);
-        regions.push(SweepRegion { a0: 0, width, own_lo: 0, own_hi: left_cover, boundary: true });
-    }
-    if hr > 0 && right_lo < w {
-        let a0 = aug.saturating_sub(hr + 2 * halo);
-        regions.push(SweepRegion {
-            a0,
-            width: aug - a0,
-            own_lo: right_lo,
-            own_hi: w,
-            boundary: true,
-        });
-    }
-    if left_cover < right_lo {
-        regions.push(SweepRegion {
-            a0: hl,
-            width: w,
-            own_lo: left_cover,
-            own_hi: right_lo,
-            boundary: false,
-        });
-    }
-    regions
 }
 
 /// One engine sub-run of a board's pass over a rectangular block under
@@ -361,23 +229,43 @@ impl Region2d {
 }
 
 /// Splits a block's per-pass sweep into boundary regions adjacent to
-/// each seam plus one interior region, generalizing [`sweep_regions`]
-/// to two axes. Emission order: north, south, west, east, interior.
+/// each seam plus one interior region, for communication/compute
+/// overlap: the boundary regions are computed first, and the `k` owned
+/// rows and columns nearest each seam are all any neighbor imports next
+/// pass, so those halo frames ship while the interior region evolves.
+/// With `overlap` off (or a block with no seams) the whole augmented
+/// block is one non-boundary region — the serialized sweep. Emission
+/// order: north, south, west, east, interior.
 ///
+/// Geometry (pollution travels one site per generation, `halo = k`
+/// generations per pass):
+///
+/// * A seam-side band spans the halo plus `2k` owned sites (clipped to
+///   the block). Its outer `k` owned sites are exact: the cut edge it
+///   introduces sits `2k` sites from the seam, so its pollution front
+///   stops `k` short of the shipped sites.
+/// * The interior region spans exactly the owned sites; each seam-side
+///   cut edge pollutes `k` sites inward, which is precisely the strip a
+///   band already certified.
+/// * Clamped sides (the augmented edge *is* the lattice edge) introduce
+///   no pollution, so they need no band and lose no sites.
 /// * The north/south bands span the **full augmented width** and
 ///   certify the `k` owned rows nearest the seam across *every* owned
 ///   column — including the corners, whose diagonal-neighbor data rides
 ///   in the corner cells of the augmented block.
-/// * The west/east bands cover the remaining middle rows, with columns
-///   exactly as in the 1-D sweep. On a seamless row side the band runs
-///   to the full augmented extent (wrap rows included), which is how
-///   `R = 1` degenerates to `sweep_regions` region for region: no
-///   north/south bands exist, and west/east/interior reproduce the 1-D
-///   left/right/interior spans over the full augmented height.
+/// * The west/east bands cover the remaining middle rows. On a
+///   seamless row side the band runs to the full augmented extent (wrap
+///   rows included): at `R = 1` no north/south bands exist, and the
+///   west/east/interior regions span the full augmented height.
 /// * `wrap` is the on-board vertical wrap depth (`k` only for a
 ///   single-row board grid on the torus). A wrap row is true
 ///   generation-`t` data just like a halo row, so a cut edge beyond it
 ///   pollutes only the wrap rows, never the owned ones.
+///
+/// Requires every seamed side of the block to own at least `halo` sites
+/// along its axis — narrower blocks cannot source a full halo frame
+/// from their own sites and are rejected by the farm's partition
+/// validation.
 pub fn sweep_regions2d(block: &Block, halo: usize, overlap: bool, wrap: usize) -> Vec<Region2d> {
     let (h, w) = (block.rows, block.width);
     let (hu, hd, hl, hr) = (block.halo_up, block.halo_down, block.halo_left, block.halo_right);
@@ -486,26 +374,12 @@ pub fn sweep_regions2d(block: &Block, halo: usize, overlap: bool, wrap: usize) -
     regions
 }
 
-/// The widest halo-augmented slab [`partition`] produces at `shards`
-/// boards — the figure that sizes per-board hardware (SPA slice count,
-/// stream buffers) and therefore must stay stable when a farm
-/// re-partitions after retiring a board. Degraded re-partitioning sizes
-/// chips for the *smallest* shard count it may shrink to by taking this
-/// maximum over the reachable range.
-pub fn max_aug_width(
-    cols: usize,
-    shards: usize,
-    halo: usize,
-    periodic: bool,
-) -> Result<usize, LatticeError> {
-    Ok(partition(cols, shards, halo, periodic)?.iter().map(Slab::aug_width).max().unwrap_or(1))
-}
-
 /// The widest halo-augmented block [`partition2d`] produces on a
-/// `grid_rows × grid_cols` board grid — the 2-D analogue of
-/// [`max_aug_width`], sizing per-board SPA slices and stream buffers.
-/// Identical to `max_aug_width(cols, grid_cols, ...)` at
-/// `grid_rows = 1`.
+/// `grid_rows × grid_cols` board grid — the figure that sizes per-board
+/// hardware (SPA slice count, stream buffers) and therefore must stay
+/// stable when a farm re-partitions after retiring a board. Degraded
+/// re-partitioning sizes chips for the *smallest* grid it may shrink to
+/// by taking this maximum over the reachable range.
 pub fn max_aug_width2d(
     rows: usize,
     cols: usize,
@@ -525,17 +399,24 @@ pub fn max_aug_width2d(
 mod tests {
     use super::*;
 
+    /// The single-row layout of `cols` columns over `shards` boards.
+    fn slabs(rows: usize, cols: usize, shards: usize, halo: usize, periodic: bool) -> Vec<Block> {
+        partition2d(rows, cols, 1, shards, halo, periodic).unwrap()
+    }
+
     #[test]
-    fn slabs_tile_the_lattice() {
+    fn single_row_slabs_tile_the_columns_balanced() {
         for cols in [1usize, 7, 16, 240] {
             for shards in 1..=cols.min(9) {
-                let slabs = partition(cols, shards, 2, false).unwrap();
+                let slabs = slabs(5, cols, shards, 2, false);
                 assert_eq!(slabs.len(), shards);
                 let mut next = 0usize;
                 for (i, s) in slabs.iter().enumerate() {
-                    assert_eq!(s.index, i);
+                    assert_eq!((s.index, s.grid_row, s.grid_col), (i, 0, i));
                     assert_eq!(s.col0, next, "contiguous");
                     assert!(s.width >= 1);
+                    assert_eq!((s.row0, s.rows), (0, 5), "a single grid row owns every row");
+                    assert_eq!((s.halo_up, s.halo_down), (0, 0), "no vertical seams");
                     next = s.col_end();
                 }
                 assert_eq!(next, cols, "slabs cover every column exactly once");
@@ -548,7 +429,7 @@ mod tests {
 
     #[test]
     fn null_boundary_halos_clamp_at_the_edges() {
-        let slabs = partition(10, 4, 3, false).unwrap();
+        let slabs = slabs(10, 10, 4, 3, false);
         // Widths 3,3,2,2; col0 0,3,6,8.
         assert_eq!(slabs[0].halo_left, 0, "nothing exists left of the lattice");
         assert_eq!(slabs[0].halo_right, 3);
@@ -559,14 +440,14 @@ mod tests {
         assert_eq!(slabs[3].halo_left, 3);
         assert_eq!(slabs[3].halo_right, 0);
         assert_eq!(slabs[1].aug_width(), 9);
-        assert_eq!(slabs[1].halo_sites(10), 60);
+        assert_eq!(slabs[1].halo_sites(0), 60);
     }
 
     #[test]
     fn periodic_halos_never_clamp() {
-        let slabs = partition(12, 4, 3, true).unwrap();
-        for s in &slabs {
+        for s in slabs(6, 12, 4, 3, true) {
             assert_eq!((s.halo_left, s.halo_right), (3, 3));
+            assert_eq!((s.halo_up, s.halo_down), (0, 0), "the vertical wrap stays on board");
         }
     }
 
@@ -574,23 +455,23 @@ mod tests {
     fn torus_slabs_narrower_than_the_halo_are_rejected() {
         // Regression: this used to return slabs of width 2 whose halo
         // windows (3 wide) imported overlapping / self-owned columns.
-        let err = partition(10, 4, 3, true).unwrap_err();
+        let err = partition2d(5, 10, 1, 4, 3, true).unwrap_err();
         assert!(err.to_string().contains("overlapping or self-owned"), "{err}");
         // Width == halo is the boundary case and stays legal.
-        assert!(partition(12, 4, 3, true).is_ok());
+        assert!(partition2d(5, 12, 1, 4, 3, true).is_ok());
         // Null boundary clamps instead; no rejection.
-        assert!(partition(10, 4, 3, false).is_ok());
+        assert!(partition2d(5, 10, 1, 4, 3, false).is_ok());
         // A single torus shard may self-wrap (width ≥ halo), but not
         // circle the lattice more than once (width < halo).
-        assert!(partition(8, 1, 5, true).is_ok());
-        assert!(partition(2, 1, 5, true).is_err());
+        assert!(partition2d(5, 8, 1, 1, 5, true).is_ok());
+        assert!(partition2d(5, 2, 1, 1, 5, true).is_err());
     }
 
     #[test]
     fn single_shard_imports_nothing_under_null_boundary() {
-        let s = partition(64, 1, 4, false).unwrap();
-        assert_eq!(s[0].aug_width(), 64);
-        assert_eq!(s[0].halo_sites(64), 0);
+        let s = slabs(64, 64, 1, 4, false)[0];
+        assert_eq!(s.aug_width(), 64);
+        assert_eq!(s.halo_sites(0), 0);
     }
 
     #[test]
@@ -599,143 +480,24 @@ mod tests {
         // degrade range is always the smallest shard count's figure.
         let mut prev = 0usize;
         for shards in (1..=5).rev() {
-            let w = max_aug_width(40, shards, 2, false).unwrap();
+            let w = max_aug_width2d(8, 40, 1, shards, 2, false).unwrap();
             assert!(w >= prev, "S={shards}");
             prev = w;
         }
-        assert_eq!(max_aug_width(40, 1, 2, false).unwrap(), 40, "one board, no halo");
-        assert_eq!(max_aug_width(40, 2, 2, true).unwrap(), 24, "torus: 20 owned + 2·2 halo");
-    }
-
-    /// Every owned column must be certified by exactly one region, and
-    /// the columns any neighbor imports (`k` nearest each seam) must be
-    /// certified by a *boundary* region, else overlap could ship stale
-    /// or polluted sites.
-    fn check_regions(slab: &Slab, halo: usize) {
-        let regions = sweep_regions(slab, halo, true);
-        let mut certified = vec![0usize; slab.width];
-        for r in &regions {
-            assert!(r.a0 + r.width <= slab.aug_width(), "region inside the augmented slab");
-            assert!(r.own_lo >= r.a0.saturating_sub(slab.halo_left), "owned span inside region");
-            assert!(slab.halo_left + r.own_hi <= r.a0 + r.width, "owned span inside region");
-            for c in &mut certified[r.own_lo..r.own_hi] {
-                *c += 1;
-            }
-        }
-        assert!(certified.iter().all(|&c| c == 1), "{slab:?}: {certified:?}");
-        let shipped_left = if slab.halo_left > 0 { halo.min(slab.width) } else { 0 };
-        let shipped_right = if slab.halo_right > 0 { halo.min(slab.width) } else { 0 };
-        for j in (0..shipped_left).chain(slab.width - shipped_right..slab.width) {
-            let region = regions.iter().find(|r| (r.own_lo..r.own_hi).contains(&j)).unwrap();
-            assert!(
-                region.boundary,
-                "shipped column {j} of {slab:?} must come from a boundary sweep"
-            );
-        }
-    }
-
-    #[test]
-    fn sweep_regions_partition_the_owned_columns() {
-        for cols in [8usize, 10, 17, 64] {
-            for shards in 1..=cols.min(8) {
-                for halo in 1..=4usize {
-                    for periodic in [false, true] {
-                        if cols / shards < halo {
-                            continue; // farms reject slabs narrower than the halo
-                        }
-                        for slab in partition(cols, shards, halo, periodic).unwrap() {
-                            check_regions(&slab, halo);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn serialized_sweep_is_one_full_region() {
-        for slab in partition(12, 3, 2, true).unwrap() {
-            let regions = sweep_regions(&slab, 2, false);
-            assert_eq!(regions.len(), 1);
-            let r = regions[0];
-            assert_eq!((r.a0, r.width, r.own_lo, r.own_hi, r.boundary), (0, 8, 0, 4, false));
-        }
-    }
-
-    #[test]
-    fn seamless_slab_has_no_boundary_sweep() {
-        let slab = partition(12, 1, 2, false).unwrap()[0];
-        let regions = sweep_regions(&slab, 2, true);
-        assert_eq!(regions.len(), 1);
-        assert!(!regions[0].boundary);
-    }
-
-    #[test]
-    fn interior_slab_splits_into_three_regions() {
-        // cols 24, 3 shards, k = 2: the middle slab owns cols 8..16
-        // with full halos. Left boundary region: halo (2) + 2k (4)
-        // augmented columns certifying owned 0..2; mirrored right;
-        // interior certifies 2..6.
-        let slab = partition(24, 3, 2, false).unwrap()[1];
-        let r = sweep_regions(&slab, 2, true);
-        assert_eq!(r.len(), 3);
+        assert_eq!(max_aug_width2d(8, 40, 1, 1, 2, false).unwrap(), 40, "one board, no halo");
         assert_eq!(
-            (r[0].a0, r[0].width, r[0].own_lo, r[0].own_hi, r[0].boundary),
-            (0, 6, 0, 2, true)
+            max_aug_width2d(8, 40, 1, 2, 2, true).unwrap(),
+            24,
+            "torus: 20 owned + 2·2 halo"
         );
-        assert_eq!(
-            (r[1].a0, r[1].width, r[1].own_lo, r[1].own_hi, r[1].boundary),
-            (6, 6, 6, 8, true)
-        );
-        assert_eq!(
-            (r[2].a0, r[2].width, r[2].own_lo, r[2].own_hi, r[2].boundary),
-            (2, 8, 2, 6, false)
-        );
-    }
-
-    #[test]
-    fn narrow_slab_collapses_to_boundary_sweeps_only() {
-        // Slab width k..2k: the two boundary claims meet, the interior
-        // region vanishes, and the contested columns go to the left
-        // sweep exactly once.
-        let slab = partition(12, 4, 2, true).unwrap()[1];
-        assert_eq!(slab.width, 3);
-        let regions = sweep_regions(&slab, 2, true);
-        assert!(regions.iter().all(|r| r.boundary));
-        check_regions(&slab, 2);
     }
 
     #[test]
     fn degenerate_farms_are_rejected() {
-        assert!(partition(16, 0, 1, false).is_err());
-        assert!(partition(4, 5, 1, false).is_err());
-        assert!(partition(4, 4, 1, false).is_ok());
-    }
-
-    #[test]
-    fn single_row_grid_degenerates_to_columnar_slabs() {
-        for cols in [7usize, 16, 33] {
-            for shards in 1..=cols.min(6) {
-                for periodic in [false, true] {
-                    for halo in 1..=3usize {
-                        let slabs = match partition(cols, shards, halo, periodic) {
-                            Ok(s) => s,
-                            Err(_) => {
-                                assert!(partition2d(11, cols, 1, shards, halo, periodic).is_err());
-                                continue;
-                            }
-                        };
-                        let blocks = partition2d(11, cols, 1, shards, halo, periodic).unwrap();
-                        assert_eq!(blocks.len(), slabs.len());
-                        for (b, s) in blocks.iter().zip(&slabs) {
-                            assert_eq!(b.as_slab(), *s);
-                            assert_eq!((b.row0, b.rows), (0, 11));
-                            assert_eq!((b.halo_up, b.halo_down), (0, 0));
-                        }
-                    }
-                }
-            }
-        }
+        assert!(partition2d(4, 16, 1, 0, 1, false).is_err());
+        assert!(partition2d(4, 16, 0, 1, 1, false).is_err());
+        assert!(partition2d(4, 4, 1, 5, 1, false).is_err());
+        assert!(partition2d(4, 4, 1, 4, 1, false).is_ok());
     }
 
     #[test]
@@ -770,10 +532,10 @@ mod tests {
         assert!(partition2d(10, 24, 4, 2, 3, false).is_ok());
     }
 
-    /// 2-D analogue of `check_regions`: every owned site certified by
-    /// exactly one region, and every site a neighbor imports next pass
-    /// (the `k`-deep strip along each seam, corners included) certified
-    /// by a *boundary* region.
+    /// Every owned site certified by exactly one region, and every site
+    /// a neighbor imports next pass (the `k`-deep strip along each seam,
+    /// corners included) certified by a *boundary* region, else overlap
+    /// could ship stale or polluted sites.
     fn check_regions2d(block: &Block, halo: usize, wrap: usize) {
         let regions = sweep_regions2d(block, halo, true, wrap);
         let (h, w) = (block.rows, block.width);
@@ -827,28 +589,81 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sweep_regions2d_degenerates_to_sweep_regions_at_one_grid_row() {
-        for periodic in [false, true] {
-            let wrap = if periodic { 2 } else { 0 };
-            for b in partition2d(10, 24, 1, 3, 2, periodic).unwrap() {
-                let got = sweep_regions2d(&b, 2, true, wrap);
-                let want = sweep_regions(&b.as_slab(), 2, true);
-                assert_eq!(got.len(), want.len());
-                for (g, w1d) in got.iter().zip(&want) {
-                    // Full augmented height, wrap rows included — the
-                    // exact spans the 1-D farm streams today.
-                    assert_eq!((g.r0, g.height), (0, 10 + 2 * wrap));
-                    assert_eq!((g.own_r_lo, g.own_r_hi), (0, 10));
-                    assert_eq!(
-                        (g.a0, g.width, g.own_lo, g.own_hi, g.boundary),
-                        (w1d.a0, w1d.width, w1d.own_lo, w1d.own_hi, w1d.boundary)
-                    );
+        // Single-row grids over a wider range of column splits.
+        for cols in [8usize, 10, 17, 64] {
+            for shards in 1..=cols.min(8) {
+                for halo in 1..=4usize {
+                    for periodic in [false, true] {
+                        if cols / shards < halo {
+                            continue;
+                        }
+                        let wrap = if periodic { halo } else { 0 };
+                        for b in slabs(3, cols, shards, halo, periodic) {
+                            check_regions2d(&b, halo, wrap);
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn serialized_and_seamless_sweeps_are_one_full_region() {
+        for b in slabs(5, 12, 3, 2, true) {
+            let r = sweep_regions2d(&b, 2, false, 2);
+            assert_eq!(r.len(), 1);
+            assert_eq!((r[0].r0, r[0].height, r[0].own_r_lo, r[0].own_r_hi), (0, 9, 0, 5));
+            assert_eq!(
+                (r[0].a0, r[0].width, r[0].own_lo, r[0].own_hi, r[0].boundary),
+                (0, 8, 0, 4, false)
+            );
+        }
+        let seamless = slabs(5, 12, 1, 2, false)[0];
+        let r = sweep_regions2d(&seamless, 2, true, 0);
+        assert_eq!(r.len(), 1);
+        assert!(!r[0].boundary);
+    }
+
+    #[test]
+    fn interior_slab_splits_into_three_full_height_regions() {
+        // cols 24, 3 shards, k = 2: the middle slab owns cols 8..16
+        // with full halos. West band: halo (2) + 2k (4) augmented
+        // columns certifying owned 0..2; mirrored east; interior
+        // certifies 2..6. Every region spans the full augmented height,
+        // the torus's on-board wrap rows included.
+        for periodic in [false, true] {
+            let wrap = if periodic { 2 } else { 0 };
+            let b = slabs(10, 24, 3, 2, periodic)[1];
+            let r = sweep_regions2d(&b, 2, true, wrap);
+            assert_eq!(r.len(), 3);
+            for x in &r {
+                assert_eq!((x.r0, x.height), (0, 10 + 2 * wrap));
+                assert_eq!((x.own_r_lo, x.own_r_hi), (0, 10));
+            }
+            assert_eq!(
+                (r[0].a0, r[0].width, r[0].own_lo, r[0].own_hi, r[0].boundary),
+                (0, 6, 0, 2, true)
+            );
+            assert_eq!(
+                (r[1].a0, r[1].width, r[1].own_lo, r[1].own_hi, r[1].boundary),
+                (6, 6, 6, 8, true)
+            );
+            assert_eq!(
+                (r[2].a0, r[2].width, r[2].own_lo, r[2].own_hi, r[2].boundary),
+                (2, 8, 2, 6, false)
+            );
+        }
+    }
+
+    #[test]
+    fn narrow_slab_collapses_to_boundary_sweeps_only() {
+        // Slab width k..2k: the two boundary claims meet, the interior
+        // region vanishes, and the contested columns go to the west
+        // sweep exactly once.
+        let b = slabs(4, 12, 4, 2, true)[1];
+        assert_eq!(b.width, 3);
+        assert!(sweep_regions2d(&b, 2, true, 2).iter().all(|r| r.boundary));
+        check_regions2d(&b, 2, 2);
     }
 
     #[test]

@@ -139,39 +139,44 @@ proptest! {
 }
 
 mod shard_geometry {
-    use lattice_core::shard::{partition, partition2d};
+    use lattice_core::shard::partition2d;
     use proptest::prelude::*;
 
     proptest! {
-        /// A single-row board grid IS the columnar partition: every
-        /// block degenerates slab-for-slab (same seams, same halos, no
-        /// vertical margin), and the two constructors accept or reject
-        /// exactly the same configurations.
+        /// A single-row board grid is the columnar farm: it is accepted
+        /// exactly when every torus slab owns at least the halo, and
+        /// then its blocks are contiguous balanced slabs, left to
+        /// right, owning every row, with no vertical margin and column
+        /// halos clamped only at the null boundary's true edges.
         #[test]
-        fn single_row_grids_degenerate_to_columnar_slabs(
+        fn single_row_grids_are_columnar_slabs(
             rows in 1usize..64,
             cols in 1usize..64,
             shards in 1usize..10,
             halo in 1usize..6,
             periodic in any::<bool>(),
         ) {
-            let slabs = partition(cols, shards, halo, periodic);
             let blocks = partition2d(rows, cols, 1, shards, halo, periodic);
-            match (slabs, blocks) {
-                (Ok(slabs), Ok(blocks)) => {
-                    prop_assert_eq!(slabs.len(), blocks.len());
-                    for (slab, block) in slabs.iter().zip(&blocks) {
-                        prop_assert_eq!(&block.as_slab(), slab);
-                        prop_assert_eq!((block.grid_row, block.row0, block.rows), (0, 0, rows));
-                        prop_assert_eq!((block.halo_up, block.halo_down), (0, 0));
-                    }
-                }
-                (Err(_), Err(_)) => {}
-                (s, b) => prop_assert!(
-                    false,
-                    "constructors disagree: partition {s:?} vs partition2d {b:?}"
-                ),
+            let legal = shards <= cols && (!periodic || cols / shards >= halo);
+            prop_assert_eq!(blocks.is_ok(), legal, "{:?}", blocks);
+            let Ok(blocks) = blocks else { return Ok(()) };
+            prop_assert_eq!(blocks.len(), shards);
+            let mut next = 0usize;
+            for (i, b) in blocks.iter().enumerate() {
+                prop_assert_eq!((b.index, b.grid_row, b.grid_col), (i, 0, i));
+                prop_assert_eq!((b.row0, b.rows), (0, rows));
+                prop_assert_eq!((b.halo_up, b.halo_down), (0, 0));
+                prop_assert_eq!(b.col0, next);
+                prop_assert!(b.width == cols / shards || b.width == cols / shards + 1);
+                let want = if periodic {
+                    (halo, halo)
+                } else {
+                    (halo.min(b.col0), halo.min(cols - b.col_end()))
+                };
+                prop_assert_eq!((b.halo_left, b.halo_right), want);
+                next = b.col_end();
             }
+            prop_assert_eq!(next, cols);
         }
 
         /// Owned blocks tile the lattice: every site is owned by

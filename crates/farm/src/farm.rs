@@ -118,12 +118,9 @@ pub struct WorkerFaultSpec {
 /// A board-level engine farm over one lattice.
 #[derive(Debug, Clone, Copy)]
 pub struct LatticeFarm {
-    /// Boards (`S`), each owning one rectangular block (a columnar slab
-    /// when [`LatticeFarm::grid`] has one row).
-    pub shards: usize,
-    /// Board grid shape `(R, C)` with `R · C == shards`: the lattice is
-    /// cut into `R` row bands × `C` column bands. `(1, shards)` — the
-    /// default — is the columnar farm.
+    /// Board grid shape `(R, C)`: the lattice is cut into `R` row bands
+    /// × `C` column bands, one rectangular block per board. `(1, S)` —
+    /// what [`LatticeFarm::new`] builds — is the columnar farm.
     pub grid: (usize, usize),
     /// The engine instantiated on every board.
     pub engine: ShardEngine,
@@ -747,11 +744,11 @@ fn load_shard_checkpoints<S: State>(
 }
 
 impl LatticeFarm {
-    /// A farm of `shards` boards running `engine` at `depth` generations
-    /// per pass, with unthrottled links and the null boundary.
+    /// A farm of `shards` boards — the single-row grid `(1, shards)` —
+    /// running `engine` at `depth` generations per pass, with
+    /// unthrottled links and the null boundary.
     pub fn new(shards: usize, engine: ShardEngine, depth: usize) -> Self {
         LatticeFarm {
-            shards,
             grid: (1, shards),
             engine,
             depth,
@@ -763,14 +760,18 @@ impl LatticeFarm {
         }
     }
 
-    /// Reshapes the farm onto an `R × C` board grid (replacing the
-    /// shard count with `R · C`): each board owns a rectangular block,
-    /// exchanging halo columns over the intra-rack tier and halo rows
-    /// over the inter-rack tier. `(1, shards)` is the columnar farm.
+    /// Reshapes the farm onto an `R × C` board grid of `R · C` boards:
+    /// each board owns a rectangular block, exchanging halo columns over
+    /// the intra-rack tier and halo rows over the inter-rack tier.
+    /// `(1, shards)` is the columnar farm.
     pub fn with_grid(mut self, grid_rows: usize, grid_cols: usize) -> Self {
         self.grid = (grid_rows, grid_cols);
-        self.shards = grid_rows * grid_cols;
         self
+    }
+
+    /// Boards in the farm, `R · C` (retired boards included).
+    pub fn shards(&self) -> usize {
+        self.grid.0 * self.grid.1
     }
 
     /// Replaces the inter-rack (vertical) link model only, leaving the
@@ -826,12 +827,6 @@ impl LatticeFarm {
                 "a board grid needs ≥ 1 row and column".into(),
             ));
         }
-        if self.grid.0 * self.grid.1 != self.shards {
-            return Err(LatticeError::InvalidConfig(format!(
-                "board grid {}×{} disagrees with the shard count {}",
-                self.grid.0, self.grid.1, self.shards
-            )));
-        }
         match self.engine {
             ShardEngine::Wsa { width: 0 } => {
                 return Err(LatticeError::InvalidConfig("WSA boards need width ≥ 1".into()));
@@ -856,7 +851,7 @@ impl LatticeFarm {
     /// re-partitioning has retired boards (level 4 is gated to
     /// single-row grids, so the reshape is always columnar).
     fn grid_at(&self, shards: usize) -> (usize, usize) {
-        if shards == self.shards {
+        if shards == self.shards() {
             self.grid
         } else {
             (1, shards)
@@ -916,7 +911,7 @@ impl LatticeFarm {
         smin: usize,
     ) -> Result<usize, LatticeError> {
         let mut stride = 0usize;
-        for s in smin..=self.shards {
+        for s in smin..=self.shards() {
             stride = stride.max(self.chip_stride_at(rows, cols, s)?);
         }
         Ok(stride)
@@ -1022,7 +1017,7 @@ impl LatticeFarm {
                     imported_v.push(aug.get(Coord::c2(r, c)));
                 }
             }
-            let link_faults_v = ctx.map(|ctx| (ctx, link_chip_base + self.shards + b));
+            let link_faults_v = ctx.map(|ctx| (ctx, link_chip_base + self.shards() + b));
             let received_v = self.link_inter.transmit_arq(
                 &imported_v,
                 b,
@@ -1450,7 +1445,7 @@ impl LatticeFarm {
     /// is a [`lattice_engines_sim::Component::Link`] chip past all of
     /// them. A halo-link parity failure aborts the run with the board's
     /// name — recovery is [`LatticeFarm::run_with_recovery`]'s job.
-    pub fn run_with_faults<R: Rule>(
+    fn run_with_faults<R: Rule>(
         &self,
         rule: &R,
         grid: &Grid<R::S>,
@@ -1462,20 +1457,20 @@ impl LatticeFarm {
         let fault_base = plan.map(|p| p.stats()).unwrap_or_default();
         let shape = grid.shape();
         let (rows, cols) = (shape.rows(), shape.cols());
-        let stride = self.chip_stride_at(rows, cols, self.shards)?;
-        let link_chip_base = self.shards * stride;
-        let phys: Vec<usize> = (0..self.shards).collect();
-        let attempts = vec![0u64; self.shards];
+        let shards = self.shards();
+        let stride = self.chip_stride_at(rows, cols, shards)?;
+        let link_chip_base = shards * stride;
+        let phys: Vec<usize> = (0..shards).collect();
+        let attempts = vec![0u64; shards];
         let (gr, gc) = self.grid;
         let full_blocks = partition2d_checked(rows, cols, gr, gc, self.depth, self.periodic)?;
         let mut totals = Totals::new(&full_blocks);
         let mut scratch = RecoveryStats::default();
         let mut no_shard_audit =
             |_: usize, _: &Grid<R::S>, _: &Grid<R::S>| -> Result<(), LatticeError> { Ok(()) };
-        let mut halo_pos = vec![0u64; self.shards];
-        let mut halo_pos_inter = vec![0u64; self.shards];
-        let mut windows: Vec<StagedHalo<R::S>> =
-            (0..self.shards).map(|_| HaloWindow::new()).collect();
+        let mut halo_pos = vec![0u64; shards];
+        let mut halo_pos_inter = vec![0u64; shards];
+        let mut windows: Vec<StagedHalo<R::S>> = (0..shards).map(|_| HaloWindow::new()).collect();
         let mut credit = Ticks::ZERO;
         let mut current = grid.clone();
         let t_end = t0 + generations;
@@ -1483,7 +1478,7 @@ impl LatticeFarm {
         let mut passes = 0u64;
         while t_now < t_end {
             let k = self.depth.min(usize_from_u64(t_end - t_now));
-            let blocks = self.blocks_at(rows, cols, self.shards, k)?;
+            let blocks = self.blocks_at(rows, cols, shards, k)?;
             let mut cache: Vec<BoardCache<R::S>> =
                 (0..blocks.len()).map(|_| BoardCache::default()).collect();
             let pp = PassParams {
@@ -1521,7 +1516,7 @@ impl LatticeFarm {
             passes += 1;
         }
         let faults = plan.map(|p| p.stats().since(fault_base)).unwrap_or_default();
-        Ok(totals.finish(current, passes, self.shards, faults))
+        Ok(totals.finish(current, passes, shards, faults))
     }
 
     /// [`LatticeFarm::run`] hardened against hardware faults through the
@@ -1546,59 +1541,7 @@ impl LatticeFarm {
         cfg: &FarmRecoveryConfig,
         audit: impl FnMut(&Grid<R::S>, &Grid<R::S>) -> Result<(), LatticeError>,
     ) -> Result<FarmFtRun<R::S>, LatticeError> {
-        self.run_with_recovery_audited(rule, grid, t0, generations, plan, cfg, audit, |_, _, _| {
-            Ok(())
-        })
-    }
-
-    /// [`LatticeFarm::run_with_recovery`] with an additional per-board
-    /// audit: `shard_audit(board, aug_before, aug_after)` checks one
-    /// board's halo-augmented slab across its `k` generations. Because
-    /// its verdict names the board, a violation is handled by ladder
-    /// level 2 — that board alone rolls back and replays its buffered
-    /// halos — which is how silent (parity-invisible) PE corruption
-    /// gets localized recovery instead of a farm-wide rollback.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_recovery_audited<R: Rule>(
-        &self,
-        rule: &R,
-        grid: &Grid<R::S>,
-        t0: u64,
-        generations: u64,
-        plan: Option<&FaultPlan>,
-        cfg: &FarmRecoveryConfig,
-        audit: impl FnMut(&Grid<R::S>, &Grid<R::S>) -> Result<(), LatticeError>,
-        shard_audit: impl FnMut(usize, &Grid<R::S>, &Grid<R::S>) -> Result<(), LatticeError>,
-    ) -> Result<FarmFtRun<R::S>, LatticeError> {
-        self.run_recovery_impl(rule, grid, t0, generations, plan, cfg, audit, shard_audit, None)
-    }
-
-    /// [`LatticeFarm::run_with_recovery_audited`] with persistence
-    /// level 0 of the ladder: every checkpoint barrier (initial,
-    /// periodic, post-re-partition, and final state) is also pushed to
-    /// `sink` as a shard-consistent durable snapshot — one
-    /// [`ShardBlob`] per slab, stamped with the slab's first interior
-    /// column so a resume can reassemble the lattice even after
-    /// degraded re-partitioning changed the slab layout. A killed farm
-    /// resumes bit-exact: reassemble the newest snapshot and call this
-    /// again with the restored lattice and generation as `grid`/`t0`
-    /// (FHP chirality hashes absolute coordinates, so the stamp
-    /// matters). A sink failure fails the run; callers wanting
-    /// best-effort persistence (e.g. the chaos soak) wrap the sink.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_recovery_persistent<R: Rule>(
-        &self,
-        rule: &R,
-        grid: &Grid<R::S>,
-        t0: u64,
-        generations: u64,
-        plan: Option<&FaultPlan>,
-        cfg: &FarmRecoveryConfig,
-        audit: impl FnMut(&Grid<R::S>, &Grid<R::S>) -> Result<(), LatticeError>,
-        shard_audit: impl FnMut(usize, &Grid<R::S>, &Grid<R::S>) -> Result<(), LatticeError>,
-        sink: &mut dyn SnapshotSink,
-    ) -> Result<FarmFtRun<R::S>, LatticeError> {
-        self.run_recovery_impl(
+        self.run_with_recovery_audited(
             rule,
             grid,
             t0,
@@ -1606,13 +1549,34 @@ impl LatticeFarm {
             plan,
             cfg,
             audit,
-            shard_audit,
-            Some(sink),
+            |_, _, _| Ok(()),
+            None,
         )
     }
 
+    /// [`LatticeFarm::run_with_recovery`] with an additional per-board
+    /// audit and optional persistence.
+    ///
+    /// `shard_audit(board, aug_before, aug_after)` checks one board's
+    /// halo-augmented block across its `k` generations. Because its
+    /// verdict names the board, a violation is handled by ladder level 2
+    /// — that board alone rolls back and replays its buffered halos —
+    /// which is how silent (parity-invisible) PE corruption gets
+    /// localized recovery instead of a farm-wide rollback.
+    ///
+    /// With a `sink` attached, level 0 of the ladder is persistence:
+    /// every checkpoint barrier (initial, periodic, post-re-partition,
+    /// and final state) is also pushed to `sink` as a shard-consistent
+    /// durable snapshot — one [`ShardBlob`] per block, stamped with the
+    /// block's first owned row and column so a resume can reassemble the
+    /// lattice even after degraded re-partitioning changed the layout. A
+    /// killed farm resumes bit-exact: reassemble the newest snapshot and
+    /// call this again with the restored lattice and generation as
+    /// `grid`/`t0` (FHP chirality hashes absolute coordinates, so the
+    /// stamp matters). A sink failure fails the run; callers wanting
+    /// best-effort persistence (e.g. the chaos soak) wrap the sink.
     #[allow(clippy::too_many_arguments)]
-    fn run_recovery_impl<R: Rule>(
+    pub fn run_with_recovery_audited<R: Rule>(
         &self,
         rule: &R,
         grid: &Grid<R::S>,
@@ -1692,19 +1656,19 @@ impl LatticeFarm {
         max_retired: usize,
         b: usize,
     ) -> Result<usize, LatticeError> {
-        if b >= self.shards {
+        let shards = self.shards();
+        if b >= shards {
             return Err(LatticeError::InvalidConfig(format!(
-                "board {b} out of range for {} shard(s)",
-                self.shards
+                "board {b} out of range for {shards} shard(s)"
             )));
         }
-        if max_retired >= self.shards {
+        if max_retired >= shards {
             return Err(LatticeError::InvalidConfig(
                 "degrade budget must leave at least one board".into(),
             ));
         }
-        let stride = self.chip_stride_range(rows, cols, self.shards - max_retired)?;
-        Ok(self.shards * stride + b)
+        let stride = self.chip_stride_range(rows, cols, shards - max_retired)?;
+        Ok(shards * stride + b)
     }
 
     /// The physical chip id of board `b`'s *inter-rack* (vertical-tier)
@@ -1718,7 +1682,7 @@ impl LatticeFarm {
         max_retired: usize,
         b: usize,
     ) -> Result<usize, LatticeError> {
-        Ok(self.link_chip(rows, cols, max_retired, b)? + self.shards)
+        Ok(self.link_chip(rows, cols, max_retired, b)? + self.shards())
     }
 
     fn session_inner<'p, S: State>(
@@ -1733,8 +1697,9 @@ impl LatticeFarm {
         if cfg.checkpoint_every == 0 {
             return Err(LatticeError::InvalidConfig("checkpoint interval must be ≥ 1".into()));
         }
+        let shards = self.shards();
         let max_retired = cfg.degrade.map_or(0, |d| d.max_retired);
-        if max_retired >= self.shards {
+        if max_retired >= shards {
             return Err(LatticeError::InvalidConfig(
                 "degrade budget must leave at least one board".into(),
             ));
@@ -1749,7 +1714,7 @@ impl LatticeFarm {
         let fault_base = plan.get().map(|p| p.stats()).unwrap_or_default();
         let shape = grid.shape();
         let (rows, cols) = (shape.rows(), shape.cols());
-        let stride = self.chip_stride_range(rows, cols, self.shards - max_retired)?;
+        let stride = self.chip_stride_range(rows, cols, shards - max_retired)?;
         let (gr, gc) = self.grid;
         let ckpt_slabs = partition2d_checked(rows, cols, gr, gc, self.depth, self.periodic)?;
         let totals = Totals::new(&ckpt_slabs);
@@ -1766,17 +1731,17 @@ impl LatticeFarm {
             rows,
             cols,
             stride,
-            link_chip_base: self.shards * stride,
-            phys: (0..self.shards).collect(),
+            link_chip_base: shards * stride,
+            phys: (0..shards).collect(),
             ckpt_slabs,
             totals,
             recovery,
-            halo_pos: vec![0u64; self.shards],
-            halo_pos_inter: vec![0u64; self.shards],
-            windows: (0..self.shards).map(|_| HaloWindow::new()).collect(),
+            halo_pos: vec![0u64; shards],
+            halo_pos_inter: vec![0u64; shards],
+            windows: (0..shards).map(|_| HaloWindow::new()).collect(),
             credit: Ticks::ZERO,
-            attempts: vec![0u64; self.shards],
-            local_left: vec![cfg.local_retries; self.shards],
+            attempts: vec![0u64; shards],
+            local_left: vec![cfg.local_retries; shards],
             retries_left: cfg.max_retries,
             retired_left: max_retired,
             current,
@@ -1891,7 +1856,7 @@ impl<'p, S: State> FarmSession<'p, S> {
     /// endpoint serves between steps.
     pub fn report(&self) -> FarmReport<S> {
         let faults = self.plan.get().map(|p| p.stats().since(self.fault_base)).unwrap_or_default();
-        self.totals.clone().finish(self.current.clone(), self.passes, self.farm.shards, faults)
+        self.totals.clone().finish(self.current.clone(), self.passes, self.farm.shards(), faults)
     }
 
     /// Takes a fresh checkpoint barrier *now* (pushed to `sink` when one
@@ -2094,7 +2059,7 @@ impl<'p, S: State> FarmSession<'p, S> {
     pub fn finish(self) -> FarmFtRun<S> {
         let faults = self.plan.get().map(|p| p.stats().since(self.fault_base)).unwrap_or_default();
         FarmFtRun {
-            report: self.totals.finish(self.current, self.passes, self.farm.shards, faults),
+            report: self.totals.finish(self.current, self.passes, self.farm.shards(), faults),
             recovery: self.recovery,
         }
     }
@@ -2242,10 +2207,11 @@ mod tests {
             assert!(err < 0.02, "{measured} vs predicted {predicted}: off by {err}");
         };
         let passes = b.passes;
-        assert_eq!(b.halo_ticks, Ticks::new(passes * model.halo_ticks(4).get()));
+        let bg = slow.grid;
+        assert_eq!(b.halo_ticks, Ticks::new(passes * model.halo_ticks2(bg).get()));
         let p = f64_from_u64(passes);
-        close(b.machine.ticks, p * model.compute_ticks(4).to_f64());
-        close(b.machine_ticks(), p * model.pass_ticks(4).to_f64());
+        close(b.machine.ticks, p * model.compute_ticks2(bg).to_f64());
+        close(b.machine_ticks(), p * model.pass_ticks2(bg).to_f64());
 
         // Overlapped agreement: same bits on the same wire, but the
         // wall clock follows boundary + max(interior, halo) — except
@@ -2255,11 +2221,11 @@ mod tests {
         let c = slow.with_overlap(true).run(&rule, &g, 0, 6).unwrap();
         assert_eq!(c.grid(), a.grid(), "overlap changes timing, never results");
         assert_eq!(c.halo_ticks, b.halo_ticks, "the wire moves the same frames");
-        let (ob, oi) = (omodel.boundary_compute_ticks(4), omodel.interior_compute_ticks(4));
+        let (ob, oi) = (omodel.boundary_compute_ticks2(bg), omodel.interior_compute_ticks2(bg));
         close(c.machine.ticks, p * (ob + oi).to_f64());
-        let cold_start = oi.min(omodel.halo_ticks(4));
+        let cold_start = oi.min(omodel.halo_ticks2(bg));
         close(c.overlapped_ticks, (p - 1.0) * cold_start.to_f64());
-        close(c.machine_ticks(), p * omodel.pass_ticks(4).to_f64() + cold_start.to_f64());
+        close(c.machine_ticks(), p * omodel.pass_ticks2(bg).to_f64() + cold_start.to_f64());
     }
 
     #[test]
@@ -2597,6 +2563,7 @@ mod tests {
                         Ok(())
                     }
                 },
+                None,
             )
             .unwrap();
         assert_eq!(ft.report.grid(), &reference);

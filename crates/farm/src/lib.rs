@@ -2,13 +2,14 @@
 //!
 //! A board-level engine farm: the machine the paper's §6 scaling
 //! argument builds toward, one packaging level above the chip. The
-//! lattice is split into `S` balanced columnar slabs ([`partition`]),
-//! each driven by its own cycle-level engine — a WSA pipeline (§4) or
-//! an SPA slice array (§5) from `lattice-engines-sim` — on its own
-//! worker. Boards run in bulk-synchronous passes: every pass they
-//! exchange `k`-column halos over finite-bandwidth, parity-checked
-//! inter-board links ([`BoardLink`]), then compute `k` generations
-//! concurrently, then stitch at the barrier.
+//! lattice is split into an `R × C` grid of balanced rectangular blocks
+//! ([`partition2d`]; a shard count `S` is the grid `(1, S)`), each
+//! driven by its own cycle-level engine — a WSA pipeline (§4) or an SPA
+//! slice array (§5) from `lattice-engines-sim` — on its own worker.
+//! Boards run in bulk-synchronous passes: every pass they exchange
+//! `k`-deep halos over finite-bandwidth, parity-checked inter-board
+//! links ([`BoardLink`]), then compute `k` generations concurrently,
+//! then stitch at the barrier.
 //!
 //! Three contracts, all enforced by tests:
 //!
@@ -45,6 +46,5 @@ pub use farm::{
 };
 pub use link::{BoardLink, HaloWindow};
 pub use partition::{
-    max_aug_width, max_aug_width2d, partition, partition2d, partition2d_checked, partition_checked,
-    sweep_regions, sweep_regions2d, Block, Region2d, Slab, SweepRegion,
+    max_aug_width2d, partition2d, partition2d_checked, sweep_regions2d, Block, Region2d,
 };

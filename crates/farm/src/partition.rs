@@ -1,56 +1,29 @@
-//! Columnar sharding geometry — the slab layout itself comes from
+//! Block sharding geometry — the layout itself comes from
 //! [`lattice_core::shard`], where it is shared with the analytical
 //! board model in `lattice-vlsi` so the executed farm and the predicted
-//! farm can never disagree about slab layout. See that module for the
+//! farm can never disagree about block layout. See that module for the
 //! exactness argument (halo width = generations per pass, halos clamped
 //! at the null boundary's true edges).
 //!
-//! This module adds the *farm's* stricter validation on top: a slab
-//! that has a seam must be at least `halo` columns wide. The core
-//! partitioner tolerates narrower slabs (the model sometimes probes
-//! them), but a board that owns fewer columns than the halo cannot
-//! source a full halo frame from its own columns — its neighbor's
-//! import would have to reach *through* it into the next board, which
-//! no point-to-point `BoardLink` topology carries. `LatticeFarm::new`
-//! rejects such configurations with a structured error instead of
-//! letting the exchange stitch a degenerate frame.
+//! This module adds the *farm's* stricter validation on top: a block
+//! that has a seam on an axis must own at least `halo` sites along it.
+//! The core partitioner tolerates thinner null-boundary blocks, but a
+//! board that owns fewer sites than the halo cannot source a full halo
+//! frame from its own sites — its neighbor's import would have to reach
+//! *through* it into the next board, which no point-to-point
+//! `BoardLink` topology carries. `LatticeFarm` rejects such
+//! configurations with a structured error instead of letting the
+//! exchange stitch a degenerate frame.
 
 use lattice_core::LatticeError;
 
-pub use lattice_core::shard::{
-    max_aug_width, max_aug_width2d, partition, partition2d, sweep_regions, sweep_regions2d, Block,
-    Region2d, Slab, SweepRegion,
-};
-
-/// [`lattice_core::shard::partition`] plus the farm's slab-width check:
-/// every slab with a seam (a nonzero halo on either side) must own at
-/// least `halo` columns. Returns a structured [`LatticeError`] for
-/// `shards == 0`, `shards > cols`, and `slab width < halo`.
-pub fn partition_checked(
-    cols: usize,
-    shards: usize,
-    halo: usize,
-    periodic: bool,
-) -> Result<Vec<Slab>, LatticeError> {
-    let slabs = partition(cols, shards, halo, periodic)?;
-    for s in &slabs {
-        if (s.halo_left > 0 || s.halo_right > 0) && s.width < halo {
-            return Err(LatticeError::InvalidConfig(format!(
-                "shard {} owns {} columns but the halo is {halo} wide: a neighbor's \
-                 import would reach through the board ({cols} cols / {shards} shards, \
-                 depth {halo})",
-                s.index, s.width
-            )));
-        }
-    }
-    Ok(slabs)
-}
+pub use lattice_core::shard::{max_aug_width2d, partition2d, sweep_regions2d, Block, Region2d};
 
 /// [`lattice_core::shard::partition2d`] plus the farm's block-size
 /// check on *both* axes: every block with a seam on an axis must own at
 /// least `halo` sites along it, else a neighbor's import would reach
-/// through the board. Degenerates to [`partition_checked`] at
-/// `grid_rows == 1`.
+/// through the board. A single grid row has no vertical seams, so only
+/// the column check applies there.
 pub fn partition2d_checked(
     rows: usize,
     cols: usize,
@@ -87,7 +60,7 @@ mod tests {
 
     #[test]
     fn more_shards_than_columns_is_a_structured_error() {
-        let err = partition_checked(8, 9, 1, false).unwrap_err();
+        let err = partition2d_checked(4, 8, 1, 9, 1, false).unwrap_err();
         assert!(matches!(err, LatticeError::InvalidConfig(_)), "{err}");
         assert!(err.to_string().contains("no slab"), "{err}");
     }
@@ -96,11 +69,11 @@ mod tests {
     fn slab_narrower_than_the_halo_is_rejected() {
         // 10 cols / 4 shards leaves width-2 slabs; a depth-3 pass needs
         // 3-column halo frames that a 2-column slab cannot source.
-        let err = partition_checked(10, 4, 3, false).unwrap_err();
+        let err = partition2d_checked(4, 10, 1, 4, 3, false).unwrap_err();
         assert!(matches!(err, LatticeError::InvalidConfig(_)), "{err}");
         assert!(err.to_string().contains("reach through"), "{err}");
         // The same layout is fine one generation shallower.
-        assert!(partition_checked(10, 4, 2, false).is_ok());
+        assert!(partition2d_checked(4, 10, 1, 4, 2, false).is_ok());
     }
 
     #[test]
@@ -108,17 +81,17 @@ mod tests {
         // One board under the null boundary has no seams, so no halo
         // constraint applies even when the lattice is narrower than the
         // pass depth.
-        assert!(partition_checked(2, 1, 5, false).is_ok());
+        assert!(partition2d_checked(4, 2, 1, 1, 5, false).is_ok());
         // On a torus the single board wraps onto itself: the seam is
         // real and the width check bites.
-        assert!(partition_checked(2, 1, 5, true).is_err());
-        assert!(partition_checked(8, 1, 5, true).is_ok());
+        assert!(partition2d_checked(4, 2, 1, 1, 5, true).is_err());
+        assert!(partition2d_checked(4, 8, 1, 1, 5, true).is_ok());
     }
 
     #[test]
     fn width_equal_to_halo_is_the_boundary_case_and_allowed() {
-        for s in partition_checked(12, 4, 3, true).unwrap() {
-            assert_eq!(s.width, 3);
+        for b in partition2d_checked(4, 12, 1, 4, 3, true).unwrap() {
+            assert_eq!(b.width, 3);
         }
     }
 
@@ -129,10 +102,10 @@ mod tests {
         let err = partition2d_checked(10, 24, 4, 2, 3, false).unwrap_err();
         assert!(err.to_string().contains("reach through"), "{err}");
         assert!(partition2d_checked(12, 24, 4, 2, 3, false).is_ok());
-        // Column axis is exactly the 1-D check.
+        // The column axis is checked the same way.
         assert!(partition2d_checked(24, 10, 2, 4, 3, false).is_err());
         // A single grid row has no vertical seams: any lattice height
-        // works, exactly like today's columnar farms.
+        // works.
         assert!(partition2d_checked(2, 24, 1, 4, 3, false).is_ok());
     }
 }

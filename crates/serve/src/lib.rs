@@ -9,7 +9,7 @@
 //!   `destroy`, `stats`, `shutdown`), one response line each.
 //! * **Admission control** ([`scheduler`]) — each session's sustained
 //!   inter-board link demand is *predicted* by
-//!   [`FarmModel::link_demand`](lattice_vlsi::FarmModel::link_demand)
+//!   [`FarmModel::binding_link_demand`](lattice_vlsi::FarmModel::binding_link_demand)
 //!   before it runs; sessions are admitted until the aggregate would
 //!   saturate the provisioned link capacity and FIFO-queued after
 //!   that. Backpressure arrives at create time, not as thrashing.

@@ -12,8 +12,8 @@ use lattice_core::units::BitsPerTick;
 use lattice_core::{Grid, LatticeError, Shape};
 use lattice_engines_sim::{Component, Fault, FaultKind, FaultPlan};
 use lattice_farm::{
-    BoardLink, FarmDegradeConfig, FarmRecoveryConfig, FarmSession, LatticeFarm, ShardEngine,
-    WorkerFault, WorkerFaultSpec,
+    partition2d_checked, BoardLink, FarmDegradeConfig, FarmRecoveryConfig, FarmSession,
+    LatticeFarm, ShardEngine, WorkerFault, WorkerFaultSpec,
 };
 use lattice_gas::init;
 use lattice_gas::observe::Model;
@@ -105,6 +105,10 @@ pub fn validate_spec(spec: &SessionSpec) -> Result<(), LatticeError> {
                 .into()));
         }
     }
+    // The layout must be one the farm can run: this is the partition
+    // `build_farm`'s farm and `link_demand`'s model both cut.
+    let (gr, gc) = spec.grid.unwrap_or((1, spec.shards));
+    partition2d_checked(spec.rows, spec.cols, gr, gc, spec.depth, spec.periodic)?;
     validate_fault(spec)
 }
 
@@ -308,20 +312,15 @@ pub fn link_demand(spec: &SessionSpec) -> Result<BitsPerTick, LatticeError> {
     let mut model = FarmModel::new(Technology::paper_1987(), spec.rows, spec.cols, p, spec.depth)
         .with_periodic(spec.periodic)
         .with_overlap(spec.overlap);
-    match spec.grid {
-        // A grid session is charged its *binding* tier: the wire whose
-        // transfer paces the two-tier exchange barrier.
-        Some(grid) => {
-            if let Some(bits) = spec.link_bits {
-                model = model.with_link(BitsPerTick::new(bits));
-            }
-            if let Some(bits) = spec.tier_bits {
-                model = model.with_tier_link(BitsPerTick::new(bits));
-            }
-            Ok(model.binding_link_demand(grid))
-        }
-        None => Ok(model.link_demand(spec.shards)),
+    if let Some(bits) = spec.link_bits {
+        model = model.with_link(BitsPerTick::new(bits));
     }
+    if let Some(bits) = spec.tier_bits {
+        model = model.with_tier_link(BitsPerTick::new(bits));
+    }
+    // A session is charged its *binding* tier: the wire whose transfer
+    // paces the exchange barrier (always the intra tier on one row).
+    Ok(model.binding_link_demand(spec.grid.unwrap_or((1, spec.shards))))
 }
 
 #[cfg(test)]
@@ -336,7 +335,7 @@ mod tests {
 
     #[test]
     fn bad_specs_are_rejected_with_reasons() {
-        let cases: [(&str, SpecMutation); 8] = [
+        let cases: [(&str, SpecMutation); 10] = [
             ("model", Box::new(|s| s.model = "fhp9".into())),
             ("rows", Box::new(|s| s.rows = 0)),
             ("cols", Box::new(|s| s.cols = 0)),
@@ -345,6 +344,19 @@ mod tests {
             ("engine", Box::new(|s| s.engine = "gpu".into())),
             ("density", Box::new(|s| s.density = 1.5)),
             ("link_bits", Box::new(|s| s.link_bits = Some(0.0))),
+            (
+                "torus slabs narrower than the depth",
+                Box::new(|s| {
+                    (s.periodic, s.cols, s.shards, s.depth) = (true, 8, 4, 3);
+                }),
+            ),
+            (
+                "torus blocks shorter than the depth",
+                Box::new(|s| {
+                    (s.periodic, s.rows, s.cols, s.depth) = (true, 10, 24, 3);
+                    (s.grid, s.shards) = (Some((4, 2)), 8);
+                }),
+            ),
         ];
         for (what, mutate) in cases {
             let mut spec = SessionSpec::default();
@@ -402,5 +414,32 @@ mod tests {
         let spa = SessionSpec { engine: "spa".into(), slice_width: 2, ..SessionSpec::default() };
         let wsa = SessionSpec { width: 2, ..SessionSpec::default() };
         assert_eq!(link_demand(&spa).unwrap(), link_demand(&wsa).unwrap());
+    }
+
+    #[test]
+    fn a_shard_count_is_charged_exactly_like_its_single_row_grid() {
+        // `shards: S` with no grid means the board grid (1, S): admission
+        // must price both spellings identically, throttled or not.
+        for shards in [1usize, 2, 4] {
+            for periodic in [false, true] {
+                for overlap in [false, true] {
+                    for link_bits in [None, Some(3.5)] {
+                        let columnar = SessionSpec {
+                            shards,
+                            periodic,
+                            overlap,
+                            link_bits,
+                            ..SessionSpec::default()
+                        };
+                        let grid = SessionSpec { grid: Some((1, shards)), ..columnar.clone() };
+                        assert_eq!(
+                            link_demand(&columnar).unwrap(),
+                            link_demand(&grid).unwrap(),
+                            "S={shards} periodic={periodic} overlap={overlap} link={link_bits:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

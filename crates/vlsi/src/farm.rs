@@ -4,20 +4,22 @@
 //! §6 bounds a *chip* by its pin budget: a `P`-wide stage must move
 //! `2·D·P` bits per tick through `Π` pins. A *board farm* meets the
 //! same wall at its inter-board links. Each bulk-synchronous pass a
-//! board imports its halo columns, then computes `k` generations over
-//! its augmented slab; the machine is compute-bound while the link
-//! moves a pass's halo faster than the boards burn it, and
-//! bandwidth-bound past the rollover where exchange time dominates —
-//! exactly the regime change the paper's §8 prototype hit at the
-//! host/memory channel.
+//! board imports its halo, then computes `k` generations over its
+//! augmented block; the machine is compute-bound while the links move
+//! a pass's halo faster than the boards burn it, and bandwidth-bound
+//! past the rollover where exchange time dominates — exactly the regime
+//! change the paper's §8 prototype hit at the host/memory channel.
 //!
-//! The model mirrors `lattice-farm`'s measured accounting term for
-//! term: the same columnar partition (both crates call
-//! `lattice_core::shard::partition`, so geometry cannot drift), the
-//! WSA pipeline's fill-latency tick count,
+//! Every layout is an `R × C` board grid (`grid: (usize, usize)`); a
+//! shard count `S` is the single-row grid `(1, S)`. The model mirrors
+//! `lattice-farm`'s measured accounting term for term: the same block
+//! partition (both crates call `lattice_core::shard::partition2d`, so
+//! geometry cannot drift), the WSA pipeline's fill-latency tick count,
+//! the two link tiers (halo columns intra-rack, halo rows inter-rack),
 //! and the slowest board/slowest link maxima at the barrier. The
-//! `tab_farm_scaling` bench tabulates measurement against this model;
-//! integration tests hold them within 10% in the unthrottled regime.
+//! `tab_farm_scaling` and `tab_grid_blocks` benches tabulate
+//! measurement against this model; integration tests hold them within
+//! 10% in the unthrottled regime.
 //!
 //! The per-pass accounting is exact integer arithmetic in `core::units`
 //! quantities — [`Ticks`] on the barriers, [`Bits`] on the links — so a
@@ -25,7 +27,7 @@
 //! writes as `⌈·⌉` are `div_ceil`, not float rounding.
 
 use crate::tech::Technology;
-use lattice_core::shard::{partition, partition2d, sweep_regions, sweep_regions2d, Block, Slab};
+use lattice_core::shard::{partition2d, sweep_regions2d, Block};
 use lattice_core::units::{
     f64_from_usize, u64_from_usize, Bits, BitsPerTick, Sites, SitesPerSec, SitesPerTick, Ticks,
 };
@@ -43,41 +45,16 @@ pub enum LinkTier {
     Inter,
 }
 
-/// Predicted per-pass figures for one shard count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FarmPoint {
-    /// Boards.
-    pub shards: usize,
-    /// Slowest board's compute ticks per pass.
-    pub compute_ticks: Ticks,
-    /// Slowest board's boundary-sweep ticks per pass (zero when the
-    /// exchange is serialized — the whole slab is one sweep).
-    pub boundary_ticks: Ticks,
-    /// Slowest board's interior-sweep ticks per pass (equals
-    /// `compute_ticks` when serialized).
-    pub interior_ticks: Ticks,
-    /// Slowest board's imported halo bits per pass.
-    pub halo_bits: Bits,
-    /// Slowest link's transfer ticks per pass.
-    pub halo_ticks: Ticks,
-    /// Machine ticks per pass (exchange barrier + compute barrier).
-    pub pass_ticks: Ticks,
-    /// Useful site updates per machine tick.
-    pub updates_per_tick: SitesPerTick,
-    /// Link bandwidth at which exchange time equals compute time — the
-    /// board-level analogue of the §6 pin bound `2·D·P ≤ Π`.
-    pub critical_link: BitsPerTick,
-}
-
-/// The analytical farm: `S` boards, each a WSA pipeline of `k` stages ×
-/// `p` PEs, over a `rows × cols` lattice with `k`-deep passes.
+/// The analytical farm: an `R × C` grid of boards, each a WSA pipeline
+/// of `k` stages × `p` PEs, over a `rows × cols` lattice with `k`-deep
+/// passes.
 #[derive(Debug, Clone, Copy)]
 pub struct FarmModel {
     /// Chip technology (supplies `D` and the clock).
     pub tech: Technology,
     /// Lattice rows.
     pub rows: usize,
-    /// Lattice columns (the sharded axis).
+    /// Lattice columns.
     pub cols: usize,
     /// PEs per pipeline stage on every board.
     pub p: u32,
@@ -86,10 +63,11 @@ pub struct FarmModel {
     /// Intra-rack link capacity
     /// ([`BitsPerTick::UNTHROTTLED`] = never the bottleneck).
     pub link: BitsPerTick,
-    /// Inter-rack (vertical-tier) link capacity — only exercised by the
-    /// two-axis methods on multi-row board grids.
+    /// Inter-rack (vertical-tier) link capacity — only exercised on
+    /// multi-row board grids.
     pub link_inter: BitsPerTick,
-    /// Toroidal boundary (halos never clamp; rows gain `2k` wrap rows).
+    /// Toroidal boundary (halos never clamp; a single-row grid's blocks
+    /// gain `2k` on-board wrap rows).
     pub periodic: bool,
     /// Overlapped exchange: each board computes its seam-adjacent
     /// boundary sweeps first, ships the next pass's halos while the
@@ -144,167 +122,19 @@ impl FarmModel {
         self
     }
 
-    /// The farm's slab geometry at `shards` boards — byte-identical to
-    /// what `lattice-farm` executes (same function).
-    ///
-    /// # Panics
-    /// When `shards` is 0 or exceeds `cols`, like the farm itself
-    /// errors.
-    pub fn slabs(&self, shards: usize) -> Vec<Slab> {
-        partition(self.cols, shards, self.k, self.periodic)
-            // lattice-lint: allow(no-panic) — documented precondition, mirrored by the farm.
-            .expect("farm model needs 1 ≤ shards ≤ cols")
-    }
-
-    /// Rows of the halo-augmented slab (the torus wraps vertically on
-    /// board, adding `2k` rows).
-    pub fn aug_rows(&self) -> usize {
-        self.rows + if self.periodic { 2 * self.k } else { 0 }
-    }
-
-    /// Ticks one sweep over an `a`-column region costs: the measured
-    /// WSA pipeline streams `aug_rows·a` sites at `p` per tick and pays
-    /// `a + 2` sites of fill latency per stage, so
-    /// `⌈(aug_rows·a + k·(a + 2)) / p⌉`.
-    fn sweep_ticks(&self, a: usize) -> Ticks {
-        self.sweep_ticks_rect(self.aug_rows(), a)
-    }
-
-    /// [`FarmModel::sweep_ticks`] for an `ar`-row region — the
-    /// two-axis generalization; the columnar form is this at the full
-    /// augmented height.
-    fn sweep_ticks_rect(&self, ar: usize, a: usize) -> Ticks {
+    /// Ticks one sweep over an `ar × a` region costs: the measured WSA
+    /// pipeline streams `ar·a` sites at `p` per tick and pays `a + 2`
+    /// sites of fill latency per stage, so `⌈(ar·a + k·(a + 2)) / p⌉`.
+    fn sweep_ticks(&self, ar: usize, a: usize) -> Ticks {
         let ar = u64_from_usize(ar);
         let a = u64_from_usize(a);
         let sites = ar * a + u64_from_usize(self.k) * (a + 2);
         Ticks::new(sites.div_ceil(u64::from(self.p)))
     }
 
-    /// Ticks the slowest board computes per pass — one full sweep over
-    /// the widest augmented slab ([`FarmModel::sweep_ticks`] at
-    /// `aug_width`). Under overlap the same work is split into
-    /// [`FarmModel::boundary_compute_ticks`] +
-    /// [`FarmModel::interior_compute_ticks`], which sum slightly higher
-    /// because each extra sweep refills the pipeline.
-    pub fn compute_ticks(&self, shards: usize) -> Ticks {
-        self.slabs(shards)
-            .iter()
-            .map(|s| self.sweep_ticks(s.aug_width()))
-            .max()
-            .unwrap_or(Ticks::ZERO)
-    }
-
-    /// Ticks the slowest board spends on its seam-adjacent boundary
-    /// sweeps per pass — the serial prefix the halos must wait for.
-    /// Zero when the exchange is serialized (the whole slab is one
-    /// undivided sweep) and on seamless slabs. Region geometry is
-    /// [`sweep_regions`], the same function the farm executes.
-    pub fn boundary_compute_ticks(&self, shards: usize) -> Ticks {
-        self.phase_ticks(shards, true)
-    }
-
-    /// Ticks the slowest board spends on its interior sweep per pass —
-    /// the window the halo transfer hides behind under overlap. Equals
-    /// [`FarmModel::compute_ticks`] when serialized; zero for slabs so
-    /// narrow the boundary sweeps cover every owned column.
-    pub fn interior_compute_ticks(&self, shards: usize) -> Ticks {
-        self.phase_ticks(shards, false)
-    }
-
-    fn phase_ticks(&self, shards: usize, boundary: bool) -> Ticks {
-        self.slabs(shards)
-            .iter()
-            .map(|s| {
-                sweep_regions(s, self.k, self.overlap)
-                    .iter()
-                    .filter(|r| r.boundary == boundary)
-                    .map(|r| self.sweep_ticks(r.width))
-                    .fold(Ticks::ZERO, |acc, t| acc + t)
-            })
-            .max()
-            .unwrap_or(Ticks::ZERO)
-    }
-
-    /// Halo bits the hungriest board imports per pass:
-    /// `(halo_left + halo_right)·aug_rows·D`.
-    pub fn halo_bits(&self, shards: usize) -> Bits {
-        self.slabs(shards)
-            .iter()
-            .map(|s| {
-                let halo_sites =
-                    Sites::new(u64_from_usize((s.halo_left + s.halo_right) * self.aug_rows()));
-                self.tech.bits_for_sites(halo_sites)
-            })
-            .max()
-            .unwrap_or(Bits::ZERO)
-    }
-
-    /// Exchange-barrier ticks per pass: the slowest link's
-    /// `⌈halo_bits / capacity⌉` (free when unthrottled).
-    pub fn halo_ticks(&self, shards: usize) -> Ticks {
-        self.link.ticks_to_move(self.halo_bits(shards))
-    }
-
-    /// Machine ticks per pass. Serialized: exchange barrier then
-    /// compute barrier, `compute + halo`. Overlapped: the boundary
-    /// sweeps run first, then the halo transfer races the interior
-    /// sweep, `boundary + max(interior, halo)` — which degenerates to
-    /// the serialized sum when `overlap` is off (boundary = 0,
-    /// interior = compute).
-    pub fn pass_ticks(&self, shards: usize) -> Ticks {
-        if self.overlap {
-            self.boundary_compute_ticks(shards)
-                + self.interior_compute_ticks(shards).max(self.halo_ticks(shards))
-        } else {
-            self.compute_ticks(shards) + self.halo_ticks(shards)
-        }
-    }
-
     /// Useful (lattice-visible) site updates per pass: `rows·cols·k`.
     pub fn useful_updates_per_pass(&self) -> Sites {
         Sites::new(u64_from_usize(self.rows * self.cols * self.k))
-    }
-
-    /// Useful site updates per machine tick:
-    /// `rows·cols·k / pass_ticks`. Halo recompute is excluded, exactly
-    /// as `FarmReport::updates_per_tick` excludes it.
-    pub fn updates_per_tick(&self, shards: usize) -> SitesPerTick {
-        self.useful_updates_per_pass() / self.pass_ticks(shards)
-    }
-
-    /// Useful updates per second at the technology clock.
-    pub fn updates_per_second(&self, shards: usize) -> SitesPerSec {
-        self.tech.per_second(self.updates_per_tick(shards))
-    }
-
-    /// Speedup over one board of the same design.
-    pub fn speedup(&self, shards: usize) -> f64 {
-        self.updates_per_tick(shards).ratio(self.updates_per_tick(1))
-    }
-
-    /// Strong-scaling efficiency: fixed lattice, `speedup / shards`.
-    /// Below 1 because every added seam buys `2k` recomputed halo
-    /// columns and more link traffic.
-    pub fn strong_efficiency(&self, shards: usize) -> f64 {
-        self.speedup(shards) / f64_from_usize(shards)
-    }
-
-    /// Weak-scaling efficiency: each board brings its own `cols`
-    /// columns (machine lattice `rows × shards·cols`), so ideal scaling
-    /// keeps pass time constant. Returns
-    /// `pass_ticks(1 board, cols) / pass_ticks(shards, shards·cols)`.
-    pub fn weak_efficiency(&self, shards: usize) -> f64 {
-        let scaled = FarmModel { cols: self.cols * shards, ..*self };
-        self.pass_ticks(1).ratio(scaled.pass_ticks(shards))
-    }
-
-    /// Sustained link demand if exchange fully overlapped compute:
-    /// `halo_bits / compute_ticks`. For slabs much wider than the halo
-    /// this approaches the closed form `2·k·D·p / aug_width` — the §6
-    /// pin expression `2·D·P` divided by the columns a board amortizes
-    /// it over.
-    pub fn link_demand(&self, shards: usize) -> BitsPerTick {
-        self.halo_bits(shards) / self.compute_ticks(shards)
     }
 
     /// The farm's block geometry on an R×C board grid — byte-identical
@@ -332,25 +162,34 @@ impl FarmModel {
     }
 
     /// Ticks the slowest board computes per pass on an R×C grid — one
-    /// full sweep over the largest augmented block. Degenerates to
-    /// [`FarmModel::compute_ticks`] at `(1, shards)`.
+    /// full sweep over the largest augmented block. Under overlap the
+    /// same work is split into [`FarmModel::boundary_compute_ticks2`] +
+    /// [`FarmModel::interior_compute_ticks2`], which sum slightly
+    /// higher because each extra sweep refills the pipeline.
     pub fn compute_ticks2(&self, grid: (usize, usize)) -> Ticks {
         let wrap = self.wrap(grid.0);
         self.blocks(grid)
             .iter()
-            .map(|b| self.sweep_ticks_rect(b.aug_height(wrap), b.aug_width()))
+            .map(|b| self.sweep_ticks(b.aug_height(wrap), b.aug_width()))
             .max()
             .unwrap_or(Ticks::ZERO)
     }
 
     /// Ticks the slowest board spends on its boundary (edge + corner)
-    /// sweep regions per pass on an R×C grid.
+    /// sweep regions per pass on an R×C grid — the serial prefix the
+    /// halos must wait for. Zero when the exchange is serialized (the
+    /// whole block is one undivided sweep) and on seamless blocks.
+    /// Region geometry is [`sweep_regions2d`], the same function the
+    /// farm executes.
     pub fn boundary_compute_ticks2(&self, grid: (usize, usize)) -> Ticks {
         self.phase_ticks2(grid, true)
     }
 
     /// Ticks the slowest board spends on its interior sweep per pass on
-    /// an R×C grid.
+    /// an R×C grid — the window the halo transfer hides behind under
+    /// overlap. Equals [`FarmModel::compute_ticks2`] when serialized;
+    /// zero for blocks so narrow the boundary sweeps cover every owned
+    /// site.
     pub fn interior_compute_ticks2(&self, grid: (usize, usize)) -> Ticks {
         self.phase_ticks2(grid, false)
     }
@@ -363,59 +202,61 @@ impl FarmModel {
                 sweep_regions2d(b, self.k, self.overlap, wrap)
                     .iter()
                     .filter(|r| r.boundary == boundary)
-                    .map(|r| self.sweep_ticks_rect(r.height, r.width))
+                    .map(|r| self.sweep_ticks(r.height, r.width))
                     .fold(Ticks::ZERO, |acc, t| acc + t)
             })
             .max()
             .unwrap_or(Ticks::ZERO)
     }
 
-    /// Halo bits the hungriest board imports per pass on each tier:
-    /// `(intra, inter)`. Intra carries the halo *columns* over the full
-    /// augmented height (corners and wrap rows included); inter carries
-    /// the halo *rows* over the owned width only, so corner sites are
-    /// billed exactly once — together the tiers move
-    /// `aug_area − owned_area` sites when nothing wraps on board.
-    pub fn halo_bits2(&self, grid: (usize, usize)) -> (Bits, Bits) {
-        let wrap = self.wrap(grid.0);
-        let mut intra = Bits::ZERO;
-        let mut inter = Bits::ZERO;
-        for b in self.blocks(grid) {
-            let cols =
-                Sites::new(u64_from_usize((b.halo_left + b.halo_right) * b.aug_height(wrap)));
-            let rows = Sites::new(u64_from_usize((b.halo_up + b.halo_down) * b.width));
-            intra = intra.max(self.tech.bits_for_sites(cols));
-            inter = inter.max(self.tech.bits_for_sites(rows));
-        }
-        (intra, inter)
-    }
-
-    /// Exchange-barrier ticks per pass on an R×C grid: per board the
-    /// two tiers are separate wires, so its wait is the slower tier;
-    /// the barrier waits for the slowest board. Degenerates to
-    /// [`FarmModel::halo_ticks`] at `(1, shards)` (the inter tier is
-    /// idle there).
-    pub fn halo_ticks2(&self, grid: (usize, usize)) -> Ticks {
+    /// Per-board halo bits imported per pass on each tier,
+    /// `(intra, inter)`: the halo *columns* over the full augmented
+    /// height (corners and wrap rows included) and the halo *rows* over
+    /// the owned width only, so corner sites are billed exactly once.
+    fn tier_bits(&self, grid: (usize, usize)) -> Vec<(Bits, Bits)> {
         let wrap = self.wrap(grid.0);
         self.blocks(grid)
             .iter()
             .map(|b| {
-                let cols =
-                    Sites::new(u64_from_usize((b.halo_left + b.halo_right) * b.aug_height(wrap)));
-                let rows = Sites::new(u64_from_usize((b.halo_up + b.halo_down) * b.width));
-                self.link
-                    .ticks_to_move(self.tech.bits_for_sites(cols))
-                    .max(self.link_inter.ticks_to_move(self.tech.bits_for_sites(rows)))
+                let cols = (b.halo_left + b.halo_right) * b.aug_height(wrap);
+                let rows = (b.halo_up + b.halo_down) * b.width;
+                (
+                    self.tech.bits_for_sites(Sites::new(u64_from_usize(cols))),
+                    self.tech.bits_for_sites(Sites::new(u64_from_usize(rows))),
+                )
             })
+            .collect()
+    }
+
+    /// Halo bits the hungriest board imports per pass on each tier:
+    /// `(intra, inter)`. Together the tiers move
+    /// `aug_area − owned_area` sites when nothing wraps on board; a
+    /// single-row grid leaves the inter tier at zero.
+    pub fn halo_bits2(&self, grid: (usize, usize)) -> (Bits, Bits) {
+        self.tier_bits(grid)
+            .into_iter()
+            .fold((Bits::ZERO, Bits::ZERO), |(i, n), (a, b)| (i.max(a), n.max(b)))
+    }
+
+    /// Exchange-barrier ticks per pass on an R×C grid: per board the
+    /// two tiers are separate wires, so its wait is the slower tier's
+    /// `⌈halo_bits / capacity⌉` (free when unthrottled); the barrier
+    /// waits for the slowest board.
+    pub fn halo_ticks2(&self, grid: (usize, usize)) -> Ticks {
+        self.tier_bits(grid)
+            .into_iter()
+            .map(|(a, b)| self.link.ticks_to_move(a).max(self.link_inter.ticks_to_move(b)))
             .max()
             .unwrap_or(Ticks::ZERO)
     }
 
-    /// Machine ticks per pass on an R×C grid — the columnar
-    /// [`FarmModel::pass_ticks`] algebra with the two-tier exchange
-    /// barrier: serialized `compute + halo`, overlapped
-    /// `boundary + max(interior, halo)` where `halo` is already the
-    /// max-axis (slower-tier) wait.
+    /// Machine ticks per pass on an R×C grid. Serialized: exchange
+    /// barrier then compute barrier, `compute + halo`. Overlapped: the
+    /// boundary sweeps run first, then the halo transfer races the
+    /// interior sweep, `boundary + max(interior, halo)` — which
+    /// degenerates to the serialized sum when `overlap` is off
+    /// (boundary = 0, interior = compute). `halo` is the slower-tier
+    /// wait of [`FarmModel::halo_ticks2`].
     pub fn pass_ticks2(&self, grid: (usize, usize)) -> Ticks {
         if self.overlap {
             self.boundary_compute_ticks2(grid)
@@ -425,14 +266,45 @@ impl FarmModel {
         }
     }
 
-    /// Useful site updates per machine tick on an R×C grid.
+    /// Useful site updates per machine tick on an R×C grid:
+    /// `rows·cols·k / pass_ticks`. Halo recompute is excluded, exactly
+    /// as `FarmReport::updates_per_tick` excludes it.
     pub fn updates_per_tick2(&self, grid: (usize, usize)) -> SitesPerTick {
         self.useful_updates_per_pass() / self.pass_ticks2(grid)
     }
 
+    /// Useful updates per second at the technology clock.
+    pub fn updates_per_second(&self, grid: (usize, usize)) -> SitesPerSec {
+        self.tech.per_second(self.updates_per_tick2(grid))
+    }
+
+    /// Speedup over one board of the same design.
+    pub fn speedup(&self, grid: (usize, usize)) -> f64 {
+        self.updates_per_tick2(grid).ratio(self.updates_per_tick2((1, 1)))
+    }
+
+    /// Strong-scaling efficiency: fixed lattice, `speedup / (R·C)`.
+    /// Below 1 because every added seam buys `2k` recomputed halo
+    /// sites per row or column and more link traffic.
+    pub fn strong_efficiency(&self, grid: (usize, usize)) -> f64 {
+        self.speedup(grid) / f64_from_usize(grid.0 * grid.1)
+    }
+
+    /// Weak-scaling efficiency: each board brings its own `rows × cols`
+    /// block (machine lattice `R·rows × C·cols`), so ideal scaling keeps
+    /// pass time constant. Returns
+    /// `pass_ticks(1 board) / pass_ticks(R × C boards, scaled lattice)`.
+    pub fn weak_efficiency(&self, grid: (usize, usize)) -> f64 {
+        let scaled = FarmModel { rows: self.rows * grid.0, cols: self.cols * grid.1, ..*self };
+        self.pass_ticks2((1, 1)).ratio(scaled.pass_ticks2(grid))
+    }
+
     /// Sustained per-tier link demand on an R×C grid, as
     /// `(intra, inter)`: each tier's hungriest frame amortized over the
-    /// compute barrier it must hide behind.
+    /// compute barrier it must hide behind. For blocks much wider than
+    /// the halo the intra demand approaches the closed form
+    /// `2·k·D·p / aug_width` — the §6 pin expression `2·D·P` divided by
+    /// the columns a board amortizes it over.
     pub fn link_demand2(&self, grid: (usize, usize)) -> (BitsPerTick, BitsPerTick) {
         let (intra, inter) = self.halo_bits2(grid);
         let compute = self.compute_ticks2(grid);
@@ -444,15 +316,10 @@ impl FarmModel {
     /// fully idle barrier) bind on the intra tier, which always carries
     /// at least as many frames.
     pub fn binding_tier(&self, grid: (usize, usize)) -> LinkTier {
-        let wrap = self.wrap(grid.0);
-        let (mut intra_t, mut inter_t) = (Ticks::ZERO, Ticks::ZERO);
-        for b in self.blocks(grid) {
-            let cols =
-                Sites::new(u64_from_usize((b.halo_left + b.halo_right) * b.aug_height(wrap)));
-            let rows = Sites::new(u64_from_usize((b.halo_up + b.halo_down) * b.width));
-            intra_t = intra_t.max(self.link.ticks_to_move(self.tech.bits_for_sites(cols)));
-            inter_t = inter_t.max(self.link_inter.ticks_to_move(self.tech.bits_for_sites(rows)));
-        }
+        let (intra_t, inter_t) =
+            self.tier_bits(grid).into_iter().fold((Ticks::ZERO, Ticks::ZERO), |(i, n), (a, b)| {
+                (i.max(self.link.ticks_to_move(a)), n.max(self.link_inter.ticks_to_move(b)))
+            });
         if inter_t > intra_t {
             LinkTier::Inter
         } else {
@@ -461,9 +328,9 @@ impl FarmModel {
     }
 
     /// The binding tier's sustained link demand on an R×C grid — the
-    /// admission cost of a grid session. On unthrottled ties (both
-    /// tiers free) this is the larger per-tier demand, so an
-    /// unthrottled model still yields a usable admission key.
+    /// admission cost of a session. On unthrottled ties (both tiers
+    /// free) this is the larger per-tier demand, so an unthrottled
+    /// model still yields a usable admission key.
     pub fn binding_link_demand(&self, grid: (usize, usize)) -> BitsPerTick {
         let (intra, inter) = self.link_demand2(grid);
         match self.binding_tier(grid) {
@@ -479,10 +346,25 @@ impl FarmModel {
 
     /// The first grid shape in `shapes` (scanned in order — along
     /// either axis, or any schedule the caller builds) where the
-    /// two-tier exchange first paces the machine, with the same
-    /// tie-counts-as-the-wall `>=` as [`FarmModel::critical_shards`].
-    /// Shapes that do not partition the lattice are skipped, `None` if
-    /// the links keep up everywhere.
+    /// exchange first paces the machine — the farm's bandwidth wall,
+    /// the analogue of §6's pin-bound corner. Shapes that do not
+    /// partition the lattice (the farm cannot run them) are skipped
+    /// rather than probing a panic; `None` if the links keep up
+    /// everywhere.
+    ///
+    /// A **tie counts as the wall**: at `halo_ticks == compute_ticks`
+    /// the link has already caught the boards — every tick of further
+    /// thinning (or of ARQ replay) lands on the critical path, and in
+    /// overlapped mode the tie is exactly where the exchange stops
+    /// hiding completely behind the interior sweep. The comparison is
+    /// therefore `>=`, not `>`; a strict `>` mis-classified exactly
+    /// balanced configurations as compute-bound.
+    ///
+    /// Under overlap the compute side of the comparison is the
+    /// *interior* sweep — the only window the transfer can hide in —
+    /// so the wall arrives at a smaller grid than the serialized
+    /// comparison suggests, even though the overlapped farm is faster
+    /// in absolute ticks.
     pub fn critical_grid(&self, shapes: &[(usize, usize)]) -> Option<(usize, usize)> {
         shapes
             .iter()
@@ -502,82 +384,34 @@ impl FarmModel {
     }
 
     /// Work amplification from halo recompute (`≥ 1`): total updates
-    /// over useful updates, `aug_rows·Σ aug_width / (rows·cols)`.
-    pub fn redundancy(&self, shards: usize) -> f64 {
-        let aug: usize = self.slabs(shards).iter().map(|s| s.aug_width()).sum();
-        f64_from_usize(self.aug_rows() * aug) / f64_from_usize(self.rows * self.cols)
+    /// over useful updates, `Σ aug_height·aug_width / (rows·cols)`.
+    pub fn redundancy(&self, grid: (usize, usize)) -> f64 {
+        let wrap = self.wrap(grid.0);
+        let aug: usize = self.blocks(grid).iter().map(|b| b.aug_height(wrap) * b.aug_width()).sum();
+        f64_from_usize(aug) / f64_from_usize(self.rows * self.cols)
     }
 
-    /// The full predicted operating point at `shards` boards.
-    pub fn point(&self, shards: usize) -> FarmPoint {
-        FarmPoint {
-            shards,
-            compute_ticks: self.compute_ticks(shards),
-            boundary_ticks: self.boundary_compute_ticks(shards),
-            interior_ticks: self.interior_compute_ticks(shards),
-            halo_bits: self.halo_bits(shards),
-            halo_ticks: self.halo_ticks(shards),
-            pass_ticks: self.pass_ticks(shards),
-            updates_per_tick: self.updates_per_tick(shards),
-            critical_link: self.link_demand(shards),
-        }
-    }
-
-    /// The smallest shard count (≤ `max_shards`) at which the link
-    /// first paces the machine — the farm's bandwidth wall, the
-    /// analogue of §6's pin-bound corner. `None` if the link keeps up
-    /// through `max_shards`.
-    ///
-    /// A **tie counts as the wall**: at `halo_ticks == compute_ticks`
-    /// the link has already caught the boards — every tick of further
-    /// thinning (or of ARQ replay) lands on the critical path, and in
-    /// overlapped mode the tie is exactly where the exchange stops
-    /// hiding completely behind the interior sweep. The comparison is
-    /// therefore `>=`, not `>`; a strict `>` mis-classified exactly
-    /// balanced configurations as compute-bound.
-    ///
-    /// Under overlap the compute side of the comparison is the
-    /// *interior* sweep — the only window the transfer can hide in —
-    /// so the wall arrives at a smaller shard count than the serialized
-    /// comparison suggests, even though the overlapped farm is faster
-    /// in absolute ticks.
-    pub fn critical_shards(&self, max_shards: usize) -> Option<usize> {
-        (1..=max_shards.min(self.cols))
-            // A torus layout whose slabs would be narrower than the
-            // halo is rejected by `partition` (the farm cannot run it),
-            // so the scan skips it rather than probing a panic.
-            .filter(|&s| partition(self.cols, s, self.k, self.periodic).is_ok())
-            .find(|&s| {
-                let halo = self.halo_ticks(s);
-                let wall = if self.overlap {
-                    self.interior_compute_ticks(s)
-                } else {
-                    self.compute_ticks(s)
-                };
-                halo > Ticks::ZERO && halo >= wall
-            })
-    }
-
-    /// Probability one ARQ attempt on the hungriest board's link
-    /// delivers a corrupted frame, given a per-site upset probability
-    /// `site_rate`: `1 − (1 − rate)^sites`. Any corrupted site trips
-    /// the frame's stream parity, so this is also the per-attempt
-    /// retransmission probability.
-    pub fn frame_upset_prob(&self, shards: usize, site_rate: f64) -> f64 {
-        let sites = self.halo_bits(shards).to_f64() / f64::from(self.tech.d_bits);
+    /// Probability one ARQ attempt of the hungriest halo frame (either
+    /// tier) delivers a corrupted frame, given a per-site upset
+    /// probability `site_rate`: `1 − (1 − rate)^sites`. Any corrupted
+    /// site trips the frame's stream parity, so this is also the
+    /// per-attempt retransmission probability.
+    pub fn frame_upset_prob(&self, grid: (usize, usize), site_rate: f64) -> f64 {
+        let (intra, inter) = self.halo_bits2(grid);
+        let sites = intra.max(inter).to_f64() / f64::from(self.tech.d_bits);
         1.0 - (1.0 - site_rate).powf(sites)
     }
 
-    /// Expected ARQ retransmissions per pass on the hungriest board
+    /// Expected ARQ retransmissions per pass on the hungriest frame
     /// under an unbounded retry budget: with per-attempt upset
     /// probability `q`, the geometric tail `q / (1 − q)`. The farm's
     /// measured `FarmReport::retransmits / passes` converges on this.
-    pub fn expected_retransmits_per_pass(&self, shards: usize, site_rate: f64) -> f64 {
-        let q = self.frame_upset_prob(shards, site_rate);
+    pub fn expected_retransmits_per_pass(&self, grid: (usize, usize), site_rate: f64) -> f64 {
+        let q = self.frame_upset_prob(grid, site_rate);
         q / (1.0 - q)
     }
 
-    /// [`FarmModel::pass_ticks`] with the ARQ term as a real-valued
+    /// [`FarmModel::pass_ticks2`] with the ARQ term as a real-valued
     /// expectation: `r` retransmissions per pass each replay the
     /// exchange barrier. Serialized that is
     /// `compute + halo_ticks·(1 + r)`; overlapped the replays extend
@@ -588,35 +422,37 @@ impl FarmModel {
     /// prediction the farm's measured `machine_ticks / passes` tracks
     /// under transient link faults (`FarmReport::retransmit_ticks` is
     /// the measured `halo_ticks·r` share).
-    pub fn pass_ticks_with_retransmits(&self, shards: usize, r: f64) -> f64 {
-        let halo = self.halo_ticks(shards).to_f64() * (1.0 + r);
+    pub fn pass_ticks_with_retransmits(&self, grid: (usize, usize), r: f64) -> f64 {
+        let halo = self.halo_ticks2(grid).to_f64() * (1.0 + r);
         if self.overlap {
-            self.boundary_compute_ticks(shards).to_f64()
-                + self.interior_compute_ticks(shards).to_f64().max(halo)
+            self.boundary_compute_ticks2(grid).to_f64()
+                + self.interior_compute_ticks2(grid).to_f64().max(halo)
         } else {
-            self.compute_ticks(shards).to_f64() + halo
+            self.compute_ticks2(grid).to_f64() + halo
         }
     }
 
     /// Throughput penalty of degraded re-partitioning: how many times
     /// slower the farm runs after retiring `retired` of `shards` boards
     /// (`≥ 1`; the survivors own wider slabs, so the compute barrier
-    /// grows even though seam overhead shrinks).
+    /// grows even though seam overhead shrinks). Degraded
+    /// re-partitioning is columnar, so this prices the single-row grids
+    /// `(1, shards)` and `(1, shards − retired)`.
     ///
     /// # Panics
     /// When `retired ≥ shards` — the farm cannot retire its last board,
-    /// and `LatticeFarm` rejects such a [`FarmDegradeConfig`] budget
+    /// and `LatticeFarm` rejects such a `FarmDegradeConfig` budget
     /// up front (`lattice-farm`'s `FarmDegradeConfig::max_retired`).
     pub fn degraded_throughput_penalty(&self, shards: usize, retired: usize) -> f64 {
         assert!(retired < shards, "the farm cannot retire its last board");
-        self.updates_per_tick(shards).ratio(self.updates_per_tick(shards - retired))
+        self.updates_per_tick2((1, shards)).ratio(self.updates_per_tick2((1, shards - retired)))
     }
 }
 
 /// Admission-control ledger over a farm's aggregate link capacity.
 ///
 /// A multiplexing scheduler charges each admitted workload its
-/// sustained [`FarmModel::link_demand`] against a shared
+/// sustained [`FarmModel::binding_link_demand`] against a shared
 /// [`BitsPerTick`] budget, and queues arrivals that would push the
 /// aggregate to the saturation point — the fleet-level restatement of
 /// §6's pin bound: total halo traffic per tick must stay under what the
@@ -624,7 +460,7 @@ impl FarmModel {
 /// critical path at once.
 ///
 /// **A tie counts as the wall**, matching
-/// [`FarmModel::critical_shards`]: an arrival whose demand lifts the
+/// [`FarmModel::critical_grid`]: an arrival whose demand lifts the
 /// aggregate to *exactly* the capacity is refused, because at equality
 /// the links have already caught the boards and any jitter (an ARQ
 /// replay, a deeper pass) spills onto the critical path.
@@ -730,13 +566,18 @@ mod tests {
         FarmModel::new(Technology::paper_1987(), 48, 240, 2, 2)
     }
 
+    /// The single-row grids `(1, 1)..=(1, n)` — shard counts `1..=n`.
+    fn row(n: usize) -> Vec<(usize, usize)> {
+        (1..=n).map(|s| (1, s)).collect()
+    }
+
     #[test]
     fn single_board_matches_the_plain_pipeline_count() {
         let m = model();
         // One board, no halo: n = 48·240, fill 2·(240 + 2), over p = 2.
-        assert_eq!(m.compute_ticks(1), Ticks::new((48 * 240 + 2 * 242) / 2));
-        assert_eq!(m.halo_bits(1), Bits::ZERO);
-        assert_eq!(m.pass_ticks(1), m.compute_ticks(1));
+        assert_eq!(m.compute_ticks2((1, 1)), Ticks::new((48 * 240 + 2 * 242) / 2));
+        assert_eq!(m.halo_bits2((1, 1)), (Bits::ZERO, Bits::ZERO));
+        assert_eq!(m.pass_ticks2((1, 1)), m.compute_ticks2((1, 1)));
     }
 
     #[test]
@@ -745,8 +586,8 @@ mod tests {
         let mut prev_compute = Ticks::new(u64::MAX);
         let mut prev_demand = BitsPerTick::ZERO;
         for s in [1usize, 2, 4, 8, 16] {
-            let compute = m.compute_ticks(s);
-            let demand = m.link_demand(s);
+            let compute = m.compute_ticks2((1, s));
+            let demand = m.link_demand2((1, s)).0;
             assert!(compute < prev_compute, "S={s}: more boards, less work each");
             assert!(demand >= prev_demand, "S={s}: thinner slabs, hungrier links");
             prev_compute = compute;
@@ -759,31 +600,34 @@ mod tests {
         // Wide slabs: demand ≈ 2kDp / aug_width, §6's 2DP spread over
         // the board's columns.
         let m = FarmModel::new(Technology::paper_1987(), 512, 4096, 4, 3);
-        let s = 4;
-        let aug = f64_from_usize(m.slabs(s).iter().map(|sl| sl.aug_width()).max().unwrap());
+        let g = (1, 4);
+        let aug = f64_from_usize(m.blocks(g).iter().map(Block::aug_width).max().unwrap());
         let closed = 2.0 * 3.0 * 8.0 * 4.0 / aug;
-        let demand = m.link_demand(s).get();
+        let demand = m.link_demand2(g).0.get();
         assert!((demand - closed).abs() / closed < 0.02, "{demand} vs {closed}");
     }
 
     #[test]
     fn strong_scaling_efficiency_is_high_but_sub_ideal() {
         let m = model();
-        assert!((m.strong_efficiency(1) - 1.0).abs() < 1e-12);
+        assert!((m.strong_efficiency((1, 1)) - 1.0).abs() < 1e-12);
         for s in [2usize, 4, 8] {
-            let e = m.strong_efficiency(s);
+            let e = m.strong_efficiency((1, s));
             assert!(e < 1.0, "S={s}: halo recompute must cost something");
             assert!(e > 0.8, "S={s}: but not much on wide slabs, got {e}");
         }
-        assert!(m.strong_efficiency(8) < m.strong_efficiency(2), "overhead grows with seams");
+        assert!(
+            m.strong_efficiency((1, 8)) < m.strong_efficiency((1, 2)),
+            "overhead grows with seams"
+        );
     }
 
     #[test]
     fn weak_scaling_is_nearly_flat_when_unthrottled() {
         let m = model();
-        for s in [2usize, 4, 8, 16] {
-            let e = m.weak_efficiency(s);
-            assert!(e > 0.95 && e <= 1.0 + 1e-12, "S={s}: {e}");
+        for g in [(1usize, 2usize), (1, 4), (1, 8), (1, 16), (2, 2)] {
+            let e = m.weak_efficiency(g);
+            assert!(e > 0.95 && e <= 1.0 + 1e-12, "{g:?}: {e}");
         }
     }
 
@@ -794,45 +638,45 @@ mod tests {
         // overtakes compute once slabs get thin.
         let starved = model().with_link(BitsPerTick::new(2.0));
         let free = model();
-        assert_eq!(free.critical_shards(16), None, "unthrottled never rolls over");
-        let crit = starved.critical_shards(16).expect("2 bits/tick must roll over");
+        assert_eq!(free.critical_grid(&row(16)), None, "unthrottled never rolls over");
+        let (_, crit) = starved.critical_grid(&row(16)).expect("2 bits/tick must roll over");
         assert!(crit > 1, "a single board has no links to starve");
         // Past the critical point, adding boards buys almost nothing.
-        let below = starved.updates_per_tick(crit - 1);
-        let above = starved.updates_per_tick(crit);
+        let below = starved.updates_per_tick2((1, crit - 1));
+        let above = starved.updates_per_tick2((1, crit));
         assert!(above.ratio(below) < 1.5, "{below} → {above}");
         // And the throttled machine is strictly slower than the free one.
-        assert!(starved.updates_per_tick(4) < free.updates_per_tick(4));
+        assert!(starved.updates_per_tick2((1, 4)) < free.updates_per_tick2((1, 4)));
     }
 
     #[test]
     fn periodic_boundary_costs_wrap_rows_and_full_halos() {
         let null = model();
         let torus = model().with_periodic(true);
-        assert_eq!(torus.aug_rows(), 48 + 4);
+        assert_eq!(torus.blocks((1, 1))[0].aug_height(torus.wrap(1)), 48 + 4);
         // Edge boards no longer clamp: every board imports 2k columns.
-        assert!(torus.halo_bits(2) > null.halo_bits(2));
-        assert!(torus.redundancy(4) > null.redundancy(4));
+        assert!(torus.halo_bits2((1, 2)).0 > null.halo_bits2((1, 2)).0);
+        assert!(torus.redundancy((1, 4)) > null.redundancy((1, 4)));
     }
 
     #[test]
     fn redundancy_counts_every_seam() {
         let m = model();
-        assert!((m.redundancy(1) - 1.0).abs() < 1e-12);
+        assert!((m.redundancy((1, 1)) - 1.0).abs() < 1e-12);
         // S = 4, k = 2: halo columns = (2+4+4+2) = 12 of 240.
-        assert!((m.redundancy(4) - 252.0 / 240.0).abs() < 1e-12);
+        assert!((m.redundancy((1, 4)) - 252.0 / 240.0).abs() < 1e-12);
     }
 
     #[test]
-    fn point_bundles_the_figures() {
-        let p = model().with_link(BitsPerTick::new(16.0)).point(4);
-        assert_eq!(p.shards, 4);
-        assert!(p.halo_ticks > Ticks::ZERO);
-        assert_eq!(p.pass_ticks, p.compute_ticks + p.halo_ticks);
-        assert!(p.critical_link > BitsPerTick::ZERO);
-        // Serialized: the slab is one undivided sweep.
-        assert_eq!(p.boundary_ticks, Ticks::ZERO);
-        assert_eq!(p.interior_ticks, p.compute_ticks);
+    fn a_serialized_pass_is_one_sweep_then_the_exchange() {
+        let m = model().with_link(BitsPerTick::new(16.0));
+        let g = (1, 4);
+        assert!(m.halo_ticks2(g) > Ticks::ZERO);
+        assert_eq!(m.pass_ticks2(g), m.compute_ticks2(g) + m.halo_ticks2(g));
+        assert!(m.link_demand2(g).0 > BitsPerTick::ZERO);
+        // Serialized: the block is one undivided sweep.
+        assert_eq!(m.boundary_compute_ticks2(g), Ticks::ZERO);
+        assert_eq!(m.interior_compute_ticks2(g), m.compute_ticks2(g));
     }
 
     #[test]
@@ -847,92 +691,94 @@ mod tests {
         // further thinning lands on the critical path.
         let m = FarmModel::new(Technology::paper_1987(), 20, 10, 1, 1)
             .with_link(BitsPerTick::new(1.25));
-        assert_eq!(m.compute_ticks(2), Ticks::new(128));
-        assert_eq!(m.halo_ticks(2), Ticks::new(128));
-        assert_eq!(m.critical_shards(2), Some(2), "a tie counts as the wall");
+        assert_eq!(m.compute_ticks2((1, 2)), Ticks::new(128));
+        assert_eq!(m.halo_ticks2((1, 2)), Ticks::new(128));
+        assert_eq!(m.critical_grid(&row(2)), Some((1, 2)), "a tie counts as the wall");
         // A link even slightly faster breaks the tie and the wall
         // recedes past S = 2.
         let faster = m.with_link(BitsPerTick::new(1.3));
-        assert!(faster.halo_ticks(2) < faster.compute_ticks(2));
-        assert_eq!(faster.critical_shards(2), None);
+        assert!(faster.halo_ticks2((1, 2)) < faster.compute_ticks2((1, 2)));
+        assert_eq!(faster.critical_grid(&row(2)), None);
         // Unthrottled: a zero-tick exchange is never "the wall", even
         // though 0 >= 0 would claim so for an empty interior.
-        assert_eq!(m.with_link(BitsPerTick::UNTHROTTLED).critical_shards(2), None);
+        assert_eq!(m.with_link(BitsPerTick::UNTHROTTLED).critical_grid(&row(2)), None);
     }
 
     #[test]
     fn overlap_hides_the_exchange_behind_the_interior() {
         let starved = model().with_link(BitsPerTick::new(2.0));
         let overlapped = starved.with_overlap(true);
-        for s in [2usize, 4, 8] {
-            let b = overlapped.boundary_compute_ticks(s);
-            let i = overlapped.interior_compute_ticks(s);
-            let h = overlapped.halo_ticks(s);
-            assert!(b > Ticks::ZERO, "S={s}: seams mean boundary sweeps");
-            assert_eq!(overlapped.pass_ticks(s), b + i.max(h), "S={s}");
+        for g in [(1usize, 2usize), (1, 4), (1, 8)] {
+            let b = overlapped.boundary_compute_ticks2(g);
+            let i = overlapped.interior_compute_ticks2(g);
+            let h = overlapped.halo_ticks2(g);
+            assert!(b > Ticks::ZERO, "{g:?}: seams mean boundary sweeps");
+            assert_eq!(overlapped.pass_ticks2(g), b + i.max(h), "{g:?}");
             // Splitting the sweep refills the pipeline per region, so
             // the phases sum a little over the undivided sweep…
-            assert!(b + i >= overlapped.compute_ticks(s), "S={s}");
+            assert!(b + i >= overlapped.compute_ticks2(g), "{g:?}");
             // …but on a starved link the hidden transfer wins anyway.
             assert!(
-                overlapped.pass_ticks(s) < starved.pass_ticks(s),
-                "S={s}: {} !< {}",
-                overlapped.pass_ticks(s),
-                starved.pass_ticks(s)
+                overlapped.pass_ticks2(g) < starved.pass_ticks2(g),
+                "{g:?}: {} !< {}",
+                overlapped.pass_ticks2(g),
+                starved.pass_ticks2(g)
             );
         }
         // The overlapped wall compares halo against the *interior*
         // window only, so it arrives no later than the serialized one.
-        let (so, ss) = (overlapped.critical_shards(16), starved.critical_shards(16));
+        let (so, ss) = (overlapped.critical_grid(&row(16)), starved.critical_grid(&row(16)));
         let wall = ss.expect("2 bits/tick rolls the serialized farm over");
-        assert!(so.expect("and a fortiori the overlapped race") <= wall);
+        assert!(so.expect("and a fortiori the overlapped race").1 <= wall.1);
         // Seamless single board: nothing to ship, nothing to split.
-        assert_eq!(overlapped.boundary_compute_ticks(1), Ticks::ZERO);
-        assert_eq!(overlapped.pass_ticks(1), starved.pass_ticks(1));
+        assert_eq!(overlapped.boundary_compute_ticks2((1, 1)), Ticks::ZERO);
+        assert_eq!(overlapped.pass_ticks2((1, 1)), starved.pass_ticks2((1, 1)));
     }
 
     #[test]
     fn overlapped_retransmits_are_free_until_the_interior_runs_out() {
         // A lightly throttled link: halo well under the interior sweep.
         let m = model().with_link(BitsPerTick::new(16.0)).with_overlap(true);
-        let s = 4;
-        let (b, i, h) = (m.boundary_compute_ticks(s), m.interior_compute_ticks(s), m.halo_ticks(s));
+        let g = (1, 4);
+        let (b, i, h) =
+            (m.boundary_compute_ticks2(g), m.interior_compute_ticks2(g), m.halo_ticks2(g));
         assert!(h < i, "setup: transfer hides entirely");
         // One replay still fits inside the interior — no wall-clock
         // cost at all.
         let r_free = (i.to_f64() / h.to_f64() - 1.0) * 0.9;
         assert!(r_free > 1.0);
-        assert_eq!(m.pass_ticks_with_retransmits(s, r_free), (b + i).to_f64());
+        assert_eq!(m.pass_ticks_with_retransmits(g, r_free), (b + i).to_f64());
         // Enough replays overrun the window and the excess is exposed
         // tick for tick.
         let r_over = i.to_f64() / h.to_f64() + 1.0;
         let expect = b.to_f64() + h.to_f64() * (1.0 + r_over);
-        assert_eq!(m.pass_ticks_with_retransmits(s, r_over), expect);
+        assert_eq!(m.pass_ticks_with_retransmits(g, r_over), expect);
     }
 
     #[test]
     fn retransmission_term_extends_pass_ticks() {
         let m = model().with_link(BitsPerTick::new(16.0));
+        let g = (1, 4);
         // A clean link adds nothing.
-        assert_eq!(m.pass_ticks_with_retransmits(4, 0.0), m.pass_ticks(4).to_f64());
-        assert_eq!(m.frame_upset_prob(4, 0.0), 0.0);
-        assert_eq!(m.expected_retransmits_per_pass(4, 0.0), 0.0);
+        assert_eq!(m.pass_ticks_with_retransmits(g, 0.0), m.pass_ticks2(g).to_f64());
+        assert_eq!(m.frame_upset_prob(g, 0.0), 0.0);
+        assert_eq!(m.expected_retransmits_per_pass(g, 0.0), 0.0);
         // One retransmission per pass replays exactly one exchange
         // barrier.
-        let extra = m.pass_ticks_with_retransmits(4, 1.0) - m.pass_ticks(4).to_f64();
-        assert_eq!(extra, m.halo_ticks(4).to_f64());
+        let extra = m.pass_ticks_with_retransmits(g, 1.0) - m.pass_ticks2(g).to_f64();
+        assert_eq!(extra, m.halo_ticks2(g).to_f64());
         // The upset probability grows with the frame (more shards never
         // shrink the hungriest frame here: interior boards appear at
         // S ≥ 3 and import the full 2k columns).
-        let q2 = m.frame_upset_prob(2, 1e-3);
-        let q4 = m.frame_upset_prob(4, 1e-3);
+        let q2 = m.frame_upset_prob((1, 2), 1e-3);
+        let q4 = m.frame_upset_prob(g, 1e-3);
         assert!(q2 > 0.0 && q4 >= q2, "{q2} vs {q4}");
         // Small rates: expectation ≈ sites·rate (geometric tail ≈ q).
-        let sites = m.halo_bits(4).to_f64() / 8.0;
-        let e = m.expected_retransmits_per_pass(4, 1e-6);
+        let sites = m.halo_bits2(g).0.to_f64() / 8.0;
+        let e = m.expected_retransmits_per_pass(g, 1e-6);
         assert!((e - sites * 1e-6).abs() / (sites * 1e-6) < 1e-2, "{e}");
         // An unthrottled farm retransmits for free in tick terms.
-        assert_eq!(model().pass_ticks_with_retransmits(4, 3.0), model().pass_ticks(4).to_f64());
+        assert_eq!(model().pass_ticks_with_retransmits(g, 3.0), model().pass_ticks2(g).to_f64());
     }
 
     #[test]
@@ -951,7 +797,7 @@ mod tests {
     }
 
     #[test]
-    fn two_axis_model_degenerates_to_the_columnar_model_on_one_grid_row() {
+    fn single_row_grids_leave_the_inter_tier_idle() {
         for (periodic, overlap) in [(false, false), (true, false), (false, true), (true, true)] {
             let m = model()
                 .with_periodic(periodic)
@@ -959,14 +805,10 @@ mod tests {
                 .with_link(BitsPerTick::new(16.0));
             for s in [1usize, 2, 4, 8] {
                 let g = (1, s);
-                assert_eq!(m.compute_ticks2(g), m.compute_ticks(s), "S={s}");
-                assert_eq!(m.boundary_compute_ticks2(g), m.boundary_compute_ticks(s), "S={s}");
-                assert_eq!(m.interior_compute_ticks2(g), m.interior_compute_ticks(s), "S={s}");
-                assert_eq!(m.halo_bits2(g), (m.halo_bits(s), Bits::ZERO), "S={s}");
-                assert_eq!(m.halo_ticks2(g), m.halo_ticks(s), "S={s}");
-                assert_eq!(m.pass_ticks2(g), m.pass_ticks(s), "S={s}");
-                assert_eq!(m.link_demand2(g).0, m.link_demand(s), "S={s}");
+                assert_eq!(m.halo_bits2(g).1, Bits::ZERO, "S={s}");
+                assert_eq!(m.link_demand2(g).1, BitsPerTick::ZERO, "S={s}");
                 assert_eq!(m.binding_tier(g), LinkTier::Intra, "S={s}");
+                assert_eq!(m.binding_link_demand(g), m.link_demand2(g).0, "S={s}");
             }
         }
     }
@@ -1007,16 +849,21 @@ mod tests {
     }
 
     #[test]
-    fn critical_shard_scan_skips_torus_layouts_the_farm_rejects() {
-        // 12 columns, k = 2 on the torus: S ∈ {7..=11} would leave a
-        // slab narrower than the halo, which `partition` now rejects —
-        // the scan must skip those, not panic.
+    fn critical_grid_scan_skips_torus_layouts_the_farm_rejects() {
+        // 12 columns, k = 2 on the torus: (1, S) for S ∈ {7..=11} would
+        // leave a block narrower than the halo, which `partition2d`
+        // rejects — the scan must skip those, not panic.
         let m = FarmModel::new(Technology::paper_1987(), 16, 12, 1, 2)
             .with_periodic(true)
             .with_link(BitsPerTick::new(0.5));
-        let crit = m.critical_shards(12);
+        let crit = m.critical_grid(&row(12));
         assert!(crit.is_some(), "a 0.5 bits/tick link must roll over");
-        assert!(crit.unwrap() <= 6, "rejected layouts cannot be the answer");
+        let (r, s) = crit.unwrap();
+        assert_eq!(r, 1);
+        assert!(s <= 6, "rejected layouts cannot be the answer");
+        // A scan that reaches the rejected layouts skips them.
+        let rejected: Vec<_> = (7..=12).map(|s| (1, s)).collect();
+        assert_eq!(m.critical_grid(&rejected), None);
     }
 
     #[test]
@@ -1027,7 +874,7 @@ mod tests {
         assert_eq!(b.admitted(), BitsPerTick::new(80.0));
         assert_eq!(b.headroom(), BitsPerTick::new(20.0));
         // Exactly reaching capacity is refused — the tie is the wall,
-        // like `critical_shards`'s `>=`.
+        // like `critical_grid`'s `>=`.
         assert!(!b.try_admit(BitsPerTick::new(20.0)));
         // A refusal leaves the ledger unchanged.
         assert_eq!(b.admitted(), BitsPerTick::new(80.0));
@@ -1078,9 +925,9 @@ mod tests {
     #[test]
     fn link_budget_composes_with_the_model_cost_function() {
         // The scheduler's actual loop: charge each session's
-        // `link_demand` until the fleet saturates.
+        // `binding_link_demand` until the fleet saturates.
         let m = model();
-        let demand = m.link_demand(4);
+        let demand = m.binding_link_demand((1, 4));
         assert!(demand > BitsPerTick::ZERO);
         // Capacity for just over two such sessions: the third queues.
         let mut b = LinkBudget::new(demand * 2.5);

@@ -42,7 +42,7 @@ pub mod wsa;
 pub mod wsae;
 
 pub use compare::{optimized_comparison, wsae_vs_spa, ArchComparison, WsaeSpaComparison};
-pub use farm::{FarmModel, FarmPoint, LinkBudget, LinkTier};
+pub use farm::{FarmModel, LinkBudget, LinkTier};
 pub use spa::SpaDesign;
 pub use tech::Technology;
 pub use wsa::WsaDesign;

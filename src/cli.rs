@@ -1313,35 +1313,31 @@ fn run_farm_fault_sim(
     if ckpt_every == 0 {
         return Err(CliError("fault-sim: --ckpt-every must be ≥ 1".into()));
     }
-    // Each sweep layout is (shard count, optional R×C board grid);
-    // `--farm-grid` replaces the columnar shard list with one grid leg
-    // whose upsets hit both link tiers.
-    let layouts: Vec<(usize, Option<(usize, usize)>)> = match farm_grid {
+    // Each sweep layout is an R×C board grid: the shard list is the
+    // single-row grids (1, S); `--farm-grid` replaces it with one grid
+    // leg whose upsets hit both link tiers.
+    let layouts: Vec<(usize, usize)> = match farm_grid {
         Some((gr, gc)) => {
             if gr > rows || gc > cols {
                 return Err(CliError(format!(
                     "fault-sim: --farm-grid {gr}x{gc} does not fit a {rows}x{cols} lattice"
                 )));
             }
-            vec![(gr * gc, Some((gr, gc)))]
+            vec![(gr, gc)]
         }
         None => farm_shards
             .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .map(|n| (n, None))
-                    .ok_or_else(|| CliError(format!("fault-sim: bad --farm-shards entry `{s}`")))
+            .map(|s| match s.trim().parse::<usize>() {
+                Ok(n) if n >= 1 => Ok((1, n)),
+                _ => Err(CliError(format!("fault-sim: bad --farm-shards entry `{s}`"))),
             })
             .collect::<Result<_, _>>()?,
     };
-    if layouts.is_empty() || layouts.iter().any(|&(s, g)| g.is_none() && s > cols) {
+    if layouts.is_empty() || (farm_grid.is_none() && layouts.iter().any(|&(_, n)| n > cols)) {
         return Err(CliError("fault-sim: --farm-shards must be 1..=cols".into()));
     }
     if let Some(b) = stuck_board {
-        if let Some(&(smin, _)) = layouts.iter().min_by_key(|&&(s, _)| s) {
+        if let Some(smin) = layouts.iter().map(|&(gr, gc)| gr * gc).min() {
             if b >= smin {
                 return Err(CliError(format!(
                     "fault-sim: --stuck-board {b} out of range for {smin} shard(s)"
@@ -1405,15 +1401,12 @@ fn run_farm_fault_sim(
     ]);
     out.push_str(&table.header());
     let mut unrecovered = 0u32;
-    for &(s, g) in &layouts {
-        let mut farm = LatticeFarm::new(s, ShardEngine::Wsa { width }, depth).with_overlap(overlap);
-        if let Some((gr, gc)) = g {
-            farm = farm.with_grid(gr, gc);
-        }
-        let label = match g {
-            Some((gr, gc)) => format!("{gr}x{gc}"),
-            None => s.to_string(),
-        };
+    for &(gr, gc) in &layouts {
+        let farm = LatticeFarm::new(gc, ShardEngine::Wsa { width }, depth)
+            .with_grid(gr, gc)
+            .with_overlap(overlap);
+        let s = farm.shards();
+        let label = if farm_grid.is_some() { format!("{gr}x{gc}") } else { s.to_string() };
         // WSA boards: chip stride = depth at every reachable shard
         // count, so board b's intra halo link is chip s·depth + b and
         // (grid layouts) its inter-rack link is chip s·depth + s + b.
@@ -1421,7 +1414,7 @@ fn run_farm_fault_sim(
         // Degraded re-partitioning is columnar, so multi-row grids run
         // without a degrade budget (the ladder tops out at global
         // rollback there).
-        let can_degrade = s > 1 && g.is_none_or(|(gr, _)| gr == 1);
+        let can_degrade = s > 1 && gr == 1;
         let cfg = FarmRecoveryConfig {
             max_retries: retries,
             checkpoint_every: ckpt_every,
@@ -1443,7 +1436,7 @@ fn run_farm_fault_sim(
                         cell: None,
                         kind: FaultKind::Transient { bit: 1, rate: r },
                     });
-                    if g.is_some_and(|(gr, _)| gr > 1) {
+                    if gr > 1 {
                         plan.push(Fault {
                             component: Component::Link,
                             chip: Some(link_chip_base + s + b),
@@ -1672,7 +1665,7 @@ fn run_farm(a: FarmArgs) -> Result<String, CliError> {
         let cfg =
             FarmRecoveryConfig { checkpoint_every: ckpt_every, ..FarmRecoveryConfig::default() };
         let ft = farm
-            .run_with_recovery_persistent(
+            .run_with_recovery_audited(
                 rule,
                 &start,
                 t0,
@@ -1681,7 +1674,7 @@ fn run_farm(a: FarmArgs) -> Result<String, CliError> {
                 &cfg,
                 |_, _| Ok(()),
                 |_, _, _| Ok(()),
-                &mut store,
+                Some(&mut store),
             )
             .map_err(lat)?;
         let exact = verify.then(|| {
@@ -1795,27 +1788,23 @@ fn run_farm(a: FarmArgs) -> Result<String, CliError> {
             m = m.with_tier_link(lattice_core::units::BitsPerTick::new(bits));
         }
         let meas_pass = report.machine_ticks().to_f64() / report.passes.max(1) as f64;
-        match grid {
-            Some(g) => out.push_str(&format!(
-                "model: pass ticks {:.0} (measured {:.0}), binding tier \
-                 {}, link demand {:.1} bits/tick on it\n",
-                m.pass_ticks2(g),
-                meas_pass,
+        let g = grid.unwrap_or((1, shards));
+        let (pass, demand) = (m.pass_ticks2(g), m.binding_link_demand(g));
+        out.push_str(&match grid {
+            Some(_) => format!(
+                "model: pass ticks {pass:.0} (measured {meas_pass:.0}), binding tier \
+                 {}, link demand {demand:.1} bits/tick on it\n",
                 match m.binding_tier(g) {
                     crate::vlsi::LinkTier::Intra => "intra-rack",
                     crate::vlsi::LinkTier::Inter => "inter-rack",
                 },
-                m.binding_link_demand(g),
-            )),
-            None => out.push_str(&format!(
-                "model: pass ticks {:.0} (measured {:.0}), strong-scaling \
-                 efficiency {:.3}, link demand {:.1} bits/tick\n",
-                m.pass_ticks(shards),
-                meas_pass,
-                m.strong_efficiency(shards),
-                m.link_demand(shards),
-            )),
-        }
+            ),
+            None => format!(
+                "model: pass ticks {pass:.0} (measured {meas_pass:.0}), strong-scaling \
+                 efficiency {:.3}, link demand {demand:.1} bits/tick\n",
+                m.strong_efficiency(g),
+            ),
+        });
     }
     out.push_str(&extra);
     match exact {
@@ -2036,7 +2025,7 @@ fn run_chaos(
             };
         let mut sink = BestEffort { store: &mut store, refused: 0 };
 
-        let run = farm.run_with_recovery_persistent(
+        let run = farm.run_with_recovery_audited(
             &rule,
             &g0,
             0,
@@ -2045,7 +2034,7 @@ fn run_chaos(
             &cfg,
             |b, a| audit.check(b, a),
             |_, _, _| Ok(()),
-            &mut sink,
+            Some(&mut sink),
         );
         let refused = sink.refused;
 

@@ -30,7 +30,7 @@ fn killed_farm_resumes_bit_exact_from_disk() {
     // Leg 1: the run that gets "killed" after 6 of 10 generations.
     {
         let mut store = CheckpointStore::open(DiskBackend::open(&dir).unwrap()).unwrap();
-        farm.run_with_recovery_persistent(
+        farm.run_with_recovery_audited(
             &rule,
             &g0,
             0,
@@ -39,7 +39,7 @@ fn killed_farm_resumes_bit_exact_from_disk() {
             &cfg,
             |_, _| Ok(()),
             |_, _, _| Ok(()),
-            &mut store,
+            Some(&mut store),
         )
         .unwrap();
     } // everything in-memory is gone; only the directory survives
@@ -52,7 +52,7 @@ fn killed_farm_resumes_bit_exact_from_disk() {
     assert_eq!(t.get(), 6, "final state of leg 1 is durably recorded");
     assert_eq!(mid.shape(), shape);
     let done = farm
-        .run_with_recovery_persistent(
+        .run_with_recovery_audited(
             &rule,
             &mid,
             t.get(),
@@ -61,7 +61,7 @@ fn killed_farm_resumes_bit_exact_from_disk() {
             &cfg,
             |_, _| Ok(()),
             |_, _, _| Ok(()),
-            &mut store,
+            Some(&mut store),
         )
         .unwrap();
 
@@ -87,7 +87,7 @@ fn resume_falls_back_when_newest_generation_is_torn() {
 
     {
         let mut store = CheckpointStore::open(DiskBackend::open(&dir).unwrap()).unwrap();
-        farm.run_with_recovery_persistent(
+        farm.run_with_recovery_audited(
             &rule,
             &g0,
             0,
@@ -96,7 +96,7 @@ fn resume_falls_back_when_newest_generation_is_torn() {
             &cfg,
             |_, _| Ok(()),
             |_, _, _| Ok(()),
-            &mut store,
+            Some(&mut store),
         )
         .unwrap();
     }
@@ -126,7 +126,7 @@ fn resume_falls_back_when_newest_generation_is_torn() {
     let (mid, t) = reassemble::<u8>(&loaded.snapshot).unwrap();
     assert!(t.get() < 4);
     let done = farm
-        .run_with_recovery_persistent(
+        .run_with_recovery_audited(
             &rule,
             &mid,
             t.get(),
@@ -135,7 +135,7 @@ fn resume_falls_back_when_newest_generation_is_torn() {
             &cfg,
             |_, _| Ok(()),
             |_, _, _| Ok(()),
-            &mut store,
+            Some(&mut store),
         )
         .unwrap();
     let reference = evolve(&g0, &rule, Boundary::null(), 0, 8);

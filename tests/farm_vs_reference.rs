@@ -224,14 +224,14 @@ fn measured_scaling_tracks_the_model_within_ten_percent() {
         let farm = LatticeFarm::new(shards, ShardEngine::Wsa { width: p }, k);
         let report = farm.run(&rule, &grid, 0, 4).unwrap();
         let measured = report.machine_ticks().to_f64() / report.passes as f64;
-        let predicted = model.pass_ticks(shards).to_f64();
+        let predicted = model.pass_ticks2(farm.grid).to_f64();
         let ratio = measured / predicted;
         assert!(
             (ratio - 1.0).abs() < 0.10,
             "S={shards}: measured {measured} vs model {predicted} (ratio {ratio})"
         );
         let upt = report.updates_per_tick();
-        let upt_model = model.updates_per_tick(shards);
+        let upt_model = model.updates_per_tick2(farm.grid);
         assert!(
             (upt.ratio(upt_model) - 1.0).abs() < 0.10,
             "S={shards}: upd/tick measured {upt} vs model {upt_model}"
@@ -251,7 +251,8 @@ fn starved_links_roll_over_where_the_model_says() {
     let bits = 2.0;
     let model = FarmModel::new(Technology::paper_1987(), rows, cols, p as u32, k)
         .with_link(BitsPerTick::new(bits));
-    let crit = model.critical_shards(8).expect("2 bits/tick must roll over by S=8");
+    let single_row: Vec<(usize, usize)> = (1..=8).map(|s| (1, s)).collect();
+    let (_, crit) = model.critical_grid(&single_row).expect("2 bits/tick must roll over by S=8");
 
     let measure = |shards: usize| {
         let farm = LatticeFarm::new(shards, ShardEngine::Wsa { width: p }, k)
@@ -306,7 +307,7 @@ fn overlapped_exchange_tracks_the_model_and_beats_serialized() {
         // Per-pass agreement with boundary + max(interior, halo); the
         // first pass's un-hideable cold start amortizes over 16 passes.
         let measured = o.machine_ticks().to_f64() / o.passes as f64;
-        let predicted = model.pass_ticks(shards).to_f64();
+        let predicted = model.pass_ticks2(overlap.grid).to_f64();
         let ratio = measured / predicted;
         assert!(
             (ratio - 1.0).abs() < 0.10,
@@ -396,19 +397,20 @@ fn retransmission_term_keeps_the_model_within_ten_percent() {
         .with_link(BitsPerTick::new(bits));
     let r = ft.report.retransmits as f64 / ft.report.passes as f64;
     let measured = ft.report.machine_ticks().to_f64() / ft.report.passes as f64;
-    let predicted = model.pass_ticks_with_retransmits(shards, r);
+    let g = (1, shards);
+    let predicted = model.pass_ticks_with_retransmits(g, r);
     let ratio = measured / predicted;
     assert!(
         (ratio - 1.0).abs() < 0.10,
         "measured {measured} vs model {predicted} (ratio {ratio}, r {r})"
     );
     // Without the ARQ term the model must under-predict this run.
-    assert!(measured > model.pass_ticks(shards).to_f64(), "retransmissions cost real barrier time");
+    assert!(measured > model.pass_ticks2(g).to_f64(), "retransmissions cost real barrier time");
     // The measured split agrees term for term: the extra halo time is
     // the retransmitted share.
     assert_eq!(
         ft.report.retransmit_ticks,
-        model.halo_ticks(shards) * ft.report.retransmits,
+        model.halo_ticks2(g) * ft.report.retransmits,
         "each retransmission replays one interior exchange barrier"
     );
 }

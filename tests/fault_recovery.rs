@@ -216,6 +216,7 @@ fn one_board_pe_fault_rolls_back_that_board_alone() {
             &cfg,
             |_, _| Ok(()),
             |_board, before, after| audit.check(before, after),
+            None,
         )
         .expect("local rollback must absorb the soft errors");
 
