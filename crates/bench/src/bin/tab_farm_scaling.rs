@@ -209,8 +209,9 @@ fn main() {
         "faulted pass time departed from the retransmission model by more than 10%: {worst_noisy}"
     );
 
-    // E11: overlapped exchange on the starved links. Enough passes that
-    // the first pass's un-hideable cold-start transfer amortizes away.
+    // E11: overlapped exchange on the starved links. The model prices
+    // the whole run: steady passes plus the first pass's un-hideable
+    // cold-start transfer.
     let overlap_gens: u64 = 32;
     let overlap_model = starved_model.with_overlap(true);
     let mut ov_t = Table::new(
@@ -242,7 +243,8 @@ fn main() {
         );
         let serial_pass = sr.machine_ticks().to_f64() / sr.passes as f64;
         let overlap_pass = or.machine_ticks().to_f64() / or.passes as f64;
-        let predicted = overlap_model.pass_ticks2(overlap.grid).to_f64();
+        let predicted =
+            overlap_model.run_ticks2(overlap.grid, or.passes).to_f64() / or.passes as f64;
         let ratio = overlap_pass / predicted;
         worst_overlap = worst_overlap.max((ratio - 1.0).abs() + 1.0);
         assert!(

@@ -231,7 +231,7 @@ fn main() {
         assert_eq!(sr.grid(), &ov_reference);
         let serial_pass = sr.machine_ticks().to_f64() / sr.passes as f64;
         let overlap_pass = or.machine_ticks().to_f64() / or.passes as f64;
-        let pred = ov_model.pass_ticks2(g).to_f64();
+        let pred = ov_model.run_ticks2(g, or.passes).to_f64() / or.passes as f64;
         let ratio = overlap_pass / pred;
         worst_c = worst_c.max((ratio - 1.0).abs() + 1.0);
         // Overlap must win wherever the model says the hidden halo pays

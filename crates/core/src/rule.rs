@@ -6,6 +6,7 @@
 //! (§3): `v(a, t+1) = f(N(a), t)` with `N(a)` contained in the radius-1
 //! Moore window around `a`.
 
+use crate::grid::Grid;
 use crate::window::Window;
 
 /// A site value: small, copyable, with a fixed bit width.
@@ -88,6 +89,28 @@ pub trait Rule: Sync {
     fn name(&self) -> &str {
         "anonymous-rule"
     }
+
+    /// A whole-block kernel: evolves `block` (generation `t0`, its site
+    /// `(r, c)` at global coordinate `(origin.0 + r, origin.1 + c)`,
+    /// wrapping) `generations` steps under the null boundary.
+    ///
+    /// Contract: `Some(g)` means `g` equals
+    /// `evolve(block, self, Boundary::null(), t0, generations)` (with
+    /// the rule seeing those global coordinates) on *every* site of the
+    /// block. A rule that cannot honour that for this block — wrong
+    /// rank, state bits its kernel does not model — returns `None`, and
+    /// the caller takes the site-by-site path. The default has no
+    /// kernel.
+    fn evolve_block(
+        &self,
+        block: &Grid<Self::S>,
+        t0: u64,
+        generations: usize,
+        origin: (usize, usize),
+    ) -> Option<Grid<Self::S>> {
+        let _ = (block, t0, generations, origin);
+        None
+    }
 }
 
 impl<R: Rule + ?Sized> Rule for &R {
@@ -97,6 +120,15 @@ impl<R: Rule + ?Sized> Rule for &R {
     }
     fn name(&self) -> &str {
         (**self).name()
+    }
+    fn evolve_block(
+        &self,
+        block: &Grid<Self::S>,
+        t0: u64,
+        generations: usize,
+        origin: (usize, usize),
+    ) -> Option<Grid<Self::S>> {
+        (**self).evolve_block(block, t0, generations, origin)
     }
 }
 

@@ -14,6 +14,12 @@
 //! origin-aware stream framing the engines already speak — for
 //! coordinate-dependent FHP, on both the null boundary and the torus.
 //!
+//! A fault-free pass on WSA boards whose rule supplies a block kernel
+//! ([`Rule::evolve_block`]) skips the cycle loop: the board computes
+//! its block with the kernel and charges the ticks and traffic the
+//! cycle engine would count ([`Pipeline::run_kernel`], DESIGN.md §19).
+//! Every report field is the same either way; only host time moves.
+//!
 //! The price is redundant halo recompute (each exchanged column is
 //! evolved by two boards) and link time at the barrier; the machine
 //! report accounts both, which is what the analytical board model in
@@ -187,7 +193,7 @@ pub struct ShardStats {
 
 /// A machine-level run summary: the aggregated [`EngineReport`] plus the
 /// farm-specific accounting (halo traffic and barrier time).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FarmReport<S: State> {
     /// The merged machine report: `grid` is the stitched final lattice;
     /// `updates`/`ticks`/traffic/faults aggregate every board via
@@ -415,10 +421,40 @@ fn region_grid<'a, S: State>(
     {
         return Ok(std::borrow::Cow::Borrowed(aug));
     }
-    let shape = Shape::grid2(region.height, region.width)?;
-    Ok(std::borrow::Cow::Owned(Grid::from_fn(shape, |c| {
-        aug.get(Coord::c2(region.r0 + c.row(), region.a0 + c.col()))
-    })))
+    let rect = crop(aug, (region.r0, region.a0), (region.height, region.width))?;
+    Ok(std::borrow::Cow::Owned(rect))
+}
+
+/// The `rows × width` rectangle of `grid` whose top-left site is
+/// `(r0, c0)`, copied row by row.
+fn crop<S: State>(
+    grid: &Grid<S>,
+    (r0, c0): (usize, usize),
+    (rows, width): (usize, usize),
+) -> Result<Grid<S>, LatticeError> {
+    let cols = grid.shape().cols();
+    let mut data = Vec::with_capacity(rows * width);
+    for row in grid.as_slice().chunks_exact(cols).skip(r0).take(rows) {
+        data.extend_from_slice(&row[c0..c0 + width]);
+    }
+    Grid::from_vec(Shape::grid2(rows, width)?, data)
+}
+
+/// Copies the `rows × width` rectangle of `src` at `from` into `dst`
+/// at `to`, row by row.
+fn paste<S: State>(
+    dst: &mut Grid<S>,
+    to: (usize, usize),
+    src: &Grid<S>,
+    from: (usize, usize),
+    (rows, width): (usize, usize),
+) {
+    let (dst_cols, src_cols) = (dst.shape().cols(), src.shape().cols());
+    for r in 0..rows {
+        let d = (to.0 + r) * dst_cols + to.1;
+        let s = (from.0 + r) * src_cols + from.1;
+        dst.as_mut_slice()[d..d + width].copy_from_slice(&src.as_slice()[s..s + width]);
+    }
 }
 
 /// Sequential composition of one board's sweep regions within a pass:
@@ -601,20 +637,24 @@ impl Totals {
     /// board — which reduces to the slowest board's full sweep when
     /// overlap is off. `phys` maps slab index → physical board.
     fn absorb<S: State>(&mut self, out: &PassOutcome<S>, k: u64, phys: &[usize]) {
-        let mut pass = out.reports[0].clone();
-        for r in &out.reports[1..] {
-            pass.merge(r);
+        // The boards' parallel composition, field by field as
+        // `EngineReport::merge` folds it (counters add, capacities take
+        // the maximum, chips add up across boards), without copying a
+        // board lattice.
+        let mut pass_stages = 0u32;
+        for r in &out.reports {
+            self.updates += r.updates;
+            self.memory.merge(r.memory_traffic);
+            self.pins.merge(r.pin_traffic);
+            self.side.merge(r.side_traffic);
+            self.offchip.merge(r.offchip_sr_traffic);
+            self.sr = self.sr.max(r.sr_cells_per_stage);
+            self.width = self.width.max(r.width);
+            pass_stages += r.stages;
         }
-        self.updates += pass.updates;
         self.compute_ticks += out.boundary_ticks + out.interior_ticks;
         self.generations += k;
-        self.memory.merge(pass.memory_traffic);
-        self.pins.merge(pass.pin_traffic);
-        self.side.merge(pass.side_traffic);
-        self.offchip.merge(pass.offchip_sr_traffic);
-        self.sr = self.sr.max(pass.sr_cells_per_stage);
-        self.stages = self.stages.max(pass.stages);
-        self.width = self.width.max(pass.width);
+        self.stages = self.stages.max(pass_stages);
         self.halo_traffic.merge(out.halo_traffic);
         self.halo_ticks += out.halo_ticks;
         self.retransmit_ticks += out.retransmit_ticks;
@@ -710,10 +750,7 @@ fn save_shard_checkpoints<S: State>(
     blocks
         .iter()
         .map(|blk| {
-            let shape = Shape::grid2(blk.rows, blk.width)?;
-            let sg = Grid::from_fn(shape, |c| {
-                grid.get(Coord::c2(blk.row0 + c.row(), blk.col0 + c.col()))
-            });
+            let sg = crop(grid, (blk.row0, blk.col0), (blk.rows, blk.width))?;
             Ok(checkpoint::save(&sg, Ticks::new(t)))
         })
         .collect()
@@ -734,11 +771,13 @@ fn load_shard_checkpoints<S: State>(
                 detail: "shard checkpoints disagree on generation".into(),
             });
         }
-        for r in 0..blk.rows {
-            for j in 0..blk.width {
-                grid.set(Coord::c2(blk.row0 + r, blk.col0 + j), sg.get(Coord::c2(r, j)));
-            }
+        if sg.shape() != Shape::grid2(blk.rows, blk.width)? {
+            return Err(LatticeError::Corrupted {
+                site: format!("shard {} checkpoint", blk.index),
+                detail: "shard checkpoint does not match its block's shape".into(),
+            });
         }
+        paste(&mut grid, (blk.row0, blk.col0), &sg, (0, 0), (blk.rows, blk.width));
     }
     Ok((grid, time.unwrap_or(Ticks::ZERO).get()))
 }
@@ -945,26 +984,24 @@ impl LatticeFarm {
         let (rows, cols) = (shape.rows(), shape.cols());
         let top_pad = wrap + block.halo_up;
         let aug_rows = block.aug_height(wrap);
-        let aug_shape = Shape::grid2(aug_rows, block.aug_width())?;
-        let mut aug = Grid::from_fn(aug_shape, |c| {
-            // lattice-lint: allow(raw-cast) — toroidal index geometry, not dimensioned arithmetic.
-            let gr = block.row0 as isize - top_pad as isize + c.row() as isize;
-            // lattice-lint: allow(raw-cast) — toroidal index geometry, not dimensioned arithmetic.
-            let gc = block.col0 as isize - block.halo_left as isize + c.col() as isize;
-            if self.periodic {
-                grid.get(Coord::c2(
-                    // lattice-lint: allow(raw-cast) — toroidal index geometry.
-                    gr.rem_euclid(rows as isize) as usize,
-                    // lattice-lint: allow(raw-cast) — toroidal index geometry.
-                    gc.rem_euclid(cols as isize) as usize,
-                ))
-            } else {
-                // Null-boundary halos are clamped, so the indices
-                // are always in range.
-                // lattice-lint: allow(raw-cast) — toroidal index geometry.
-                grid.get(Coord::c2(gr as usize, gc as usize))
+        let aug_width = block.aug_width();
+        // Row by row, each augmented row one run of whole column
+        // segments: on the torus a row wraps into at most three (left
+        // halo, body, right halo); null-boundary halos are clamped, so
+        // every index is already in range and a row is one segment.
+        let row_start = (block.row0 + rows - top_pad % rows) % rows;
+        let col_start = (block.col0 + cols - block.halo_left % cols) % cols;
+        let mut data = Vec::with_capacity(aug_rows * aug_width);
+        for r in 0..aug_rows {
+            let src = &grid.as_slice()[(row_start + r) % rows * cols..][..cols];
+            let (mut c, mut left) = (col_start, aug_width);
+            while left > 0 {
+                let take = left.min(cols - c);
+                data.extend_from_slice(&src[c..c + take]);
+                (c, left) = (0, left - take);
             }
-        });
+        }
+        let mut aug = Grid::from_vec(Shape::grid2(aug_rows, aug_width)?, data)?;
         // Halo columns (full augmented height: corners and the torus's
         // wrap rows ride the column frames) cross the intra-rack tier;
         // owned columns stay on board.
@@ -1145,9 +1182,10 @@ impl LatticeFarm {
         let mut timed_out = false;
         crossbeam::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel();
+            let mut workers = Vec::with_capacity(jobs.len());
             for job in &jobs {
                 let tx = tx.clone();
-                scope.spawn(move |_| {
+                workers.push(scope.spawn(move |_| {
                     // Panics are contained to the worker: the board
                     // simply never reports, which the supervisor
                     // detects below.
@@ -1186,14 +1224,29 @@ impl LatticeFarm {
                             );
                             let r = match engine {
                                 ShardEngine::Wsa { width } => {
-                                    let chips: Vec<usize> = (job.chip0..job.chip0 + k).collect();
-                                    let opts = RunOptions {
-                                        origin,
-                                        faults: job.ctx,
-                                        chip_ids: Some(&chips),
-                                        offchip_from: None,
+                                    let pipe = Pipeline::wide(width, k);
+                                    // A fault-free pass takes the rule's block
+                                    // kernel when it has one for this block;
+                                    // the counts are the cycle engine's.
+                                    let fast = if job.ctx.is_none() {
+                                        pipe.run_kernel(rule, &sub, t_now, origin)
+                                    } else {
+                                        None
                                     };
-                                    Pipeline::wide(width, k).run_opts(rule, &sub, t_now, opts)
+                                    match fast {
+                                        Some(report) => Ok(report),
+                                        None => {
+                                            let chips: Vec<usize> =
+                                                (job.chip0..job.chip0 + k).collect();
+                                            let opts = RunOptions {
+                                                origin,
+                                                faults: job.ctx,
+                                                chip_ids: Some(&chips),
+                                                offchip_from: None,
+                                            };
+                                            pipe.run_opts(rule, &sub, t_now, opts)
+                                        }
+                                    }
                                 }
                                 ShardEngine::Spa { slice_width } => {
                                     let opts = SpaRunOptions {
@@ -1214,7 +1267,7 @@ impl LatticeFarm {
                         }
                         let _ = tx.send((job.slab, outcome.map(|()| reports)));
                     }));
-                });
+                }));
             }
             drop(tx);
             // Supervisor: collect heartbeats until every outstanding
@@ -1245,6 +1298,13 @@ impl LatticeFarm {
                 };
                 results[msg.0] = Some(msg.1);
                 got += 1;
+            }
+            // The scope waits for every worker's closure anyway; joining
+            // also waits out each thread's exit, so its allocator arena
+            // is free for the next pass's workers instead of a fresh one
+            // being created while it winds down.
+            for worker in workers {
+                let _ = worker.join();
             }
         })
         .map_err(|_| BoardFailure {
@@ -1345,21 +1405,16 @@ impl LatticeFarm {
                 } else {
                     board_interior += report.ticks;
                 }
-                for r in region.own_r_lo..region.own_r_hi {
-                    for j in region.own_lo..region.own_hi {
-                        // Owned site (r, j) sits at augmented
-                        // (top_pad + r, halo_left + j), i.e.
-                        // region-local (top_pad + r − r0,
-                        // halo_left + j − a0).
-                        next.set(
-                            Coord::c2(block.row0 + r, block.col0 + j),
-                            report.grid.get(Coord::c2(
-                                tp + r - region.r0,
-                                block.halo_left + j - region.a0,
-                            )),
-                        );
-                    }
-                }
+                // Owned site (r, j) sits at augmented
+                // (top_pad + r, halo_left + j), i.e. region-local
+                // (top_pad + r − r0, halo_left + j − a0).
+                paste(
+                    &mut next,
+                    (block.row0 + region.own_r_lo, block.col0 + region.own_lo),
+                    &report.grid,
+                    (tp + region.own_r_lo - region.r0, block.halo_left + region.own_lo - region.a0),
+                    (region.own_r_hi - region.own_r_lo, region.own_hi - region.own_lo),
+                );
             }
             boundary_ticks = boundary_ticks.max(board_boundary);
             interior_ticks = interior_ticks.max(board_interior);
@@ -1472,7 +1527,8 @@ impl LatticeFarm {
         let mut halo_pos_inter = vec![0u64; shards];
         let mut windows: Vec<StagedHalo<R::S>> = (0..shards).map(|_| HaloWindow::new()).collect();
         let mut credit = Ticks::ZERO;
-        let mut current = grid.clone();
+        // The caller's lattice until the first pass produces one.
+        let mut current = std::borrow::Cow::Borrowed(grid);
         let t_end = t0 + generations;
         let mut t_now = t0;
         let mut passes = 0u64;
@@ -1509,14 +1565,14 @@ impl LatticeFarm {
                     &mut no_shard_audit,
                 )
                 .map_err(|f| f.error)?;
-            current = out.grid.clone();
             credit = out.interior_ticks;
             totals.absorb(&out, u64_from_usize(k), &phys);
+            current = std::borrow::Cow::Owned(out.grid);
             t_now += u64_from_usize(k);
             passes += 1;
         }
         let faults = plan.map(|p| p.stats().since(fault_base)).unwrap_or_default();
-        Ok(totals.finish(current, passes, shards, faults))
+        Ok(totals.finish(current.into_owned(), passes, shards, faults))
     }
 
     /// [`LatticeFarm::run`] hardened against hardware faults through the
@@ -1950,9 +2006,9 @@ impl<'p, S: State> FarmSession<'p, S> {
                     });
                 match res {
                     Ok(out) => {
-                        self.current = out.grid.clone();
                         self.credit = out.interior_ticks;
                         self.totals.absorb(&out, u64_from_usize(k), &self.phys);
+                        self.current = out.grid;
                         self.t_now += u64_from_usize(k);
                         self.pass += 1;
                         self.passes += 1;
@@ -2089,6 +2145,73 @@ mod tests {
             assert_eq!(report.passes, 3, "depth-2 passes over 5 generations");
             assert_eq!(report.machine.generations, 5);
         }
+    }
+
+    /// HPP that counts how often a board reaches its block kernel.
+    struct CountingKernel {
+        hpp: HppRule,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Rule for CountingKernel {
+        type S = u8;
+        fn update(&self, w: &lattice_core::Window<u8>) -> u8 {
+            self.hpp.update(w)
+        }
+        fn evolve_block(
+            &self,
+            block: &Grid<u8>,
+            t0: u64,
+            generations: usize,
+            origin: (usize, usize),
+        ) -> Option<Grid<u8>> {
+            self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.hpp.evolve_block(block, t0, generations, origin)
+        }
+    }
+
+    #[test]
+    fn fault_free_wsa_boards_reach_the_block_kernel_through_a_reference() {
+        let (g, hpp) = hpp_world(12, 22, 5);
+        let reference = evolve(&g, &hpp, Boundary::null(), 0, 5);
+        let rule = CountingKernel { hpp, calls: Default::default() };
+        let calls = || rule.calls.swap(0, std::sync::atomic::Ordering::Relaxed);
+        let farm = LatticeFarm::new(3, ShardEngine::Wsa { width: 2 }, 2);
+        // `&&rule`: the call goes through `impl Rule for &R`, which must
+        // forward the hook or every board silently runs cycle by cycle.
+        let report = farm.run(&&rule, &g, 0, 5).unwrap();
+        assert_eq!(report.grid(), &reference);
+        assert_eq!(calls(), 3 * 3, "one kernel call per board per pass");
+        // Overlap: one call per sweep region.
+        let overlapped = farm.with_overlap(true).run(&&rule, &g, 0, 5).unwrap();
+        assert_eq!(overlapped.grid(), &reference);
+        assert!(calls() > 3 * 3);
+        // A fault context, even an empty plan, keeps the cycle engine,
+        // and so do SPA boards.
+        let plan = FaultPlan::new(1);
+        let cfg = FarmRecoveryConfig::default();
+        let ft =
+            farm.run_with_recovery(&&rule, &g, 0, 5, Some(&plan), &cfg, |_, _| Ok(())).unwrap();
+        assert_eq!(ft.report, report);
+        let spa = LatticeFarm::new(3, ShardEngine::Spa { slice_width: 1 }, 2);
+        assert_eq!(spa.run(&&rule, &g, 0, 5).unwrap().grid(), &reference);
+        assert_eq!(calls(), 0);
+    }
+
+    #[test]
+    fn a_shard_checkpoint_of_the_wrong_shape_is_rejected() {
+        let (g, _) = hpp_world(6, 10, 2);
+        let blocks = partition2d(6, 10, 1, 2, 1, false).unwrap();
+        let mut blobs = save_shard_checkpoints(&g, &blocks, 4).unwrap();
+        let (back, t) = load_shard_checkpoints::<u8>(&blobs, &blocks, g.shape()).unwrap();
+        assert_eq!((back, t), (g.clone(), 4));
+        // A self-consistent blob for a block one column too narrow.
+        let narrow = Grid::<u8>::new(Shape::grid2(6, 4).unwrap());
+        blobs[1] = checkpoint::save(&narrow, Ticks::new(4));
+        assert!(matches!(
+            load_shard_checkpoints::<u8>(&blobs, &blocks, g.shape()),
+            Err(LatticeError::Corrupted { .. })
+        ));
     }
 
     #[test]

@@ -20,25 +20,76 @@
 //!
 //! (a head-on pair on one axis toggles both axes; anything else passes).
 //!
+//! Two boundaries are supported: the torus ([`HppBitLattice::from_grid`])
+//! and the paper's null boundary ([`HppBitLattice::from_grid_null`]),
+//! where streaming shifts zeros in at every edge. The null mode is what
+//! [`HppRule`]'s `evolve_block` runs for a farm board's halo-framed
+//! block, so it must equal the table engine on every site, edges
+//! included.
+//!
+//! Packing and unpacking move eight sites per word operation: a
+//! little-endian load of eight state bytes, one mask-and-multiply per
+//! channel to gather their channel bits into a byte, and a 256-entry
+//! table to spread a byte of channel bits back out.
+//!
 //! [`HppRule`]: crate::hpp::HppRule
 
-use crate::hpp::{HppDir, HPP_MASK};
-use lattice_core::{Coord, Grid, LatticeError, Shape};
+use crate::hpp::HPP_MASK;
+use lattice_core::{Grid, LatticeError, Shape};
+
+/// Bit 0 of each of eight packed bytes.
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+
+/// Multiplying a word whose bytes are each 0 or 1 by this constant
+/// gathers byte `j` into bit `56 + j`: the partial products land on
+/// distinct bit positions, so no carry disturbs the top byte.
+const GATHER: u64 = 0x0102_0408_1020_4080;
+
+/// `SPREAD[b]` has byte `j` equal to bit `j` of `b`: the inverse of the
+/// [`GATHER`] multiply.
+const SPREAD: [u64; 256] = {
+    let mut t = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut j = 0;
+        while j < 8 {
+            t[b] |= ((b as u64 >> j) & 1) << (8 * j);
+            j += 1;
+        }
+        b += 1;
+    }
+    t
+};
 
 /// An HPP lattice stored as four channel bit-planes, 64 sites per word,
-/// packed along rows. Periodic boundaries.
+/// packed along rows. Periodic or null boundaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HppBitLattice {
     rows: usize,
     cols: usize,
     words_per_row: usize,
+    /// Toroidal wrap when set; otherwise streaming shifts in zeros.
+    periodic: bool,
     /// `planes[ch][row * words_per_row + w]`.
     planes: [Vec<u64>; 4],
 }
 
 impl HppBitLattice {
-    /// Packs a byte-per-site HPP grid (2-D) into bit-planes.
+    /// Packs a byte-per-site HPP grid (2-D) into bit-planes, on the
+    /// torus.
     pub fn from_grid(grid: &Grid<u8>) -> Result<Self, LatticeError> {
+        Self::pack(grid, true)
+    }
+
+    /// Packs a byte-per-site HPP grid (2-D) into bit-planes under the
+    /// null boundary: particles streaming off an edge are lost and
+    /// nothing streams in, exactly like
+    /// `evolve(grid, &HppRule::new(), Boundary::null(), ..)`.
+    pub fn from_grid_null(grid: &Grid<u8>) -> Result<Self, LatticeError> {
+        Self::pack(grid, false)
+    }
+
+    fn pack(grid: &Grid<u8>, periodic: bool) -> Result<Self, LatticeError> {
         let shape = grid.shape();
         if shape.rank() != 2 {
             return Err(LatticeError::BadRank { rank: shape.rank() });
@@ -51,38 +102,57 @@ impl HppBitLattice {
             vec![0u64; rows * wpr],
             vec![0u64; rows * wpr],
         ];
-        for r in 0..rows {
-            for c in 0..cols {
-                let s = grid.get(Coord::c2(r, c));
-                if s & !HPP_MASK != 0 {
-                    return Err(LatticeError::InvalidConfig(format!(
-                        "site ({r},{c}) = {s:#04x} has non-HPP bits (obstacles are \
-                         not supported by the bit-parallel kernel)"
-                    )));
-                }
-                for (ch, plane) in planes.iter_mut().enumerate() {
-                    if s >> ch & 1 != 0 {
-                        plane[r * wpr + c / 64] |= 1 << (c % 64);
+        for (r, row) in grid.as_slice().chunks_exact(cols).enumerate() {
+            for (w, sites) in row.chunks(64).enumerate() {
+                let mut words = [0u64; 4];
+                for (j, eight) in sites.chunks(8).enumerate() {
+                    let mut bytes = [0u8; 8];
+                    bytes[..eight.len()].copy_from_slice(eight);
+                    let x = u64::from_le_bytes(bytes);
+                    if x & !(LOW_BITS * u64::from(HPP_MASK)) != 0 {
+                        return Err(Self::non_hpp(r, row));
                     }
+                    for (ch, word) in words.iter_mut().enumerate() {
+                        let gathered = ((x >> ch) & LOW_BITS).wrapping_mul(GATHER) >> 56;
+                        *word |= gathered << (8 * j);
+                    }
+                }
+                for (plane, word) in planes.iter_mut().zip(words) {
+                    plane[r * wpr + w] = word;
                 }
             }
         }
-        Ok(HppBitLattice { rows, cols, words_per_row: wpr, planes })
+        Ok(HppBitLattice { rows, cols, words_per_row: wpr, periodic, planes })
+    }
+
+    /// The error for row `r`'s first site with bits outside
+    /// [`HPP_MASK`].
+    fn non_hpp(r: usize, row: &[u8]) -> LatticeError {
+        let c = row.iter().position(|s| s & !HPP_MASK != 0).unwrap_or(0);
+        LatticeError::InvalidConfig(format!(
+            "site ({r},{c}) = {:#04x} has non-HPP bits (obstacles are \
+             not supported by the bit-parallel kernel)",
+            row[c]
+        ))
     }
 
     /// Unpacks to a byte-per-site grid.
     pub fn to_grid(&self) -> Grid<u8> {
         let shape = Shape::grid2(self.rows, self.cols).expect("valid dimensions");
-        Grid::from_fn(shape, |c| {
-            let (r, col) = (c.row(), c.col());
-            let mut s = 0u8;
-            for (ch, plane) in self.planes.iter().enumerate() {
-                if plane[r * self.words_per_row + col / 64] >> (col % 64) & 1 != 0 {
-                    s |= 1 << ch;
+        let wpr = self.words_per_row;
+        let mut out = Grid::new(shape);
+        for (r, row) in out.as_mut_slice().chunks_exact_mut(self.cols).enumerate() {
+            for (w, sites) in row.chunks_mut(64).enumerate() {
+                let words = self.planes.each_ref().map(|p| p[r * wpr + w]);
+                for (j, eight) in sites.chunks_mut(8).enumerate() {
+                    let x = words.iter().enumerate().fold(0u64, |x, (ch, word)| {
+                        x | SPREAD[usize::from((word >> (8 * j)) as u8)] << ch
+                    });
+                    eight.copy_from_slice(&x.to_le_bytes()[..eight.len()]);
                 }
             }
-            s
-        })
+        }
+        out
     }
 
     /// Lattice rows.
@@ -98,43 +168,43 @@ impl HppBitLattice {
     /// Applies the collision step in place: word-parallel boolean
     /// algebra, no per-site branching.
     pub fn collide(&mut self) {
-        let n_words = self.rows * self.words_per_row;
-        // Mask off the ragged tail of each row so phantom sites beyond
-        // `cols` never collide into existence.
-        let tail_bits = self.cols % 64;
-        let tail_mask: u64 = if tail_bits == 0 { u64::MAX } else { (1u64 << tail_bits) - 1 };
-        for i in 0..n_words {
-            let e = self.planes[HppDir::E as usize][i];
-            let n = self.planes[HppDir::N as usize][i];
-            let w = self.planes[HppDir::W as usize][i];
-            let s = self.planes[HppDir::S as usize][i];
-            let swap = (e & w & !n & !s) | (n & s & !e & !w);
-            let mask = if (i + 1) % self.words_per_row == 0 { tail_mask } else { u64::MAX };
-            let swap = swap & mask;
-            self.planes[HppDir::E as usize][i] = e ^ swap;
-            self.planes[HppDir::N as usize][i] = n ^ swap;
-            self.planes[HppDir::W as usize][i] = w ^ swap;
-            self.planes[HppDir::S as usize][i] = s ^ swap;
+        // Phantom sites beyond `cols` hold no particles, and a swap
+        // needs a head-on pair, so they never collide into existence.
+        // Channel order is `HppDir`'s: E, N, W, S.
+        let [pe, pn, pw, ps] = &mut self.planes;
+        for (((e, n), w), s) in
+            pe.iter_mut().zip(pn.iter_mut()).zip(pw.iter_mut()).zip(ps.iter_mut())
+        {
+            let swap = (*e & *w & !*n & !*s) | (*n & *s & !*e & !*w);
+            *e ^= swap;
+            *n ^= swap;
+            *w ^= swap;
+            *s ^= swap;
         }
     }
 
-    /// Shifts one row's bit-plane left or right by one site with
-    /// periodic wrap (word-chained carries).
-    fn shift_row(row: &mut [u64], cols: usize, east: bool) {
+    /// The valid-site mask of a row's last word.
+    fn tail_mask(cols: usize) -> u64 {
+        match cols % 64 {
+            0 => u64::MAX,
+            tail => (1u64 << tail) - 1,
+        }
+    }
+
+    /// Shifts one row's bit-plane left or right by one site,
+    /// word-chained carries; the site entering at the edge is the one
+    /// leaving the other edge on the torus, zero otherwise.
+    fn shift_row(row: &mut [u64], cols: usize, east: bool, periodic: bool) {
         let wpr = row.len();
         let tail_bits = cols % 64;
         let last_bit = if tail_bits == 0 { 63 } else { tail_bits - 1 };
         if east {
             // Sites move toward higher column index.
-            let mut carry = row[wpr - 1] >> last_bit & 1;
+            let mut carry = if periodic { row[wpr - 1] >> last_bit & 1 } else { 0 };
             for w in row.iter_mut() {
                 let new_carry = *w >> 63 & 1;
                 *w = (*w << 1) | carry;
                 carry = new_carry;
-            }
-            // Clear phantom bits above the tail.
-            if tail_bits != 0 {
-                row[wpr - 1] &= (1u64 << tail_bits) - 1;
             }
         } else {
             let first = row[0] & 1;
@@ -142,34 +212,42 @@ impl HppBitLattice {
                 let next_in = if w + 1 < wpr { row[w + 1] & 1 } else { 0 };
                 row[w] = (row[w] >> 1) | (next_in << 63);
             }
-            // Wrap the first column's bit into the last column.
-            row[wpr - 1] |= first << last_bit;
-            if tail_bits != 0 {
-                row[wpr - 1] &= (1u64 << tail_bits) - 1;
+            // Phantom bits are zero, so the null boundary's last column
+            // already reads zero; the torus wraps the first column in.
+            if periodic {
+                row[wpr - 1] |= first << last_bit;
             }
         }
+        // Clear phantom bits above the tail.
+        row[wpr - 1] &= Self::tail_mask(cols);
     }
 
     /// Applies the streaming step: E/W planes shift along rows, N/S
-    /// planes move whole rows, all with periodic wrap.
+    /// planes move whole rows, wrapping on the torus and shifting in
+    /// zeros under the null boundary.
     pub fn stream(&mut self) {
         let wpr = self.words_per_row;
-        for r in 0..self.rows {
-            Self::shift_row(
-                &mut self.planes[HppDir::E as usize][r * wpr..(r + 1) * wpr],
-                self.cols,
-                true,
-            );
-            Self::shift_row(
-                &mut self.planes[HppDir::W as usize][r * wpr..(r + 1) * wpr],
-                self.cols,
-                false,
-            );
+        let (cols, periodic) = (self.cols, self.periodic);
+        // Channel order is `HppDir`'s: E, N, W, S.
+        let [east, north, west, south] = &mut self.planes;
+        for row in east.chunks_exact_mut(wpr) {
+            Self::shift_row(row, cols, true, periodic);
         }
-        // N movers go to row - 1: plane rotates up.
-        self.planes[HppDir::N as usize].rotate_left(wpr);
-        // S movers go to row + 1: plane rotates down.
-        self.planes[HppDir::S as usize].rotate_right(wpr);
+        for row in west.chunks_exact_mut(wpr) {
+            Self::shift_row(row, cols, false, periodic);
+        }
+        let len = north.len();
+        if periodic {
+            // N movers go to row - 1: plane rotates up.
+            north.rotate_left(wpr);
+            // S movers go to row + 1: plane rotates down.
+            south.rotate_right(wpr);
+        } else {
+            north.copy_within(wpr.., 0);
+            north[len - wpr..].fill(0);
+            south.copy_within(..len - wpr, wpr);
+            south[..wpr].fill(0);
+        }
     }
 
     /// One full generation: collide then stream (matching
@@ -195,13 +273,14 @@ impl HppBitLattice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hpp::HppRule;
+    use crate::hpp::{HppDir, HppRule};
     use crate::init;
-    use lattice_core::{evolve, Boundary};
+    use lattice_core::{evolve, Boundary, Coord};
 
     #[test]
     fn pack_unpack_roundtrip() {
-        for (rows, cols) in [(4usize, 7usize), (8, 64), (3, 65), (5, 130)] {
+        for (rows, cols) in [(4usize, 7usize), (1, 1), (2, 9), (8, 64), (3, 65), (5, 130), (2, 127)]
+        {
             let shape = Shape::grid2(rows, cols).unwrap();
             let g = init::random_hpp(shape, 0.4, 9).unwrap();
             let packed = HppBitLattice::from_grid(&g).unwrap();
@@ -231,6 +310,42 @@ mod tests {
             packed.run(steps);
             assert_eq!(packed.to_grid(), reference, "{rows}x{cols} steps={steps}");
         }
+    }
+
+    #[test]
+    fn null_boundary_matches_reference_exactly() {
+        for (rows, cols, steps) in [
+            (1usize, 1usize, 3u64),
+            (1, 9, 4),
+            (7, 63, 6),
+            (6, 64, 5),
+            (5, 65, 7),
+            (4, 128, 3),
+            (9, 130, 9),
+        ] {
+            let shape = Shape::grid2(rows, cols).unwrap();
+            let g = init::random_hpp(shape, 0.5, rows as u64 * 17 + cols as u64).unwrap();
+            let reference = evolve(&g, &HppRule::new(), Boundary::null(), 0, steps);
+            let mut packed = HppBitLattice::from_grid_null(&g).unwrap();
+            packed.run(steps);
+            assert_eq!(packed.to_grid(), reference, "{rows}x{cols} steps={steps}");
+        }
+    }
+
+    #[test]
+    fn null_streaming_drops_particles_at_every_edge() {
+        let shape = Shape::grid2(3, 70).unwrap();
+        let mut g = Grid::new(shape);
+        g.set(Coord::c2(0, 69), HppDir::E.bit());
+        g.set(Coord::c2(0, 5), HppDir::N.bit());
+        g.set(Coord::c2(2, 63), HppDir::S.bit());
+        g.set(Coord::c2(1, 0), HppDir::W.bit());
+        g.set(Coord::c2(1, 64), HppDir::W.bit()); // crosses a word boundary
+        let mut packed = HppBitLattice::from_grid_null(&g).unwrap();
+        packed.stream();
+        let out = packed.to_grid();
+        assert_eq!(out.get(Coord::c2(1, 63)), HppDir::W.bit());
+        assert_eq!(packed.mass(), 1);
     }
 
     #[test]

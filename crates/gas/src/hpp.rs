@@ -14,11 +14,12 @@
 //! direction, the post-collision particle leaving the appropriate
 //! neighbor toward `a`.
 
+use crate::bitparallel::HppBitLattice;
 #[cfg(test)]
 use crate::prng;
 use crate::table::{CollisionTable, Invariants};
 use crate::{is_obstacle, OBSTACLE_BIT};
-use lattice_core::{Rule, Window};
+use lattice_core::{Grid, Rule, Window};
 
 /// Particle channel directions, counterclockwise from +x.
 ///
@@ -179,12 +180,29 @@ impl Rule for HppRule {
     fn name(&self) -> &str {
         "hpp"
     }
+
+    /// The bit-plane kernel under the null boundary
+    /// ([`HppBitLattice::from_grid_null`]). HPP is deterministic and
+    /// coordinate-free, so `t0` and `origin` do not enter. Blocks with
+    /// obstacle (or any other non-channel) bits, and non-2-D blocks,
+    /// get `None`.
+    fn evolve_block(
+        &self,
+        block: &Grid<u8>,
+        _t0: u64,
+        generations: usize,
+        _origin: (usize, usize),
+    ) -> Option<Grid<u8>> {
+        let mut bits = HppBitLattice::from_grid_null(block).ok()?;
+        bits.run(u64::try_from(generations).ok()?);
+        Some(bits.to_grid())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lattice_core::{evolve, Boundary, Coord, Grid, Shape};
+    use lattice_core::{evolve, Boundary, Coord, Shape};
 
     #[test]
     fn direction_geometry() {
@@ -295,6 +313,32 @@ mod tests {
         let p0 = total_momentum(&g);
         let gn = evolve(&g, &HppRule::new(), Boundary::Periodic, 0, 25);
         assert_eq!(total_momentum(&gn), p0);
+    }
+
+    #[test]
+    fn block_kernel_equals_the_null_boundary_reference() {
+        let rule = HppRule::new();
+        for (rows, cols) in [(1usize, 5usize), (6, 63), (5, 64), (4, 65), (3, 128)] {
+            let shape = Shape::grid2(rows, cols).unwrap();
+            let g = Grid::from_fn(shape, |c| {
+                (prng::site_hash(shape.linear(c) as u64, 2, 13) & HPP_MASK as u64) as u8
+            });
+            for gens in 0..4usize {
+                let reference = evolve(&g, &rule, Boundary::null(), 7, gens as u64);
+                assert_eq!(rule.evolve_block(&g, 7, gens, (3, usize::MAX)), Some(reference));
+            }
+        }
+    }
+
+    #[test]
+    fn block_kernel_declines_obstacles_and_other_ranks() {
+        let rule = HppRule::new();
+        let shape = Shape::grid2(3, 5).unwrap();
+        let mut g = Grid::new(shape);
+        g.set(Coord::c2(1, 2), OBSTACLE_BIT);
+        assert_eq!(rule.evolve_block(&g, 0, 2, (0, 0)), None);
+        let line: Grid<u8> = Grid::new(Shape::line(8).unwrap());
+        assert_eq!(rule.evolve_block(&line, 0, 1, (0, 0)), None);
     }
 
     fn total_momentum(g: &Grid<u8>) -> (i64, i64) {

@@ -8,7 +8,7 @@ use lattice_core::{Grid, State};
 /// Everything an engine run reports: the computed lattice plus the
 /// counted costs — the measured counterparts of the paper's analytical
 /// quantities.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineReport<S: State> {
     /// The lattice after `generations` steps.
     pub grid: Grid<S>,

@@ -7,12 +7,13 @@
 //! only the incremental amount of memory needed to store the extra
 //! sites… two new site values are required every clock period").
 
-use crate::faults::{Component, FaultCtx, FaultHook};
+use crate::faults::{Component, FaultCtx, FaultHook, FaultStats};
 use crate::metrics::EngineReport;
 use crate::stage::{LineBufferStage, StageConfig};
 use lattice_core::bits::{StreamParity, Traffic};
 use lattice_core::units::{u64_from_usize, Cells, Sites, Ticks};
 use lattice_core::{Grid, LatticeError, Rule, State};
+use lattice_vlsi::wsa::sweep_ticks;
 
 /// Per-run options beyond the geometry: the stream origin, fault
 /// injection, and the physical-chip map.
@@ -95,6 +96,57 @@ impl Pipeline {
         origin: (usize, usize),
     ) -> Result<EngineReport<R::S>, LatticeError> {
         self.run_opts(rule, grid, t0, RunOptions { origin, ..RunOptions::default() })
+    }
+
+    /// The fault-free pass without the cycle loop: the lattice comes
+    /// from the rule's whole-block kernel ([`Rule::evolve_block`]), and
+    /// every count from the geometry — ticks from the exact closed form
+    /// [`lattice_vlsi::wsa::sweep_ticks`], one stream each way through
+    /// memory and through every stage's pins. The report equals
+    /// [`Pipeline::run_at`]'s field for field.
+    ///
+    /// `None` when the rule has no kernel for this block, or the run
+    /// is one the cycle engine would reject (zero width or depth) or
+    /// stream differently (rank 1); the caller then runs
+    /// [`Pipeline::run_opts`].
+    pub fn run_kernel<R: Rule>(
+        &self,
+        rule: &R,
+        grid: &Grid<R::S>,
+        t0: u64,
+        origin: (usize, usize),
+    ) -> Option<EngineReport<R::S>> {
+        let shape = grid.shape();
+        let p = u32::try_from(self.width).ok()?;
+        if self.depth == 0 || p == 0 || shape.rank() != 2 {
+            return None;
+        }
+        let out = rule.evolve_block(grid, t0, self.depth, origin)?;
+        if out.shape() != shape {
+            return None;
+        }
+        let (n, k, d_bits) = (u128::from(u64_from_usize(shape.len())), self.depth, R::S::BITS);
+        let mut memory = Traffic::new();
+        memory.record_in(n, d_bits);
+        memory.record_out(n, d_bits);
+        let mut pins = Traffic::new();
+        pins.record_in(n * u128::from(u64_from_usize(k)), d_bits);
+        pins.record_out(n * u128::from(u64_from_usize(k)), d_bits);
+        let cfg = StageConfig { shape, width: self.width, fill: R::S::default(), gen: t0, origin };
+        Some(EngineReport {
+            grid: out,
+            generations: u64_from_usize(k),
+            updates: Sites::new(u64_from_usize(shape.len() * k)),
+            ticks: sweep_ticks(shape.rows(), shape.cols(), p, k),
+            memory_traffic: memory,
+            pin_traffic: pins,
+            side_traffic: Traffic::new(),
+            offchip_sr_traffic: Traffic::new(),
+            sr_cells_per_stage: Cells::new(u64_from_usize(cfg.required_cells())),
+            stages: u32::try_from(k).ok()?,
+            width: p,
+            faults: FaultStats::default(),
+        })
     }
 
     /// [`Pipeline::run`] with full [`RunOptions`]: fault injection,
@@ -325,6 +377,63 @@ mod tests {
         let g = lattice_gas::init::random_hpp(shape, 0.3, 2).unwrap();
         let report = Pipeline::wide(4, 2).run(&HppRule::new(), &g, 0).unwrap();
         assert_eq!(report.sr_cells_per_stage, Cells::new(2 * 100 + 4 + 2));
+    }
+
+    #[test]
+    fn closed_form_ticks_match_the_cycle_count_exhaustively() {
+        let rule = lattice_core::rule::IdentityRule::<u8>::new();
+        for rows in 1..=9usize {
+            for cols in 1..=14usize {
+                let g: Grid<u8> = Grid::new(Shape::grid2(rows, cols).unwrap());
+                for p in 1..=5u32 {
+                    for k in 1..=6usize {
+                        let report = Pipeline::wide(p as usize, k).run(&rule, &g, 0).unwrap();
+                        assert_eq!(
+                            sweep_ticks(rows, cols, p, k),
+                            report.ticks,
+                            "{rows}x{cols} P={p} k={k}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_report_equals_the_cycle_report() {
+        let rule = HppRule::new();
+        // Dense random gas: particles leave through every edge, so the
+        // null boundary is exercised on all four sides.
+        let shapes = [(1usize, 7usize), (5, 63), (4, 64), (3, 65), (2, 128), (9, 11)];
+        let origins = [(0usize, 0usize), (3, 5), (usize::MAX, usize::MAX - 2), (7, usize::MAX)];
+        for (i, &(rows, cols)) in shapes.iter().enumerate() {
+            let shape = Shape::grid2(rows, cols).unwrap();
+            let g = lattice_gas::init::random_hpp(shape, 0.6, i as u64 + 40).unwrap();
+            for (width, depth) in [(1usize, 1usize), (2, 3), (3, 2), (4, 5)] {
+                for (t0, &origin) in origins.iter().enumerate() {
+                    let pipe = Pipeline::wide(width, depth);
+                    let fast = pipe.run_kernel(&rule, &g, t0 as u64, origin).unwrap();
+                    let cycle = pipe.run_at(&rule, &g, t0 as u64, origin).unwrap();
+                    assert_eq!(fast, cycle, "{rows}x{cols} P={width} k={depth} {origin:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_declines_what_it_cannot_charge_exactly() {
+        let shape = Shape::grid2(4, 6).unwrap();
+        let g = lattice_gas::init::random_hpp(shape, 0.4, 1).unwrap();
+        // No kernel: FHP and obstacles keep the cycle engine.
+        let fhp_grid = lattice_gas::init::random_fhp(shape, FhpVariant::I, 0.3, 2, false).unwrap();
+        let fhp = FhpRule::new(FhpVariant::I, 3);
+        assert!(Pipeline::wide(2, 2).run_kernel(&fhp, &fhp_grid, 0, (0, 0)).is_none());
+        let mut walled = g.clone();
+        walled.set_linear(5, lattice_gas::OBSTACLE_BIT);
+        assert!(Pipeline::wide(2, 2).run_kernel(&HppRule::new(), &walled, 0, (0, 0)).is_none());
+        // Configurations the cycle engine rejects stay its errors.
+        assert!(Pipeline::wide(2, 0).run_kernel(&HppRule::new(), &g, 0, (0, 0)).is_none());
+        assert!(Pipeline::wide(0, 2).run_kernel(&HppRule::new(), &g, 0, (0, 0)).is_none());
     }
 
     #[test]

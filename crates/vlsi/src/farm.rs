@@ -122,14 +122,11 @@ impl FarmModel {
         self
     }
 
-    /// Ticks one sweep over an `ar × a` region costs: the measured WSA
-    /// pipeline streams `ar·a` sites at `p` per tick and pays `a + 2`
-    /// sites of fill latency per stage, so `⌈(ar·a + k·(a + 2)) / p⌉`.
+    /// Ticks one sweep over an `ar × a` region costs: the exact WSA
+    /// pipeline count [`wsa::sweep_ticks`](crate::wsa::sweep_ticks),
+    /// equal to what the farm's boards measure.
     fn sweep_ticks(&self, ar: usize, a: usize) -> Ticks {
-        let ar = u64_from_usize(ar);
-        let a = u64_from_usize(a);
-        let sites = ar * a + u64_from_usize(self.k) * (a + 2);
-        Ticks::new(sites.div_ceil(u64::from(self.p)))
+        crate::wsa::sweep_ticks(ar, a, self.p, self.k)
     }
 
     /// Useful (lattice-visible) site updates per pass: `rows·cols·k`.
@@ -264,6 +261,20 @@ impl FarmModel {
         } else {
             self.compute_ticks2(grid) + self.halo_ticks2(grid)
         }
+    }
+
+    /// Machine ticks of a run of `passes` full-depth passes on an R×C
+    /// grid: `passes` × [`FarmModel::pass_ticks2`], plus, under
+    /// overlap, the first pass's halo transfer that no earlier
+    /// interior sweep hides, `min(interior, halo)`. This is the figure
+    /// a measured run's mean pass time compares with.
+    pub fn run_ticks2(&self, grid: (usize, usize), passes: u64) -> Ticks {
+        let cold_start = if self.overlap && passes > 0 {
+            self.interior_compute_ticks2(grid).min(self.halo_ticks2(grid))
+        } else {
+            Ticks::ZERO
+        };
+        self.pass_ticks2(grid) * passes + cold_start
     }
 
     /// Useful site updates per machine tick on an R×C grid:
@@ -574,8 +585,9 @@ mod tests {
     #[test]
     fn single_board_matches_the_plain_pipeline_count() {
         let m = model();
-        // One board, no halo: n = 48·240, fill 2·(240 + 2), over p = 2.
-        assert_eq!(m.compute_ticks2((1, 1)), Ticks::new((48 * 240 + 2 * 242) / 2));
+        // One board, no halo: n = 48·240, each stage lags the stream
+        // by one row plus one site, 2·(240 + 1), over p = 2.
+        assert_eq!(m.compute_ticks2((1, 1)), Ticks::new((48 * 240 + 2 * 241) / 2));
         assert_eq!(m.halo_bits2((1, 1)), (Bits::ZERO, Bits::ZERO));
         assert_eq!(m.pass_ticks2((1, 1)), m.compute_ticks2((1, 1)));
     }
@@ -681,22 +693,22 @@ mod tests {
 
     #[test]
     fn an_exact_tie_is_the_bandwidth_wall() {
-        // Hand-built dyadic balance: rows = 20, cols = 10, S = 2,
-        // k = 1, p = 1, D = 8. Each slab is 5 owned + 1 halo columns,
-        // so compute = 20·6 + 1·(6 + 2) = 128 ticks, and the seam
-        // moves 1 col × 20 rows × 8 bits = 160 bits; at 1.25 bits/tick
-        // (exact in binary floating point) that is 160 / 1.25 = 128
+        // Hand-built dyadic balance: rows = 16, cols = 28, S = 2,
+        // k = 1, p = 1, D = 8. Each slab is 14 owned + 1 halo columns,
+        // so compute = 16·15 + 1·(15 + 1) = 256 ticks, and the seam
+        // moves 1 col × 16 rows × 8 bits = 128 bits; at 0.5 bits/tick
+        // (exact in binary floating point) that is 128 / 0.5 = 256
         // ticks. halo == compute exactly — the tie must register as
         // the rollover, because from here every retransmit and every
         // further thinning lands on the critical path.
-        let m = FarmModel::new(Technology::paper_1987(), 20, 10, 1, 1)
-            .with_link(BitsPerTick::new(1.25));
-        assert_eq!(m.compute_ticks2((1, 2)), Ticks::new(128));
-        assert_eq!(m.halo_ticks2((1, 2)), Ticks::new(128));
+        let m =
+            FarmModel::new(Technology::paper_1987(), 16, 28, 1, 1).with_link(BitsPerTick::new(0.5));
+        assert_eq!(m.compute_ticks2((1, 2)), Ticks::new(256));
+        assert_eq!(m.halo_ticks2((1, 2)), Ticks::new(256));
         assert_eq!(m.critical_grid(&row(2)), Some((1, 2)), "a tie counts as the wall");
         // A link even slightly faster breaks the tie and the wall
         // recedes past S = 2.
-        let faster = m.with_link(BitsPerTick::new(1.3));
+        let faster = m.with_link(BitsPerTick::new(0.52));
         assert!(faster.halo_ticks2((1, 2)) < faster.compute_ticks2((1, 2)));
         assert_eq!(faster.critical_grid(&row(2)), None);
         // Unthrottled: a zero-tick exchange is never "the wall", even

@@ -21,7 +21,9 @@
 //! [`BitsPerTick`], throughput is [`SitesPerSec`].
 
 use crate::tech::Technology;
-use lattice_core::units::{u32_from_f64_floor, BitsPerTick, Cells, ChipArea, Pins, SitesPerSec};
+use lattice_core::units::{
+    u32_from_f64_floor, u64_from_usize, BitsPerTick, Cells, ChipArea, Pins, SitesPerSec, Ticks,
+};
 use serde::{Deserialize, Serialize};
 
 /// A feasible WSA operating point and its derived system figures.
@@ -180,6 +182,45 @@ impl Wsa {
     pub fn max_throughput(&self, p: u32, l: u32) -> SitesPerSec {
         self.throughput(p, l)
     }
+}
+
+/// Ticks a `p`-wide, `k`-deep WSA pipeline takes to stream one
+/// `rows × cols` block (`n = rows·cols` sites) through every stage —
+/// exactly the count of the cycle-level simulator
+/// (`lattice_engines_sim::Pipeline`), fill and drain included.
+///
+/// The first stage receives `p` sites a tick. A stage may emit site `i`
+/// once it holds site `i + lag` with `lag = cols + 1` (the far corner
+/// of the radius-1 window) or the stream's last site, at most `p` a
+/// tick, and its output feeds the next stage on the same tick. So stage
+/// `j`'s output trails the memory stream by `δ_j` sites: it has emitted
+/// `clamp(p·τ − δ_j, 0, n)` sites after tick `τ`. Its input finishes on
+/// tick `t = ⌈(n + δ_{j−1}) / p⌉`, after which the whole remainder is
+/// ready; a stage that had emitted nothing by then starts on tick `t`,
+/// so the lag it adds is cut at `p·(t − 1)`:
+///
+/// ```text
+/// δ_0 = 0,  t_j = ⌈(n + δ_{j−1}) / p⌉,  δ_j = min(δ_{j−1} + lag, p·(t_j − 1))
+/// ticks = ⌈(n + δ_k) / p⌉
+/// ```
+///
+/// `p` must be at least 1.
+///
+/// ```
+/// use lattice_vlsi::wsa::sweep_ticks;
+/// // farm-bulk's 1032×520 augmented board block at P = 2, k = 4.
+/// assert_eq!(sweep_ticks(1032, 520, 2, 4).get(), 269_362);
+/// ```
+pub fn sweep_ticks(rows: usize, cols: usize, p: u32, k: usize) -> Ticks {
+    let n = u64_from_usize(rows * cols);
+    let lag = u64_from_usize(cols + 1);
+    let p = u64::from(p);
+    let mut delay = 0u64;
+    for _ in 0..k {
+        let t = (n + delay).div_ceil(p);
+        delay = (delay + lag).min(p * (t - 1));
+    }
+    Ticks::new((n + delay).div_ceil(p))
 }
 
 #[cfg(test)]

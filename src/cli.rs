@@ -1787,9 +1787,11 @@ fn run_farm(a: FarmArgs) -> Result<String, CliError> {
         if let Some(bits) = tier_bits {
             m = m.with_tier_link(lattice_core::units::BitsPerTick::new(bits));
         }
-        let meas_pass = report.machine_ticks().to_f64() / report.passes.max(1) as f64;
+        let passes = report.passes.max(1);
+        let meas_pass = report.machine_ticks().to_f64() / passes as f64;
         let g = grid.unwrap_or((1, shards));
-        let (pass, demand) = (m.pass_ticks2(g), m.binding_link_demand(g));
+        let pass = m.run_ticks2(g, passes).to_f64() / passes as f64;
+        let demand = m.binding_link_demand(g);
         out.push_str(&match grid {
             Some(_) => format!(
                 "model: pass ticks {pass:.0} (measured {meas_pass:.0}), binding tier \

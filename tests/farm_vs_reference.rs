@@ -6,7 +6,7 @@
 //! analytical links-per-board model.
 
 use lattice_engines::core::units::BitsPerTick;
-use lattice_engines::core::{evolve, Boundary, Shape};
+use lattice_engines::core::{evolve, Boundary, Rule, Shape, Window};
 use lattice_engines::farm::{BoardLink, FarmRecoveryConfig, LatticeFarm, ShardEngine};
 use lattice_engines::gas::{init, FhpRule, FhpVariant, HppRule};
 use lattice_engines::sim::{Component, Fault, FaultKind, FaultPlan};
@@ -211,6 +211,170 @@ proptest! {
     }
 }
 
+/// A rule's site update without its block kernel: the farm runs every
+/// board of `farm.run(&CycleOnly(rule), ..)` through the cycle-level
+/// engine, which makes it the shadow oracle for the fast path.
+struct CycleOnly<R>(R);
+
+impl<R: Rule> Rule for CycleOnly<R> {
+    type S = R::S;
+    fn update(&self, w: &Window<R::S>) -> R::S {
+        self.0.update(w)
+    }
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+/// One shadow-oracle case: a fault-free HPP farm on WSA boards.
+#[derive(Debug, Clone, Copy)]
+struct OracleCase {
+    /// Lattice rows.
+    rows: usize,
+    /// Board grid `(R, C)`.
+    layout: (usize, usize),
+    /// Owned columns per board (the lattice is `C` of them wide).
+    block_width: usize,
+    periodic: bool,
+    overlap: bool,
+    /// Link capacity in bits/tick on both tiers; `None` unthrottled.
+    link: Option<u32>,
+    depth: usize,
+    width: usize,
+    gens: u64,
+    t0: u64,
+    density: f64,
+    seed: u64,
+}
+
+/// The fast path's whole `FarmReport` equals the cycle-level run's —
+/// lattice, ticks, traffic, per-board stats — and the lattice equals
+/// `evolve`.
+fn assert_fast_path_is_exact(c: OracleCase) {
+    let cols = c.layout.1 * c.block_width;
+    let shape = Shape::grid2(c.rows, cols).unwrap();
+    let grid = init::random_hpp(shape, c.density, c.seed).unwrap();
+    let rule = HppRule::new();
+    let boundary = if c.periodic { Boundary::Periodic } else { Boundary::null() };
+    let mut farm = LatticeFarm::new(1, ShardEngine::Wsa { width: c.width }, c.depth)
+        .with_grid(c.layout.0, c.layout.1)
+        .with_periodic(c.periodic)
+        .with_overlap(c.overlap);
+    if let Some(bits) = c.link {
+        farm = farm.with_link(BoardLink::new(f64::from(bits)));
+    }
+    let fast = farm.run(&rule, &grid, c.t0, c.gens).unwrap();
+    let cycle = farm.run(&CycleOnly(&rule), &grid, c.t0, c.gens).unwrap();
+    assert_eq!(fast, cycle, "{c:?}");
+    assert_eq!(fast.grid(), &evolve(&grid, &rule, boundary, c.t0, c.gens), "{c:?}");
+}
+
+/// Layouts: shard counts 1–4 on one row, and grids up to 3×2.
+fn oracle_layout() -> impl Strategy<Value = (usize, usize)> {
+    prop_oneof![(1usize..=4).prop_map(|s| (1, s)), (2usize..=3, 1usize..=2)]
+}
+
+fn oracle_block_width() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(63usize), Just(64), Just(65), Just(128)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fast path against the cycle-level shadow oracle over a small
+    /// seeded sample: both boundaries, overlap on and off, throttled
+    /// links, shallow final passes, `k` 1–5 and `P` 1–4.
+    #[test]
+    fn fast_path_reports_equal_the_cycle_level_run(
+        layout in oracle_layout(),
+        band_rows in 5usize..9,
+        block_width in oracle_block_width(),
+        periodic in any::<bool>(),
+        overlap in any::<bool>(),
+        link in prop_oneof![Just(None), (1u32..32).prop_map(Some)],
+        depth in 1usize..=5,
+        width in 1usize..=4,
+        gens in 1u64..12,
+        t0 in 0u64..4,
+        density in 0.05f64..0.95,
+        seed in any::<u64>(),
+    ) {
+        assert_fast_path_is_exact(OracleCase {
+            rows: layout.0 * band_rows,
+            layout,
+            block_width,
+            periodic,
+            overlap,
+            link,
+            depth,
+            width,
+            gens,
+            t0,
+            density,
+            seed,
+        });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The same oracle on lattices up to 256 rows — slow in a debug
+    /// build, so run it with
+    /// `cargo test --release --test farm_vs_reference -- --include-ignored`.
+    #[test]
+    #[ignore]
+    fn fast_path_reports_equal_the_cycle_level_run_on_large_lattices(
+        layout in oracle_layout(),
+        rows in 128usize..=256,
+        block_width in oracle_block_width(),
+        periodic in any::<bool>(),
+        overlap in any::<bool>(),
+        link in prop_oneof![Just(None), (1u32..32).prop_map(Some)],
+        depth in 1usize..=5,
+        width in 1usize..=4,
+        gens in 1u64..12,
+        t0 in 0u64..4,
+        density in 0.05f64..0.95,
+        seed in any::<u64>(),
+    ) {
+        assert_fast_path_is_exact(OracleCase {
+            rows,
+            layout,
+            block_width,
+            periodic,
+            overlap,
+            link,
+            depth,
+            width,
+            gens,
+            t0,
+            density,
+            seed,
+        });
+    }
+}
+
+/// Rules or lattices without a block kernel keep the cycle-level path
+/// and stay exact: HPP with obstacle sites, and FHP.
+#[test]
+fn lattices_without_a_kernel_stay_exact_on_the_cycle_path() {
+    let shape = Shape::grid2(12, 40).unwrap();
+    let mut walled = init::random_hpp(shape, 0.4, 8).unwrap();
+    init::add_obstacles(&mut walled, |c| c.col() == 19 && (3..9).contains(&c.row()));
+    let hpp = HppRule::new();
+    let fhp_grid = init::random_fhp(shape, FhpVariant::III, 0.35, 5, false).unwrap();
+    let fhp = FhpRule::new(FhpVariant::III, 21);
+    for (shards, overlap) in [(1usize, false), (2, false), (3, true)] {
+        let farm = LatticeFarm::new(shards, ShardEngine::Wsa { width: 2 }, 3).with_overlap(overlap);
+        let h = farm.run(&hpp, &walled, 0, 7).unwrap();
+        assert_eq!(h.grid(), &evolve(&walled, &hpp, Boundary::null(), 0, 7), "S={shards}");
+        assert_eq!(h, farm.run(&CycleOnly(&hpp), &walled, 0, 7).unwrap(), "S={shards}");
+        let f = farm.run(&fhp, &fhp_grid, 2, 7).unwrap();
+        assert_eq!(f.grid(), &evolve(&fhp_grid, &fhp, Boundary::null(), 2, 7), "S={shards}");
+    }
+}
+
 /// Acceptance: measured farm throughput must sit within 10% of the
 /// analytical model in the unthrottled (compute-bound) regime.
 #[test]
@@ -304,6 +468,11 @@ fn overlapped_exchange_tracks_the_model_and_beats_serialized() {
             o.machine_ticks(),
             s.machine_ticks()
         );
+        // The whole run is priced exactly: steady passes plus the first
+        // pass's un-hideable cold start, serialized and overlapped.
+        assert_eq!(o.machine_ticks(), model.run_ticks2(overlap.grid, o.passes), "S={shards}");
+        let serial_model = model.with_overlap(false);
+        assert_eq!(s.machine_ticks(), serial_model.run_ticks2(serial.grid, s.passes));
         // Per-pass agreement with boundary + max(interior, halo); the
         // first pass's un-hideable cold start amortizes over 16 passes.
         let measured = o.machine_ticks().to_f64() / o.passes as f64;
