@@ -49,7 +49,8 @@ pub use protocol::{
 };
 pub use scheduler::Scheduler;
 pub use session::{
-    build_farm, fault_plan, link_demand, recovery_config, seed_grid, validate_spec, GasRule,
+    build_farm, farm_model, fault_plan, link_demand, recovery_config, seed_grid, validate_spec,
+    GasRule,
 };
 pub use transport::{
     inject_raw, is_frame_error, is_timeout_error, Client, DEFAULT_IO_TIMEOUT, MAX_FRAME_BYTES,

@@ -15,9 +15,9 @@
 use crate::json::{self, Value};
 use std::fmt;
 
-/// Default per-channel site density for freshly created sessions — the
-/// same 0.3 `lattice farm` hard-codes, so a daemon session and a CLI
-/// run of the same spec start from the identical lattice.
+/// Default per-channel site density for freshly created sessions and
+/// for `lattice farm`, which has no density flag, so a daemon session
+/// and a CLI run of the same spec start from the identical lattice.
 pub const DEFAULT_DENSITY: f64 = 0.3;
 
 /// A malformed frame: what was wrong with it.
@@ -179,9 +179,9 @@ impl FaultSpec {
     }
 }
 
-/// Everything needed to create a session — mirrors the `lattice farm`
-/// flags (and their defaults), so a session spec and a farm invocation
-/// describe the same machine.
+/// Everything needed to create a session. `lattice farm` parses its
+/// flags into one of these too, so a session spec and a farm
+/// invocation describe the same machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSpec {
     /// Gas model: `hpp`, `fhp1`, `fhp2`, `fhp3`.

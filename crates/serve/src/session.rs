@@ -296,13 +296,21 @@ pub fn build_farm(spec: &SessionSpec) -> Result<LatticeFarm, LatticeError> {
 }
 
 /// The scheduler's cost function: the sustained inter-board bandwidth
-/// a session will demand, predicted by the `lattice-vlsi`
-/// [`FarmModel`] at the paper's 3µ-CMOS technology point *before* the
-/// session runs a single pass. SPA boards are charged at the WSA
-/// rate for the same PE count — halo volume depends only on geometry
-/// (`rows`, `depth`, boundary), and the per-pass compute time the
-/// demand is amortized over is close enough for admission purposes.
+/// a session will demand, predicted by its [`farm_model`] *before* the
+/// session runs a single pass.
 pub fn link_demand(spec: &SessionSpec) -> Result<BitsPerTick, LatticeError> {
+    // A session is charged its *binding* tier: the wire whose transfer
+    // paces the exchange barrier (always the intra tier on one row).
+    Ok(farm_model(spec)?.binding_link_demand(spec.grid.unwrap_or((1, spec.shards))))
+}
+
+/// The `lattice-vlsi` [`FarmModel`] of the machine a spec describes,
+/// at the paper's 3µ-CMOS technology point. SPA boards are modelled
+/// as WSA boards with the same PE count — halo volume depends only on
+/// geometry (`rows`, `depth`, boundary), and the per-pass compute time
+/// the demand is amortized over is close enough for admission
+/// purposes.
+pub fn farm_model(spec: &SessionSpec) -> Result<FarmModel, LatticeError> {
     validate_spec(spec)?;
     let p = match spec.engine.as_str() {
         "wsa" => u32::try_from(spec.width).map_err(|_| bad("width must fit in u32".into()))?,
@@ -318,9 +326,7 @@ pub fn link_demand(spec: &SessionSpec) -> Result<BitsPerTick, LatticeError> {
     if let Some(bits) = spec.tier_bits {
         model = model.with_tier_link(BitsPerTick::new(bits));
     }
-    // A session is charged its *binding* tier: the wire whose transfer
-    // paces the exchange barrier (always the intra tier on one row).
-    Ok(model.binding_link_demand(spec.grid.unwrap_or((1, spec.shards))))
+    Ok(model)
 }
 
 #[cfg(test)]

@@ -3,26 +3,34 @@
 //! Hand-rolled argument parsing (the workspace's dependency policy
 //! excludes CLI crates); every command parses to a typed request and
 //! executes to a string, so the whole surface is unit-testable without
-//! spawning processes.
+//! spawning processes. Each subcommand declares its flags once, as the
+//! accessor calls in [`read`]: parsing, the errors for unknown, repeated
+//! and mode-mismatched flags (exit 2), and [`usage`] all derive from
+//! those calls.
 //!
 //! ```text
-//! lattice gas     --model fhp3 --rows 64 --cols 128 --steps 100 …
-//! lattice engine  --arch wsa --width 4 --depth 8 --rows 64 --cols 128 …
-//! lattice design  --l 1024 --rate 5e7 --budget 512
-//! lattice pebble  --d 2 --r 64 --t 32 --s 1024
+//! lattice gas | resume | engine | waveform    gases and the paper's engines
+//! lattice design | pebble | image             design space, I/O bounds, filters
+//! lattice fault-sim [--farm] | chaos [--serve]  fault injection and soaks
+//! lattice farm | bench                        the board farm and its ratchet
+//! lattice serve | request                     the daemon and its client
+//! lattice info
 //! ```
 
 use crate::core::units::Ticks;
-use crate::core::{checkpoint, Boundary, Evolver, Shape};
+use crate::core::{checkpoint, evolve, Boundary, Evolver, Grid, LatticeError, Rule, Shape};
+use crate::farm::{FarmDegradeConfig, FarmRecoveryConfig, FarmReport, LatticeFarm, ShardEngine};
 use crate::gas::observe::{Model, Observables};
 use crate::gas::{init, FhpRule, FhpVariant, HppRule};
 use crate::pebbles::bounds::{io_lower_bound, tau_upper_bound};
 use crate::pebbles::strategies::{naive_sweep, tiled_schedule};
 use crate::pebbles::LatticeGraph;
-use crate::sim::{Pipeline, SpaEngine, WsaePipeline};
+use crate::serve::{seed_grid, GasRule, SessionSpec};
+use crate::sim::{Component, Fault, FaultKind, FaultPlan, Pipeline, SpaEngine, WsaePipeline};
 use crate::vlsi::{spa::Spa, wsa::Wsa, wsae::Wsae, Technology};
 use lattice_pebbles::PebbleGraph;
-use std::collections::HashMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// A parsed command-line invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,91 +131,10 @@ pub enum Command {
     },
     /// Inject hardware faults into an engine run and report detection,
     /// rollback, and MTBF-style figures.
-    FaultSim {
-        /// Lattice rows.
-        rows: usize,
-        /// Lattice columns.
-        cols: usize,
-        /// PEs per stage.
-        width: usize,
-        /// Pipeline depth (one chip per stage).
-        depth: usize,
-        /// Generations to run.
-        steps: u64,
-        /// RNG seed (gas init and fault draws).
-        seed: u64,
-        /// Base transient upset rate, per shift-register store.
-        rate: f64,
-        /// Rollback retries per checkpoint window.
-        retries: u32,
-        /// Passes between checkpoints.
-        ckpt_every: u64,
-        /// Also stick a link bit on this chip (exercises degraded mode).
-        stuck_chip: Option<usize>,
-        /// Farm mode: sweep halo-link upset rate × shard count through
-        /// the board-level recovery ladder instead of one chip engine.
-        farm: bool,
-        /// Comma-separated shard counts for `--farm` (e.g. `1,2,4`).
-        farm_shards: String,
-        /// Farm mode: sweep an R×C board grid (e.g. `2x2`) instead of
-        /// the columnar shard list; upsets hit both link tiers.
-        farm_grid: Option<(usize, usize)>,
-        /// Farm mode: stick a halo-link bit on this board (exercises
-        /// degraded re-partitioning).
-        stuck_board: Option<usize>,
-        /// Farm mode: overlapped halo exchange (ship-ahead staged
-        /// frames race the interior sweep; faults invalidate windows).
-        overlap: bool,
-    },
+    FaultSim(FaultSimArgs),
     /// Shard a lattice over a board-level engine farm and report
     /// machine-level figures against the links-per-board model.
-    Farm {
-        /// Boards (columnar shards).
-        shards: usize,
-        /// Per-board engine (`wsa`, `spa`).
-        engine: String,
-        /// PEs per stage (wsa).
-        width: usize,
-        /// SPA slice width.
-        slice_width: usize,
-        /// Generations per pass (= halo width).
-        depth: usize,
-        /// Lattice rows.
-        rows: usize,
-        /// Lattice columns.
-        cols: usize,
-        /// Generations to run.
-        steps: u64,
-        /// RNG seed.
-        seed: u64,
-        /// Gas model (`hpp`, `fhp1`, `fhp2`, `fhp3`).
-        model: String,
-        /// Toroidal boundaries.
-        periodic: bool,
-        /// Inter-board link capacity in bits/tick (unthrottled if absent).
-        /// With `--grid` this is the intra-rack (column-seam) tier.
-        link_bits: Option<f64>,
-        /// R×C rectangular board grid (`--grid 2x3`); omitted means the
-        /// columnar 1×S layout. The shard count is R·C.
-        grid: Option<(usize, usize)>,
-        /// Inter-rack (row-seam) link capacity in bits/tick; needs
-        /// `--grid` — the second tier is idle on columnar layouts.
-        tier_bits: Option<f64>,
-        /// Overlap halo exchange with interior compute: boundary sweeps
-        /// first, ship-ahead while the interior evolves, barrier on
-        /// arrival — pass time boundary + max(interior, halo).
-        overlap: bool,
-        /// Verify bit-exactness against the reference engine.
-        verify: bool,
-        /// Persist shard-consistent snapshots to this directory
-        /// (double-buffered generation files; see `core::checkpoint::store`).
-        checkpoint_dir: Option<String>,
-        /// Passes between durable checkpoints (with `--checkpoint-dir`).
-        ckpt_every: u64,
-        /// Resume from the newest good generation in `--checkpoint-dir`
-        /// instead of starting at generation 0; continues bit-exact.
-        resume: bool,
-    },
+    Farm(FarmArgs),
     /// Randomized chaos soak: seeded storms mixing every fault class
     /// (SR/PE/link upsets, worker hang/die, stuck boards, I/O faults
     /// against the durable store), with conservation and store
@@ -228,12 +155,21 @@ pub enum Command {
         rate: f64,
         /// Per-operation rate for each injected I/O fault class.
         io_rate: f64,
-        /// Storm the service layer instead of a bare farm: each storm
-        /// runs faulted sessions through repeated daemon kill+restart
-        /// cycles with transport garbage injected between steps, then
-        /// checks bit-exactness, quarantine containment, namespace
-        /// hygiene, and cross-restart ladder accounting.
-        serve: bool,
+    },
+    /// `chaos --serve`: storm the service layer instead of a bare farm.
+    /// Each storm runs faulted sessions through repeated daemon
+    /// kill+restart cycles with transport garbage injected between
+    /// steps, then checks bit-exactness, quarantine containment,
+    /// namespace hygiene, and cross-restart ladder accounting.
+    ServeChaos {
+        /// Independent storms to run.
+        storms: u64,
+        /// Upper bound on the generations stepped per daemon life.
+        steps: u64,
+        /// Master seed; storm `i` derives its own seed as `seed + i`.
+        seed: u64,
+        /// Halo-link transient upset rate of the weathered session.
+        rate: f64,
     },
     /// Start the lattice-as-a-service daemon: line-delimited JSON over
     /// TCP, model-driven admission control, LRU eviction to the
@@ -267,46 +203,123 @@ pub enum Command {
     },
     /// Benchmark the farm across engine x shards x overlap and report
     /// sites/second; `--json` writes a `BENCH_<date>.json` artifact.
-    Bench {
-        /// Lattice rows.
-        rows: usize,
-        /// Lattice columns.
-        cols: usize,
-        /// Generations per cell.
-        steps: u64,
-        /// RNG seed.
-        seed: u64,
-        /// Generations per pass (= halo width).
-        depth: usize,
-        /// Comma-separated shard counts (e.g. `1,2,4`).
-        shards: String,
-        /// Comma-separated halo-link transient fault rates (e.g.
-        /// `0.01`): each adds a WSA sweep through the recovery ladder
-        /// and reports the recovery cost alongside throughput.
-        fault_rates: String,
-        /// Inter-board link capacity in bits per engine tick. Finite
-        /// by default so the link-utilization column measures a real
-        /// wire, unlike the unthrottled `farm` default. With `--grid`
-        /// this is the intra-rack tier.
-        link_bits: f64,
-        /// Also bench an R×C board grid (`--grid 2x2`): adds grid legs
-        /// alongside the columnar shard sweep.
-        grid: Option<(usize, usize)>,
-        /// Inter-rack tier capacity for the grid legs, bits/tick
-        /// (defaults to `--link-bits`); needs `--grid`.
-        tier_bits: Option<f64>,
-        /// Also write the machine-readable artifact.
-        json: bool,
-        /// Artifact path (default `BENCH_<date>.json`).
-        out: Option<String>,
-        /// Compare against a checked-in artifact and fail if any
-        /// configuration's sites/sec regressed beyond `tolerance`.
-        baseline: Option<String>,
-        /// Allowed fractional sites/sec slack vs the baseline.
-        tolerance: f64,
-    },
+    Bench(BenchArgs),
     /// Print the version/summary banner.
     Info,
+}
+
+/// Arguments of `lattice fault-sim`: the confined HPP world swept
+/// through a ladder of fault rates.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultSimArgs {
+    /// Lattice rows.
+    pub rows: usize,
+    /// Lattice columns.
+    pub cols: usize,
+    /// PEs per stage.
+    pub width: usize,
+    /// Pipeline depth (one chip per stage).
+    pub depth: usize,
+    /// Generations to run.
+    pub steps: u64,
+    /// RNG seed (gas init and fault draws).
+    pub seed: u64,
+    /// Base transient upset rate: per shift-register store on one chip
+    /// engine, per halo-link frame on a farm.
+    pub rate: f64,
+    /// Rollback retries per checkpoint window.
+    pub retries: u32,
+    /// Passes between checkpoints.
+    pub ckpt_every: u64,
+    /// One chip engine, or a board farm.
+    pub mode: FaultSimMode,
+}
+
+/// The machine `lattice fault-sim` injects faults into.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FaultSimMode {
+    /// One WSA chip engine with upsets in one chip's shift register.
+    Chip {
+        /// Also stick a link bit on this chip (exercises degraded mode).
+        stuck_chip: Option<usize>,
+    },
+    /// `--farm`: sweep halo-link upset rate × board layout through the
+    /// board-level recovery ladder.
+    Farm {
+        /// Comma-separated shard counts (e.g. `1,2,4`).
+        shards: String,
+        /// Sweep one R×C board grid (e.g. `2x2`) instead of the shard
+        /// list; upsets hit both link tiers.
+        grid: Option<(usize, usize)>,
+        /// Stick a halo-link bit on this board (exercises degraded
+        /// re-partitioning).
+        stuck_board: Option<usize>,
+        /// Overlapped halo exchange (ship-ahead staged frames race the
+        /// interior sweep; faults invalidate windows).
+        overlap: bool,
+    },
+}
+
+/// Arguments of `lattice farm`: the daemon's session spec plus the
+/// knobs only a one-shot run has.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FarmArgs {
+    /// The machine and the gas, exactly as a daemon session would take
+    /// them; [`SessionSpec::default`] holds the CLI defaults.
+    pub spec: SessionSpec,
+    /// Generations to run.
+    pub steps: u64,
+    /// Verify bit-exactness against the reference engine.
+    pub verify: bool,
+    /// Persist shard-consistent snapshots to this directory
+    /// (double-buffered generation files; see `core::checkpoint::store`).
+    pub checkpoint_dir: Option<String>,
+    /// Passes between durable checkpoints (with `--checkpoint-dir`).
+    pub ckpt_every: u64,
+    /// Resume from the newest good generation in `--checkpoint-dir`
+    /// instead of starting at generation 0; continues bit-exact.
+    pub resume: bool,
+}
+
+/// Arguments of `lattice bench`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchArgs {
+    /// Lattice rows.
+    pub rows: usize,
+    /// Lattice columns.
+    pub cols: usize,
+    /// Generations per cell.
+    pub steps: u64,
+    /// RNG seed.
+    pub seed: u64,
+    /// Generations per pass (= halo width).
+    pub depth: usize,
+    /// Comma-separated shard counts (e.g. `1,2,4`).
+    pub shards: String,
+    /// Comma-separated halo-link transient fault rates (e.g. `0.01`):
+    /// each adds a WSA sweep through the recovery ladder and reports
+    /// the recovery cost alongside throughput.
+    pub fault_rates: String,
+    /// Inter-board link capacity in bits per engine tick. Finite by
+    /// default so the link-utilization column measures a real wire,
+    /// unlike the unthrottled `farm` default. With `--grid` this is the
+    /// intra-rack tier.
+    pub link_bits: f64,
+    /// Also bench an R×C board grid (`--grid 2x2`): adds grid legs
+    /// alongside the columnar shard sweep.
+    pub grid: Option<(usize, usize)>,
+    /// Inter-rack tier capacity for the grid legs, bits/tick (defaults
+    /// to `--link-bits`); needs `--grid`.
+    pub tier_bits: Option<f64>,
+    /// Also write the machine-readable artifact.
+    pub json: bool,
+    /// Artifact path (default `BENCH_<date>.json`).
+    pub out: Option<String>,
+    /// Compare against a checked-in artifact and fail if any
+    /// configuration's sites/sec regressed beyond `tolerance`.
+    pub baseline: Option<String>,
+    /// Allowed fractional sites/sec slack vs the baseline.
+    pub tolerance: f64,
 }
 
 /// A CLI error with a user-facing message.
@@ -320,6 +333,12 @@ impl std::fmt::Display for CliError {
 }
 
 impl std::error::Error for CliError {}
+
+impl From<LatticeError> for CliError {
+    fn from(e: LatticeError) -> Self {
+        CliError(e.to_string())
+    }
+}
 
 /// The process exit code for a failed command. Most failures exit 2;
 /// `lattice request` distinguishes the three ways a round trip can go
@@ -339,38 +358,152 @@ pub fn exit_code(err: &CliError) -> i32 {
     }
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
-    let mut map = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if let Some((k, v)) = name.split_once('=') {
-                map.insert(k.to_string(), v.to_string());
-                i += 1;
-            } else if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                map.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                // Bare flag.
-                map.insert(name.to_string(), "true".to_string());
-                i += 1;
-            }
-        } else {
-            return Err(CliError(format!("unexpected argument `{a}` (flags are --name value)")));
-        }
-    }
-    Ok(map)
+/// One invocation's flags, read through typed accessors. An accessor
+/// call is its flag's only declaration: it marks the flag read, and in
+/// describe mode (the pass [`usage`] makes over empty input) it also
+/// records the flag's usage entry. [`Flags::finish`] rejects every flag
+/// the subcommand did not read.
+struct Flags {
+    /// The subcommand plus the mode switches turned on (`fault-sim
+    /// --farm`), for messages and usage lines.
+    label: String,
+    /// `(name, value, read)` per flag given; `value` is `None` for a
+    /// bare flag.
+    given: Vec<(String, Option<String>, bool)>,
+    /// Messages for absent required flags, reported after unknown ones.
+    missing: Vec<String>,
+    /// Describe mode: the usage entry of every flag read so far.
+    entries: Option<Vec<String>>,
+    /// The mode switches read while off.
+    modes: Vec<&'static str>,
 }
 
-fn get<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: T,
-) -> Result<T, CliError> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| CliError(format!("bad value for --{name}: `{v}`"))),
+impl Flags {
+    /// Tokenizes `--name value`, `--name=value` and bare `--name`; a
+    /// value may start with `-` (`--rate -1`) but not with `--`. A
+    /// repeated flag or a stray token is an error.
+    fn new(cmd: &str, args: &[String]) -> Result<Flags, CliError> {
+        let mut given: Vec<(String, Option<String>, bool)> = Vec::new();
+        let mut args = args.iter().peekable();
+        while let Some(arg) = args.next() {
+            let Some(flag) = arg.strip_prefix("--") else {
+                return Err(CliError(format!(
+                    "unexpected argument `{arg}` (flags are --name value)"
+                )));
+            };
+            let (name, value) = match flag.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (flag, args.next_if(|v| !v.starts_with("--")).cloned()),
+            };
+            if given.iter().any(|(n, ..)| n == name) {
+                return Err(CliError(format!("{cmd}: --{name} given twice")));
+            }
+            given.push((name.to_string(), value, false));
+        }
+        let label = cmd.to_string();
+        Ok(Flags { label, given, missing: Vec::new(), entries: None, modes: Vec::new() })
+    }
+
+    /// Records a flag's usage entry (describe mode only).
+    fn note(&mut self, entry: String) {
+        if let Some(entries) = &mut self.entries {
+            entries.push(entry);
+        }
+    }
+
+    /// Marks `name` read; `None` when absent, `Some(None)` when bare.
+    fn take(&mut self, name: &str) -> Option<Option<String>> {
+        let (_, value, read) = self.given.iter_mut().find(|(n, ..)| n == name)?;
+        *read = true;
+        Some(value.clone())
+    }
+
+    fn value<T: FromStr>(&mut self, name: &str, entry: String) -> Result<Option<T>, CliError> {
+        self.note(entry);
+        match self.take(name) {
+            None => Ok(None),
+            Some(None) => Err(CliError(format!("{}: --{name} needs a value", self.label))),
+            Some(Some(v)) => {
+                v.parse().map(Some).map_err(|_| CliError(format!("bad value for --{name}: `{v}`")))
+            }
+        }
+    }
+
+    fn bare(&mut self, name: &str) -> Result<bool, CliError> {
+        match self.take(name) {
+            None => Ok(false),
+            Some(None) => Ok(true),
+            Some(Some(v)) => {
+                Err(CliError(format!("{}: --{name} takes no value (got `{v}`)", self.label)))
+            }
+        }
+    }
+
+    /// `--name VALUE`, or `default` when absent.
+    fn get<T: FromStr + Display>(&mut self, name: &str, default: T) -> Result<T, CliError> {
+        let entry = format!("[--{name} {default}]");
+        Ok(self.value(name, entry)?.unwrap_or(default))
+    }
+
+    /// An optional `--name METAVAR`.
+    fn opt<T: FromStr>(&mut self, name: &str, metavar: &str) -> Result<Option<T>, CliError> {
+        self.value(name, format!("[--{name} {metavar}]"))
+    }
+
+    /// A bare `--name`.
+    fn switch(&mut self, name: &str) -> Result<bool, CliError> {
+        self.note(format!("[--{name}]"));
+        self.bare(name)
+    }
+
+    /// A switch selecting one of the subcommand's modes: once on it
+    /// joins the label, and [`usage`] gives each mode its own line.
+    fn mode(&mut self, name: &'static str) -> Result<bool, CliError> {
+        let on = self.bare(name)?;
+        if on {
+            self.label = format!("{} --{name}", self.label);
+        } else {
+            self.modes.push(name);
+        }
+        Ok(on)
+    }
+
+    /// A `--name HINT` the subcommand cannot run without; its absence
+    /// is reported by [`Flags::finish`], after any unknown flag.
+    fn required(&mut self, name: &str, hint: &str) -> Result<String, CliError> {
+        let value = self.value(name, format!("--{name} {hint}"))?;
+        if value.is_none() {
+            self.missing.push(format!("{} needs --{name} {hint}", self.label));
+        }
+        Ok(value.unwrap_or_default())
+    }
+
+    /// Rejects every flag the subcommand did not read, then any absent
+    /// required flag.
+    fn finish(self) -> Result<(), CliError> {
+        if let Some((name, ..)) = self.given.iter().find(|(.., read)| !read) {
+            return Err(CliError(format!(
+                "{}: unknown flag --{name} (`lattice help` lists each mode's flags)",
+                self.label
+            )));
+        }
+        self.missing.into_iter().next().map_or(Ok(()), |m| Err(CliError(m)))
+    }
+}
+
+/// A board-grid shape written `RxC` (e.g. `2x3`): both axes ≥ 1, and
+/// their product — the board count — fits a `usize`.
+struct Rxc((usize, usize));
+
+impl FromStr for Rxc {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        let (r, c) = s.split_once(['x', 'X']).ok_or(())?;
+        match (r.trim().parse::<usize>(), c.trim().parse::<usize>()) {
+            (Ok(r), Ok(c)) if r > 0 && c > 0 && r.checked_mul(c).is_some() => Ok(Rxc((r, c))),
+            _ => Err(()),
+        }
     }
 }
 
@@ -424,58 +557,66 @@ impl SweepTable {
     }
 }
 
-/// Usage text.
-pub fn usage() -> String {
-    "lattice — VLSI lattice engines (Kugelmass–Squier–Steiglitz 1987)\n\
-     \n\
-     USAGE:\n\
-       lattice gas    [--model hpp|fhp1|fhp2|fhp3] [--rows N] [--cols N]\n\
-                      [--steps N] [--density F] [--seed N] [--periodic]\n\
-                      [--save FILE]\n\
-       lattice engine [--arch serial|wsa|spa|wsae] [--width P] [--depth K]\n\
-                      [--slice-width W] [--rows N] [--cols N] [--seed N]\n\
-       lattice resume --load FILE [--model M] [--steps N] [--seed N]\n\
-                      [--periodic] [--save FILE]\n\
-       lattice design [--l N] [--rate F] [--budget BITS]\n\
-       lattice pebble [--d N] [--r N] [--t N] [--s N]\n\
-       lattice image  [--chain ops] [--rows N] [--cols N] [--seed N]\n\
-       lattice waveform [--width P] [--depth K] [--rows N] [--cols N]\n\
-       lattice fault-sim [--rows N] [--cols N] [--width P] [--depth K]\n\
-                      [--steps N] [--seed N] [--rate F] [--retries N]\n\
-                      [--ckpt-every N] [--stuck-chip J]\n\
-                      [--farm] [--farm-shards S1,S2,..] [--farm-grid RxC]\n\
-                      [--stuck-board B] [--overlap]\n\
-       lattice farm   [--shards S] [--grid RxC] [--engine wsa|spa]\n\
-                      [--width P] [--slice-width W] [--depth K]\n\
-                      [--rows N] [--cols N] [--steps N] [--seed N]\n\
-                      [--model M] [--periodic] [--link-bits F]\n\
-                      [--tier-bits F] [--overlap] [--verify]\n\
-                      [--checkpoint-dir DIR] [--ckpt-every N] [--resume]\n\
-       lattice chaos  [--storms N] [--rows N] [--cols N] [--steps N]\n\
-                      [--seed N] [--rate F] [--io-rate F] [--serve]\n\
-       lattice serve  [--addr HOST:PORT] [--checkpoint-dir DIR]\n\
-                      [--link-capacity BITS_PER_TICK] [--max-live N]\n\
-       lattice request --addr HOST:PORT --line JSON_FRAME\n\
-                      [--timeout SECS] [--retries N]\n\
-       lattice bench  [--rows N] [--cols N] [--steps N] [--seed N]\n\
-                      [--depth K] [--shards S1,S2,..] [--fault-rates F1,F2,..]\n\
-                      [--link-bits F] [--grid RxC] [--tier-bits F]\n\
-                      [--json] [--out FILE]\n\
-                      [--baseline FILE] [--tolerance F]\n\
-       lattice info\n"
-        .to_string()
+/// The subcommands, in usage order.
+const COMMANDS: [&str; 14] = [
+    "gas",
+    "engine",
+    "resume",
+    "design",
+    "pebble",
+    "image",
+    "waveform",
+    "fault-sim",
+    "farm",
+    "chaos",
+    "serve",
+    "request",
+    "bench",
+    "info",
+];
+
+/// One describe pass per subcommand and per mode through [`read`]:
+/// the usage label and the flag entries of each.
+fn describe_all() -> Result<Vec<(String, Vec<String>)>, CliError> {
+    let pass = |cmd: &str, args: &[String]| -> Result<Flags, CliError> {
+        let mut flags = Flags { entries: Some(Vec::new()), ..Flags::new(cmd, args)? };
+        read(cmd, &mut flags)?;
+        Ok(flags)
+    };
+    let mut lines = Vec::new();
+    for cmd in COMMANDS {
+        let base = pass(cmd, &[])?;
+        let modes = base.modes.clone();
+        lines.push((base.label, base.entries.unwrap_or_default()));
+        for m in modes {
+            let moded = pass(cmd, &[format!("--{m}")])?;
+            lines.push((moded.label, moded.entries.unwrap_or_default()));
+        }
+    }
+    Ok(lines)
 }
 
-/// Parses a board-grid shape written `RxC` (e.g. `2x3`).
-fn parse_grid(s: &str) -> Result<(usize, usize), CliError> {
-    let err = || CliError(format!("bad grid `{s}` (expected RxC, e.g. 2x3)"));
-    let (r, c) = s.split_once(['x', 'X']).ok_or_else(err)?;
-    let rows: usize = r.trim().parse().map_err(|_| err())?;
-    let cols: usize = c.trim().parse().map_err(|_| err())?;
-    if rows == 0 || cols == 0 {
-        return Err(err());
+/// Usage text: one line per subcommand mode, listing the flags its
+/// reader declares.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "lattice — VLSI lattice engines (Kugelmass–Squier–Steiglitz 1987)\n\n\
+         USAGE (flag values shown are the defaults):\n",
+    );
+    for (label, entries) in describe_all().unwrap_or_default() {
+        let mut line = format!("  lattice {label}");
+        for entry in entries {
+            if line.len() + entry.len() >= 78 {
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(9);
+            }
+            line = format!("{line} {entry}");
+        }
+        out.push_str(&line);
+        out.push('\n');
     }
-    Ok((rows, cols))
+    out
 }
 
 /// Parses an argument vector (without the program name).
@@ -483,210 +624,181 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(CliError(usage()));
     };
-    let flags = parse_flags(rest)?;
-    match cmd.as_str() {
-        "gas" => Ok(Command::Gas {
-            model: get(&flags, "model", "fhp1".to_string())?,
-            rows: get(&flags, "rows", 64)?,
-            cols: get(&flags, "cols", 64)?,
-            steps: get(&flags, "steps", 100)?,
-            density: get(&flags, "density", 0.3)?,
-            seed: get(&flags, "seed", 42)?,
-            periodic: flags.contains_key("periodic"),
-            save: flags.get("save").cloned(),
-        }),
-        "engine" => Ok(Command::Engine {
-            arch: get(&flags, "arch", "wsa".to_string())?,
-            width: get(&flags, "width", 2)?,
-            depth: get(&flags, "depth", 4)?,
-            slice_width: get(&flags, "slice-width", 16)?,
-            rows: get(&flags, "rows", 48)?,
-            cols: get(&flags, "cols", 96)?,
-            seed: get(&flags, "seed", 42)?,
-        }),
-        "design" => Ok(Command::Design {
-            l: get(&flags, "l", 1024)?,
-            rate: get(&flags, "rate", 5e7)?,
-            budget: get(&flags, "budget", 512)?,
-        }),
-        "pebble" => Ok(Command::Pebble {
-            d: get(&flags, "d", 2)?,
-            r: get(&flags, "r", 32)?,
-            t: get(&flags, "t", 16)?,
-            s: get(&flags, "s", 256)?,
-        }),
-        "resume" => Ok(Command::Resume {
-            load: flags
-                .get("load")
-                .cloned()
-                .ok_or_else(|| CliError("resume needs --load FILE".into()))?,
-            model: get(&flags, "model", "fhp1".to_string())?,
-            steps: get(&flags, "steps", 100)?,
-            seed: get(&flags, "seed", 42)?,
-            periodic: flags.contains_key("periodic"),
-            save: flags.get("save").cloned(),
-        }),
-        "image" => Ok(Command::Image {
-            chain: get(&flags, "chain", "median,open,close".to_string())?,
-            rows: get(&flags, "rows", 24)?,
-            cols: get(&flags, "cols", 48)?,
-            seed: get(&flags, "seed", 7)?,
-        }),
-        "waveform" => Ok(Command::Waveform {
-            width: get(&flags, "width", 1)?,
-            depth: get(&flags, "depth", 4)?,
-            rows: get(&flags, "rows", 16)?,
-            cols: get(&flags, "cols", 24)?,
-        }),
-        "fault-sim" => Ok(Command::FaultSim {
-            rows: get(&flags, "rows", 48)?,
-            cols: get(&flags, "cols", 64)?,
-            width: get(&flags, "width", 2)?,
-            depth: get(&flags, "depth", 4)?,
-            steps: get(&flags, "steps", 8)?,
-            seed: get(&flags, "seed", 42)?,
-            rate: get(&flags, "rate", 3e-5)?,
-            retries: get(&flags, "retries", 3)?,
-            ckpt_every: get(&flags, "ckpt-every", 1)?,
-            stuck_chip: match flags.get("stuck-chip") {
-                None => None,
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad value for --stuck-chip: `{v}`")))?,
-                ),
-            },
-            farm: flags.contains_key("farm"),
-            farm_shards: get(&flags, "farm-shards", "1,2,4".to_string())?,
-            farm_grid: match flags.get("farm-grid") {
-                None => None,
-                Some(v) => Some(parse_grid(v)?),
-            },
-            stuck_board: match flags.get("stuck-board") {
-                None => None,
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad value for --stuck-board: `{v}`")))?,
-                ),
-            },
-            overlap: flags.contains_key("overlap"),
-        }),
-        "farm" => {
-            let grid = match flags.get("grid") {
-                None => None,
-                Some(v) => Some(parse_grid(v)?),
-            };
-            // `--grid RxC` implies R·C boards; an explicit `--shards`
-            // must agree with it.
-            let shards = match grid {
-                Some((gr, gc)) if !flags.contains_key("shards") => gr * gc,
-                _ => {
-                    let s = get(&flags, "shards", 4)?;
-                    if let Some((gr, gc)) = grid {
-                        if gr * gc != s {
-                            return Err(CliError(format!(
-                                "farm: --grid {gr}x{gc} disagrees with --shards {s}"
-                            )));
-                        }
+    if !COMMANDS.contains(&cmd.as_str()) {
+        return Err(CliError(match cmd.as_str() {
+            "help" | "--help" | "-h" => usage(),
+            other => format!("unknown command `{other}`\n\n{}", usage()),
+        }));
+    }
+    let mut flags = Flags::new(cmd, rest)?;
+    let command = read(cmd, &mut flags)?;
+    flags.finish()?;
+    Ok(command)
+}
+
+/// Reads subcommand `cmd`'s flags: the one declaration of each flag,
+/// its type and its default.
+fn read(cmd: &str, f: &mut Flags) -> Result<Command, CliError> {
+    Ok(match cmd {
+        "gas" => Command::Gas {
+            model: f.get("model", String::from("fhp1"))?,
+            rows: f.get("rows", 64)?,
+            cols: f.get("cols", 64)?,
+            steps: f.get("steps", 100)?,
+            density: f.get("density", 0.3)?,
+            seed: f.get("seed", 42)?,
+            periodic: f.switch("periodic")?,
+            save: f.opt("save", "FILE")?,
+        },
+        "engine" => Command::Engine {
+            arch: f.get("arch", String::from("wsa"))?,
+            width: f.get("width", 2)?,
+            depth: f.get("depth", 4)?,
+            slice_width: f.get("slice-width", 16)?,
+            rows: f.get("rows", 48)?,
+            cols: f.get("cols", 96)?,
+            seed: f.get("seed", 42)?,
+        },
+        "resume" => Command::Resume {
+            load: f.required("load", "FILE")?,
+            model: f.get("model", String::from("fhp1"))?,
+            steps: f.get("steps", 100)?,
+            seed: f.get("seed", 42)?,
+            periodic: f.switch("periodic")?,
+            save: f.opt("save", "FILE")?,
+        },
+        "design" => Command::Design {
+            l: f.get("l", 1024)?,
+            rate: f.get("rate", 5e7)?,
+            budget: f.get("budget", 512)?,
+        },
+        "pebble" => Command::Pebble {
+            d: f.get("d", 2)?,
+            r: f.get("r", 32)?,
+            t: f.get("t", 16)?,
+            s: f.get("s", 256)?,
+        },
+        "image" => Command::Image {
+            chain: f.get("chain", String::from("median,open,close"))?,
+            rows: f.get("rows", 24)?,
+            cols: f.get("cols", 48)?,
+            seed: f.get("seed", 7)?,
+        },
+        "waveform" => Command::Waveform {
+            width: f.get("width", 1)?,
+            depth: f.get("depth", 4)?,
+            rows: f.get("rows", 16)?,
+            cols: f.get("cols", 24)?,
+        },
+        "fault-sim" => {
+            let farm = f.mode("farm")?;
+            Command::FaultSim(FaultSimArgs {
+                rows: f.get("rows", 48)?,
+                cols: f.get("cols", 64)?,
+                width: f.get("width", 2)?,
+                depth: f.get("depth", 4)?,
+                steps: f.get("steps", 8)?,
+                seed: f.get("seed", 42)?,
+                rate: f.get("rate", 3e-5)?,
+                retries: f.get("retries", 3)?,
+                ckpt_every: f.get("ckpt-every", 1)?,
+                mode: if farm {
+                    FaultSimMode::Farm {
+                        shards: f.get("farm-shards", String::from("1,2,4"))?,
+                        grid: f.opt("farm-grid", "RxC")?.map(|Rxc(g)| g),
+                        stuck_board: f.opt("stuck-board", "B")?,
+                        overlap: f.switch("overlap")?,
                     }
-                    s
-                }
-            };
-            Ok(Command::Farm {
-                shards,
-                grid,
-                tier_bits: match flags.get("tier-bits") {
-                    None => None,
-                    Some(v) => Some(
-                        v.parse()
-                            .map_err(|_| CliError(format!("bad value for --tier-bits: `{v}`")))?,
-                    ),
+                } else {
+                    FaultSimMode::Chip { stuck_chip: f.opt("stuck-chip", "J")? }
                 },
-                engine: get(&flags, "engine", "wsa".to_string())?,
-                width: get(&flags, "width", 2)?,
-                slice_width: get(&flags, "slice-width", 1)?,
-                depth: get(&flags, "depth", 2)?,
-                rows: get(&flags, "rows", 48)?,
-                cols: get(&flags, "cols", 96)?,
-                steps: get(&flags, "steps", 8)?,
-                seed: get(&flags, "seed", 42)?,
-                model: get(&flags, "model", "fhp1".to_string())?,
-                periodic: flags.contains_key("periodic"),
-                link_bits: match flags.get("link-bits") {
-                    None => None,
-                    Some(v) => Some(
-                        v.parse()
-                            .map_err(|_| CliError(format!("bad value for --link-bits: `{v}`")))?,
-                    ),
-                },
-                overlap: flags.contains_key("overlap"),
-                verify: flags.contains_key("verify"),
-                checkpoint_dir: flags.get("checkpoint-dir").cloned(),
-                ckpt_every: get(&flags, "ckpt-every", 1)?,
-                resume: flags.contains_key("resume"),
             })
         }
-        "chaos" => Ok(Command::Chaos {
-            storms: get(&flags, "storms", 4)?,
-            rows: get(&flags, "rows", 36)?,
-            cols: get(&flags, "cols", 40)?,
-            steps: get(&flags, "steps", 6)?,
-            seed: get(&flags, "seed", 42)?,
-            rate: get(&flags, "rate", 2e-3)?,
-            io_rate: get(&flags, "io-rate", 0.1)?,
-            serve: flags.contains_key("serve"),
+        "farm" => {
+            let d = SessionSpec::default();
+            // `--grid RxC` implies R·C boards; an explicit `--shards`
+            // must agree with it.
+            let grid = f.opt("grid", "RxC")?.map(|Rxc(g)| g);
+            let shards = f.get("shards", grid.map_or(d.shards, |(gr, gc)| gr * gc))?;
+            if let Some((gr, gc)) = grid.filter(|&(gr, gc)| gr * gc != shards) {
+                return Err(CliError(format!(
+                    "farm: --grid {gr}x{gc} disagrees with --shards {shards}"
+                )));
+            }
+            Command::Farm(FarmArgs {
+                spec: SessionSpec {
+                    shards,
+                    grid,
+                    engine: f.get("engine", d.engine)?,
+                    width: f.get("width", d.width)?,
+                    slice_width: f.get("slice-width", d.slice_width)?,
+                    depth: f.get("depth", d.depth)?,
+                    rows: f.get("rows", d.rows)?,
+                    cols: f.get("cols", d.cols)?,
+                    seed: f.get("seed", d.seed)?,
+                    model: f.get("model", d.model)?,
+                    periodic: f.switch("periodic")?,
+                    link_bits: f.opt("link-bits", "F")?,
+                    tier_bits: f.opt("tier-bits", "F")?,
+                    overlap: f.switch("overlap")?,
+                    ..d
+                },
+                steps: f.get("steps", 8)?,
+                verify: f.switch("verify")?,
+                checkpoint_dir: f.opt("checkpoint-dir", "DIR")?,
+                ckpt_every: f.get("ckpt-every", 1)?,
+                resume: f.switch("resume")?,
+            })
+        }
+        "chaos" => {
+            let serve = f.mode("serve")?;
+            let (storms, steps) = (f.get("storms", 4)?, f.get("steps", 6)?);
+            let (seed, rate) = (f.get("seed", 42)?, f.get("rate", 2e-3)?);
+            if serve {
+                Command::ServeChaos { storms, steps, seed, rate }
+            } else {
+                Command::Chaos {
+                    storms,
+                    rows: f.get("rows", 36)?,
+                    cols: f.get("cols", 40)?,
+                    steps,
+                    seed,
+                    rate,
+                    io_rate: f.get("io-rate", 0.1)?,
+                }
+            }
+        }
+        "serve" => Command::Serve {
+            addr: f.get("addr", String::from("127.0.0.1:0"))?,
+            checkpoint_dir: f.opt("checkpoint-dir", "DIR")?,
+            link_capacity: f.opt("link-capacity", "BITS_PER_TICK")?,
+            max_live: f.get("max-live", 4)?,
+        },
+        "request" => Command::Request {
+            addr: f.required("addr", "HOST:PORT")?,
+            line: f.required("line", "JSON_FRAME")?,
+            timeout_secs: f.get("timeout", 30.0)?,
+            retries: f.get("retries", 0)?,
+        },
+        "bench" => Command::Bench(BenchArgs {
+            rows: f.get("rows", 48)?,
+            cols: f.get("cols", 96)?,
+            steps: f.get("steps", 8)?,
+            seed: f.get("seed", 42)?,
+            depth: f.get("depth", 2)?,
+            shards: f.get("shards", String::from("1,2,4"))?,
+            fault_rates: f.opt("fault-rates", "F1,F2,..")?.unwrap_or_default(),
+            link_bits: f.get("link-bits", 16.0)?,
+            grid: f.opt("grid", "RxC")?.map(|Rxc(g)| g),
+            tier_bits: f.opt("tier-bits", "F")?,
+            json: f.switch("json")?,
+            out: f.opt("out", "FILE")?,
+            baseline: f.opt("baseline", "FILE")?,
+            tolerance: f.get("tolerance", 0.02)?,
         }),
-        "serve" => Ok(Command::Serve {
-            addr: get(&flags, "addr", "127.0.0.1:0".to_string())?,
-            checkpoint_dir: flags.get("checkpoint-dir").cloned(),
-            link_capacity: match flags.get("link-capacity") {
-                None => None,
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| CliError(format!("bad value for --link-capacity: `{v}`")))?,
-                ),
-            },
-            max_live: get(&flags, "max-live", 4)?,
-        }),
-        "request" => Ok(Command::Request {
-            addr: flags
-                .get("addr")
-                .cloned()
-                .ok_or_else(|| CliError("request needs --addr HOST:PORT".into()))?,
-            line: flags
-                .get("line")
-                .cloned()
-                .ok_or_else(|| CliError("request needs --line '<json frame>'".into()))?,
-            timeout_secs: get(&flags, "timeout", 30.0)?,
-            retries: get(&flags, "retries", 0)?,
-        }),
-        "bench" => Ok(Command::Bench {
-            rows: get(&flags, "rows", 48)?,
-            cols: get(&flags, "cols", 96)?,
-            steps: get(&flags, "steps", 8)?,
-            seed: get(&flags, "seed", 42)?,
-            depth: get(&flags, "depth", 2)?,
-            shards: get(&flags, "shards", "1,2,4".to_string())?,
-            fault_rates: get(&flags, "fault-rates", String::new())?,
-            link_bits: get(&flags, "link-bits", 16.0)?,
-            grid: match flags.get("grid") {
-                None => None,
-                Some(v) => Some(parse_grid(v)?),
-            },
-            tier_bits: match flags.get("tier-bits") {
-                None => None,
-                Some(v) => Some(
-                    v.parse().map_err(|_| CliError(format!("bad value for --tier-bits: `{v}`")))?,
-                ),
-            },
-            json: flags.contains_key("json"),
-            out: flags.get("out").cloned(),
-            baseline: flags.get("baseline").cloned(),
-            tolerance: get(&flags, "tolerance", 0.02)?,
-        }),
-        "info" => Ok(Command::Info),
-        "help" | "--help" | "-h" => Err(CliError(usage())),
-        other => Err(CliError(format!("unknown command `{other}`\n\n{}", usage()))),
-    }
+        "info" => Command::Info,
+        other => return Err(CliError(format!("unknown command `{other}`"))),
+    })
 }
 
 /// Executes a command, returning the report text.
@@ -705,13 +817,11 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
         Command::Pebble { d, r, t, s } => run_pebble(d, r, t, s),
         Command::Image { chain, rows, cols, seed } => run_image(&chain, rows, cols, seed),
         Command::Waveform { width, depth, rows, cols } => {
-            let shape = Shape::grid2(rows, cols).map_err(|e| CliError(e.to_string()))?;
-            let grid = init::random_fhp(shape, FhpVariant::I, 0.3, 5, false)
-                .map_err(|e| CliError(e.to_string()))?;
+            let shape = Shape::grid2(rows, cols)?;
+            let grid = init::random_fhp(shape, FhpVariant::I, 0.3, 5, false)?;
             let rule = FhpRule::new(FhpVariant::I, 5);
             let stride = ((rows * cols / 12).max(1)) as u64;
-            let wf = crate::sim::waveform::record(&rule, &grid, width, depth, stride)
-                .map_err(|e| CliError(e.to_string()))?;
+            let wf = crate::sim::waveform::record(&rule, &grid, width, depth, stride)?;
             wf.check_invariants().map_err(CliError)?;
             Ok(format!(
                 "pipeline wavefront: {width} PE(s)/stage, depth {depth}, \
@@ -720,92 +830,13 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                 wf.render()
             ))
         }
-        Command::FaultSim {
-            rows,
-            cols,
-            width,
-            depth,
-            steps,
-            seed,
-            rate,
-            retries,
-            ckpt_every,
-            stuck_chip,
-            farm,
-            farm_shards,
-            farm_grid,
-            stuck_board,
-            overlap,
-        } => {
-            if farm {
-                run_farm_fault_sim(
-                    rows,
-                    cols,
-                    width,
-                    depth,
-                    steps,
-                    seed,
-                    rate,
-                    retries,
-                    ckpt_every,
-                    &farm_shards,
-                    farm_grid,
-                    stuck_board,
-                    overlap,
-                )
-            } else {
-                run_fault_sim(
-                    rows, cols, width, depth, steps, seed, rate, retries, ckpt_every, stuck_chip,
-                )
-            }
+        Command::FaultSim(a) => run_fault_sim(&a),
+        Command::Farm(a) => run_farm(&a),
+        Command::Chaos { storms, rows, cols, steps, seed, rate, io_rate } => {
+            run_chaos(storms, rows, cols, steps, seed, rate, io_rate)
         }
-        Command::Farm {
-            shards,
-            engine,
-            width,
-            slice_width,
-            depth,
-            rows,
-            cols,
-            steps,
-            seed,
-            model,
-            periodic,
-            link_bits,
-            grid,
-            tier_bits,
-            overlap,
-            verify,
-            checkpoint_dir,
-            ckpt_every,
-            resume,
-        } => run_farm(FarmArgs {
-            shards,
-            engine,
-            width,
-            slice_width,
-            depth,
-            rows,
-            cols,
-            steps,
-            seed,
-            model,
-            periodic,
-            link_bits,
-            grid,
-            tier_bits,
-            overlap,
-            verify,
-            checkpoint_dir,
-            ckpt_every,
-            resume,
-        }),
-        Command::Chaos { storms, rows, cols, steps, seed, rate, io_rate, serve } => {
-            if serve {
-                run_serve_chaos(storms, steps, seed, rate)
-            } else {
-                run_chaos(storms, rows, cols, steps, seed, rate, io_rate)
-            }
+        Command::ServeChaos { storms, steps, seed, rate } => {
+            run_serve_chaos(storms, steps, seed, rate)
         }
         Command::Serve { addr, checkpoint_dir, link_capacity, max_live } => {
             run_serve(addr, checkpoint_dir, link_capacity, max_live)
@@ -813,37 +844,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
         Command::Request { addr, line, timeout_secs, retries } => {
             run_request(&addr, &line, timeout_secs, retries)
         }
-        Command::Bench {
-            rows,
-            cols,
-            steps,
-            seed,
-            depth,
-            shards,
-            fault_rates,
-            link_bits,
-            grid,
-            tier_bits,
-            json,
-            out,
-            baseline,
-            tolerance,
-        } => run_bench(BenchArgs {
-            rows,
-            cols,
-            steps,
-            seed,
-            depth,
-            shards,
-            fault_rates,
-            link_bits,
-            grid,
-            tier_bits,
-            json,
-            out,
-            baseline,
-            tolerance,
-        }),
+        Command::Bench(a) => run_bench(a),
         Command::Info => Ok(format!(
             "lattice-engines {} — engines, bounds, and gases from \
              'Performance of VLSI Engines for Lattice Computations' (1987).\n\
@@ -864,36 +865,22 @@ fn run_gas(
     periodic: bool,
     save: Option<&str>,
 ) -> Result<String, CliError> {
-    let shape = Shape::grid2(rows, cols).map_err(|e| CliError(e.to_string()))?;
-    let boundary = if periodic { Boundary::Periodic } else { Boundary::null() };
-    let (grid, obs_model) = match model {
-        "hpp" => (
-            init::random_hpp(shape, density, seed).map_err(|e| CliError(e.to_string()))?,
-            Model::Hpp,
-        ),
-        "fhp1" | "fhp2" | "fhp3" => {
-            let variant = match model {
-                "fhp1" => FhpVariant::I,
-                "fhp2" => FhpVariant::II,
-                _ => FhpVariant::III,
-            };
-            (
-                init::random_fhp(shape, variant, density, seed, periodic)
-                    .map_err(|e| CliError(e.to_string()))?,
-                Model::Fhp,
-            )
-        }
-        other => return Err(CliError(format!("unknown gas model `{other}`"))),
+    let spec = SessionSpec {
+        model: model.into(),
+        rows,
+        cols,
+        seed,
+        density,
+        periodic,
+        ..SessionSpec::default()
     };
-    let before = Observables::measure(&grid, obs_model);
+    let grid = seed_grid(&spec)?;
+    let rule = GasRule::from_spec(&spec)?;
+    let before = Observables::measure(&grid, rule.model());
+    let boundary = if periodic { Boundary::Periodic } else { Boundary::null() };
     let mut ev = Evolver::new(grid, boundary, 0);
-    match model {
-        "hpp" => ev.run(&HppRule::new(), steps),
-        "fhp1" => run_fhp(&mut ev, FhpVariant::I, seed, periodic, rows, cols, steps),
-        "fhp2" => run_fhp(&mut ev, FhpVariant::II, seed, periodic, rows, cols, steps),
-        _ => run_fhp(&mut ev, FhpVariant::III, seed, periodic, rows, cols, steps),
-    }
-    let after = Observables::measure(ev.grid(), obs_model);
+    advance(&mut ev, &rule, steps);
+    let after = Observables::measure(ev.grid(), rule.model());
     let mut out = format!(
         "{model} on {rows}x{cols} ({}), {steps} generations\n\
          mass:     {} -> {}\n\
@@ -911,9 +898,7 @@ fn run_gas(
         return Err(CliError("conservation violated — this is a bug".into()));
     }
     if let Some(path) = save {
-        let bytes = checkpoint::save(ev.grid(), Ticks::new(steps));
-        std::fs::write(path, &bytes).map_err(|e| CliError(format!("write {path}: {e}")))?;
-        out.push_str(&format!("checkpoint: {path} ({} bytes)\n", bytes.len()));
+        out.push_str(&save_checkpoint(&ev, path)?);
     }
     Ok(out)
 }
@@ -927,44 +912,38 @@ fn run_resume(
     save: Option<&str>,
 ) -> Result<String, CliError> {
     let bytes = std::fs::read(load).map_err(|e| CliError(format!("read {load}: {e}")))?;
-    let (grid, t0) = checkpoint::load::<u8>(&bytes).map_err(|e| CliError(e.to_string()))?;
+    let (grid, t0) = checkpoint::load::<u8>(&bytes)?;
     let t0 = t0.get();
-    let shape = grid.shape();
-    let (rows, cols) = (shape.rows(), shape.cols());
+    let (rows, cols) = (grid.shape().rows(), grid.shape().cols());
+    let spec =
+        SessionSpec { model: model.into(), rows, cols, seed, periodic, ..SessionSpec::default() };
+    let rule = GasRule::from_spec(&spec)?;
     let boundary = if periodic { Boundary::Periodic } else { Boundary::null() };
     let mut ev = Evolver::new(grid, boundary, t0);
-    match model {
-        "hpp" => ev.run(&HppRule::new(), steps),
-        "fhp1" => run_fhp(&mut ev, FhpVariant::I, seed, periodic, rows, cols, steps),
-        "fhp2" => run_fhp(&mut ev, FhpVariant::II, seed, periodic, rows, cols, steps),
-        "fhp3" => run_fhp(&mut ev, FhpVariant::III, seed, periodic, rows, cols, steps),
-        other => return Err(CliError(format!("unknown gas model `{other}`"))),
-    }
+    advance(&mut ev, &rule, steps);
     let mut out =
         format!("resumed {model} at generation {t0}, ran {steps} more (now at {})\n", ev.time());
     if let Some(path) = save {
-        let bytes = checkpoint::save(ev.grid(), Ticks::new(ev.time()));
-        std::fs::write(path, &bytes).map_err(|e| CliError(format!("write {path}: {e}")))?;
-        out.push_str(&format!("checkpoint: {path} ({} bytes)\n", bytes.len()));
+        out.push_str(&save_checkpoint(&ev, path)?);
     }
     Ok(out)
 }
 
-fn run_fhp(
-    ev: &mut Evolver<u8>,
-    variant: FhpVariant,
-    seed: u64,
-    periodic: bool,
-    rows: usize,
-    cols: usize,
-    steps: u64,
-) {
-    let rule = if periodic {
-        FhpRule::new(variant, seed).with_wrap(rows, cols)
-    } else {
-        FhpRule::new(variant, seed)
-    };
-    ev.run(&rule, steps);
+/// Runs `steps` more generations of `rule` — the model dispatch `gas`
+/// and `resume` share.
+fn advance(ev: &mut Evolver<u8>, rule: &GasRule, steps: u64) {
+    match rule {
+        GasRule::Hpp(rule) => ev.run(rule, steps),
+        GasRule::Fhp(rule) => ev.run(rule, steps),
+    }
+}
+
+/// Writes `ev`'s lattice and generation to `path`; returns the report
+/// line.
+fn save_checkpoint(ev: &Evolver<u8>, path: &str) -> Result<String, CliError> {
+    let bytes = checkpoint::save(ev.grid(), Ticks::new(ev.time()));
+    std::fs::write(path, &bytes).map_err(|e| CliError(format!("write {path}: {e}")))?;
+    Ok(format!("checkpoint: {path} ({} bytes)\n", bytes.len()))
 }
 
 fn run_engine(
@@ -976,9 +955,8 @@ fn run_engine(
     cols: usize,
     seed: u64,
 ) -> Result<String, CliError> {
-    let shape = Shape::grid2(rows, cols).map_err(|e| CliError(e.to_string()))?;
-    let grid = init::random_fhp(shape, FhpVariant::I, 0.3, seed, false)
-        .map_err(|e| CliError(e.to_string()))?;
+    let shape = Shape::grid2(rows, cols)?;
+    let grid = init::random_fhp(shape, FhpVariant::I, 0.3, seed, false)?;
     let rule = FhpRule::new(FhpVariant::I, seed);
     let report = match arch {
         "serial" => Pipeline::serial(depth).run(&rule, &grid, 0),
@@ -986,8 +964,7 @@ fn run_engine(
         "spa" => SpaEngine::new(slice_width, depth).run(&rule, &grid, 0),
         "wsae" => WsaePipeline::new(depth).run(&rule, &grid, 0),
         other => return Err(CliError(format!("unknown architecture `{other}`"))),
-    }
-    .map_err(|e| CliError(e.to_string()))?;
+    }?;
     let clock = Technology::paper_1987().clock();
     Ok(format!(
         "{arch} on {rows}x{cols} FHP-I, depth {depth}\n\
@@ -1009,8 +986,7 @@ fn run_engine(
 fn run_image(chain: &str, rows: usize, cols: usize, seed: u64) -> Result<String, CliError> {
     use crate::image::morphology::{close, open, StructuringElement};
     use crate::image::{BoxBlur, Median3, Sobel, Threshold};
-    use lattice_core::{evolve, Grid};
-    let shape = Shape::grid2(rows, cols).map_err(|e| CliError(e.to_string()))?;
+    let shape = Shape::grid2(rows, cols)?;
     // Synthetic scene: two bright blobs on a dark field plus noise.
     let mut img: Grid<u8> = Grid::from_fn(shape, |c| {
         let (r, k) = (c.row() as i32, c.col() as i32);
@@ -1122,68 +1098,135 @@ fn run_design(l: u32, rate: f64, budget: u32) -> String {
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_fault_sim(
+/// The fault-rate ladder the sweeps climb: multiples of `--rate`,
+/// each capped at 1.
+const RATE_LADDER: [f64; 4] = [0.0, 0.1, 1.0, 10.0];
+
+/// The confined HPP world the fault harnesses audit exactly: a 0.3
+/// density gas with `steps` empty sites of margin on every side. With
+/// `steps` generations nothing reaches the edge, so the Exact audit
+/// holds under the engines' null boundary and every recovered run must
+/// match the reference evolution bit-for-bit. A `--steps` whose margin
+/// does not fit (or overflows) is refused.
+fn confined_hpp(
+    who: &str,
     rows: usize,
     cols: usize,
-    width: usize,
-    depth: usize,
     steps: u64,
     seed: u64,
-    rate: f64,
-    retries: u32,
-    ckpt_every: u64,
-    stuck_chip: Option<usize>,
-) -> Result<String, CliError> {
-    use crate::gas::audit::{AuditMode, ConservationAudit};
-    use crate::sim::{
-        Component, Fault, FaultKind, FaultPlan, HostLink, HostSystem, RecoveryConfig,
-    };
-    use lattice_core::{evolve, Grid};
-
-    if depth == 0 || width == 0 {
-        return Err(CliError("fault-sim: --width and --depth must be ≥ 1".into()));
-    }
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(CliError("fault-sim: --rate must be in [0, 1]".into()));
-    }
-    if ckpt_every == 0 {
-        return Err(CliError("fault-sim: --ckpt-every must be ≥ 1".into()));
-    }
-    let margin = steps as usize;
-    if rows <= 2 * margin || cols <= 2 * margin {
-        return Err(CliError(format!(
-            "fault-sim: the lattice must exceed 2x --steps per side \
-             ({rows}x{cols} vs {steps} steps) so the gas cannot reach the \
-             edge and conservation stays exact"
-        )));
-    }
-    if let Some(chip) = stuck_chip {
-        if chip >= depth {
-            return Err(CliError(format!(
-                "fault-sim: --stuck-chip {chip} out of range (depth {depth})"
-            )));
-        }
-    }
-    let shape = Shape::grid2(rows, cols).map_err(|e| CliError(e.to_string()))?;
-    // Confine the gas to the center: with `steps` generations and
-    // `steps` empty sites of margin, nothing reaches the edge, so the
-    // Exact audit holds under the engines' null boundary and every
-    // recovered run must match the reference evolution bit-for-bit.
-    let full = init::random_hpp(shape, 0.3, seed).map_err(|e| CliError(e.to_string()))?;
-    let grid = Grid::from_fn(shape, |c| {
-        let inside = c.row() >= margin
-            && c.row() < rows - margin
-            && c.col() >= margin
-            && c.col() < cols - margin;
+) -> Result<Grid<u8>, CliError> {
+    let margin = usize::try_from(steps)
+        .ok()
+        .filter(|m| m.checked_mul(2).is_some_and(|side| rows > side && cols > side))
+        .ok_or_else(|| {
+            CliError(format!(
+                "{who}: the lattice must exceed 2x --steps per side ({rows}x{cols} vs \
+                 {steps} steps) so the gas cannot reach the edge and conservation \
+                 stays exact"
+            ))
+        })?;
+    let shape = Shape::grid2(rows, cols)?;
+    let full = init::random_hpp(shape, 0.3, seed)?;
+    Ok(Grid::from_fn(shape, |c| {
+        let inside = (margin..rows - margin).contains(&c.row())
+            && (margin..cols - margin).contains(&c.col());
         if inside {
             full.get(c)
         } else {
             0
         }
-    });
+    }))
+}
+
+/// A fault on the link of physical chip `chip`.
+fn link_fault(chip: usize, kind: FaultKind) -> Fault {
+    Fault { component: Component::Link, chip: Some(chip), cell: None, kind }
+}
+
+/// The halo-link weather of a farm run on a `rows`×`cols` lattice: a
+/// plan seeded with `seed` holding, board by board, a transient upset
+/// at `rate` on the board's intra-rack halo link and — with
+/// `both_tiers`, for multi-row grids — on its inter-rack link. Chip ids
+/// come from the farm's own numbering under a degrade budget of
+/// `max_retired`. Empty at rate 0.
+fn halo_weather(
+    seed: u64,
+    farm: &LatticeFarm,
+    (rows, cols): (usize, usize),
+    max_retired: usize,
+    rate: f64,
+    both_tiers: bool,
+) -> Result<FaultPlan, CliError> {
+    let mut plan = FaultPlan::new(seed);
+    let upset = FaultKind::Transient { bit: 1, rate };
+    for b in (0..farm.shards()).filter(|_| rate > 0.0) {
+        plan.push(link_fault(farm.link_chip(rows, cols, max_retired, b)?, upset));
+        if both_tiers {
+            plan.push(link_fault(farm.link_chip_inter(rows, cols, max_retired, b)?, upset));
+        }
+    }
+    Ok(plan)
+}
+
+/// The stuck-at fault that pins one link bit high.
+const STUCK: FaultKind = FaultKind::StuckAt { bit: 0, value: true };
+
+/// `lattice fault-sim`: the confined world swept up the rate ladder on
+/// one chip engine or (`--farm`) a board farm. Exits nonzero when any
+/// sweep cell ends unrecovered; the table still prints.
+fn run_fault_sim(a: &FaultSimArgs) -> Result<String, CliError> {
+    if a.depth == 0 || a.width == 0 {
+        return Err(CliError("fault-sim: --width and --depth must be ≥ 1".into()));
+    }
+    if !(0.0..=1.0).contains(&a.rate) {
+        return Err(CliError("fault-sim: --rate must be in [0, 1]".into()));
+    }
+    if a.ckpt_every == 0 {
+        return Err(CliError("fault-sim: --ckpt-every must be ≥ 1".into()));
+    }
+    let world = confined_hpp("fault-sim", a.rows, a.cols, a.steps, a.seed)?;
+    let reference = evolve(&world, &HppRule::new(), Boundary::null(), 0, a.steps);
+    let (out, unrecovered) = match &a.mode {
+        FaultSimMode::Chip { stuck_chip } => chip_sweep(a, *stuck_chip, (&world, &reference))?,
+        FaultSimMode::Farm { shards, grid, stuck_board, overlap } => {
+            farm_sweep(a, shards, *grid, *stuck_board, *overlap, (&world, &reference))?
+        }
+    };
+    if unrecovered > 0 {
+        return Err(CliError(format!(
+            "{out}\nfault-sim: {unrecovered} sweep cell(s) ended unrecovered"
+        )));
+    }
+    Ok(out)
+}
+
+/// The `upd/fault` cell: mean committed site-updates between injected
+/// upsets.
+fn upd_per_fault(a: &FaultSimArgs, injected: u64) -> String {
+    if injected == 0 {
+        "-".to_string()
+    } else {
+        format!("{:.1e}", (a.steps * (a.rows * a.cols) as u64) as f64 / injected as f64)
+    }
+}
+
+/// The chip-level sweep: returns the report and the unrecovered cells.
+fn chip_sweep(
+    a: &FaultSimArgs,
+    stuck_chip: Option<usize>,
+    (world, reference): (&Grid<u8>, &Grid<u8>),
+) -> Result<(String, u32), CliError> {
+    use crate::gas::audit::{AuditMode, ConservationAudit};
+    use crate::sim::{HostLink, HostSystem, RecoveryConfig};
+
+    let (rows, cols, width, depth, steps) = (a.rows, a.cols, a.width, a.depth, a.steps);
+    let (retries, ckpt_every) = (a.retries, a.ckpt_every);
+    if let Some(chip) = stuck_chip.filter(|&chip| chip >= depth) {
+        return Err(CliError(format!(
+            "fault-sim: --stuck-chip {chip} out of range (depth {depth})"
+        )));
+    }
     let rule = HppRule::new();
-    let reference = evolve(&grid, &rule, Boundary::null(), 0, steps);
     let audit = ConservationAudit::new(Model::Hpp, AuditMode::Exact);
     let sys = HostSystem {
         engine: Pipeline::wide(width, depth),
@@ -1196,7 +1239,6 @@ fn run_fault_sim(
         ..RecoveryConfig::default()
     };
     let victim = depth / 2;
-    let sites = (rows * cols) as u64;
 
     let mut out = format!(
         "fault-sim: hpp on {rows}x{cols}, {steps} generations, width {width}, depth {depth}\n\
@@ -1219,9 +1261,9 @@ fn run_fault_sim(
     ]);
     out.push_str(&table.header());
     let mut unrecovered = 0u32;
-    for mult in [0.0, 0.1, 1.0, 10.0] {
-        let r = (rate * mult).min(1.0);
-        let mut plan = FaultPlan::new(seed);
+    for mult in RATE_LADDER {
+        let r = (a.rate * mult).min(1.0);
+        let mut plan = FaultPlan::new(a.seed);
         if r > 0.0 {
             plan.push(Fault {
                 component: Component::SrCell,
@@ -1231,38 +1273,23 @@ fn run_fault_sim(
             });
         }
         if let Some(chip) = stuck_chip {
-            plan.push(Fault {
-                component: Component::Link,
-                chip: Some(chip),
-                cell: None,
-                kind: FaultKind::StuckAt { bit: 0, value: true },
-            });
+            plan.push(link_fault(chip, STUCK));
         }
-        let ft = sys
-            .run_with_recovery(&rule, &grid, 0, steps, Some(&plan), &cfg, |b, a| audit.check(b, a));
-        match ft {
+        match sys
+            .run_with_recovery(&rule, world, 0, steps, Some(&plan), &cfg, |b, a| audit.check(b, a))
+        {
             Ok(ft) => {
-                let injected = ft.faults.total();
-                let upd_per_fault = if injected == 0 {
-                    "-".to_string()
-                } else {
-                    format!("{:.1e}", (steps * sites) as f64 / injected as f64)
-                };
-                let result = if ft.run.grid == reference {
-                    "bit-exact"
-                } else {
-                    unrecovered += 1;
-                    "WRONG"
-                };
+                let exact = ft.run.grid == *reference;
+                unrecovered += u32::from(!exact);
                 out.push_str(&table.row(&[
                     format!("{r:.1e}"),
-                    injected.to_string(),
+                    ft.faults.total().to_string(),
                     ft.recovery.detected.to_string(),
                     ft.recovery.rollbacks.to_string(),
                     ft.recovery.bypassed_chips.to_string(),
                     ft.run.passes.to_string(),
-                    upd_per_fault,
-                    result.to_string(),
+                    upd_per_fault(a, ft.faults.total()),
+                    if exact { "bit-exact" } else { "WRONG" }.to_string(),
                 ]));
             }
             Err(e) => {
@@ -1275,44 +1302,24 @@ fn run_fault_sim(
         "\nupd/fault = mean committed site-updates between injected upsets (MTBF in\n\
          update units); `bit-exact` rows recovered to the fault-free reference lattice.\n",
     );
-    if unrecovered > 0 {
-        return Err(CliError(format!(
-            "{out}\nfault-sim: {unrecovered} sweep cell(s) ended unrecovered"
-        )));
-    }
-    Ok(out)
+    Ok((out, unrecovered))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_farm_fault_sim(
-    rows: usize,
-    cols: usize,
-    width: usize,
-    depth: usize,
-    steps: u64,
-    seed: u64,
-    rate: f64,
-    retries: u32,
-    ckpt_every: u64,
+/// The farm-level sweep (`fault-sim --farm`): every layout up the rate
+/// ladder through the board recovery ladder. Returns the report and
+/// the unrecovered cells.
+fn farm_sweep(
+    a: &FaultSimArgs,
     farm_shards: &str,
     farm_grid: Option<(usize, usize)>,
     stuck_board: Option<usize>,
     overlap: bool,
-) -> Result<String, CliError> {
-    use crate::farm::{FarmDegradeConfig, FarmRecoveryConfig, LatticeFarm, ShardEngine};
+    (world, reference): (&Grid<u8>, &Grid<u8>),
+) -> Result<(String, u32), CliError> {
     use crate::gas::audit::{AuditMode, ConservationAudit};
-    use crate::sim::{Component, Fault, FaultKind, FaultPlan};
-    use lattice_core::{evolve, Grid};
 
-    if depth == 0 || width == 0 {
-        return Err(CliError("fault-sim: --width and --depth must be ≥ 1".into()));
-    }
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(CliError("fault-sim: --rate must be in [0, 1]".into()));
-    }
-    if ckpt_every == 0 {
-        return Err(CliError("fault-sim: --ckpt-every must be ≥ 1".into()));
-    }
+    let (rows, cols, width, depth, steps) = (a.rows, a.cols, a.width, a.depth, a.steps);
+    let (retries, ckpt_every) = (a.retries, a.ckpt_every);
     // Each sweep layout is an R×C board grid: the shard list is the
     // single-row grids (1, S); `--farm-grid` replaces it with one grid
     // leg whose upsets hit both link tiers.
@@ -1345,34 +1352,8 @@ fn run_farm_fault_sim(
             }
         }
     }
-    let margin = steps as usize;
-    if rows <= 2 * margin || cols <= 2 * margin {
-        return Err(CliError(format!(
-            "fault-sim: the lattice must exceed 2x --steps per side \
-             ({rows}x{cols} vs {steps} steps) so the gas cannot reach the \
-             edge and conservation stays exact"
-        )));
-    }
-    let shape = Shape::grid2(rows, cols).map_err(|e| CliError(e.to_string()))?;
-    // Same confinement trick as the chip-level sweep: the gas never
-    // reaches the edge, so exact conservation holds and every recovered
-    // run must equal the reference bit-for-bit.
-    let full = init::random_hpp(shape, 0.3, seed).map_err(|e| CliError(e.to_string()))?;
-    let grid = Grid::from_fn(shape, |c| {
-        let inside = c.row() >= margin
-            && c.row() < rows - margin
-            && c.col() >= margin
-            && c.col() < cols - margin;
-        if inside {
-            full.get(c)
-        } else {
-            0
-        }
-    });
     let rule = HppRule::new();
-    let reference = evolve(&grid, &rule, Boundary::null(), 0, steps);
     let audit = ConservationAudit::new(Model::Hpp, AuditMode::Exact);
-    let sites = (rows * cols) as u64;
 
     let mut out = format!(
         "fault-sim --farm: hpp on {rows}x{cols}, {steps} generations, \
@@ -1407,70 +1388,29 @@ fn run_farm_fault_sim(
             .with_overlap(overlap);
         let s = farm.shards();
         let label = if farm_grid.is_some() { format!("{gr}x{gc}") } else { s.to_string() };
-        // WSA boards: chip stride = depth at every reachable shard
-        // count, so board b's intra halo link is chip s·depth + b and
-        // (grid layouts) its inter-rack link is chip s·depth + s + b.
-        let link_chip_base = s * depth;
         // Degraded re-partitioning is columnar, so multi-row grids run
         // without a degrade budget (the ladder tops out at global
         // rollback there).
-        let can_degrade = s > 1 && gr == 1;
+        let max_retired = if s > 1 && gr == 1 { s - 1 } else { 0 };
         let cfg = FarmRecoveryConfig {
             max_retries: retries,
             checkpoint_every: ckpt_every,
-            degrade: if can_degrade {
-                Some(FarmDegradeConfig { max_retired: s - 1 })
-            } else {
-                None
-            },
+            degrade: (max_retired > 0).then_some(FarmDegradeConfig { max_retired }),
             ..FarmRecoveryConfig::default()
         };
-        for mult in [0.0, 0.1, 1.0, 10.0] {
-            let r = (rate * mult).min(1.0);
-            let mut plan = FaultPlan::new(seed);
-            if r > 0.0 {
-                for b in 0..s {
-                    plan.push(Fault {
-                        component: Component::Link,
-                        chip: Some(link_chip_base + b),
-                        cell: None,
-                        kind: FaultKind::Transient { bit: 1, rate: r },
-                    });
-                    if gr > 1 {
-                        plan.push(Fault {
-                            component: Component::Link,
-                            chip: Some(link_chip_base + s + b),
-                            cell: None,
-                            kind: FaultKind::Transient { bit: 1, rate: r },
-                        });
-                    }
-                }
-            }
+        for mult in RATE_LADDER {
+            let r = (a.rate * mult).min(1.0);
+            let mut plan = halo_weather(a.seed, &farm, (rows, cols), max_retired, r, gr > 1)?;
             if let Some(b) = stuck_board {
-                plan.push(Fault {
-                    component: Component::Link,
-                    chip: Some(link_chip_base + b),
-                    cell: None,
-                    kind: FaultKind::StuckAt { bit: 0, value: true },
-                });
+                plan.push(link_fault(farm.link_chip(rows, cols, max_retired, b)?, STUCK));
             }
-            let ft = farm.run_with_recovery(&rule, &grid, 0, steps, Some(&plan), &cfg, |b, a| {
+            match farm.run_with_recovery(&rule, world, 0, steps, Some(&plan), &cfg, |b, a| {
                 audit.check(b, a)
-            });
-            match ft {
+            }) {
                 Ok(ft) => {
                     let injected = ft.report.machine.faults.total();
-                    let upd_per_fault = if injected == 0 {
-                        "-".to_string()
-                    } else {
-                        format!("{:.1e}", (steps * sites) as f64 / injected as f64)
-                    };
-                    let result = if ft.report.grid() == &reference {
-                        "bit-exact"
-                    } else {
-                        unrecovered += 1;
-                        "WRONG"
-                    };
+                    let exact = ft.report.grid() == reference;
+                    unrecovered += u32::from(!exact);
                     out.push_str(&table.row(&[
                         label.clone(),
                         format!("{r:.1e}"),
@@ -1481,8 +1421,8 @@ fn run_farm_fault_sim(
                         ft.recovery.rollbacks.to_string(),
                         ft.recovery.boards_retired.to_string(),
                         ft.report.passes.to_string(),
-                        upd_per_fault,
-                        result.to_string(),
+                        upd_per_fault(a, injected),
+                        if exact { "bit-exact" } else { "WRONG" }.to_string(),
                     ]));
                 }
                 Err(e) => {
@@ -1502,251 +1442,37 @@ fn run_farm_fault_sim(
          (link ARQ), local (one board replays), global (all boards rewind),\n\
          degraded (board retired, lattice re-partitioned onto survivors).\n",
     );
-    if unrecovered > 0 {
-        return Err(CliError(format!(
-            "{out}\nfault-sim: {unrecovered} sweep cell(s) ended unrecovered"
-        )));
-    }
-    Ok(out)
+    Ok((out, unrecovered))
 }
 
-/// Arguments for `lattice farm`, bundled to keep the call site readable.
-struct FarmArgs {
-    shards: usize,
-    engine: String,
-    width: usize,
-    slice_width: usize,
-    depth: usize,
-    rows: usize,
-    cols: usize,
-    steps: u64,
-    seed: u64,
-    model: String,
-    periodic: bool,
-    link_bits: Option<f64>,
-    grid: Option<(usize, usize)>,
-    tier_bits: Option<f64>,
-    overlap: bool,
-    verify: bool,
-    checkpoint_dir: Option<String>,
-    ckpt_every: u64,
-    resume: bool,
-}
+/// `lattice farm`: the machine a daemon session with the same spec
+/// runs, built by the same `serve` constructors, run once and reported
+/// against the links-per-board model.
+fn run_farm(a: &FarmArgs) -> Result<String, CliError> {
+    use crate::serve::{build_farm, farm_model};
+    use crate::vlsi::LinkTier;
 
-fn run_farm(a: FarmArgs) -> Result<String, CliError> {
-    use crate::farm::{BoardLink, FarmRecoveryConfig, FarmReport, LatticeFarm, ShardEngine};
-    use crate::vlsi::FarmModel;
-    use lattice_core::{evolve, Grid, Rule};
-
-    let FarmArgs {
-        shards,
-        engine,
-        width,
-        slice_width,
-        depth,
-        rows,
-        cols,
-        steps,
-        seed,
-        model,
-        periodic,
-        link_bits,
-        grid,
-        tier_bits,
-        overlap,
-        verify,
-        checkpoint_dir,
-        ckpt_every,
-        resume,
-    } = a;
-    let (engine, model) = (engine.as_str(), model.as_str());
-    let shape = Shape::grid2(rows, cols).map_err(|e| CliError(e.to_string()))?;
-    let eng = match engine {
-        "wsa" => ShardEngine::Wsa { width },
-        "spa" => ShardEngine::Spa { slice_width },
-        other => return Err(CliError(format!("unknown farm engine `{other}` (wsa, spa)"))),
-    };
-    let mut farm =
-        LatticeFarm::new(shards, eng, depth).with_periodic(periodic).with_overlap(overlap);
-    if let Some((gr, gc)) = grid {
-        if gr > rows || gc > cols {
-            return Err(CliError(format!(
-                "farm: --grid {gr}x{gc} does not fit a {rows}x{cols} lattice"
-            )));
-        }
-        farm = farm.with_grid(gr, gc);
-    }
-    if let Some(bits) = link_bits {
-        if bits.is_nan() || bits <= 0.0 {
-            return Err(CliError("farm: --link-bits must be positive".into()));
-        }
-        farm = farm.with_link(BoardLink::new(bits));
-    }
-    if let Some(bits) = tier_bits {
-        if grid.is_none() {
-            return Err(CliError(
-                "farm: --tier-bits needs --grid — the inter-rack tier is idle on \
-                 columnar layouts"
-                    .into(),
-            ));
-        }
-        if bits.is_nan() || bits <= 0.0 {
-            return Err(CliError("farm: --tier-bits must be positive".into()));
-        }
-        farm = farm.with_tier_link(BoardLink::new(bits));
-    }
-    if resume && checkpoint_dir.is_none() {
+    let spec = &a.spec;
+    if a.resume && a.checkpoint_dir.is_none() {
         return Err(CliError("farm: --resume needs --checkpoint-dir".into()));
     }
-    if ckpt_every == 0 {
+    if a.ckpt_every == 0 {
         return Err(CliError("farm: --ckpt-every must be ≥ 1".into()));
     }
-
-    fn drive<R: Rule<S = u8>>(
-        farm: &LatticeFarm,
-        rule: &R,
-        grid: &Grid<u8>,
-        steps: u64,
-        periodic: bool,
-        verify: bool,
-    ) -> Result<(FarmReport<u8>, Option<bool>), CliError> {
-        let report = farm.run(rule, grid, 0, steps).map_err(|e| CliError(e.to_string()))?;
-        let exact = verify.then(|| {
-            let boundary = if periodic { Boundary::Periodic } else { Boundary::null() };
-            report.grid() == &evolve(grid, rule, boundary, 0, steps)
-        });
-        Ok((report, exact))
-    }
-
-    /// The durable path: run through the farm recovery ladder with
-    /// persistence level 0, optionally resuming from the newest good
-    /// generation in `dir`. `--verify` always compares against an
-    /// uninterrupted reference from generation 0, so a kill-and-resume
-    /// sequence is checked end to end.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_durable<R: Rule<S = u8>>(
-        farm: &LatticeFarm,
-        rule: &R,
-        g0: &Grid<u8>,
-        steps: u64,
-        periodic: bool,
-        verify: bool,
-        dir: &str,
-        ckpt_every: u64,
-        resume: bool,
-    ) -> Result<(FarmReport<u8>, Option<bool>, String), CliError> {
-        use crate::core::checkpoint::store::{reassemble, CheckpointStore, DiskBackend};
-        let lat = |e: crate::core::LatticeError| CliError(e.to_string());
-        let mut store = CheckpointStore::open(DiskBackend::open(dir).map_err(lat)?).map_err(lat)?;
-        let (start, t0, fell_back) = if resume {
-            let loaded = store
-                .load_latest()
-                .map_err(lat)?
-                .ok_or_else(|| CliError(format!("farm: --resume found no snapshot in {dir}")))?;
-            let (g, t) = reassemble::<u8>(&loaded.snapshot).map_err(lat)?;
-            if g.shape() != g0.shape() {
-                return Err(CliError(format!(
-                    "farm: snapshot is {:?} but the command says {:?} — pass the \
-                     original --rows/--cols",
-                    g.shape().dims(),
-                    g0.shape().dims()
-                )));
-            }
-            if t.get() > steps {
-                return Err(CliError(format!(
-                    "farm: snapshot is already at generation {} > --steps {steps}",
-                    t.get()
-                )));
-            }
-            (g, t.get(), loaded.fell_back)
-        } else {
-            (g0.clone(), 0u64, false)
-        };
-        let cfg =
-            FarmRecoveryConfig { checkpoint_every: ckpt_every, ..FarmRecoveryConfig::default() };
-        let ft = farm
-            .run_with_recovery_audited(
-                rule,
-                &start,
-                t0,
-                steps - t0,
-                None,
-                &cfg,
-                |_, _| Ok(()),
-                |_, _, _| Ok(()),
-                Some(&mut store),
-            )
-            .map_err(lat)?;
-        let exact = verify.then(|| {
-            let boundary = if periodic { Boundary::Periodic } else { Boundary::null() };
-            ft.report.grid() == &evolve(g0, rule, boundary, 0, steps)
-        });
-        let mut extra = format!(
-            "checkpoint store:  {dir} ({} commit(s), {} bytes)\n",
-            store.commits(),
-            store.bytes_written()
-        );
-        if resume {
-            extra.push_str(&format!(
-                "resumed:           generation {t0} of {steps}{}\n",
-                if fell_back { " (newest generation was corrupt; used last good)" } else { "" }
-            ));
-        }
-        Ok((ft.report, exact, extra))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn drive_any<R: Rule<S = u8>>(
-        farm: &LatticeFarm,
-        rule: &R,
-        grid: &Grid<u8>,
-        steps: u64,
-        periodic: bool,
-        verify: bool,
-        durable: Option<(&str, u64, bool)>,
-    ) -> Result<(FarmReport<u8>, Option<bool>, String), CliError> {
-        match durable {
-            None => {
-                drive(farm, rule, grid, steps, periodic, verify).map(|(r, e)| (r, e, String::new()))
-            }
-            Some((dir, every, resume)) => {
-                drive_durable(farm, rule, grid, steps, periodic, verify, dir, every, resume)
-            }
-        }
-    }
-
-    let durable = checkpoint_dir.as_deref().map(|d| (d, ckpt_every, resume));
-    let (report, exact, extra) = match model {
-        "hpp" => {
-            let grid = init::random_hpp(shape, 0.3, seed).map_err(|e| CliError(e.to_string()))?;
-            drive_any(&farm, &HppRule::new(), &grid, steps, periodic, verify, durable)?
-        }
-        "fhp1" | "fhp2" | "fhp3" => {
-            let variant = match model {
-                "fhp1" => FhpVariant::I,
-                "fhp2" => FhpVariant::II,
-                _ => FhpVariant::III,
-            };
-            let grid = init::random_fhp(shape, variant, 0.3, seed, periodic)
-                .map_err(|e| CliError(e.to_string()))?;
-            let rule = if periodic {
-                FhpRule::new(variant, seed).with_wrap(rows, cols)
-            } else {
-                FhpRule::new(variant, seed)
-            };
-            drive_any(&farm, &rule, &grid, steps, periodic, verify, durable)?
-        }
-        other => return Err(CliError(format!("unknown gas model `{other}`"))),
+    let farm = build_farm(spec).map_err(|e| CliError(format!("farm: {e}")))?;
+    let g0 = seed_grid(spec)?;
+    let (report, tail) = match GasRule::from_spec(spec)? {
+        GasRule::Hpp(rule) => drive(&farm, &rule, &g0, a)?,
+        GasRule::Fhp(rule) => drive(&farm, &rule, &g0, a)?,
     };
 
     let clock = Technology::paper_1987().clock();
-    let layout = match grid {
+    let layout = match spec.grid {
         Some((gr, gc)) => format!("{gr}x{gc} board grid"),
-        None => format!("{shards} board(s)"),
+        None => format!("{} board(s)", spec.shards),
     };
     let mut out = format!(
-        "farm: {model} on {rows}x{cols} ({}), {steps} generations, \
-         {layout} x {engine}, k = {depth}{}\n\
+        "farm: {} on {}x{} ({}), {} generations, {layout} x {}, k = {}{}\n\
          passes:            {}\n\
          machine ticks:     {} ({} compute + {} halo - {} overlapped)\n\
          useful upd/tick:   {:.2}\n\
@@ -1755,8 +1481,14 @@ fn run_farm(a: FarmArgs) -> Result<String, CliError> {
          redundancy:        {:.3}\n\
          compute fraction:  {:.3}\n\
          PE utilization:    {:.3}\n",
-        if periodic { "torus" } else { "null boundary" },
-        if overlap { ", overlapped exchange" } else { "" },
+        spec.model,
+        spec.rows,
+        spec.cols,
+        if spec.periodic { "torus" } else { "null boundary" },
+        a.steps,
+        spec.engine,
+        spec.depth,
+        if spec.overlap { ", overlapped exchange" } else { "" },
         report.passes,
         report.machine_ticks(),
         report.machine.ticks,
@@ -1776,29 +1508,21 @@ fn run_farm(a: FarmArgs) -> Result<String, CliError> {
             s.shard, s.row0, s.rows, s.col0, s.cols, s.updates, s.ticks, s.halo_in_bits
         ));
     }
-    if engine == "wsa" {
+    if spec.engine == "wsa" {
         // The analytical board model mirrors the WSA pipeline.
-        let mut m = FarmModel::new(Technology::paper_1987(), rows, cols, width as u32, depth)
-            .with_periodic(periodic)
-            .with_overlap(overlap)
-            .with_link(link_bits.map_or(lattice_core::units::BitsPerTick::UNTHROTTLED, |b| {
-                lattice_core::units::BitsPerTick::new(b)
-            }));
-        if let Some(bits) = tier_bits {
-            m = m.with_tier_link(lattice_core::units::BitsPerTick::new(bits));
-        }
+        let m = farm_model(spec)?;
         let passes = report.passes.max(1);
         let meas_pass = report.machine_ticks().to_f64() / passes as f64;
-        let g = grid.unwrap_or((1, shards));
+        let g = spec.grid.unwrap_or((1, spec.shards));
         let pass = m.run_ticks2(g, passes).to_f64() / passes as f64;
         let demand = m.binding_link_demand(g);
-        out.push_str(&match grid {
+        out.push_str(&match spec.grid {
             Some(_) => format!(
                 "model: pass ticks {pass:.0} (measured {meas_pass:.0}), binding tier \
                  {}, link demand {demand:.1} bits/tick on it\n",
                 match m.binding_tier(g) {
-                    crate::vlsi::LinkTier::Intra => "intra-rack",
-                    crate::vlsi::LinkTier::Inter => "inter-rack",
+                    LinkTier::Intra => "intra-rack",
+                    LinkTier::Inter => "inter-rack",
                 },
             ),
             None => format!(
@@ -1808,17 +1532,92 @@ fn run_farm(a: FarmArgs) -> Result<String, CliError> {
             ),
         });
     }
-    out.push_str(&extra);
-    match exact {
-        Some(true) => out.push_str("verify: bit-exact vs reference\n"),
-        Some(false) => {
+    out.push_str(&tail);
+    Ok(out)
+}
+
+/// Runs `a.steps` generations of `rule` from `g0` on `farm`: straight
+/// through, or — with `--checkpoint-dir` — through the recovery ladder
+/// at persistence level 0, resuming from the newest good generation in
+/// the store when asked. `--verify` always compares against an
+/// uninterrupted reference from generation 0, so a kill-and-resume
+/// sequence is checked end to end. Returns the report and the lines
+/// that close the run's summary.
+fn drive<R: Rule<S = u8>>(
+    farm: &LatticeFarm,
+    rule: &R,
+    g0: &Grid<u8>,
+    a: &FarmArgs,
+) -> Result<(FarmReport<u8>, String), CliError> {
+    use crate::core::checkpoint::store::{reassemble, CheckpointStore, DiskBackend};
+
+    let steps = a.steps;
+    let (report, mut tail) = match &a.checkpoint_dir {
+        None => (farm.run(rule, g0, 0, steps)?, String::new()),
+        Some(dir) => {
+            let mut store = CheckpointStore::open(DiskBackend::open(dir)?)?;
+            let (start, t0, fell_back) = if a.resume {
+                let loaded = store.load_latest()?.ok_or_else(|| {
+                    CliError(format!("farm: --resume found no snapshot in {dir}"))
+                })?;
+                let (g, t) = reassemble::<u8>(&loaded.snapshot)?;
+                if g.shape() != g0.shape() {
+                    return Err(CliError(format!(
+                        "farm: snapshot is {:?} but the command says {:?} — pass the \
+                         original --rows/--cols",
+                        g.shape().dims(),
+                        g0.shape().dims()
+                    )));
+                }
+                if t.get() > steps {
+                    return Err(CliError(format!(
+                        "farm: snapshot is already at generation {} > --steps {steps}",
+                        t.get()
+                    )));
+                }
+                (g, t.get(), loaded.fell_back)
+            } else {
+                (g0.clone(), 0u64, false)
+            };
+            let cfg = FarmRecoveryConfig {
+                checkpoint_every: a.ckpt_every,
+                ..FarmRecoveryConfig::default()
+            };
+            let ft = farm.run_with_recovery_audited(
+                rule,
+                &start,
+                t0,
+                steps - t0,
+                None,
+                &cfg,
+                |_, _| Ok(()),
+                |_, _, _| Ok(()),
+                Some(&mut store),
+            )?;
+            let mut tail = format!(
+                "checkpoint store:  {dir} ({} commit(s), {} bytes)\n",
+                store.commits(),
+                store.bytes_written()
+            );
+            if a.resume {
+                tail.push_str(&format!(
+                    "resumed:           generation {t0} of {steps}{}\n",
+                    if fell_back { " (newest generation was corrupt; used last good)" } else { "" }
+                ));
+            }
+            (ft.report, tail)
+        }
+    };
+    if a.verify {
+        let boundary = if a.spec.periodic { Boundary::Periodic } else { Boundary::null() };
+        if report.grid() != &evolve(g0, rule, boundary, 0, steps) {
             return Err(CliError(
                 "verify: farmed result diverged from the reference — this is a bug".into(),
-            ))
+            ));
         }
-        None => {}
+        tail.push_str("verify: bit-exact vs reference\n");
     }
-    Ok(out)
+    Ok((report, tail))
 }
 
 /// `lattice chaos`: a deterministic soak of randomized storms, each
@@ -1854,15 +1653,9 @@ fn run_chaos(
         reassemble, CheckpointStore, FaultyBackend, IoFaultRates, MemBackend, ShardBlob,
         SnapshotSink,
     };
-    use crate::core::LatticeError;
-    use crate::farm::{
-        FarmDegradeConfig, FarmRecoveryConfig, LatticeFarm, ShardEngine, WorkerFault,
-        WorkerFaultSpec,
-    };
+    use crate::farm::{WorkerFault, WorkerFaultSpec};
     use crate::gas::audit::{AuditMode, ConservationAudit};
-    use crate::sim::{Component, Fault, FaultKind, FaultPlan};
     use lattice_core::units::{u64_from_usize, usize_from_u64};
-    use lattice_core::{evolve, Grid};
     use std::time::Duration;
 
     if storms == 0 || steps == 0 {
@@ -1870,14 +1663,6 @@ fn run_chaos(
     }
     if !(0.0..=1.0).contains(&rate) || !(0.0..=1.0).contains(&io_rate) {
         return Err(CliError("chaos: --rate and --io-rate must be in [0, 1]".into()));
-    }
-    let margin = steps as usize;
-    if rows <= 2 * margin || cols <= 2 * margin {
-        return Err(CliError(format!(
-            "chaos: the lattice must exceed 2x --steps per side ({rows}x{cols} vs \
-             {steps} steps) so the gas cannot reach the edge and conservation \
-             stays exact"
-        )));
     }
 
     /// Persistence under weather must not abort the run: commit errors
@@ -1898,7 +1683,6 @@ fn run_chaos(
 
     let audit = ConservationAudit::new(Model::Hpp, AuditMode::Exact);
     let rule = HppRule::new();
-    let shape = Shape::grid2(rows, cols).map_err(|e| CliError(e.to_string()))?;
 
     let mut out = format!(
         "chaos: {storms} storm(s), hpp on {rows}x{cols}, {steps} generations each, \
@@ -1926,6 +1710,8 @@ fn run_chaos(
     let mut failed: Vec<u64> = Vec::new();
     for storm in 0..storms {
         let sseed = seed.wrapping_add(storm);
+        let g0 = confined_hpp("chaos", rows, cols, steps, sseed)?;
+        let reference = evolve(&g0, &rule, Boundary::null(), 0, steps);
         let d = |salt: u64| mix(sseed ^ mix(salt));
         let shards = 2 + usize_from_u64(d(1) % 3);
         let depth = 1 + usize_from_u64(d(2) % 2);
@@ -1941,36 +1727,24 @@ fn run_chaos(
             _ => None,
         };
 
-        let full = init::random_hpp(shape, 0.3, sseed).map_err(|e| CliError(e.to_string()))?;
-        let g0 = Grid::from_fn(shape, |c| {
-            let inside = c.row() >= margin
-                && c.row() < rows - margin
-                && c.col() >= margin
-                && c.col() < cols - margin;
-            if inside {
-                full.get(c)
-            } else {
-                0
-            }
-        });
-        let reference = evolve(&g0, &rule, Boundary::null(), 0, steps);
+        let mut farm =
+            LatticeFarm::new(shards, ShardEngine::Wsa { width: 1 }, depth).with_overlap(overlap);
+        if let Some((fault, _)) = worker {
+            farm = farm.with_worker_fault(WorkerFaultSpec {
+                board: usize_from_u64(d(11) % u64_from_usize(shards)),
+                pass: d(12) % passes,
+                attempt: 0,
+                fault,
+            });
+        }
 
         // The fault weather: transients on every board's halo link, one
         // SR cell and one PE latch going flaky inside derived boards
         // (silent to parity — only the conservation audit sees them, so
         // they exercise the rollback levels), plus an optional stuck
         // link that must climb the whole ladder into retirement.
-        let link_chip_base = shards * depth;
-        let mut plan = FaultPlan::new(sseed);
+        let mut plan = halo_weather(sseed, &farm, (rows, cols), shards - 1, rate, false)?;
         if rate > 0.0 {
-            for b in 0..shards {
-                plan.push(Fault {
-                    component: Component::Link,
-                    chip: Some(link_chip_base + b),
-                    cell: None,
-                    kind: FaultKind::Transient { bit: 1, rate },
-                });
-            }
             // SR/PE flips pass through every site of their chip each
             // generation (not just halo frames), so they run an order
             // of magnitude cooler to keep rollback pressure bounded.
@@ -1988,23 +1762,8 @@ fn run_chaos(
             });
         }
         if stuck {
-            plan.push(Fault {
-                component: Component::Link,
-                chip: Some(link_chip_base + usize_from_u64(d(10) % u64_from_usize(shards))),
-                cell: None,
-                kind: FaultKind::StuckAt { bit: 0, value: true },
-            });
-        }
-
-        let mut farm =
-            LatticeFarm::new(shards, ShardEngine::Wsa { width: 1 }, depth).with_overlap(overlap);
-        if let Some((fault, _)) = worker {
-            farm = farm.with_worker_fault(WorkerFaultSpec {
-                board: usize_from_u64(d(11) % u64_from_usize(shards)),
-                pass: d(12) % passes,
-                attempt: 0,
-                fault,
-            });
+            let b = usize_from_u64(d(10) % u64_from_usize(shards));
+            plan.push(link_fault(farm.link_chip(rows, cols, shards - 1, b)?, STUCK));
         }
         let cfg = FarmRecoveryConfig {
             max_retries: 20,
@@ -2169,11 +1928,10 @@ fn run_serve(
             return Err(CliError("serve: --link-capacity must be positive".into()));
         }
     }
-    let daemon = Daemon::bind(&DaemonConfig { addr, checkpoint_dir, link_capacity, max_live })
-        .map_err(|e| CliError(e.to_string()))?;
+    let daemon = Daemon::bind(&DaemonConfig { addr, checkpoint_dir, link_capacity, max_live })?;
     println!("lattice-serve listening on {}", daemon.addr());
     let _ = std::io::stdout().flush();
-    daemon.run().map_err(|e| CliError(e.to_string()))?;
+    daemon.run()?;
     Ok("lattice-serve: shut down cleanly\n".into())
 }
 
@@ -2621,25 +2379,6 @@ fn bench_date() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// Arguments to [`run_bench`] — one struct instead of ten positional
-/// parameters.
-struct BenchArgs {
-    rows: usize,
-    cols: usize,
-    steps: u64,
-    seed: u64,
-    depth: usize,
-    shards: String,
-    fault_rates: String,
-    link_bits: f64,
-    grid: Option<(usize, usize)>,
-    tier_bits: Option<f64>,
-    json: bool,
-    out: Option<String>,
-    baseline: Option<String>,
-    tolerance: f64,
-}
-
 /// `lattice bench`: sweep HPP through engine x shards x overlap and
 /// report throughput at the paper's 10 MHz clock; `--json` emits the
 /// same numbers as a machine-readable artifact for trend tracking,
@@ -2648,10 +2387,9 @@ struct BenchArgs {
 /// link-transient faults through the recovery ladder, so the artifact
 /// also tracks link utilization and the tick cost of recovery.
 fn run_bench(args: BenchArgs) -> Result<String, CliError> {
-    use crate::farm::{BoardLink, FarmDegradeConfig, FarmRecoveryConfig, LatticeFarm, ShardEngine};
+    use crate::farm::BoardLink;
     use crate::gas::audit::{AuditMode, ConservationAudit};
     use crate::serve::json::Value;
-    use crate::sim::{Component, Fault, FaultKind, FaultPlan};
 
     let BenchArgs {
         rows,
@@ -2717,8 +2455,8 @@ fn run_bench(args: BenchArgs) -> Result<String, CliError> {
                 .ok_or_else(|| CliError(format!("bench: bad --fault-rates entry `{s}` (0..=1)")))
         })
         .collect::<Result<_, _>>()?;
-    let shape = Shape::grid2(rows, cols).map_err(|e| CliError(e.to_string()))?;
-    let grid = init::random_hpp(shape, 0.3, seed).map_err(|e| CliError(e.to_string()))?;
+    let shape = Shape::grid2(rows, cols)?;
+    let grid = init::random_hpp(shape, 0.3, seed)?;
     let rule = HppRule::new();
     let clock = Technology::paper_1987().clock();
 
@@ -2742,56 +2480,53 @@ fn run_bench(args: BenchArgs) -> Result<String, CliError> {
     out.push_str(&table.header());
     let mut results: Vec<Value> = Vec::new();
 
-    // Scalar row shared by the clean and faulted sweeps so both render
-    // and serialize identically.
-    struct BenchRow {
-        engine: &'static str,
-        shards: usize,
-        grid: Option<(usize, usize)>,
-        overlap: bool,
-        fault_rate: f64,
-        sps: f64,
-        upd_per_tick: f64,
-        halo_bits: f64,
-        link_util: f64,
-        rec_cost: f64,
-        ticks: u64,
-        passes: u64,
-    }
-    let mut push_row = |r: BenchRow| {
+    // One table row and one artifact object per measured run, shared by
+    // the clean, grid and faulted sweeps so all three render and
+    // serialize identically.
+    let mut push_row = |engine: &str,
+                        (shards, grid): (usize, Option<(usize, usize)>),
+                        overlap: bool,
+                        fault_rate: f64,
+                        report: &FarmReport<u8>| {
+        let mt = report.machine_ticks();
+        let share = |t: Ticks| if mt.is_zero() { 0.0 } else { t.ratio(mt) };
+        let sps = report.updates_per_second(clock).get();
+        let upd_per_tick = report.updates_per_tick().get();
+        let halo_bits = report.halo_bits_per_tick().get();
+        let (link_util, rec_cost) = (share(report.halo_ticks), share(report.retransmit_ticks));
         out.push_str(&table.row(&[
-            r.engine.to_string(),
-            match r.grid {
+            engine.to_string(),
+            match grid {
                 Some((gr, gc)) => format!("{gr}x{gc}"),
-                None => r.shards.to_string(),
+                None => shards.to_string(),
             },
-            if r.overlap { "yes" } else { "no" }.to_string(),
-            format!("{:.3}", r.fault_rate),
-            format!("{:.3e}", r.sps),
-            format!("{:.2}", r.upd_per_tick),
-            format!("{:.2}", r.halo_bits),
-            format!("{:.3}", r.link_util),
-            format!("{:.3}", r.rec_cost),
-            r.ticks.to_string(),
+            if overlap { "yes" } else { "no" }.to_string(),
+            format!("{fault_rate:.3}"),
+            format!("{sps:.3e}"),
+            format!("{upd_per_tick:.2}"),
+            format!("{halo_bits:.2}"),
+            format!("{link_util:.3}"),
+            format!("{rec_cost:.3}"),
+            mt.get().to_string(),
         ]));
         // Every row carries its own wire width so the ratchet key can
         // fold it in: two baselines that differ only in `--link-bits`
         // must never be compared row-for-row.
         let mut obj = vec![
-            ("engine".into(), Value::Str(r.engine.into())),
-            ("shards".into(), Value::num_usize(r.shards)),
-            ("overlap".into(), Value::Bool(r.overlap)),
-            ("fault_rate".into(), Value::Num(r.fault_rate)),
+            ("engine".into(), Value::Str(engine.into())),
+            ("shards".into(), Value::num_usize(shards)),
+            ("overlap".into(), Value::Bool(overlap)),
+            ("fault_rate".into(), Value::Num(fault_rate)),
             ("link_bits".into(), Value::Num(link_bits)),
-            ("sites_per_sec".into(), Value::Num(r.sps)),
-            ("updates_per_tick".into(), Value::Num(r.upd_per_tick)),
-            ("halo_bits_per_tick".into(), Value::Num(r.halo_bits)),
-            ("link_utilization".into(), Value::Num(r.link_util)),
-            ("recovery_cost".into(), Value::Num(r.rec_cost)),
-            ("machine_ticks".into(), Value::num_u64(r.ticks)),
-            ("passes".into(), Value::num_u64(r.passes)),
+            ("sites_per_sec".into(), Value::Num(sps)),
+            ("updates_per_tick".into(), Value::Num(upd_per_tick)),
+            ("halo_bits_per_tick".into(), Value::Num(halo_bits)),
+            ("link_utilization".into(), Value::Num(link_util)),
+            ("recovery_cost".into(), Value::Num(rec_cost)),
+            ("machine_ticks".into(), Value::num_u64(mt.get())),
+            ("passes".into(), Value::num_u64(report.passes)),
         ];
-        if let Some((gr, gc)) = r.grid {
+        if let Some((gr, gc)) = grid {
             obj.push(("grid_rows".into(), Value::num_usize(gr)));
             obj.push(("grid_cols".into(), Value::num_usize(gc)));
             obj.push(("tier_bits".into(), Value::Num(tier_bits.unwrap_or(link_bits))));
@@ -2809,23 +2544,7 @@ fn run_bench(args: BenchArgs) -> Result<String, CliError> {
                 let farm = LatticeFarm::new(s, eng, depth)
                     .with_overlap(overlap)
                     .with_link(BoardLink::new(link_bits));
-                let report =
-                    farm.run(&rule, &grid, 0, steps).map_err(|e| CliError(e.to_string()))?;
-                let mt = report.machine_ticks();
-                push_row(BenchRow {
-                    engine: ename,
-                    shards: s,
-                    grid: None,
-                    overlap,
-                    fault_rate: 0.0,
-                    sps: report.updates_per_second(clock).get(),
-                    upd_per_tick: report.updates_per_tick().get(),
-                    halo_bits: report.halo_bits_per_tick().get(),
-                    link_util: if mt.is_zero() { 0.0 } else { report.halo_ticks.ratio(mt) },
-                    rec_cost: if mt.is_zero() { 0.0 } else { report.retransmit_ticks.ratio(mt) },
-                    ticks: mt.get(),
-                    passes: report.passes,
-                });
+                push_row(ename, (s, None), overlap, 0.0, &farm.run(&rule, &grid, 0, steps)?);
             }
         }
     }
@@ -2840,48 +2559,16 @@ fn run_bench(args: BenchArgs) -> Result<String, CliError> {
                 .with_overlap(overlap)
                 .with_link(BoardLink::new(link_bits))
                 .with_tier_link(BoardLink::new(tier_bits.unwrap_or(link_bits)));
-            let report = farm.run(&rule, &grid, 0, steps).map_err(|e| CliError(e.to_string()))?;
-            let mt = report.machine_ticks();
-            push_row(BenchRow {
-                engine: "wsa",
-                shards: gr * gc,
-                grid: Some((gr, gc)),
-                overlap,
-                fault_rate: 0.0,
-                sps: report.updates_per_second(clock).get(),
-                upd_per_tick: report.updates_per_tick().get(),
-                halo_bits: report.halo_bits_per_tick().get(),
-                link_util: if mt.is_zero() { 0.0 } else { report.halo_ticks.ratio(mt) },
-                rec_cost: if mt.is_zero() { 0.0 } else { report.retransmit_ticks.ratio(mt) },
-                ticks: mt.get(),
-                passes: report.passes,
-            });
+            let report = farm.run(&rule, &grid, 0, steps)?;
+            push_row("wsa", (gr * gc, Some((gr, gc))), overlap, 0.0, &report);
         }
     }
 
     if !rate_list.is_empty() {
-        // Same confinement trick as `fault-sim --farm`: keep the gas
-        // away from the edge so the exact-conservation audit that
-        // drives fault detection never false-positives on boundary
-        // loss.
-        let margin = steps as usize;
-        if rows <= 2 * margin || cols <= 2 * margin {
-            return Err(CliError(format!(
-                "bench: --fault-rates needs the lattice to exceed 2x --steps per side \
-                 ({rows}x{cols} vs {steps} steps) so the conservation audit stays exact"
-            )));
-        }
-        let confined = lattice_core::Grid::from_fn(shape, |c| {
-            let inside = c.row() >= margin
-                && c.row() < rows - margin
-                && c.col() >= margin
-                && c.col() < cols - margin;
-            if inside {
-                grid.get(c)
-            } else {
-                0
-            }
-        });
+        // The confined world, as in `fault-sim --farm`: the exact
+        // conservation audit that drives fault detection never
+        // false-positives on boundary loss.
+        let confined = confined_hpp("bench --fault-rates", rows, cols, steps, seed)?;
         let audit = ConservationAudit::new(Model::Hpp, AuditMode::Exact);
         for &rate in &rate_list {
             for &s in &shard_counts {
@@ -2889,28 +2576,12 @@ fn run_bench(args: BenchArgs) -> Result<String, CliError> {
                     let farm = LatticeFarm::new(s, ShardEngine::Wsa { width: 2 }, depth)
                         .with_overlap(overlap)
                         .with_link(BoardLink::new(link_bits));
-                    // WSA boards: chip stride = depth, so board b's
-                    // halo link is chip s·depth + b.
-                    let link_chip_base = s * depth;
-                    let mut plan = FaultPlan::new(seed);
-                    if rate > 0.0 {
-                        for b in 0..s {
-                            plan.push(Fault {
-                                component: Component::Link,
-                                chip: Some(link_chip_base + b),
-                                cell: None,
-                                kind: FaultKind::Transient { bit: 1, rate },
-                            });
-                        }
-                    }
+                    let max_retired = s - 1;
+                    let plan = halo_weather(seed, &farm, (rows, cols), max_retired, rate, false)?;
                     let cfg = FarmRecoveryConfig {
                         max_retries: 3,
                         checkpoint_every: 2,
-                        degrade: if s > 1 {
-                            Some(FarmDegradeConfig { max_retired: s - 1 })
-                        } else {
-                            None
-                        },
+                        degrade: (max_retired > 0).then_some(FarmDegradeConfig { max_retired }),
                         ..FarmRecoveryConfig::default()
                     };
                     let ft = farm
@@ -2920,26 +2591,7 @@ fn run_bench(args: BenchArgs) -> Result<String, CliError> {
                         .map_err(|e| {
                             CliError(format!("bench: faulted run (wsa x{s} rate {rate}): {e}"))
                         })?;
-                    let report = ft.report;
-                    let mt = report.machine_ticks();
-                    push_row(BenchRow {
-                        engine: "wsa",
-                        shards: s,
-                        grid: None,
-                        overlap,
-                        fault_rate: rate,
-                        sps: report.updates_per_second(clock).get(),
-                        upd_per_tick: report.updates_per_tick().get(),
-                        halo_bits: report.halo_bits_per_tick().get(),
-                        link_util: if mt.is_zero() { 0.0 } else { report.halo_ticks.ratio(mt) },
-                        rec_cost: if mt.is_zero() {
-                            0.0
-                        } else {
-                            report.retransmit_ticks.ratio(mt)
-                        },
-                        ticks: mt.get(),
-                        passes: report.passes,
-                    });
+                    push_row("wsa", (s, None), overlap, rate, &ft.report);
                 }
             }
         }
@@ -3146,14 +2798,16 @@ mod tests {
     #[test]
     fn parse_grid_and_tier_bits_flags() {
         match parse(&argv("farm --grid 2x3 --tier-bits 4")).unwrap() {
-            Command::Farm { shards, grid, tier_bits, .. } => {
+            Command::Farm(FarmArgs { spec, .. }) => {
                 // `--grid RxC` implies R·C boards.
-                assert_eq!((shards, grid, tier_bits), (6, Some((2, 3)), Some(4.0)));
+                assert_eq!((spec.shards, spec.grid, spec.tier_bits), (6, Some((2, 3)), Some(4.0)));
             }
             other => panic!("{other:?}"),
         }
         match parse(&argv("farm --grid 2x3 --shards 6")).unwrap() {
-            Command::Farm { shards, grid, .. } => assert_eq!((shards, grid), (6, Some((2, 3)))),
+            Command::Farm(FarmArgs { spec, .. }) => {
+                assert_eq!((spec.shards, spec.grid), (6, Some((2, 3))))
+            }
             other => panic!("{other:?}"),
         }
         assert!(parse(&argv("farm --grid 2x3 --shards 5")).is_err());
@@ -3161,13 +2815,16 @@ mod tests {
         assert!(parse(&argv("farm --grid 2by3")).is_err());
         assert!(parse(&argv("bench --grid 2x")).is_err());
         match parse(&argv("bench --grid 2X2 --tier-bits 8")).unwrap() {
-            Command::Bench { grid, tier_bits, .. } => {
+            Command::Bench(BenchArgs { grid, tier_bits, .. }) => {
                 assert_eq!((grid, tier_bits), (Some((2, 2)), Some(8.0)));
             }
             other => panic!("{other:?}"),
         }
         match parse(&argv("fault-sim --farm --farm-grid 3x2")).unwrap() {
-            Command::FaultSim { farm_grid, .. } => assert_eq!(farm_grid, Some((3, 2))),
+            Command::FaultSim(FaultSimArgs {
+                mode: FaultSimMode::Farm { grid: farm_grid, .. },
+                ..
+            }) => assert_eq!(farm_grid, Some((3, 2))),
             other => panic!("{other:?}"),
         }
     }
@@ -3181,6 +2838,45 @@ mod tests {
         assert!(parse(&argv("gas stray")).is_err());
         assert!(parse(&[]).is_err());
         assert!(parse(&argv("help")).unwrap_err().0.contains("USAGE"));
+        // Strict reading: a repeat (in either form), a switch with a
+        // value, and a flag the reader does not declare are all exit 2.
+        for bad in ["pebble --d=2 --d 3", "gas --periodic=true", "farm --density 0.5"] {
+            assert_eq!(exit_code(&parse(&argv(bad)).unwrap_err()), 2, "{bad}");
+        }
+        let err = parse(&argv("fault-sim --farm --stuck-chip 1")).unwrap_err();
+        assert!(err.0.starts_with("fault-sim --farm: unknown flag --stuck-chip"), "{err}");
+        // An unknown flag is named ahead of a missing required one.
+        assert!(parse(&argv("request --bogus 1")).unwrap_err().0.contains("--bogus"));
+        assert!(parse(&argv("request --line {}")).unwrap_err().0.contains("--addr"));
+        // A value may start with a single dash.
+        match parse(&argv("fault-sim --rate -1")).unwrap() {
+            Command::FaultSim(FaultSimArgs { rate, .. }) => assert_eq!(rate, -1.0),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn usage_is_generated_from_the_flag_readers() {
+        let lines = describe_all().unwrap();
+        // One line per subcommand plus one per mode (`fault-sim --farm`,
+        // `chaos --serve`).
+        assert_eq!(lines.len(), COMMANDS.len() + 2);
+        let text = usage();
+        assert!(text.contains("USAGE"), "{text}");
+        for (label, entries) in &lines {
+            assert!(text.contains(&format!("lattice {label}")), "{label}");
+            for entry in entries {
+                assert!(text.contains(entry.as_str()), "{entry}");
+                // Every listed flag is accepted in its own mode: its
+                // sample value may be refused, the flag never is.
+                let flag = entry.trim_matches(['[', ']']);
+                let name = flag.split(' ').next().unwrap();
+                let value = if flag.contains(' ') { " 1" } else { "" };
+                if let Err(e) = parse(&argv(&format!("{label} {name}{value}"))) {
+                    assert!(!e.0.contains("unknown flag"), "{label} {name}: {e}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -3360,10 +3056,16 @@ mod tests {
     fn fault_sim_parses_and_recovers_bit_exact() {
         let cmd = parse(&argv("fault-sim --rows 30 --cols 40 --depth 2 --rate 2e-4")).unwrap();
         match &cmd {
-            Command::FaultSim { rows: 30, cols: 40, depth: 2, stuck_chip: None, .. } => {}
+            Command::FaultSim(FaultSimArgs {
+                rows: 30,
+                cols: 40,
+                depth: 2,
+                mode: FaultSimMode::Chip { stuck_chip: None },
+                ..
+            }) => {}
             other => panic!("{other:?}"),
         }
-        let out = execute(Command::FaultSim {
+        let out = execute(Command::FaultSim(FaultSimArgs {
             rows: 30,
             cols: 40,
             width: 1,
@@ -3373,13 +3075,8 @@ mod tests {
             rate: 2e-5,
             retries: 6,
             ckpt_every: 1,
-            stuck_chip: None,
-            farm: false,
-            farm_shards: "1,2,4".into(),
-            farm_grid: None,
-            stuck_board: None,
-            overlap: false,
-        })
+            mode: FaultSimMode::Chip { stuck_chip: None },
+        }))
         .unwrap();
         assert!(out.contains("upd/fault"), "{out}");
         assert!(out.contains("bit-exact"), "{out}");
@@ -3391,7 +3088,7 @@ mod tests {
         // A flip rate hot enough that count-conserving multi-flip passes
         // slip past the exact audit (or exhaust the retry budget): the
         // sweep must not bury that in a table row — the command fails.
-        let err = execute(Command::FaultSim {
+        let err = execute(Command::FaultSim(FaultSimArgs {
             rows: 30,
             cols: 40,
             width: 1,
@@ -3401,20 +3098,15 @@ mod tests {
             rate: 2e-4,
             retries: 6,
             ckpt_every: 1,
-            stuck_chip: None,
-            farm: false,
-            farm_shards: "1,2,4".into(),
-            farm_grid: None,
-            stuck_board: None,
-            overlap: false,
-        })
+            mode: FaultSimMode::Chip { stuck_chip: None },
+        }))
         .unwrap_err();
         assert!(err.0.contains("ended unrecovered"), "{}", err.0);
     }
 
     #[test]
     fn fault_sim_stuck_link_bypasses_the_chip_and_stays_exact() {
-        let out = execute(Command::FaultSim {
+        let out = execute(Command::FaultSim(FaultSimArgs {
             rows: 26,
             cols: 30,
             width: 1,
@@ -3424,13 +3116,8 @@ mod tests {
             rate: 0.0,
             retries: 1,
             ckpt_every: 1,
-            stuck_chip: Some(1),
-            farm: false,
-            farm_shards: "1,2,4".into(),
-            farm_grid: None,
-            stuck_board: None,
-            overlap: false,
-        })
+            mode: FaultSimMode::Chip { stuck_chip: Some(1) },
+        }))
         .unwrap();
         assert!(!out.contains("WRONG"), "{out}");
         assert!(!out.contains("gave up"), "{out}");
@@ -3444,7 +3131,7 @@ mod tests {
     fn fault_sim_rejects_bad_geometry() {
         // Margin smaller than the generation count: exactness is not
         // guaranteed, so the command must refuse.
-        assert!(execute(Command::FaultSim {
+        assert!(execute(Command::FaultSim(FaultSimArgs {
             rows: 10,
             cols: 10,
             width: 1,
@@ -3454,13 +3141,8 @@ mod tests {
             rate: 1e-4,
             retries: 3,
             ckpt_every: 1,
-            stuck_chip: None,
-            farm: false,
-            farm_shards: "1,2,4".into(),
-            farm_grid: None,
-            stuck_board: None,
-            overlap: false,
-        })
+            mode: FaultSimMode::Chip { stuck_chip: None }
+        }))
         .is_err());
         assert!(parse(&argv("fault-sim --stuck-chip nope")).is_err());
         assert!(parse(&argv("fault-sim --stuck-board nope")).is_err());
@@ -3474,7 +3156,10 @@ mod tests {
         ))
         .unwrap();
         match &cmd {
-            Command::FaultSim { farm: true, farm_shards, stuck_board: None, .. } => {
+            Command::FaultSim(FaultSimArgs {
+                mode: FaultSimMode::Farm { shards: farm_shards, stuck_board: None, .. },
+                ..
+            }) => {
                 assert_eq!(farm_shards, "1,2");
             }
             other => panic!("{other:?}"),
@@ -3492,7 +3177,7 @@ mod tests {
 
     #[test]
     fn farm_fault_sim_stuck_board_degrades_and_stays_exact() {
-        let out = execute(Command::FaultSim {
+        let out = execute(Command::FaultSim(FaultSimArgs {
             rows: 26,
             cols: 36,
             width: 1,
@@ -3502,13 +3187,13 @@ mod tests {
             rate: 0.0,
             retries: 1,
             ckpt_every: 1,
-            stuck_chip: None,
-            farm: true,
-            farm_shards: "2".into(),
-            farm_grid: None,
-            stuck_board: Some(1),
-            overlap: false,
-        })
+            mode: FaultSimMode::Farm {
+                shards: "2".into(),
+                grid: None,
+                stuck_board: Some(1),
+                overlap: false,
+            },
+        }))
         .unwrap();
         assert!(!out.contains("WRONG"), "{out}");
         assert!(!out.contains("gave up"), "{out}");
@@ -3519,7 +3204,7 @@ mod tests {
             assert_eq!(fields[7], "1", "expected one retired board: {row}");
         }
         // An out-of-range stuck board is refused.
-        assert!(execute(Command::FaultSim {
+        assert!(execute(Command::FaultSim(FaultSimArgs {
             rows: 26,
             cols: 36,
             width: 1,
@@ -3529,13 +3214,13 @@ mod tests {
             rate: 0.0,
             retries: 1,
             ckpt_every: 1,
-            stuck_chip: None,
-            farm: true,
-            farm_shards: "2,4".into(),
-            farm_grid: None,
-            stuck_board: Some(2),
-            overlap: false,
-        })
+            mode: FaultSimMode::Farm {
+                shards: "2,4".into(),
+                grid: None,
+                stuck_board: Some(2),
+                overlap: false
+            }
+        }))
         .is_err());
     }
 
@@ -3544,34 +3229,39 @@ mod tests {
         let cmd = parse(&argv("farm")).unwrap();
         assert!(matches!(
             cmd,
-            Command::Farm {
-                shards: 4,
-                depth: 2,
-                link_bits: None,
-                grid: None,
-                tier_bits: None,
-                overlap: false,
+            Command::Farm(FarmArgs {
+                spec: SessionSpec {
+                    shards: 4,
+                    depth: 2,
+                    link_bits: None,
+                    grid: None,
+                    tier_bits: None,
+                    overlap: false,
+                    ..
+                },
                 verify: false,
                 ..
-            }
+            })
         ));
+        // The spec is the daemon's, defaults and all.
+        match cmd {
+            Command::Farm(FarmArgs { spec, .. }) => assert_eq!(spec, SessionSpec::default()),
+            other => panic!("{other:?}"),
+        }
         let cmd = parse(&argv(
             "farm --shards 3 --engine spa --slice-width 1 --rows 12 --cols 30 \
              --steps 4 --model hpp --link-bits 8 --overlap --verify --periodic",
         ))
         .unwrap();
         match cmd {
-            Command::Farm {
-                shards,
-                engine,
-                slice_width,
-                model,
-                periodic,
-                link_bits,
-                overlap,
+            Command::Farm(FarmArgs {
+                spec:
+                    SessionSpec {
+                        shards, engine, slice_width, model, periodic, link_bits, overlap, ..
+                    },
                 verify,
                 ..
-            } => {
+            }) => {
                 assert_eq!((shards, slice_width), (3, 1));
                 assert_eq!(engine, "spa");
                 assert_eq!(model, "hpp");
@@ -3584,33 +3274,36 @@ mod tests {
         // fault-sim picks the flag up too (farm fault matrix runs both modes).
         assert!(matches!(
             parse(&argv("fault-sim --farm --overlap")).unwrap(),
-            Command::FaultSim { farm: true, overlap: true, .. }
+            Command::FaultSim(FaultSimArgs { mode: FaultSimMode::Farm { overlap: true, .. }, .. })
         ));
     }
 
     #[test]
     fn farm_executes_and_verifies_bit_exact() {
-        let out = execute(Command::Farm {
-            shards: 3,
-            engine: "wsa".into(),
-            width: 2,
-            slice_width: 1,
-            depth: 2,
-            rows: 16,
-            cols: 30,
+        let out = execute(Command::Farm(FarmArgs {
+            spec: SessionSpec {
+                shards: 3,
+                engine: "wsa".into(),
+                width: 2,
+                slice_width: 1,
+                depth: 2,
+                rows: 16,
+                cols: 30,
+                seed: 5,
+                model: "fhp1".into(),
+                periodic: false,
+                link_bits: None,
+                grid: None,
+                tier_bits: None,
+                overlap: false,
+                ..SessionSpec::default()
+            },
             steps: 4,
-            seed: 5,
-            model: "fhp1".into(),
-            periodic: false,
-            link_bits: None,
-            grid: None,
-            tier_bits: None,
-            overlap: false,
             verify: true,
             checkpoint_dir: None,
             ckpt_every: 1,
             resume: false,
-        })
+        }))
         .unwrap();
         assert!(out.contains("verify: bit-exact vs reference"), "{out}");
         assert!(out.contains("model: pass ticks"), "{out}");
@@ -3619,27 +3312,30 @@ mod tests {
 
     #[test]
     fn farm_overlap_hides_halo_time_and_verifies_bit_exact() {
-        let out = execute(Command::Farm {
-            shards: 4,
-            engine: "wsa".into(),
-            width: 2,
-            slice_width: 1,
-            depth: 2,
-            rows: 16,
-            cols: 64,
+        let out = execute(Command::Farm(FarmArgs {
+            spec: SessionSpec {
+                shards: 4,
+                engine: "wsa".into(),
+                width: 2,
+                slice_width: 1,
+                depth: 2,
+                rows: 16,
+                cols: 64,
+                seed: 5,
+                model: "fhp1".into(),
+                periodic: false,
+                link_bits: Some(4.0),
+                grid: None,
+                tier_bits: None,
+                overlap: true,
+                ..SessionSpec::default()
+            },
             steps: 8,
-            seed: 5,
-            model: "fhp1".into(),
-            periodic: false,
-            link_bits: Some(4.0),
-            grid: None,
-            tier_bits: None,
-            overlap: true,
             verify: true,
             checkpoint_dir: None,
             ckpt_every: 1,
             resume: false,
-        })
+        }))
         .unwrap();
         assert!(out.contains("overlapped exchange"), "{out}");
         assert!(out.contains("verify: bit-exact vs reference"), "{out}");
@@ -3648,7 +3344,7 @@ mod tests {
 
     #[test]
     fn farm_fault_sim_overlap_mode_stays_exact() {
-        let out = execute(Command::FaultSim {
+        let out = execute(Command::FaultSim(FaultSimArgs {
             rows: 26,
             cols: 36,
             width: 1,
@@ -3658,13 +3354,13 @@ mod tests {
             rate: 2e-3,
             retries: 6,
             ckpt_every: 1,
-            stuck_chip: None,
-            farm: true,
-            farm_shards: "2".into(),
-            farm_grid: None,
-            stuck_board: None,
-            overlap: true,
-        })
+            mode: FaultSimMode::Farm {
+                shards: "2".into(),
+                grid: None,
+                stuck_board: None,
+                overlap: true,
+            },
+        }))
         .unwrap();
         assert!(out.contains("overlapped exchange"), "{out}");
         assert!(out.contains("bit-exact"), "{out}");
@@ -3674,27 +3370,30 @@ mod tests {
 
     #[test]
     fn farm_spa_torus_with_throttled_links() {
-        let out = execute(Command::Farm {
-            shards: 2,
-            engine: "spa".into(),
-            width: 1,
-            slice_width: 1,
-            depth: 2,
-            rows: 12,
-            cols: 20,
+        let out = execute(Command::Farm(FarmArgs {
+            spec: SessionSpec {
+                shards: 2,
+                engine: "spa".into(),
+                width: 1,
+                slice_width: 1,
+                depth: 2,
+                rows: 12,
+                cols: 20,
+                seed: 9,
+                model: "hpp".into(),
+                periodic: true,
+                link_bits: Some(4.0),
+                grid: None,
+                tier_bits: None,
+                overlap: true,
+                ..SessionSpec::default()
+            },
             steps: 4,
-            seed: 9,
-            model: "hpp".into(),
-            periodic: true,
-            link_bits: Some(4.0),
-            grid: None,
-            tier_bits: None,
-            overlap: true,
             verify: true,
             checkpoint_dir: None,
             ckpt_every: 1,
             resume: false,
-        })
+        }))
         .unwrap();
         assert!(out.contains("torus"), "{out}");
         assert!(out.contains("verify: bit-exact"), "{out}");
@@ -3703,53 +3402,56 @@ mod tests {
 
     #[test]
     fn farm_rejects_bad_configs() {
-        let base = Command::Farm {
-            shards: 2,
-            engine: "wsa".into(),
-            width: 1,
-            slice_width: 1,
-            depth: 1,
-            rows: 8,
-            cols: 12,
+        let base = Command::Farm(FarmArgs {
+            spec: SessionSpec {
+                shards: 2,
+                engine: "wsa".into(),
+                width: 1,
+                slice_width: 1,
+                depth: 1,
+                rows: 8,
+                cols: 12,
+                seed: 1,
+                model: "hpp".into(),
+                periodic: false,
+                link_bits: None,
+                grid: None,
+                tier_bits: None,
+                overlap: false,
+                ..SessionSpec::default()
+            },
             steps: 2,
-            seed: 1,
-            model: "hpp".into(),
-            periodic: false,
-            link_bits: None,
-            grid: None,
-            tier_bits: None,
-            overlap: false,
             verify: false,
             checkpoint_dir: None,
             ckpt_every: 1,
             resume: false,
-        };
+        });
         let with = |f: &dyn Fn(&mut Command)| {
             let mut c = base.clone();
             f(&mut c);
             execute(c)
         };
         assert!(with(&|c| {
-            if let Command::Farm { engine, .. } = c {
-                *engine = "dataflow".into();
+            if let Command::Farm(FarmArgs { spec, .. }) = c {
+                spec.engine = "dataflow".into();
             }
         })
         .is_err());
         assert!(with(&|c| {
-            if let Command::Farm { model, .. } = c {
-                *model = "bogus".into();
+            if let Command::Farm(FarmArgs { spec, .. }) = c {
+                spec.model = "bogus".into();
             }
         })
         .is_err());
         assert!(with(&|c| {
-            if let Command::Farm { shards, .. } = c {
-                *shards = 99;
+            if let Command::Farm(FarmArgs { spec, .. }) = c {
+                spec.shards = 99;
             }
         })
         .is_err());
         assert!(with(&|c| {
-            if let Command::Farm { link_bits, .. } = c {
-                *link_bits = Some(-1.0);
+            if let Command::Farm(FarmArgs { spec, .. }) = c {
+                spec.link_bits = Some(-1.0);
             }
         })
         .is_err());
@@ -3760,7 +3462,12 @@ mod tests {
     fn farm_checkpoint_flags_parse() {
         let cmd = parse(&argv("farm --checkpoint-dir /tmp/ck --ckpt-every 2 --resume")).unwrap();
         match cmd {
-            Command::Farm { checkpoint_dir: Some(d), ckpt_every: 2, resume: true, .. } => {
+            Command::Farm(FarmArgs {
+                checkpoint_dir: Some(d),
+                ckpt_every: 2,
+                resume: true,
+                ..
+            }) => {
                 assert_eq!(d, "/tmp/ck");
             }
             other => panic!("{other:?}"),
@@ -3768,7 +3475,7 @@ mod tests {
         // Defaults: no persistence.
         assert!(matches!(
             parse(&argv("farm")).unwrap(),
-            Command::Farm { checkpoint_dir: None, ckpt_every: 1, resume: false, .. }
+            Command::Farm(FarmArgs { checkpoint_dir: None, ckpt_every: 1, resume: false, .. })
         ));
         // Resuming without a store directory is a config error.
         let err = execute(parse(&argv("farm --resume")).unwrap()).unwrap_err();
@@ -3782,26 +3489,31 @@ mod tests {
             .to_string_lossy()
             .into_owned();
         let _ = std::fs::remove_dir_all(&dir);
-        let base = |steps: u64, resume: bool| Command::Farm {
-            shards: 3,
-            engine: "wsa".into(),
-            width: 1,
-            slice_width: 1,
-            depth: 2,
-            rows: 12,
-            cols: 27,
-            steps,
-            seed: 11,
-            model: "fhp3".into(),
-            periodic: false,
-            link_bits: None,
-            grid: None,
-            tier_bits: None,
-            overlap: false,
-            verify: true,
-            checkpoint_dir: Some(dir.clone()),
-            ckpt_every: 1,
-            resume,
+        let base = |steps: u64, resume: bool| {
+            Command::Farm(FarmArgs {
+                spec: SessionSpec {
+                    shards: 3,
+                    engine: "wsa".into(),
+                    width: 1,
+                    slice_width: 1,
+                    depth: 2,
+                    rows: 12,
+                    cols: 27,
+                    seed: 11,
+                    model: "fhp3".into(),
+                    periodic: false,
+                    link_bits: None,
+                    grid: None,
+                    tier_bits: None,
+                    overlap: false,
+                    ..SessionSpec::default()
+                },
+                steps,
+                verify: true,
+                checkpoint_dir: Some(dir.clone()),
+                ckpt_every: 1,
+                resume,
+            })
         };
         // Leg 1 stops at generation 6 of the eventual 10 ("killed").
         let out = execute(base(6, false)).unwrap();
@@ -3840,7 +3552,6 @@ mod tests {
             seed: 42,
             rate: 2e-3,
             io_rate: 0.1,
-            serve: false,
         })
         .unwrap();
         assert!(out.contains("all 2 storm(s) recovered"), "{out}");
@@ -3874,7 +3585,9 @@ mod tests {
         assert!(parse(&argv("request --addr 127.0.0.1:1")).is_err());
         assert!(parse(&argv("request")).is_err());
         match parse(&argv("bench --shards 1,2 --json")).unwrap() {
-            Command::Bench { json: true, shards, out: None, .. } => assert_eq!(shards, "1,2"),
+            Command::Bench(BenchArgs { json: true, shards, out: None, .. }) => {
+                assert_eq!(shards, "1,2")
+            }
             other => panic!("{other:?}"),
         }
     }
@@ -3914,7 +3627,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lattice-bench-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bench.json").to_string_lossy().into_owned();
-        let out = execute(Command::Bench {
+        let out = execute(Command::Bench(BenchArgs {
             rows: 16,
             cols: 24,
             steps: 4,
@@ -3929,7 +3642,7 @@ mod tests {
             out: Some(path.clone()),
             baseline: None,
             tolerance: 0.02,
-        })
+        }))
         .unwrap();
         assert!(out.contains("sites/sec"), "{out}");
         // 2 engines x 2 shard counts x 2 overlap modes, plus the grid
@@ -4026,17 +3739,8 @@ mod tests {
     fn serve_chaos_storm_holds_every_invariant_at_the_pinned_seed() {
         // The CI `chaos-serve` job in miniature: one storm, the same
         // derivation. Deterministic weather — always passes or never.
-        let out = execute(Command::Chaos {
-            storms: 1,
-            rows: 36,
-            cols: 40,
-            steps: 3,
-            seed: 42,
-            rate: 0.05,
-            io_rate: 0.1,
-            serve: true,
-        })
-        .unwrap();
+        let out =
+            execute(Command::ServeChaos { storms: 1, steps: 3, seed: 42, rate: 0.05 }).unwrap();
         assert!(out.contains("all 1 storm(s) held"), "{out}");
         // ≥ 3 daemon kill+restart cycles per storm (acceptance floor),
         // and the weather must actually fire: a soak whose ladder
@@ -4054,7 +3758,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("baseline.json").to_string_lossy().into_owned();
         let bench_at = |baseline: Option<String>, link_bits: f64| {
-            execute(Command::Bench {
+            execute(Command::Bench(BenchArgs {
                 rows: 16,
                 cols: 24,
                 steps: 4,
@@ -4069,7 +3773,7 @@ mod tests {
                 out: Some(path.clone()),
                 baseline,
                 tolerance: 0.02,
-            })
+            }))
         };
         let bench = |baseline: Option<String>| bench_at(baseline, 16.0);
         // Generate the artifact, then ratchet the identical run

@@ -1,12 +1,40 @@
 //! End-to-end tests of the `lattice` binary: real process, real argv,
 //! real stdout — the outermost layer of the stack.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn lattice(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_lattice")).args(args).output().expect("binary runs");
     (
         out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Runs the binary like [`lattice`] but returns its exit code, and
+/// kills it (failing the test) if it outlives `secs` — a command that
+/// should be refused must not spin or start serving instead.
+fn lattice_within(secs: u64, args: &[&str]) -> (Option<i32>, String, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lattice"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while child.try_wait().expect("wait").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("`lattice {}` still running after {secs} s", args.join(" "));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("binary output");
+    (
+        out.status.code(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
@@ -167,4 +195,72 @@ fn bad_flag_values_fail_cleanly() {
     let (ok, _, err) = lattice(&["resume"]);
     assert!(!ok);
     assert!(err.contains("--load"));
+}
+
+#[test]
+fn every_subcommand_rejects_unknown_repeated_and_mismatched_flags() {
+    const SUBCOMMANDS: [&str; 14] = [
+        "gas",
+        "engine",
+        "resume",
+        "design",
+        "pebble",
+        "image",
+        "waveform",
+        "fault-sim",
+        "farm",
+        "chaos",
+        "serve",
+        "request",
+        "bench",
+        "info",
+    ];
+    // An unknown flag is named, even ahead of a missing required one,
+    // and nothing runs: `serve` must fail before it binds.
+    for cmd in SUBCOMMANDS {
+        let (code, out, err) = lattice_within(60, &[cmd, "--bogus", "1"]);
+        assert_eq!(code, Some(2), "{cmd}: {err}");
+        assert!(err.contains("--bogus"), "{cmd}: {err}");
+        assert!(out.is_empty(), "{cmd}: {out}");
+    }
+    let refused: [&[&str]; 13] = [
+        // Repeated flag.
+        &["pebble", "--d", "2", "--d", "3"],
+        // A switch given a value.
+        &["gas", "--periodic", "yes"],
+        // A value flag given bare.
+        &["gas", "--rows"],
+        // Flags of the other mode.
+        &["fault-sim", "--farm-shards", "2"],
+        &["fault-sim", "--farm-grid", "2x2"],
+        &["fault-sim", "--stuck-board", "1"],
+        &["fault-sim", "--overlap"],
+        &["fault-sim", "--farm", "--stuck-chip", "1"],
+        &["chaos", "--serve", "--rows", "40"],
+        &["chaos", "--serve", "--cols", "40"],
+        &["chaos", "--serve", "--io-rate", "0.2"],
+        // A misspelling no longer runs on defaults.
+        &["farm", "--stpes", "100"],
+        &["bench", "--shard", "1"],
+    ];
+    for args in refused {
+        let (code, out, err) = lattice_within(60, args);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?}: {out}");
+    }
+}
+
+#[test]
+fn huge_steps_are_refused_promptly() {
+    // The confinement margin is 2x --steps: a count whose double
+    // overflows must be refused, not panic or wrap to a passing check.
+    for args in [
+        ["fault-sim", "--steps", "18446744073709551615"],
+        ["chaos", "--steps", "9223372036854775808"],
+    ] {
+        let (code, out, err) = lattice_within(60, &args);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(err.contains("must exceed 2x --steps"), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?}: {out}");
+    }
 }
