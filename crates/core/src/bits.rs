@@ -1,9 +1,14 @@
-//! Bit-level utilities: site packing and I/O traffic accounting.
+//! Bit-level utilities: the bit-plane site layout and I/O traffic
+//! accounting.
 //!
 //! The paper's central quantities are measured in *bits per clock tick*
 //! across chip pins and the main-memory channel. [`Traffic`] is the
-//! counter type every simulator uses; [`pack_sites`]/[`unpack_sites`]
-//! model the D-bits-per-site wire format.
+//! counter type every simulator uses. [`pack_word`]/[`unpack_word`] are
+//! the one site packer: bit `p` of 64 consecutive sites becomes one
+//! word of plane `p`. [`pack_rows`] lays a 2-D lattice out that way for
+//! the bit-parallel gas kernels, with [`shift_row`] to stream a plane
+//! along its rows, and checkpoint images store the same planes as
+//! bytes.
 
 use crate::rule::State;
 
@@ -111,45 +116,173 @@ impl StreamParity {
     }
 }
 
-/// Packs site states into 64-bit words, [`State::BITS`] bits per site,
-/// little-endian within each word. Sites never straddle word boundaries
-/// when `64 % BITS == 0`; otherwise they may, exactly as a serial wire
-/// format would.
-pub fn pack_sites<S: State>(sites: &[S]) -> Vec<u64> {
-    let bits = S::BITS as usize;
-    assert!((1..=64).contains(&bits));
-    let total_bits = sites.len() * bits;
-    let mut words = vec![0u64; total_bits.div_ceil(64)];
-    let mask: u64 = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-    for (i, s) in sites.iter().enumerate() {
-        let v = s.to_word() & mask;
-        let bit0 = i * bits;
-        let w = bit0 / 64;
-        let off = bit0 % 64;
-        words[w] |= v << off;
-        if off + bits > 64 {
-            words[w + 1] |= v >> (64 - off);
+/// Bit 0 of each of eight packed bytes.
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+
+/// Multiplying a word whose bytes are each 0 or 1 by this constant
+/// gathers byte `j` into bit `56 + j`: the partial products land on
+/// distinct bit positions, so no carry disturbs the top byte.
+const GATHER: u64 = 0x0102_0408_1020_4080;
+
+/// `SPREAD[b]` has byte `j` equal to bit `j` of `b`: the inverse of the
+/// [`GATHER`] multiply.
+const SPREAD: [u64; 256] = {
+    let mut t = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut j = 0;
+        while j < 8 {
+            t[b] |= ((b as u64 >> j) & 1) << (8 * j);
+            j += 1;
         }
+        b += 1;
     }
-    words
+    t
+};
+
+/// Byte lanes in a site word, eight bits each.
+const fn lanes<S: State>() -> usize {
+    S::BITS.div_ceil(8) as usize
 }
 
-/// Inverse of [`pack_sites`]: extracts `n` sites from packed words.
-pub fn unpack_sites<S: State>(words: &[u64], n: usize) -> Vec<S> {
-    let bits = S::BITS as usize;
-    let mask: u64 = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let bit0 = i * bits;
-        let w = bit0 / 64;
-        let off = bit0 % 64;
-        let mut v = words[w] >> off;
-        if off + bits > 64 {
-            v |= words[w + 1] << (64 - off);
+/// Ors bit `p` of each of eight sites into byte `j` of `planes[p]`.
+#[inline]
+fn gather_eight<S: State>(eight: &[S; 8], j: usize, planes: &mut [u64]) {
+    for lane in 0..lanes::<S>() {
+        // Byte `lane` of the eight site words as one word: a plain
+        // little-endian load when the sites are bytes.
+        let x = eight
+            .iter()
+            .enumerate()
+            .fold(0u64, |x, (k, s)| x | (s.to_word() >> (8 * lane) & 0xFF) << (8 * k));
+        for (p, word) in planes.iter_mut().skip(8 * lane).take(8).enumerate() {
+            *word |= (((x >> p) & LOW_BITS).wrapping_mul(GATHER) >> 56) << (8 * j);
         }
-        out.push(S::from_word(v & mask));
     }
-    out
+}
+
+/// The eight sites whose bits sit in byte `j` of the plane words.
+#[inline]
+fn spread_eight<S: State>(planes: &[u64], j: usize) -> [S; 8] {
+    let mut words = [0u64; 8];
+    for lane in 0..lanes::<S>() {
+        let x = planes
+            .iter()
+            .skip(8 * lane)
+            .take(8)
+            .enumerate()
+            .fold(0u64, |x, (p, word)| x | SPREAD[usize::from((word >> (8 * j)) as u8)] << p);
+        for (k, w) in words.iter_mut().enumerate() {
+            *w |= (x >> (8 * k) & 0xFF) << (8 * lane);
+        }
+    }
+    words.map(S::from_word)
+}
+
+/// Packs up to 64 sites into bit-plane words: bit `j` of `planes[p]`
+/// is bit `p` of `sites[j]`. Site bits at and above `planes.len()` are
+/// dropped, and plane bits past `sites.len()` are zero.
+///
+/// Eight sites move per word operation: each byte lane of eight site
+/// words is loaded as one word, and one mask-and-multiply per plane
+/// gathers that plane's eight bits into a byte.
+#[inline]
+pub fn pack_word<S: State>(sites: &[S], planes: &mut [u64]) {
+    debug_assert!(sites.len() <= 64 && planes.len() <= S::BITS as usize);
+    planes.fill(0);
+    let (groups, tail) = sites.as_chunks::<8>();
+    for (j, eight) in groups.iter().enumerate() {
+        gather_eight(eight, j, planes);
+    }
+    if !tail.is_empty() {
+        let mut last = [S::default(); 8];
+        last[..tail.len()].copy_from_slice(tail);
+        gather_eight(&last, groups.len(), planes);
+    }
+}
+
+/// Inverse of [`pack_word`]: sets each of `sites` (at most 64) from bit
+/// `j` of the plane words; site bits at and above `planes.len()` come
+/// out zero. A 256-entry table spreads a byte of plane bits back over
+/// eight sites.
+#[inline]
+pub fn unpack_word<S: State>(planes: &[u64], sites: &mut [S]) {
+    debug_assert!(sites.len() <= 64 && planes.len() <= S::BITS as usize);
+    let (groups, tail) = sites.as_chunks_mut::<8>();
+    let full = groups.len();
+    for (j, eight) in groups.iter_mut().enumerate() {
+        *eight = spread_eight(planes, j);
+    }
+    if !tail.is_empty() {
+        let n = tail.len();
+        tail.copy_from_slice(&spread_eight::<S>(planes, full)[..n]);
+    }
+}
+
+/// Packs a row-major raster of `cols`-site rows into `N` bit-planes
+/// with [`pack_word`]. Each row starts a fresh word: plane `p` holds
+/// `⌈cols/64⌉` words per row, and bit `j` of row `r`'s word `w` is bit
+/// `p` of site `(r, 64w + j)`.
+pub fn pack_rows<S: State, const N: usize>(sites: &[S], cols: usize) -> [Vec<u64>; N] {
+    let words = sites.len() / cols * cols.div_ceil(64);
+    let mut planes = std::array::from_fn(|_| Vec::with_capacity(words));
+    let mut word = [0u64; N];
+    for chunk in sites.chunks_exact(cols).flat_map(|row| row.chunks(64)) {
+        pack_word(chunk, &mut word);
+        for (plane, w) in planes.iter_mut().zip(word) {
+            plane.push(w);
+        }
+    }
+    planes
+}
+
+/// Inverse of [`pack_rows`]: refills the `cols`-site rows of `sites`
+/// from their planes.
+pub fn unpack_rows<S: State, const N: usize>(planes: &[Vec<u64>; N], cols: usize, sites: &mut [S]) {
+    let chunks = sites.chunks_exact_mut(cols).flat_map(|row| row.chunks_mut(64));
+    for (i, chunk) in chunks.enumerate() {
+        unpack_word(&planes.each_ref().map(|p| p[i]), chunk);
+    }
+}
+
+/// The valid-site mask of the last word of a [`pack_rows`] row: the
+/// bits above `cols % 64` are padding and stay zero.
+#[inline]
+pub fn tail_mask(cols: usize) -> u64 {
+    match cols % 64 {
+        0 => u64::MAX,
+        tail => (1u64 << tail) - 1,
+    }
+}
+
+/// Shifts one [`pack_rows`] row of a plane by one site, east (toward
+/// higher columns) or west, with word-chained carries. The site
+/// entering at the edge is the one leaving the other edge when
+/// `periodic`, zero otherwise.
+#[inline]
+pub fn shift_row(row: &mut [u64], cols: usize, east: bool, periodic: bool) {
+    let wpr = row.len();
+    let last_bit = (cols - 1) % 64;
+    if east {
+        let mut carry = if periodic { row[wpr - 1] >> last_bit & 1 } else { 0 };
+        for w in row.iter_mut() {
+            let new_carry = *w >> 63 & 1;
+            *w = (*w << 1) | carry;
+            carry = new_carry;
+        }
+    } else {
+        let first = row[0] & 1;
+        for w in 0..wpr {
+            let next_in = if w + 1 < wpr { row[w + 1] & 1 } else { 0 };
+            row[w] = (row[w] >> 1) | (next_in << 63);
+        }
+        // Padding bits are zero, so the null boundary's last column
+        // already reads zero; the torus wraps the first column in.
+        if periodic {
+            row[wpr - 1] |= first << last_bit;
+        }
+    }
+    row[wpr - 1] &= tail_mask(cols);
 }
 
 #[cfg(test)]
@@ -173,34 +306,63 @@ mod tests {
         assert_eq!(u.bits_in, 96);
     }
 
-    #[test]
-    fn pack_unpack_u8_roundtrip() {
-        let sites: Vec<u8> = (0..=255u8).collect();
-        let words = pack_sites(&sites);
-        assert_eq!(words.len(), 32);
-        let back: Vec<u8> = unpack_sites(&words, sites.len());
-        assert_eq!(back, sites);
+    /// Packs `sites` 64 at a time into `planes` planes and back.
+    fn roundtrip<S: State>(sites: &[S], planes: usize) -> Vec<S> {
+        let mut back = vec![S::default(); sites.len()];
+        let mut words = vec![0u64; planes];
+        for (chunk, out) in sites.chunks(64).zip(back.chunks_mut(64)) {
+            pack_word(chunk, &mut words);
+            unpack_word(&words, out);
+        }
+        back
     }
 
     #[test]
-    fn pack_unpack_bool_roundtrip() {
-        let sites: Vec<bool> = (0..130).map(|i| i % 3 == 0).collect();
-        let words = pack_sites(&sites);
-        assert_eq!(words.len(), 3);
-        let back: Vec<bool> = unpack_sites(&words, sites.len());
-        assert_eq!(back, sites);
+    fn pack_word_layout_is_one_bit_per_site_per_plane() {
+        let sites: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37)).collect();
+        let mut planes = [0u64; 8];
+        pack_word(&sites, &mut planes);
+        for (p, word) in planes.iter().enumerate() {
+            for (j, s) in sites.iter().enumerate() {
+                assert_eq!(word >> j & 1, u64::from(s >> p & 1), "plane {p} site {j}");
+            }
+        }
+        // A short run leaves the plane bits past it zero.
+        pack_word(&[0xFFu8; 3], &mut planes);
+        assert_eq!(planes, [0b111; 8]);
     }
 
     #[test]
-    fn pack_layout_is_little_endian() {
-        let words = pack_sites(&[0x01u8, 0x02, 0x03]);
-        assert_eq!(words[0], 0x030201);
+    fn pack_unpack_roundtrips_every_width() {
+        let bytes: Vec<u8> = (0..=255u8).collect();
+        assert_eq!(roundtrip(&bytes, 8), bytes);
+        let flags: Vec<bool> = (0..130).map(|i| i % 3 == 0).collect();
+        assert_eq!(roundtrip(&flags, 1), flags);
+        let wide: Vec<u16> = (0..1000u16).map(|i| i.wrapping_mul(2654435761u32 as u16)).collect();
+        assert_eq!(roundtrip(&wide, 16), wide);
+        let words: Vec<u32> = (0..77u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        assert_eq!(roundtrip(&words, 32), words);
+        assert!(roundtrip::<u8>(&[], 8).is_empty());
     }
 
     #[test]
-    fn pack_unpack_u16_roundtrip() {
-        let sites: Vec<u16> = (0..1000u16).map(|i| i.wrapping_mul(2654435761u32 as u16)).collect();
-        let back: Vec<u16> = unpack_sites(&pack_sites(&sites), sites.len());
+    fn fewer_planes_drop_the_high_bits() {
+        let sites: Vec<u16> = (0..70u16).map(|i| i.wrapping_mul(997)).collect();
+        let low: Vec<u16> = sites.iter().map(|s| s & 0x3FF).collect();
+        assert_eq!(roundtrip(&sites, 10), low);
+    }
+
+    #[test]
+    fn rows_start_fresh_words() {
+        // Two 70-site rows: each takes two words per plane, and the
+        // second row's sites start at bit 0 of word 2.
+        let sites: Vec<u8> =
+            (0..140).map(|i| u8::from(i % 70 == 0) | u8::from(i == 139) << 1).collect();
+        let planes: [Vec<u64>; 2] = pack_rows(&sites, 70);
+        assert_eq!(planes[0], [1, 0, 1, 0]);
+        assert_eq!(planes[1], [0, 0, 0, 1 << 5]);
+        let mut back = vec![0u8; sites.len()];
+        unpack_rows(&planes, 70, &mut back);
         assert_eq!(back, sites);
     }
 
@@ -251,13 +413,5 @@ mod tests {
             pair.absorb(if j == 10 || j == 20 { s ^ 0x04 } else { s });
         }
         assert!(pair.mismatch(&sent).is_some());
-    }
-
-    #[test]
-    fn empty_pack() {
-        let words = pack_sites::<u8>(&[]);
-        assert!(words.is_empty());
-        let back: Vec<u8> = unpack_sites(&words, 0);
-        assert!(back.is_empty());
     }
 }

@@ -44,8 +44,9 @@ use crate::LatticeError;
 /// Magic tag opening every generation file.
 pub const SNAP_MAGIC: &[u8; 4] = b"LSNP";
 /// Container format version written by [`CheckpointStore::commit`].
-/// Version 2 added a per-shard `row0` for rectangular block shards;
-/// version-1 files (columnar slabs, implicit `row0 = 0`) still decode.
+/// Version 2 added a per-shard `row0` for rectangular block shards.
+/// Version-1 files are rejected as obsolete: they predate the
+/// bit-plane images, so every image they hold is obsolete too.
 pub const SNAP_VERSION: u16 = 2;
 /// The two generation slots of the double buffer.
 pub const GEN_FILES: [&str; 2] = ["gen0.lck", "gen1.lck"];
@@ -56,6 +57,8 @@ const CRC_POLY: u64 = 0x42F0_E1EB_A9EA_3693;
 
 /// Fixed bytes before the shard table: magic, version, seq, time, count.
 const SNAP_HEADER: usize = 4 + 2 + 8 + 8 + 4;
+/// Bytes before each shard's image: col0, row0, image length.
+const SHARD_HEADER: usize = 8 + 8 + 8;
 /// Trailing CRC-64 footer.
 const SNAP_FOOTER: usize = 8;
 
@@ -436,10 +439,10 @@ pub fn list_sessions<B: StoreBackend>(backend: &mut B) -> Result<Vec<String>, La
 pub struct ShardBlob {
     /// First interior column of the shard's block in the full lattice.
     pub col0: u64,
-    /// First interior row of the shard's block in the full lattice
-    /// (always 0 in version-1 files).
+    /// First interior row of the shard's block in the full lattice.
     pub row0: u64,
-    /// Checkpoint image of the block (header + RLE runs).
+    /// Checkpoint image of the block ([`super::save`]: header +
+    /// bit-planes).
     pub blob: Vec<u8>,
 }
 
@@ -469,7 +472,7 @@ pub struct LoadedSnapshot {
 }
 
 fn encode_snapshot(seq: u64, time: Ticks, shards: &[ShardBlob]) -> Vec<u8> {
-    let payload: usize = shards.iter().map(|s| 24 + s.blob.len()).sum();
+    let payload: usize = shards.iter().map(|s| SHARD_HEADER + s.blob.len()).sum();
     let mut out = Vec::with_capacity(SNAP_HEADER + payload + SNAP_FOOTER);
     out.extend_from_slice(SNAP_MAGIC);
     out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
@@ -499,48 +502,39 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, LatticeError> {
     let version = u16::from_le_bytes([bytes[4], bytes[5]]);
     if version > SNAP_VERSION {
         return Err(err(format!(
-            "future container version {version} (this build reads <= {SNAP_VERSION})"
+            "future container version {version} (this build reads {SNAP_VERSION})"
         )));
     }
+    if version < SNAP_VERSION {
+        return Err(err(format!("obsolete container version {version}")));
+    }
+    let word = |at: usize| {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&bytes[at..at + 8]);
+        u64::from_le_bytes(b)
+    };
     let body = &bytes[..bytes.len() - SNAP_FOOTER];
-    let mut cb = [0u8; 8];
-    cb.copy_from_slice(&bytes[bytes.len() - SNAP_FOOTER..]);
-    let stored = u64::from_le_bytes(cb);
-    let actual = crc64(body);
+    let (stored, actual) = (word(body.len()), crc64(body));
     if stored != actual {
         return Err(err(format!("CRC mismatch: stored {stored:#018x}, computed {actual:#018x}")));
     }
-    let mut qb = [0u8; 8];
-    qb.copy_from_slice(&bytes[6..14]);
-    let seq = u64::from_le_bytes(qb);
-    qb.copy_from_slice(&bytes[14..22]);
-    let time = Ticks::new(u64::from_le_bytes(qb));
+    let (seq, time) = (word(6), Ticks::new(word(14)));
     let count = u32::from_le_bytes([bytes[22], bytes[23], bytes[24], bytes[25]]) as usize;
-    // Version 1 headers carried (col0, len); version 2 added row0.
-    let header = if version >= 2 { 24 } else { 16 };
     let mut shards = Vec::with_capacity(count.min(1024));
     let mut pos = SNAP_HEADER;
     for i in 0..count {
-        if pos + header > body.len() {
+        if body.len() - pos < SHARD_HEADER {
             return Err(err(format!("shard {i} header truncated")));
         }
-        let mut fb = [0u8; 8];
-        fb.copy_from_slice(&body[pos..pos + 8]);
-        let col0 = u64::from_le_bytes(fb);
-        let row0 = if version >= 2 {
-            fb.copy_from_slice(&body[pos + 8..pos + 16]);
-            u64::from_le_bytes(fb)
-        } else {
-            0
-        };
-        fb.copy_from_slice(&body[pos + header - 8..pos + header]);
-        let len = usize_from_u64(u64::from_le_bytes(fb));
-        pos += header;
-        if pos + len > body.len() {
-            return Err(err(format!("shard {i} blob truncated")));
-        }
-        shards.push(ShardBlob { col0, row0, blob: body[pos..pos + len].to_vec() });
-        pos += len;
+        let (col0, row0, len) = (word(pos), word(pos + 8), word(pos + 16));
+        pos += SHARD_HEADER;
+        // A crafted length must not wrap `pos + len` around.
+        let blob = usize::try_from(len)
+            .ok()
+            .and_then(|len| body.get(pos..pos.checked_add(len)?))
+            .ok_or_else(|| err(format!("shard {i} blob truncated")))?;
+        shards.push(ShardBlob { col0, row0, blob: blob.to_vec() });
+        pos += blob.len();
     }
     if pos != body.len() {
         return Err(err("trailing bytes after shard table".into()));
@@ -790,16 +784,16 @@ impl<B: StoreBackend> SnapshotSink for CheckpointStore<B> {
 /// covered once, no gaps, no overlap) — the layout a [`ShardBlob`]
 /// records survives degraded re-partitioning and board-grid reshapes
 /// because reassembly trusts the recorded geometry, not the current
-/// farm configuration. Columnar version-1 snapshots are the
-/// `row0 = 0` special case.
+/// farm configuration. The lattice is allocated only once the blocks'
+/// extent holds exactly as many sites as the blocks do, so crafted
+/// origins cannot size it.
 pub fn reassemble<S: State>(snap: &Snapshot) -> Result<(Grid<S>, Ticks), LatticeError> {
     let err = |detail: String| store_err("snapshot", detail);
     if snap.shards.is_empty() {
         return Err(err("no shards".into()));
     }
     let mut blocks: Vec<(usize, usize, Grid<S>)> = Vec::with_capacity(snap.shards.len());
-    let mut rows = 0usize;
-    let mut cols = 0usize;
+    let (mut rows, mut cols, mut sites) = (0usize, 0usize, 0usize);
     for (i, s) in snap.shards.iter().enumerate() {
         let (g, t) = super::load::<S>(&s.blob)?;
         if t != snap.time {
@@ -813,9 +807,17 @@ pub fn reassemble<S: State>(snap: &Snapshot) -> Result<(Grid<S>, Ticks), Lattice
             return Err(err(format!("shard {i} is not a 2-D block")));
         }
         let (row0, col0) = (usize_from_u64(s.row0), usize_from_u64(s.col0));
-        rows = rows.max(row0 + g.shape().dims()[0]);
-        cols = cols.max(col0 + g.shape().dims()[1]);
+        let (end_row, end_col) = row0
+            .checked_add(g.shape().dims()[0])
+            .zip(col0.checked_add(g.shape().dims()[1]))
+            .ok_or_else(|| err(format!("shard {i} lies past the addressable lattice")))?;
+        rows = rows.max(end_row);
+        cols = cols.max(end_col);
+        sites += g.shape().len();
         blocks.push((row0, col0, g));
+    }
+    if rows.checked_mul(cols) != Some(sites) {
+        return Err(err(format!("shards hold {sites} sites but span a {rows}x{cols} lattice")));
     }
     let shape = Shape::grid2(rows, cols)?;
     let mut data: Vec<S> = vec![S::default(); shape.len()];
@@ -832,9 +834,6 @@ pub fn reassemble<S: State>(snap: &Snapshot) -> Result<(Grid<S>, Ticks), Lattice
                 *c = true;
             }
         }
-    }
-    if !covered.iter().all(|&c| c) {
-        return Err(err("shards leave a gap in the lattice".into()));
     }
     Ok((Grid::from_vec(shape, data)?, snap.time))
 }
@@ -1034,28 +1033,64 @@ mod tests {
     }
 
     #[test]
-    fn version1_columnar_snapshots_still_decode() {
-        // Hand-build a version-1 file (16-byte shard headers, no row0)
-        // and check this build reads it with row0 = 0.
-        let shards = snap_shards(4, 6);
-        let mut out = Vec::new();
-        out.extend_from_slice(SNAP_MAGIC);
-        out.extend_from_slice(&1u16.to_le_bytes());
-        out.extend_from_slice(&9u64.to_le_bytes());
-        out.extend_from_slice(&4u64.to_le_bytes());
-        out.extend_from_slice(&(shards.len() as u32).to_le_bytes());
-        for s in &shards {
-            out.extend_from_slice(&s.col0.to_le_bytes());
-            out.extend_from_slice(&u64_from_usize(s.blob.len()).to_le_bytes());
-            out.extend_from_slice(&s.blob);
+    fn version1_containers_are_obsolete() {
+        let mut bytes = encode_snapshot(9, Ticks::new(4), &snap_shards(4, 6));
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let n = bytes.len();
+        let crc = crc64(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&crc.to_le_bytes());
+        match decode_snapshot(&bytes) {
+            Err(LatticeError::Corrupted { detail, .. }) => {
+                assert_eq!(detail, "obsolete container version 1");
+            }
+            other => panic!("expected version rejection, got {other:?}"),
         }
-        let crc = crc64(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        let snap = decode_snapshot(&out).unwrap();
-        assert_eq!(snap.seq, 9);
-        assert_eq!(snap.shards, shards, "row0 defaults to 0 for columnar slabs");
-        let (g, _) = reassemble::<u8>(&snap).unwrap();
-        assert_eq!(g.shape().dims(), &[5, 9]);
+    }
+
+    #[test]
+    fn a_shard_length_of_u64_max_is_corrupt_not_a_panic() {
+        // One shard whose image length is u64::MAX: `pos + len` used to
+        // wrap to 49 and panic slicing body[50..49].
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(SNAP_MAGIC);
+        bytes.extend_from_slice(&SNAP_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes()); // seq
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // time
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // shard count
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // col0
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // row0
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // image length
+        let crc = crc64(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(bytes.len(), 58);
+        match decode_snapshot(&bytes) {
+            Err(LatticeError::Corrupted { detail, .. }) => {
+                assert_eq!(detail, "shard 0 blob truncated");
+            }
+            other => panic!("expected structured rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn far_flung_shard_origins_are_rejected_before_allocation() {
+        // One 1x1 shard at (2^21, 2^21): its extent is a 2^42-site
+        // lattice, which used to be allocated (4.4 TB) before the
+        // coverage check. A CRC-valid file carries it to reassembly.
+        let one = Grid::filled(Shape::grid2(1, 1).unwrap(), 5u8);
+        let far =
+            ShardBlob { col0: 1 << 21, row0: 1 << 21, blob: checkpoint::save(&one, Ticks::ONE) };
+        let snap =
+            decode_snapshot(&encode_snapshot(1, Ticks::ONE, std::slice::from_ref(&far))).unwrap();
+        match reassemble::<u8>(&snap) {
+            Err(LatticeError::Corrupted { detail, .. }) => {
+                assert!(detail.contains("hold 1 sites but span a 2097153x2097153"), "{detail}");
+            }
+            other => panic!("expected structured rejection, got {other:?}"),
+        }
+        // Origins whose end does not fit in usize are rejected too.
+        let edge = ShardBlob { row0: u64::MAX, ..far };
+        let snap = Snapshot { seq: 1, time: Ticks::ONE, shards: vec![edge] };
+        assert!(reassemble::<u8>(&snap).is_err());
     }
 
     #[test]

@@ -27,39 +27,23 @@
 //! block, so it must equal the table engine on every site, edges
 //! included.
 //!
-//! Packing and unpacking move eight sites per word operation: a
-//! little-endian load of eight state bytes, one mask-and-multiply per
-//! channel to gather their channel bits into a byte, and a 256-entry
-//! table to spread a byte of channel bits back out.
+//! Packing, unpacking and the row shift are [`lattice_core::bits`]'s
+//! [`pack_rows`], [`unpack_rows`] and [`shift_row`].
 //!
 //! [`HppRule`]: crate::hpp::HppRule
 
 use crate::hpp::HPP_MASK;
+use lattice_core::bits::{pack_rows, shift_row, unpack_rows};
 use lattice_core::{Grid, LatticeError, Shape};
 
-/// Bit 0 of each of eight packed bytes.
-const LOW_BITS: u64 = 0x0101_0101_0101_0101;
-
-/// Multiplying a word whose bytes are each 0 or 1 by this constant
-/// gathers byte `j` into bit `56 + j`: the partial products land on
-/// distinct bit positions, so no carry disturbs the top byte.
-const GATHER: u64 = 0x0102_0408_1020_4080;
-
-/// `SPREAD[b]` has byte `j` equal to bit `j` of `b`: the inverse of the
-/// [`GATHER`] multiply.
-const SPREAD: [u64; 256] = {
-    let mut t = [0u64; 256];
-    let mut b = 0;
-    while b < 256 {
-        let mut j = 0;
-        while j < 8 {
-            t[b] |= ((b as u64 >> j) & 1) << (8 * j);
-            j += 1;
-        }
-        b += 1;
+/// The index of the first site with bits outside `mask`. A lattice
+/// that has none costs one OR fold, which vectorises.
+pub(crate) fn first_outside(sites: &[u8], mask: u8) -> Option<usize> {
+    if sites.iter().fold(0, |any, s| any | s) & !mask == 0 {
+        return None;
     }
-    t
-};
+    sites.iter().position(|s| s & !mask != 0)
+}
 
 /// An HPP lattice stored as four channel bit-planes, 64 sites per word,
 /// packed along rows. Periodic or null boundaries.
@@ -94,64 +78,26 @@ impl HppBitLattice {
         if shape.rank() != 2 {
             return Err(LatticeError::BadRank { rank: shape.rank() });
         }
+        let sites = grid.as_slice();
         let (rows, cols) = (shape.rows(), shape.cols());
-        let wpr = cols.div_ceil(64);
-        let mut planes = [
-            vec![0u64; rows * wpr],
-            vec![0u64; rows * wpr],
-            vec![0u64; rows * wpr],
-            vec![0u64; rows * wpr],
-        ];
-        for (r, row) in grid.as_slice().chunks_exact(cols).enumerate() {
-            for (w, sites) in row.chunks(64).enumerate() {
-                let mut words = [0u64; 4];
-                for (j, eight) in sites.chunks(8).enumerate() {
-                    let mut bytes = [0u8; 8];
-                    bytes[..eight.len()].copy_from_slice(eight);
-                    let x = u64::from_le_bytes(bytes);
-                    if x & !(LOW_BITS * u64::from(HPP_MASK)) != 0 {
-                        return Err(Self::non_hpp(r, row));
-                    }
-                    for (ch, word) in words.iter_mut().enumerate() {
-                        let gathered = ((x >> ch) & LOW_BITS).wrapping_mul(GATHER) >> 56;
-                        *word |= gathered << (8 * j);
-                    }
-                }
-                for (plane, word) in planes.iter_mut().zip(words) {
-                    plane[r * wpr + w] = word;
-                }
-            }
+        if let Some(i) = first_outside(sites, HPP_MASK) {
+            return Err(LatticeError::InvalidConfig(format!(
+                "site ({},{}) = {:#04x} has non-HPP bits (obstacles are \
+                 not supported by the bit-parallel kernel)",
+                i / cols,
+                i % cols,
+                sites[i]
+            )));
         }
-        Ok(HppBitLattice { rows, cols, words_per_row: wpr, periodic, planes })
-    }
-
-    /// The error for row `r`'s first site with bits outside
-    /// [`HPP_MASK`].
-    fn non_hpp(r: usize, row: &[u8]) -> LatticeError {
-        let c = row.iter().position(|s| s & !HPP_MASK != 0).unwrap_or(0);
-        LatticeError::InvalidConfig(format!(
-            "site ({r},{c}) = {:#04x} has non-HPP bits (obstacles are \
-             not supported by the bit-parallel kernel)",
-            row[c]
-        ))
+        let planes = pack_rows(sites, cols);
+        Ok(HppBitLattice { rows, cols, words_per_row: cols.div_ceil(64), periodic, planes })
     }
 
     /// Unpacks to a byte-per-site grid.
     pub fn to_grid(&self) -> Grid<u8> {
         let shape = Shape::grid2(self.rows, self.cols).expect("valid dimensions");
-        let wpr = self.words_per_row;
         let mut out = Grid::new(shape);
-        for (r, row) in out.as_mut_slice().chunks_exact_mut(self.cols).enumerate() {
-            for (w, sites) in row.chunks_mut(64).enumerate() {
-                let words = self.planes.each_ref().map(|p| p[r * wpr + w]);
-                for (j, eight) in sites.chunks_mut(8).enumerate() {
-                    let x = words.iter().enumerate().fold(0u64, |x, (ch, word)| {
-                        x | SPREAD[usize::from((word >> (8 * j)) as u8)] << ch
-                    });
-                    eight.copy_from_slice(&x.to_le_bytes()[..eight.len()]);
-                }
-            }
-        }
+        unpack_rows(&self.planes, self.cols, out.as_mut_slice());
         out
     }
 
@@ -183,45 +129,6 @@ impl HppBitLattice {
         }
     }
 
-    /// The valid-site mask of a row's last word.
-    fn tail_mask(cols: usize) -> u64 {
-        match cols % 64 {
-            0 => u64::MAX,
-            tail => (1u64 << tail) - 1,
-        }
-    }
-
-    /// Shifts one row's bit-plane left or right by one site,
-    /// word-chained carries; the site entering at the edge is the one
-    /// leaving the other edge on the torus, zero otherwise.
-    fn shift_row(row: &mut [u64], cols: usize, east: bool, periodic: bool) {
-        let wpr = row.len();
-        let tail_bits = cols % 64;
-        let last_bit = if tail_bits == 0 { 63 } else { tail_bits - 1 };
-        if east {
-            // Sites move toward higher column index.
-            let mut carry = if periodic { row[wpr - 1] >> last_bit & 1 } else { 0 };
-            for w in row.iter_mut() {
-                let new_carry = *w >> 63 & 1;
-                *w = (*w << 1) | carry;
-                carry = new_carry;
-            }
-        } else {
-            let first = row[0] & 1;
-            for w in 0..wpr {
-                let next_in = if w + 1 < wpr { row[w + 1] & 1 } else { 0 };
-                row[w] = (row[w] >> 1) | (next_in << 63);
-            }
-            // Phantom bits are zero, so the null boundary's last column
-            // already reads zero; the torus wraps the first column in.
-            if periodic {
-                row[wpr - 1] |= first << last_bit;
-            }
-        }
-        // Clear phantom bits above the tail.
-        row[wpr - 1] &= Self::tail_mask(cols);
-    }
-
     /// Applies the streaming step: E/W planes shift along rows, N/S
     /// planes move whole rows, wrapping on the torus and shifting in
     /// zeros under the null boundary.
@@ -231,10 +138,10 @@ impl HppBitLattice {
         // Channel order is `HppDir`'s: E, N, W, S.
         let [east, north, west, south] = &mut self.planes;
         for row in east.chunks_exact_mut(wpr) {
-            Self::shift_row(row, cols, true, periodic);
+            shift_row(row, cols, true, periodic);
         }
         for row in west.chunks_exact_mut(wpr) {
-            Self::shift_row(row, cols, false, periodic);
+            shift_row(row, cols, false, periodic);
         }
         let len = north.len();
         if periodic {

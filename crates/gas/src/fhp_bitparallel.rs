@@ -37,9 +37,11 @@
 //!
 //! [`FhpRule`]: crate::fhp::FhpRule
 
+use crate::bitparallel::first_outside;
 use crate::fhp::{fhp_invariants, FhpDir, FHP_MOVE_MASK};
 use crate::prng;
-use lattice_core::{Coord, Grid, LatticeError, Shape};
+use lattice_core::bits::{pack_rows, shift_row, tail_mask, unpack_rows};
+use lattice_core::{Grid, LatticeError, Shape};
 
 /// An FHP-I lattice as six channel bit-planes (torus, even row count).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,42 +66,25 @@ impl FhpBitLattice {
         if rows % 2 != 0 {
             return Err(LatticeError::InvalidConfig("hex torus needs an even row count".into()));
         }
-        let wpr = cols.div_ceil(64);
-        let mut planes: [Vec<u64>; 6] = Default::default();
-        for p in planes.iter_mut() {
-            *p = vec![0u64; rows * wpr];
+        let sites = grid.as_slice();
+        if let Some(i) = first_outside(sites, FHP_MOVE_MASK) {
+            return Err(LatticeError::InvalidConfig(format!(
+                "site ({},{}) = {:#04x} has non-FHP-I bits",
+                i / cols,
+                i % cols,
+                sites[i]
+            )));
         }
-        for r in 0..rows {
-            for c in 0..cols {
-                let s = grid.get(Coord::c2(r, c));
-                if s & !FHP_MOVE_MASK != 0 {
-                    return Err(LatticeError::InvalidConfig(format!(
-                        "site ({r},{c}) = {s:#04x} has non-FHP-I bits"
-                    )));
-                }
-                for (ch, plane) in planes.iter_mut().enumerate() {
-                    if s >> ch & 1 != 0 {
-                        plane[r * wpr + c / 64] |= 1 << (c % 64);
-                    }
-                }
-            }
-        }
-        Ok(FhpBitLattice { rows, cols, words_per_row: wpr, planes, seed, time: 0 })
+        let planes = pack_rows(sites, cols);
+        Ok(FhpBitLattice { rows, cols, words_per_row: cols.div_ceil(64), planes, seed, time: 0 })
     }
 
     /// Unpacks to a byte-per-site grid.
     pub fn to_grid(&self) -> Grid<u8> {
         let shape = Shape::grid2(self.rows, self.cols).expect("valid dimensions");
-        Grid::from_fn(shape, |c| {
-            let (r, col) = (c.row(), c.col());
-            let mut s = 0u8;
-            for (ch, plane) in self.planes.iter().enumerate() {
-                if plane[r * self.words_per_row + col / 64] >> (col % 64) & 1 != 0 {
-                    s |= 1 << ch;
-                }
-            }
-            s
-        })
+        let mut out = Grid::new(shape);
+        unpack_rows(&self.planes, self.cols, out.as_mut_slice());
+        out
     }
 
     /// Current generation.
@@ -109,9 +94,7 @@ impl FhpBitLattice {
 
     /// Word-parallel FHP-I collision over the whole lattice.
     pub fn collide(&mut self) {
-        let wpr = self.words_per_row;
-        let tail_bits = self.cols % 64;
-        let tail_mask: u64 = if tail_bits == 0 { u64::MAX } else { (1u64 << tail_bits) - 1 };
+        let (wpr, tail_mask) = (self.words_per_row, tail_mask(self.cols));
         for i in 0..self.rows * wpr {
             let s: [u64; 6] = std::array::from_fn(|ch| self.planes[ch][i]);
             let xi = prng::site_hash(i as u64, self.time, self.seed);
@@ -134,50 +117,16 @@ impl FhpBitLattice {
         }
     }
 
-    /// Cyclic row shift (E/W) within one row's words.
-    fn shift_row(row: &mut [u64], cols: usize, east: bool) {
-        let wpr = row.len();
-        let tail_bits = cols % 64;
-        let last_bit = if tail_bits == 0 { 63 } else { tail_bits - 1 };
-        if east {
-            let mut carry = row[wpr - 1] >> last_bit & 1;
-            for w in row.iter_mut() {
-                let new_carry = *w >> 63 & 1;
-                *w = (*w << 1) | carry;
-                carry = new_carry;
-            }
-            if tail_bits != 0 {
-                row[wpr - 1] &= (1u64 << tail_bits) - 1;
-            }
-        } else {
-            let first = row[0] & 1;
-            for w in 0..wpr {
-                let next_in = if w + 1 < wpr { row[w + 1] & 1 } else { 0 };
-                row[w] = (row[w] >> 1) | (next_in << 63);
-            }
-            row[wpr - 1] |= first << last_bit;
-            if tail_bits != 0 {
-                row[wpr - 1] &= (1u64 << tail_bits) - 1;
-            }
-        }
-    }
-
     /// Hex streaming with periodic wrap: E/W shift along rows; the four
     /// diagonal channels move one row with a parity-dependent half-cell
     /// column shift (odd-r brick layout, matching [`FhpDir`]'s offsets).
     pub fn stream(&mut self) {
         let (rows, wpr, cols) = (self.rows, self.words_per_row, self.cols);
-        for r in 0..rows {
-            Self::shift_row(
-                &mut self.planes[FhpDir::E as usize][r * wpr..(r + 1) * wpr],
-                cols,
-                true,
-            );
-            Self::shift_row(
-                &mut self.planes[FhpDir::W as usize][r * wpr..(r + 1) * wpr],
-                cols,
-                false,
-            );
+        for row in self.planes[FhpDir::E as usize].chunks_exact_mut(wpr) {
+            shift_row(row, cols, true, true);
+        }
+        for row in self.planes[FhpDir::W as usize].chunks_exact_mut(wpr) {
+            shift_row(row, cols, false, true);
         }
         // Diagonals: build destination planes row by row. A particle
         // moving NE from source row sr (parity p) lands in row sr−1 at
@@ -200,10 +149,10 @@ impl FhpBitLattice {
                 // west on even source rows.
                 if col_shift_on_odd {
                     if odd {
-                        Self::shift_row(&mut row, cols, true);
+                        shift_row(&mut row, cols, true, true);
                     }
                 } else if !odd {
-                    Self::shift_row(&mut row, cols, false);
+                    shift_row(&mut row, cols, false, true);
                 }
                 for (w, &v) in row.iter().enumerate() {
                     next[dr * wpr + w] |= v;
@@ -247,7 +196,7 @@ mod tests {
     use super::*;
     use crate::fhp::{FhpRule, FhpVariant};
     use crate::init;
-    use lattice_core::{evolve, Boundary};
+    use lattice_core::{evolve, Boundary, Coord};
 
     #[test]
     fn pack_unpack_roundtrip() {
