@@ -219,6 +219,14 @@ pub fn unpack_word<S: State>(planes: &[u64], sites: &mut [S]) {
     }
 }
 
+/// Bit-planes that hold every site of `sites`: the bit length of the
+/// OR of their words, at least 1. Checkpoint images and `serve`'s
+/// region frames write this many planes.
+pub fn planes_needed<S: State>(sites: &[S]) -> usize {
+    let any = sites.iter().fold(0, |acc, s| acc | s.to_word());
+    (64 - any.leading_zeros() as usize).max(1)
+}
+
 /// Packs a row-major raster of `cols`-site rows into `N` bit-planes
 /// with [`pack_word`]. Each row starts a fresh word: plane `p` holds
 /// `⌈cols/64⌉` words per row, and bit `j` of row `r`'s word `w` is bit

@@ -23,7 +23,7 @@
 
 pub mod store;
 
-use crate::bits::{pack_word, unpack_word};
+use crate::bits::{pack_word, planes_needed, unpack_word};
 use crate::coord::Shape;
 use crate::grid::Grid;
 use crate::rule::State;
@@ -44,8 +44,7 @@ const FIXED_HEADER: usize = 4 + 2 + 1 + 1 + 8 + 8 + 1;
 pub fn save<S: State>(grid: &Grid<S>, time: Ticks) -> Vec<u8> {
     let shape = grid.shape();
     let data = grid.as_slice();
-    let any = data.iter().fold(0, |acc, s| acc | s.to_word());
-    let planes = (64 - any.leading_zeros() as usize).max(1);
+    let planes = planes_needed(data);
     let plane_bytes = data.len().div_ceil(8);
     let mut out = Vec::with_capacity(FIXED_HEADER + shape.rank() * 8 + planes * plane_bytes);
     out.extend_from_slice(MAGIC);

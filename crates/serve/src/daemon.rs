@@ -35,13 +35,15 @@
 //! Durability: with a `checkpoint_dir`, every admitted session lives
 //! in its own [`SessionNamespace`] of the directory; its spec goes in
 //! the namespace's meta slot and every step ends with a durable
-//! commit. A restarted daemon lists the namespaces, re-admits each
-//! recorded session unconditionally (the previous life's admission
-//! decision outranks a shrunk budget), and restores lazily on first
-//! touch. Queued sessions hold no store state and do not survive a
-//! restart. Cumulative performance counters are folded into the
-//! session entry at eviction but not persisted: a restart keeps the
-//! lattice (bit-exact) and the generation clock, not the tick ledger.
+//! commit, made through the one store handle the session's residency
+//! holds (opened at activation, dropped when the residency ends). A
+//! restarted daemon lists the namespaces, re-admits each recorded
+//! session unconditionally (the previous life's admission decision
+//! outranks a shrunk budget), and restores lazily on first touch.
+//! Queued sessions hold no store state and do not survive a restart.
+//! Cumulative performance counters are folded into the session entry
+//! at eviction but not persisted: a restart keeps the lattice
+//! (bit-exact) and the generation clock, not the tick ledger.
 
 use crate::json::{self, Value};
 use crate::protocol::{
@@ -54,6 +56,7 @@ use crate::session::{
 use crate::transport::{is_frame_error, nudge, Connection, Listener};
 use lattice_core::checkpoint::store::{
     list_sessions, reassemble, valid_session_name, CheckpointStore, DiskBackend, SessionNamespace,
+    SnapshotSink,
 };
 use lattice_core::units::BitsPerTick;
 use lattice_core::LatticeError;
@@ -71,6 +74,13 @@ use std::time::Duration;
 /// operator does not provision one. Roomy enough for a handful of
 /// default-spec sessions, small enough that admission control is real.
 pub const DEFAULT_LINK_CAPACITY: f64 = 512.0;
+
+/// Sessions one daemon holds, in any state. A `stats` frame spends
+/// seven JSON items per session (its array element and six members),
+/// so at this bound every frame stays inside the parser's
+/// [`json::MAX_ITEMS`] and decodes at the client; `create` past it is
+/// refused.
+pub const MAX_SESSIONS: usize = json::MAX_ITEMS / 8;
 
 /// Milliseconds between streamed `stats` samples (`watch > 1`).
 const WATCH_INTERVAL_MS: u64 = 100;
@@ -132,10 +142,17 @@ struct LastStep {
     passes: u64,
 }
 
-/// A resident session: its rule and the live recovery-ladder state.
+/// A resident session: its rule, the live recovery-ladder state, and
+/// its durable store.
 struct LiveSession {
     rule: GasRule,
     session: FarmSession<'static, u8>,
+    /// The session's store namespace, opened once at activation and
+    /// dropped with the residency (eviction, quarantine, destroy);
+    /// `None` without a `checkpoint_dir`. Every commit of this
+    /// residency goes through it, so the slot and sequence state it
+    /// learned at open stays in step with the medium.
+    store: Option<SessionStore>,
 }
 
 /// Where a session's engine state currently is.
@@ -188,6 +205,12 @@ fn open_store(dir: &str, name: &str) -> Result<SessionStore, LatticeError> {
     CheckpointStore::open(SessionNamespace::new(DiskBackend::open(dir)?, name)?)
 }
 
+/// The checkpoint sink a residency's commits go to: its store when the
+/// daemon is durable, none (an in-memory barrier only) otherwise.
+fn sink(store: &mut Option<SessionStore>) -> Option<&mut (dyn SnapshotSink + '_)> {
+    store.as_mut().map(|s| s as &mut dyn SnapshotSink)
+}
+
 /// Meta payload marking a destroyed session, so a restart skips its
 /// leftover generation slots instead of resurrecting it.
 const TOMBSTONE: &str = "{\"destroyed\":true}";
@@ -218,52 +241,50 @@ impl ServerState {
         let rule = GasRule::from_spec(&spec)?;
         let cfg = recovery_config(&spec);
         let plan = fault_plan(&spec, &farm)?;
-        let restored = match (&entry.state, self.dir.as_deref()) {
-            (SessState::Evicted { .. }, Some(dir)) => {
-                let mut store = open_store(dir, name)?;
-                match store.load_latest()? {
-                    Some(loaded) => {
-                        let (grid, t) = reassemble::<u8>(&loaded.snapshot)?;
-                        Some(farm.session_owned::<u8>(&grid, t.get(), plan.clone(), &cfg, None)?)
-                    }
-                    None => None,
+        let mut store = match self.dir.as_deref() {
+            Some(dir) => Some(open_store(dir, name)?),
+            None => None,
+        };
+        let restored = match (&entry.state, store.as_mut()) {
+            (SessState::Evicted { .. }, Some(store)) => match store.load_latest()? {
+                Some(loaded) => {
+                    let (grid, t) = reassemble::<u8>(&loaded.snapshot)?;
+                    Some(farm.session_owned::<u8>(&grid, t.get(), plan.clone(), &cfg, None)?)
                 }
-            }
+                None => None,
+            },
             _ => None,
         };
         let session = match restored {
             Some(s) => s,
             None => {
                 let grid = seed_grid(&spec)?;
-                match self.dir.as_deref() {
-                    Some(dir) => {
-                        let mut store = open_store(dir, name)?;
-                        store.commit_meta(spec.to_json().render().as_bytes())?;
-                        farm.session_owned::<u8>(&grid, 0, plan, &cfg, Some(&mut store))?
-                    }
-                    None => farm.session_owned::<u8>(&grid, 0, plan, &cfg, None)?,
+                if let Some(store) = store.as_mut() {
+                    store.commit_meta(spec.to_json().render().as_bytes())?;
                 }
+                farm.session_owned::<u8>(&grid, 0, plan, &cfg, sink(&mut store))?
             }
         };
         let entry = self.sessions.get_mut(name).ok_or_else(|| no_such(name))?;
-        entry.state = SessState::Live(Box::new(LiveSession { rule, session }));
+        entry.state = SessState::Live(Box::new(LiveSession { rule, session, store }));
         self.touch(name);
         self.enforce_max_live(name)?;
         Ok(())
     }
 
     /// Evicts least-recently-touched live sessions (never `keep`)
-    /// until at most `max_live` remain resident. A no-op without a
-    /// durable store — eviction would destroy state.
+    /// until at most `max_live` remain resident. Only a session with a
+    /// store handle is a victim — evicting one without would destroy
+    /// its state.
     fn enforce_max_live(&mut self, keep: &str) -> Result<(), LatticeError> {
-        if self.dir.is_none() {
-            return Ok(());
-        }
         while self.live_count() > self.max_live {
             let victim = self
                 .sessions
                 .iter()
-                .filter(|(n, e)| matches!(e.state, SessState::Live(_)) && n.as_str() != keep)
+                .filter(|(n, e)| {
+                    matches!(&e.state, SessState::Live(l) if l.store.is_some())
+                        && n.as_str() != keep
+                })
                 .min_by_key(|(_, e)| e.last_touch)
                 .map(|(n, _)| n.clone());
             match victim {
@@ -275,16 +296,13 @@ impl ServerState {
     }
 
     /// Swaps a live session out: durable checkpoint, counters folded
-    /// into the entry, engine state dropped.
+    /// into the entry, engine state and store handle dropped. A no-op
+    /// for a session without a store handle.
     fn evict(&mut self, name: &str) -> Result<(), LatticeError> {
-        let dir = match self.dir.clone() {
-            Some(d) => d,
-            None => return Ok(()),
-        };
         let entry = self.sessions.get_mut(name).ok_or_else(|| no_such(name))?;
         if let SessState::Live(live) = &mut entry.state {
-            let mut store = open_store(&dir, name)?;
-            live.session.checkpoint(Some(&mut store))?;
+            let Some(store) = live.store.as_mut() else { return Ok(()) };
+            live.session.checkpoint(Some(store))?;
             let time = live.session.time();
             let rep = live.session.report();
             let rec = live.session.recovery();
@@ -320,23 +338,26 @@ impl ServerState {
         Ok(())
     }
 
-    /// Quarantines a session whose step exhausted the recovery ladder:
-    /// salvages the last committed state to the store, folds the
-    /// counters, marks the durable meta poisoned (so a restart keeps
-    /// the quarantine), and flips the state to [`SessState::Poisoned`].
-    /// The caller releases the budget share — the fault is contained
-    /// and every other session keeps stepping.
+    /// Quarantines a live session whose step exhausted the recovery
+    /// ladder: salvages the last committed state to the store, marks
+    /// the durable meta poisoned (so a restart keeps the quarantine),
+    /// folds the counters, and flips the state to
+    /// [`SessState::Poisoned`], dropping the store handle. The caller
+    /// releases the budget share — the fault is contained and every
+    /// other session keeps stepping.
     fn quarantine(&mut self, name: &str, reason: &str) {
-        let dir = self.dir.clone();
         let Some(entry) = self.sessions.get_mut(name) else { return };
         if let SessState::Live(live) = &mut entry.state {
             let time = live.session.time();
-            if let Some(dir) = dir.as_deref() {
-                if let Ok(mut store) = open_store(dir, name) {
-                    // Best-effort salvage: the failed step already
-                    // rolled back to the last committed state.
-                    let _ = live.session.checkpoint(Some(&mut store));
+            if let Some(store) = live.store.as_mut() {
+                // Best-effort salvage: the failed step already rolled
+                // back to the last committed state.
+                let _ = live.session.checkpoint(Some(store));
+                let mut meta = entry.spec.to_json();
+                if let Value::Obj(pairs) = &mut meta {
+                    pairs.push(("poisoned".into(), Value::Str(reason.to_string())));
                 }
+                let _ = store.commit_meta(meta.render().as_bytes());
             }
             let rep = live.session.report();
             let rec = live.session.recovery();
@@ -361,15 +382,6 @@ impl ServerState {
             entry.carried.useful_updates += rep.useful_updates().get();
             entry.carried.halo_bits += rep.halo_traffic.bits_in;
             entry.state = SessState::Poisoned { time, reason: reason.to_string() };
-        }
-        if let Some(dir) = dir.as_deref() {
-            if let Ok(mut store) = open_store(dir, name) {
-                let mut meta = entry.spec.to_json();
-                if let Value::Obj(pairs) = &mut meta {
-                    pairs.push(("poisoned".into(), Value::Str(reason.to_string())));
-                }
-                let _ = store.commit_meta(meta.render().as_bytes());
-            }
         }
     }
 
@@ -706,6 +718,11 @@ fn create(st: &mut ServerState, name: &str, spec: &SessionSpec) -> Result<Respon
     if st.sessions.contains_key(name) {
         return Err(LatticeError::InvalidConfig(format!("session `{name}` already exists")));
     }
+    if st.sessions.len() >= MAX_SESSIONS {
+        return Err(LatticeError::InvalidConfig(format!(
+            "daemon holds {MAX_SESSIONS} sessions, the most one stats frame can list"
+        )));
+    }
     validate_spec(spec)?;
     let demand = link_demand(spec)?;
     let admitted = st.scheduler.admit_or_enqueue(name, demand);
@@ -754,7 +771,6 @@ fn step(
             }
         }
     }
-    let dir = st.dir.clone();
     let stepped = {
         let live = st.live(name)?;
         let rule = live.rule.clone();
@@ -770,42 +786,38 @@ fn step(
         return Err(poisoned(name, &reason));
     }
     // Durable commit: the step is not acknowledged until the new
-    // barrier is on the medium.
-    if let Some(dir) = dir.as_deref() {
-        let mut store = open_store(dir, name)?;
-        let live = st.live(name)?;
-        live.session.checkpoint(Some(&mut store))?;
+    // barrier is on the medium. Without a store there is no medium;
+    // the session keeps its own `checkpoint_every` cadence.
+    let entry = st.sessions.get_mut(name).ok_or_else(|| no_such(name))?;
+    let SessState::Live(live) = &mut entry.state else { return Err(no_such(name)) };
+    if let Some(store) = live.store.as_mut() {
+        live.session.checkpoint(Some(store))?;
     }
-    let live = st.live(name)?;
-    let (time, passes) = (live.session.time(), live.session.passes());
-    let carried = st.sessions.get(name).map(|e| e.carried.passes).unwrap_or(0);
-    let passes = carried + passes;
-    let mut spec_json = None;
-    if let Some(e) = st.sessions.get_mut(name) {
-        e.steps += 1;
-        if let Some(id) = id {
-            e.last_step = Some(LastStep { id: id.to_string(), time, passes });
-            spec_json = Some(e.spec.to_json());
+    let time = live.session.time();
+    let passes = entry.carried.passes + live.session.passes();
+    entry.steps += 1;
+    if let Some(id) = id {
+        entry.last_step = Some(LastStep { id: id.to_string(), time, passes });
+        // Durable at-most-once: the ack cache must survive a daemon
+        // restart, or a client retry of a step that committed just
+        // before the crash is applied a second time. The in-memory
+        // cache is already updated, so if this meta commit fails the
+        // client's retry of the resulting error still re-acks without
+        // re-stepping.
+        if let Some(store) = live.store.as_mut() {
+            let mut meta = entry.spec.to_json();
+            if let Value::Obj(pairs) = &mut meta {
+                pairs.push((
+                    "last_step".into(),
+                    Value::Obj(vec![
+                        ("id".into(), Value::Str(id.to_string())),
+                        ("time".into(), Value::num_u64(time)),
+                        ("passes".into(), Value::num_u64(passes)),
+                    ]),
+                ));
+            }
+            store.commit_meta(meta.render().as_bytes())?;
         }
-    }
-    // Durable at-most-once: the ack cache must survive a daemon
-    // restart, or a client retry of a step that committed just before
-    // the crash is applied a second time. The in-memory cache is
-    // already updated, so if this meta commit fails the client's retry
-    // of the resulting error still re-acks without re-stepping.
-    if let (Some(dir), Some(id), Some(mut meta)) = (dir.as_deref(), id, spec_json) {
-        if let Value::Obj(pairs) = &mut meta {
-            pairs.push((
-                "last_step".into(),
-                Value::Obj(vec![
-                    ("id".into(), Value::Str(id.to_string())),
-                    ("time".into(), Value::num_u64(time)),
-                    ("passes".into(), Value::num_u64(passes)),
-                ]),
-            ));
-        }
-        let mut store = open_store(dir, name)?;
-        store.commit_meta(meta.render().as_bytes())?;
     }
     st.steps_served += 1;
     Ok(Response::Stepped { session: name.to_string(), time, passes })
@@ -854,43 +866,34 @@ fn query(st: &mut ServerState, name: &str, what: &Query) -> Result<Response, Lat
 }
 
 fn checkpoint(st: &mut ServerState, name: &str) -> Result<Response, LatticeError> {
-    let dir = st.dir.clone();
     let live = st.live(name)?;
-    match dir.as_deref() {
-        Some(dir) => {
-            let mut store = open_store(dir, name)?;
-            live.session.checkpoint(Some(&mut store))?;
-        }
-        None => live.session.checkpoint(None)?,
-    }
+    live.session.checkpoint(sink(&mut live.store))?;
     Ok(Response::Checkpointed { session: name.to_string(), time: live.session.time() })
 }
 
 fn destroy(st: &mut ServerState, name: &str) -> Result<Response, LatticeError> {
     let entry = st.sessions.remove(name).ok_or_else(|| no_such(name))?;
-    let mut promoted = Vec::new();
-    match entry.state {
+    let poisoned = match entry.state {
         SessState::Queued => {
             st.scheduler.forget_queued(name);
+            return Ok(Response::Destroyed { session: name.to_string(), promoted: Vec::new() });
         }
-        SessState::Poisoned { .. } => {
-            // Quarantine already released the budget share; just clear
-            // the durable namespace so the name is reclaimable.
-            if let Some(dir) = st.dir.clone() {
-                let mut store = open_store(&dir, name)?;
-                store.commit_meta(TOMBSTONE.as_bytes())?;
-            }
-        }
-        _ => {
-            // Tombstone the durable namespace so a restart does not
-            // resurrect the session from its leftover snapshots.
-            if let Some(dir) = st.dir.clone() {
-                let mut store = open_store(&dir, name)?;
-                store.commit_meta(TOMBSTONE.as_bytes())?;
-            }
-            promoted = release_and_promote(st, entry.demand)?;
-        }
+        SessState::Poisoned { .. } => true,
+        _ => false,
+    };
+    // Tombstone the durable namespace so a restart does not resurrect
+    // the session from its leftover snapshots. A live session commits
+    // through its own handle; only a swapped-out one needs a fresh open.
+    let store = match (entry.state, st.dir.as_deref()) {
+        (SessState::Live(live), _) => live.store,
+        (_, Some(dir)) => Some(open_store(dir, name)?),
+        (_, None) => None,
+    };
+    if let Some(mut store) = store {
+        store.commit_meta(TOMBSTONE.as_bytes())?;
     }
+    // Quarantine already released a poisoned session's budget share.
+    let promoted = if poisoned { Vec::new() } else { release_and_promote(st, entry.demand)? };
     Ok(Response::Destroyed { session: name.to_string(), promoted })
 }
 
@@ -922,4 +925,58 @@ fn shutdown(st: &mut ServerState) -> Result<Response, LatticeError> {
     }
     st.shutting_down = true;
     Ok(Response::Bye)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(st: &mut ServerState, name: &str) -> ReportFrame {
+        st.report_frame(name).expect("report")
+    }
+
+    #[test]
+    fn a_step_without_a_store_takes_no_extra_checkpoint() {
+        let daemon = Daemon::bind(&DaemonConfig::default()).expect("bind");
+        let mut st = lock(&daemon.state);
+        let spec = SessionSpec { rows: 8, cols: 32, shards: 2, ..SessionSpec::default() };
+        let created = dispatch(&mut st, &Request::Create { session: "s".into(), spec });
+        assert!(matches!(created, Ok(Response::Created { admitted: true, .. })));
+        let before = report(&mut st, "s").checkpoints;
+        // One generation is one pass: the session's own cadence
+        // (`checkpoint_every` = 1) takes its barrier at the start of
+        // the next pass, so the step itself adds none.
+        let step = Request::Step { session: "s".into(), n: 1, id: None };
+        assert!(matches!(dispatch(&mut st, &step), Ok(Response::Stepped { time: 1, .. })));
+        assert_eq!(report(&mut st, "s").checkpoints, before);
+        // An explicit checkpoint request still takes the barrier.
+        dispatch(&mut st, &Request::Checkpoint { session: "s".into() }).expect("checkpoint");
+        assert!(report(&mut st, "s").checkpoints > before);
+    }
+
+    #[test]
+    fn the_session_limit_keeps_every_stats_frame_decodable() {
+        let config = DaemonConfig { link_capacity: Some(1e-9), ..DaemonConfig::default() };
+        let daemon = Daemon::bind(&config).expect("bind");
+        let mut st = lock(&daemon.state);
+        let spec = SessionSpec { rows: 8, cols: 32, shards: 2, ..SessionSpec::default() };
+        let create = |i: usize| Request::Create { session: format!("{i:064}"), spec: spec.clone() };
+        // The first session is admitted into the empty budget; the
+        // rest queue behind it and hold no engine state, so the limit
+        // is cheap to reach. Names take the longest form accepted.
+        for i in 0..MAX_SESSIONS {
+            let created = dispatch(&mut st, &create(i));
+            let admitted = i == 0;
+            assert!(
+                matches!(created, Ok(Response::Created { admitted: a, .. }) if a == admitted),
+                "{i}"
+            );
+        }
+        let refused = dispatch(&mut st, &create(MAX_SESSIONS)).expect_err("past the limit");
+        assert!(refused.to_string().contains("sessions"), "{refused}");
+        let stats = dispatch(&mut st, &Request::Stats { watch: 1 }).expect("stats");
+        let line = stats.to_line();
+        assert!(line.len() < crate::transport::MAX_FRAME_BYTES);
+        assert_eq!(Response::from_line(&line), Ok(stats));
+    }
 }

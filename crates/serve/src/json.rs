@@ -18,6 +18,17 @@ use std::fmt;
 /// away.
 const MAX_DEPTH: u32 = 64;
 
+/// Maximum array elements plus object members in one parsed document.
+/// No protocol array carries per-site data (a region's sites travel as
+/// one hex string), so the largest legitimate containers are the
+/// `sessions` list of a `stats` frame (seven items per session) and
+/// a `destroy`'s `promoted` list; the daemon caps its sessions at
+/// `daemon::MAX_SESSIONS` = `MAX_ITEMS / 8` so that every `stats` frame
+/// it sends stays under this bound. The bound exists so a hostile frame —
+/// 16 MiB of `[0,0,0,…]` would otherwise build about 8M values —
+/// cannot make the parser allocate more than a few MiB of tree.
+pub const MAX_ITEMS: usize = 1 << 16;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -219,7 +230,7 @@ impl fmt::Display for ParseError {
 /// Parses one JSON value from `input`, requiring it to consume the
 /// whole string (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, items: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -232,6 +243,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Array elements and object members parsed so far.
+    items: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -273,6 +286,15 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Counts one more container item against [`MAX_ITEMS`].
+    fn item(&mut self) -> Result<(), ParseError> {
+        self.items += 1;
+        if self.items > MAX_ITEMS {
+            return Err(self.err(&format!("more than {MAX_ITEMS} array/object items")));
+        }
+        Ok(())
+    }
+
     fn value(&mut self, depth: u32) -> Result<Value, ParseError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
@@ -299,6 +321,7 @@ impl<'a> Parser<'a> {
             return Ok(Value::Arr(items));
         }
         loop {
+            self.item()?;
             self.skip_ws();
             items.push(self.value(depth + 1)?);
             self.skip_ws();
@@ -319,6 +342,7 @@ impl<'a> Parser<'a> {
             return Ok(Value::Obj(pairs));
         }
         loop {
+            self.item()?;
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
@@ -537,6 +561,28 @@ mod tests {
             deep.push(']');
         }
         assert!(parse(&deep).is_err(), "depth bound must hold");
+    }
+
+    #[test]
+    fn container_items_are_bounded_per_document() {
+        // A frame-sized flood of zeros, of empty-key members, and of
+        // nested arrays: each stops with an error as soon as item
+        // MAX_ITEMS + 1 opens, having read (and built) no more than
+        // MAX_ITEMS items' worth of the 16 MiB input.
+        let frame = 16 * 1024 * 1024;
+        let flat = format!("[{}0]", "0,".repeat(frame / 2));
+        let members = format!("{{{}\"\":0}}", "\"\":0,".repeat(frame / 5));
+        let nested = format!("[{}[]]", "[0,0,0],".repeat(frame / 8));
+        for (what, text, per_item) in
+            [("flat", flat, 2), ("members", members, 5), ("nested", nested, 8)]
+        {
+            let e = parse(&text).expect_err(what);
+            assert!(e.message.contains("items"), "{what}: {e}");
+            assert!(e.at <= per_item * (MAX_ITEMS + 1), "{what} read on to byte {}", e.at);
+        }
+        // At the bound, a document still parses.
+        let full = format!("[{}0]", "0,".repeat(MAX_ITEMS - 1));
+        assert_eq!(parse(&full).unwrap().as_arr().map(<[Value]>::len), Some(MAX_ITEMS));
     }
 
     #[test]

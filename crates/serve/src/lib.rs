@@ -43,7 +43,7 @@ pub mod scheduler;
 pub mod session;
 pub mod transport;
 
-pub use daemon::{Daemon, DaemonConfig, DEFAULT_LINK_CAPACITY};
+pub use daemon::{Daemon, DaemonConfig, DEFAULT_LINK_CAPACITY, MAX_SESSIONS};
 pub use protocol::{
     FaultSpec, Query, ReportFrame, Request, Response, SessionSpec, SessionStat, StatsFrame,
 };

@@ -13,6 +13,7 @@
 //! hostile peer gets an `"ok": false` line, not a daemon crash.
 
 use crate::json::{self, Value};
+use lattice_core::bits::{pack_word, planes_needed, tail_mask, unpack_word};
 use std::fmt;
 
 /// Default per-channel site density for freshly created sessions and
@@ -671,7 +672,9 @@ pub enum Response {
         /// Obstacle sites.
         obstacles: u64,
     },
-    /// `query region` result: raw site states, row-major.
+    /// `query region` result: raw site states, row-major. On the wire
+    /// the sites travel as bit-planes in one hex string (`DESIGN.md`
+    /// §15).
     Region {
         /// Session name.
         session: String,
@@ -712,6 +715,98 @@ pub enum Response {
         /// What went wrong.
         message: String,
     },
+}
+
+/// Lowercase hex digits, indexed by nibble.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// A region's sites as bit-planes: the plane count — the checkpoint
+/// image's rule, [`planes_needed`] — and one hex string in the
+/// [`lattice_core::bits::pack_rows`] layout (each `cols`-site row
+/// starts a fresh 64-site word; bit `j` of a row's word `w` is site
+/// `64w + j`), planes in order 0, 1, …, each plane's words row by row,
+/// every word as 16 lowercase hex digits, most significant first.
+/// `cells` holds `rows × cols` sites. Only the `planes` planes written
+/// are packed, one [`pack_word`] per 64-site chunk, as
+/// [`decode_region`] unpacks them.
+fn region_sites(cells: &[u8], cols: usize) -> (usize, String) {
+    let planes = planes_needed(cells);
+    if cells.is_empty() {
+        return (planes, String::new());
+    }
+    let plane_words = cells.len() / cols * cols.div_ceil(64);
+    let mut packed = vec![0u64; planes * plane_words];
+    let mut words = [0u64; 8];
+    for (i, chunk) in cells.chunks_exact(cols).flat_map(|row| row.chunks(64)).enumerate() {
+        pack_word(chunk, &mut words[..planes]);
+        for (p, &word) in words[..planes].iter().enumerate() {
+            packed[p * plane_words + i] = word;
+        }
+    }
+    let mut hex = String::with_capacity(packed.len() * 16);
+    for word in packed {
+        for nibble in (0..16).rev() {
+            hex.push(char::from(HEX[(word >> (4 * nibble) & 0xF) as usize]));
+        }
+    }
+    (planes, hex)
+}
+
+/// Inverse of [`region_sites`]. The hex length must be exactly what
+/// `rows`, `cols` and `planes` imply — checked with overflow checks
+/// before anything is allocated, so a frame can never size a region
+/// larger than four sites per hex digit it carries. Non-hex digits
+/// (uppercase included), `planes` outside 1..=8 and set padding bits
+/// past a row's last site are each rejected.
+fn decode_region(
+    rows: usize,
+    cols: usize,
+    planes: usize,
+    hex: &str,
+) -> Result<Vec<u8>, ProtoError> {
+    let bad = |detail: String| ProtoError(format!("region sites: {detail}"));
+    if !(1..=8).contains(&planes) {
+        return Err(bad(format!("{planes} planes for 8-bit sites")));
+    }
+    let overflow = || bad(format!("{rows}×{cols} at {planes} planes overflows"));
+    let sites = rows.checked_mul(cols).ok_or_else(overflow)?;
+    let plane_words = rows.checked_mul(cols.div_ceil(64)).ok_or_else(overflow)?;
+    let expect = plane_words.checked_mul(16 * planes).ok_or_else(overflow)?;
+    if hex.len() != expect {
+        return Err(bad(format!(
+            "{} hex digits, {rows}×{cols} at {planes} planes implies {expect}",
+            hex.len()
+        )));
+    }
+    let mut cells = vec![0u8; sites];
+    if sites == 0 {
+        return Ok(cells);
+    }
+    let digits = hex.as_bytes();
+    let mut words = [0u64; 8];
+    for (i, chunk) in cells.chunks_mut(cols).flat_map(|row| row.chunks_mut(64)).enumerate() {
+        for (p, word) in words[..planes].iter_mut().enumerate() {
+            let at = (p * plane_words + i) * 16;
+            *word = hex_word(&digits[at..at + 16]).ok_or_else(|| bad("non-hex digit".into()))?;
+            if *word & !tail_mask(chunk.len()) != 0 {
+                return Err(bad("padding bits set past a row's last site".into()));
+            }
+        }
+        unpack_word(&words[..planes], chunk);
+    }
+    Ok(cells)
+}
+
+/// Sixteen lowercase hex digits as a word, most significant first.
+fn hex_word(digits: &[u8]) -> Option<u64> {
+    digits.iter().try_fold(0u64, |acc, &d| {
+        let nibble = match d {
+            b'0'..=b'9' => d - b'0',
+            b'a'..=b'f' => d - b'a' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | u64::from(nibble))
+    })
 }
 
 impl Response {
@@ -776,21 +871,22 @@ impl Response {
                     ("obstacles".into(), Value::num_u64(*obstacles)),
                 ],
             ),
-            Response::Region { session, time, row0, col0, rows, cols, cells } => ok(
-                "region",
-                vec![
-                    ("session".into(), Value::Str(session.clone())),
-                    ("time".into(), Value::num_u64(*time)),
-                    ("row0".into(), Value::num_usize(*row0)),
-                    ("col0".into(), Value::num_usize(*col0)),
-                    ("rows".into(), Value::num_usize(*rows)),
-                    ("cols".into(), Value::num_usize(*cols)),
-                    (
-                        "cells".into(),
-                        Value::Arr(cells.iter().map(|&c| Value::num_u64(u64::from(c))).collect()),
-                    ),
-                ],
-            ),
+            Response::Region { session, time, row0, col0, rows, cols, cells } => {
+                let (planes, sites) = region_sites(cells, *cols);
+                ok(
+                    "region",
+                    vec![
+                        ("session".into(), Value::Str(session.clone())),
+                        ("time".into(), Value::num_u64(*time)),
+                        ("row0".into(), Value::num_usize(*row0)),
+                        ("col0".into(), Value::num_usize(*col0)),
+                        ("rows".into(), Value::num_usize(*rows)),
+                        ("cols".into(), Value::num_usize(*cols)),
+                        ("planes".into(), Value::num_usize(planes)),
+                        ("sites".into(), Value::Str(sites)),
+                    ],
+                )
+            }
             Response::Checkpointed { session, time } => ok(
                 "checkpointed",
                 vec![
@@ -924,21 +1020,24 @@ impl Response {
                 obstacles: u64_field("obstacles")?,
             }),
             "region" => {
-                let cells = v
-                    .get("cells")
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| missing("cells"))?
-                    .iter()
-                    .map(|c| c.as_u64().and_then(|n| u8::try_from(n).ok()))
-                    .collect::<Option<Vec<u8>>>()
-                    .ok_or_else(|| missing("cells"))?;
+                if v.get("cells").is_some() {
+                    return Err(ProtoError(
+                        "obsolete region shape: a `cells` number array; sites travel as \
+                         `planes` + `sites` hex bit-planes"
+                            .into(),
+                    ));
+                }
+                let (rows, cols) = (usize_field("rows")?, usize_field("cols")?);
+                let sites =
+                    v.get("sites").and_then(Value::as_str).ok_or_else(|| missing("sites"))?;
+                let cells = decode_region(rows, cols, usize_field("planes")?, sites)?;
                 Ok(Response::Region {
                     session: session()?,
                     time: u64_field("time")?,
                     row0: usize_field("row0")?,
                     col0: usize_field("col0")?,
-                    rows: usize_field("rows")?,
-                    cols: usize_field("cols")?,
+                    rows,
+                    cols,
                     cells,
                 })
             }

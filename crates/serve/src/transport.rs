@@ -22,6 +22,12 @@
 //!   `timeout` in their site for callers that branch on them.
 //! * **Truncation is explicit** — a peer closing mid-line yields a
 //!   `truncated frame` error, never a silently short read.
+//! * **No Nagle stall** — every connection (accepted or dialled) sets
+//!   `TCP_NODELAY`, and [`Connection::write_line`] hands the line and
+//!   its newline to the kernel in one `write_all`. A request/response
+//!   protocol sends one small segment per turn; with Nagle on, each
+//!   turn would wait out the peer's delayed ACK (tens of milliseconds
+//!   against a sub-millisecond step).
 //!
 //! I/O failures map onto [`LatticeError::Corrupted`] with the site
 //! prefixed `transport:`, keeping the daemon inside the workspace's
@@ -102,8 +108,8 @@ impl Listener {
     }
 }
 
-/// One client connection: buffered bounded line reads, flushed line
-/// writes, per-operation deadlines.
+/// One client connection: buffered bounded line reads, one-write line
+/// frames, `TCP_NODELAY`, per-operation deadlines.
 #[derive(Debug)]
 pub struct Connection {
     reader: BufReader<TcpStream>,
@@ -121,6 +127,7 @@ impl Connection {
     ) -> Result<Connection, LatticeError> {
         stream.set_read_timeout(timeout).map_err(|e| io_err("configure", &e))?;
         stream.set_write_timeout(timeout).map_err(|e| io_err("configure", &e))?;
+        stream.set_nodelay(true).map_err(|e| io_err("configure", &e))?;
         let writer = stream.try_clone().map_err(|e| io_err("clone", &e))?;
         Ok(Connection { reader: BufReader::new(stream), writer })
     }
@@ -203,12 +210,14 @@ impl Connection {
         }
     }
 
-    /// Writes one response line (newline appended) and flushes it.
+    /// Writes one line, newline appended, as a single `write_all`: the
+    /// frame leaves as one unit instead of a line segment trailed by a
+    /// one-byte newline segment.
     pub fn write_line(&mut self, line: &str) -> Result<(), LatticeError> {
-        self.writer.write_all(line.as_bytes()).map_err(|e| io_err("write", &e))?;
-        self.writer.write_all(b"\n").map_err(|e| io_err("write", &e))?;
-        self.writer.flush().map_err(|e| io_err("flush", &e))?;
-        Ok(())
+        let mut frame = Vec::with_capacity(line.len() + 1);
+        frame.extend_from_slice(line.as_bytes());
+        frame.push(b'\n');
+        self.writer.write_all(&frame).map_err(|e| io_err("write", &e))
     }
 }
 
@@ -303,4 +312,42 @@ pub fn inject_raw(
         }
     }
     Ok(Some(String::from_utf8_lossy(&line).into_owned()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connected pair: (the daemon's accepted side, the client).
+    fn pair(dial: impl FnOnce(&str) -> Result<Client, LatticeError>) -> (Connection, Client) {
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let client = dial(&addr).unwrap();
+        (listener.accept().unwrap(), client)
+    }
+
+    fn nodelay(conn: &Connection) -> bool {
+        conn.writer.nodelay().unwrap()
+    }
+
+    #[test]
+    fn both_ends_of_every_connection_disable_nagle() {
+        let (server, client) = pair(Client::connect);
+        assert!(nodelay(&server), "accepted side");
+        assert!(nodelay(&client.conn), "Client::connect");
+        let (server, client) =
+            pair(|addr| Client::connect_with_timeout(addr, Duration::from_secs(5)));
+        assert!(nodelay(&server), "accepted side");
+        assert!(nodelay(&client.conn), "Client::connect_with_timeout");
+    }
+
+    #[test]
+    fn a_written_frame_arrives_as_exactly_one_line() {
+        let (mut server, mut client) = pair(Client::connect);
+        let line = r#"{"ok":true,"kind":"bye"}"#;
+        server.write_line(line).unwrap();
+        drop(server);
+        assert_eq!(client.read_line().unwrap().as_deref(), Some(line));
+        assert_eq!(client.read_line().unwrap(), None, "nothing after the one frame");
+    }
 }

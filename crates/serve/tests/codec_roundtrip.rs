@@ -6,6 +6,7 @@
 //! `decode(encode(frame)) == frame` exactly — the daemon and client
 //! never disagree about a frame they exchanged.
 
+use lattice_serve::json;
 use lattice_serve::protocol::{
     FaultSpec, Query, ReportFrame, Request, Response, SessionSpec, SessionStat, StatsFrame,
 };
@@ -223,6 +224,23 @@ fn stats_strategy() -> impl Strategy<Value = StatsFrame> {
         )
 }
 
+/// Region frames: empty ones, widths on and off the 64-site word
+/// boundary, and site values of every bit length 0..=8 (so every plane
+/// count the encoder can choose).
+fn region_strategy() -> impl Strategy<Value = Response> {
+    (
+        (string_strategy(), u53(), 0usize..6, 0usize..200),
+        (0u32..=8, collection::vec(any::<u8>(), 0..256)),
+    )
+        .prop_map(|((session, time, rows, cols), (bits, bytes))| {
+            let mask = ((1u16 << bits) - 1) as u8;
+            let cells = (0..rows * cols)
+                .map(|i| bytes.get(i % bytes.len().max(1)).copied().unwrap_or(0) & mask)
+                .collect();
+            Response::Region { session, time, row0: rows, col0: cols, rows, cols, cells }
+        })
+}
+
 fn response_strategy() -> impl Strategy<Value = Response> {
     prop_oneof![
         (string_strategy(), any::<bool>())
@@ -243,17 +261,7 @@ fn response_strategy() -> impl Strategy<Value = Response> {
                 obstacles,
             }
         ),
-        (string_strategy(), u53(), collection::vec(any::<u8>(), 0..64)).prop_map(
-            |(session, time, cells)| Response::Region {
-                session,
-                time,
-                row0: 1,
-                col0: 2,
-                rows: 1,
-                cols: cells.len(),
-                cells,
-            }
-        ),
+        region_strategy(),
         (string_strategy(), u53())
             .prop_map(|(session, time)| Response::Checkpointed { session, time }),
         (string_strategy(), collection::vec(string_strategy(), 0..4))
@@ -280,10 +288,91 @@ proptest! {
     }
 
     #[test]
+    fn region_frames_round_trip_at_the_length_rule(resp in region_strategy()) {
+        let line = resp.to_line();
+        let back = Response::from_line(&line);
+        prop_assert_eq!(back.as_ref(), Ok(&resp), "line: {line}");
+        let Response::Region { rows, cols, cells, .. } = &resp else { unreachable!() };
+        // Planes follow the checkpoint rule, and the hex length is
+        // exactly what the header implies.
+        let planes = (8 - cells.iter().fold(0u8, |a, &c| a | c).leading_zeros() as usize).max(1);
+        let frame = json::parse(&line).unwrap();
+        prop_assert_eq!(frame.get("planes").and_then(json::Value::as_usize), Some(planes));
+        let sites = frame.get("sites").and_then(json::Value::as_str).unwrap_or_default();
+        prop_assert_eq!(sites.len(), planes * rows * cols.div_ceil(64) * 16);
+    }
+
+    #[test]
     fn encoded_frames_are_single_lines(req in request_strategy(), resp in response_strategy()) {
         // The transport frames by newline, so an encoded frame must
         // never contain a literal one (escaping handles embedded \n).
         prop_assert!(!req.to_line().contains('\n'));
         prop_assert!(!resp.to_line().contains('\n'));
     }
+}
+
+/// A well-formed region frame with the given header fields and sites.
+fn region_line(rows: &str, cols: &str, planes: &str, sites: &str) -> String {
+    format!(
+        r#"{{"ok":true,"kind":"region","session":"s","time":3,"row0":0,"col0":0,"rows":{rows},"cols":{cols},"planes":{planes},"sites":"{sites}"}}"#
+    )
+}
+
+/// Decodes `line`, which must be rejected with an error naming `what`.
+fn rejected(line: &str, what: &str) {
+    match Response::from_line(line) {
+        Err(e) => assert!(e.to_string().contains(what), "{e} should name {what:?}; line: {line}"),
+        Ok(resp) => panic!("accepted {resp:?} from {line}"),
+    }
+}
+
+#[test]
+fn region_decoder_rejects_every_pinned_bad_frame() {
+    // The reference: a 2×3 region at 2 planes, one word per plane row.
+    let good = Response::Region {
+        session: "s".into(),
+        time: 3,
+        row0: 0,
+        col0: 0,
+        rows: 2,
+        cols: 3,
+        cells: vec![1, 2, 3, 0, 1, 2],
+    };
+    let line = good.to_line();
+    assert_eq!(
+        line,
+        region_line(
+            "2",
+            "3",
+            "2",
+            "00000000000000050000000000000002\
+             00000000000000060000000000000004"
+        )
+    );
+    assert_eq!(Response::from_line(&line), Ok(good));
+
+    // rows × cols overflows the address space.
+    rejected(&region_line("4294967296", "4294967296", "1", ""), "overflows");
+    // A 2^40-row header with one word of payload: the length rule
+    // refuses it before anything is allocated.
+    rejected(&region_line("1099511627776", "1", "1", &"0".repeat(16)), "implies");
+    // One nibble short, and one too many.
+    let hex = "0000000000000005000000000000000200000000000000060000000000000004";
+    rejected(&region_line("2", "3", "2", &hex[1..]), "implies");
+    rejected(&region_line("2", "3", "2", &format!("{hex}0")), "implies");
+    // Non-hex digits, uppercase included.
+    for junk in ["g", "F", " ", "λ"] {
+        let bad = format!("{junk}{}", &hex[junk.len()..]);
+        rejected(&region_line("2", "3", "2", &bad), "region sites");
+    }
+    // Padding bits past the row's last site.
+    rejected(&region_line("2", "3", "2", &format!("000000000000000d{}", &hex[16..])), "padding");
+    // Planes outside 1..=8.
+    rejected(&region_line("1", "1", "9", &"0".repeat(9 * 16)), "planes");
+    rejected(&region_line("0", "0", "0", ""), "planes");
+    // The obsolete number-array shape is refused by name.
+    rejected(
+        r#"{"ok":true,"kind":"region","session":"s","time":3,"row0":0,"col0":0,"rows":1,"cols":2,"cells":[1,2]}"#,
+        "obsolete",
+    );
 }

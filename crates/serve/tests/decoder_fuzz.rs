@@ -26,6 +26,18 @@ fn mangled_strategy() -> impl Strategy<Value = String> {
         Just(Request::Create { session: "s".into(), spec: Default::default() }.to_line()),
         Just(Response::Bye.to_line()),
         Just(Response::Error { message: "m".into() }.to_line()),
+        Just(
+            Response::Region {
+                session: "s".into(),
+                time: 1,
+                row0: 0,
+                col0: 0,
+                rows: 2,
+                cols: 70,
+                cells: (0..140u8).collect(),
+            }
+            .to_line()
+        ),
     ];
     (seeds, any::<u64>()).prop_map(|(line, salt)| {
         let cut = (salt as usize) % (line.len() + 1);
