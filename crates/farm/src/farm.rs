@@ -25,6 +25,14 @@
 //! report accounts both, which is what the analytical board model in
 //! `lattice-vlsi` predicts and `tab_farm_scaling` cross-checks.
 //!
+//! Every entry point runs the one pass loop, [`FarmSession::step_audited`]:
+//! [`LatticeFarm::run`] is a one-step session under a zero recovery
+//! budget, [`LatticeFarm::run_with_recovery`] a one-step session under
+//! the caller's, and [`LatticeFarm::session_owned`] hands the session to
+//! the caller. A checkpoint barrier is encoded only when something can
+//! read it: a durable sink, or a ladder level that restores it (a global
+//! retry budget or a degrade budget).
+//!
 //! # The recovery ladder
 //!
 //! At machine scale the dominant cost of a transient upset is not the
@@ -66,6 +74,7 @@ use lattice_engines_sim::{
     EngineReport, FaultCtx, FaultPlan, FaultStats, Pipeline, RecoveryStats, RunOptions, SpaEngine,
     SpaRunOptions,
 };
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -353,6 +362,27 @@ impl Default for FarmRecoveryConfig {
     }
 }
 
+impl FarmRecoveryConfig {
+    /// No budget at any level: the first detection fails the run, and
+    /// no periodic barrier falls due. What [`LatticeFarm::run`] steps
+    /// under.
+    const NONE: Self = FarmRecoveryConfig {
+        max_retries: 0,
+        checkpoint_every: u64::MAX,
+        arq_retries: 0,
+        local_retries: 0,
+        watchdog: None,
+        degrade: None,
+    };
+
+    /// Whether a ladder level can restore a checkpoint barrier: global
+    /// rollback (level 3) and retirement (level 4) reload it; ARQ and
+    /// local replay never do.
+    fn restores(&self) -> bool {
+        self.max_retries > 0 || self.degrade.is_some()
+    }
+}
+
 /// A fault-tolerant farm run: the report plus what recovery did.
 #[derive(Debug, Clone)]
 pub struct FarmFtRun<S: State> {
@@ -413,16 +443,16 @@ impl<S: State> Default for BoardCache<S> {
 fn region_grid<'a, S: State>(
     aug: &'a Grid<S>,
     region: &Region2d,
-) -> Result<std::borrow::Cow<'a, Grid<S>>, LatticeError> {
+) -> Result<Cow<'a, Grid<S>>, LatticeError> {
     if region.r0 == 0
         && region.height == aug.shape().rows()
         && region.a0 == 0
         && region.width == aug.shape().cols()
     {
-        return Ok(std::borrow::Cow::Borrowed(aug));
+        return Ok(Cow::Borrowed(aug));
     }
     let rect = crop(aug, (region.r0, region.a0), (region.height, region.width))?;
-    Ok(std::borrow::Cow::Owned(rect))
+    Ok(Cow::Owned(rect))
 }
 
 /// The `rows × width` rectangle of `grid` whose top-left site is
@@ -711,35 +741,6 @@ impl Totals {
             retransmits: self.retransmits,
         }
     }
-}
-
-/// Takes one checkpoint barrier: snapshots every block through the real
-/// checkpoint codec, bills the recovery accounting, and (when a durable
-/// `sink` is attached) pushes the shard blobs as one shard-consistent
-/// snapshot.
-fn take_ckpt<S: State>(
-    g: &Grid<S>,
-    t: u64,
-    blocks: &[Block],
-    recovery: &mut RecoveryStats,
-    sink: &mut Option<&mut (dyn SnapshotSink + '_)>,
-) -> Result<Vec<Vec<u8>>, LatticeError> {
-    let blobs = save_shard_checkpoints(g, blocks, t)?;
-    recovery.checkpoints += u64_from_usize(blocks.len());
-    recovery.checkpoint_bytes += blobs.iter().map(|b| u64_from_usize(b.len())).sum::<u64>();
-    if let Some(s) = sink.as_deref_mut() {
-        let shards: Vec<ShardBlob> = blobs
-            .iter()
-            .zip(blocks)
-            .map(|(blob, blk)| ShardBlob {
-                col0: u64_from_usize(blk.col0),
-                row0: u64_from_usize(blk.row0),
-                blob: blob.clone(),
-            })
-            .collect();
-        s.persist(Ticks::new(t), &shards)?;
-    }
-    Ok(blobs)
 }
 
 fn save_shard_checkpoints<S: State>(
@@ -1480,7 +1481,9 @@ impl LatticeFarm {
 
     /// Runs `generations` of `rule` over `grid` starting at generation
     /// `t0`, in passes of the configured depth (the final pass may be
-    /// shallower).
+    /// shallower): a one-step session under a zero recovery budget, so
+    /// it borrows `grid`, takes no checkpoint barrier, and fails on the
+    /// first detection.
     ///
     /// Bit-exactness contract: equals the reference
     /// `lattice_core::evolve` under the farm's boundary.
@@ -1491,88 +1494,11 @@ impl LatticeFarm {
         t0: u64,
         generations: u64,
     ) -> Result<FarmReport<R::S>, LatticeError> {
-        self.run_with_faults(rule, grid, t0, generations, None)
-    }
-
-    /// [`LatticeFarm::run`] with fault injection. Every board draws its
-    /// own transient weather ([`FaultCtx::for_shard`]); engine chips of
-    /// board `s` occupy one stable id range, and each board's halo link
-    /// is a [`lattice_engines_sim::Component::Link`] chip past all of
-    /// them. A halo-link parity failure aborts the run with the board's
-    /// name — recovery is [`LatticeFarm::run_with_recovery`]'s job.
-    fn run_with_faults<R: Rule>(
-        &self,
-        rule: &R,
-        grid: &Grid<R::S>,
-        t0: u64,
-        generations: u64,
-        plan: Option<&FaultPlan>,
-    ) -> Result<FarmReport<R::S>, LatticeError> {
-        self.validate(grid)?;
-        let fault_base = plan.map(|p| p.stats()).unwrap_or_default();
-        let shape = grid.shape();
-        let (rows, cols) = (shape.rows(), shape.cols());
-        let shards = self.shards();
-        let stride = self.chip_stride_at(rows, cols, shards)?;
-        let link_chip_base = shards * stride;
-        let phys: Vec<usize> = (0..shards).collect();
-        let attempts = vec![0u64; shards];
-        let (gr, gc) = self.grid;
-        let full_blocks = partition2d_checked(rows, cols, gr, gc, self.depth, self.periodic)?;
-        let mut totals = Totals::new(&full_blocks);
-        let mut scratch = RecoveryStats::default();
-        let mut no_shard_audit =
-            |_: usize, _: &Grid<R::S>, _: &Grid<R::S>| -> Result<(), LatticeError> { Ok(()) };
-        let mut halo_pos = vec![0u64; shards];
-        let mut halo_pos_inter = vec![0u64; shards];
-        let mut windows: Vec<StagedHalo<R::S>> = (0..shards).map(|_| HaloWindow::new()).collect();
-        let mut credit = Ticks::ZERO;
-        // The caller's lattice until the first pass produces one.
-        let mut current = std::borrow::Cow::Borrowed(grid);
-        let t_end = t0 + generations;
-        let mut t_now = t0;
-        let mut passes = 0u64;
-        while t_now < t_end {
-            let k = self.depth.min(usize_from_u64(t_end - t_now));
-            let blocks = self.blocks_at(rows, cols, shards, k)?;
-            let mut cache: Vec<BoardCache<R::S>> =
-                (0..blocks.len()).map(|_| BoardCache::default()).collect();
-            let pp = PassParams {
-                k,
-                t_now,
-                t_end,
-                pass: passes,
-                blocks: &blocks,
-                phys: &phys,
-                stride,
-                link_chip_base,
-                attempts: &attempts,
-                arq_retries: 0,
-                watchdog: None,
-                overlap_credit: credit,
-            };
-            let out = self
-                .attempt_pass(
-                    rule,
-                    &current,
-                    &pp,
-                    plan,
-                    &mut halo_pos,
-                    &mut halo_pos_inter,
-                    &mut cache,
-                    &mut windows,
-                    &mut scratch,
-                    &mut no_shard_audit,
-                )
-                .map_err(|f| f.error)?;
-            credit = out.interior_ticks;
-            totals.absorb(&out, u64_from_usize(k), &phys);
-            current = std::borrow::Cow::Owned(out.grid);
-            t_now += u64_from_usize(k);
-            passes += 1;
-        }
-        let faults = plan.map(|p| p.stats().since(fault_base)).unwrap_or_default();
-        Ok(totals.finish(current.into_owned(), passes, shards, faults))
+        let none = FarmRecoveryConfig::NONE;
+        let mut session =
+            self.session_inner(Cow::Borrowed(grid), t0, PlanRef::None, &none, None)?;
+        session.step(rule, generations)?;
+        Ok(session.finish().report)
     }
 
     /// [`LatticeFarm::run`] hardened against hardware faults through the
@@ -1644,7 +1570,9 @@ impl LatticeFarm {
         shard_audit: impl FnMut(usize, &Grid<R::S>, &Grid<R::S>) -> Result<(), LatticeError>,
         mut sink: Option<&mut dyn SnapshotSink>,
     ) -> Result<FarmFtRun<R::S>, LatticeError> {
-        let mut session = self.session(grid, t0, plan, cfg, sink.as_deref_mut())?;
+        let plan = plan.map_or(PlanRef::None, PlanRef::Borrowed);
+        let mut session =
+            self.session_inner(Cow::Borrowed(grid), t0, plan, cfg, sink.as_deref_mut())?;
         session.step_audited(rule, generations, audit, shard_audit, sink.as_deref_mut())?;
         // Durably record the final state, so a completed run resumes as
         // a no-op instead of replaying from the last barrier.
@@ -1657,32 +1585,13 @@ impl LatticeFarm {
     /// Opens a re-entrant run: the full recovery-ladder state of
     /// [`LatticeFarm::run_with_recovery`] captured in a [`FarmSession`]
     /// that advances in chunks ([`FarmSession::step`]) instead of
-    /// running to completion. The initial checkpoint barrier is taken
-    /// here (and pushed to `sink` if one is attached), exactly as the
-    /// one-shot entry points do.
-    pub fn session<'p, S: State>(
-        &self,
-        grid: &Grid<S>,
-        t0: u64,
-        plan: Option<&'p FaultPlan>,
-        cfg: &FarmRecoveryConfig,
-        sink: Option<&mut (dyn SnapshotSink + '_)>,
-    ) -> Result<FarmSession<'p, S>, LatticeError> {
-        let plan = match plan {
-            Some(p) => PlanRef::Borrowed(p),
-            None => PlanRef::None,
-        };
-        self.session_inner(grid, t0, plan, cfg, sink)
-    }
-
-    /// [`LatticeFarm::session`] with a fault plan the session *owns*.
-    ///
-    /// The borrowed form ties the session's lifetime to the plan's; a
-    /// long-lived host multiplexing many sessions (the `lattice-serve`
-    /// daemon, whose per-session plans are built from each session's
-    /// spec) has no frame for that borrow to live in, so this entry
-    /// point moves the plan into the session and the result is
-    /// `'static`.
+    /// running to completion. The session owns a copy of `grid` and the
+    /// fault plan, so it is `'static`: a long-lived host multiplexing
+    /// many sessions (the `lattice-serve` daemon, whose per-session
+    /// plans are built from each session's spec) has no frame for a
+    /// borrow to live in. The initial checkpoint barrier is taken here
+    /// (and pushed to `sink` if one is attached) under the same rule as
+    /// the one-shot entry points.
     pub fn session_owned<S: State>(
         &self,
         grid: &Grid<S>,
@@ -1691,11 +1600,8 @@ impl LatticeFarm {
         cfg: &FarmRecoveryConfig,
         sink: Option<&mut (dyn SnapshotSink + '_)>,
     ) -> Result<FarmSession<'static, S>, LatticeError> {
-        let plan = match plan {
-            Some(p) => PlanRef::Owned(p),
-            None => PlanRef::None,
-        };
-        self.session_inner(grid, t0, plan, cfg, sink)
+        let plan = plan.map_or(PlanRef::None, PlanRef::Owned);
+        self.session_inner(Cow::Owned(grid.clone()), t0, plan, cfg, sink)
     }
 
     /// The physical chip id of board `b`'s *intra-rack* halo link under
@@ -1743,13 +1649,13 @@ impl LatticeFarm {
 
     fn session_inner<'p, S: State>(
         &self,
-        grid: &Grid<S>,
+        grid: Cow<'p, Grid<S>>,
         t0: u64,
         plan: PlanRef<'p>,
         cfg: &FarmRecoveryConfig,
-        sink: Option<&mut (dyn SnapshotSink + '_)>,
+        mut sink: Option<&mut (dyn SnapshotSink + '_)>,
     ) -> Result<FarmSession<'p, S>, LatticeError> {
-        self.validate(grid)?;
+        self.validate(&grid)?;
         if cfg.checkpoint_every == 0 {
             return Err(LatticeError::InvalidConfig("checkpoint interval must be ≥ 1".into()));
         }
@@ -1773,12 +1679,7 @@ impl LatticeFarm {
         let stride = self.chip_stride_range(rows, cols, shards - max_retired)?;
         let (gr, gc) = self.grid;
         let ckpt_slabs = partition2d_checked(rows, cols, gr, gc, self.depth, self.periodic)?;
-        let totals = Totals::new(&ckpt_slabs);
-        let mut recovery = RecoveryStats::default();
-        let mut sink = sink;
-        let current = grid.clone();
-        let ckpt = take_ckpt(&current, t0, &ckpt_slabs, &mut recovery, &mut sink)?;
-        Ok(FarmSession {
+        let mut session = FarmSession {
             farm: *self,
             cfg: *cfg,
             plan,
@@ -1789,9 +1690,9 @@ impl LatticeFarm {
             stride,
             link_chip_base: shards * stride,
             phys: (0..shards).collect(),
+            totals: Totals::new(&ckpt_slabs),
             ckpt_slabs,
-            totals,
-            recovery,
+            recovery: RecoveryStats::default(),
             halo_pos: vec![0u64; shards],
             halo_pos_inter: vec![0u64; shards],
             windows: (0..shards).map(|_| HaloWindow::new()).collect(),
@@ -1800,13 +1701,14 @@ impl LatticeFarm {
             local_left: vec![cfg.local_retries; shards],
             retries_left: cfg.max_retries,
             retired_left: max_retired,
-            current,
+            current: grid,
             t_now: t0,
-            pass: 0,
             passes: 0,
             passes_since_ckpt: 0,
-            ckpt,
-        })
+            ckpt: Vec::new(),
+        };
+        session.barrier(&mut sink, false)?;
+        Ok(session)
     }
 }
 
@@ -1836,13 +1738,24 @@ impl PlanRef<'_> {
 /// daemon's worker pool, most importantly) can interleave many runs by
 /// advancing each a bounded number of generations at a time.
 ///
+/// This is the farm's only pass loop: [`LatticeFarm::run`] and
+/// [`LatticeFarm::run_with_recovery`] are one-`step` sessions over the
+/// caller's lattice, borrowed until the first pass commits, and
+/// [`LatticeFarm::session_owned`] opens one over a copy.
+///
 /// Bit-exactness contract: any chunking of `generations` into `step`
 /// calls produces the same lattice as one [`LatticeFarm::run_with_recovery`]
-/// call (the one-shot entry points are themselves one-`step` sessions).
-/// Only the overlap *accounting* can differ: ship-ahead staging never
-/// crosses a `step` boundary, so a chunk seam behaves like pass 0's
-/// cold start — the first pass of the next chunk exchanges at the
+/// call. Only the overlap *accounting* can differ: ship-ahead staging
+/// never crosses a `step` boundary, so a chunk seam behaves like pass
+/// 0's cold start — the first pass of the next chunk exchanges at the
 /// barrier, serialized, and earns no `overlapped_ticks` credit.
+///
+/// Checkpoint barriers (opening, periodic, post-re-partition) are
+/// encoded only when something can read them: a sink attached to the
+/// call, or a global retry or degrade budget that restores them. The
+/// window still closes every `checkpoint_every` passes either way,
+/// re-arming the retry budgets. An explicit [`FarmSession::checkpoint`]
+/// always encodes one.
 ///
 /// A `step` that returns an error has exhausted the recovery ladder
 /// mid-pass; the session's lattice is the last committed state, but its
@@ -1876,12 +1789,16 @@ pub struct FarmSession<'p, S: State> {
     local_left: Vec<u32>,
     retries_left: u32,
     retired_left: usize,
-    current: Grid<S>,
+    /// The last committed lattice: the caller's own until the first
+    /// pass commits when the session borrows it.
+    current: Cow<'p, Grid<S>>,
     t_now: u64,
-    pass: u64,
+    /// Committed passes (re-commits after a rollback included), which
+    /// is also the logical pass number (fault-epoch key) of the next.
     passes: u64,
     passes_since_ckpt: u64,
-    /// The in-memory checkpoint barrier (one codec blob per slab).
+    /// The in-memory checkpoint barrier (one codec blob per slab);
+    /// empty until a barrier is encoded.
     ckpt: Vec<Vec<u8>>,
 }
 
@@ -1912,7 +1829,12 @@ impl<'p, S: State> FarmSession<'p, S> {
     /// endpoint serves between steps.
     pub fn report(&self) -> FarmReport<S> {
         let faults = self.plan.get().map(|p| p.stats().since(self.fault_base)).unwrap_or_default();
-        self.totals.clone().finish(self.current.clone(), self.passes, self.farm.shards(), faults)
+        self.totals.clone().finish(
+            Grid::clone(&self.current),
+            self.passes,
+            self.farm.shards(),
+            faults,
+        )
     }
 
     /// Takes a fresh checkpoint barrier *now* (pushed to `sink` when one
@@ -1923,11 +1845,40 @@ impl<'p, S: State> FarmSession<'p, S> {
     /// session at the recorded generation) is bit-exact.
     pub fn checkpoint(
         &mut self,
-        sink: Option<&mut (dyn SnapshotSink + '_)>,
+        mut sink: Option<&mut (dyn SnapshotSink + '_)>,
     ) -> Result<(), LatticeError> {
-        let mut sink = sink;
-        self.ckpt =
-            take_ckpt(&self.current, self.t_now, &self.ckpt_slabs, &mut self.recovery, &mut sink)?;
+        self.barrier(&mut sink, true)
+    }
+
+    /// Closes the checkpoint window: re-arms the retry budgets and,
+    /// when `force`d or something can read it (a sink, or a ladder
+    /// level that restores it), snapshots every block through the real
+    /// checkpoint codec, bills the recovery accounting, and pushes the
+    /// shard blobs to the sink as one shard-consistent snapshot.
+    fn barrier(
+        &mut self,
+        sink: &mut Option<&mut (dyn SnapshotSink + '_)>,
+        force: bool,
+    ) -> Result<(), LatticeError> {
+        if force || sink.is_some() || self.cfg.restores() {
+            let blobs = save_shard_checkpoints(&self.current, &self.ckpt_slabs, self.t_now)?;
+            self.recovery.checkpoints += u64_from_usize(blobs.len());
+            self.recovery.checkpoint_bytes +=
+                blobs.iter().map(|b| u64_from_usize(b.len())).sum::<u64>();
+            if let Some(s) = sink.as_deref_mut() {
+                let shards: Vec<ShardBlob> = blobs
+                    .iter()
+                    .zip(&self.ckpt_slabs)
+                    .map(|(blob, blk)| ShardBlob {
+                        col0: u64_from_usize(blk.col0),
+                        row0: u64_from_usize(blk.row0),
+                        blob: blob.clone(),
+                    })
+                    .collect();
+                s.persist(Ticks::new(self.t_now), &shards)?;
+            }
+            self.ckpt = blobs;
+        }
         self.passes_since_ckpt = 0;
         self.retries_left = self.cfg.max_retries;
         self.local_left.fill(self.cfg.local_retries);
@@ -1956,16 +1907,7 @@ impl<'p, S: State> FarmSession<'p, S> {
         let t_end = self.t_now + n;
         'run: while self.t_now < t_end {
             if self.passes_since_ckpt >= self.cfg.checkpoint_every {
-                self.ckpt = take_ckpt(
-                    &self.current,
-                    self.t_now,
-                    &self.ckpt_slabs,
-                    &mut self.recovery,
-                    &mut sink,
-                )?;
-                self.passes_since_ckpt = 0;
-                self.retries_left = self.cfg.max_retries;
-                self.local_left.fill(self.cfg.local_retries);
+                self.barrier(&mut sink, false)?;
             }
             let k = self.farm.depth.min(usize_from_u64(t_end - self.t_now));
             let blocks = self.farm.blocks_at(self.rows, self.cols, self.phys.len(), k)?;
@@ -1976,7 +1918,7 @@ impl<'p, S: State> FarmSession<'p, S> {
                     k,
                     t_now: self.t_now,
                     t_end,
-                    pass: self.pass,
+                    pass: self.passes,
                     blocks: &blocks,
                     phys: &self.phys,
                     stride: self.stride,
@@ -2008,9 +1950,8 @@ impl<'p, S: State> FarmSession<'p, S> {
                     Ok(out) => {
                         self.credit = out.interior_ticks;
                         self.totals.absorb(&out, u64_from_usize(k), &self.phys);
-                        self.current = out.grid;
+                        self.current = Cow::Owned(out.grid);
                         self.t_now += u64_from_usize(k);
-                        self.pass += 1;
                         self.passes += 1;
                         self.passes_since_ckpt += 1;
                         continue 'run;
@@ -2045,17 +1986,7 @@ impl<'p, S: State> FarmSession<'p, S> {
                         if self.retries_left > 0 {
                             self.retries_left -= 1;
                             self.recovery.rollbacks += 1;
-                            for a in self.attempts.iter_mut() {
-                                *a += 1;
-                            }
-                            let (g, t) = load_shard_checkpoints::<S>(
-                                &self.ckpt,
-                                &self.ckpt_slabs,
-                                self.shape,
-                            )?;
-                            self.current = g;
-                            self.t_now = t;
-                            self.passes_since_ckpt = 0;
+                            self.rewind()?;
                             continue 'run;
                         }
                         // Level 4 — retire the board that exhausted its
@@ -2067,13 +1998,7 @@ impl<'p, S: State> FarmSession<'p, S> {
                                 self.recovery.boards_retired += 1;
                                 let b = self.phys.remove(i);
                                 self.totals.per_shard[b].retired = true;
-                                let (g, t) = load_shard_checkpoints::<S>(
-                                    &self.ckpt,
-                                    &self.ckpt_slabs,
-                                    self.shape,
-                                )?;
-                                self.current = g;
-                                self.t_now = t;
+                                self.rewind()?;
                                 // Only reachable on single-row grids
                                 // (`session_inner` gates the degrade
                                 // budget), so the reshape is columnar.
@@ -2086,19 +2011,7 @@ impl<'p, S: State> FarmSession<'p, S> {
                                     self.farm.periodic,
                                 )?;
                                 self.totals.regeom(&self.ckpt_slabs, &self.phys);
-                                self.ckpt = take_ckpt(
-                                    &self.current,
-                                    self.t_now,
-                                    &self.ckpt_slabs,
-                                    &mut self.recovery,
-                                    &mut sink,
-                                )?;
-                                self.passes_since_ckpt = 0;
-                                self.retries_left = self.cfg.max_retries;
-                                self.local_left.fill(self.cfg.local_retries);
-                                for a in self.attempts.iter_mut() {
-                                    *a += 1;
-                                }
+                                self.barrier(&mut sink, false)?;
                                 continue 'run;
                             }
                         }
@@ -2110,12 +2023,30 @@ impl<'p, S: State> FarmSession<'p, S> {
         Ok(())
     }
 
+    /// Rewinds every board to the in-memory barrier (ladder levels 3
+    /// and 4) and re-seeds every board's attempt epoch.
+    fn rewind(&mut self) -> Result<(), LatticeError> {
+        let (g, t) = load_shard_checkpoints::<S>(&self.ckpt, &self.ckpt_slabs, self.shape)?;
+        self.current = Cow::Owned(g);
+        self.t_now = t;
+        self.passes_since_ckpt = 0;
+        for a in self.attempts.iter_mut() {
+            *a += 1;
+        }
+        Ok(())
+    }
+
     /// Closes the session: the final machine report and recovery tally,
     /// identical to what the one-shot entry points return.
     pub fn finish(self) -> FarmFtRun<S> {
         let faults = self.plan.get().map(|p| p.stats().since(self.fault_base)).unwrap_or_default();
         FarmFtRun {
-            report: self.totals.finish(self.current, self.passes, self.farm.shards(), faults),
+            report: self.totals.finish(
+                self.current.into_owned(),
+                self.passes,
+                self.farm.shards(),
+                faults,
+            ),
             recovery: self.recovery,
         }
     }
@@ -2124,6 +2055,7 @@ impl<'p, S: State> FarmSession<'p, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lattice_core::checkpoint::store::{CheckpointStore, MemBackend};
     use lattice_core::units::f64_from_u64;
     use lattice_core::{evolve, Boundary};
     use lattice_engines_sim::{Component, Fault, FaultKind};
@@ -2493,8 +2425,10 @@ mod tests {
             cell: None,
             kind: FaultKind::Transient { bit: 1, rate: 2e-3 },
         });
-        // Without recovery the parity check eventually aborts the run.
-        let bare = farm.run_with_faults(&rule, &g, 0, 600, Some(&plan));
+        // Without a recovery budget the parity check eventually aborts
+        // the run.
+        let none = FarmRecoveryConfig::NONE;
+        let bare = farm.run_with_recovery(&rule, &g, 0, 600, Some(&plan), &none, |_, _| Ok(()));
         let err = bare.expect_err("a 2e-3 flip rate must fire within 600 generations");
         assert!(err.to_string().contains("board 1 halo link"), "{err}");
 
@@ -2756,7 +2690,7 @@ mod tests {
                 .with_link(BoardLink::new(8.0))
                 .with_overlap(overlap);
             let one = farm.run_with_recovery(&rule, &g, 0, 17, None, &cfg, |_, _| Ok(())).unwrap();
-            let mut sess = farm.session(&g, 0, None, &cfg, None).unwrap();
+            let mut sess = farm.session_owned(&g, 0, None, &cfg, None).unwrap();
             for n in [1u64, 4, 2, 7, 0, 3] {
                 sess.step(&rule, n).unwrap();
             }
@@ -2783,7 +2717,7 @@ mod tests {
             .with_link(BoardLink::new(4.0))
             .with_overlap(true);
         let one = farm.run_with_recovery(&rule, &g, 0, 10, None, &cfg, |_, _| Ok(())).unwrap();
-        let mut sess = farm.session(&g, 0, None, &cfg, None).unwrap();
+        let mut sess = farm.session_owned(&g, 0, None, &cfg, None).unwrap();
         sess.step(&rule, 10).unwrap();
         let ft = sess.finish();
         assert_eq!(ft.report.grid(), one.report.grid());
@@ -2810,7 +2744,7 @@ mod tests {
         });
         let cfg = FarmRecoveryConfig { max_retries: 20, ..Default::default() };
         let reference = evolve(&g, &rule, Boundary::null(), 0, 600);
-        let mut sess = farm.session(&g, 0, Some(&plan), &cfg, None).unwrap();
+        let mut sess = farm.session_owned(&g, 0, Some(Arc::new(plan)), &cfg, None).unwrap();
         let mut left = 600u64;
         while left > 0 {
             let n = left.min(74);
@@ -2828,7 +2762,7 @@ mod tests {
         let (g, rule) = hpp_world(8, 16, 2);
         let farm = LatticeFarm::new(2, ShardEngine::Wsa { width: 1 }, 2);
         let cfg = FarmRecoveryConfig { checkpoint_every: 100, ..Default::default() };
-        let mut sess = farm.session(&g, 0, None, &cfg, None).unwrap();
+        let mut sess = farm.session_owned(&g, 0, None, &cfg, None).unwrap();
         let after_open = sess.recovery().checkpoints;
         assert_eq!(after_open, 2, "the opening barrier snapshots both slabs");
         sess.step(&rule, 4).unwrap();
@@ -2837,6 +2771,30 @@ mod tests {
         sess.step(&rule, 4).unwrap();
         let reference = evolve(&g, &rule, Boundary::null(), 0, 8);
         assert_eq!(sess.grid(), &reference);
+
+        // A barrier is encoded only when something can read it. With no
+        // restoring budget and no sink, periodic barriers fall due every
+        // pass and none is taken...
+        let bare = FarmRecoveryConfig { max_retries: 0, checkpoint_every: 1, ..Default::default() };
+        let mut sess = farm.session_owned(&g, 0, None, &bare, None).unwrap();
+        sess.step(&rule, 4).unwrap();
+        assert_eq!(sess.recovery().checkpoints, 0);
+        // ...while an explicit checkpoint still snapshots both blocks.
+        sess.checkpoint(None).unwrap();
+        assert_eq!(sess.recovery().checkpoints, 2);
+        assert_eq!(sess.grid(), &evolve(&g, &rule, Boundary::null(), 0, 4));
+        // A global retry budget, a degrade budget, or a sink brings the
+        // opening barrier back.
+        let degrade =
+            FarmRecoveryConfig { degrade: Some(FarmDegradeConfig { max_retired: 1 }), ..bare };
+        for cfg in [FarmRecoveryConfig { max_retries: 1, ..bare }, degrade] {
+            let sess = farm.session_owned(&g, 0, None, &cfg, None).unwrap();
+            assert_eq!(sess.recovery().checkpoints, 2, "{cfg:?}");
+        }
+        let mut store = CheckpointStore::open(MemBackend::new()).unwrap();
+        let sess = farm.session_owned(&g, 0, None, &bare, Some(&mut store)).unwrap();
+        assert_eq!(sess.recovery().checkpoints, 2);
+        assert_eq!(store.commits(), 1, "the opening barrier reached the sink");
     }
 
     #[test]
@@ -2961,16 +2919,17 @@ mod tests {
             degrade: Some(FarmDegradeConfig { max_retired: 1 }),
             ..Default::default()
         };
-        let err = match farm.session(&g, 0, None, &cfg, None) {
+        let err = match farm.session_owned(&g, 0, None, &cfg, None) {
             Err(e) => e,
             Ok(_) => panic!("a 2×2 grid with a degrade budget must be refused"),
         };
         assert!(err.to_string().contains("single-row board grid"), "{err}");
         // The columnar layout of the same four boards still degrades.
         let columnar = LatticeFarm::new(4, ShardEngine::Wsa { width: 1 }, 2);
-        assert!(columnar.session(&g, 0, None, &cfg, None).is_ok());
+        assert!(columnar.session_owned(&g, 0, None, &cfg, None).is_ok());
         // And a grid session without a degrade budget runs fine.
-        let mut sess = farm.session(&g, 0, None, &FarmRecoveryConfig::default(), None).unwrap();
+        let mut sess =
+            farm.session_owned(&g, 0, None, &FarmRecoveryConfig::default(), None).unwrap();
         sess.step(&rule, 5).unwrap();
         let reference = evolve(&g, &rule, Boundary::null(), 0, 5);
         assert_eq!(sess.grid(), &reference);
@@ -2989,7 +2948,8 @@ mod tests {
         let farm = LatticeFarm::new(6, ShardEngine::Wsa { width: 1 }, 2)
             .with_grid(2, 3)
             .with_periodic(true);
-        let mut sess = farm.session(&g, 0, None, &FarmRecoveryConfig::default(), None).unwrap();
+        let mut sess =
+            farm.session_owned(&g, 0, None, &FarmRecoveryConfig::default(), None).unwrap();
         for n in [2u64, 3, 1, 3] {
             sess.step(&rule, n).unwrap();
             sess.checkpoint(None).unwrap();

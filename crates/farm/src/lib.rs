@@ -32,6 +32,13 @@
 //!   with attempt-epoch reseeding of every board's transient faults and
 //!   per-pass worker watchdogs ([`lattice_core::LatticeError::BoardDown`]).
 //!   Every recovered run is bit-exact against the fault-free reference.
+//!
+//! Every entry point runs one pass loop, [`FarmSession`]'s:
+//! [`LatticeFarm::run`] is a recovery run with a zero budget,
+//! [`LatticeFarm::run_with_recovery`] one with the caller's, and
+//! [`LatticeFarm::session_owned`] leaves the session open for chunked
+//! stepping. A checkpoint barrier is encoded only when a sink or a
+//! restoring ladder level (global retry or degrade) can read it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

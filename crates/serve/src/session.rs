@@ -389,8 +389,9 @@ mod tests {
             let grid = seed_grid(&spec).unwrap();
             let farm = build_farm(&spec).unwrap();
             let rule = GasRule::from_spec(&spec).unwrap();
-            let mut session =
-                farm.session::<u8>(&grid, 0, None, &FarmRecoveryConfig::default(), None).unwrap();
+            let mut session = farm
+                .session_owned::<u8>(&grid, 0, None, &FarmRecoveryConfig::default(), None)
+                .unwrap();
             for chunk in [1u64, 3, 2, 4] {
                 rule.step(&mut session, chunk).unwrap();
             }

@@ -11,10 +11,8 @@
 
 use crate::faults::{FaultCtx, FaultPlan, FaultStats};
 use crate::memory::HostLink;
-use crate::metrics::EngineReport;
 use crate::pipeline::{Pipeline, RunOptions};
 use lattice_core::bits::Traffic;
-use lattice_core::checkpoint::store::{ShardBlob, SnapshotSink};
 use lattice_core::units::{
     u64_from_usize, usize_from_u64, BitsPerTick, Hz, Secs, Sites, SitesPerSec, Ticks,
 };
@@ -69,53 +67,19 @@ impl HostSystem {
     /// engine's depth (the final pass may be shallower), starting at
     /// generation `t0` (stochastic rules stamp chirality by absolute
     /// generation, so resuming a run must pass the right `t0`).
+    ///
+    /// A recovery run with nothing to recover:
+    /// [`HostSystem::run_with_recovery`] with no fault plan, no audit
+    /// and no budget, so it takes no checkpoint barrier.
     pub fn run<R: Rule>(
         &self,
         rule: &R,
         grid: &Grid<R::S>,
         t0: u64,
-        mut generations: u64,
+        generations: u64,
     ) -> Result<SystemRun<R::S>, LatticeError> {
-        let mut current = grid.clone();
-        let t_start = t0;
-        let t_end = t0 + generations;
-        let mut t0 = t0;
-        let mut passes = 0u64;
-        let mut ticks = Ticks::ZERO;
-        let mut memory = Traffic::new();
-        let mut demand_sum = 0.0;
-        while generations > 0 {
-            let depth = usize_from_u64(u64_from_usize(self.engine.depth).min(generations));
-            let report: EngineReport<R::S> =
-                Pipeline::wide(self.engine.width, depth).run(rule, &current, t0)?;
-            demand_sum += report.memory_bits_per_tick().get() * report.ticks.to_f64();
-            ticks += report.ticks;
-            memory.merge(report.memory_traffic);
-            current = report.grid;
-            t0 += u64_from_usize(depth);
-            generations -= u64_from_usize(depth);
-            passes += 1;
-        }
-        // Average demand over the run vs what the link supplies.
-        let avg_demand = if ticks.is_zero() {
-            BitsPerTick::ZERO
-        } else {
-            BitsPerTick::new(demand_sum / ticks.to_f64())
-        };
-        let supply = BitsPerTick::new(self.link.bits_per_tick(self.clock_hz));
-        let duty =
-            if avg_demand <= BitsPerTick::ZERO { 1.0 } else { (supply / avg_demand).min(1.0) };
-        let seconds = ticks.secs_at(Hz::new(self.clock_hz * duty));
-        debug_assert_eq!(t0, t_end);
-        Ok(SystemRun {
-            grid: current,
-            generations: t_end - t_start,
-            passes,
-            ticks,
-            memory_traffic: memory,
-            duty_cycle: duty,
-            seconds,
-        })
+        let none = RecoveryConfig { max_retries: 0, checkpoint_every: 1, allow_degraded: false };
+        Ok(self.run_with_recovery(rule, grid, t0, generations, None, &none, |_, _| Ok(()))?.run)
     }
 }
 
@@ -131,19 +95,11 @@ pub struct RecoveryConfig {
     /// Whether the host may take a chip it has localized a permanent
     /// fault to out of service and continue at reduced pipeline depth.
     pub allow_degraded: bool,
-    /// Shard (board) id when this host drives one slab of a farmed
-    /// lattice; `0` for a standalone engine. The id is folded into every
-    /// transient-fault epoch (via [`FaultCtx::for_shard`]) so two shards
-    /// sharing a plan never draw identical faults from the same
-    /// `(seed, pass, attempt)` tuple, and it phase-offsets the
-    /// checkpoint cadence so a farm of hosts with `checkpoint_every > 1`
-    /// doesn't burst every shard's checkpoint traffic on the same pass.
-    pub shard: u64,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
-        RecoveryConfig { max_retries: 3, checkpoint_every: 1, allow_degraded: true, shard: 0 }
+        RecoveryConfig { max_retries: 3, checkpoint_every: 1, allow_degraded: true }
     }
 }
 
@@ -229,6 +185,9 @@ impl HostSystem {
     /// and the failure is localized to one chip, degraded mode takes
     /// that chip out of service and continues at reduced depth;
     /// otherwise the last error is returned.
+    ///
+    /// Checkpoint barriers are taken only when a rollback can restore
+    /// them: with a retry budget or degraded mode allowed.
     #[allow(clippy::too_many_arguments)]
     pub fn run_with_recovery<R: Rule>(
         &self,
@@ -238,44 +197,7 @@ impl HostSystem {
         generations: u64,
         plan: Option<&FaultPlan>,
         cfg: &RecoveryConfig,
-        audit: impl FnMut(&Grid<R::S>, &Grid<R::S>) -> Result<(), LatticeError>,
-    ) -> Result<FtRun<R::S>, LatticeError> {
-        self.run_recovery_impl(rule, grid, t0, generations, plan, cfg, audit, None)
-    }
-
-    /// [`HostSystem::run_with_recovery`] with persistence level 0: every
-    /// in-memory checkpoint is also pushed to `sink` as a one-shard
-    /// durable snapshot, so a killed host can be resumed bit-exact from
-    /// the store (reassemble the snapshot and call this again with the
-    /// restored lattice and generation as `grid`/`t0`). A sink failure
-    /// fails the run — callers wanting best-effort persistence wrap the
-    /// sink.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_recovery_durable<R: Rule>(
-        &self,
-        rule: &R,
-        grid: &Grid<R::S>,
-        t0: u64,
-        generations: u64,
-        plan: Option<&FaultPlan>,
-        cfg: &RecoveryConfig,
-        audit: impl FnMut(&Grid<R::S>, &Grid<R::S>) -> Result<(), LatticeError>,
-        sink: &mut dyn SnapshotSink,
-    ) -> Result<FtRun<R::S>, LatticeError> {
-        self.run_recovery_impl(rule, grid, t0, generations, plan, cfg, audit, Some(sink))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_recovery_impl<R: Rule>(
-        &self,
-        rule: &R,
-        grid: &Grid<R::S>,
-        t0: u64,
-        generations: u64,
-        plan: Option<&FaultPlan>,
-        cfg: &RecoveryConfig,
         mut audit: impl FnMut(&Grid<R::S>, &Grid<R::S>) -> Result<(), LatticeError>,
-        mut sink: Option<&mut dyn SnapshotSink>,
     ) -> Result<FtRun<R::S>, LatticeError> {
         if cfg.checkpoint_every == 0 {
             return Err(LatticeError::InvalidConfig("checkpoint interval must be ≥ 1".into()));
@@ -283,48 +205,38 @@ impl HostSystem {
         let fault_base = plan.map(|p| p.stats()).unwrap_or_default();
         let mut chips: Vec<usize> = (0..self.engine.depth).collect();
         let mut current = grid.clone();
-        let t_start = t0;
         let t_end = t0 + generations;
         let mut t_now = t0;
         let mut recovery = RecoveryStats::default();
-        let mut pass = 0u64; // logical pass number (fault-epoch key)
         let mut attempt = 0u64; // bumped per rollback; re-seeds transients
         let mut retries_left = cfg.max_retries;
-        // Stagger the cadence by shard id: shard `s` takes its first
-        // periodic checkpoint `s mod checkpoint_every` passes early, so
-        // a farm's checkpoint traffic spreads across passes instead of
-        // bursting on the same barrier. Shard 0 (and any
-        // `checkpoint_every = 1`) is unchanged.
-        let mut passes_since_ckpt = cfg.shard % cfg.checkpoint_every;
+        // Committed passes, which is also the logical pass number
+        // (fault-epoch key) of the next one.
         let mut passes = 0u64;
         let mut ticks = Ticks::ZERO;
         let mut memory = Traffic::new();
         let mut demand_sum = 0.0;
 
-        let mut ckpt = checkpoint::save(&current, Ticks::new(t_now));
-        recovery.checkpoints = 1;
-        recovery.checkpoint_bytes = u64_from_usize(ckpt.len());
-        if let Some(s) = sink.as_deref_mut() {
-            s.persist(Ticks::new(t_now), &[ShardBlob { col0: 0, row0: 0, blob: ckpt.clone() }])?;
-        }
+        let restorable = cfg.max_retries > 0 || cfg.allow_degraded;
+        let barrier = |g: &Grid<R::S>, t: u64, recovery: &mut RecoveryStats| {
+            let ckpt = checkpoint::save(g, Ticks::new(t));
+            recovery.checkpoints += 1;
+            recovery.checkpoint_bytes += u64_from_usize(ckpt.len());
+            ckpt
+        };
+        let mut ckpt =
+            if restorable { barrier(&current, t_now, &mut recovery) } else { Vec::new() };
+        let mut passes_since_ckpt = 0u64;
 
         while t_now < t_end {
-            if passes_since_ckpt >= cfg.checkpoint_every {
-                ckpt = checkpoint::save(&current, Ticks::new(t_now));
-                recovery.checkpoints += 1;
-                recovery.checkpoint_bytes += u64_from_usize(ckpt.len());
-                if let Some(s) = sink.as_deref_mut() {
-                    s.persist(
-                        Ticks::new(t_now),
-                        &[ShardBlob { col0: 0, row0: 0, blob: ckpt.clone() }],
-                    )?;
-                }
+            if restorable && passes_since_ckpt >= cfg.checkpoint_every {
+                ckpt = barrier(&current, t_now, &mut recovery);
                 passes_since_ckpt = 0;
                 retries_left = cfg.max_retries;
             }
             let depth = chips.len().min(usize_from_u64(t_end - t_now));
             let opts = RunOptions {
-                faults: plan.map(|p| FaultCtx::for_shard(p, cfg.shard, pass, attempt)),
+                faults: plan.map(|p| FaultCtx::for_shard(p, 0, passes, attempt)),
                 chip_ids: Some(&chips[..depth]),
                 ..RunOptions::default()
             };
@@ -338,7 +250,6 @@ impl HostSystem {
                     memory.merge(report.memory_traffic);
                     current = report.grid;
                     t_now += u64_from_usize(depth);
-                    pass += 1;
                     passes += 1;
                     passes_since_ckpt += 1;
                 }
@@ -370,15 +281,7 @@ impl HostSystem {
             }
         }
 
-        // Durably record the final state, so a completed run resumes as
-        // a no-op instead of replaying from the last periodic barrier.
-        if let Some(s) = sink {
-            let fin = checkpoint::save(&current, Ticks::new(t_now));
-            recovery.checkpoints += 1;
-            recovery.checkpoint_bytes += u64_from_usize(fin.len());
-            s.persist(Ticks::new(t_now), &[ShardBlob { col0: 0, row0: 0, blob: fin }])?;
-        }
-
+        // Average demand over the run vs what the link supplies.
         let avg_demand = if ticks.is_zero() {
             BitsPerTick::ZERO
         } else {
@@ -391,7 +294,7 @@ impl HostSystem {
         Ok(FtRun {
             run: SystemRun {
                 grid: current,
-                generations: t_end - t_start,
+                generations,
                 passes,
                 ticks,
                 memory_traffic: memory,
@@ -431,36 +334,21 @@ mod tests {
     }
 
     #[test]
-    fn durable_run_resumes_bit_exact_from_store() {
-        use lattice_core::checkpoint::store::{reassemble, CheckpointStore, MemBackend};
+    fn a_barrier_is_taken_only_when_a_rollback_can_restore_it() {
         let (g, rule) = workload();
         let sys =
-            HostSystem { engine: Pipeline::wide(2, 3), link: HostLink::new(1e9), clock_hz: 10e6 };
-        let cfg = RecoveryConfig::default();
-        let mut store = CheckpointStore::open(MemBackend::new()).unwrap();
-        // "Kill" after 6 of 10 generations: run the first leg durably...
-        sys.run_with_recovery_durable(&rule, &g, 0, 6, None, &cfg, |_, _| Ok(()), &mut store)
-            .unwrap();
-        // ...then reconstruct everything from the store alone. FHP
-        // chirality hashes absolute (row, col, t), so the restored
-        // generation stamp must carry over for the physics to line up.
-        let loaded = store.load_latest().unwrap().unwrap();
-        let (mid, t) = reassemble::<u8>(&loaded.snapshot).unwrap();
-        assert_eq!(t.get(), 6, "final state is durably recorded");
-        let done = sys
-            .run_with_recovery_durable(
-                &rule,
-                &mid,
-                t.get(),
-                4,
-                None,
-                &cfg,
-                |_, _| Ok(()),
-                &mut store,
-            )
-            .unwrap();
-        let reference = evolve(&g, &rule, Boundary::null(), 0, 10);
-        assert_eq!(done.run.grid, reference);
+            HostSystem { engine: Pipeline::wide(2, 2), link: HostLink::new(1e9), clock_hz: 10e6 };
+        let run = |max_retries, allow_degraded| {
+            let cfg = RecoveryConfig { max_retries, checkpoint_every: 1, allow_degraded };
+            sys.run_with_recovery(&rule, &g, 0, 6, None, &cfg, |_, _| Ok(())).unwrap()
+        };
+        // Opening barrier, then one before each of passes 2 and 3.
+        assert_eq!(run(1, false).recovery.checkpoints, 3);
+        assert_eq!(run(0, true).recovery.checkpoints, 3);
+        let bare = run(0, false);
+        assert_eq!(bare.recovery.checkpoints, 0, "nothing can restore a barrier");
+        assert_eq!(bare.recovery.checkpoint_bytes, 0);
+        assert_eq!(bare.run.grid, sys.run(&rule, &g, 0, 6).unwrap().grid);
     }
 
     #[test]
@@ -491,53 +379,6 @@ mod tests {
 
         // §8's 20× derating, within fill-effect tolerance.
         assert!((18.0..=22.0).contains(&ratio), "derating {ratio}");
-    }
-
-    #[test]
-    fn shard_id_reseeds_transient_draws() {
-        // Two shards running the same workload from the same plan must
-        // see different soft-error weather. Disable detection (no-op
-        // audit, faults inside the stage are invisible to link parity)
-        // so the corruption survives to the output and can be compared.
-        use crate::faults::{Component, Fault, FaultKind, FaultPlan};
-        let (g, rule) = workload();
-        let sys =
-            HostSystem { engine: Pipeline::wide(2, 2), link: HostLink::new(1e9), clock_hz: 10e6 };
-        let plan = FaultPlan::new(3).with_fault(Fault {
-            component: Component::SrCell,
-            chip: None,
-            cell: None,
-            kind: FaultKind::Transient { bit: 1, rate: 2e-3 },
-        });
-        let run_shard = |shard: u64| {
-            let cfg = RecoveryConfig { shard, ..RecoveryConfig::default() };
-            sys.run_with_recovery(&rule, &g, 0, 4, Some(&plan), &cfg, |_, _| Ok(())).unwrap()
-        };
-        let s0 = run_shard(0);
-        let s1 = run_shard(1);
-        assert!(s0.faults.total() > 0 && s1.faults.total() > 0, "rate too low to fire");
-        assert_ne!(s0.run.grid, s1.run.grid, "shards drew identical fault patterns");
-        // Same shard twice: fully deterministic.
-        assert_eq!(run_shard(1).run.grid, s1.run.grid);
-    }
-
-    #[test]
-    fn shard_id_staggers_checkpoint_cadence() {
-        let (g, rule) = workload();
-        let sys =
-            HostSystem { engine: Pipeline::wide(2, 1), link: HostLink::new(1e9), clock_hz: 10e6 };
-        let ckpts = |shard: u64| {
-            let cfg = RecoveryConfig { checkpoint_every: 4, shard, ..RecoveryConfig::default() };
-            sys.run_with_recovery(&rule, &g, 0, 8, None, &cfg, |_, _| Ok(()))
-                .unwrap()
-                .recovery
-                .checkpoints
-        };
-        // Shard 0 checkpoints at t = 0 and 4; shard 2's phase offset
-        // moves its periodic checkpoints to t = 2 and 6 — same cadence,
-        // different passes — and its initial one still lands at t = 0.
-        assert_eq!(ckpts(0), 2);
-        assert_eq!(ckpts(2), 3);
     }
 
     #[test]
