@@ -14,11 +14,14 @@
 //! origin-aware stream framing the engines already speak — for
 //! coordinate-dependent FHP, on both the null boundary and the torus.
 //!
-//! A fault-free pass on WSA boards whose rule supplies a block kernel
-//! ([`Rule::evolve_block`]) skips the cycle loop: the board computes
-//! its block with the kernel and charges the ticks and traffic the
-//! cycle engine would count ([`Pipeline::run_kernel`], DESIGN.md §19).
-//! Every report field is the same either way; only host time moves.
+//! A WSA board whose rule supplies a block kernel
+//! ([`Rule::evolve_block`]) skips the cycle loop whenever no fault in
+//! the plan can fire on the engine chips it would drive
+//! ([`FaultPlan::spares`]): halo-link weather leaves it on the fast
+//! path. The board computes its block with the kernel and charges the
+//! ticks and traffic the cycle engine would count
+//! ([`Pipeline::run_kernel`], DESIGN.md §19). Every report field is the
+//! same either way; only host time moves.
 //!
 //! The price is redundant halo recompute (each exchanged column is
 //! evolved by two boards) and link time at the barrier; the machine
@@ -1226,10 +1229,12 @@ impl LatticeFarm {
                             let r = match engine {
                                 ShardEngine::Wsa { width } => {
                                     let pipe = Pipeline::wide(width, k);
-                                    // A fault-free pass takes the rule's block
-                                    // kernel when it has one for this block;
-                                    // the counts are the cycle engine's.
-                                    let fast = if job.ctx.is_none() {
+                                    // A board whose chips no fault can reach
+                                    // takes the rule's block kernel when it
+                                    // has one for this block; the counts are
+                                    // the cycle engine's.
+                                    let chips: Vec<usize> = (job.chip0..job.chip0 + k).collect();
+                                    let fast = if job.ctx.is_none_or(|c| c.plan.spares(&chips)) {
                                         pipe.run_kernel(rule, &sub, t_now, origin)
                                     } else {
                                         None
@@ -1237,8 +1242,6 @@ impl LatticeFarm {
                                     match fast {
                                         Some(report) => Ok(report),
                                         None => {
-                                            let chips: Vec<usize> =
-                                                (job.chip0..job.chip0 + k).collect();
                                             let opts = RunOptions {
                                                 origin,
                                                 faults: job.ctx,
@@ -2103,11 +2106,14 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_wsa_boards_reach_the_block_kernel_through_a_reference() {
+    fn spared_wsa_boards_reach_the_block_kernel_through_a_reference() {
         let (g, hpp) = hpp_world(12, 22, 5);
         let reference = evolve(&g, &hpp, Boundary::null(), 0, 5);
         let rule = CountingKernel { hpp, calls: Default::default() };
         let calls = || rule.calls.swap(0, std::sync::atomic::Ordering::Relaxed);
+        // 3 boards of depth 2 over 5 generations: passes of depth 2, 2
+        // and a shallow 1; board 1 drives chips 2 and 3 (2 alone on the
+        // shallow pass).
         let farm = LatticeFarm::new(3, ShardEngine::Wsa { width: 2 }, 2);
         // `&&rule`: the call goes through `impl Rule for &R`, which must
         // forward the hook or every board silently runs cycle by cycle.
@@ -2118,13 +2124,46 @@ mod tests {
         let overlapped = farm.with_overlap(true).run(&&rule, &g, 0, 5).unwrap();
         assert_eq!(overlapped.grid(), &reference);
         assert!(calls() > 3 * 3);
-        // A fault context, even an empty plan, keeps the cycle engine,
-        // and so do SPA boards.
-        let plan = FaultPlan::new(1);
+
         let cfg = FarmRecoveryConfig::default();
-        let ft =
-            farm.run_with_recovery(&&rule, &g, 0, 5, Some(&plan), &cfg, |_, _| Ok(())).unwrap();
-        assert_eq!(ft.report, report);
+        let run = |plan: &FaultPlan| {
+            farm.run_with_recovery(&&rule, &g, 0, 5, Some(plan), &cfg, |_, _| Ok(())).unwrap()
+        };
+        let engine_fault = |component, chip| Fault {
+            component,
+            chip,
+            cell: None,
+            kind: FaultKind::Transient { bit: 0, rate: 0.0 },
+        };
+        // A plan no engine chip can see keeps every board on the kernel:
+        // an empty plan, and weather on the halo links alone.
+        assert_eq!(run(&FaultPlan::new(1)).report, report);
+        assert_eq!(calls(), 3 * 3, "an empty plan spares every board");
+        let link_chip = farm.link_chip(12, 22, 0, 1).unwrap();
+        let link_plan = FaultPlan::new(7).with_fault(Fault {
+            component: Component::Link,
+            chip: Some(link_chip),
+            cell: None,
+            kind: FaultKind::Transient { bit: 1, rate: 0.02 },
+        });
+        let ft = run(&link_plan);
+        assert_eq!(ft.report.grid(), &reference);
+        assert!(ft.recovery.retransmits > 0, "the link weather must fire");
+        assert_eq!(ft.recovery.detected, ft.recovery.retransmits, "ARQ answers every detection");
+        assert_eq!(calls(), 3 * 3, "link weather spares every engine chip");
+        // A fault on one of board 1's engine chips sends that board, and
+        // only it, through the cycle engine on the passes that drive the
+        // chip: chip 2 on all three, chip 3 on the two full-depth ones.
+        for (chip, kernel_calls) in [(2, 2 * 3), (3, 2 * 3 + 1)] {
+            let plan = FaultPlan::new(1).with_fault(engine_fault(Component::SrCell, Some(chip)));
+            assert_eq!(run(&plan).report, report, "chip {chip}");
+            assert_eq!(calls(), kernel_calls, "SrCell fault on chip {chip}");
+        }
+        // A fault on every chip reaches every board.
+        let everywhere = FaultPlan::new(1).with_fault(engine_fault(Component::PeOutput, None));
+        assert_eq!(run(&everywhere).report, report);
+        assert_eq!(calls(), 0, "a chip-less fault reaches every board");
+        // SPA boards never take the kernel.
         let spa = LatticeFarm::new(3, ShardEngine::Spa { slice_width: 1 }, 2);
         assert_eq!(spa.run(&&rule, &g, 0, 5).unwrap().grid(), &reference);
         assert_eq!(calls(), 0);

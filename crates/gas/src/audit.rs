@@ -4,9 +4,12 @@
 //! conservation and momentum conservation" (§2) *exactly*, per table
 //! entry — which makes the macroscopic totals a free error-detecting
 //! code for the hardware that streams the lattice. A host can fold the
-//! raster stream into an [`InvariantSnapshot`] as it passes by (one
-//! popcount and two small adds per site, far cheaper than the collision
-//! logic) and compare totals across an engine pass: any single-bit upset
+//! raster stream into an [`InvariantSnapshot`] as it passes by and
+//! compare totals across an engine pass. The fold counts each state
+//! bit's population eight sites per `u64` word, a few word operations
+//! per bit, far cheaper than the collision logic; mass, momentum, the
+//! obstacle count and the legal-state check all read those eight
+//! counts. Any single-bit upset
 //! in a gas channel changes the particle count by exactly ±1 and is
 //! caught immediately, with no reference computation.
 //!
@@ -29,7 +32,7 @@
 //! Violations surface as [`LatticeError::Corrupted`] naming the
 //! invariant that failed — never a silently-wrong lattice.
 
-use crate::observe::{Model, Observables};
+use crate::observe::{bit_counts, Model, Observables};
 use lattice_core::{Grid, LatticeError};
 
 /// What the boundary lets the audit assume about conserved totals.
@@ -56,7 +59,11 @@ pub struct InvariantSnapshot {
 impl InvariantSnapshot {
     /// Measures a lattice's audited totals.
     pub fn measure(grid: &Grid<u8>, model: Model) -> Self {
-        let obs = Observables::measure(grid, model);
+        Self::from_counts(&bit_counts(grid.as_slice()), grid.len(), model)
+    }
+
+    fn from_counts(counts: &[u64; 8], sites: usize, model: Model) -> Self {
+        let obs = Observables::from_counts(counts, sites, model);
         InvariantSnapshot { mass: obs.mass, momentum: obs.momentum, obstacles: obs.obstacles }
     }
 }
@@ -85,17 +92,28 @@ impl ConservationAudit {
     /// arriving back is always corruption, even when it leaves the
     /// audited totals untouched.
     pub fn check(&self, before: &Grid<u8>, after: &Grid<u8>) -> Result<(), LatticeError> {
-        self.check_states(after)?;
+        let counts = bit_counts(after.as_slice());
+        self.check_counts(after, &counts)?;
         self.check_snapshots(
             InvariantSnapshot::measure(before, self.model),
-            InvariantSnapshot::measure(after, self.model),
+            InvariantSnapshot::from_counts(&counts, after.len(), self.model),
         )
     }
 
     /// Rejects any site whose byte sets bits outside
     /// [`Model::legal_mask`].
     pub fn check_states(&self, grid: &Grid<u8>) -> Result<(), LatticeError> {
+        self.check_counts(grid, &bit_counts(grid.as_slice()))
+    }
+
+    /// [`check_states`](Self::check_states) from `grid`'s per-bit
+    /// populations: a clean lattice has none outside the legal mask,
+    /// and only a dirty one is rescanned, to name its first bad site.
+    fn check_counts(&self, grid: &Grid<u8>, counts: &[u64; 8]) -> Result<(), LatticeError> {
         let mask = self.model.legal_mask();
+        if counts.iter().enumerate().all(|(b, &n)| n == 0 || mask & (1 << b) != 0) {
+            return Ok(());
+        }
         for (i, &s) in grid.as_slice().iter().enumerate() {
             if s & !mask != 0 {
                 return Err(LatticeError::Corrupted {
@@ -162,8 +180,11 @@ mod tests {
     use super::*;
     use crate::fhp::FhpDir;
     use crate::hpp::HppDir;
+    use crate::observe::measure_per_site;
     use crate::{init, FhpRule, FhpVariant, HppRule, OBSTACLE_BIT};
     use lattice_core::{evolve, Boundary, Grid, Shape};
+    use proptest::prelude::*;
+    use proptest::{collection, sample};
 
     #[test]
     fn torus_evolution_passes_exact_audit() {
@@ -247,6 +268,100 @@ mod tests {
         // FHP auditor must instead flag the particle-count change.
         let err = ConservationAudit::new(Model::Fhp, AuditMode::Exact).check(&g, &bad).unwrap_err();
         assert!(err.to_string().contains("particle count"), "{err}");
+    }
+
+    /// The per-site legal-state scan the word-parallel check replaces.
+    fn check_states_per_site(model: Model, grid: &Grid<u8>) -> Result<(), LatticeError> {
+        let mask = model.legal_mask();
+        for (i, &s) in grid.as_slice().iter().enumerate() {
+            if s & !mask != 0 {
+                return Err(LatticeError::Corrupted {
+                    site: "audit: illegal state".into(),
+                    detail: format!(
+                        "site {i} holds {s:#04x}, outside the model's legal mask {mask:#04x}"
+                    ),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    fn snapshot_per_site(grid: &Grid<u8>, model: Model) -> InvariantSnapshot {
+        let obs = measure_per_site(grid, model);
+        InvariantSnapshot { mass: obs.mass, momentum: obs.momentum, obstacles: obs.obstacles }
+    }
+
+    fn byte_grid(bytes: Vec<u8>) -> Grid<u8> {
+        let shape = Shape::grid2(1, bytes.len()).unwrap();
+        Grid::from_vec(shape, bytes).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The word-parallel fold equals the per-site fold on arbitrary
+        /// bytes — ragged last words, illegal high bits, obstacle bits,
+        /// both models — error text included.
+        #[test]
+        fn word_parallel_audit_equals_the_per_site_fold(
+            before in collection::vec(any::<u8>(), 1..=200),
+            after in collection::vec(any::<u8>(), 1..=200),
+            legal in any::<bool>(),
+            reversed in any::<bool>(),
+            poke in any::<sample::Index>(),
+            poke_value in prop_oneof![Just(None), any::<u8>().prop_map(Some)],
+            hpp in any::<bool>(),
+            exact in any::<bool>(),
+        ) {
+            let model = if hpp { Model::Hpp } else { Model::Fhp };
+            let mode = if exact { AuditMode::Exact } else { AuditMode::NonIncreasingMass };
+            let audit = ConservationAudit::new(model, mode);
+            let clean = |bytes: Vec<u8>| -> Vec<u8> {
+                bytes.into_iter().map(|b| if legal { b & model.legal_mask() } else { b }).collect()
+            };
+            let before = clean(before);
+            // `before` reversed keeps every total, so the audit passes.
+            let mut after = if reversed { before.iter().rev().copied().collect() } else { clean(after) };
+            // One byte of a legal lattice may still be illegal.
+            if let Some(v) = poke_value {
+                let at = poke.index(after.len());
+                after[at] = v;
+            }
+            let (before, after) = (byte_grid(before), byte_grid(after));
+            for grid in [&before, &after] {
+                prop_assert_eq!(Observables::measure(grid, model), measure_per_site(grid, model));
+                prop_assert_eq!(
+                    InvariantSnapshot::measure(grid, model),
+                    snapshot_per_site(grid, model)
+                );
+                prop_assert_eq!(audit.check_states(grid), check_states_per_site(model, grid));
+            }
+            let per_site = check_states_per_site(model, &after).and_then(|()| {
+                audit.check_snapshots(
+                    snapshot_per_site(&before, model),
+                    snapshot_per_site(&after, model),
+                )
+            });
+            prop_assert_eq!(audit.check(&before, &after), per_site);
+        }
+    }
+
+    #[test]
+    fn bit_counts_cross_the_block_boundary_exactly() {
+        // 255 words is one block; lattices just short of, at, and past
+        // block boundaries must not overflow a byte lane.
+        for len in [2039usize, 2040, 2041, 4080, 5003] {
+            let all = byte_grid(vec![0xff; len]);
+            for model in [Model::Hpp, Model::Fhp] {
+                assert_eq!(Observables::measure(&all, model), measure_per_site(&all, model));
+            }
+            let ramp = byte_grid((0..len).map(|i| (i * 37 % 256) as u8).collect());
+            assert_eq!(
+                Observables::measure(&ramp, Model::Fhp),
+                measure_per_site(&ramp, Model::Fhp),
+                "len {len}"
+            );
+        }
     }
 
     #[test]

@@ -103,6 +103,15 @@ pub struct Fault {
     pub kind: FaultKind,
 }
 
+impl Fault {
+    /// Whether the fault can fire on physical chip `chip`: a fault with
+    /// no chip afflicts every chip. The one chip filter of
+    /// [`FaultCtx::corrupt`] and [`FaultPlan::spares`].
+    fn reaches(&self, chip: usize) -> bool {
+        self.chip.is_none_or(|c| c == chip)
+    }
+}
+
 /// Injected-event tallies, by site class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
@@ -186,6 +195,16 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
+    /// True if no fault in the plan can fire on any of `chips`. An
+    /// engine driving only spared chips computes exactly what a
+    /// fault-free engine does: a transient is a stateless hash of its
+    /// site and epoch, and only a word-changing event is counted, so the
+    /// run's lattice, ticks, traffic and (zero) fault tally are the
+    /// fault-free run's.
+    pub fn spares(&self, chips: &[usize]) -> bool {
+        !self.faults.iter().any(|f| chips.iter().any(|&c| f.reaches(c)))
+    }
+
     /// Snapshot of the cumulative event tallies.
     pub fn stats(&self) -> FaultStats {
         FaultStats {
@@ -262,10 +281,7 @@ impl<'p> FaultCtx<'p> {
     ) -> u64 {
         let mut w = word;
         for (i, f) in self.plan.faults.iter().enumerate() {
-            if f.component != component
-                || f.chip.is_some_and(|c| c != chip)
-                || f.cell.is_some_and(|c| c != cell)
-            {
+            if f.component != component || !f.reaches(chip) || f.cell.is_some_and(|c| c != cell) {
                 continue;
             }
             match f.kind {
@@ -451,6 +467,27 @@ mod tests {
         let ctx = FaultCtx::new(&plan);
         assert_eq!(ctx.corrupt(Component::SrCell, 0, 5, 0, 8, 0), 0b10);
         assert_eq!(ctx.corrupt(Component::SrCell, 0, 4, 1, 8, 0), 0);
+    }
+
+    #[test]
+    fn spares_follows_the_corrupt_chip_filter() {
+        let on = |chip| Fault {
+            component: Component::SrCell,
+            chip,
+            cell: None,
+            kind: FaultKind::Transient { bit: 0, rate: 1.0 },
+        };
+        assert!(FaultPlan::new(1).spares(&[0, 1, 2]));
+        let plan = FaultPlan::new(1).with_fault(on(Some(4)));
+        assert!(plan.spares(&[0, 1, 2, 3]) && plan.spares(&[5, 6]));
+        assert!(!plan.spares(&[3, 4]));
+        assert!(!FaultPlan::new(1).with_fault(on(None)).spares(&[9]));
+        // `spares` agrees with what `corrupt` actually does on each chip.
+        let ctx = FaultCtx::new(&plan);
+        for chip in 0..8 {
+            let fired = ctx.corrupt(Component::SrCell, chip, 0, 0, 8, 0) != 0;
+            assert_eq!(fired, !plan.spares(&[chip]), "chip {chip}");
+        }
     }
 
     #[test]

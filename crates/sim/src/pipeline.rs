@@ -98,7 +98,9 @@ impl Pipeline {
         self.run_opts(rule, grid, t0, RunOptions { origin, ..RunOptions::default() })
     }
 
-    /// The fault-free pass without the cycle loop: the lattice comes
+    /// The fault-free pass without the cycle loop — also a faulted
+    /// run's pass on chips no fault can reach
+    /// ([`crate::FaultPlan::spares`]): the lattice comes
     /// from the rule's whole-block kernel ([`Rule::evolve_block`]), and
     /// every count from the geometry — ticks from the exact closed form
     /// [`lattice_vlsi::wsa::sweep_ticks`], one stream each way through

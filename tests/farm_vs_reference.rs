@@ -6,9 +6,15 @@
 //! analytical links-per-board model.
 
 use lattice_engines::core::units::BitsPerTick;
-use lattice_engines::core::{evolve, Boundary, Rule, Shape, Window};
-use lattice_engines::farm::{BoardLink, FarmRecoveryConfig, LatticeFarm, ShardEngine};
-use lattice_engines::gas::{init, FhpRule, FhpVariant, HppRule};
+use lattice_engines::core::{evolve, Boundary, Grid, Rule, Shape, Window};
+use lattice_engines::farm::{
+    BoardLink, FarmDegradeConfig, FarmRecoveryConfig, LatticeFarm, ShardEngine,
+};
+use lattice_engines::gas::observe::Model;
+use lattice_engines::gas::{init, AuditMode, ConservationAudit, FhpRule, FhpVariant, HppRule};
+use lattice_engines::serve::{
+    build_farm, fault_plan, recovery_config, seed_grid, FaultSpec, SessionSpec,
+};
 use lattice_engines::sim::{Component, Fault, FaultKind, FaultPlan};
 use lattice_engines::vlsi::{FarmModel, Technology};
 use proptest::prelude::*;
@@ -353,6 +359,233 @@ proptest! {
             seed,
         });
     }
+}
+
+/// One faulted shadow-oracle case: an HPP farm on WSA boards under
+/// transient weather on every board's halo links (both tiers), through
+/// the recovery ladder.
+#[derive(Debug, Clone, Copy)]
+struct FaultedCase {
+    rows: usize,
+    /// Board grid `(R, C)`.
+    layout: (usize, usize),
+    block_width: usize,
+    periodic: bool,
+    overlap: bool,
+    depth: usize,
+    width: usize,
+    gens: u64,
+    density: f64,
+    seed: u64,
+    /// Per-site flip rate on each halo link.
+    link_rate: f64,
+    weather_seed: u64,
+    /// An optional engine-chip transient: `(component, chip, rate)`.
+    engine: Option<(Component, usize, f64)>,
+    /// A board whose halo link has a stuck bit: no retry clears it, so
+    /// only a degrade budget can finish the run.
+    stuck_board: Option<usize>,
+    cfg: FarmRecoveryConfig,
+}
+
+/// The faulted case's plan, fresh per run.
+fn faulted_plan(c: &FaultedCase, farm: &LatticeFarm, cols: usize) -> FaultPlan {
+    let max_retired = c.cfg.degrade.map_or(0, |d| d.max_retired);
+    let mut plan = FaultPlan::new(c.weather_seed);
+    for b in 0..farm.shards() {
+        let intra = farm.link_chip(c.rows, cols, max_retired, b).unwrap();
+        let inter = farm.link_chip_inter(c.rows, cols, max_retired, b).unwrap();
+        for chip in [intra, inter] {
+            plan.push(Fault {
+                component: Component::Link,
+                chip: Some(chip),
+                cell: None,
+                kind: FaultKind::Transient { bit: 1, rate: c.link_rate },
+            });
+        }
+    }
+    if let Some(b) = c.stuck_board {
+        plan.push(Fault {
+            component: Component::Link,
+            chip: Some(farm.link_chip(c.rows, cols, max_retired, b).unwrap()),
+            cell: None,
+            kind: FaultKind::StuckAt { bit: 0, value: true },
+        });
+    }
+    if let Some((component, chip, rate)) = c.engine {
+        plan.push(Fault {
+            component,
+            chip: Some(chip),
+            cell: None,
+            kind: FaultKind::Transient { bit: 2, rate },
+        });
+    }
+    plan
+}
+
+/// Under fault weather the fast path's `FarmReport` and
+/// `RecoveryStats` equal the cycle-level run's, or both runs fail with
+/// the same error when the ladder gives up.
+fn assert_faulted_fast_path_is_exact(c: FaultedCase) {
+    let cols = c.layout.1 * c.block_width;
+    let shape = Shape::grid2(c.rows, cols).unwrap();
+    let grid = init::random_hpp(shape, c.density, c.seed).unwrap();
+    let rule = HppRule::new();
+    let farm = LatticeFarm::new(1, ShardEngine::Wsa { width: c.width }, c.depth)
+        .with_grid(c.layout.0, c.layout.1)
+        .with_periodic(c.periodic)
+        .with_overlap(c.overlap);
+    let mode = if c.periodic { AuditMode::Exact } else { AuditMode::NonIncreasingMass };
+    let audit = ConservationAudit::new(Model::Hpp, mode);
+    let check = |before: &Grid<u8>, after: &Grid<u8>| audit.check(before, after);
+    let (fast_plan, cycle_plan) = (faulted_plan(&c, &farm, cols), faulted_plan(&c, &farm, cols));
+    let fast = farm
+        .run_with_recovery(&rule, &grid, 0, c.gens, Some(&fast_plan), &c.cfg, check)
+        .map(|ft| (ft.report, ft.recovery));
+    let cycle = farm
+        .run_with_recovery(&CycleOnly(&rule), &grid, 0, c.gens, Some(&cycle_plan), &c.cfg, check)
+        .map(|ft| (ft.report, ft.recovery));
+    assert_eq!(fast, cycle, "{c:?}");
+}
+
+/// Ladder budgets: ARQ and local retries, global retries, degrade.
+fn faulted_budgets() -> impl Strategy<Value = FarmRecoveryConfig> {
+    (0u32..=2, 0u32..=2, 0u32..=3, 1u64..=3, any::<bool>()).prop_map(
+        |(arq_retries, local_retries, max_retries, checkpoint_every, degrade)| FarmRecoveryConfig {
+            max_retries,
+            checkpoint_every,
+            arq_retries,
+            local_retries,
+            watchdog: None,
+            degrade: degrade.then_some(FarmDegradeConfig { max_retired: 1 }),
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The faulted shadow oracle: halo-link transients on both tiers,
+    /// layouts up to 3×2, overlap on and off, every ladder budget,
+    /// sometimes a stuck halo link that only retirement gets past, and
+    /// sometimes one engine-chip transient, which sends its board (and
+    /// only it) through the cycle engine.
+    #[test]
+    fn fast_path_reports_equal_the_cycle_level_run_under_faults(
+        layout in oracle_layout(),
+        band_rows in 4usize..8,
+        block_width in 6usize..=20,
+        periodic in any::<bool>(),
+        overlap in any::<bool>(),
+        depth in 1usize..=3,
+        width in 1usize..=3,
+        gens in 1u64..10,
+        density in 0.05f64..0.95,
+        seed in any::<u64>(),
+        link_rate in prop_oneof![Just(0.0), 5e-3f64..6e-2],
+        weather_seed in any::<u64>(),
+        engine in prop_oneof![
+            Just(None),
+            (any::<bool>(), any::<proptest::sample::Index>(), 1e-3f64..2e-2).prop_map(
+                |(sr, chip, rate)| {
+                    let component = if sr { Component::SrCell } else { Component::PeOutput };
+                    Some((component, chip, rate))
+                }
+            ),
+        ],
+        stuck in prop_oneof![
+            Just(None),
+            Just(None),
+            any::<proptest::sample::Index>().prop_map(Some),
+        ],
+        cfg in faulted_budgets(),
+    ) {
+        prop_assume!(block_width >= depth);
+        // Degrading re-partitions columns: it needs a row of 2+ boards.
+        let boards = layout.0 * layout.1;
+        let cfg = FarmRecoveryConfig {
+            degrade: cfg.degrade.filter(|_| layout.0 == 1 && boards > 1),
+            ..cfg
+        };
+        // Board `b` owns engine chips `b·depth .. (b+1)·depth`.
+        assert_faulted_fast_path_is_exact(FaultedCase {
+            rows: layout.0 * band_rows,
+            layout,
+            block_width,
+            periodic,
+            overlap,
+            depth,
+            width,
+            gens,
+            density,
+            seed,
+            link_rate,
+            weather_seed,
+            engine: engine.map(|(component, chip, rate)| (component, chip.index(boards * depth), rate)),
+            stuck_board: stuck.map(|b| b.index(boards)),
+            cfg,
+        });
+    }
+}
+
+/// farm-faults' machine (`benchmark/`): a confined HPP 256×256 gas on
+/// 1×2 WSA boards at k=2, its fixed halo-link weather, and 48
+/// generations through the ladder. The fast path must repeat the
+/// cycle-level run's report and ladder exactly: 73 detections answered
+/// by 59 ARQ retransmits, 12 local and 2 global rollbacks, no board
+/// retired, 431,563 machine ticks. Slow in a debug build, so run it
+/// with `cargo test --release --test farm_vs_reference -- --include-ignored`.
+#[test]
+#[ignore]
+fn fast_path_repeats_the_farm_faults_ladder() {
+    let spec = SessionSpec {
+        seed: 42,
+        shards: 2,
+        engine: "wsa".into(),
+        width: 2,
+        model: "hpp".into(),
+        rows: 256,
+        cols: 256,
+        depth: 2,
+        link_bits: Some(16.0),
+        fault: Some(FaultSpec {
+            seed: Some(5),
+            link_rate: 1.5e-3,
+            max_retries: 3,
+            max_retired: 1,
+            ..FaultSpec::default()
+        }),
+        ..SessionSpec::default()
+    };
+    let farm = build_farm(&spec).unwrap();
+    let plan = || fault_plan(&spec, &farm).unwrap().unwrap();
+    let cfg = FarmRecoveryConfig { checkpoint_every: 2, ..recovery_config(&spec) };
+    let margin = 64;
+    let mut grid = seed_grid(&spec).unwrap();
+    grid.map_in_place(|c, s| {
+        let inside =
+            (margin..256 - margin).contains(&c.row()) && (margin..256 - margin).contains(&c.col());
+        if inside {
+            s
+        } else {
+            0
+        }
+    });
+    let rule = HppRule::new();
+    let audit = ConservationAudit::new(Model::Hpp, AuditMode::Exact);
+    let check = |before: &Grid<u8>, after: &Grid<u8>| audit.check(before, after);
+    let fast = farm.run_with_recovery(&rule, &grid, 0, 48, Some(&plan()), &cfg, check).unwrap();
+    let cycle = farm
+        .run_with_recovery(&CycleOnly(&rule), &grid, 0, 48, Some(&plan()), &cfg, check)
+        .unwrap();
+    assert_eq!((&fast.report, fast.recovery), (&cycle.report, cycle.recovery));
+    assert_eq!(fast.report.grid(), &evolve(&grid, &rule, Boundary::null(), 0, 48));
+    let r = fast.recovery;
+    assert_eq!(
+        (r.detected, r.retransmits, r.local_rollbacks, r.rollbacks, r.boards_retired),
+        (73, 59, 12, 2, 0)
+    );
+    assert_eq!(fast.report.machine_ticks().get(), 431_563);
 }
 
 /// Rules or lattices without a block kernel keep the cycle-level path
