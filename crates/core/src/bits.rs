@@ -5,11 +5,13 @@
 //! across chip pins and the main-memory channel. [`Traffic`] is the
 //! counter type every simulator uses. [`pack_word`]/[`unpack_word`] are
 //! the one site packer: bit `p` of 64 consecutive sites becomes one
-//! word of plane `p`. [`pack_rows`] lays a 2-D lattice out that way for
-//! the bit-parallel gas kernels, with [`shift_row`] to stream a plane
-//! along its rows, and checkpoint images store the same planes as
-//! bytes.
+//! word of plane `p`. [`pack_rows`] lays a 2-D block out that way for
+//! the bit-parallel gas kernels, reading it a row at a time from a
+//! [`RowSource`]; [`unpack_rows`] writes back only the window a
+//! [`RowSink`] keeps; [`shift_row`] streams a plane along its rows.
+//! Checkpoint images store the same planes as bytes.
 
+use crate::grid::{RowSink, RowSource};
 use crate::rule::State;
 
 /// Cumulative I/O traffic counter, in bits.
@@ -227,29 +229,54 @@ pub fn planes_needed<S: State>(sites: &[S]) -> usize {
     (64 - any.leading_zeros() as usize).max(1)
 }
 
-/// Packs a row-major raster of `cols`-site rows into `N` bit-planes
-/// with [`pack_word`]. Each row starts a fresh word: plane `p` holds
-/// `⌈cols/64⌉` words per row, and bit `j` of row `r`'s word `w` is bit
-/// `p` of site `(r, 64w + j)`.
-pub fn pack_rows<S: State, const N: usize>(sites: &[S], cols: usize) -> [Vec<u64>; N] {
-    let words = sites.len() / cols * cols.div_ceil(64);
-    let mut planes = std::array::from_fn(|_| Vec::with_capacity(words));
+/// Packs the rows of `src` into `N` bit-planes with [`pack_word`], one
+/// row at a time through a buffer of one row's sites. Each row starts
+/// a fresh word: plane `p` holds `⌈cols/64⌉` words per row, and bit `j`
+/// of row `r`'s word `w` is bit `p` of site `(r, 64w + j)`. `check`
+/// sees each row before it is packed; its first error ends the pack.
+pub fn pack_rows<S: State, const N: usize, E>(
+    src: &dyn RowSource<S>,
+    mut check: impl FnMut(usize, &[S]) -> Result<(), E>,
+) -> Result<[Vec<u64>; N], E> {
+    let shape = src.shape();
+    let (rows, cols) = (shape.rows(), shape.cols());
+    let mut planes = std::array::from_fn(|_| Vec::with_capacity(rows * cols.div_ceil(64)));
+    let mut row = vec![S::default(); cols];
     let mut word = [0u64; N];
-    for chunk in sites.chunks_exact(cols).flat_map(|row| row.chunks(64)) {
-        pack_word(chunk, &mut word);
-        for (plane, w) in planes.iter_mut().zip(word) {
-            plane.push(w);
+    for r in 0..rows {
+        src.fill_row(r, &mut row);
+        check(r, &row)?;
+        for chunk in row.chunks(64) {
+            pack_word(chunk, &mut word);
+            for (plane, w) in planes.iter_mut().zip(word) {
+                plane.push(w);
+            }
         }
     }
-    planes
+    Ok(planes)
 }
 
-/// Inverse of [`pack_rows`]: refills the `cols`-site rows of `sites`
-/// from their planes.
-pub fn unpack_rows<S: State, const N: usize>(planes: &[Vec<u64>; N], cols: usize, sites: &mut [S]) {
-    let chunks = sites.chunks_exact_mut(cols).flat_map(|row| row.chunks_mut(64));
-    for (i, chunk) in chunks.enumerate() {
-        unpack_word(&planes.each_ref().map(|p| p[i]), chunk);
+/// Inverse of [`pack_rows`] over the window `sink` keeps: each kept
+/// row is unpacked straight from its plane words, shifted to the
+/// window's first column, so no site outside the window is touched.
+pub fn unpack_rows<S: State, const N: usize>(
+    planes: &[Vec<u64>; N],
+    cols: usize,
+    sink: &mut dyn RowSink<S>,
+) {
+    let wpr = cols.div_ceil(64);
+    let (rows, window) = sink.window();
+    let (q0, shift) = (window.start / 64, window.start % 64);
+    for r in rows {
+        let words = planes.each_ref().map(|p| &p[r * wpr..][..wpr]);
+        for (j, chunk) in sink.row_mut(r).chunks_mut(64).enumerate() {
+            let q = q0 + j;
+            let aligned = words.map(|w| match w.get(q + 1) {
+                Some(hi) if shift > 0 => w[q] >> shift | hi << (64 - shift),
+                _ => w[q] >> shift,
+            });
+            unpack_word(&aligned, chunk);
+        }
     }
 }
 
@@ -296,6 +323,8 @@ pub fn shift_row(row: &mut [u64], cols: usize, east: bool, periodic: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Grid, Shape};
+    use std::ops::Range;
 
     #[test]
     fn traffic_accounting() {
@@ -366,12 +395,58 @@ mod tests {
         // second row's sites start at bit 0 of word 2.
         let sites: Vec<u8> =
             (0..140).map(|i| u8::from(i % 70 == 0) | u8::from(i == 139) << 1).collect();
-        let planes: [Vec<u64>; 2] = pack_rows(&sites, 70);
+        let grid = Grid::from_vec(Shape::grid2(2, 70).unwrap(), sites).unwrap();
+        let planes: [Vec<u64>; 2] = pack_rows(&grid, |_, _| Ok::<_, ()>(())).unwrap();
         assert_eq!(planes[0], [1, 0, 1, 0]);
         assert_eq!(planes[1], [0, 0, 0, 1 << 5]);
-        let mut back = vec![0u8; sites.len()];
+        let mut back = Grid::new(grid.shape());
         unpack_rows(&planes, 70, &mut back);
-        assert_eq!(back, sites);
+        assert_eq!(back, grid);
+        // The row check sees each row and can stop the pack.
+        let refused = pack_rows::<u8, 2, usize>(&grid, |r, row| match row[69] {
+            0 => Ok(()),
+            _ => Err(r),
+        });
+        assert_eq!(refused, Err(1));
+    }
+
+    /// Keeps rows `rows` and columns `cols` of a `Grid`.
+    struct Window2 {
+        out: Grid<u8>,
+        rows: Range<usize>,
+        cols: Range<usize>,
+    }
+
+    impl RowSink<u8> for Window2 {
+        fn window(&self) -> (Range<usize>, Range<usize>) {
+            (self.rows.clone(), self.cols.clone())
+        }
+        fn row_mut(&mut self, r: usize) -> &mut [u8] {
+            let cols = self.out.shape().cols();
+            &mut self.out.as_mut_slice()[r * cols..][self.cols.clone()]
+        }
+    }
+
+    #[test]
+    fn unpack_writes_only_the_window_from_any_column() {
+        let shape = Shape::grid2(3, 200).unwrap();
+        let grid = Grid::from_fn(shape, |c| (c.row() * 200 + c.col()).wrapping_mul(37) as u8);
+        let planes: [Vec<u64>; 8] = pack_rows(&grid, |_, _| Ok::<_, ()>(())).unwrap();
+        for (rows, cols) in
+            [(0..3, 0..200), (1..2, 5..69), (0..3, 63..64), (2..3, 64..200), (0..2, 71..199)]
+        {
+            let mut sink =
+                Window2 { out: Grid::filled(shape, 0xAA), rows: rows.clone(), cols: cols.clone() };
+            unpack_rows(&planes, 200, &mut sink);
+            let expect = Grid::from_fn(shape, |c| {
+                if rows.contains(&c.row()) && cols.contains(&c.col()) {
+                    grid.get(c)
+                } else {
+                    0xAA
+                }
+            });
+            assert_eq!(sink.out, expect, "{rows:?} x {cols:?}");
+        }
     }
 
     #[test]

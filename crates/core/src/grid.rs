@@ -5,6 +5,7 @@ use crate::coord::{Coord, Shape};
 use crate::rule::State;
 use crate::window::{Window, WINDOW_MAX};
 use crate::LatticeError;
+use std::ops::Range;
 
 /// A dense, row-major grid of site values over a [`Shape`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,6 +45,16 @@ impl<S: State> Grid<S> {
     pub fn from_fn(shape: Shape, mut f: impl FnMut(Coord) -> S) -> Self {
         let data = (0..shape.len()).map(|i| f(shape.coord(i))).collect();
         Grid { shape, data }
+    }
+
+    /// Reads every row of `src` into a grid of its shape.
+    pub fn from_rows(src: &dyn RowSource<S>) -> Self {
+        let mut grid = Grid::new(src.shape());
+        let cols = grid.shape.cols();
+        for (r, row) in grid.data.chunks_exact_mut(cols).enumerate() {
+            src.fill_row(r, row);
+        }
+        grid
     }
 
     /// The grid's shape.
@@ -135,6 +146,53 @@ impl<S: State> Grid<S> {
         for i in 0..self.data.len() {
             self.data[i] = f(self.shape.coord(i), self.data[i]);
         }
+    }
+}
+
+/// A block of sites read one row at a time: what a block kernel
+/// ([`crate::Rule::evolve_block`]) packs its input from. A [`Grid`] is
+/// its own source; a farm board's source builds each row from the
+/// committed lattice with its received halo frames laid over it.
+pub trait RowSource<S: State> {
+    /// The block's shape.
+    fn shape(&self) -> Shape;
+
+    /// Fills `row` (one site per block column) with block row `r`.
+    fn fill_row(&self, r: usize, row: &mut [S]);
+}
+
+/// Where a block kernel writes its output: only the block rows and
+/// columns the caller keeps. A [`Grid`] keeps all of itself; a farm
+/// board keeps its owned window, written straight into its rows of the
+/// next lattice.
+pub trait RowSink<S: State> {
+    /// The kept block rows and columns.
+    fn window(&self) -> (Range<usize>, Range<usize>);
+
+    /// The kept sites of block row `r` (in `window().0`): one per
+    /// column of `window().1`.
+    fn row_mut(&mut self, r: usize) -> &mut [S];
+}
+
+impl<S: State> RowSource<S> for Grid<S> {
+    fn shape(&self) -> Shape {
+        self.shape
+    }
+
+    fn fill_row(&self, r: usize, row: &mut [S]) {
+        row.copy_from_slice(&self.data[r * row.len()..][..row.len()]);
+    }
+}
+
+impl<S: State> RowSink<S> for Grid<S> {
+    fn window(&self) -> (Range<usize>, Range<usize>) {
+        let cols = self.shape.cols();
+        (0..self.data.len() / cols, 0..cols)
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [S] {
+        let cols = self.shape.cols();
+        &mut self.data[r * cols..][..cols]
     }
 }
 

@@ -70,7 +70,7 @@ pub use boundary::Boundary;
 pub use coord::{Coord, Shape, MAX_DIMS};
 pub use engine::{evolve, evolve_into, evolve_parallel, Evolver};
 pub use error::LatticeError;
-pub use grid::Grid;
+pub use grid::{Grid, RowSink, RowSource};
 pub use raster::RasterScan;
 pub use rule::{Rule, State};
 pub use window::Window;

@@ -6,7 +6,7 @@
 //! (§3): `v(a, t+1) = f(N(a), t)` with `N(a)` contained in the radius-1
 //! Moore window around `a`.
 
-use crate::grid::Grid;
+use crate::grid::{RowSink, RowSource};
 use crate::window::Window;
 
 /// A site value: small, copyable, with a fixed bit width.
@@ -90,26 +90,30 @@ pub trait Rule: Sync {
         "anonymous-rule"
     }
 
-    /// A whole-block kernel: evolves `block` (generation `t0`, its site
-    /// `(r, c)` at global coordinate `(origin.0 + r, origin.1 + c)`,
-    /// wrapping) `generations` steps under the null boundary.
+    /// A whole-block kernel: evolves the block `src` reads (generation
+    /// `t0`, its site `(r, c)` at global coordinate
+    /// `(origin.0 + r, origin.1 + c)`, wrapping) `generations` steps
+    /// under the null boundary, reading each row once and writing only
+    /// the rows and columns `sink` keeps.
     ///
-    /// Contract: `Some(g)` means `g` equals
-    /// `evolve(block, self, Boundary::null(), t0, generations)` (with
-    /// the rule seeing those global coordinates) on *every* site of the
-    /// block. A rule that cannot honour that for this block — wrong
-    /// rank, state bits its kernel does not model — returns `None`, and
-    /// the caller takes the site-by-site path. The default has no
-    /// kernel.
+    /// Contract: `true` means every kept site of `sink` now equals the
+    /// same site of `evolve(block, self, Boundary::null(), t0,
+    /// generations)` (with the rule seeing those global coordinates). A
+    /// rule that cannot honour that for this block — wrong rank, state
+    /// bits its kernel does not model — returns `false` without writing
+    /// to `sink`, and the caller takes the site-by-site path. The
+    /// default has no kernel.
+    #[must_use]
     fn evolve_block(
         &self,
-        block: &Grid<Self::S>,
+        src: &dyn RowSource<Self::S>,
+        sink: &mut dyn RowSink<Self::S>,
         t0: u64,
         generations: usize,
         origin: (usize, usize),
-    ) -> Option<Grid<Self::S>> {
-        let _ = (block, t0, generations, origin);
-        None
+    ) -> bool {
+        let _ = (src, sink, t0, generations, origin);
+        false
     }
 }
 
@@ -123,12 +127,13 @@ impl<R: Rule + ?Sized> Rule for &R {
     }
     fn evolve_block(
         &self,
-        block: &Grid<Self::S>,
+        src: &dyn RowSource<Self::S>,
+        sink: &mut dyn RowSink<Self::S>,
         t0: u64,
         generations: usize,
         origin: (usize, usize),
-    ) -> Option<Grid<Self::S>> {
-        (**self).evolve_block(block, t0, generations, origin)
+    ) -> bool {
+        (**self).evolve_block(src, sink, t0, generations, origin)
     }
 }
 

@@ -1,12 +1,15 @@
 //! The farm driver: `S` boards evolving one lattice in bulk-synchronous
 //! lockstep.
 //!
-//! Each pass, every board receives its halo columns over the inter-board
+//! Each pass, every board receives its halo frames over the inter-board
 //! links ([`crate::link::BoardLink`]: bandwidth-throttled, parity
-//! checked), then runs its cycle-level engine — a WSA pipeline (§4) or
-//! an SPA slice array (§5) — for `k` generations over the halo-augmented
-//! slab on its own worker thread, and finally the owned columns are
-//! stitched back into the machine lattice at the barrier. A slab
+//! checked), read straight from the committed lattice, then runs its
+//! cycle-level engine — a WSA pipeline (§4) or an SPA slice array (§5)
+//! — for `k` generations over the halo-augmented slab on its own worker
+//! thread. The board reads that slab a row at a time from the lattice,
+//! with the received frames laid over it, and writes its owned sites
+//! straight into its own rows of the next lattice, so no host gather or
+//! stitch copies the lattice at the barrier. A slab
 //! augmented with `k` true generation-`t` columns per interior side
 //! evolves `k` generations with every owned column bit-exact (boundary
 //! pollution travels one column per generation), so the farmed run
@@ -20,8 +23,10 @@
 //! ([`FaultPlan::spares`]): halo-link weather leaves it on the fast
 //! path. The board computes its block with the kernel and charges the
 //! ticks and traffic the cycle engine would count
-//! ([`Pipeline::run_kernel`], DESIGN.md §19). Every report field is the
-//! same either way; only host time moves.
+//! ([`Pipeline::run_kernel`], DESIGN.md §19). The kernel packs its
+//! bit-planes from the board's rows and unpacks only the owned window
+//! into the next lattice. Every report field is the same either way;
+//! only host time moves.
 //!
 //! The price is redundant halo recompute (each exchanged column is
 //! evolved by two boards) and link time at the barrier; the machine
@@ -72,12 +77,13 @@ use lattice_core::units::{
     u64_from_usize, usize_from_u64, Bits, BitsPerTick, Cells, Hz, Sites, SitesPerSec, SitesPerTick,
     Ticks,
 };
-use lattice_core::{checkpoint, Coord, Grid, LatticeError, Rule, Shape, State};
+use lattice_core::{checkpoint, Grid, LatticeError, RowSink, RowSource, Rule, Shape, State};
 use lattice_engines_sim::{
-    EngineReport, FaultCtx, FaultPlan, FaultStats, Pipeline, RecoveryStats, RunOptions, SpaEngine,
-    SpaRunOptions,
+    Component, EngineCost, EngineReport, FaultCtx, FaultPlan, FaultStats, Pipeline, RecoveryStats,
+    RunOptions, SpaEngine, SpaRunOptions,
 };
 use std::borrow::Cow;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -396,13 +402,22 @@ pub struct FarmFtRun<S: State> {
     pub recovery: RecoveryStats,
 }
 
-/// A board's halo exchange, buffered so local retries can replay it.
-/// The horizontal (intra-rack) and vertical (inter-rack) frames cross
-/// *different wires*, so their bits and retransmits are billed per
-/// tier; `bits`/`retransmits` are the intra-rack figures (the only
-/// nonzero ones for a columnar farm).
+/// A board's halo exchange, buffered so local retries can replay it:
+/// only the received frames, which the board lays over the committed
+/// lattice as it reads its augmented block. The horizontal
+/// (intra-rack) and vertical (inter-rack) frames cross *different
+/// wires*, so their bits and retransmits are billed per tier;
+/// `bits`/`retransmits` are the intra-rack figures (the only nonzero
+/// ones for a columnar farm).
 struct ExchangeOutcome<S: State> {
-    aug: Grid<S>,
+    /// The received halo-column frame: each halo column over the full
+    /// augmented height, in [`Augmented::halo_cols`] order. `None` when
+    /// no fault can reach the wire: the frame then arrives as the
+    /// lattice holds it, and the board reads those sites in place.
+    cols: Option<Vec<S>>,
+    /// The received halo-row frame: each halo row over the owned
+    /// width, in [`Augmented::halo_rows`] order; `None` as for `cols`.
+    rows: Option<Vec<S>>,
     bits: Bits,
     retransmits: u32,
     /// Bits over the inter-rack (vertical) tier; zero at `R = 1`.
@@ -426,36 +441,278 @@ type StagedHalo<S> = HaloWindow<Result<ExchangeOutcome<S>, LatticeError>>;
 /// What one board has produced so far within the current pass. The
 /// cache state encodes what a retry must redo: a link failure leaves
 /// `exchange` empty (re-exchange), an engine/audit failure leaves
-/// `exchange` buffered but `reports` empty (replay the buffered halos).
-/// `reports` holds one engine report per sweep region, in
+/// `exchange` buffered but `costs` empty (replay the buffered halos).
+/// `costs` holds one engine cost per sweep region, in
 /// [`sweep_regions2d`] order (a single entry when overlap is off).
 struct BoardCache<S: State> {
     exchange: Option<ExchangeOutcome<S>>,
-    reports: Option<Vec<EngineReport<S>>>,
+    costs: Option<Vec<EngineCost>>,
 }
 
-impl<S: State> Default for BoardCache<S> {
-    fn default() -> Self {
-        BoardCache { exchange: None, reports: None }
+/// One pass's work so far: every board's cache, and the next lattice,
+/// into whose owned rows each board writes its result. A local
+/// rollback rewrites only the failed board's rows; a global rollback
+/// drops the whole cache.
+struct PassCache<S: State> {
+    boards: Vec<BoardCache<S>>,
+    next: Vec<S>,
+}
+
+impl<S: State> PassCache<S> {
+    fn new(boards: usize) -> Self {
+        PassCache {
+            boards: (0..boards).map(|_| BoardCache { exchange: None, costs: None }).collect(),
+            next: Vec::new(),
+        }
     }
 }
 
-/// The engine input for one sweep region: borrows the full augmented
-/// block when the region covers it entirely (the serialized path pays
-/// no copy), else materializes the region's rectangle.
-fn region_grid<'a, S: State>(
-    aug: &'a Grid<S>,
-    region: &Region2d,
-) -> Result<Cow<'a, Grid<S>>, LatticeError> {
-    if region.r0 == 0
-        && region.height == aug.shape().rows()
-        && region.a0 == 0
-        && region.width == aug.shape().cols()
-    {
-        return Ok(Cow::Borrowed(aug));
+/// A board's halo-augmented block over the committed lattice, read in
+/// place: augmented site `(r, c)` is lattice site
+/// `((row_start + r) mod rows, (col_start + c) mod cols)`. On the torus
+/// the indexes wrap; null-boundary halos are clamped at the lattice
+/// edges, so there they never do.
+#[derive(Clone, Copy)]
+struct Augmented<'a, S: State> {
+    lattice: &'a Grid<S>,
+    block: &'a Block,
+    /// On-board vertical wrap rows per side.
+    wrap: usize,
+    row_start: usize,
+    col_start: usize,
+}
+
+impl<'a, S: State> Augmented<'a, S> {
+    fn new(lattice: &'a Grid<S>, block: &'a Block, wrap: usize) -> Self {
+        let (rows, cols) = (lattice.shape().rows(), lattice.shape().cols());
+        Augmented {
+            lattice,
+            block,
+            wrap,
+            row_start: (block.row0 + rows - (wrap + block.halo_up) % rows) % rows,
+            col_start: (block.col0 + cols - block.halo_left % cols) % cols,
+        }
     }
-    let rect = crop(aug, (region.r0, region.a0), (region.height, region.width))?;
-    Ok(Cow::Owned(rect))
+
+    /// Augmented rows.
+    fn rows(&self) -> usize {
+        self.block.aug_height(self.wrap)
+    }
+
+    /// The first owned augmented row.
+    fn top(&self) -> usize {
+        self.wrap + self.block.halo_up
+    }
+
+    /// The lattice row under augmented row `r`.
+    fn lattice_row(&self, r: usize) -> &'a [S] {
+        let shape = self.lattice.shape();
+        let cols = shape.cols();
+        &self.lattice.as_slice()[wrapped(self.row_start + r, shape.rows()) * cols..][..cols]
+    }
+
+    /// The halo columns, in frame order: they span the full augmented
+    /// height, so corners and the torus's on-board wrap rows ride them.
+    fn halo_cols(&self) -> impl Iterator<Item = usize> {
+        let b = self.block;
+        (0..b.halo_left).chain(b.halo_left + b.width..b.aug_width())
+    }
+
+    /// The halo rows, in frame order: they span only the owned width.
+    fn halo_rows(&self) -> impl Iterator<Item = usize> {
+        let (b, top) = (self.block, self.top());
+        (top - b.halo_up..top).chain(top + b.rows..top + b.rows + b.halo_down)
+    }
+
+    /// Copies augmented row `r` from column `a0` on into `row`: at most
+    /// three lattice segments on the torus (left halo, body, right
+    /// halo), one under the null boundary.
+    fn copy_row(&self, r: usize, a0: usize, mut row: &mut [S]) {
+        let src = self.lattice_row(r);
+        let mut c = wrapped(self.col_start + a0, src.len());
+        while !row.is_empty() {
+            let take = row.len().min(src.len() - c);
+            let (head, rest) = row.split_at_mut(take);
+            head.copy_from_slice(&src[c..c + take]);
+            (row, c) = (rest, 0);
+        }
+    }
+
+    /// Sites in the halo-column frame.
+    fn column_sites(&self) -> usize {
+        (self.block.halo_left + self.block.halo_right) * self.rows()
+    }
+
+    /// Sites in the halo-row frame.
+    fn row_sites(&self) -> usize {
+        (self.block.halo_up + self.block.halo_down) * self.block.width
+    }
+
+    /// The halo-column frame as the neighbors send it, read a lattice
+    /// row at a time.
+    fn column_frame(&self) -> Vec<S> {
+        let (rows, cols) = (self.rows(), self.lattice.shape().cols());
+        let at: Vec<usize> = self.halo_cols().map(|c| (self.col_start + c) % cols).collect();
+        let mut frame = vec![S::default(); at.len() * rows];
+        for r in 0..rows {
+            let src = self.lattice_row(r);
+            for (j, &c) in at.iter().enumerate() {
+                frame[j * rows + r] = src[c];
+            }
+        }
+        frame
+    }
+
+    /// The halo-row frame as the neighbors send it.
+    fn row_frame(&self) -> Vec<S> {
+        let owned = self.block.col0..self.block.col_end();
+        self.halo_rows().flat_map(|r| self.lattice_row(r)[owned.clone()].iter().copied()).collect()
+    }
+}
+
+/// Moves one `n`-site halo frame over `link` into board `b` with ARQ,
+/// returning the received frame, its bits and the retransmissions it
+/// took. A wire no fault can reach would deliver the frame as sent, so
+/// it is billed — `n · D` bits each way, `n` stream positions — without
+/// being read or moved, and the frame comes back `None`: the board
+/// reads those sites in place.
+#[allow(clippy::too_many_arguments)]
+fn ship<S: State>(
+    link: &BoardLink,
+    n: usize,
+    frame: impl FnOnce() -> Vec<S>,
+    b: usize,
+    faults: Option<(FaultCtx<'_>, usize)>,
+    pos: &mut u64,
+    traffic: &mut Traffic,
+    arq_retries: u32,
+    recovery: &mut RecoveryStats,
+) -> Result<(Option<Vec<S>>, Bits, u32), LatticeError> {
+    let bits = Bits::for_items(n, <S as State>::BITS);
+    let live = faults.filter(|&(ctx, chip)| ctx.stream(Component::Link, chip, 0).is_live());
+    if live.is_none() {
+        traffic.record_out(u128::from(u64_from_usize(n)), S::BITS);
+        traffic.record_in(u128::from(u64_from_usize(n)), S::BITS);
+        *pos += u64_from_usize(n);
+        return Ok((None, bits, 0));
+    }
+    let mut retransmits = 0u32;
+    let received =
+        link.transmit_arq(&frame(), b, live, pos, traffic, arq_retries, &mut retransmits);
+    // Every retransmission is one detection the ARQ level already
+    // answered; a final failure is the one unanswered detection that
+    // escalates to the caller's ladder.
+    recovery.detected += u64::from(retransmits);
+    recovery.retransmits += u64::from(retransmits);
+    Ok((Some(received?), bits, retransmits))
+}
+
+/// `i mod n`, without a division for the common `i < n`.
+fn wrapped(i: usize, n: usize) -> usize {
+    if i < n {
+        i
+    } else {
+        i % n
+    }
+}
+
+/// One sweep region of a board's augmented block as its engine reads
+/// it: each row copied from the committed lattice, with the received
+/// halo frames laid over it — so a frame that was corrupted on the wire
+/// but passed parity reaches the engine as it arrived.
+struct RegionRows<'a, S: State> {
+    aug: Augmented<'a, S>,
+    ex: &'a ExchangeOutcome<S>,
+    region: &'a Region2d,
+    shape: Shape,
+}
+
+impl<S: State> RowSource<S> for RegionRows<'_, S> {
+    fn shape(&self) -> Shape {
+        self.shape
+    }
+
+    fn fill_row(&self, r: usize, row: &mut [S]) {
+        let (b, region) = (self.aug.block, self.region);
+        let ar = region.r0 + r;
+        let span = region.a0..region.a0 + region.width;
+        self.aug.copy_row(ar, region.a0, row);
+        if let Some(cols) = &self.ex.cols {
+            let aug_rows = self.aug.rows();
+            for (j, c) in self.aug.halo_cols().enumerate() {
+                if span.contains(&c) {
+                    row[c - region.a0] = cols[j * aug_rows + ar];
+                }
+            }
+        }
+        let Some(rows) = &self.ex.rows else { return };
+        if let Some(j) = self.aug.halo_rows().position(|h| h == ar) {
+            let lo = b.halo_left.max(span.start);
+            let hi = (b.halo_left + b.width).min(span.end);
+            if lo < hi {
+                let from = &rows[j * b.width + lo - b.halo_left..][..hi - lo];
+                row[lo - region.a0..hi - region.a0].copy_from_slice(from);
+            }
+        }
+    }
+}
+
+/// One sweep region's owned window, written straight into the board's
+/// rows of the next lattice: region row `r` is owned row
+/// `r + region.r0 − top`, region column `c` owned column
+/// `c + region.a0 − halo_left`.
+struct OwnedRows<'s, 'n, S: State> {
+    segs: &'s mut [&'n mut [S]],
+    region: &'s Region2d,
+    top: usize,
+    left: usize,
+}
+
+impl<S: State> RowSink<S> for OwnedRows<'_, '_, S> {
+    fn window(&self) -> (Range<usize>, Range<usize>) {
+        let (g, top, left) = (self.region, self.top, self.left);
+        (
+            top + g.own_r_lo - g.r0..top + g.own_r_hi - g.r0,
+            left + g.own_lo - g.a0..left + g.own_hi - g.a0,
+        )
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [S] {
+        let g = self.region;
+        &mut self.segs[r + g.r0 - self.top][g.own_lo..g.own_hi]
+    }
+}
+
+/// Copies the window `sink` keeps out of `grid`, a block of the sink's
+/// shape.
+fn keep_window<S: State>(grid: &Grid<S>, sink: &mut dyn RowSink<S>) {
+    let cols = grid.shape().cols();
+    let (rows, window) = sink.window();
+    for r in rows {
+        sink.row_mut(r).copy_from_slice(&grid.as_slice()[r * cols..][window.clone()]);
+    }
+}
+
+/// Splits `next` (a lattice `cols` sites wide) into every block's owned
+/// rows: entry `i` holds block `i`'s rows top to bottom, `width` sites
+/// each. The blocks tile the lattice, so each site goes to one block.
+fn owned_rows<'n, S: State>(
+    next: &'n mut [S],
+    cols: usize,
+    blocks: &[Block],
+) -> Vec<Vec<&'n mut [S]>> {
+    let mut owned: Vec<Vec<&mut [S]>> = blocks.iter().map(|b| Vec::with_capacity(b.rows)).collect();
+    let mut by_col: Vec<&Block> = blocks.iter().collect();
+    by_col.sort_by_key(|b| b.col0);
+    for (r, row) in next.chunks_exact_mut(cols).enumerate() {
+        let (mut rest, mut at) = (row, 0);
+        for b in by_col.iter().filter(|b| (b.row0..b.row_end()).contains(&r)) {
+            let (seg, tail) = std::mem::take(&mut rest)[b.col0 - at..].split_at_mut(b.width);
+            owned[b.index].push(seg);
+            (rest, at) = (tail, b.col_end());
+        }
+    }
+    owned
 }
 
 /// The `rows × width` rectangle of `grid` whose top-left site is
@@ -496,9 +753,9 @@ fn paste<S: State>(
 /// capacity figures stay the board's maxima and `generations` stays the
 /// pass depth. The dual of [`EngineReport::merge`], which composes
 /// *concurrent* engines (ticks max, stages add).
-fn fold_regions<S: State>(mut reports: Vec<EngineReport<S>>) -> EngineReport<S> {
-    let mut folded = reports.remove(0);
-    for r in reports {
+fn fold_regions(mut costs: Vec<EngineCost>) -> EngineCost {
+    let mut folded = costs.remove(0);
+    for r in costs {
         folded.generations = folded.generations.max(r.generations);
         folded.updates += r.updates;
         folded.ticks += r.ticks;
@@ -537,8 +794,7 @@ struct BoardFailure {
 }
 
 /// Per-board audit callback: `(physical board, aug before, aug after)`.
-type ShardAuditRef<'a, S> =
-    &'a mut dyn FnMut(usize, &Grid<S>, &Grid<S>) -> Result<(), LatticeError>;
+pub type ShardAudit<'f, S> = dyn FnMut(usize, &Grid<S>, &Grid<S>) -> Result<(), LatticeError> + 'f;
 
 /// Geometry and policy shared by every board of one pass attempt.
 struct PassParams<'a> {
@@ -563,14 +819,23 @@ struct PassParams<'a> {
     overlap_credit: Ticks,
 }
 
-/// A board's compute outcome: absent until its worker reports, then
-/// one engine report per sweep region or the board's failure.
-type BoardResult<S> = Option<Result<Vec<EngineReport<S>>, LatticeError>>;
+/// What one board's worker hands back: one engine cost per sweep
+/// region, and, when a per-board audit is attached, each region's
+/// augmented block before and after.
+struct BoardWork<S: State> {
+    costs: Vec<EngineCost>,
+    audited: Vec<(Grid<S>, Grid<S>)>,
+}
 
-/// One board's work order for a pass (borrowing its buffered exchange).
+/// A board's compute outcome: absent until its worker reports.
+type BoardResult<S> = Option<Result<BoardWork<S>, LatticeError>>;
+
+/// One board's work order for a pass (borrowing the committed lattice
+/// and its buffered exchange).
 struct JobRef<'a, S: State> {
     slab: usize,
-    aug: &'a Grid<S>,
+    aug: Augmented<'a, S>,
+    ex: &'a ExchangeOutcome<S>,
     /// Sweep regions in execution order (boundary first); one full
     /// region when overlap is off.
     regions: Vec<Region2d>,
@@ -581,11 +846,11 @@ struct JobRef<'a, S: State> {
     attempt: u64,
 }
 
-/// What one pass produced, before aggregation. `reports` holds the
-/// per-board *folded* report (regions composed sequentially).
+/// What one pass produced, before aggregation. `costs` holds the
+/// per-board *folded* cost (regions composed sequentially).
 struct PassOutcome<S: State> {
     grid: Grid<S>,
-    reports: Vec<EngineReport<S>>,
+    costs: Vec<EngineCost>,
     halo_traffic: Traffic,
     halo_ticks: Ticks,
     retransmit_ticks: Ticks,
@@ -675,7 +940,7 @@ impl Totals {
         // the maximum, chips add up across boards), without copying a
         // board lattice.
         let mut pass_stages = 0u32;
-        for r in &out.reports {
+        for r in &out.costs {
             self.updates += r.updates;
             self.memory.merge(r.memory_traffic);
             self.pins.merge(r.pin_traffic);
@@ -692,7 +957,7 @@ impl Totals {
         self.halo_ticks += out.halo_ticks;
         self.retransmit_ticks += out.retransmit_ticks;
         self.overlapped_ticks += out.overlapped_ticks;
-        for (i, report) in out.reports.iter().enumerate() {
+        for (i, report) in out.costs.iter().enumerate() {
             let stats = &mut self.per_shard[phys[i]];
             stats.updates += report.updates;
             stats.ticks += report.ticks;
@@ -784,6 +1049,83 @@ fn load_shard_checkpoints<S: State>(
         paste(&mut grid, (blk.row0, blk.col0), &sg, (0, 0), (blk.rows, blk.width));
     }
     Ok((grid, time.unwrap_or(Ticks::ZERO).get()))
+}
+
+/// One board's pass: each sweep region read from the committed lattice
+/// with the board's received frames laid over it, evolved `k`
+/// generations, and its owned window written into `owned`, the board's
+/// rows of the next lattice. A WSA board whose chips no fault can reach
+/// streams rows straight from lattice to next lattice through the
+/// rule's block kernel. Every other board — SPA, chips a fault can
+/// reach, rules or blocks without a kernel — and every audited board
+/// builds each region's augmented block, runs it, and copies the owned
+/// window out; an audited board hands those blocks back for the audit.
+fn run_board<R: Rule>(
+    rule: &R,
+    engine: ShardEngine,
+    k: usize,
+    t0: u64,
+    job: &JobRef<'_, R::S>,
+    owned: &mut [&mut [R::S]],
+    audited: bool,
+) -> Result<BoardWork<R::S>, LatticeError> {
+    let chips: Vec<usize> = (job.chip0..job.chip0 + k).collect();
+    // A board whose chips no fault can reach takes the rule's block
+    // kernel when it has one for the block; the counts are the cycle
+    // engine's.
+    let kernel = match engine {
+        ShardEngine::Wsa { width } if job.ctx.is_none_or(|c| c.plan.spares(&chips)) => {
+            Some(Pipeline::wide(width, k))
+        }
+        _ => None,
+    };
+    let mut work = BoardWork { costs: Vec::with_capacity(job.regions.len()), audited: Vec::new() };
+    for region in &job.regions {
+        let src = RegionRows {
+            aug: job.aug,
+            ex: job.ex,
+            region,
+            shape: Shape::grid2(region.height, region.width)?,
+        };
+        let mut sink =
+            OwnedRows { segs: owned, region, top: job.aug.top(), left: job.aug.block.halo_left };
+        let origin = (job.origin.0.wrapping_add(region.r0), job.origin.1.wrapping_add(region.a0));
+        if !audited {
+            if let Some(cost) =
+                kernel.and_then(|pipe| pipe.run_kernel(rule, &src, &mut sink, t0, origin))
+            {
+                work.costs.push(cost);
+                continue;
+            }
+        }
+        let before = Grid::from_rows(&src);
+        let fast = kernel.filter(|_| audited).and_then(|pipe| {
+            let mut after = Grid::new(src.shape);
+            pipe.run_kernel(rule, &before, &mut after, t0, origin).map(|cost| cost.with_grid(after))
+        });
+        let report = match (fast, engine) {
+            (Some(report), _) => report,
+            (None, ShardEngine::Wsa { width }) => {
+                let opts = RunOptions {
+                    origin,
+                    faults: job.ctx,
+                    chip_ids: Some(&chips),
+                    offchip_from: None,
+                };
+                Pipeline::wide(width, k).run_opts(rule, &before, t0, opts)?
+            }
+            (None, ShardEngine::Spa { slice_width }) => {
+                let opts = SpaRunOptions { origin, faults: job.ctx, chip_offset: job.chip0 };
+                SpaEngine::new(slice_width, k).run_opts(rule, &before, t0, opts)?
+            }
+        };
+        keep_window(&report.grid, &mut sink);
+        work.costs.push(report.cost());
+        if audited {
+            work.audited.push((before, report.grid));
+        }
+    }
+    Ok(work)
 }
 
 impl LatticeFarm {
@@ -960,22 +1302,20 @@ impl LatticeFarm {
         Ok(stride)
     }
 
-    /// Gathers one board's halo-augmented block from `grid` at pass
-    /// depth `k` and moves the halo regions across the board's links
-    /// (with ARQ): halo *columns* — the full augmented height, corners
-    /// included — on the intra-rack tier, halo *rows* (owned width
-    /// only, so corner sites are billed once) on the inter-rack tier.
-    /// Shared by the arrival-barrier exchange and the overlap mode's
-    /// ship-ahead staging — the same code path, so the two can never
-    /// disagree on frame contents, parity, or the links' fault-stream
-    /// positions.
+    /// Moves one board's halo frames across its links (with ARQ),
+    /// reading them straight from the lattice `aug` sits on: halo
+    /// *columns* — the full augmented height, corners included — on
+    /// the intra-rack tier, halo *rows* (owned width only, so corner
+    /// sites are billed once) on the inter-rack tier. Only the received
+    /// frames are kept. Shared by the arrival-barrier exchange and the
+    /// overlap mode's ship-ahead staging — the same code path, so the
+    /// two can never disagree on frame contents, parity, or the links'
+    /// fault-stream positions.
     #[allow(clippy::too_many_arguments)]
     fn exchange_board<S: State>(
         &self,
-        grid: &Grid<S>,
-        block: &Block,
+        aug: Augmented<'_, S>,
         b: usize,
-        wrap: usize,
         ctx: Option<FaultCtx<'_>>,
         link_chip_base: usize,
         pos: &mut u64,
@@ -984,101 +1324,41 @@ impl LatticeFarm {
         recovery: &mut RecoveryStats,
         staged: bool,
     ) -> Result<ExchangeOutcome<S>, LatticeError> {
-        let shape = grid.shape();
-        let (rows, cols) = (shape.rows(), shape.cols());
-        let top_pad = wrap + block.halo_up;
-        let aug_rows = block.aug_height(wrap);
-        let aug_width = block.aug_width();
-        // Row by row, each augmented row one run of whole column
-        // segments: on the torus a row wraps into at most three (left
-        // halo, body, right halo); null-boundary halos are clamped, so
-        // every index is already in range and a row is one segment.
-        let row_start = (block.row0 + rows - top_pad % rows) % rows;
-        let col_start = (block.col0 + cols - block.halo_left % cols) % cols;
-        let mut data = Vec::with_capacity(aug_rows * aug_width);
-        for r in 0..aug_rows {
-            let src = &grid.as_slice()[(row_start + r) % rows * cols..][..cols];
-            let (mut c, mut left) = (col_start, aug_width);
-            while left > 0 {
-                let take = left.min(cols - c);
-                data.extend_from_slice(&src[c..c + take]);
-                (c, left) = (0, left - take);
-            }
-        }
-        let mut aug = Grid::from_vec(Shape::grid2(aug_rows, aug_width)?, data)?;
-        // Halo columns (full augmented height: corners and the torus's
-        // wrap rows ride the column frames) cross the intra-rack tier;
-        // owned columns stay on board.
-        let halo_cols: Vec<usize> =
-            (0..block.halo_left).chain(block.halo_left + block.width..block.aug_width()).collect();
-        let mut imported: Vec<S> = Vec::with_capacity(halo_cols.len() * aug_rows);
-        for &c in &halo_cols {
-            for r in 0..aug_rows {
-                imported.push(aug.get(Coord::c2(r, c)));
-            }
-        }
-        let link_faults = ctx.map(|ctx| (ctx, link_chip_base + b));
         let mut traffic = Traffic::new();
-        let mut retransmits = 0u32;
-        let received = self.link.transmit_arq(
-            &imported,
+        // Halo columns cross the intra-rack tier; owned columns stay on
+        // board.
+        let (cols, bits, retransmits) = ship(
+            &self.link,
+            aug.column_sites(),
+            || aug.column_frame(),
             b,
-            link_faults,
+            ctx.map(|ctx| (ctx, link_chip_base + b)),
             pos,
             &mut traffic,
             arq_retries,
-            &mut retransmits,
-        );
-        // Every retransmission is one detection the ARQ level
-        // already answered; a final failure is the one unanswered
-        // detection that escalates to the caller's ladder.
-        recovery.detected += u64::from(retransmits);
-        recovery.retransmits += u64::from(retransmits);
-        let received = received?;
-        for (j, &c) in halo_cols.iter().enumerate() {
-            for r in 0..aug_rows {
-                aug.set(Coord::c2(r, c), received[j * aug_rows + r]);
-            }
-        }
-        let bits = Bits::for_items(imported.len(), <S as State>::BITS);
-
+            recovery,
+        )?;
         // Halo rows (owned width only — the corners already crossed in
         // the column frames) cross the inter-rack tier. A single-row
         // board grid has no vertical seams, so this tier stays idle and
         // the columnar farm's byte-for-byte behavior is preserved.
-        let halo_rows: Vec<usize> = (top_pad - block.halo_up..top_pad)
-            .chain(top_pad + block.rows..top_pad + block.rows + block.halo_down)
-            .collect();
-        let mut retransmits_inter = 0u32;
-        let bits_inter = Bits::for_items(halo_rows.len() * block.width, <S as State>::BITS);
-        if !halo_rows.is_empty() {
-            let mut imported_v: Vec<S> = Vec::with_capacity(halo_rows.len() * block.width);
-            for &r in &halo_rows {
-                for c in block.halo_left..block.halo_left + block.width {
-                    imported_v.push(aug.get(Coord::c2(r, c)));
-                }
-            }
-            let link_faults_v = ctx.map(|ctx| (ctx, link_chip_base + self.shards() + b));
-            let received_v = self.link_inter.transmit_arq(
-                &imported_v,
+        let (rows, bits_inter, retransmits_inter) = match aug.row_sites() {
+            0 => (None, Bits::ZERO, 0),
+            n => ship(
+                &self.link_inter,
+                n,
+                || aug.row_frame(),
                 b,
-                link_faults_v,
+                ctx.map(|ctx| (ctx, link_chip_base + self.shards() + b)),
                 pos_inter,
                 &mut traffic,
                 arq_retries,
-                &mut retransmits_inter,
-            );
-            recovery.detected += u64::from(retransmits_inter);
-            recovery.retransmits += u64::from(retransmits_inter);
-            let received_v = received_v?;
-            for (j, &r) in halo_rows.iter().enumerate() {
-                for (jc, c) in (block.halo_left..block.halo_left + block.width).enumerate() {
-                    aug.set(Coord::c2(r, c), received_v[j * block.width + jc]);
-                }
-            }
-        }
+                recovery,
+            )?,
+        };
         Ok(ExchangeOutcome {
-            aug,
+            cols,
+            rows,
             bits,
             bits_inter,
             retransmits,
@@ -1092,11 +1372,13 @@ impl LatticeFarm {
     /// staged frame from the previous pass's ship-ahead, or a barrier
     /// exchange with ARQ) for every board lacking a buffered frame,
     /// concurrent compute (with watchdog) for every board lacking a
-    /// report — boundary sweep regions first, then (in overlap mode)
-    /// the next pass's frames ship while the interior regions evolve —
-    /// per-region audit, stitch. Clean per-board work is cached in
-    /// `cache`, so retrying after a localized failure redoes only the
-    /// failed board's work — that containment *is* ladder level 2.
+    /// cost — boundary sweep regions first, each board writing its
+    /// owned rows of the next lattice — then (in overlap mode) the next
+    /// pass's frames ship while the interior regions evolve, and the
+    /// per-board audit, if attached, checks each fresh board. Clean
+    /// per-board work is cached in `cache`, so retrying after a
+    /// localized failure redoes only the failed board's work — that
+    /// containment *is* ladder level 2.
     #[allow(clippy::too_many_arguments)]
     fn attempt_pass<R: Rule>(
         &self,
@@ -1106,10 +1388,10 @@ impl LatticeFarm {
         plan: Option<&FaultPlan>,
         halo_pos: &mut [u64],
         halo_pos_inter: &mut [u64],
-        cache: &mut [BoardCache<R::S>],
+        cache: &mut PassCache<R::S>,
         windows: &mut [StagedHalo<R::S>],
         recovery: &mut RecoveryStats,
-        shard_audit: ShardAuditRef<'_, R::S>,
+        mut shard_audit: Option<&mut ShardAudit<'_, R::S>>,
     ) -> Result<PassOutcome<R::S>, BoardFailure> {
         let shape = grid.shape();
         let (rows, cols) = (shape.rows(), shape.cols());
@@ -1125,7 +1407,7 @@ impl LatticeFarm {
         // window, otherwise exchange at the barrier, serialized.
         for block in pp.blocks {
             let i = block.index;
-            if cache[i].exchange.is_some() {
+            if cache.boards[i].exchange.is_some() {
                 continue;
             }
             let b = pp.phys[i];
@@ -1138,10 +1420,8 @@ impl LatticeFarm {
                         FaultCtx::for_shard(p, u64_from_usize(b), pp.pass, pp.attempts[b])
                     });
                     self.exchange_board(
-                        grid,
-                        block,
+                        Augmented::new(grid, block, wrap),
                         b,
-                        wrap,
                         ctx,
                         pp.link_chip_base,
                         &mut halo_pos[b],
@@ -1153,19 +1433,28 @@ impl LatticeFarm {
                     .map_err(fail)?
                 }
             };
-            cache[i].exchange = Some(ex);
+            cache.boards[i].exchange = Some(ex);
         }
 
-        // Phase 2 — boards without a report compute concurrently, one
-        // engine sub-run per sweep region (boundary regions first).
-        let mut jobs: Vec<JobRef<'_, R::S>> = Vec::with_capacity(pp.blocks.len());
-        for block in pp.blocks.iter().filter(|block| cache[block.index].reports.is_none()) {
+        // Phase 2 — boards without a cost compute concurrently, one
+        // engine sub-run per sweep region (boundary regions first),
+        // each into its own rows of the next lattice.
+        if cache.next.len() != shape.len() {
+            cache.next = vec![R::S::default(); shape.len()];
+        }
+        let mut owned = owned_rows(&mut cache.next, cols, pp.blocks);
+        let mut jobs = Vec::with_capacity(pp.blocks.len());
+        for (block, segs) in pp.blocks.iter().zip(owned.iter_mut()) {
             let i = block.index;
+            if cache.boards[i].costs.is_some() {
+                continue;
+            }
             let b = pp.phys[i];
-            let ex = cached(cache[i].exchange.as_ref(), i, "halo exchange")?;
-            jobs.push(JobRef {
+            let ex = cached(cache.boards[i].exchange.as_ref(), i, "halo exchange")?;
+            let job = JobRef {
                 slab: i,
-                aug: &ex.aug,
+                aug: Augmented::new(grid, block, wrap),
+                ex,
                 regions: sweep_regions2d(block, pp.k, self.overlap, wrap),
                 ctx: plan
                     .map(|p| FaultCtx::for_shard(p, u64_from_usize(b), pp.pass, pp.attempts[b])),
@@ -1176,18 +1465,20 @@ impl LatticeFarm {
                 chip0: b * pp.stride,
                 phys: b,
                 attempt: pp.attempts[b],
-            });
+            };
+            jobs.push((job, std::mem::take(segs)));
         }
-        let jobs = jobs;
+        let n_jobs = jobs.len();
         let engine = self.engine;
         let wf = self.worker_fault;
+        let audited = shard_audit.is_some();
         let (k, t_now, pass) = (pp.k, pp.t_now, pp.pass);
         let mut results: Vec<BoardResult<R::S>> = (0..pp.blocks.len()).map(|_| None).collect();
         let mut timed_out = false;
         crossbeam::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel();
-            let mut workers = Vec::with_capacity(jobs.len());
-            for job in &jobs {
+            let mut workers = Vec::with_capacity(n_jobs);
+            for (job, mut segs) in jobs {
                 let tx = tx.clone();
                 workers.push(scope.spawn(move |_| {
                     // Panics are contained to the worker: the board
@@ -1212,64 +1503,8 @@ impl LatticeFarm {
                                 }
                             }
                         }
-                        let mut reports = Vec::with_capacity(job.regions.len());
-                        let mut outcome = Ok(());
-                        for region in &job.regions {
-                            let sub = match region_grid(job.aug, region) {
-                                Ok(sub) => sub,
-                                Err(e) => {
-                                    outcome = Err(e);
-                                    break;
-                                }
-                            };
-                            let origin = (
-                                job.origin.0.wrapping_add(region.r0),
-                                job.origin.1.wrapping_add(region.a0),
-                            );
-                            let r = match engine {
-                                ShardEngine::Wsa { width } => {
-                                    let pipe = Pipeline::wide(width, k);
-                                    // A board whose chips no fault can reach
-                                    // takes the rule's block kernel when it
-                                    // has one for this block; the counts are
-                                    // the cycle engine's.
-                                    let chips: Vec<usize> = (job.chip0..job.chip0 + k).collect();
-                                    let fast = if job.ctx.is_none_or(|c| c.plan.spares(&chips)) {
-                                        pipe.run_kernel(rule, &sub, t_now, origin)
-                                    } else {
-                                        None
-                                    };
-                                    match fast {
-                                        Some(report) => Ok(report),
-                                        None => {
-                                            let opts = RunOptions {
-                                                origin,
-                                                faults: job.ctx,
-                                                chip_ids: Some(&chips),
-                                                offchip_from: None,
-                                            };
-                                            pipe.run_opts(rule, &sub, t_now, opts)
-                                        }
-                                    }
-                                }
-                                ShardEngine::Spa { slice_width } => {
-                                    let opts = SpaRunOptions {
-                                        origin,
-                                        faults: job.ctx,
-                                        chip_offset: job.chip0,
-                                    };
-                                    SpaEngine::new(slice_width, k).run_opts(rule, &sub, t_now, opts)
-                                }
-                            };
-                            match r {
-                                Ok(report) => reports.push(report),
-                                Err(e) => {
-                                    outcome = Err(e);
-                                    break;
-                                }
-                            }
-                        }
-                        let _ = tx.send((job.slab, outcome.map(|()| reports)));
+                        let work = run_board(rule, engine, k, t_now, &job, &mut segs, audited);
+                        let _ = tx.send((job.slab, work));
                     }));
                 }));
             }
@@ -1283,7 +1518,7 @@ impl LatticeFarm {
             // lattice-lint: allow(determinism)
             let deadline = pp.watchdog.map(|d| Instant::now() + d);
             let mut got = 0usize;
-            while got < jobs.len() {
+            while got < n_jobs {
                 let msg = match deadline {
                     // lattice-lint: allow(determinism)
                     Some(dl) => match rx.recv_timeout(dl.saturating_duration_since(Instant::now()))
@@ -1318,30 +1553,30 @@ impl LatticeFarm {
                 detail: "a farm thread panicked".into(),
             },
         })?;
-        drop(jobs);
+        drop(owned);
 
-        // Accept every clean report (neighbors must not redo work when
-        // one board fails), audit each fresh one region by region, and
-        // surface the first failure in slab order.
+        // Accept every clean board (neighbors must not redo work when
+        // one board fails), audit each fresh one region by region when
+        // an audit is attached, and surface the first failure in slab
+        // order.
         let mut failure: Option<BoardFailure> = None;
         for block in pp.blocks {
             let i = block.index;
-            if cache[i].reports.is_some() {
+            if cache.boards[i].costs.is_some() {
                 continue;
             }
             let b = pp.phys[i];
             match results[i].take() {
-                Some(Ok(reports)) => {
-                    let audited = {
-                        let aug = &cached(cache[i].exchange.as_ref(), i, "halo exchange")?.aug;
-                        let regions = sweep_regions2d(block, pp.k, self.overlap, wrap);
-                        regions.iter().zip(&reports).try_for_each(|(region, report)| {
-                            let sub = region_grid(aug, region)?;
-                            shard_audit(b, &sub, &report.grid)
-                        })
+                Some(Ok(work)) => {
+                    let verdict = match shard_audit.as_deref_mut() {
+                        Some(audit) => work
+                            .audited
+                            .iter()
+                            .try_for_each(|(before, after)| audit(b, before, after)),
+                        None => Ok(()),
                     };
-                    match audited {
-                        Ok(()) => cache[i].reports = Some(reports),
+                    match verdict {
+                        Ok(()) => cache.boards[i].costs = Some(work.costs),
                         Err(e) => {
                             failure.get_or_insert(BoardFailure { slab: Some(i), error: e });
                         }
@@ -1367,10 +1602,9 @@ impl LatticeFarm {
             return Err(f);
         }
 
-        // Phase 3 — assemble: stitch each region's certified columns
-        // into the next machine lattice, settle the barrier's link-time
-        // bill (slowest board, retransmissions included), and split the
-        // compute bill into the boundary and interior barriers.
+        // Phase 3 — settle the barrier's link-time bill (slowest board,
+        // retransmissions included), and split the compute bill into
+        // the boundary and interior barriers.
         let mut halo_traffic = Traffic::new();
         let mut halo_ticks = Ticks::ZERO;
         let mut base_ticks = Ticks::ZERO;
@@ -1379,12 +1613,10 @@ impl LatticeFarm {
         let mut all_staged = true;
         let mut halo_bits_per_board = Vec::with_capacity(pp.blocks.len());
         let mut retransmits_per_board = Vec::with_capacity(pp.blocks.len());
-        let mut next = Grid::new(shape);
-        let mut reports = Vec::with_capacity(pp.blocks.len());
-        let top_pad = |block: &Block| wrap + block.halo_up;
+        let mut costs = Vec::with_capacity(pp.blocks.len());
         for block in pp.blocks {
             let i = block.index;
-            let ex = cached(cache[i].exchange.as_ref(), i, "halo exchange")?;
+            let ex = cached(cache.boards[i].exchange.as_ref(), i, "halo exchange")?;
             halo_traffic.merge(ex.traffic);
             // The two tiers are separate wires, so a board's halo wait
             // is the slower tier, retransmissions included; the barrier
@@ -1398,45 +1630,36 @@ impl LatticeFarm {
             all_staged &= ex.staged;
             halo_bits_per_board.push(ex.bits + ex.bits_inter);
             retransmits_per_board.push(ex.retransmits + ex.retransmits_inter);
-            let region_reports = cached(cache[i].reports.take(), i, "engine reports")?;
+            let region_costs = cached(cache.boards[i].costs.take(), i, "engine costs")?;
             let regions = sweep_regions2d(block, pp.k, self.overlap, wrap);
             let mut board_boundary = Ticks::ZERO;
             let mut board_interior = Ticks::ZERO;
-            let tp = top_pad(block);
-            for (region, report) in regions.iter().zip(&region_reports) {
+            for (region, cost) in regions.iter().zip(&region_costs) {
                 if region.boundary {
-                    board_boundary += report.ticks;
+                    board_boundary += cost.ticks;
                 } else {
-                    board_interior += report.ticks;
+                    board_interior += cost.ticks;
                 }
-                // Owned site (r, j) sits at augmented
-                // (top_pad + r, halo_left + j), i.e. region-local
-                // (top_pad + r − r0, halo_left + j − a0).
-                paste(
-                    &mut next,
-                    (block.row0 + region.own_r_lo, block.col0 + region.own_lo),
-                    &report.grid,
-                    (tp + region.own_r_lo - region.r0, block.halo_left + region.own_lo - region.a0),
-                    (region.own_r_hi - region.own_r_lo, region.own_hi - region.own_lo),
-                );
             }
             boundary_ticks = boundary_ticks.max(board_boundary);
             interior_ticks = interior_ticks.max(board_interior);
-            reports.push(fold_regions(region_reports));
+            costs.push(fold_regions(region_costs));
         }
         // A staged transfer ran concurrently with the previous pass's
         // interior sweep, so up to that much of it is already paid for.
         let overlapped_ticks =
             if all_staged { halo_ticks.min(pp.overlap_credit) } else { Ticks::ZERO };
+        let next = Grid::from_vec(shape, std::mem::take(&mut cache.next))
+            .map_err(|e| BoardFailure { slab: None, error: e })?;
 
-        // Ship ahead: with another pass coming, gather the next pass's
-        // halo frames from the just-stitched lattice — their contents
-        // are fully determined by the boundary sweeps — move them over
-        // the links now (this is the transfer the next pass's
-        // `overlap_credit` hides), and stage them in the double-buffer
-        // windows for the arrival barrier to claim. A frame whose ARQ
-        // budget exhausts is staged as the error itself: it must
-        // surface at the barrier it belongs to.
+        // Ship ahead: with another pass coming, read the next pass's
+        // halo frames from the next lattice — their contents are fully
+        // determined by the boundary sweeps — move them over the links
+        // now (this is the transfer the next pass's `overlap_credit`
+        // hides), and stage them in the double-buffer windows for the
+        // arrival barrier to claim. A frame whose ARQ budget exhausts is
+        // staged as the error itself: it must surface at the barrier it
+        // belongs to.
         if self.overlap && pp.t_now + u64_from_usize(pp.k) < pp.t_end {
             let t_next = pp.t_now + u64_from_usize(pp.k);
             let k_next = self.depth.min(usize_from_u64(pp.t_end - t_next));
@@ -1451,10 +1674,8 @@ impl LatticeFarm {
                     FaultCtx::for_shard(p, u64_from_usize(b), pp.pass + 1, pp.attempts[b])
                 });
                 let frame = self.exchange_board(
-                    &next,
-                    block,
+                    Augmented::new(&next, block, wrap_next),
                     b,
-                    wrap_next,
                     ctx,
                     pp.link_chip_base,
                     &mut halo_pos[b],
@@ -1470,7 +1691,7 @@ impl LatticeFarm {
         }
         Ok(PassOutcome {
             grid: next,
-            reports,
+            costs,
             halo_traffic,
             halo_ticks,
             retransmit_ticks: halo_ticks - base_ticks,
@@ -1526,24 +1747,15 @@ impl LatticeFarm {
         cfg: &FarmRecoveryConfig,
         audit: impl FnMut(&Grid<R::S>, &Grid<R::S>) -> Result<(), LatticeError>,
     ) -> Result<FarmFtRun<R::S>, LatticeError> {
-        self.run_with_recovery_audited(
-            rule,
-            grid,
-            t0,
-            generations,
-            plan,
-            cfg,
-            audit,
-            |_, _, _| Ok(()),
-            None,
-        )
+        self.run_with_recovery_audited(rule, grid, t0, generations, plan, cfg, audit, None, None)
     }
 
     /// [`LatticeFarm::run_with_recovery`] with an additional per-board
     /// audit and optional persistence.
     ///
-    /// `shard_audit(board, aug_before, aug_after)` checks one board's
-    /// halo-augmented block across its `k` generations. Because its
+    /// `shard_audit(board, aug_before, aug_after)`, when attached,
+    /// checks one board's halo-augmented block across its `k`
+    /// generations; only then does a board build those blocks. Because its
     /// verdict names the board, a violation is handled by ladder level 2
     /// — that board alone rolls back and replays its buffered halos —
     /// which is how silent (parity-invisible) PE corruption gets
@@ -1570,7 +1782,7 @@ impl LatticeFarm {
         plan: Option<&FaultPlan>,
         cfg: &FarmRecoveryConfig,
         audit: impl FnMut(&Grid<R::S>, &Grid<R::S>) -> Result<(), LatticeError>,
-        shard_audit: impl FnMut(usize, &Grid<R::S>, &Grid<R::S>) -> Result<(), LatticeError>,
+        shard_audit: Option<&mut ShardAudit<'_, R::S>>,
         mut sink: Option<&mut dyn SnapshotSink>,
     ) -> Result<FarmFtRun<R::S>, LatticeError> {
         let plan = plan.map_or(PlanRef::None, PlanRef::Borrowed);
@@ -1890,7 +2102,7 @@ impl<'p, S: State> FarmSession<'p, S> {
 
     /// Advances the run `n` generations through the recovery ladder.
     pub fn step<R: Rule<S = S>>(&mut self, rule: &R, n: u64) -> Result<(), LatticeError> {
-        self.step_audited(rule, n, |_, _| Ok(()), |_, _, _| Ok(()), None)
+        self.step_audited(rule, n, |_, _| Ok(()), None, None)
     }
 
     /// [`FarmSession::step`] with the machine-wide and per-board audits
@@ -1904,7 +2116,7 @@ impl<'p, S: State> FarmSession<'p, S> {
         rule: &R,
         n: u64,
         mut audit: impl FnMut(&Grid<S>, &Grid<S>) -> Result<(), LatticeError>,
-        mut shard_audit: impl FnMut(usize, &Grid<S>, &Grid<S>) -> Result<(), LatticeError>,
+        mut shard_audit: Option<&mut ShardAudit<'_, S>>,
         mut sink: Option<&mut (dyn SnapshotSink + '_)>,
     ) -> Result<(), LatticeError> {
         let t_end = self.t_now + n;
@@ -1914,8 +2126,7 @@ impl<'p, S: State> FarmSession<'p, S> {
             }
             let k = self.farm.depth.min(usize_from_u64(t_end - self.t_now));
             let blocks = self.farm.blocks_at(self.rows, self.cols, self.phys.len(), k)?;
-            let mut cache: Vec<BoardCache<S>> =
-                (0..blocks.len()).map(|_| BoardCache::default()).collect();
+            let mut cache = PassCache::new(blocks.len());
             loop {
                 let pp = PassParams {
                     k,
@@ -1943,7 +2154,7 @@ impl<'p, S: State> FarmSession<'p, S> {
                         &mut cache,
                         &mut self.windows,
                         &mut self.recovery,
-                        &mut shard_audit,
+                        shard_audit.as_deref_mut(),
                     )
                     .and_then(|out| match audit(&self.current, &out.grid) {
                         Ok(()) => Ok(out),
@@ -2062,6 +2273,7 @@ mod tests {
     use lattice_core::units::f64_from_u64;
     use lattice_core::{evolve, Boundary};
     use lattice_engines_sim::{Component, Fault, FaultKind};
+    use lattice_gas::hpp::HppDir;
     use lattice_gas::{init, FhpRule, FhpVariant, HppRule};
 
     fn hpp_world(rows: usize, cols: usize, seed: u64) -> (Grid<u8>, HppRule) {
@@ -2095,13 +2307,14 @@ mod tests {
         }
         fn evolve_block(
             &self,
-            block: &Grid<u8>,
+            src: &dyn RowSource<u8>,
+            sink: &mut dyn RowSink<u8>,
             t0: u64,
             generations: usize,
             origin: (usize, usize),
-        ) -> Option<Grid<u8>> {
+        ) -> bool {
             self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.hpp.evolve_block(block, t0, generations, origin)
+            self.hpp.evolve_block(src, sink, t0, generations, origin)
         }
     }
 
@@ -2167,6 +2380,114 @@ mod tests {
         let spa = LatticeFarm::new(3, ShardEngine::Spa { slice_width: 1 }, 2);
         assert_eq!(spa.run(&&rule, &g, 0, 5).unwrap().grid(), &reference);
         assert_eq!(calls(), 0);
+    }
+
+    /// HPP without its block kernel: every board runs the cycle engine.
+    struct NoKernel(HppRule);
+
+    impl Rule for NoKernel {
+        type S = u8;
+        fn update(&self, w: &lattice_core::Window<u8>) -> u8 {
+            self.0.update(w)
+        }
+    }
+
+    #[test]
+    fn a_frame_that_differs_from_the_lattice_reaches_the_kernel() {
+        let (g, hpp) = hpp_world(12, 24, 9);
+        let shape = g.shape();
+        // A 2×2 board grid on the torus at k = 2: board 0 imports halo
+        // columns and halo rows, and every index wraps.
+        let (k, wrap) = (2, 0);
+        let farm = LatticeFarm::new(1, ShardEngine::Wsa { width: 2 }, k)
+            .with_grid(2, 2)
+            .with_periodic(true);
+        let blocks = partition2d(12, 24, 2, 2, k, true).unwrap();
+        let block = &blocks[0];
+        let aug = Augmented::new(&g, block, wrap);
+        // Weather that never fires still makes every wire live, so the
+        // frames are read and moved.
+        let plan = FaultPlan::new(3).with_fault(Fault {
+            component: Component::Link,
+            chip: None,
+            cell: None,
+            kind: FaultKind::Transient { bit: 0, rate: 0.0 },
+        });
+        let exchange = |ctx| {
+            let (mut pos, mut pos_v, mut rec) = (0, 0, RecoveryStats::default());
+            farm.exchange_board(aug, 0, ctx, 0, &mut pos, &mut pos_v, 0, &mut rec, false).unwrap()
+        };
+        let quiet = exchange(None);
+        assert_eq!((quiet.cols.as_ref(), quiet.rows.as_ref()), (None, None));
+        let clean = exchange(Some(FaultCtx::new(&plan)));
+        assert_eq!(clean.cols.as_ref(), Some(&aug.column_frame()));
+        assert_eq!(clean.rows.as_ref(), Some(&aug.row_frame()));
+        assert_eq!(
+            (clean.bits, clean.bits_inter, clean.traffic),
+            (quiet.bits, quiet.bits_inter, quiet.traffic)
+        );
+        // What corruption that passed parity would deliver: east movers
+        // flipped along the halo column next to the owned block, or south
+        // movers along the halo row above it.
+        let (mut doctored_col, mut doctored_row) =
+            (exchange(Some(FaultCtx::new(&plan))), exchange(Some(FaultCtx::new(&plan))));
+        let aug_rows = aug.rows();
+        if let (Some(cols), Some(rows)) = (doctored_col.cols.as_mut(), doctored_row.rows.as_mut()) {
+            let col = (block.halo_left - 1) * aug_rows + aug.top();
+            cols[col..col + block.rows].iter_mut().for_each(|s| *s ^= HppDir::E.bit());
+            let row = (block.halo_up - 1) * block.width;
+            rows[row..row + block.width].iter_mut().for_each(|s| *s ^= HppDir::S.bit());
+        }
+        let engine = farm.engine;
+        // Board 0's owned block after one pass of `rule` on `ex`, and
+        // its per-region costs.
+        let board = |rule: &dyn Rule<S = u8>, ex: &ExchangeOutcome<u8>, overlap: bool| {
+            let job = JobRef {
+                slab: 0,
+                aug,
+                ex,
+                regions: sweep_regions2d(block, k, overlap, wrap),
+                ctx: None,
+                origin: (
+                    block.row0.wrapping_sub(wrap + block.halo_up),
+                    block.col0.wrapping_sub(block.halo_left),
+                ),
+                chip0: 0,
+                phys: 0,
+                attempt: 0,
+            };
+            let mut next = vec![0xAAu8; shape.len()];
+            let owned = &mut owned_rows(&mut next, 24, &blocks)[0];
+            let costs = run_board(&rule, engine, k, 0, &job, owned, false).unwrap().costs;
+            let next = Grid::from_vec(shape, next).unwrap();
+            (crop(&next, (block.row0, block.col0), (block.rows, block.width)).unwrap(), costs)
+        };
+        let fast = CountingKernel { hpp: HppRule::new(), calls: Default::default() };
+        let cycle = NoKernel(HppRule::new());
+        for (overlap, doctored) in
+            [false, true].into_iter().flat_map(|o| [(o, &doctored_col), (o, &doctored_row)])
+        {
+            let regions = sweep_regions2d(block, k, overlap, wrap).len();
+            fast.calls.store(0, std::sync::atomic::Ordering::Relaxed);
+            let (fast_block, fast_costs) = board(&fast, doctored, overlap);
+            assert_eq!(
+                fast.calls.swap(0, std::sync::atomic::Ordering::Relaxed),
+                regions,
+                "the doctored frame went through the kernel"
+            );
+            let (cycle_block, cycle_costs) = board(&cycle, doctored, overlap);
+            assert_eq!(fast_block, cycle_block, "overlap {overlap}");
+            assert_eq!(fast_costs, cycle_costs, "overlap {overlap}");
+            let (clean_block, _) = board(&fast, &clean, overlap);
+            assert_ne!(fast_block, clean_block, "the doctored site reached the owned block");
+            assert_eq!(board(&fast, &quiet, overlap).0, clean_block, "a quiet wire reads in place");
+            // The lattice is the frame's source when nothing differs.
+            let reference = evolve(&g, &hpp, Boundary::Periodic, 0, k as u64);
+            assert_eq!(
+                clean_block,
+                crop(&reference, (block.row0, block.col0), (block.rows, block.width)).unwrap()
+            );
+        }
     }
 
     #[test]
@@ -2648,7 +2969,7 @@ mod tests {
                 None,
                 &FarmRecoveryConfig { local_retries: 2, ..Default::default() },
                 |_, _| Ok(()),
-                move |board, _, _| {
+                Some(&mut |board, _, _| {
                     if board == 1 && failures > 0 {
                         failures -= 1;
                         Err(LatticeError::Corrupted {
@@ -2658,7 +2979,7 @@ mod tests {
                     } else {
                         Ok(())
                     }
-                },
+                }),
                 None,
             )
             .unwrap();

@@ -9,7 +9,8 @@
 //! Boards run in bulk-synchronous passes: every pass they exchange
 //! `k`-deep halos over finite-bandwidth, parity-checked inter-board
 //! links ([`BoardLink`]), then compute `k` generations concurrently,
-//! then stitch at the barrier.
+//! each board reading its block from the committed lattice and writing
+//! its owned rows of the next one.
 //!
 //! Three contracts, all enforced by tests:
 //!
@@ -49,7 +50,7 @@ pub mod partition;
 
 pub use farm::{
     FarmDegradeConfig, FarmFtRun, FarmRecoveryConfig, FarmReport, FarmSession, LatticeFarm,
-    ShardEngine, ShardStats, WorkerFault, WorkerFaultSpec,
+    ShardAudit, ShardEngine, ShardStats, WorkerFault, WorkerFaultSpec,
 };
 pub use link::{BoardLink, HaloWindow};
 pub use partition::{

@@ -13,7 +13,7 @@
 //! board's link — the farm's rollback trigger.
 
 use lattice_core::bits::{StreamParity, Traffic};
-use lattice_core::units::{Bits, BitsPerTick, Ticks};
+use lattice_core::units::{u64_from_usize, Bits, BitsPerTick, Ticks};
 use lattice_core::{LatticeError, State};
 use lattice_engines_sim::{Component, FaultCtx};
 
@@ -67,6 +67,10 @@ impl BoardLink {
     /// not ECC) sites are returned. `pos` is the link's running stream
     /// position (the transient-fault key) and `traffic` tallies `D`
     /// bits out of the sender and into the receiver per site.
+    ///
+    /// Without a fault context the wire cannot change a site, so the
+    /// receiver's fold is the sender's and is not computed twice; the
+    /// frame's traffic is billed once, `n · D` each way.
     pub fn transmit<S: State>(
         &self,
         sites: &[S],
@@ -75,21 +79,26 @@ impl BoardLink {
         pos: &mut u64,
         traffic: &mut Traffic,
     ) -> Result<Vec<S>, LatticeError> {
+        let n = sites.len();
         let mut sent = StreamParity::new();
+        sites.iter().for_each(|&site| sent.absorb(site));
+        traffic.record_out(u128::from(u64_from_usize(n)), S::BITS);
+        traffic.record_in(u128::from(u64_from_usize(n)), S::BITS);
+        let start = *pos;
+        *pos += u64_from_usize(n);
+        let Some((ctx, chip)) = faults else {
+            return Ok(sites.to_vec());
+        };
+        let wire = ctx.stream(Component::Link, chip, 0);
         let mut recv = StreamParity::new();
-        let mut out = Vec::with_capacity(sites.len());
-        for &site in sites {
-            sent.absorb(site);
-            traffic.record_out(1, S::BITS);
-            let arrived = match faults {
-                Some((ctx, chip)) => ctx.corrupt_site(Component::Link, chip, 0, *pos, site),
-                None => site,
-            };
-            recv.absorb(arrived);
-            traffic.record_in(1, S::BITS);
-            *pos += 1;
-            out.push(arrived);
-        }
+        let out: Vec<S> = (start..)
+            .zip(sites)
+            .map(|(p, &site)| {
+                let arrived = wire.corrupt_site(p, site);
+                recv.absorb(arrived);
+                arrived
+            })
+            .collect();
         if let Some(detail) = recv.mismatch(&sent) {
             return Err(LatticeError::Corrupted {
                 site: format!("board {board} halo link"),

@@ -21,11 +21,13 @@
 //! (a head-on pair on one axis toggles both axes; anything else passes).
 //!
 //! Two boundaries are supported: the torus ([`HppBitLattice::from_grid`])
-//! and the paper's null boundary ([`HppBitLattice::from_grid_null`]),
+//! and the paper's null boundary ([`HppBitLattice::from_rows_null`]),
 //! where streaming shifts zeros in at every edge. The null mode is what
 //! [`HppRule`]'s `evolve_block` runs for a farm board's halo-framed
 //! block, so it must equal the table engine on every site, edges
-//! included.
+//! included. It packs the block a row at a time from a
+//! [`RowSource`] and unpacks only the window a [`RowSink`] keeps, so a
+//! board reads the lattice once and writes its owned sites once.
 //!
 //! Packing, unpacking and the row shift are [`lattice_core::bits`]'s
 //! [`pack_rows`], [`unpack_rows`] and [`shift_row`].
@@ -34,7 +36,7 @@
 
 use crate::hpp::HPP_MASK;
 use lattice_core::bits::{pack_rows, shift_row, unpack_rows};
-use lattice_core::{Grid, LatticeError, Shape};
+use lattice_core::{Grid, LatticeError, RowSink, RowSource, Shape};
 
 /// The index of the first site with bits outside `mask`. A lattice
 /// that has none costs one OR fold, which vectorises.
@@ -65,31 +67,28 @@ impl HppBitLattice {
         Self::pack(grid, true)
     }
 
-    /// Packs a byte-per-site HPP grid (2-D) into bit-planes under the
-    /// null boundary: particles streaming off an edge are lost and
-    /// nothing streams in, exactly like
-    /// `evolve(grid, &HppRule::new(), Boundary::null(), ..)`.
-    pub fn from_grid_null(grid: &Grid<u8>) -> Result<Self, LatticeError> {
-        Self::pack(grid, false)
+    /// Packs the byte-per-site HPP block `src` reads (2-D), a row at a
+    /// time, into bit-planes under the null boundary: particles
+    /// streaming off an edge are lost and nothing streams in, exactly
+    /// like `evolve(block, &HppRule::new(), Boundary::null(), ..)`.
+    pub fn from_rows_null(src: &dyn RowSource<u8>) -> Result<Self, LatticeError> {
+        Self::pack(src, false)
     }
 
-    fn pack(grid: &Grid<u8>, periodic: bool) -> Result<Self, LatticeError> {
-        let shape = grid.shape();
+    fn pack(src: &dyn RowSource<u8>, periodic: bool) -> Result<Self, LatticeError> {
+        let shape = src.shape();
         if shape.rank() != 2 {
             return Err(LatticeError::BadRank { rank: shape.rank() });
         }
-        let sites = grid.as_slice();
         let (rows, cols) = (shape.rows(), shape.cols());
-        if let Some(i) = first_outside(sites, HPP_MASK) {
-            return Err(LatticeError::InvalidConfig(format!(
-                "site ({},{}) = {:#04x} has non-HPP bits (obstacles are \
+        let planes = pack_rows(src, |r, row| match first_outside(row, HPP_MASK) {
+            None => Ok(()),
+            Some(c) => Err(LatticeError::InvalidConfig(format!(
+                "site ({r},{c}) = {:#04x} has non-HPP bits (obstacles are \
                  not supported by the bit-parallel kernel)",
-                i / cols,
-                i % cols,
-                sites[i]
-            )));
-        }
-        let planes = pack_rows(sites, cols);
+                row[c]
+            ))),
+        })?;
         Ok(HppBitLattice { rows, cols, words_per_row: cols.div_ceil(64), periodic, planes })
     }
 
@@ -97,8 +96,13 @@ impl HppBitLattice {
     pub fn to_grid(&self) -> Grid<u8> {
         let shape = Shape::grid2(self.rows, self.cols).expect("valid dimensions");
         let mut out = Grid::new(shape);
-        unpack_rows(&self.planes, self.cols, out.as_mut_slice());
+        self.unpack(&mut out);
         out
+    }
+
+    /// Writes the sites of the window `sink` keeps, and only those.
+    pub fn unpack(&self, sink: &mut dyn RowSink<u8>) {
+        unpack_rows(&self.planes, self.cols, sink);
     }
 
     /// Lattice rows.
@@ -233,7 +237,7 @@ mod tests {
             let shape = Shape::grid2(rows, cols).unwrap();
             let g = init::random_hpp(shape, 0.5, rows as u64 * 17 + cols as u64).unwrap();
             let reference = evolve(&g, &HppRule::new(), Boundary::null(), 0, steps);
-            let mut packed = HppBitLattice::from_grid_null(&g).unwrap();
+            let mut packed = HppBitLattice::from_rows_null(&g).unwrap();
             packed.run(steps);
             assert_eq!(packed.to_grid(), reference, "{rows}x{cols} steps={steps}");
         }
@@ -248,7 +252,7 @@ mod tests {
         g.set(Coord::c2(2, 63), HppDir::S.bit());
         g.set(Coord::c2(1, 0), HppDir::W.bit());
         g.set(Coord::c2(1, 64), HppDir::W.bit()); // crosses a word boundary
-        let mut packed = HppBitLattice::from_grid_null(&g).unwrap();
+        let mut packed = HppBitLattice::from_rows_null(&g).unwrap();
         packed.stream();
         let out = packed.to_grid();
         assert_eq!(out.get(Coord::c2(1, 63)), HppDir::W.bit());

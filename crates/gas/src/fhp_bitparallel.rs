@@ -66,16 +66,13 @@ impl FhpBitLattice {
         if rows % 2 != 0 {
             return Err(LatticeError::InvalidConfig("hex torus needs an even row count".into()));
         }
-        let sites = grid.as_slice();
-        if let Some(i) = first_outside(sites, FHP_MOVE_MASK) {
-            return Err(LatticeError::InvalidConfig(format!(
-                "site ({},{}) = {:#04x} has non-FHP-I bits",
-                i / cols,
-                i % cols,
-                sites[i]
-            )));
-        }
-        let planes = pack_rows(sites, cols);
+        let planes = pack_rows(grid, |r, row| match first_outside(row, FHP_MOVE_MASK) {
+            None => Ok(()),
+            Some(c) => Err(LatticeError::InvalidConfig(format!(
+                "site ({r},{c}) = {:#04x} has non-FHP-I bits",
+                row[c]
+            ))),
+        })?;
         Ok(FhpBitLattice { rows, cols, words_per_row: cols.div_ceil(64), planes, seed, time: 0 })
     }
 
@@ -83,7 +80,7 @@ impl FhpBitLattice {
     pub fn to_grid(&self) -> Grid<u8> {
         let shape = Shape::grid2(self.rows, self.cols).expect("valid dimensions");
         let mut out = Grid::new(shape);
-        unpack_rows(&self.planes, self.cols, out.as_mut_slice());
+        unpack_rows(&self.planes, self.cols, &mut out);
         out
     }
 

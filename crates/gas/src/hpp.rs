@@ -19,7 +19,7 @@ use crate::bitparallel::HppBitLattice;
 use crate::prng;
 use crate::table::{CollisionTable, Invariants};
 use crate::{is_obstacle, OBSTACLE_BIT};
-use lattice_core::{Grid, Rule, Window};
+use lattice_core::{RowSink, RowSource, Rule, Window};
 
 /// Particle channel directions, counterclockwise from +x.
 ///
@@ -182,27 +182,37 @@ impl Rule for HppRule {
     }
 
     /// The bit-plane kernel under the null boundary
-    /// ([`HppBitLattice::from_grid_null`]). HPP is deterministic and
-    /// coordinate-free, so `t0` and `origin` do not enter. Blocks with
-    /// obstacle (or any other non-channel) bits, and non-2-D blocks,
-    /// get `None`.
+    /// ([`HppBitLattice::from_rows_null`]): packs the planes from `src`
+    /// a row at a time and unpacks only the window `sink` keeps. HPP is
+    /// deterministic and coordinate-free, so `t0` and `origin` do not
+    /// enter. Blocks with obstacle (or any other non-channel) bits, and
+    /// non-2-D blocks, are declined before `sink` is touched.
     fn evolve_block(
         &self,
-        block: &Grid<u8>,
+        src: &dyn RowSource<u8>,
+        sink: &mut dyn RowSink<u8>,
         _t0: u64,
         generations: usize,
         _origin: (usize, usize),
-    ) -> Option<Grid<u8>> {
-        let mut bits = HppBitLattice::from_grid_null(block).ok()?;
-        bits.run(u64::try_from(generations).ok()?);
-        Some(bits.to_grid())
+    ) -> bool {
+        let (Ok(mut bits), Ok(steps)) =
+            (HppBitLattice::from_rows_null(src), u64::try_from(generations))
+        else {
+            return false;
+        };
+        bits.run(steps);
+        bits.unpack(sink);
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lattice_core::{evolve, Boundary, Coord, Shape};
+    use crate::init;
+    use lattice_core::{evolve, Boundary, Coord, Grid, Shape};
+    use proptest::prelude::*;
+    use std::ops::Range;
 
     #[test]
     fn direction_geometry() {
@@ -325,7 +335,9 @@ mod tests {
             });
             for gens in 0..4usize {
                 let reference = evolve(&g, &rule, Boundary::null(), 7, gens as u64);
-                assert_eq!(rule.evolve_block(&g, 7, gens, (3, usize::MAX)), Some(reference));
+                let mut out = Grid::new(shape);
+                assert!(rule.evolve_block(&g, &mut out, 7, gens, (3, usize::MAX)));
+                assert_eq!(out, reference);
             }
         }
     }
@@ -336,9 +348,102 @@ mod tests {
         let shape = Shape::grid2(3, 5).unwrap();
         let mut g = Grid::new(shape);
         g.set(Coord::c2(1, 2), OBSTACLE_BIT);
-        assert_eq!(rule.evolve_block(&g, 0, 2, (0, 0)), None);
+        let mut out = Grid::filled(shape, 0xAA);
+        assert!(!rule.evolve_block(&g, &mut out, 0, 2, (0, 0)));
+        assert_eq!(out, Grid::filled(shape, 0xAA), "a declined block leaves the sink alone");
         let line: Grid<u8> = Grid::new(Shape::line(8).unwrap());
-        assert_eq!(rule.evolve_block(&line, 0, 1, (0, 0)), None);
+        assert!(!rule.evolve_block(&line, &mut line.clone(), 0, 1, (0, 0)));
+    }
+
+    /// A `shape`-sized block of a torus lattice whose site `(0, 0)` is
+    /// lattice site `at`: its rows and columns wrap, as many times as
+    /// the block is larger than the lattice.
+    struct TorusWindow<'a> {
+        lattice: &'a Grid<u8>,
+        at: (usize, usize),
+        shape: Shape,
+    }
+
+    impl RowSource<u8> for TorusWindow<'_> {
+        fn shape(&self) -> Shape {
+            self.shape
+        }
+        fn fill_row(&self, r: usize, row: &mut [u8]) {
+            let (rows, cols) = (self.lattice.shape().rows(), self.lattice.shape().cols());
+            for (c, site) in row.iter_mut().enumerate() {
+                let at = Coord::c2((self.at.0 + r) % rows, (self.at.1 + c) % cols);
+                *site = self.lattice.get(at);
+            }
+        }
+    }
+
+    /// Keeps a window of a block, counting how often each row is
+    /// handed out.
+    struct Kept {
+        out: Grid<u8>,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        handed: Vec<usize>,
+    }
+
+    impl RowSink<u8> for Kept {
+        fn window(&self) -> (Range<usize>, Range<usize>) {
+            (self.rows.clone(), self.cols.clone())
+        }
+        fn row_mut(&mut self, r: usize) -> &mut [u8] {
+            self.handed[r] += 1;
+            let cols = self.out.shape().cols();
+            &mut self.out.as_mut_slice()[r * cols..][self.cols.clone()]
+        }
+    }
+
+    /// A sub-range of `0..n` from two fractions.
+    fn span(n: usize, a: f64, b: f64) -> Range<usize> {
+        let lo = ((n - 1) as f64 * a.min(b)) as usize;
+        let hi = ((n - 1) as f64 * a.max(b)) as usize + 1;
+        lo..hi
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Fed row by row from a window that wraps a torus on both axes,
+        /// the kernel hands back each kept row once, equal to the null
+        /// boundary reference on every kept site, and writes nothing
+        /// else.
+        #[test]
+        fn row_fed_kernel_equals_the_null_reference_on_every_kept_row(
+            lat in (1usize..=40, 1usize..=200),
+            block in (1usize..=40, 1usize..=200),
+            at in (0usize..40, 0usize..200),
+            k in 1usize..=8,
+            window in (0f64..1.0, 0f64..1.0, 0f64..1.0, 0f64..1.0),
+            density in 0.05f64..0.95,
+            seed in any::<u64>(),
+        ) {
+            let lattice = init::random_hpp(Shape::grid2(lat.0, lat.1).unwrap(), density, seed).unwrap();
+            let (rows, cols) = block;
+            let shape = Shape::grid2(rows, cols).unwrap();
+            let src = TorusWindow { lattice: &lattice, at, shape };
+            let block = Grid::from_rows(&src);
+            let reference = evolve(&block, &HppRule::new(), Boundary::null(), 0, k as u64);
+            let mut sink = Kept {
+                out: Grid::filled(shape, 0xAA),
+                rows: span(rows, window.0, window.1),
+                cols: span(cols, window.2, window.3),
+                handed: vec![0; rows],
+            };
+            prop_assert!(HppRule::new().evolve_block(&src, &mut sink, 0, k, (0, 0)));
+            for r in 0..rows {
+                let kept_row = sink.rows.contains(&r);
+                prop_assert_eq!(sink.handed[r], usize::from(kept_row), "row {}", r);
+                for c in 0..cols {
+                    let at = Coord::c2(r, c);
+                    let want = if kept_row && sink.cols.contains(&c) { reference.get(at) } else { 0xAA };
+                    prop_assert_eq!(sink.out.get(at), want, "site ({}, {})", r, c);
+                }
+            }
+        }
     }
 
     fn total_momentum(g: &Grid<u8>) -> (i64, i64) {

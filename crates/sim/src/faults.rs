@@ -106,9 +106,15 @@ pub struct Fault {
 impl Fault {
     /// Whether the fault can fire on physical chip `chip`: a fault with
     /// no chip afflicts every chip. The one chip filter of
-    /// [`FaultCtx::corrupt`] and [`FaultPlan::spares`].
+    /// [`FaultCtx::stream`] and [`FaultPlan::spares`].
     fn reaches(&self, chip: usize) -> bool {
         self.chip.is_none_or(|c| c == chip)
+    }
+
+    /// Whether the fault sits at hardware site (`component`, `chip`,
+    /// `cell`).
+    fn sits_at(&self, component: Component, chip: usize, cell: usize) -> bool {
+        self.component == component && self.reaches(chip) && self.cell.is_none_or(|c| c == cell)
     }
 }
 
@@ -267,9 +273,31 @@ impl<'p> FaultCtx<'p> {
         FaultCtx { plan, pass, attempt: (shard << 32) | (attempt & 0xffff_ffff) }
     }
 
+    /// The fault weather of one hardware site, (`component`, `chip`,
+    /// `cell`), over a run of stream positions: a link frame or a
+    /// stage's output stream. The hash words the site's draws share
+    /// are folded once here, so each position costs only its own.
+    pub fn stream(&self, component: Component, chip: usize, cell: usize) -> FaultStream<'p> {
+        let live = self.plan.faults.iter().any(|f| f.sits_at(component, chip, cell));
+        let prefix = if live {
+            hash(&[
+                self.plan.seed,
+                self.pass,
+                self.attempt,
+                component.index() as u64,
+                chip as u64,
+                cell as u64,
+            ])
+        } else {
+            0
+        };
+        FaultStream { plan: self.plan, component, chip, cell, live, prefix }
+    }
+
     /// Applies every matching fault to a `bits`-bit `word` passing
     /// through (`component`, `chip`, `cell`) at stream position `pos`,
-    /// counting each event that alters the word.
+    /// counting each event that alters the word: a one-site
+    /// [`FaultCtx::stream`].
     pub fn corrupt(
         &self,
         component: Component,
@@ -279,46 +307,7 @@ impl<'p> FaultCtx<'p> {
         bits: u32,
         word: u64,
     ) -> u64 {
-        let mut w = word;
-        for (i, f) in self.plan.faults.iter().enumerate() {
-            if f.component != component || !f.reaches(chip) || f.cell.is_some_and(|c| c != cell) {
-                continue;
-            }
-            match f.kind {
-                FaultKind::StuckAt { bit, value } => {
-                    if bit >= bits {
-                        continue;
-                    }
-                    let m = 1u64 << bit;
-                    let stuck = if value { w | m } else { w & !m };
-                    if stuck != w {
-                        w = stuck;
-                        self.plan.count(component);
-                    }
-                }
-                FaultKind::Transient { bit, rate } => {
-                    if bit >= bits || rate <= 0.0 {
-                        continue;
-                    }
-                    let h = hash(&[
-                        self.plan.seed,
-                        self.pass,
-                        self.attempt,
-                        component.index() as u64,
-                        chip as u64,
-                        cell as u64,
-                        pos,
-                        i as u64,
-                    ]);
-                    // 53-bit uniform in [0, 1).
-                    if ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rate {
-                        w ^= 1u64 << bit;
-                        self.plan.count(component);
-                    }
-                }
-            }
-        }
-        w
+        self.stream(component, chip, cell).corrupt(pos, bits, word)
     }
 
     /// [`FaultCtx::corrupt`] over a typed site state.
@@ -330,10 +319,78 @@ impl<'p> FaultCtx<'p> {
         pos: u64,
         site: S,
     ) -> S {
-        if self.plan.faults.is_empty() {
+        self.stream(component, chip, cell).corrupt_site(pos, site)
+    }
+}
+
+/// One hardware site's fault weather ([`FaultCtx::stream`]): the
+/// transient hash of `(seed, pass, attempt, component, chip, cell,
+/// position, fault-index)` with its first six words already folded.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultStream<'p> {
+    plan: &'p FaultPlan,
+    component: Component,
+    chip: usize,
+    cell: usize,
+    /// Whether any fault of the plan sits at this site.
+    live: bool,
+    /// The hash fold of the site's first six words.
+    prefix: u64,
+}
+
+impl FaultStream<'_> {
+    /// Whether any fault of the plan sits at this site. A stream that
+    /// is not live passes every word through unchanged.
+    pub fn is_live(&self) -> bool {
+        self.live
+    }
+
+    /// Applies every fault at this site to a `bits`-bit `word` at
+    /// stream position `pos`, counting each event that alters the word.
+    pub fn corrupt(&self, pos: u64, bits: u32, word: u64) -> u64 {
+        if !self.live {
+            return word;
+        }
+        let mut w = word;
+        let mut at_pos = None;
+        for (i, f) in self.plan.faults.iter().enumerate() {
+            if !f.sits_at(self.component, self.chip, self.cell) {
+                continue;
+            }
+            match f.kind {
+                FaultKind::StuckAt { bit, value } => {
+                    if bit >= bits {
+                        continue;
+                    }
+                    let m = 1u64 << bit;
+                    let stuck = if value { w | m } else { w & !m };
+                    if stuck != w {
+                        w = stuck;
+                        self.plan.count(self.component);
+                    }
+                }
+                FaultKind::Transient { bit, rate } => {
+                    if bit >= bits || rate <= 0.0 {
+                        continue;
+                    }
+                    let h = mix(*at_pos.get_or_insert_with(|| mix(self.prefix ^ pos)) ^ i as u64);
+                    // 53-bit uniform in [0, 1).
+                    if ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rate {
+                        w ^= 1u64 << bit;
+                        self.plan.count(self.component);
+                    }
+                }
+            }
+        }
+        w
+    }
+
+    /// [`FaultStream::corrupt`] over a typed site state.
+    pub fn corrupt_site<S: State>(&self, pos: u64, site: S) -> S {
+        if !self.live {
             return site;
         }
-        S::from_word(self.corrupt(component, chip, cell, pos, S::BITS, site.to_word()))
+        S::from_word(self.corrupt(pos, S::BITS, site.to_word()))
     }
 }
 
@@ -354,6 +411,7 @@ pub struct FaultHook<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sr_transient(rate: f64) -> Fault {
         Fault {
@@ -498,5 +556,119 @@ mod tests {
         let fired = (0..n).filter(|&p| ctx.corrupt(Component::SrCell, 1, 0, p, 8, 0) != 0).count();
         let observed = fired as f64 / n as f64;
         assert!((0.08..=0.12).contains(&observed), "observed {observed}");
+    }
+
+    /// The per-site draw as first written: every fault's full
+    /// eight-word hash, re-folded at every position.
+    fn corrupt_per_site(
+        ctx: &FaultCtx<'_>,
+        site: (Component, usize, usize),
+        pos: u64,
+        bits: u32,
+        word: u64,
+    ) -> u64 {
+        let (component, chip, cell) = site;
+        let mut w = word;
+        for (i, f) in ctx.plan.faults.iter().enumerate() {
+            if f.component != component || !f.reaches(chip) || f.cell.is_some_and(|c| c != cell) {
+                continue;
+            }
+            match f.kind {
+                FaultKind::StuckAt { bit, value } if bit < bits => {
+                    let m = 1u64 << bit;
+                    let stuck = if value { w | m } else { w & !m };
+                    if stuck != w {
+                        w = stuck;
+                        ctx.plan.count(component);
+                    }
+                }
+                FaultKind::Transient { bit, rate } if bit < bits && rate > 0.0 => {
+                    let h = hash(&[
+                        ctx.plan.seed,
+                        ctx.pass,
+                        ctx.attempt,
+                        component.index() as u64,
+                        chip as u64,
+                        cell as u64,
+                        pos,
+                        i as u64,
+                    ]);
+                    if ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < rate {
+                        w ^= 1u64 << bit;
+                        ctx.plan.count(component);
+                    }
+                }
+                _ => {}
+            }
+        }
+        w
+    }
+
+    const COMPONENTS: [Component; N_COMPONENTS] = [
+        Component::SrCell,
+        Component::PeOutput,
+        Component::Link,
+        Component::SideChannel,
+        Component::OffchipSr,
+    ];
+
+    /// A fault from six draws: component, chip (`None` at 4), cell
+    /// (`None` at 3), stuck-at or transient, bit, and rate or level.
+    fn fault_from(d: (usize, usize, usize, bool, u32, f64)) -> Fault {
+        let (component, chip, cell, stuck, bit, x) = d;
+        Fault {
+            component: COMPONENTS[component],
+            chip: (chip < 4).then_some(chip),
+            cell: (cell < 3).then_some(cell),
+            kind: if stuck {
+                FaultKind::StuckAt { bit, value: x < 0.5 }
+            } else {
+                FaultKind::Transient { bit, rate: x }
+            },
+        }
+    }
+
+    fn fault_draw() -> impl Strategy<Value = (usize, usize, usize, bool, u32, f64)> {
+        (0usize..N_COMPONENTS, 0usize..=4, 0usize..=3, any::<bool>(), 0u32..20, 0f64..1.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A stream cursor draws exactly what `corrupt` and the
+        /// per-site eight-word hash draw, position by position, and
+        /// counts the same events.
+        #[test]
+        fn a_stream_equals_corrupt_site_by_site(
+            draws in proptest::collection::vec(fault_draw(), 0..6),
+            seed in any::<u64>(),
+            epoch in (0u64..4, 0u64..4, 0u64..3),
+            site in (0usize..N_COMPONENTS, 0usize..4, 0usize..3),
+            start in any::<u32>(),
+            len in 1usize..200,
+            bits in prop_oneof![Just(1u32), Just(4), Just(8), Just(16)],
+            words in any::<u64>(),
+        ) {
+            let plans: Vec<FaultPlan> = (0..3)
+                .map(|_| {
+                    let mut plan = FaultPlan::new(seed);
+                    draws.iter().for_each(|&d| plan.push(fault_from(d)));
+                    plan
+                })
+                .collect();
+            let ctxs: Vec<FaultCtx<'_>> =
+                plans.iter().map(|p| FaultCtx::for_shard(p, epoch.2, epoch.0, epoch.1)).collect();
+            let site = (COMPONENTS[site.0], site.1, site.2);
+            let stream = ctxs[0].stream(site.0, site.1, site.2);
+            for j in 0..len {
+                let pos = u64::from(start) + j as u64;
+                let word = words.rotate_left(j as u32) & ((1u64 << bits) - 1);
+                let streamed = stream.corrupt(pos, bits, word);
+                prop_assert_eq!(streamed, ctxs[1].corrupt(site.0, site.1, site.2, pos, bits, word));
+                prop_assert_eq!(streamed, corrupt_per_site(&ctxs[2], site, pos, bits, word));
+            }
+            prop_assert_eq!(plans[0].stats(), plans[1].stats());
+            prop_assert_eq!(plans[0].stats(), plans[2].stats());
+        }
     }
 }

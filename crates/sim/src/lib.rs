@@ -48,10 +48,10 @@ pub mod threaded;
 pub mod waveform;
 pub mod wsae;
 
-pub use faults::{Component, Fault, FaultCtx, FaultKind, FaultPlan, FaultStats};
+pub use faults::{Component, Fault, FaultCtx, FaultKind, FaultPlan, FaultStats, FaultStream};
 pub use host::{FtRun, HostSystem, RecoveryConfig, RecoveryStats, SystemRun};
 pub use memory::{throttled_rate, HostLink, StallSim};
-pub use metrics::EngineReport;
+pub use metrics::{EngineCost, EngineReport};
 pub use pipeline::{Pipeline, RunOptions};
 pub use spa::{SpaEngine, SpaRunOptions};
 pub use spa_lockstep::SpaLockstep;

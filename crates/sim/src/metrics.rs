@@ -38,7 +38,74 @@ pub struct EngineReport<S: State> {
     pub faults: FaultStats,
 }
 
+/// An engine run's counted costs without its lattice: what
+/// [`crate::Pipeline::run_kernel`] returns, its lattice having gone
+/// straight to the caller's row sink. [`EngineCost::with_grid`] and
+/// [`EngineReport::cost`] convert between the two.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EngineCost {
+    /// Generations computed.
+    pub generations: u64,
+    /// Site updates performed (`generations × sites`).
+    pub updates: Sites,
+    /// Clock ticks consumed, including pipeline fill and drain.
+    pub ticks: Ticks,
+    /// Host main-memory traffic.
+    pub memory_traffic: Traffic,
+    /// Inter-chip pipeline traffic summed over all chips.
+    pub pin_traffic: Traffic,
+    /// SPA side-channel traffic.
+    pub side_traffic: Traffic,
+    /// WSA-E external shift-register traffic.
+    pub offchip_sr_traffic: Traffic,
+    /// Peak shift-register cells occupied in any single stage.
+    pub sr_cells_per_stage: Cells,
+    /// Pipeline stages (PE depth).
+    pub stages: u32,
+    /// PEs per stage.
+    pub width: u32,
+    /// Fault events injected during this run.
+    pub faults: FaultStats,
+}
+
+impl EngineCost {
+    /// The full report of a run whose lattice is `grid`.
+    pub fn with_grid<S: State>(self, grid: Grid<S>) -> EngineReport<S> {
+        EngineReport {
+            grid,
+            generations: self.generations,
+            updates: self.updates,
+            ticks: self.ticks,
+            memory_traffic: self.memory_traffic,
+            pin_traffic: self.pin_traffic,
+            side_traffic: self.side_traffic,
+            offchip_sr_traffic: self.offchip_sr_traffic,
+            sr_cells_per_stage: self.sr_cells_per_stage,
+            stages: self.stages,
+            width: self.width,
+            faults: self.faults,
+        }
+    }
+}
+
 impl<S: State> EngineReport<S> {
+    /// The counted costs, without the lattice.
+    pub fn cost(&self) -> EngineCost {
+        EngineCost {
+            generations: self.generations,
+            updates: self.updates,
+            ticks: self.ticks,
+            memory_traffic: self.memory_traffic,
+            pin_traffic: self.pin_traffic,
+            side_traffic: self.side_traffic,
+            offchip_sr_traffic: self.offchip_sr_traffic,
+            sr_cells_per_stage: self.sr_cells_per_stage,
+            stages: self.stages,
+            width: self.width,
+            faults: self.faults,
+        }
+    }
+
     /// Average site updates per clock tick.
     pub fn updates_per_tick(&self) -> SitesPerTick {
         self.updates / self.ticks

@@ -8,11 +8,11 @@
 //! sites… two new site values are required every clock period").
 
 use crate::faults::{Component, FaultCtx, FaultHook, FaultStats};
-use crate::metrics::EngineReport;
+use crate::metrics::{EngineCost, EngineReport};
 use crate::stage::{LineBufferStage, StageConfig};
 use lattice_core::bits::{StreamParity, Traffic};
 use lattice_core::units::{u64_from_usize, Cells, Sites, Ticks};
-use lattice_core::{Grid, LatticeError, Rule, State};
+use lattice_core::{Grid, LatticeError, RowSink, RowSource, Rule, State};
 use lattice_vlsi::wsa::sweep_ticks;
 
 /// Per-run options beyond the geometry: the stream origin, fault
@@ -100,31 +100,34 @@ impl Pipeline {
 
     /// The fault-free pass without the cycle loop — also a faulted
     /// run's pass on chips no fault can reach
-    /// ([`crate::FaultPlan::spares`]): the lattice comes
-    /// from the rule's whole-block kernel ([`Rule::evolve_block`]), and
-    /// every count from the geometry — ticks from the exact closed form
+    /// ([`crate::FaultPlan::spares`]): the rule's block kernel
+    /// ([`Rule::evolve_block`]) reads the block from `src` a row at a
+    /// time and writes the window `sink` keeps, and every count comes
+    /// from the geometry — ticks from the exact closed form
     /// [`lattice_vlsi::wsa::sweep_ticks`], one stream each way through
-    /// memory and through every stage's pins. The report equals
-    /// [`Pipeline::run_at`]'s field for field.
+    /// memory and through every stage's pins. The cost, with the
+    /// block's evolved lattice, equals [`Pipeline::run_at`]'s report
+    /// field for field.
     ///
-    /// `None` when the rule has no kernel for this block, or the run
-    /// is one the cycle engine would reject (zero width or depth) or
-    /// stream differently (rank 1); the caller then runs
-    /// [`Pipeline::run_opts`].
+    /// `None`, with `sink` untouched, when the rule has no kernel for
+    /// this block, or the run is one the cycle engine would reject
+    /// (zero width or depth) or stream differently (rank 1); the caller
+    /// then runs [`Pipeline::run_opts`].
     pub fn run_kernel<R: Rule>(
         &self,
         rule: &R,
-        grid: &Grid<R::S>,
+        src: &dyn RowSource<R::S>,
+        sink: &mut dyn RowSink<R::S>,
         t0: u64,
         origin: (usize, usize),
-    ) -> Option<EngineReport<R::S>> {
-        let shape = grid.shape();
+    ) -> Option<EngineCost> {
+        let shape = src.shape();
         let p = u32::try_from(self.width).ok()?;
+        let stages = u32::try_from(self.depth).ok()?;
         if self.depth == 0 || p == 0 || shape.rank() != 2 {
             return None;
         }
-        let out = rule.evolve_block(grid, t0, self.depth, origin)?;
-        if out.shape() != shape {
+        if !rule.evolve_block(src, sink, t0, self.depth, origin) {
             return None;
         }
         let (n, k, d_bits) = (u128::from(u64_from_usize(shape.len())), self.depth, R::S::BITS);
@@ -135,8 +138,7 @@ impl Pipeline {
         pins.record_in(n * u128::from(u64_from_usize(k)), d_bits);
         pins.record_out(n * u128::from(u64_from_usize(k)), d_bits);
         let cfg = StageConfig { shape, width: self.width, fill: R::S::default(), gen: t0, origin };
-        Some(EngineReport {
-            grid: out,
+        Some(EngineCost {
             generations: u64_from_usize(k),
             updates: Sites::new(u64_from_usize(shape.len() * k)),
             ticks: sweep_ticks(shape.rows(), shape.cols(), p, k),
@@ -145,7 +147,7 @@ impl Pipeline {
             side_traffic: Traffic::new(),
             offchip_sr_traffic: Traffic::new(),
             sr_cells_per_stage: Cells::new(u64_from_usize(cfg.required_cells())),
-            stages: u32::try_from(k).ok()?,
+            stages,
             width: p,
             faults: FaultStats::default(),
         })
@@ -414,7 +416,9 @@ mod tests {
             for (width, depth) in [(1usize, 1usize), (2, 3), (3, 2), (4, 5)] {
                 for (t0, &origin) in origins.iter().enumerate() {
                     let pipe = Pipeline::wide(width, depth);
-                    let fast = pipe.run_kernel(&rule, &g, t0 as u64, origin).unwrap();
+                    let mut out = Grid::new(shape);
+                    let fast = pipe.run_kernel(&rule, &g, &mut out, t0 as u64, origin).unwrap();
+                    let fast = fast.with_grid(out);
                     let cycle = pipe.run_at(&rule, &g, t0 as u64, origin).unwrap();
                     assert_eq!(fast, cycle, "{rows}x{cols} P={width} k={depth} {origin:?}");
                 }
@@ -429,13 +433,16 @@ mod tests {
         // No kernel: FHP and obstacles keep the cycle engine.
         let fhp_grid = lattice_gas::init::random_fhp(shape, FhpVariant::I, 0.3, 2, false).unwrap();
         let fhp = FhpRule::new(FhpVariant::I, 3);
-        assert!(Pipeline::wide(2, 2).run_kernel(&fhp, &fhp_grid, 0, (0, 0)).is_none());
+        let mut out = Grid::new(shape);
+        assert!(Pipeline::wide(2, 2).run_kernel(&fhp, &fhp_grid, &mut out, 0, (0, 0)).is_none());
         let mut walled = g.clone();
         walled.set_linear(5, lattice_gas::OBSTACLE_BIT);
-        assert!(Pipeline::wide(2, 2).run_kernel(&HppRule::new(), &walled, 0, (0, 0)).is_none());
+        let hpp = HppRule::new();
+        assert!(Pipeline::wide(2, 2).run_kernel(&hpp, &walled, &mut out, 0, (0, 0)).is_none());
         // Configurations the cycle engine rejects stay its errors.
-        assert!(Pipeline::wide(2, 0).run_kernel(&HppRule::new(), &g, 0, (0, 0)).is_none());
-        assert!(Pipeline::wide(0, 2).run_kernel(&HppRule::new(), &g, 0, (0, 0)).is_none());
+        assert!(Pipeline::wide(2, 0).run_kernel(&hpp, &g, &mut out, 0, (0, 0)).is_none());
+        assert!(Pipeline::wide(0, 2).run_kernel(&hpp, &g, &mut out, 0, (0, 0)).is_none());
+        assert_eq!(out, Grid::new(shape), "a declined run leaves the sink alone");
     }
 
     #[test]

@@ -1591,7 +1591,7 @@ fn drive<R: Rule<S = u8>>(
                 None,
                 &cfg,
                 |_, _| Ok(()),
-                |_, _, _| Ok(()),
+                None,
                 Some(&mut store),
             )?;
             let mut tail = format!(
@@ -1794,7 +1794,7 @@ fn run_chaos(
             Some(&plan),
             &cfg,
             |b, a| audit.check(b, a),
-            |_, _, _| Ok(()),
+            None,
             Some(&mut sink),
         );
         let refused = sink.refused;

@@ -38,7 +38,7 @@ fn killed_farm_resumes_bit_exact_from_disk() {
             None,
             &cfg,
             |_, _| Ok(()),
-            |_, _, _| Ok(()),
+            None,
             Some(&mut store),
         )
         .unwrap();
@@ -60,7 +60,7 @@ fn killed_farm_resumes_bit_exact_from_disk() {
             None,
             &cfg,
             |_, _| Ok(()),
-            |_, _, _| Ok(()),
+            None,
             Some(&mut store),
         )
         .unwrap();
@@ -95,7 +95,7 @@ fn resume_falls_back_when_newest_generation_is_torn() {
             None,
             &cfg,
             |_, _| Ok(()),
-            |_, _, _| Ok(()),
+            None,
             Some(&mut store),
         )
         .unwrap();
@@ -134,7 +134,7 @@ fn resume_falls_back_when_newest_generation_is_torn() {
             None,
             &cfg,
             |_, _| Ok(()),
-            |_, _, _| Ok(()),
+            None,
             Some(&mut store),
         )
         .unwrap();

@@ -322,6 +322,33 @@ proptest! {
     }
 }
 
+/// The two-tier grids, where halo rows cross the inter-rack links:
+/// 2×2 and 3×2 boards, overlap on and off, both boundaries, always in
+/// the oracle's sample.
+#[test]
+fn fast_path_reports_equal_the_cycle_level_run_on_two_tier_grids() {
+    for (i, layout) in [(2usize, 2usize), (3, 2)].into_iter().enumerate() {
+        for overlap in [false, true] {
+            for periodic in [false, true] {
+                assert_fast_path_is_exact(OracleCase {
+                    rows: layout.0 * 7,
+                    layout,
+                    block_width: 65,
+                    periodic,
+                    overlap,
+                    link: Some(8),
+                    depth: 3,
+                    width: 2,
+                    gens: 7,
+                    t0: 1,
+                    density: 0.5,
+                    seed: 11 + i as u64,
+                });
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -215,7 +215,7 @@ fn one_board_pe_fault_rolls_back_that_board_alone() {
             Some(&plan),
             &cfg,
             |_, _| Ok(()),
-            |_board, before, after| audit.check(before, after),
+            Some(&mut |_board, before, after| audit.check(before, after)),
             None,
         )
         .expect("local rollback must absorb the soft errors");
