@@ -89,6 +89,25 @@ pub struct StreamParity {
 /// CRC-64/ECMA-182 polynomial, a standard primitive choice.
 const PARITY_POLY: u64 = 0x42F0_E1EB_A9EA_3693;
 
+/// `PARITY_BYTE[b]`: eight LFSR steps of zero sites from the word
+/// `b << 56` — what the top byte of the word feeds back while the fold
+/// shifts it out.
+const PARITY_BYTE: [u64; 256] = {
+    let mut t = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut w = (b as u64) << 56;
+        let mut step = 0;
+        while step < 8 {
+            w = (w << 1) ^ if w >> 63 == 1 { PARITY_POLY } else { 0 };
+            step += 1;
+        }
+        t[b] = w;
+        b += 1;
+    }
+    t
+};
+
 impl StreamParity {
     /// A zeroed accumulator.
     pub fn new() -> Self {
@@ -100,6 +119,22 @@ impl StreamParity {
         let feedback = if self.word >> 63 == 1 { PARITY_POLY } else { 0 };
         self.word = (self.word << 1) ^ feedback ^ site.to_word();
         self.count += 1;
+    }
+
+    /// Folds `sites` in order: the same word as [`StreamParity::absorb`]
+    /// on each, eight sites per step. Over eight steps the LFSR is
+    /// linear, `w' = (w << 8) ^ PARITY_BYTE[w >> 56] ^ Σ site_j << (7 − j)`:
+    /// a site has at most 32 bits ([`State::BITS`]), so no site bit
+    /// reaches the feedback tap within the seven shifts that follow it.
+    pub fn absorb_slice<S: State>(&mut self, sites: &[S]) {
+        const { assert!(S::BITS <= 32) };
+        let mut chunks = sites.chunks_exact(8);
+        for chunk in &mut chunks {
+            let fresh = chunk.iter().fold(0u64, |acc, &site| (acc << 1) ^ site.to_word());
+            self.word = (self.word << 8) ^ PARITY_BYTE[(self.word >> 56) as usize] ^ fresh;
+        }
+        self.count += (sites.len() - chunks.remainder().len()) as u64;
+        chunks.remainder().iter().for_each(|&site| self.absorb(site));
     }
 
     /// Describes how this (receiver-side) parity disagrees with the

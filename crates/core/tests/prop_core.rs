@@ -1,7 +1,7 @@
 //! Property-based tests for lattice-core invariants.
 
 use lattice_core::{
-    bits::{pack_word, unpack_word},
+    bits::{pack_word, unpack_word, StreamParity},
     evolve_into, evolve_parallel,
     raster::staggered_order,
     window::{index_offset, offset_index, window_len},
@@ -41,7 +41,50 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
     ]
 }
 
+/// `sites` folded one at a time and eight at a time, and what
+/// `mismatch` says of each against a one-at-a-time fold of `other`.
+fn parity_both_ways<S: State>(sites: &[S], other: &[S]) -> [(StreamParity, Option<String>); 2] {
+    let mut theirs = StreamParity::new();
+    other.iter().for_each(|&s| theirs.absorb(s));
+    let mut one = StreamParity::new();
+    sites.iter().for_each(|&s| one.absorb(s));
+    let mut eight = StreamParity::new();
+    // Ragged splits too: a fold may resume mid-byte.
+    let (head, tail) = sites.split_at(sites.len() / 3);
+    eight.absorb_slice(head);
+    eight.absorb_slice(tail);
+    [(one, one.mismatch(&theirs)), (eight, eight.mismatch(&theirs))]
+}
+
+fn assert_parity_agrees<S: State>(sites: &[S], flip: usize) -> Result<(), TestCaseError> {
+    // A stream with one site's low bit flipped, and one a site short.
+    let mut flipped = sites.to_vec();
+    if let Some(s) = flipped.get_mut(flip % sites.len().max(1)) {
+        *s = S::from_word(s.to_word() ^ 1);
+    }
+    let short = &sites[..sites.len().saturating_sub(1)];
+    for other in [sites, &flipped[..], short] {
+        let [one, eight] = parity_both_ways(sites, other);
+        prop_assert_eq!(one, eight);
+    }
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn parity_byte_fold_matches_the_site_fold(
+        bytes in proptest::collection::vec(any::<u8>(), 0..70),
+        wide in proptest::collection::vec(any::<u32>(), 0..70),
+        flip in any::<usize>(),
+    ) {
+        let bools: Vec<bool> = bytes.iter().map(|&b| b & 1 == 1).collect();
+        let halves: Vec<u16> = wide.iter().map(|&w| w as u16).collect();
+        assert_parity_agrees(&bools, flip)?;
+        assert_parity_agrees(&bytes, flip)?;
+        assert_parity_agrees(&halves, flip)?;
+        assert_parity_agrees(&wide, flip)?;
+    }
+
     #[test]
     fn linear_coord_roundtrip(shape in arb_shape(), idx in any::<proptest::sample::Index>()) {
         let i = idx.index(shape.len());

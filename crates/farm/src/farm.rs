@@ -5,11 +5,14 @@
 //! links ([`crate::link::BoardLink`]: bandwidth-throttled, parity
 //! checked), read straight from the committed lattice, then runs its
 //! cycle-level engine — a WSA pipeline (§4) or an SPA slice array (§5)
-//! — for `k` generations over the halo-augmented slab on its own worker
-//! thread. The board reads that slab a row at a time from the lattice,
-//! with the received frames laid over it, and writes its owned sites
-//! straight into its own rows of the next lattice, so no host gather or
-//! stitch copies the lattice at the barrier. A slab
+//! — for `k` generations over the halo-augmented slab, on the step's
+//! board crew ([`crate::crew`]): board 0 on the calling thread, every
+//! other board on the helper that serves it for the whole step. The
+//! board reads that slab a row at a time from the lattice, with the
+//! received frames laid over it. Board 0 writes its owned sites
+//! straight into its own rows of the next lattice; a helper writes its
+//! owned window into a buffer the caller copies in, so no host gather
+//! copies the lattice at the barrier. A slab
 //! augmented with `k` true generation-`t` columns per interior side
 //! evolves `k` generations with every owned column bit-exact (boundary
 //! pollution travels one column per generation), so the farmed run
@@ -67,6 +70,7 @@
 //! boards_retired` on any successful run (see
 //! [`lattice_engines_sim::RecoveryStats`]).
 
+use crate::crew::{Answer, Crew};
 use crate::link::{BoardLink, HaloWindow};
 use crate::partition::{
     max_aug_width2d, partition2d, partition2d_checked, sweep_regions2d, Block, Region2d,
@@ -82,10 +86,8 @@ use lattice_engines_sim::{
     Component, EngineCost, EngineReport, FaultCtx, FaultPlan, FaultStats, Pipeline, RecoveryStats,
     RunOptions, SpaEngine, SpaRunOptions,
 };
-use std::borrow::Cow;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -409,6 +411,7 @@ pub struct FarmFtRun<S: State> {
 /// wires*, so their bits and retransmits are billed per tier;
 /// `bits`/`retransmits` are the intra-rack figures (the only nonzero
 /// ones for a columnar farm).
+#[derive(Clone)]
 struct ExchangeOutcome<S: State> {
     /// The received halo-column frame: each halo column over the full
     /// augmented height, in [`Augmented::halo_cols`] order. `None` when
@@ -459,10 +462,64 @@ struct PassCache<S: State> {
 }
 
 impl<S: State> PassCache<S> {
-    fn new(boards: usize) -> Self {
+    fn new(boards: usize, next: Vec<S>) -> Self {
         PassCache {
             boards: (0..boards).map(|_| BoardCache { exchange: None, costs: None }).collect(),
-            next: Vec::new(),
+            next,
+        }
+    }
+}
+
+/// `buf` resized to `n` sites, for a writer that overwrites every one
+/// of them. In tests the old contents are poisoned first, so the
+/// bit-exactness oracles catch any site a pass leaves unwritten.
+fn recycle<S: State>(mut buf: Vec<S>, n: usize) -> Vec<S> {
+    buf.resize(n, S::default());
+    #[cfg(test)]
+    buf.fill(S::from_word(u64::MAX));
+    buf
+}
+
+/// The committed lattice as a job holds it: the caller's own until a
+/// session's first pass commits, shared with the board crew after.
+enum Committed<'a, S: State> {
+    Borrowed(&'a Grid<S>),
+    Shared(Arc<Grid<S>>),
+}
+
+impl<S: State> Clone for Committed<'_, S> {
+    fn clone(&self) -> Self {
+        match self {
+            Committed::Borrowed(g) => Committed::Borrowed(g),
+            Committed::Shared(g) => Committed::Shared(Arc::clone(g)),
+        }
+    }
+}
+
+impl<S: State> Deref for Committed<'_, S> {
+    type Target = Grid<S>;
+
+    fn deref(&self) -> &Grid<S> {
+        match self {
+            Committed::Borrowed(g) => g,
+            Committed::Shared(g) => g,
+        }
+    }
+}
+
+impl<S: State> Committed<'_, S> {
+    /// The lattice's buffer, if no one else holds it any more.
+    fn reclaim(self) -> Option<Vec<S>> {
+        match self {
+            Committed::Borrowed(_) => None,
+            Committed::Shared(g) => Arc::try_unwrap(g).ok().map(Grid::into_vec),
+        }
+    }
+
+    fn into_grid(self) -> Grid<S> {
+        match self {
+            Committed::Borrowed(g) => g.clone(),
+            Committed::Shared(g) => Arc::try_unwrap(g).unwrap_or_else(|g| Grid::clone(&g)),
         }
     }
 }
@@ -730,20 +787,19 @@ fn crop<S: State>(
     Grid::from_vec(Shape::grid2(rows, width)?, data)
 }
 
-/// Copies the `rows × width` rectangle of `src` at `from` into `dst`
-/// at `to`, row by row.
+/// Copies `block`, a rectangle `width` sites wide, into `dst` (a
+/// lattice `cols` sites wide) with its top-left site at `(r0, c0)`, one
+/// row segment at a time.
 fn paste<S: State>(
-    dst: &mut Grid<S>,
-    to: (usize, usize),
-    src: &Grid<S>,
-    from: (usize, usize),
-    (rows, width): (usize, usize),
+    dst: &mut [S],
+    cols: usize,
+    (r0, c0): (usize, usize),
+    block: &[S],
+    width: usize,
 ) {
-    let (dst_cols, src_cols) = (dst.shape().cols(), src.shape().cols());
-    for r in 0..rows {
-        let d = (to.0 + r) * dst_cols + to.1;
-        let s = (from.0 + r) * src_cols + from.1;
-        dst.as_mut_slice()[d..d + width].copy_from_slice(&src.as_slice()[s..s + width]);
+    for (r, row) in block.chunks_exact(width).enumerate() {
+        let d = (r0 + r) * cols + c0;
+        dst[d..d + width].copy_from_slice(row);
     }
 }
 
@@ -827,15 +883,28 @@ struct BoardWork<S: State> {
     audited: Vec<(Grid<S>, Grid<S>)>,
 }
 
+impl<S: State> BoardWork<S> {
+    /// Room for `regions` regions' results, allocated up front.
+    fn with_capacity(regions: usize, audited: bool) -> Self {
+        BoardWork {
+            costs: Vec::with_capacity(regions),
+            audited: Vec::with_capacity(if audited { regions } else { 0 }),
+        }
+    }
+}
+
 /// A board's compute outcome: absent until its worker reports.
 type BoardResult<S> = Option<Result<BoardWork<S>, LatticeError>>;
 
-/// One board's work order for a pass (borrowing the committed lattice
-/// and its buffered exchange).
-struct JobRef<'a, S: State> {
-    slab: usize,
-    aug: Augmented<'a, S>,
-    ex: &'a ExchangeOutcome<S>,
+/// One board's work order for a pass: the committed lattice, the
+/// board's block and a copy of its buffered exchange, so the order can
+/// cross to a crew helper.
+struct BoardJob<'a, S: State> {
+    lattice: Committed<'a, S>,
+    block: Block,
+    /// On-board vertical wrap rows per side.
+    wrap: usize,
+    ex: ExchangeOutcome<S>,
     /// Sweep regions in execution order (boundary first); one full
     /// region when overlap is off.
     regions: Vec<Region2d>,
@@ -843,7 +912,98 @@ struct JobRef<'a, S: State> {
     origin: (usize, usize),
     chip0: usize,
     phys: usize,
+    pass: u64,
     attempt: u64,
+    k: usize,
+    t0: u64,
+    /// Whether a per-board audit wants the augmented blocks back.
+    audited: bool,
+    /// The board's result vectors, allocated by the supervisor with the
+    /// rest of the job; see [`Done::Board`].
+    work: BoardWork<S>,
+}
+
+/// What a crew helper is handed: one board's pass, with the buffer it
+/// writes the board's owned window into, or one slab's checkpoint
+/// encode at a barrier.
+enum Job<'a, S: State> {
+    Board(Box<BoardJob<'a, S>>, Vec<S>),
+    Save(Committed<'a, S>, Block, u64),
+}
+
+/// A helper's answer: the board's work and its filled window buffer,
+/// or the slab's encoded blob.
+///
+/// A board's answer also hands its job back, so the supervisor frees
+/// the small allocations it made for it (the box, the regions, the
+/// frame copies, the result vectors), and the helper frees only what it
+/// allocated itself. The allocator caches small freed blocks per
+/// thread, whichever thread allocated them: a helper freeing the
+/// supervisor's blocks would hand them to its own engine's per-tick
+/// state, in cache lines the supervisor's engine writes on the other
+/// core. On farm-fine that false sharing cost about a fifth of the
+/// throughput (DESIGN.md §19, "The board crew").
+enum Done<'a, S: State> {
+    Board(Result<BoardWork<S>, LatticeError>, Vec<S>, Box<BoardJob<'a, S>>),
+    Save(Result<Vec<u8>, LatticeError>),
+}
+
+/// What every helper of a step runs on the jobs it is handed.
+type Work<'a, S> = dyn Fn(Job<'a, S>) -> Option<Done<'a, S>> + Sync + 'a;
+
+/// The board crew of one [`FarmSession::step`], with the buffers its
+/// passes recycle. The supervisor runs block 0 of every pass and the
+/// first slab of every barrier itself; helper `h` takes block `h + 1`.
+struct StepCrew<'scope, 'env, S: State> {
+    crew: Crew<'scope, 'env, Work<'env, S>, Job<'env, S>, Done<'env, S>>,
+    /// Helper `h`'s window buffer while it is not out on a job.
+    windows: Vec<Vec<S>>,
+    /// A lattice buffer nothing reads any more: the one the last commit
+    /// or rewind replaced, reused as the next pass's lattice.
+    spare: Option<Vec<S>>,
+}
+
+impl<'env, S: State> StepCrew<'_, 'env, S> {
+    /// The next pass's lattice buffer: the spare when there is one.
+    fn next_lattice(&mut self, n: usize) -> Vec<S> {
+        recycle(self.spare.take().unwrap_or_default(), n)
+    }
+
+    /// Hands block `i ≥ 1`'s pass to its helper, with the helper's
+    /// window buffer; returns the ticket.
+    fn dispatch(&mut self, i: usize, job: BoardJob<'env, S>) -> u64 {
+        let h = i - 1;
+        if self.windows.len() <= h {
+            self.windows.resize_with(h + 1, Vec::new);
+        }
+        let window = std::mem::take(&mut self.windows[h]);
+        self.crew.dispatch(h, Job::Board(Box::new(job), window))
+    }
+
+    /// [`save_shard_checkpoints`] with slab `i ≥ 1` encoded by helper
+    /// `i − 1` while the supervisor encodes slab 0.
+    fn save(
+        &mut self,
+        lattice: &Committed<'env, S>,
+        blocks: &[Block],
+        t: u64,
+    ) -> Result<Vec<Vec<u8>>, LatticeError> {
+        let tickets: Vec<u64> = (1..blocks.len())
+            .map(|i| self.crew.dispatch(i - 1, Job::Save(lattice.clone(), blocks[i], t)))
+            .collect();
+        let first = blocks.first().map(|blk| save_block(lattice, blk, t));
+        let rest = self.crew.collect(&tickets, None);
+        first
+            .into_iter()
+            .chain(rest.into_iter().map(|answer| match answer {
+                Answer::Done(Done::Save(blob)) => blob,
+                _ => Err(LatticeError::Corrupted {
+                    site: "farm".into(),
+                    detail: "a farm thread panicked".into(),
+                }),
+            }))
+            .collect()
+    }
 }
 
 /// What one pass produced, before aggregation. `costs` holds the
@@ -1011,18 +1171,19 @@ impl Totals {
     }
 }
 
+/// One block's slab of `grid` at generation `t`, through the
+/// checkpoint codec.
+fn save_block<S: State>(grid: &Grid<S>, blk: &Block, t: u64) -> Result<Vec<u8>, LatticeError> {
+    let sg = crop(grid, (blk.row0, blk.col0), (blk.rows, blk.width))?;
+    Ok(checkpoint::save(&sg, Ticks::new(t)))
+}
+
 fn save_shard_checkpoints<S: State>(
     grid: &Grid<S>,
     blocks: &[Block],
     t: u64,
 ) -> Result<Vec<Vec<u8>>, LatticeError> {
-    blocks
-        .iter()
-        .map(|blk| {
-            let sg = crop(grid, (blk.row0, blk.col0), (blk.rows, blk.width))?;
-            Ok(checkpoint::save(&sg, Ticks::new(t)))
-        })
-        .collect()
+    blocks.iter().map(|blk| save_block(grid, blk, t)).collect()
 }
 
 fn load_shard_checkpoints<S: State>(
@@ -1046,7 +1207,7 @@ fn load_shard_checkpoints<S: State>(
                 detail: "shard checkpoint does not match its block's shape".into(),
             });
         }
-        paste(&mut grid, (blk.row0, blk.col0), &sg, (0, 0), (blk.rows, blk.width));
+        paste(grid.as_mut_slice(), shape.cols(), (blk.row0, blk.col0), sg.as_slice(), blk.width);
     }
     Ok((grid, time.unwrap_or(Ticks::ZERO).get()))
 }
@@ -1063,12 +1224,12 @@ fn load_shard_checkpoints<S: State>(
 fn run_board<R: Rule>(
     rule: &R,
     engine: ShardEngine,
-    k: usize,
-    t0: u64,
-    job: &JobRef<'_, R::S>,
+    job: &BoardJob<'_, R::S>,
     owned: &mut [&mut [R::S]],
-    audited: bool,
+    mut work: BoardWork<R::S>,
 ) -> Result<BoardWork<R::S>, LatticeError> {
+    let (k, t0, audited) = (job.k, job.t0, job.audited);
+    let aug = Augmented::new(&job.lattice, &job.block, job.wrap);
     let chips: Vec<usize> = (job.chip0..job.chip0 + k).collect();
     // A board whose chips no fault can reach takes the rule's block
     // kernel when it has one for the block; the counts are the cycle
@@ -1079,16 +1240,14 @@ fn run_board<R: Rule>(
         }
         _ => None,
     };
-    let mut work = BoardWork { costs: Vec::with_capacity(job.regions.len()), audited: Vec::new() };
     for region in &job.regions {
         let src = RegionRows {
-            aug: job.aug,
-            ex: job.ex,
+            aug,
+            ex: &job.ex,
             region,
             shape: Shape::grid2(region.height, region.width)?,
         };
-        let mut sink =
-            OwnedRows { segs: owned, region, top: job.aug.top(), left: job.aug.block.halo_left };
+        let mut sink = OwnedRows { segs: owned, region, top: aug.top(), left: job.block.halo_left };
         let origin = (job.origin.0.wrapping_add(region.r0), job.origin.1.wrapping_add(region.a0));
         if !audited {
             if let Some(cost) =
@@ -1126,6 +1285,57 @@ fn run_board<R: Rule>(
         }
     }
     Ok(work)
+}
+
+/// One board's pass as its worker runs it, injected misbehavior
+/// included: `None` when the worker dies before reporting, by an
+/// injected [`WorkerFault::Die`] or a panic, which is contained here.
+fn work_board<R: Rule>(
+    rule: &R,
+    engine: ShardEngine,
+    fault: Option<WorkerFaultSpec>,
+    job: &mut BoardJob<'_, R::S>,
+    owned: &mut [&mut [R::S]],
+) -> Option<Result<BoardWork<R::S>, LatticeError>> {
+    let work = std::mem::replace(&mut job.work, BoardWork::with_capacity(0, false));
+    let due = fault.filter(|f| (f.board, f.pass, f.attempt) == (job.phys, job.pass, job.attempt));
+    catch_unwind(AssertUnwindSafe(|| {
+        match due.map(|f| f.fault) {
+            Some(WorkerFault::Hang { millis }) => {
+                // Fault *injection*, not lattice state: a hang stalls the
+                // worker but the recovery outcome is decided by the
+                // watchdog, not by how long this sleeps.
+                // lattice-lint: allow(determinism)
+                std::thread::sleep(Duration::from_millis(millis))
+            }
+            Some(WorkerFault::Die) => return None,
+            None => {}
+        }
+        Some(run_board(rule, engine, job, owned, work))
+    }))
+    .ok()
+    .flatten()
+}
+
+/// A crew helper's side of a [`Job`]. A board's job goes back with the
+/// answer (see [`Done::Board`]).
+fn help<'a, R: Rule>(
+    rule: &R,
+    engine: ShardEngine,
+    fault: Option<WorkerFaultSpec>,
+    job: Job<'a, R::S>,
+) -> Option<Done<'a, R::S>> {
+    match job {
+        Job::Board(mut job, window) => {
+            let width = job.block.width;
+            let mut window = recycle(window, job.block.rows * width);
+            let mut owned: Vec<&mut [R::S]> = window.chunks_exact_mut(width).collect();
+            let work = work_board(rule, engine, fault, &mut job, &mut owned)?;
+            drop(owned);
+            Some(Done::Board(work, window, job))
+        }
+        Job::Save(lattice, block, t) => Some(Done::Save(save_block(&lattice, &block, t))),
+    }
 }
 
 impl LatticeFarm {
@@ -1372,26 +1582,28 @@ impl LatticeFarm {
     /// staged frame from the previous pass's ship-ahead, or a barrier
     /// exchange with ARQ) for every board lacking a buffered frame,
     /// concurrent compute (with watchdog) for every board lacking a
-    /// cost — boundary sweep regions first, each board writing its
-    /// owned rows of the next lattice — then (in overlap mode) the next
-    /// pass's frames ship while the interior regions evolve, and the
-    /// per-board audit, if attached, checks each fresh board. Clean
-    /// per-board work is cached in `cache`, so retrying after a
-    /// localized failure redoes only the failed board's work — that
-    /// containment *is* ladder level 2.
+    /// cost — block 0 on this thread, straight into its rows of the
+    /// next lattice, every other block on its crew helper, whose owned
+    /// window is then copied in; boundary sweep regions first — then
+    /// (in overlap mode) the next pass's frames ship while the interior
+    /// regions evolve, and the per-board audit, if attached, checks each
+    /// fresh board. Clean per-board work is cached in `cache`, so
+    /// retrying after a localized failure redoes only the failed
+    /// board's work — that containment *is* ladder level 2.
     #[allow(clippy::too_many_arguments)]
-    fn attempt_pass<R: Rule>(
+    fn attempt_pass<'env, R: Rule>(
         &self,
         rule: &R,
-        grid: &Grid<R::S>,
+        grid: &Committed<'env, R::S>,
         pp: &PassParams<'_>,
-        plan: Option<&FaultPlan>,
+        plan: Option<&'env FaultPlan>,
         halo_pos: &mut [u64],
         halo_pos_inter: &mut [u64],
         cache: &mut PassCache<R::S>,
         windows: &mut [StagedHalo<R::S>],
         recovery: &mut RecoveryStats,
         mut shard_audit: Option<&mut ShardAudit<'_, R::S>>,
+        crew: &mut StepCrew<'_, 'env, R::S>,
     ) -> Result<PassOutcome<R::S>, BoardFailure> {
         let shape = grid.shape();
         let (rows, cols) = (shape.rows(), shape.cols());
@@ -1437,25 +1649,29 @@ impl LatticeFarm {
         }
 
         // Phase 2 — boards without a cost compute concurrently, one
-        // engine sub-run per sweep region (boundary regions first),
-        // each into its own rows of the next lattice.
+        // engine sub-run per sweep region (boundary regions first):
+        // helpers first, so they start while this thread runs block 0.
         if cache.next.len() != shape.len() {
-            cache.next = vec![R::S::default(); shape.len()];
+            cache.next = recycle(std::mem::take(&mut cache.next), shape.len());
         }
-        let mut owned = owned_rows(&mut cache.next, cols, pp.blocks);
-        let mut jobs = Vec::with_capacity(pp.blocks.len());
-        for (block, segs) in pp.blocks.iter().zip(owned.iter_mut()) {
+        let mut own = None;
+        let mut handed = Vec::with_capacity(pp.blocks.len());
+        for block in pp.blocks {
             let i = block.index;
             if cache.boards[i].costs.is_some() {
                 continue;
             }
             let b = pp.phys[i];
             let ex = cached(cache.boards[i].exchange.as_ref(), i, "halo exchange")?;
-            let job = JobRef {
-                slab: i,
-                aug: Augmented::new(grid, block, wrap),
-                ex,
-                regions: sweep_regions2d(block, pp.k, self.overlap, wrap),
+            let regions = sweep_regions2d(block, pp.k, self.overlap, wrap);
+            let audited = shard_audit.is_some();
+            let job = BoardJob {
+                lattice: grid.clone(),
+                block: *block,
+                wrap,
+                ex: ex.clone(),
+                work: BoardWork::with_capacity(regions.len(), audited),
+                regions,
                 ctx: plan
                     .map(|p| FaultCtx::for_shard(p, u64_from_usize(b), pp.pass, pp.attempts[b])),
                 origin: (
@@ -1464,96 +1680,52 @@ impl LatticeFarm {
                 ),
                 chip0: b * pp.stride,
                 phys: b,
+                pass: pp.pass,
                 attempt: pp.attempts[b],
+                k: pp.k,
+                t0: pp.t_now,
+                audited,
             };
-            jobs.push((job, std::mem::take(segs)));
+            if i == 0 {
+                own = Some(job);
+            } else {
+                handed.push((i, crew.dispatch(i, job)));
+            }
         }
-        let n_jobs = jobs.len();
-        let engine = self.engine;
-        let wf = self.worker_fault;
-        let audited = shard_audit.is_some();
-        let (k, t_now, pass) = (pp.k, pp.t_now, pp.pass);
         let mut results: Vec<BoardResult<R::S>> = (0..pp.blocks.len()).map(|_| None).collect();
+        // The watchdog clock bounds *wall time to detection*; which
+        // boards are retired (and every lattice bit) is decided by the
+        // deterministic retry ladder.
+        // lattice-lint: allow(determinism)
+        let deadline = pp.watchdog.map(|d| Instant::now() + d);
         let mut timed_out = false;
-        crossbeam::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel();
-            let mut workers = Vec::with_capacity(n_jobs);
-            for (job, mut segs) in jobs {
-                let tx = tx.clone();
-                workers.push(scope.spawn(move |_| {
-                    // Panics are contained to the worker: the board
-                    // simply never reports, which the supervisor
-                    // detects below.
-                    let _ = catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(spec) = wf {
-                            if spec.board == job.phys
-                                && spec.pass == pass
-                                && spec.attempt == job.attempt
-                            {
-                                match spec.fault {
-                                    WorkerFault::Hang { millis } => {
-                                        // Fault *injection*, not lattice state: a
-                                        // hang stalls the worker but the recovery
-                                        // outcome is decided by the watchdog, not
-                                        // by how long this sleeps.
-                                        // lattice-lint: allow(determinism)
-                                        std::thread::sleep(Duration::from_millis(millis))
-                                    }
-                                    WorkerFault::Die => return,
-                                }
-                            }
-                        }
-                        let work = run_board(rule, engine, k, t_now, &job, &mut segs, audited);
-                        let _ = tx.send((job.slab, work));
-                    }));
-                }));
-            }
-            drop(tx);
-            // Supervisor: collect heartbeats until every outstanding
-            // board reports, the watchdog deadline lapses, or every
-            // worker is gone.
-            // The watchdog clock bounds *wall time to detection*; which
-            // boards are retired (and every lattice bit) is decided by
-            // the deterministic retry ladder.
+        if let Some(mut job) = own {
+            let mut owned = owned_rows(&mut cache.next, cols, &pp.blocks[..1]);
+            let work = work_board(rule, self.engine, self.worker_fault, &mut job, &mut owned[0]);
+            // A board that reports after the deadline has missed it,
+            // whichever thread it ran on.
             // lattice-lint: allow(determinism)
-            let deadline = pp.watchdog.map(|d| Instant::now() + d);
-            let mut got = 0usize;
-            while got < n_jobs {
-                let msg = match deadline {
-                    // lattice-lint: allow(determinism)
-                    Some(dl) => match rx.recv_timeout(dl.saturating_duration_since(Instant::now()))
-                    {
-                        Ok(m) => m,
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            timed_out = true;
-                            break;
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                    },
-                    None => match rx.recv() {
-                        Ok(m) => m,
-                        Err(_) => break,
-                    },
-                };
-                results[msg.0] = Some(msg.1);
-                got += 1;
+            if deadline.is_some_and(|dl| Instant::now() >= dl) {
+                timed_out = true;
+            } else {
+                results[0] = work;
             }
-            // The scope waits for every worker's closure anyway; joining
-            // also waits out each thread's exit, so its allocator arena
-            // is free for the next pass's workers instead of a fresh one
-            // being created while it winds down.
-            for worker in workers {
-                let _ = worker.join();
+        }
+        let tickets: Vec<u64> = handed.iter().map(|&(_, t)| t).collect();
+        for (&(i, _), answer) in handed.iter().zip(crew.crew.collect(&tickets, deadline)) {
+            match answer {
+                Answer::Done(Done::Board(work, window, _job)) => {
+                    let b = &pp.blocks[i];
+                    if work.is_ok() {
+                        paste(&mut cache.next, cols, (b.row0, b.col0), &window, b.width);
+                    }
+                    crew.windows[i - 1] = window;
+                    results[i] = Some(work);
+                }
+                Answer::Missed => timed_out = true,
+                Answer::Died | Answer::Done(Done::Save(_)) => {}
             }
-        })
-        .map_err(|_| BoardFailure {
-            slab: None,
-            error: LatticeError::Corrupted {
-                site: "farm".into(),
-                detail: "a farm thread panicked".into(),
-            },
-        })?;
-        drop(owned);
+        }
 
         // Accept every clean board (neighbors must not redo work when
         // one board fails), audit each fresh one region by region when
@@ -1720,7 +1892,7 @@ impl LatticeFarm {
     ) -> Result<FarmReport<R::S>, LatticeError> {
         let none = FarmRecoveryConfig::NONE;
         let mut session =
-            self.session_inner(Cow::Borrowed(grid), t0, PlanRef::None, &none, None)?;
+            self.session_inner(Committed::Borrowed(grid), t0, PlanRef::None, &none, None)?;
         session.step(rule, generations)?;
         Ok(session.finish().report)
     }
@@ -1787,7 +1959,7 @@ impl LatticeFarm {
     ) -> Result<FarmFtRun<R::S>, LatticeError> {
         let plan = plan.map_or(PlanRef::None, PlanRef::Borrowed);
         let mut session =
-            self.session_inner(Cow::Borrowed(grid), t0, plan, cfg, sink.as_deref_mut())?;
+            self.session_inner(Committed::Borrowed(grid), t0, plan, cfg, sink.as_deref_mut())?;
         session.step_audited(rule, generations, audit, shard_audit, sink.as_deref_mut())?;
         // Durably record the final state, so a completed run resumes as
         // a no-op instead of replaying from the last barrier.
@@ -1816,7 +1988,7 @@ impl LatticeFarm {
         sink: Option<&mut (dyn SnapshotSink + '_)>,
     ) -> Result<FarmSession<'static, S>, LatticeError> {
         let plan = plan.map_or(PlanRef::None, PlanRef::Owned);
-        self.session_inner(Cow::Owned(grid.clone()), t0, plan, cfg, sink)
+        self.session_inner(Committed::Shared(Arc::new(grid.clone())), t0, plan, cfg, sink)
     }
 
     /// The physical chip id of board `b`'s *intra-rack* halo link under
@@ -1864,7 +2036,7 @@ impl LatticeFarm {
 
     fn session_inner<'p, S: State>(
         &self,
-        grid: Cow<'p, Grid<S>>,
+        grid: Committed<'p, S>,
         t0: u64,
         plan: PlanRef<'p>,
         cfg: &FarmRecoveryConfig,
@@ -1922,7 +2094,7 @@ impl LatticeFarm {
             passes_since_ckpt: 0,
             ckpt: Vec::new(),
         };
-        session.barrier(&mut sink, false)?;
+        session.barrier(&mut sink, false, None)?;
         Ok(session)
     }
 }
@@ -1930,6 +2102,7 @@ impl LatticeFarm {
 /// How a [`FarmSession`] holds its fault plan: borrowed from the
 /// caller (the one-shot entry points), owned by the session
 /// ([`LatticeFarm::session_owned`]), or absent.
+#[derive(Clone)]
 enum PlanRef<'p> {
     None,
     Borrowed(&'p FaultPlan),
@@ -2006,7 +2179,7 @@ pub struct FarmSession<'p, S: State> {
     retired_left: usize,
     /// The last committed lattice: the caller's own until the first
     /// pass commits when the session borrows it.
-    current: Cow<'p, Grid<S>>,
+    current: Committed<'p, S>,
     t_now: u64,
     /// Committed passes (re-commits after a rollback included), which
     /// is also the logical pass number (fault-epoch key) of the next.
@@ -2062,21 +2235,29 @@ impl<'p, S: State> FarmSession<'p, S> {
         &mut self,
         mut sink: Option<&mut (dyn SnapshotSink + '_)>,
     ) -> Result<(), LatticeError> {
-        self.barrier(&mut sink, true)
+        self.barrier(&mut sink, true, None)
     }
 
     /// Closes the checkpoint window: re-arms the retry budgets and,
     /// when `force`d or something can read it (a sink, or a ladder
     /// level that restores it), snapshots every block through the real
     /// checkpoint codec, bills the recovery accounting, and pushes the
-    /// shard blobs to the sink as one shard-consistent snapshot.
-    fn barrier(
+    /// shard blobs to the sink as one shard-consistent snapshot. Within
+    /// a step the slabs are encoded on the step's `crew`.
+    fn barrier<'env>(
         &mut self,
         sink: &mut Option<&mut (dyn SnapshotSink + '_)>,
         force: bool,
-    ) -> Result<(), LatticeError> {
+        crew: Option<&mut StepCrew<'_, 'env, S>>,
+    ) -> Result<(), LatticeError>
+    where
+        'p: 'env,
+    {
         if force || sink.is_some() || self.cfg.restores() {
-            let blobs = save_shard_checkpoints(&self.current, &self.ckpt_slabs, self.t_now)?;
+            let blobs = match crew {
+                Some(crew) => crew.save(&self.current, &self.ckpt_slabs, self.t_now)?,
+                None => save_shard_checkpoints(&self.current, &self.ckpt_slabs, self.t_now)?,
+            };
             self.recovery.checkpoints += u64_from_usize(blobs.len());
             self.recovery.checkpoint_bytes +=
                 blobs.iter().map(|b| u64_from_usize(b.len())).sum::<u64>();
@@ -2111,22 +2292,62 @@ impl<'p, S: State> FarmSession<'p, S> {
     /// crosses. A rollback may legally rewind behind the chunk's start
     /// (the barrier is wherever `checkpoint_every` last put it); the
     /// chunk still ends at the same absolute generation.
+    ///
+    /// The step's board crew lives exactly as long as this call: one
+    /// helper thread per board past the first, spawned by its first job
+    /// and joined before the call returns (DESIGN.md §19, "The board crew").
     pub fn step_audited<R: Rule<S = S>>(
         &mut self,
         rule: &R,
         n: u64,
         mut audit: impl FnMut(&Grid<S>, &Grid<S>) -> Result<(), LatticeError>,
-        mut shard_audit: Option<&mut ShardAudit<'_, S>>,
+        shard_audit: Option<&mut ShardAudit<'_, S>>,
         mut sink: Option<&mut (dyn SnapshotSink + '_)>,
     ) -> Result<(), LatticeError> {
-        let t_end = self.t_now + n;
+        if n == 0 {
+            return Ok(());
+        }
+        let plan = self.plan.clone();
+        let plan = plan.get();
+        let (engine, fault) = (self.farm.engine, self.farm.worker_fault);
+        let work: &Work<'_, S> = &move |job| help(rule, engine, fault, job);
+        std::thread::scope(|scope| {
+            let mut crew =
+                StepCrew { crew: Crew::new(scope, work), windows: Vec::new(), spare: None };
+            self.run_passes(
+                rule,
+                self.t_now + n,
+                plan,
+                &mut crew,
+                &mut audit,
+                shard_audit,
+                &mut sink,
+            )
+        })
+    }
+
+    /// The pass loop of one step, on the step's crew.
+    #[allow(clippy::too_many_arguments)]
+    fn run_passes<'env, R: Rule<S = S>>(
+        &mut self,
+        rule: &R,
+        t_end: u64,
+        plan: Option<&'env FaultPlan>,
+        crew: &mut StepCrew<'_, 'env, S>,
+        audit: &mut impl FnMut(&Grid<S>, &Grid<S>) -> Result<(), LatticeError>,
+        mut shard_audit: Option<&mut ShardAudit<'_, S>>,
+        sink: &mut Option<&mut (dyn SnapshotSink + '_)>,
+    ) -> Result<(), LatticeError>
+    where
+        'p: 'env,
+    {
         'run: while self.t_now < t_end {
             if self.passes_since_ckpt >= self.cfg.checkpoint_every {
-                self.barrier(&mut sink, false)?;
+                self.barrier(sink, false, Some(crew))?;
             }
             let k = self.farm.depth.min(usize_from_u64(t_end - self.t_now));
             let blocks = self.farm.blocks_at(self.rows, self.cols, self.phys.len(), k)?;
-            let mut cache = PassCache::new(blocks.len());
+            let mut cache = PassCache::new(blocks.len(), crew.next_lattice(self.shape.len()));
             loop {
                 let pp = PassParams {
                     k,
@@ -2148,13 +2369,14 @@ impl<'p, S: State> FarmSession<'p, S> {
                         rule,
                         &self.current,
                         &pp,
-                        self.plan.get(),
+                        plan,
                         &mut self.halo_pos,
                         &mut self.halo_pos_inter,
                         &mut cache,
                         &mut self.windows,
                         &mut self.recovery,
                         shard_audit.as_deref_mut(),
+                        crew,
                     )
                     .and_then(|out| match audit(&self.current, &out.grid) {
                         Ok(()) => Ok(out),
@@ -2164,7 +2386,8 @@ impl<'p, S: State> FarmSession<'p, S> {
                     Ok(out) => {
                         self.credit = out.interior_ticks;
                         self.totals.absorb(&out, u64_from_usize(k), &self.phys);
-                        self.current = Cow::Owned(out.grid);
+                        let next = Committed::Shared(Arc::new(out.grid));
+                        crew.spare = std::mem::replace(&mut self.current, next).reclaim();
                         self.t_now += u64_from_usize(k);
                         self.passes += 1;
                         self.passes_since_ckpt += 1;
@@ -2200,7 +2423,7 @@ impl<'p, S: State> FarmSession<'p, S> {
                         if self.retries_left > 0 {
                             self.retries_left -= 1;
                             self.recovery.rollbacks += 1;
-                            self.rewind()?;
+                            crew.spare = self.rewind()?;
                             continue 'run;
                         }
                         // Level 4 — retire the board that exhausted its
@@ -2212,7 +2435,7 @@ impl<'p, S: State> FarmSession<'p, S> {
                                 self.recovery.boards_retired += 1;
                                 let b = self.phys.remove(i);
                                 self.totals.per_shard[b].retired = true;
-                                self.rewind()?;
+                                crew.spare = self.rewind()?;
                                 // Only reachable on single-row grids
                                 // (`session_inner` gates the degrade
                                 // budget), so the reshape is columnar.
@@ -2225,7 +2448,7 @@ impl<'p, S: State> FarmSession<'p, S> {
                                     self.farm.periodic,
                                 )?;
                                 self.totals.regeom(&self.ckpt_slabs, &self.phys);
-                                self.barrier(&mut sink, false)?;
+                                self.barrier(sink, false, Some(crew))?;
                                 continue 'run;
                             }
                         }
@@ -2238,16 +2461,17 @@ impl<'p, S: State> FarmSession<'p, S> {
     }
 
     /// Rewinds every board to the in-memory barrier (ladder levels 3
-    /// and 4) and re-seeds every board's attempt epoch.
-    fn rewind(&mut self) -> Result<(), LatticeError> {
+    /// and 4) and re-seeds every board's attempt epoch; returns the
+    /// discarded lattice's buffer when nothing else holds it.
+    fn rewind(&mut self) -> Result<Option<Vec<S>>, LatticeError> {
         let (g, t) = load_shard_checkpoints::<S>(&self.ckpt, &self.ckpt_slabs, self.shape)?;
-        self.current = Cow::Owned(g);
+        let discarded = std::mem::replace(&mut self.current, Committed::Shared(Arc::new(g)));
         self.t_now = t;
         self.passes_since_ckpt = 0;
         for a in self.attempts.iter_mut() {
             *a += 1;
         }
-        Ok(())
+        Ok(discarded.reclaim())
     }
 
     /// Closes the session: the final machine report and recovery tally,
@@ -2256,7 +2480,7 @@ impl<'p, S: State> FarmSession<'p, S> {
         let faults = self.plan.get().map(|p| p.stats().since(self.fault_base)).unwrap_or_default();
         FarmFtRun {
             report: self.totals.finish(
-                self.current.into_owned(),
+                self.current.into_grid(),
                 self.passes,
                 self.farm.shards(),
                 faults,
@@ -2269,12 +2493,14 @@ impl<'p, S: State> FarmSession<'p, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crew;
     use lattice_core::checkpoint::store::{CheckpointStore, MemBackend};
     use lattice_core::units::f64_from_u64;
     use lattice_core::{evolve, Boundary};
     use lattice_engines_sim::{Component, Fault, FaultKind};
     use lattice_gas::hpp::HppDir;
     use lattice_gas::{init, FhpRule, FhpVariant, HppRule};
+    use std::sync::atomic::Ordering;
 
     fn hpp_world(rows: usize, cols: usize, seed: u64) -> (Grid<u8>, HppRule) {
         let shape = Shape::grid2(rows, cols).unwrap();
@@ -2442,11 +2668,14 @@ mod tests {
         // Board 0's owned block after one pass of `rule` on `ex`, and
         // its per-region costs.
         let board = |rule: &dyn Rule<S = u8>, ex: &ExchangeOutcome<u8>, overlap: bool| {
-            let job = JobRef {
-                slab: 0,
-                aug,
-                ex,
-                regions: sweep_regions2d(block, k, overlap, wrap),
+            let regions = sweep_regions2d(block, k, overlap, wrap);
+            let job = BoardJob {
+                lattice: Committed::Borrowed(&g),
+                block: *block,
+                wrap,
+                ex: ex.clone(),
+                work: BoardWork::with_capacity(regions.len(), false),
+                regions,
                 ctx: None,
                 origin: (
                     block.row0.wrapping_sub(wrap + block.halo_up),
@@ -2454,11 +2683,16 @@ mod tests {
                 ),
                 chip0: 0,
                 phys: 0,
+                pass: 0,
                 attempt: 0,
+                k,
+                t0: 0,
+                audited: false,
             };
             let mut next = vec![0xAAu8; shape.len()];
             let owned = &mut owned_rows(&mut next, 24, &blocks)[0];
-            let costs = run_board(&rule, engine, k, 0, &job, owned, false).unwrap().costs;
+            let work = BoardWork::with_capacity(job.regions.len(), false);
+            let costs = run_board(&rule, engine, &job, owned, work).unwrap().costs;
             let next = Grid::from_vec(shape, next).unwrap();
             (crop(&next, (block.row0, block.col0), (block.rows, block.width)).unwrap(), costs)
         };
@@ -3315,5 +3549,135 @@ mod tests {
             sess.checkpoint(None).unwrap();
         }
         assert_eq!(sess.grid(), &reference);
+    }
+
+    /// HPP whose block kernel panics once, at `at`: the generation and
+    /// the first augmented column of the board it fires on.
+    struct PanicOnce {
+        hpp: HppRule,
+        at: (u64, usize),
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl Rule for PanicOnce {
+        type S = u8;
+        fn update(&self, w: &lattice_core::Window<u8>) -> u8 {
+            self.hpp.update(w)
+        }
+        fn evolve_block(
+            &self,
+            src: &dyn RowSource<u8>,
+            sink: &mut dyn RowSink<u8>,
+            t0: u64,
+            generations: usize,
+            origin: (usize, usize),
+        ) -> bool {
+            if (t0, origin.1) == self.at && self.armed.swap(false, Ordering::SeqCst) {
+                panic!("injected board panic");
+            }
+            self.hpp.evolve_block(src, sink, t0, generations, origin)
+        }
+    }
+
+    /// FNV-1a over a report's `Debug` rendering: pins every field,
+    /// lattice included, in one number.
+    fn digest(text: &str) -> u64 {
+        text.bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    #[test]
+    fn worker_faults_on_either_thread_keep_their_outcomes() {
+        // A hang, a death and a panic on pass 2 of a 4-pass step, on the
+        // supervisor's own board (0) and on a helper's (1), with and
+        // without a watchdog. The digests, recovery tallies and
+        // zero-budget error texts were recorded from the farm that
+        // spawned one thread per board per pass, before the crew.
+        let (g, hpp) = hpp_world(8, 16, 4);
+        let reference = evolve(&g, &hpp, Boundary::null(), 0, 4);
+        // Report digests: no detection, board 0 replayed, board 1 replayed.
+        let (clean, replay0, replay1) =
+            (0x4490_3d1b_ce31_1792u64, 0xcae2_5958_a5b9_2ff1u64, 0x42a3_e587_9b9b_17c9u64);
+        let stats = |detected: u64| RecoveryStats {
+            detected,
+            local_rollbacks: detected,
+            checkpoints: 8,
+            checkpoint_bytes: 584,
+            ..RecoveryStats::default()
+        };
+        let down = |board: usize, cause: &str| Err(format!("board {board} down: {cause}"));
+        let died = "worker died before reporting";
+        for watchdog in [None, Some(Duration::from_millis(150))] {
+            let cfg = FarmRecoveryConfig { watchdog, ..Default::default() };
+            let bare = FarmRecoveryConfig { max_retries: 0, local_retries: 0, ..cfg };
+            for board in [0usize, 1] {
+                let replay = [replay0, replay1][board];
+                for what in ["hang", "die", "panic"] {
+                    let fault = match what {
+                        "hang" => Some(WorkerFault::Hang { millis: 400 }),
+                        "die" => Some(WorkerFault::Die),
+                        _ => None,
+                    };
+                    let farm = LatticeFarm::new(2, ShardEngine::Wsa { width: 1 }, 1);
+                    let farm = match fault {
+                        Some(fault) => farm.with_worker_fault(WorkerFaultSpec {
+                            board,
+                            pass: 2,
+                            attempt: 0,
+                            fault,
+                        }),
+                        None => farm,
+                    };
+                    let rule = PanicOnce {
+                        hpp: HppRule::new(),
+                        at: (2, [0, 7][board]),
+                        armed: false.into(),
+                    };
+                    let (want_digest, want_stats, want_bare) = match (what, watchdog) {
+                        ("hang", None) => (clean, stats(0), Ok(())),
+                        ("hang", Some(_)) => {
+                            (replay, stats(1), down(board, "missed the watchdog deadline"))
+                        }
+                        _ => (replay, stats(1), down(board, died)),
+                    };
+                    let case = format!("{what} on board {board}, watchdog {watchdog:?}");
+                    rule.armed.store(what == "panic", Ordering::SeqCst);
+                    let run = farm.run_with_recovery(&rule, &g, 0, 4, None, &bare, |_, _| Ok(()));
+                    assert_eq!(run.map(|_| ()).map_err(|e| e.to_string()), want_bare, "{case}");
+                    rule.armed.store(what == "panic", Ordering::SeqCst);
+                    let ft =
+                        farm.run_with_recovery(&rule, &g, 0, 4, None, &cfg, |_, _| Ok(())).unwrap();
+                    assert_eq!(ft.report.grid(), &reference, "{case}");
+                    assert_eq!(ft.recovery, want_stats, "{case}");
+                    assert_eq!(digest(&format!("{:?}", ft.report)), want_digest, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_step_spawns_its_helpers_once() {
+        let (g, rule) = hpp_world(8, 16, 5);
+        let farm = LatticeFarm::new(2, ShardEngine::Wsa { width: 1 }, 1);
+        let cfg = FarmRecoveryConfig::default();
+        let before = crew::spawns();
+        let ft = farm.run_with_recovery(&rule, &g, 0, 24, None, &cfg, |_, _| Ok(())).unwrap();
+        assert_eq!(ft.report.passes, 24);
+        assert_eq!(crew::spawns() - before, 1, "one helper for the whole 24-pass step");
+        assert_eq!(ft.report.grid(), &evolve(&g, &rule, Boundary::null(), 0, 24));
+        // A helper that misses the watchdog is abandoned, and the
+        // replay spawns its replacement.
+        let hung = farm.with_worker_fault(WorkerFaultSpec {
+            board: 1,
+            pass: 5,
+            attempt: 0,
+            fault: WorkerFault::Hang { millis: 300 },
+        });
+        let cfg = FarmRecoveryConfig { watchdog: Some(Duration::from_millis(100)), ..cfg };
+        let before = crew::spawns();
+        let ft = hung.run_with_recovery(&rule, &g, 0, 24, None, &cfg, |_, _| Ok(())).unwrap();
+        assert_eq!(ft.recovery.local_rollbacks, 1);
+        assert_eq!(crew::spawns() - before, 2);
+        assert_eq!(ft.report.grid(), &evolve(&g, &rule, Boundary::null(), 0, 24));
     }
 }

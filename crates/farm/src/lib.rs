@@ -5,7 +5,10 @@
 //! lattice is split into an `R × C` grid of balanced rectangular blocks
 //! ([`partition2d`]; a shard count `S` is the grid `(1, S)`), each
 //! driven by its own cycle-level engine — a WSA pipeline (§4) or an SPA
-//! slice array (§5) from `lattice-engines-sim` — on its own worker.
+//! slice array (§5) from `lattice-engines-sim`. The boards of one
+//! [`FarmSession::step`] run on a crew that lives for the step: the
+//! calling thread computes the first board, and one helper thread per
+//! other board takes every pass, replay and checkpoint encode.
 //! Boards run in bulk-synchronous passes: every pass they exchange
 //! `k`-deep halos over finite-bandwidth, parity-checked inter-board
 //! links ([`BoardLink`]), then compute `k` generations concurrently,
@@ -44,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod crew;
 pub mod farm;
 pub mod link;
 pub mod partition;

@@ -81,7 +81,7 @@ impl BoardLink {
     ) -> Result<Vec<S>, LatticeError> {
         let n = sites.len();
         let mut sent = StreamParity::new();
-        sites.iter().for_each(|&site| sent.absorb(site));
+        sent.absorb_slice(sites);
         traffic.record_out(u128::from(u64_from_usize(n)), S::BITS);
         traffic.record_in(u128::from(u64_from_usize(n)), S::BITS);
         let start = *pos;
@@ -90,15 +90,10 @@ impl BoardLink {
             return Ok(sites.to_vec());
         };
         let wire = ctx.stream(Component::Link, chip, 0);
+        let out: Vec<S> =
+            (start..).zip(sites).map(|(p, &site)| wire.corrupt_site(p, site)).collect();
         let mut recv = StreamParity::new();
-        let out: Vec<S> = (start..)
-            .zip(sites)
-            .map(|(p, &site)| {
-                let arrived = wire.corrupt_site(p, site);
-                recv.absorb(arrived);
-                arrived
-            })
-            .collect();
+        recv.absorb_slice(&out);
         if let Some(detail) = recv.mismatch(&sent) {
             return Err(LatticeError::Corrupted {
                 site: format!("board {board} halo link"),

@@ -38,6 +38,15 @@
 //! previous tag), a staged frame's pass tag is only ever the
 //! receiver's current or next pass, and no board leaves its arrival
 //! barrier before claiming both staged frames.
+//!
+//! A third model (`loom_crew_*`) checks the step's board crew
+//! (`crates/farm/src/crew.rs`): ticket-tagged dispatch and report
+//! between the supervisor and its helper threads, a watchdog that may
+//! lapse while a helper still works (its late answer arrives anyway),
+//! helper death and replacement, and the join at step end. It asserts
+//! that a stale result is never committed, every job is answered
+//! exactly once, nothing deadlocks, and every helper is joined before
+//! the step returns.
 
 use std::collections::{BTreeSet, HashSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -741,4 +750,416 @@ fn loom_overlap_three_board_ring() {
 fn loom_overlap_three_board_ring_lossy() {
     let states = run_overlap_model(3, 2, &[0, 1]);
     assert!(states >= 200, "explorer degenerated: only {states} states");
+}
+
+// ---------------------------------------------------------------------------
+// The board crew model: one supervisor handing tagged jobs to the
+// step's helper threads (`crates/farm/src/crew.rs`). Each pass the
+// supervisor hands every helper slot a job under a fresh ticket, spawning
+// a helper for a slot that has none, then collects answers from the
+// shared report channel until every ticket is in or the watchdog lapses
+// (a nondeterministic choice here, under a budget). An answer to a
+// ticket no slot owes is a late result and is dropped. A board without
+// a result is retried under a fresh ticket; a helper that died or
+// missed the deadline is abandoned — its job channel closes, it finishes
+// what it took and exits — and the slot's next job spawns a replacement.
+// At step end the supervisor closes every job channel and joins every
+// helper ever spawned. Helpers take a job, then answer it exactly once:
+// with a result, or empty when the job dies, after which they exit.
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum SupPhase {
+    /// Hand the next slot lacking a committed result its job.
+    Dispatch,
+    /// Wait on the report channel (or time out).
+    Collect,
+    /// Commit every answered board; retry the rest.
+    Commit,
+    /// Close every job channel.
+    Close,
+    /// Join every helper ever spawned.
+    Join,
+    Done,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum HelperState {
+    /// Blocked on its job channel.
+    Idle,
+    /// Running the job with this ticket.
+    Working(u64),
+    Exited,
+}
+
+#[derive(Clone, Hash, Debug)]
+struct Helper {
+    state: HelperState,
+    /// Queued tickets on its job channel.
+    queue: Vec<u64>,
+    /// Whether the supervisor dropped the channel's sender.
+    closed: bool,
+}
+
+#[derive(Clone, Hash, Debug)]
+struct CrewModel {
+    sup: SupPhase,
+    pass: u64,
+    passes: u64,
+    /// Per slot: the live helper's index into `helpers`, if any.
+    live: Vec<Option<usize>>,
+    /// Per slot: the ticket its live helper owes.
+    owes: Vec<Option<u64>>,
+    /// Per slot: the ticket of the board's current job this pass, and
+    /// whether its result is committed.
+    current: Vec<Option<u64>>,
+    committed: Vec<bool>,
+    /// Per slot: the answer collected this round (true = a result).
+    answered: Vec<Option<bool>>,
+    helpers: Vec<Helper>,
+    /// The shared report channel: `(ticket, has_result)`.
+    reports: Vec<(u64, bool)>,
+    /// Answers sent per ticket, for the exactly-once check.
+    answers_sent: Vec<u8>,
+    next_ticket: u64,
+    deaths_left: u32,
+    timeouts_left: u32,
+    /// A broken supervisor that commits any answer, whoever owes it.
+    ignore_tickets: bool,
+}
+
+impl CrewModel {
+    fn new(slots: usize, passes: u64, deaths: u32, timeouts: u32) -> CrewModel {
+        CrewModel {
+            sup: SupPhase::Dispatch,
+            pass: 0,
+            passes,
+            live: vec![None; slots],
+            owes: vec![None; slots],
+            current: vec![None; slots],
+            committed: vec![false; slots],
+            answered: vec![None; slots],
+            helpers: Vec::new(),
+            reports: Vec::new(),
+            answers_sent: Vec::new(),
+            next_ticket: 0,
+            deaths_left: deaths,
+            timeouts_left: timeouts,
+            ignore_tickets: false,
+        }
+    }
+
+    /// The slot still waiting for an answer this round.
+    fn open(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.live.len()).filter(|&s| !self.committed[s] && self.answered[s].is_none())
+    }
+
+    /// Every enabled move: `0` the supervisor's, `1 + h` helper `h`'s,
+    /// and the supervisor's timeout as a separate move.
+    fn moves(&self) -> Vec<Move> {
+        let mut out = Vec::new();
+        let sup_enabled = match self.sup {
+            SupPhase::Collect => !self.reports.is_empty() || self.open().next().is_none(),
+            SupPhase::Join => self.helpers.iter().all(|h| h.state == HelperState::Exited),
+            SupPhase::Done => false,
+            _ => true,
+        };
+        if sup_enabled {
+            out.push(Move::Supervisor);
+        }
+        if self.sup == SupPhase::Collect && self.timeouts_left > 0 && self.open().next().is_some() {
+            out.push(Move::Timeout);
+        }
+        for (h, helper) in self.helpers.iter().enumerate() {
+            let enabled = match helper.state {
+                HelperState::Idle => !helper.queue.is_empty() || helper.closed,
+                HelperState::Working(_) => true,
+                HelperState::Exited => false,
+            };
+            if enabled {
+                out.push(Move::Helper(h, false));
+                if matches!(helper.state, HelperState::Working(_)) && self.deaths_left > 0 {
+                    out.push(Move::Helper(h, true));
+                }
+            }
+        }
+        out
+    }
+
+    fn answer(&mut self, ticket: u64, has_result: bool) {
+        self.answers_sent[usize::try_from(ticket).unwrap()] += 1;
+        self.reports.push((ticket, has_result));
+    }
+
+    fn step(&mut self, m: Move) {
+        match m {
+            Move::Supervisor => self.step_supervisor(),
+            Move::Timeout => {
+                // The watchdog lapses: abandon every slot still owing an
+                // answer this round.
+                self.timeouts_left -= 1;
+                for s in self.open().collect::<Vec<_>>() {
+                    if let Some(h) = self.live[s].take() {
+                        self.helpers[h].closed = true;
+                    }
+                    self.owes[s] = None;
+                    self.answered[s] = Some(false);
+                }
+            }
+            Move::Helper(h, dies) => {
+                let helper = &mut self.helpers[h];
+                match helper.state {
+                    HelperState::Idle => {
+                        if helper.queue.is_empty() {
+                            helper.state = HelperState::Exited;
+                        } else {
+                            // Buffered jobs are delivered before the
+                            // channel reports its sender gone.
+                            let t = helper.queue.remove(0);
+                            helper.state = HelperState::Working(t);
+                        }
+                    }
+                    HelperState::Working(t) => {
+                        if dies {
+                            self.deaths_left -= 1;
+                            self.helpers[h].state = HelperState::Exited;
+                            self.answer(t, false);
+                        } else {
+                            self.helpers[h].state = HelperState::Idle;
+                            self.answer(t, true);
+                        }
+                    }
+                    HelperState::Exited => unreachable!("exited helpers are never scheduled"),
+                }
+            }
+        }
+    }
+
+    fn step_supervisor(&mut self) {
+        match self.sup {
+            SupPhase::Dispatch => {
+                let Some(s) =
+                    (0..self.live.len()).find(|&s| !self.committed[s] && self.current[s].is_none())
+                else {
+                    self.sup = SupPhase::Collect;
+                    return;
+                };
+                let ticket = self.next_ticket;
+                self.next_ticket += 1;
+                self.answers_sent.push(0);
+                let h = match self.live[s] {
+                    Some(h) if self.helpers[h].state != HelperState::Exited => h,
+                    _ => {
+                        self.helpers.push(Helper {
+                            state: HelperState::Idle,
+                            queue: Vec::new(),
+                            closed: false,
+                        });
+                        self.helpers.len() - 1
+                    }
+                };
+                self.live[s] = Some(h);
+                self.helpers[h].queue.push(ticket);
+                self.owes[s] = Some(ticket);
+                self.current[s] = Some(ticket);
+            }
+            SupPhase::Collect => {
+                if self.reports.is_empty() {
+                    self.sup = SupPhase::Commit;
+                    return;
+                }
+                let (ticket, has_result) = self.reports.remove(0);
+                let owner = (0..self.owes.len()).find(|&s| self.owes[s] == Some(ticket));
+                let owner = match (owner, self.ignore_tickets) {
+                    (Some(s), _) => Some(s),
+                    // The broken supervisor credits a late answer to
+                    // whichever board is still waiting.
+                    (None, true) => self.open().next(),
+                    (None, false) => None,
+                };
+                let Some(s) = owner else { return };
+                self.owes[s] = None;
+                if !has_result {
+                    self.live[s] = None;
+                }
+                self.answered[s] = Some(has_result);
+                if has_result {
+                    // What `Crew::collect` hands the pass is the answer
+                    // to the board's current ticket, never an older one.
+                    assert_eq!(
+                        self.current[s],
+                        Some(ticket),
+                        "slot {s} accepted ticket {ticket}: a stale result reached the commit"
+                    );
+                }
+            }
+            SupPhase::Commit => {
+                for s in 0..self.live.len() {
+                    match self.answered[s].take() {
+                        Some(true) => self.committed[s] = true,
+                        // No result: the board is retried under a fresh
+                        // ticket (a local rollback in the farm).
+                        _ if !self.committed[s] => self.current[s] = None,
+                        _ => {}
+                    }
+                }
+                if self.committed.iter().all(|&c| c) {
+                    self.pass += 1;
+                    self.committed.fill(false);
+                    self.current.fill(None);
+                    self.sup =
+                        if self.pass == self.passes { SupPhase::Close } else { SupPhase::Dispatch };
+                } else {
+                    self.sup = SupPhase::Dispatch;
+                }
+            }
+            SupPhase::Close => {
+                for h in &mut self.helpers {
+                    h.closed = true;
+                }
+                self.live.fill(None);
+                self.sup = SupPhase::Join;
+            }
+            SupPhase::Join => self.sup = SupPhase::Done,
+            SupPhase::Done => unreachable!("a finished supervisor is never scheduled"),
+        }
+    }
+
+    fn check(&self) {
+        for (t, &n) in self.answers_sent.iter().enumerate() {
+            assert!(n <= 1, "ticket {t} was answered {n} times");
+        }
+        for s in 0..self.live.len() {
+            if let Some(h) = self.live[s] {
+                assert!(!self.helpers[h].closed, "slot {s} hands jobs to a closed channel");
+            }
+            if let Some(t) = self.owes[s] {
+                assert_eq!(
+                    self.current[s],
+                    Some(t),
+                    "slot {s} owes a ticket it no longer waits on"
+                );
+            }
+        }
+        if self.sup == SupPhase::Done {
+            assert!(
+                self.helpers.iter().all(|h| h.state == HelperState::Exited),
+                "the step returned before joining every helper"
+            );
+        }
+    }
+
+    fn check_final(&self) {
+        assert_eq!(self.sup, SupPhase::Done, "supervisor deadlocked in {:?}", self.sup);
+        assert_eq!(self.pass, self.passes);
+        for (h, helper) in self.helpers.iter().enumerate() {
+            assert_eq!(helper.state, HelperState::Exited, "helper {h} outlived the step");
+            assert!(helper.queue.is_empty(), "helper {h} left a job unanswered");
+        }
+        // Every job ever handed out was answered, late ones included.
+        assert!(self.answers_sent.iter().all(|&n| n == 1), "a job went unanswered");
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Move {
+    Supervisor,
+    Timeout,
+    /// Helper index, and whether it dies on its job.
+    Helper(usize, bool),
+}
+
+/// Explores every interleaving of the crew model; returns the number of
+/// distinct reachable states.
+fn run_crew_model(model: CrewModel) -> u64 {
+    fn explore(m: &CrewModel, seen: &mut HashSet<u64>, terminals: &mut u64) {
+        let mut h = DefaultHasher::new();
+        m.hash(&mut h);
+        if !seen.insert(h.finish()) {
+            return;
+        }
+        m.check();
+        assert!(seen.len() < 5_000_000, "state budget exhausted — shrink the model");
+        let moves = m.moves();
+        if moves.is_empty() {
+            m.check_final();
+            *terminals += 1;
+            return;
+        }
+        for mv in moves {
+            let mut next = m.clone();
+            next.step(mv);
+            explore(&next, seen, terminals);
+        }
+    }
+    let mut seen = HashSet::new();
+    let mut terminals = 0;
+    explore(&model, &mut seen, &mut terminals);
+    assert!(terminals >= 1, "no maximal schedule reached");
+    seen.len() as u64
+}
+
+/// One helper, three passes, clean: tagged dispatch and report, one
+/// helper for the whole step, joined at its end.
+#[test]
+fn loom_crew_dispatch_and_join() {
+    let states = run_crew_model(CrewModel::new(1, 3, 0, 0));
+    assert!(states >= 20, "explorer degenerated: only {states} states");
+}
+
+/// Watchdog timeouts with late results: an abandoned helper still
+/// answers its old ticket, and that answer is never committed.
+#[test]
+fn loom_crew_timeout_drops_late_results() {
+    let states = run_crew_model(CrewModel::new(2, 2, 0, 1));
+    assert!(states >= 1000, "explorer degenerated: only {states} states");
+}
+
+/// Helper deaths: a dead helper answers empty, its board is retried on
+/// a replacement, and every helper is joined.
+#[test]
+fn loom_crew_death_and_replacement() {
+    let states = run_crew_model(CrewModel::new(2, 2, 2, 0));
+    assert!(states >= 200, "explorer degenerated: only {states} states");
+}
+
+/// Sanity: a supervisor that commits answers without checking their
+/// ticket commits a late result somewhere in the state space.
+#[test]
+fn loom_crew_model_detects_a_committed_stale_result() {
+    let result = std::panic::catch_unwind(|| {
+        let mut model = CrewModel::new(1, 2, 0, 1);
+        model.ignore_tickets = true;
+        run_crew_model(model)
+    });
+    assert!(result.is_err(), "the model failed to detect a committed stale result");
+}
+
+/// Sanity: a step that returns without joining its helpers is caught.
+#[test]
+fn loom_crew_model_detects_a_skipped_join() {
+    let result = std::panic::catch_unwind(|| {
+        let mut model = CrewModel::new(1, 1, 0, 0);
+        model.step(Move::Supervisor); // dispatch
+        model.sup = SupPhase::Done;
+        model.check();
+    });
+    assert!(result.is_err(), "the model failed to detect a skipped join");
+}
+
+/// The deep crew configurations: a death and a timeout in the same
+/// step, and two timeouts, so a replacement helper can itself be
+/// abandoned while its predecessor still works.
+#[cfg(loom)]
+#[test]
+fn loom_crew_deaths_and_timeouts_together() {
+    let states = run_crew_model(CrewModel::new(2, 2, 1, 1));
+    assert!(states >= 10_000, "explorer degenerated: only {states} states");
+}
+
+#[cfg(loom)]
+#[test]
+fn loom_crew_two_timeouts() {
+    let states = run_crew_model(CrewModel::new(2, 2, 0, 2));
+    assert!(states >= 100_000, "explorer degenerated: only {states} states");
 }
