@@ -1094,7 +1094,25 @@ impl Totals {
     /// plus the interior barrier — each phase waits on its slowest
     /// board — which reduces to the slowest board's full sweep when
     /// overlap is off. `phys` maps slab index → physical board.
-    fn absorb<S: State>(&mut self, out: &PassOutcome<S>, k: u64, phys: &[usize]) {
+    ///
+    /// A link so slow that the machine's tick count (compute plus halo)
+    /// no longer fits in a `u64` is a configuration the report cannot
+    /// describe: the pass is refused with
+    /// [`LatticeError::InvalidConfig`] and nothing is folded in.
+    fn absorb<S: State>(
+        &mut self,
+        out: &PassOutcome<S>,
+        k: u64,
+        phys: &[usize],
+    ) -> Result<(), LatticeError> {
+        let ticks = (self.compute_ticks.checked_add(out.boundary_ticks + out.interior_ticks))
+            .zip(self.halo_ticks.checked_add(out.halo_ticks))
+            .filter(|(compute, halo)| compute.checked_add(*halo).is_some());
+        let Some((compute_ticks, halo_ticks)) = ticks else {
+            return Err(LatticeError::InvalidConfig(
+                "the halo links are too slow: the machine's tick count overflows a u64".into(),
+            ));
+        };
         // The boards' parallel composition, field by field as
         // `EngineReport::merge` folds it (counters add, capacities take
         // the maximum, chips add up across boards), without copying a
@@ -1110,11 +1128,11 @@ impl Totals {
             self.width = self.width.max(r.width);
             pass_stages += r.stages;
         }
-        self.compute_ticks += out.boundary_ticks + out.interior_ticks;
+        self.compute_ticks = compute_ticks;
         self.generations += k;
         self.stages = self.stages.max(pass_stages);
         self.halo_traffic.merge(out.halo_traffic);
-        self.halo_ticks += out.halo_ticks;
+        self.halo_ticks = halo_ticks;
         self.retransmit_ticks += out.retransmit_ticks;
         self.overlapped_ticks += out.overlapped_ticks;
         for (i, report) in out.costs.iter().enumerate() {
@@ -1125,6 +1143,7 @@ impl Totals {
             stats.retransmits += u64::from(out.retransmits_per_board[i]);
             self.retransmits += u64::from(out.retransmits_per_board[i]);
         }
+        Ok(())
     }
 
     /// Re-records the block geometry after a degraded re-partitioning.
@@ -1795,8 +1814,12 @@ impl LatticeFarm {
             // then waits for the slowest board.
             let base = self.link.transfer_ticks(ex.bits);
             let base_v = self.link_inter.transfer_ticks(ex.bits_inter);
-            let board_full = (base * (1 + u64::from(ex.retransmits)))
-                .max(base_v * (1 + u64::from(ex.retransmits_inter)));
+            // Saturating: a wait past `u64::MAX` ticks stays there, and
+            // `Totals::absorb` refuses the pass.
+            let full = |t: Ticks, retransmits: u32| {
+                Ticks::new(t.get().saturating_mul(1 + u64::from(retransmits)))
+            };
+            let board_full = full(base, ex.retransmits).max(full(base_v, ex.retransmits_inter));
             halo_ticks = halo_ticks.max(board_full);
             base_ticks = base_ticks.max(base.max(base_v));
             all_staged &= ex.staged;
@@ -2384,8 +2407,8 @@ impl<'p, S: State> FarmSession<'p, S> {
                     });
                 match res {
                     Ok(out) => {
+                        self.totals.absorb(&out, u64_from_usize(k), &self.phys)?;
                         self.credit = out.interior_ticks;
-                        self.totals.absorb(&out, u64_from_usize(k), &self.phys);
                         let next = Committed::Shared(Arc::new(out.grid));
                         crew.spare = std::mem::replace(&mut self.current, next).reclaim();
                         self.t_now += u64_from_usize(k);

@@ -47,6 +47,25 @@ pub(crate) fn first_outside(sites: &[u8], mask: u8) -> Option<usize> {
     sites.iter().position(|s| s & !mask != 0)
 }
 
+/// Moves every row of a plane of `wpr`-word rows one row up (toward
+/// row 0) or down. The row entering at the edge is the one leaving the
+/// other edge when `periodic`, zero otherwise.
+pub(crate) fn move_rows(plane: &mut [u64], wpr: usize, up: bool, periodic: bool) {
+    let len = plane.len();
+    match (up, periodic) {
+        (true, true) => plane.rotate_left(wpr),
+        (false, true) => plane.rotate_right(wpr),
+        (true, false) => {
+            plane.copy_within(wpr.., 0);
+            plane[len - wpr..].fill(0);
+        }
+        (false, false) => {
+            plane.copy_within(..len - wpr, wpr);
+            plane[..wpr].fill(0);
+        }
+    }
+}
+
 /// An HPP lattice stored as four channel bit-planes, 64 sites per word,
 /// packed along rows. Periodic or null boundaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,18 +166,9 @@ impl HppBitLattice {
         for row in west.chunks_exact_mut(wpr) {
             shift_row(row, cols, false, periodic);
         }
-        let len = north.len();
-        if periodic {
-            // N movers go to row - 1: plane rotates up.
-            north.rotate_left(wpr);
-            // S movers go to row + 1: plane rotates down.
-            south.rotate_right(wpr);
-        } else {
-            north.copy_within(wpr.., 0);
-            north[len - wpr..].fill(0);
-            south.copy_within(..len - wpr, wpr);
-            south[..wpr].fill(0);
-        }
+        // N movers go to row - 1, S movers to row + 1.
+        move_rows(north, wpr, true, periodic);
+        move_rows(south, wpr, false, periodic);
     }
 
     /// One full generation: collide then stream (matching

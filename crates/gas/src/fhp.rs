@@ -36,9 +36,10 @@
 //!   tables do; the specific within-class pairing differs from Frisch et
 //!   al.'s published table but conserves identically (see DESIGN.md).
 
+use crate::fhp_bitparallel::FhpBitLattice;
 use crate::table::{CollisionTable, Invariants};
 use crate::{is_obstacle, prng, OBSTACLE_BIT};
-use lattice_core::{Rule, Window};
+use lattice_core::{RowSink, RowSource, Rule, Window};
 
 /// Rest-particle bit (FHP-II/III).
 pub const REST_BIT: u8 = 1 << 6;
@@ -403,12 +404,44 @@ impl Rule for FhpRule {
             FhpVariant::III => "fhp-3",
         }
     }
+
+    /// The FHP-I bit-plane kernel under the null boundary
+    /// ([`FhpBitLattice::from_rows_null`]): packs the planes from `src`
+    /// a row at a time, keys each head-on pair's chirality on its
+    /// global coordinate (`origin` plus its block offset, reduced onto
+    /// the torus when the rule has one) and generation, and unpacks
+    /// only the window `sink` keeps. FHP-II/III, blocks with obstacle,
+    /// rest or other non-channel bits, and non-2-D blocks are declined
+    /// before `sink` is touched.
+    fn evolve_block(
+        &self,
+        src: &dyn RowSource<u8>,
+        sink: &mut dyn RowSink<u8>,
+        t0: u64,
+        generations: usize,
+        origin: (usize, usize),
+    ) -> bool {
+        if self.variant != FhpVariant::I {
+            return false;
+        }
+        let (Ok(mut bits), Ok(steps)) = (
+            FhpBitLattice::from_rows_null(src, self.seed, t0, origin, self.wrap),
+            u64::try_from(generations),
+        ) else {
+            return false;
+        };
+        bits.run(steps);
+        bits.unpack(sink);
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lattice_core::window::WINDOW_MAX;
     use lattice_core::{evolve, Boundary, Coord, Grid, Shape};
+    use proptest::prelude::*;
 
     #[test]
     fn direction_algebra() {
@@ -605,6 +638,87 @@ mod tests {
         assert_eq!(g2.get(Coord::c2(2, 2)), FhpDir::W.bit());
         let mass: u32 = g2.as_slice().iter().map(|&s| (s & FHP_GAS_MASK).count_ones()).sum();
         assert_eq!(mass, 1);
+    }
+
+    /// `rule` seeing block site `(r, c)` at global coordinate
+    /// `(origin.0 + r, origin.1 + c)`, wrapping: the coordinates a
+    /// farm board's block presents to its engine.
+    struct AtOrigin<'a> {
+        rule: &'a FhpRule,
+        origin: (usize, usize),
+    }
+
+    impl Rule for AtOrigin<'_> {
+        type S = u8;
+        fn update(&self, w: &Window<u8>) -> u8 {
+            let mut cells = [0u8; WINDOW_MAX];
+            cells[..w.cells().len()].copy_from_slice(w.cells());
+            let (r, c) = (w.coord().row(), w.coord().col());
+            let at = Coord::c2(r.wrapping_add(self.origin.0), c.wrapping_add(self.origin.1));
+            self.rule.update(&Window::from_cells(2, at, w.time(), cells))
+        }
+    }
+
+    /// A global origin: zero, small, or wrapping below zero.
+    fn origin_axis() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            Just(0usize),
+            1usize..1000,
+            Just(usize::MAX),
+            (1usize..1000).prop_map(|d| 0usize.wrapping_sub(d))
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The FHP-I block kernel equals the per-site rule under the
+        /// null boundary on every site: ragged widths, a nonzero start
+        /// generation, global origins that wrap, with and without the
+        /// torus reduction of the chirality key.
+        #[test]
+        fn block_kernel_equals_the_per_site_rule(
+            rows in 1usize..=12,
+            cols in 1usize..=130,
+            k in 1usize..=8,
+            t0 in 1u64..10_000,
+            origin in (origin_axis(), origin_axis()),
+            wrap in prop_oneof![Just(None), (1usize..=300, 1usize..=300).prop_map(Some)],
+            density in 0.05f64..0.95,
+            seed in any::<u64>(),
+        ) {
+            let shape = Shape::grid2(rows, cols).unwrap();
+            let g = crate::init::random_fhp(shape, FhpVariant::I, density, seed, false).unwrap();
+            let mut rule = FhpRule::new(FhpVariant::I, seed ^ 0xf4b);
+            if let Some((wr, wc)) = wrap {
+                rule = rule.with_wrap(wr, wc);
+            }
+            let reference =
+                evolve(&g, &AtOrigin { rule: &rule, origin }, Boundary::null(), t0, k as u64);
+            let mut out = Grid::filled(shape, 0xAA);
+            prop_assert!(rule.evolve_block(&g, &mut out, t0, k, origin));
+            prop_assert_eq!(out, reference);
+        }
+    }
+
+    #[test]
+    fn block_kernel_declines_other_variants_and_non_channel_bits() {
+        let shape = Shape::grid2(4, 6).unwrap();
+        let g = crate::init::random_fhp(shape, FhpVariant::I, 0.4, 1, false).unwrap();
+        let mut out = Grid::filled(shape, 0xAA);
+        for variant in [FhpVariant::II, FhpVariant::III] {
+            assert!(!FhpRule::new(variant, 3).evolve_block(&g, &mut out, 0, 2, (0, 0)));
+        }
+        let rule = FhpRule::new(FhpVariant::I, 3);
+        for bit in [OBSTACLE_BIT, REST_BIT] {
+            let mut walled = g.clone();
+            walled.set_linear(7, bit);
+            assert!(!rule.evolve_block(&walled, &mut out, 0, 2, (0, 0)));
+        }
+        let line: Grid<u8> = Grid::new(Shape::line(8).unwrap());
+        assert!(!rule.evolve_block(&line, &mut line.clone(), 0, 1, (0, 0)));
+        assert_eq!(out, Grid::filled(shape, 0xAA), "a declined block leaves the sink alone");
+        assert!(rule.evolve_block(&g, &mut out, 0, 2, (0, 0)));
     }
 
     fn total_invariants(g: &Grid<u8>) -> (u64, i64, i64) {

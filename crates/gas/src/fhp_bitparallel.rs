@@ -9,14 +9,14 @@
 //! ## Collision algebra
 //!
 //! With channel words `s₀..s₅` (E, NE, NW, W, SW, SE) and a chirality
-//! word `ξ` (one random bit per site):
+//! word `χ` whose bit is set where the site's chirality is `true`:
 //!
 //! ```text
 //! db_p   = s_p & s_{p+3} & none of the other four          (p = 0,1,2)
 //! tri    = (s₀&s₂&s₄&!s₁&!s₃&!s₅) | (s₁&s₃&s₅&!s₀&!s₂&!s₄)
 //! tog_j  = db_{j mod 3}                                    (pair dissolves)
-//!        | ξ  & db_{(j+2) mod 3}                           (+60° outcome)
-//!        | !ξ & db_{(j+1) mod 3}                           (−60° outcome)
+//!        | !χ & db_{(j+2) mod 3}                           (pair turns +60°)
+//!        | χ  & db_{(j+1) mod 3}                           (pair turns +120°)
 //!        | tri                                             (triple swap)
 //! s_j'   = s_j ^ tog_j
 //! ```
@@ -27,36 +27,90 @@
 //!
 //! ## Equivalence contract
 //!
-//! The chirality stream is generated per *word* (64 sites share a
-//! hashed word of random bits), which is a different stochastic
-//! realization than [`FhpRule`]'s per-site hash — so trajectories are
-//! **not** bit-identical to the table engine. The tests instead verify
-//! what the physics requires: exact conservation on the torus,
-//! collision-free trajectories identical to the reference, per-case
-//! collision outcomes legal, and matching equilibrium statistics.
+//! The kernel is bit-exact with [`FhpRule`] for FHP-I. Chirality is
+//! read only by the three lone head-on pairs (`db₀ | db₁ | db₂`), so
+//! `χ` is built only there: for each set bit, the site's own
+//! [`prng::site_bit`] under [`FhpRule`]'s key — global row in the high
+//! half, global column in the low half, each reduced onto the torus
+//! when the rule has one. At the densities FHP runs at, a word holds a
+//! few such sites, and the other sites cost no hash at all.
+//!
+//! Two boundaries are supported. On the torus
+//! ([`FhpBitLattice::from_grid`], even row count) a run equals
+//! `evolve(grid, &FhpRule::new(FhpVariant::I, seed).with_wrap(rows,
+//! cols), Boundary::Periodic, 0, n)`. Under the null boundary
+//! ([`FhpBitLattice::from_rows_null`]) the block is a window of a
+//! larger lattice: its site `(r, c)` is global `(origin.0 + r,
+//! origin.1 + c)`, wrapping, which sets both the chirality key and the
+//! row parity that picks each diagonal's half-cell shift, and zeros
+//! stream in at every edge. That mode is what [`FhpRule`]'s
+//! `evolve_block` runs for a farm board's halo-framed block.
 //!
 //! [`FhpRule`]: crate::fhp::FhpRule
 
-use crate::bitparallel::first_outside;
-use crate::fhp::{fhp_invariants, FhpDir, FHP_MOVE_MASK};
+use crate::bitparallel::{first_outside, move_rows};
+use crate::fhp::{fhp_invariants, FHP_MOVE_MASK};
 use crate::prng;
-use lattice_core::bits::{pack_rows, shift_row, tail_mask, unpack_rows};
-use lattice_core::{Grid, LatticeError, Shape};
+use lattice_core::bits::{pack_rows, shift_row, unpack_rows};
+use lattice_core::{Grid, LatticeError, RowSink, RowSource, Shape};
 
-/// An FHP-I lattice as six channel bit-planes (torus, even row count).
+/// An FHP-I lattice as six channel bit-planes, 64 sites per word,
+/// packed along rows. Periodic (hex torus, even row count) or null
+/// boundaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FhpBitLattice {
     rows: usize,
     cols: usize,
     words_per_row: usize,
+    /// Toroidal wrap when set; otherwise streaming shifts in zeros.
+    periodic: bool,
+    /// `planes[ch][row * words_per_row + w]`, channels in
+    /// [`crate::fhp::FhpDir`] order.
     planes: [Vec<u64>; 6],
+    /// The high half of each row's chirality key: its global row,
+    /// shifted up 32 bits.
+    row_keys: Vec<u64>,
+    /// The low half of each column's chirality key: its global column.
+    col_keys: Vec<u64>,
+    /// Parity of row 0's global row, which with each row's own offset
+    /// picks the diagonal channels' half-cell shift.
+    parity0: usize,
     seed: u64,
     time: u64,
 }
 
+/// Global coordinate `origin + i` along one axis, reduced onto a torus
+/// axis of `len` sites exactly as [`crate::fhp::FhpRule`] reduces it.
+fn axis_key(origin: usize, i: usize, len: Option<usize>) -> u64 {
+    let at = origin.wrapping_add(i);
+    let at = match len {
+        Some(n) => (at as isize).rem_euclid(n as isize) as usize,
+        None => at,
+    };
+    at as u64
+}
+
+/// The chirality word of the lone head-on pairs `pairs` in one word of
+/// a row: bit `j` is [`prng::site_bit`] of the site in column
+/// `col_keys[j]` at generation `time`. Only the sites in `pairs` are
+/// hashed.
+#[inline]
+fn chirality(mut pairs: u64, row_key: u64, col_keys: &[u64], time: u64, seed: u64) -> u64 {
+    let mut chiral = 0;
+    while pairs != 0 {
+        let j = pairs.trailing_zeros();
+        let key = row_key | col_keys[j as usize];
+        chiral |= u64::from(prng::site_bit(key, time, seed)) << j;
+        pairs &= pairs - 1;
+    }
+    chiral
+}
+
 impl FhpBitLattice {
-    /// Packs a byte-per-site FHP-I grid. Requires a 2-D lattice with an
-    /// even number of rows (hex torus) and no rest/obstacle bits.
+    /// Packs a byte-per-site FHP-I grid on the hex torus. Requires a
+    /// 2-D lattice with an even number of rows and no rest/obstacle
+    /// bits. Chirality follows `FhpRule::new(FhpVariant::I,
+    /// seed).with_wrap(rows, cols)` from generation 0.
     pub fn from_grid(grid: &Grid<u8>, seed: u64) -> Result<Self, LatticeError> {
         let shape = grid.shape();
         if shape.rank() != 2 {
@@ -66,22 +120,72 @@ impl FhpBitLattice {
         if rows % 2 != 0 {
             return Err(LatticeError::InvalidConfig("hex torus needs an even row count".into()));
         }
-        let planes = pack_rows(grid, |r, row| match first_outside(row, FHP_MOVE_MASK) {
+        Self::pack(grid, seed, 0, (0, 0), Some((rows, cols)), true)
+    }
+
+    /// Packs the byte-per-site FHP-I block `src` reads (2-D), a row at
+    /// a time, under the null boundary, at generation `t0`. Site
+    /// `(r, c)` is global `(origin.0 + r, origin.1 + c)` (wrapping),
+    /// reduced onto `wrap`'s torus for the chirality key when given:
+    /// the run equals `FhpRule::new(FhpVariant::I, seed)` (with
+    /// `with_wrap(wrap)` when given) evolving the block under
+    /// `Boundary::null()` and seeing those coordinates.
+    pub fn from_rows_null(
+        src: &dyn RowSource<u8>,
+        seed: u64,
+        t0: u64,
+        origin: (usize, usize),
+        wrap: Option<(usize, usize)>,
+    ) -> Result<Self, LatticeError> {
+        Self::pack(src, seed, t0, origin, wrap, false)
+    }
+
+    fn pack(
+        src: &dyn RowSource<u8>,
+        seed: u64,
+        t0: u64,
+        origin: (usize, usize),
+        wrap: Option<(usize, usize)>,
+        periodic: bool,
+    ) -> Result<Self, LatticeError> {
+        let shape = src.shape();
+        if shape.rank() != 2 {
+            return Err(LatticeError::BadRank { rank: shape.rank() });
+        }
+        let (rows, cols) = (shape.rows(), shape.cols());
+        let planes = pack_rows(src, |r, row| match first_outside(row, FHP_MOVE_MASK) {
             None => Ok(()),
             Some(c) => Err(LatticeError::InvalidConfig(format!(
                 "site ({r},{c}) = {:#04x} has non-FHP-I bits",
                 row[c]
             ))),
         })?;
-        Ok(FhpBitLattice { rows, cols, words_per_row: cols.div_ceil(64), planes, seed, time: 0 })
+        let (wrap_rows, wrap_cols) = (wrap.map(|w| w.0), wrap.map(|w| w.1));
+        Ok(FhpBitLattice {
+            rows,
+            cols,
+            words_per_row: cols.div_ceil(64),
+            periodic,
+            planes,
+            row_keys: (0..rows).map(|r| axis_key(origin.0, r, wrap_rows) << 32).collect(),
+            col_keys: (0..cols).map(|c| axis_key(origin.1, c, wrap_cols)).collect(),
+            parity0: origin.0 & 1,
+            seed,
+            time: t0,
+        })
     }
 
     /// Unpacks to a byte-per-site grid.
     pub fn to_grid(&self) -> Grid<u8> {
         let shape = Shape::grid2(self.rows, self.cols).expect("valid dimensions");
         let mut out = Grid::new(shape);
-        unpack_rows(&self.planes, self.cols, &mut out);
+        self.unpack(&mut out);
         out
+    }
+
+    /// Writes the sites of the window `sink` keeps, and only those.
+    pub fn unpack(&self, sink: &mut dyn RowSink<u8>) {
+        unpack_rows(&self.planes, self.cols, sink);
     }
 
     /// Current generation.
@@ -89,73 +193,65 @@ impl FhpBitLattice {
         self.time
     }
 
-    /// Word-parallel FHP-I collision over the whole lattice.
+    /// Word-parallel FHP-I collision over the whole lattice. Phantom
+    /// sites beyond `cols` hold no particles, and every collision needs
+    /// particles, so they stay empty.
     pub fn collide(&mut self) {
-        let (wpr, tail_mask) = (self.words_per_row, tail_mask(self.cols));
-        for i in 0..self.rows * wpr {
-            let s: [u64; 6] = std::array::from_fn(|ch| self.planes[ch][i]);
-            let xi = prng::site_hash(i as u64, self.time, self.seed);
-            // Disjoint two-body configurations.
-            let db: [u64; 3] = std::array::from_fn(|p| {
-                s[p] & s[p + 3]
-                    & !s[(p + 1) % 6]
-                    & !s[(p + 2) % 6]
-                    & !s[(p + 4) % 6]
-                    & !s[(p + 5) % 6]
-            });
-            let tri = (s[0] & s[2] & s[4] & !s[1] & !s[3] & !s[5])
-                | (s[1] & s[3] & s[5] & !s[0] & !s[2] & !s[4]);
-            let mask = if (i + 1) % wpr == 0 { tail_mask } else { u64::MAX };
-            for j in 0..6 {
-                let tog =
-                    (db[j % 3] | (xi & db[(j + 2) % 3]) | (!xi & db[(j + 1) % 3]) | tri) & mask;
-                self.planes[j][i] = s[j] ^ tog;
+        let FhpBitLattice { words_per_row: wpr, planes, row_keys, col_keys, seed, time, .. } = self;
+        for (r, &row_key) in row_keys.iter().enumerate() {
+            for (w, cols) in col_keys.chunks(64).enumerate() {
+                let i = r * *wpr + w;
+                let s: [u64; 6] = std::array::from_fn(|ch| planes[ch][i]);
+                // Disjoint two-body configurations.
+                let db: [u64; 3] = std::array::from_fn(|p| {
+                    s[p] & s[p + 3]
+                        & !s[(p + 1) % 6]
+                        & !s[(p + 2) % 6]
+                        & !s[(p + 4) % 6]
+                        & !s[(p + 5) % 6]
+                });
+                let tri = (s[0] & s[2] & s[4] & !s[1] & !s[3] & !s[5])
+                    | (s[1] & s[3] & s[5] & !s[0] & !s[2] & !s[4]);
+                let chi = chirality(db[0] | db[1] | db[2], row_key, cols, *time, *seed);
+                for (j, plane) in planes.iter_mut().enumerate() {
+                    let tog = db[j % 3] | (!chi & db[(j + 2) % 3]) | (chi & db[(j + 1) % 3]) | tri;
+                    plane[i] = s[j] ^ tog;
+                }
             }
         }
     }
 
-    /// Hex streaming with periodic wrap: E/W shift along rows; the four
-    /// diagonal channels move one row with a parity-dependent half-cell
-    /// column shift (odd-r brick layout, matching [`FhpDir`]'s offsets).
+    /// Hex streaming: E/W shift along rows; the four diagonal channels
+    /// move one row, with a half-cell column shift picked by the source
+    /// row's global parity (odd-r brick layout, matching
+    /// [`crate::fhp::FhpDir`]'s offsets). Wraps on the torus, shifts in
+    /// zeros under the null boundary.
     pub fn stream(&mut self) {
-        let (rows, wpr, cols) = (self.rows, self.words_per_row, self.cols);
-        for row in self.planes[FhpDir::E as usize].chunks_exact_mut(wpr) {
-            shift_row(row, cols, true, true);
+        let (wpr, cols, periodic, parity0) =
+            (self.words_per_row, self.cols, self.periodic, self.parity0);
+        // Channel order is `FhpDir`'s: E, NE, NW, W, SW, SE.
+        let [east, ne, nw, west, sw, se] = &mut self.planes;
+        for row in east.chunks_exact_mut(wpr) {
+            shift_row(row, cols, true, periodic);
         }
-        for row in self.planes[FhpDir::W as usize].chunks_exact_mut(wpr) {
-            shift_row(row, cols, false, true);
+        for row in west.chunks_exact_mut(wpr) {
+            shift_row(row, cols, false, periodic);
         }
-        // Diagonals: build destination planes row by row. A particle
-        // moving NE from source row sr (parity p) lands in row sr−1 at
-        // column +1 if p is odd, same column if even; symmetrically for
-        // the others (see FhpDir::grid_offset).
-        for ch in [FhpDir::NE, FhpDir::NW, FhpDir::SE, FhpDir::SW] {
-            let plane = &self.planes[ch as usize];
-            let mut next = vec![0u64; rows * wpr];
-            for sr in 0..rows {
-                let (down, col_shift_on_odd) = match ch {
-                    FhpDir::NE => (false, true),  // (−1, odd ? +1 : 0)
-                    FhpDir::NW => (false, false), // (−1, odd ? 0 : −1)
-                    FhpDir::SE => (true, true),   // (+1, odd ? +1 : 0)
-                    _ => (true, false),           // SW (+1, odd ? 0 : −1)
-                };
-                let dr = if down { (sr + 1) % rows } else { (sr + rows - 1) % rows };
-                let mut row: Vec<u64> = plane[sr * wpr..(sr + 1) * wpr].to_vec();
-                let odd = sr % 2 == 1;
-                // NE/SE: shift east on odd source rows; NW/SW: shift
-                // west on even source rows.
-                if col_shift_on_odd {
-                    if odd {
-                        shift_row(&mut row, cols, true, true);
-                    }
-                } else if !odd {
-                    shift_row(&mut row, cols, false, true);
-                }
-                for (w, &v) in row.iter().enumerate() {
-                    next[dr * wpr + w] |= v;
+        // A particle moving NE from an odd source row lands one column
+        // east, from an even one in the same column; NW lands one column
+        // west from an even source row. SE and SW mirror them downward.
+        // A source row is one row from its destination `d`, so its
+        // parity is the other one.
+        for (plane, up, east) in
+            [(ne, true, true), (nw, true, false), (se, false, true), (sw, false, false)]
+        {
+            move_rows(plane, wpr, up, periodic);
+            for (d, row) in plane.chunks_exact_mut(wpr).enumerate() {
+                let odd_source = (parity0 ^ d) & 1 == 0;
+                if odd_source == east {
+                    shift_row(row, cols, east, periodic);
                 }
             }
-            self.planes[ch as usize] = next;
         }
     }
 
@@ -191,9 +287,10 @@ impl FhpBitLattice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fhp::{FhpRule, FhpVariant};
+    use crate::fhp::{FhpDir, FhpRule, FhpVariant};
     use crate::init;
     use lattice_core::{evolve, Boundary, Coord};
+    use proptest::prelude::*;
 
     #[test]
     fn pack_unpack_roundtrip() {
@@ -209,16 +306,21 @@ mod tests {
     fn rejects_bad_inputs() {
         let odd = Shape::grid2(3, 8).unwrap();
         assert!(FhpBitLattice::from_grid(&Grid::new(odd), 1).is_err());
-        let mut g = Grid::new(Shape::grid2(4, 4).unwrap());
-        g.set_linear(0, crate::OBSTACLE_BIT);
-        assert!(FhpBitLattice::from_grid(&g, 1).is_err());
+        assert!(FhpBitLattice::from_rows_null(&Grid::new(odd), 1, 0, (0, 0), None).is_ok());
+        for bit in [crate::OBSTACLE_BIT, crate::fhp::REST_BIT] {
+            let mut g = Grid::new(Shape::grid2(4, 4).unwrap());
+            g.set_linear(5, bit);
+            assert!(FhpBitLattice::from_grid(&g, 1).is_err());
+            assert!(FhpBitLattice::from_rows_null(&g, 1, 0, (0, 0), None).is_err());
+        }
+        let line: Grid<u8> = Grid::new(Shape::line(8).unwrap());
+        assert!(FhpBitLattice::from_rows_null(&line, 1, 0, (0, 0), None).is_err());
     }
 
     #[test]
     fn collision_free_single_particle_matches_reference_exactly() {
-        // One particle never collides: the chirality stream is
-        // irrelevant and trajectories must match the table engine bit
-        // for bit, for every direction — this pins the streaming logic.
+        // One particle never collides, so this pins the streaming logic
+        // alone, for every direction.
         for ch in 0..6u8 {
             let shape = Shape::grid2(8, 10).unwrap();
             let mut g = Grid::new(shape);
@@ -232,27 +334,26 @@ mod tests {
     }
 
     #[test]
-    fn head_on_pair_scatters_legally() {
-        // E+W at one site must become NE+SW or NW+SE after collision.
+    fn head_on_pairs_turn_by_the_sites_own_chirality() {
+        // Each lone pair turns the way the table does under the site's
+        // hashed chirality — `true` turns it +120° — and both outcomes
+        // occur across seeds.
         let shape = Shape::grid2(8, 8).unwrap();
-        let mut g = Grid::new(shape);
-        g.set(Coord::c2(4, 4), FhpDir::E.bit() | FhpDir::W.bit());
-        let mut packed = FhpBitLattice::from_grid(&g, 3).unwrap();
-        packed.collide();
-        let out = packed.to_grid().get(Coord::c2(4, 4));
-        assert!(
-            out == FhpDir::NE.bit() | FhpDir::SW.bit()
-                || out == FhpDir::NW.bit() | FhpDir::SE.bit(),
-            "{out:#08b}"
-        );
-        // And both outcomes occur across seeds.
+        let at = Coord::c2(4, 5);
         let mut seen = std::collections::BTreeSet::new();
-        for seed in 0..16u64 {
-            let mut p = FhpBitLattice::from_grid(&g, seed).unwrap();
-            p.collide();
-            seen.insert(p.to_grid().get(Coord::c2(4, 4)));
+        for (p, seed) in (0..3u8).flat_map(|p| (0..16u64).map(move |s| (p, s))) {
+            let pair = (1 << p) | (1 << (p + 3));
+            let mut g = Grid::new(shape);
+            g.set(at, pair);
+            let mut packed = FhpBitLattice::from_grid(&g, seed).unwrap();
+            packed.collide();
+            let chirality = prng::site_bit((4 << 32) | 5, 0, seed);
+            let turned = FhpDir::E.rotate(p + if chirality { 2 } else { 1 });
+            let want = turned.bit() | turned.opposite().bit();
+            assert_eq!(packed.to_grid().get(at), want, "pair {p} seed {seed}");
+            seen.insert((p, chirality));
         }
-        assert_eq!(seen.len(), 2, "both chirality outcomes appear");
+        assert_eq!(seen.len(), 6, "both chiralities occur for every pair");
     }
 
     #[test]
@@ -290,25 +391,62 @@ mod tests {
     }
 
     #[test]
-    fn equilibrium_statistics_match_table_engine() {
-        // Same initial gas, different chirality streams: channel
-        // occupations agree within statistical noise after relaxation.
+    fn torus_runs_equal_the_table_engine() {
+        // The gas that used to be compared statistically, now site for
+        // site: the same seed drives the same chirality stream.
         let (rows, cols) = (32usize, 64usize);
         let shape = Shape::grid2(rows, cols).unwrap();
         let g = init::random_fhp(shape, FhpVariant::I, 0.3, 4, true).unwrap();
         let rule = FhpRule::new(FhpVariant::I, 8).with_wrap(rows, cols);
-        let table_out = evolve(&g, &rule, Boundary::Periodic, 0, 40);
-        let mut packed = FhpBitLattice::from_grid(&g, 1234).unwrap();
+        let mut packed = FhpBitLattice::from_grid(&g, 8).unwrap();
         packed.run(40);
-        let occ_a = crate::physics::channel_occupations(&table_out);
-        let occ_b = crate::physics::channel_occupations(&packed.to_grid());
-        for ch in 0..6 {
-            assert!(
-                (occ_a[ch] - occ_b[ch]).abs() < 0.03,
-                "channel {ch}: {} vs {}",
-                occ_a[ch],
-                occ_b[ch]
-            );
+        assert_eq!(packed.to_grid(), evolve(&g, &rule, Boundary::Periodic, 0, 40));
+    }
+
+    #[test]
+    fn null_streaming_drops_particles_at_every_edge() {
+        // Block row 0 is global row 7. Everything but two particles
+        // leaves through an edge.
+        let shape = Shape::grid2(3, 70).unwrap();
+        let mut g = Grid::new(shape);
+        g.set(Coord::c2(0, 69), FhpDir::E.bit());
+        g.set(Coord::c2(0, 5), FhpDir::NE.bit());
+        g.set(Coord::c2(2, 63), FhpDir::SW.bit());
+        g.set(Coord::c2(1, 0), FhpDir::W.bit());
+        // Global row 8 (even): NW moves west a column, across a word.
+        g.set(Coord::c2(1, 64), FhpDir::NW.bit());
+        // Global row 8: SE stays in its column.
+        g.set(Coord::c2(1, 69), FhpDir::SE.bit());
+        let mut packed = FhpBitLattice::from_rows_null(&g, 1, 0, (7, 0), None).unwrap();
+        packed.stream();
+        let out = packed.to_grid();
+        assert_eq!(out.get(Coord::c2(0, 63)), FhpDir::NW.bit());
+        assert_eq!(out.get(Coord::c2(2, 69)), FhpDir::SE.bit());
+        assert_eq!(packed.mass(), 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// On the hex torus, `from_grid` + `run` is the table engine with
+        /// the wrapped rule, bit for bit, from generation 0.
+        #[test]
+        fn torus_kernel_equals_the_wrapped_rule(
+            half_rows in 1usize..=12,
+            cols in 1usize..=130,
+            steps in 0u64..=10,
+            density in 0.05f64..0.95,
+            seed in any::<u64>(),
+        ) {
+            let rows = 2 * half_rows;
+            let shape = Shape::grid2(rows, cols).unwrap();
+            let g = init::random_fhp(shape, FhpVariant::I, density, seed, true).unwrap();
+            let rule = FhpRule::new(FhpVariant::I, seed ^ 0xc41).with_wrap(rows, cols);
+            let reference = evolve(&g, &rule, Boundary::Periodic, 0, steps);
+            let mut packed = FhpBitLattice::from_grid(&g, seed ^ 0xc41).unwrap();
+            packed.run(steps);
+            prop_assert_eq!(packed.to_grid(), reference);
+            prop_assert_eq!(packed.time(), steps);
         }
     }
 }

@@ -77,8 +77,8 @@ pub fn validate_spec(spec: &SessionSpec) -> Result<(), LatticeError> {
         return Err(bad("density must be in [0, 1]".into()));
     }
     if let Some(bits) = spec.link_bits {
-        if bits.is_nan() || bits <= 0.0 {
-            return Err(bad("link_bits must be positive".into()));
+        if !bits.is_finite() || bits <= 0.0 {
+            return Err(bad("link_bits must be positive and finite".into()));
         }
     }
     if let Some((gr, gc)) = spec.grid {
@@ -96,8 +96,8 @@ pub fn validate_spec(spec: &SessionSpec) -> Result<(), LatticeError> {
         }
     }
     if let Some(bits) = spec.tier_bits {
-        if bits.is_nan() || bits <= 0.0 {
-            return Err(bad("tier_bits must be positive".into()));
+        if !bits.is_finite() || bits <= 0.0 {
+            return Err(bad("tier_bits must be positive and finite".into()));
         }
         if spec.grid.is_none() {
             return Err(bad("tier_bits needs a grid: the inter-rack tier is idle on \
@@ -403,6 +403,36 @@ mod tests {
             };
             assert_eq!(session.grid(), &reference, "{model} periodic={periodic}");
         }
+    }
+
+    #[test]
+    fn links_too_slow_to_count_are_refused() {
+        // Not finite: rejected before any machinery is built.
+        for bits in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let link = SessionSpec { link_bits: Some(bits), ..SessionSpec::default() };
+            let tier = SessionSpec {
+                shards: 2,
+                grid: Some((2, 1)),
+                tier_bits: Some(bits),
+                ..SessionSpec::default()
+            };
+            for (what, spec) in [("link_bits", link), ("tier_bits", tier)] {
+                let err = validate_spec(&spec).unwrap_err();
+                assert!(matches!(err, LatticeError::InvalidConfig(_)), "{what} = {bits}: {err}");
+                assert!(err.to_string().contains(what), "{err}");
+            }
+        }
+        // Finite, but one pass waits past `u64::MAX` ticks on the link:
+        // the step is refused instead of wrapping the machine's ticks.
+        let spec = SessionSpec { link_bits: Some(1e-300), ..SessionSpec::default() };
+        let grid = seed_grid(&spec).unwrap();
+        let farm = build_farm(&spec).unwrap();
+        let rule = GasRule::from_spec(&spec).unwrap();
+        let mut session =
+            farm.session_owned::<u8>(&grid, 0, None, &FarmRecoveryConfig::default(), None).unwrap();
+        let err = rule.step(&mut session, 4).unwrap_err();
+        assert!(matches!(err, LatticeError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]

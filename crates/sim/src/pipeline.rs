@@ -403,26 +403,41 @@ mod tests {
         }
     }
 
+    /// `run_kernel`'s cost with its lattice equals `run_at`'s whole
+    /// report, over widths, depths, start generations and origins that
+    /// wrap.
+    fn assert_kernel_report_equals_the_cycle_report<R: Rule<S = u8>>(rule: &R, g: &Grid<u8>) {
+        let (rows, cols) = (g.shape().rows(), g.shape().cols());
+        let origins = [(0usize, 0usize), (3, 5), (usize::MAX, usize::MAX - 2), (7, usize::MAX)];
+        for (width, depth) in [(1usize, 1usize), (2, 3), (3, 2), (4, 5)] {
+            for (t0, &origin) in origins.iter().enumerate() {
+                let pipe = Pipeline::wide(width, depth);
+                let mut out = Grid::new(g.shape());
+                let fast = pipe.run_kernel(rule, g, &mut out, t0 as u64, origin).unwrap();
+                let fast = fast.with_grid(out);
+                let cycle = pipe.run_at(rule, g, t0 as u64, origin).unwrap();
+                let name = rule.name();
+                assert_eq!(fast, cycle, "{name} {rows}x{cols} P={width} k={depth} {origin:?}");
+            }
+        }
+    }
+
     #[test]
     fn kernel_report_equals_the_cycle_report() {
-        let rule = HppRule::new();
         // Dense random gas: particles leave through every edge, so the
-        // null boundary is exercised on all four sides.
+        // null boundary is exercised on all four sides. FHP-I runs with
+        // and without a torus to reduce its chirality keys onto.
         let shapes = [(1usize, 7usize), (5, 63), (4, 64), (3, 65), (2, 128), (9, 11)];
-        let origins = [(0usize, 0usize), (3, 5), (usize::MAX, usize::MAX - 2), (7, usize::MAX)];
         for (i, &(rows, cols)) in shapes.iter().enumerate() {
             let shape = Shape::grid2(rows, cols).unwrap();
-            let g = lattice_gas::init::random_hpp(shape, 0.6, i as u64 + 40).unwrap();
-            for (width, depth) in [(1usize, 1usize), (2, 3), (3, 2), (4, 5)] {
-                for (t0, &origin) in origins.iter().enumerate() {
-                    let pipe = Pipeline::wide(width, depth);
-                    let mut out = Grid::new(shape);
-                    let fast = pipe.run_kernel(&rule, &g, &mut out, t0 as u64, origin).unwrap();
-                    let fast = fast.with_grid(out);
-                    let cycle = pipe.run_at(&rule, &g, t0 as u64, origin).unwrap();
-                    assert_eq!(fast, cycle, "{rows}x{cols} P={width} k={depth} {origin:?}");
-                }
-            }
+            let hpp = lattice_gas::init::random_hpp(shape, 0.6, i as u64 + 40).unwrap();
+            assert_kernel_report_equals_the_cycle_report(&HppRule::new(), &hpp);
+            let fhp =
+                lattice_gas::init::random_fhp(shape, FhpVariant::I, 0.3, i as u64 + 60, false)
+                    .unwrap();
+            let rule = FhpRule::new(FhpVariant::I, i as u64 + 7);
+            assert_kernel_report_equals_the_cycle_report(&rule, &fhp);
+            assert_kernel_report_equals_the_cycle_report(&rule.with_wrap(2 * rows, cols), &fhp);
         }
     }
 
@@ -430,11 +445,19 @@ mod tests {
     fn kernel_declines_what_it_cannot_charge_exactly() {
         let shape = Shape::grid2(4, 6).unwrap();
         let g = lattice_gas::init::random_hpp(shape, 0.4, 1).unwrap();
-        // No kernel: FHP and obstacles keep the cycle engine.
-        let fhp_grid = lattice_gas::init::random_fhp(shape, FhpVariant::I, 0.3, 2, false).unwrap();
-        let fhp = FhpRule::new(FhpVariant::I, 3);
         let mut out = Grid::new(shape);
-        assert!(Pipeline::wide(2, 2).run_kernel(&fhp, &fhp_grid, &mut out, 0, (0, 0)).is_none());
+        // No kernel: FHP-II/III, and obstacles under HPP or FHP-I, keep
+        // the cycle engine.
+        for variant in [FhpVariant::II, FhpVariant::III] {
+            let grid = lattice_gas::init::random_fhp(shape, variant, 0.3, 2, false).unwrap();
+            let fhp = FhpRule::new(variant, 3);
+            assert!(Pipeline::wide(2, 2).run_kernel(&fhp, &grid, &mut out, 0, (0, 0)).is_none());
+        }
+        let mut fhp_walled =
+            lattice_gas::init::random_fhp(shape, FhpVariant::I, 0.3, 2, false).unwrap();
+        fhp_walled.set_linear(5, lattice_gas::OBSTACLE_BIT);
+        let fhp = FhpRule::new(FhpVariant::I, 3);
+        assert!(Pipeline::wide(2, 2).run_kernel(&fhp, &fhp_walled, &mut out, 0, (0, 0)).is_none());
         let mut walled = g.clone();
         walled.set_linear(5, lattice_gas::OBSTACLE_BIT);
         let hpp = HppRule::new();

@@ -264,3 +264,20 @@ fn huge_steps_are_refused_promptly() {
         assert!(out.is_empty(), "{args:?}: {out}");
     }
 }
+
+#[test]
+fn links_too_slow_to_count_ticks_are_refused() {
+    // A link so slow that the machine's tick count overflows a u64
+    // must fail the run, not print a wrapped report; a capacity that
+    // is not finite is refused before the farm is built.
+    for args in [
+        &["farm", "--link-bits", "1e-300"][..],
+        &["farm", "--link-bits", "inf"],
+        &["farm", "--grid", "2x2", "--tier-bits", "inf"],
+    ] {
+        let (code, out, err) = lattice_within(60, args);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(err.contains("overflows") || err.contains("finite"), "{args:?}: {err}");
+        assert!(!out.contains("machine ticks"), "{args:?}: {out}");
+    }
+}

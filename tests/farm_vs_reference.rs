@@ -232,10 +232,62 @@ impl<R: Rule> Rule for CycleOnly<R> {
     }
 }
 
-/// One shadow-oracle case: a fault-free HPP farm on WSA boards.
+/// The gas a shadow-oracle case runs: both have a block kernel.
+#[derive(Debug, Clone, Copy)]
+enum Gas {
+    Hpp,
+    /// FHP-I, with the rule wrapped onto the torus when the case is
+    /// periodic.
+    Fhp1,
+}
+
+impl Gas {
+    /// Lattice rows for a case asking for `rows`: the hex torus needs
+    /// an even count.
+    fn rows(self, rows: usize, periodic: bool) -> usize {
+        match self {
+            Gas::Fhp1 if periodic => rows + rows % 2,
+            _ => rows,
+        }
+    }
+
+    /// A random lattice of this gas.
+    fn lattice(self, shape: Shape, density: f64, seed: u64, periodic: bool) -> Grid<u8> {
+        match self {
+            Gas::Hpp => init::random_hpp(shape, density, seed),
+            Gas::Fhp1 => init::random_fhp(shape, FhpVariant::I, density, seed, periodic),
+        }
+        .unwrap()
+    }
+
+    /// The FHP-I rule for a `rows × cols` lattice.
+    fn fhp1(seed: u64, rows: usize, cols: usize, periodic: bool) -> FhpRule {
+        let rule = FhpRule::new(FhpVariant::I, seed ^ 0xf4b1);
+        if periodic {
+            rule.with_wrap(rows, cols)
+        } else {
+            rule
+        }
+    }
+
+    /// The audit model.
+    fn model(self) -> Model {
+        match self {
+            Gas::Hpp => Model::Hpp,
+            Gas::Fhp1 => Model::Fhp,
+        }
+    }
+}
+
+fn gas() -> impl Strategy<Value = Gas> {
+    prop_oneof![Just(Gas::Hpp), Just(Gas::Fhp1)]
+}
+
+/// One shadow-oracle case: a fault-free farm on WSA boards.
 #[derive(Debug, Clone, Copy)]
 struct OracleCase {
-    /// Lattice rows.
+    gas: Gas,
+    /// Lattice rows (rounded up to even for FHP-I on the torus).
     rows: usize,
     /// Board grid `(R, C)`.
     layout: (usize, usize),
@@ -257,10 +309,15 @@ struct OracleCase {
 /// lattice, ticks, traffic, per-board stats — and the lattice equals
 /// `evolve`.
 fn assert_fast_path_is_exact(c: OracleCase) {
-    let cols = c.layout.1 * c.block_width;
-    let shape = Shape::grid2(c.rows, cols).unwrap();
-    let grid = init::random_hpp(shape, c.density, c.seed).unwrap();
-    let rule = HppRule::new();
+    let (rows, cols) = (c.gas.rows(c.rows, c.periodic), c.layout.1 * c.block_width);
+    let grid = c.gas.lattice(Shape::grid2(rows, cols).unwrap(), c.density, c.seed, c.periodic);
+    match c.gas {
+        Gas::Hpp => fast_path_is_exact(&HppRule::new(), &grid, &c),
+        Gas::Fhp1 => fast_path_is_exact(&Gas::fhp1(c.seed, rows, cols, c.periodic), &grid, &c),
+    }
+}
+
+fn fast_path_is_exact<R: Rule<S = u8>>(rule: &R, grid: &Grid<u8>, c: &OracleCase) {
     let boundary = if c.periodic { Boundary::Periodic } else { Boundary::null() };
     let mut farm = LatticeFarm::new(1, ShardEngine::Wsa { width: c.width }, c.depth)
         .with_grid(c.layout.0, c.layout.1)
@@ -269,10 +326,10 @@ fn assert_fast_path_is_exact(c: OracleCase) {
     if let Some(bits) = c.link {
         farm = farm.with_link(BoardLink::new(f64::from(bits)));
     }
-    let fast = farm.run(&rule, &grid, c.t0, c.gens).unwrap();
-    let cycle = farm.run(&CycleOnly(&rule), &grid, c.t0, c.gens).unwrap();
+    let fast = farm.run(rule, grid, c.t0, c.gens).unwrap();
+    let cycle = farm.run(&CycleOnly(rule), grid, c.t0, c.gens).unwrap();
     assert_eq!(fast, cycle, "{c:?}");
-    assert_eq!(fast.grid(), &evolve(&grid, &rule, boundary, c.t0, c.gens), "{c:?}");
+    assert_eq!(fast.grid(), &evolve(grid, rule, boundary, c.t0, c.gens), "{c:?}");
 }
 
 /// Layouts: shard counts 1–4 on one row, and grids up to 3×2.
@@ -292,6 +349,7 @@ proptest! {
     /// links, shallow final passes, `k` 1–5 and `P` 1–4.
     #[test]
     fn fast_path_reports_equal_the_cycle_level_run(
+        gas in gas(),
         layout in oracle_layout(),
         band_rows in 5usize..9,
         block_width in oracle_block_width(),
@@ -306,6 +364,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         assert_fast_path_is_exact(OracleCase {
+            gas,
             rows: layout.0 * band_rows,
             layout,
             block_width,
@@ -323,27 +382,30 @@ proptest! {
 }
 
 /// The two-tier grids, where halo rows cross the inter-rack links:
-/// 2×2 and 3×2 boards, overlap on and off, both boundaries, always in
-/// the oracle's sample.
+/// 2×2 and 3×2 boards, overlap on and off, both boundaries, both
+/// gases, always in the oracle's sample.
 #[test]
 fn fast_path_reports_equal_the_cycle_level_run_on_two_tier_grids() {
     for (i, layout) in [(2usize, 2usize), (3, 2)].into_iter().enumerate() {
         for overlap in [false, true] {
             for periodic in [false, true] {
-                assert_fast_path_is_exact(OracleCase {
-                    rows: layout.0 * 7,
-                    layout,
-                    block_width: 65,
-                    periodic,
-                    overlap,
-                    link: Some(8),
-                    depth: 3,
-                    width: 2,
-                    gens: 7,
-                    t0: 1,
-                    density: 0.5,
-                    seed: 11 + i as u64,
-                });
+                for gas in [Gas::Hpp, Gas::Fhp1] {
+                    assert_fast_path_is_exact(OracleCase {
+                        gas,
+                        rows: layout.0 * 7,
+                        layout,
+                        block_width: 65,
+                        periodic,
+                        overlap,
+                        link: Some(8),
+                        depth: 3,
+                        width: 2,
+                        gens: 7,
+                        t0: 1,
+                        density: 0.5,
+                        seed: 11 + i as u64,
+                    });
+                }
             }
         }
     }
@@ -358,6 +420,7 @@ proptest! {
     #[test]
     #[ignore]
     fn fast_path_reports_equal_the_cycle_level_run_on_large_lattices(
+        gas in gas(),
         layout in oracle_layout(),
         rows in 128usize..=256,
         block_width in oracle_block_width(),
@@ -372,6 +435,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         assert_fast_path_is_exact(OracleCase {
+            gas,
             rows,
             layout,
             block_width,
@@ -388,11 +452,13 @@ proptest! {
     }
 }
 
-/// One faulted shadow-oracle case: an HPP farm on WSA boards under
+/// One faulted shadow-oracle case: a farm on WSA boards under
 /// transient weather on every board's halo links (both tiers), through
 /// the recovery ladder.
 #[derive(Debug, Clone, Copy)]
 struct FaultedCase {
+    gas: Gas,
+    /// Lattice rows (rounded up to even for FHP-I on the torus).
     rows: usize,
     /// Board grid `(R, C)`.
     layout: (usize, usize),
@@ -415,13 +481,14 @@ struct FaultedCase {
     cfg: FarmRecoveryConfig,
 }
 
-/// The faulted case's plan, fresh per run.
-fn faulted_plan(c: &FaultedCase, farm: &LatticeFarm, cols: usize) -> FaultPlan {
+/// The faulted case's plan for its `rows × cols` lattice, fresh per
+/// run.
+fn faulted_plan(c: &FaultedCase, farm: &LatticeFarm, rows: usize, cols: usize) -> FaultPlan {
     let max_retired = c.cfg.degrade.map_or(0, |d| d.max_retired);
     let mut plan = FaultPlan::new(c.weather_seed);
     for b in 0..farm.shards() {
-        let intra = farm.link_chip(c.rows, cols, max_retired, b).unwrap();
-        let inter = farm.link_chip_inter(c.rows, cols, max_retired, b).unwrap();
+        let intra = farm.link_chip(rows, cols, max_retired, b).unwrap();
+        let inter = farm.link_chip_inter(rows, cols, max_retired, b).unwrap();
         for chip in [intra, inter] {
             plan.push(Fault {
                 component: Component::Link,
@@ -434,7 +501,7 @@ fn faulted_plan(c: &FaultedCase, farm: &LatticeFarm, cols: usize) -> FaultPlan {
     if let Some(b) = c.stuck_board {
         plan.push(Fault {
             component: Component::Link,
-            chip: Some(farm.link_chip(c.rows, cols, max_retired, b).unwrap()),
+            chip: Some(farm.link_chip(rows, cols, max_retired, b).unwrap()),
             cell: None,
             kind: FaultKind::StuckAt { bit: 0, value: true },
         });
@@ -452,27 +519,41 @@ fn faulted_plan(c: &FaultedCase, farm: &LatticeFarm, cols: usize) -> FaultPlan {
 
 /// Under fault weather the fast path's `FarmReport` and
 /// `RecoveryStats` equal the cycle-level run's, or both runs fail with
-/// the same error when the ladder gives up.
+/// the same error when the ladder gives up. With link weather alone,
+/// which the link parity catches, a finished run's lattice equals
+/// `evolve`.
 fn assert_faulted_fast_path_is_exact(c: FaultedCase) {
-    let cols = c.layout.1 * c.block_width;
-    let shape = Shape::grid2(c.rows, cols).unwrap();
-    let grid = init::random_hpp(shape, c.density, c.seed).unwrap();
-    let rule = HppRule::new();
+    let (rows, cols) = (c.gas.rows(c.rows, c.periodic), c.layout.1 * c.block_width);
+    let grid = c.gas.lattice(Shape::grid2(rows, cols).unwrap(), c.density, c.seed, c.periodic);
+    match c.gas {
+        Gas::Hpp => faulted_fast_path_is_exact(&HppRule::new(), &grid, &c),
+        Gas::Fhp1 => {
+            faulted_fast_path_is_exact(&Gas::fhp1(c.seed, rows, cols, c.periodic), &grid, &c)
+        }
+    }
+}
+
+fn faulted_fast_path_is_exact<R: Rule<S = u8>>(rule: &R, grid: &Grid<u8>, c: &FaultedCase) {
+    let (rows, cols) = (grid.shape().rows(), grid.shape().cols());
     let farm = LatticeFarm::new(1, ShardEngine::Wsa { width: c.width }, c.depth)
         .with_grid(c.layout.0, c.layout.1)
         .with_periodic(c.periodic)
         .with_overlap(c.overlap);
     let mode = if c.periodic { AuditMode::Exact } else { AuditMode::NonIncreasingMass };
-    let audit = ConservationAudit::new(Model::Hpp, mode);
+    let audit = ConservationAudit::new(c.gas.model(), mode);
     let check = |before: &Grid<u8>, after: &Grid<u8>| audit.check(before, after);
-    let (fast_plan, cycle_plan) = (faulted_plan(&c, &farm, cols), faulted_plan(&c, &farm, cols));
+    let plan = || faulted_plan(c, &farm, rows, cols);
     let fast = farm
-        .run_with_recovery(&rule, &grid, 0, c.gens, Some(&fast_plan), &c.cfg, check)
+        .run_with_recovery(rule, grid, 0, c.gens, Some(&plan()), &c.cfg, check)
         .map(|ft| (ft.report, ft.recovery));
     let cycle = farm
-        .run_with_recovery(&CycleOnly(&rule), &grid, 0, c.gens, Some(&cycle_plan), &c.cfg, check)
+        .run_with_recovery(&CycleOnly(rule), grid, 0, c.gens, Some(&plan()), &c.cfg, check)
         .map(|ft| (ft.report, ft.recovery));
     assert_eq!(fast, cycle, "{c:?}");
+    if let (Ok((report, _)), None) = (&fast, c.engine) {
+        let boundary = if c.periodic { Boundary::Periodic } else { Boundary::null() };
+        assert_eq!(report.grid(), &evolve(grid, rule, boundary, 0, c.gens), "{c:?}");
+    }
 }
 
 /// Ladder budgets: ARQ and local retries, global retries, degrade.
@@ -499,6 +580,7 @@ proptest! {
     /// only it) through the cycle engine.
     #[test]
     fn fast_path_reports_equal_the_cycle_level_run_under_faults(
+        gas in gas(),
         layout in oracle_layout(),
         band_rows in 4usize..8,
         block_width in 6usize..=20,
@@ -536,6 +618,7 @@ proptest! {
         };
         // Board `b` owns engine chips `b·depth .. (b+1)·depth`.
         assert_faulted_fast_path_is_exact(FaultedCase {
+            gas,
             rows: layout.0 * band_rows,
             layout,
             block_width,
@@ -616,7 +699,7 @@ fn fast_path_repeats_the_farm_faults_ladder() {
 }
 
 /// Rules or lattices without a block kernel keep the cycle-level path
-/// and stay exact: HPP with obstacle sites, and FHP.
+/// and stay exact: HPP with obstacle sites, and FHP-III.
 #[test]
 fn lattices_without_a_kernel_stay_exact_on_the_cycle_path() {
     let shape = Shape::grid2(12, 40).unwrap();
