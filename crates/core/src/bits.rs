@@ -7,7 +7,8 @@
 //! the one site packer: bit `p` of 64 consecutive sites becomes one
 //! word of plane `p`. [`pack_rows`] lays a 2-D block out that way for
 //! the bit-parallel gas kernels, reading it a row at a time from a
-//! [`RowSource`]; [`unpack_rows`] writes back only the window a
+//! [`RowSource`]; [`pack_window`] packs a window into planes that
+//! already exist; [`unpack_rows`] writes back only the window a
 //! [`RowSink`] keeps; [`shift_row`] streams a plane along its rows.
 //! Checkpoint images store the same planes as bytes.
 
@@ -311,6 +312,44 @@ pub fn unpack_rows<S: State, const N: usize>(
                 _ => w[q] >> shift,
             });
             unpack_word(&aligned, chunk);
+        }
+    }
+}
+
+/// Packs the rows of `src` into existing [`pack_rows`] planes of a
+/// block `cols` sites wide, over the window whose top-left site is
+/// `at` and whose shape is `src`'s: the plane bits of the window's
+/// sites are replaced, every other bit is kept. Site bits at and above
+/// `N` are dropped, as [`pack_word`] drops them. A resident block
+/// imports its halo this way.
+pub fn pack_window<S: State, const N: usize>(
+    planes: &mut [Vec<u64>; N],
+    cols: usize,
+    at: (usize, usize),
+    src: &dyn RowSource<S>,
+) {
+    let shape = src.shape();
+    let (rows, width) = (shape.rows(), shape.cols());
+    assert!(at.1 + width <= cols, "window spills past the block's {cols} columns");
+    let wpr = cols.div_ceil(64);
+    let mut row = vec![S::default(); width];
+    let mut word = [0u64; N];
+    for r in 0..rows {
+        src.fill_row(r, &mut row);
+        let base = (at.0 + r) * wpr;
+        for (j, chunk) in row.chunks(64).enumerate() {
+            pack_word(chunk, &mut word);
+            let c = at.1 + 64 * j;
+            let (q, shift) = (base + c / 64, c % 64);
+            let mask = tail_mask(chunk.len());
+            let spills = shift > 0 && shift + chunk.len() > 64;
+            for (plane, w) in planes.iter_mut().zip(word) {
+                plane[q] = plane[q] & !(mask << shift) | w << shift;
+                if spills {
+                    let back = 64 - shift;
+                    plane[q + 1] = plane[q + 1] & !(mask >> back) | w >> back;
+                }
+            }
         }
     }
 }

@@ -72,5 +72,5 @@ pub use engine::{evolve, evolve_into, evolve_parallel, Evolver};
 pub use error::LatticeError;
 pub use grid::{Grid, RowSink, RowSource};
 pub use raster::RasterScan;
-pub use rule::{Rule, State};
+pub use rule::{BlockKernel, Rule, State};
 pub use window::Window;

@@ -90,19 +90,40 @@ pub trait Rule: Sync {
         "anonymous-rule"
     }
 
-    /// A whole-block kernel: evolves the block `src` reads (generation
+    /// The rule's block kernel over the block `src` reads (generation
     /// `t0`, its site `(r, c)` at global coordinate
-    /// `(origin.0 + r, origin.1 + c)`, wrapping) `generations` steps
-    /// under the null boundary, reading each row once and writing only
-    /// the rows and columns `sink` keeps.
+    /// `(origin.0 + r, origin.1 + c)`, wrapping), read once, a row at a
+    /// time, into the kernel's own state. That state then lives as long
+    /// as its owner keeps it: a farm board keeps it across the passes of
+    /// a step and imports only its halo between them.
     ///
-    /// Contract: `true` means every kept site of `sink` now equals the
-    /// same site of `evolve(block, self, Boundary::null(), t0,
-    /// generations)` (with the rule seeing those global coordinates). A
+    /// Contract: after `run(a)`, [`BlockKernel::import`]s, `run(b)`, …,
+    /// every site [`BlockKernel::unpack`] writes equals the same site of
+    /// `evolve` under `Boundary::null()` (with the rule seeing those
+    /// global coordinates) of the block, run `a` generations from `t0`,
+    /// with the imported sites overwritten, run `b` more, and so on. A
     /// rule that cannot honour that for this block — wrong rank, state
-    /// bits its kernel does not model — returns `false` without writing
-    /// to `sink`, and the caller takes the site-by-site path. The
-    /// default has no kernel.
+    /// bits its kernel does not model — returns `None`, and the caller
+    /// takes the site-by-site path. The default has no kernel.
+    fn block_kernel(
+        &self,
+        src: &dyn RowSource<Self::S>,
+        t0: u64,
+        origin: (usize, usize),
+    ) -> Option<Box<dyn BlockKernel<Self::S>>> {
+        let _ = (src, t0, origin);
+        None
+    }
+
+    /// One pass of the block kernel: builds it over `src` (see
+    /// [`Rule::block_kernel`]), runs `generations` steps, and writes
+    /// only the rows and columns `sink` keeps.
+    ///
+    /// `true` means every kept site of `sink` now equals the same site
+    /// of `evolve(block, self, Boundary::null(), t0, generations)`
+    /// (with the rule seeing those global coordinates); `false` means
+    /// the rule has no kernel for the block, and `sink` is untouched.
+    /// Rules implement [`Rule::block_kernel`], not this.
     #[must_use]
     fn evolve_block(
         &self,
@@ -112,9 +133,31 @@ pub trait Rule: Sync {
         generations: usize,
         origin: (usize, usize),
     ) -> bool {
-        let _ = (src, sink, t0, generations, origin);
-        false
+        let Ok(steps) = u64::try_from(generations) else { return false };
+        let Some(mut block) = self.block_kernel(src, t0, origin) else { return false };
+        block.run(steps);
+        block.unpack(sink);
+        true
     }
+}
+
+/// A block's state inside a rule's kernel ([`Rule::block_kernel`]):
+/// it evolves in place under the null boundary, takes fresh sites into
+/// any window, and writes any window back out. Site `(r, c)` of the
+/// state is site `(r, c)` of the block it was built from, and it keeps
+/// that block's global coordinates and its own generation clock.
+pub trait BlockKernel<S: State>: Send {
+    /// Evolves `generations` steps, advancing the clock.
+    fn run(&mut self, generations: u64);
+
+    /// Overwrites the sites of the window whose top-left site is `at`,
+    /// and whose shape is `src`'s, with the rows `src` reads; every
+    /// other site is kept. Site bits the kernel does not model are
+    /// dropped, so the sites should come from the same rule's lattice.
+    fn import(&mut self, at: (usize, usize), src: &dyn RowSource<S>);
+
+    /// Writes the sites of the window `sink` keeps, and only those.
+    fn unpack(&self, sink: &mut dyn RowSink<S>);
 }
 
 impl<R: Rule + ?Sized> Rule for &R {
@@ -125,15 +168,13 @@ impl<R: Rule + ?Sized> Rule for &R {
     fn name(&self) -> &str {
         (**self).name()
     }
-    fn evolve_block(
+    fn block_kernel(
         &self,
         src: &dyn RowSource<Self::S>,
-        sink: &mut dyn RowSink<Self::S>,
         t0: u64,
-        generations: usize,
         origin: (usize, usize),
-    ) -> bool {
-        (**self).evolve_block(src, sink, t0, generations, origin)
+    ) -> Option<Box<dyn BlockKernel<Self::S>>> {
+        (**self).block_kernel(src, t0, origin)
     }
 }
 

@@ -1,13 +1,14 @@
 //! Property-based tests for lattice-core invariants.
 
 use lattice_core::{
-    bits::{pack_word, unpack_word, StreamParity},
+    bits::{pack_rows, pack_window, pack_word, unpack_rows, unpack_word, StreamParity},
     evolve_into, evolve_parallel,
     raster::staggered_order,
     window::{index_offset, offset_index, window_len},
-    Boundary, Grid, Rule, Shape, State, Window,
+    Boundary, Grid, RowSink, Rule, Shape, State, Window,
 };
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// Packs `sites` into `S::BITS` bit-planes, 64 sites per plane word,
 /// and unpacks them again.
@@ -19,6 +20,83 @@ fn pack_roundtrip<S: State>(sites: &[S]) -> Vec<S> {
         unpack_word(&words, out);
     }
     back
+}
+
+/// Rows `rows` and columns `cols` of a `Grid`, kept as a `RowSink`.
+struct Kept<S: State> {
+    out: Grid<S>,
+    rows: Range<usize>,
+    cols: Range<usize>,
+}
+
+impl<S: State> RowSink<S> for Kept<S> {
+    fn window(&self) -> (Range<usize>, Range<usize>) {
+        (self.rows.clone(), self.cols.clone())
+    }
+    fn row_mut(&mut self, r: usize) -> &mut [S] {
+        let cols = self.out.shape().cols();
+        &mut self.out.as_mut_slice()[r * cols..][self.cols.clone()]
+    }
+}
+
+/// A `rows × cols` grid of sites drawn from `pick` by a seeded hash.
+fn seeded<S: State>(rows: usize, cols: usize, seed: u64, pick: fn(u64) -> S) -> Grid<S> {
+    let shape = Shape::grid2(rows, cols).unwrap();
+    Grid::from_fn(shape, |c| {
+        let i = (c.row() * cols + c.col()) as u64;
+        pick((i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 29)
+    })
+}
+
+/// `unpack_rows` of `grid`'s planes writes exactly the window
+/// `rows × start..start + width`, and leaves `fill` everywhere else.
+fn unpack_writes_the_window<S: State, const N: usize>(
+    grid: &Grid<S>,
+    rows: Range<usize>,
+    start: usize,
+    width: usize,
+    fill: S,
+) -> Result<(), TestCaseError> {
+    let (shape, cols) = (grid.shape(), grid.shape().cols());
+    let planes: [Vec<u64>; N] = pack_rows(grid, |_, _| Ok::<_, ()>(())).unwrap();
+    let window = start..start + width;
+    let mut sink =
+        Kept { out: Grid::filled(shape, fill), rows: rows.clone(), cols: window.clone() };
+    unpack_rows(&planes, cols, &mut sink);
+    let expect = Grid::from_fn(shape, |c| {
+        if rows.contains(&c.row()) && window.contains(&c.col()) {
+            grid.get(c)
+        } else {
+            fill
+        }
+    });
+    prop_assert_eq!(sink.out, expect);
+    Ok(())
+}
+
+/// `pack_window` of `patch` at `at` into `base`'s planes unpacks to
+/// `base` with `patch` laid over it.
+fn pack_window_overwrites_only_the_window<S: State, const N: usize>(
+    base: &Grid<S>,
+    patch: &Grid<S>,
+    at: (usize, usize),
+) -> Result<(), TestCaseError> {
+    let (shape, cols) = (base.shape(), base.shape().cols());
+    let (h, w) = (patch.shape().rows(), patch.shape().cols());
+    let mut planes: [Vec<u64>; N] = pack_rows(base, |_, _| Ok::<_, ()>(())).unwrap();
+    pack_window(&mut planes, cols, at, patch);
+    let mut back = Grid::new(shape);
+    unpack_rows(&planes, cols, &mut back);
+    let expect = Grid::from_fn(shape, |c| {
+        let (r, k) = (c.row().wrapping_sub(at.0), c.col().wrapping_sub(at.1));
+        if r < h && k < w {
+            patch.get(lattice_core::Coord::c2(r, k))
+        } else {
+            base.get(c)
+        }
+    });
+    prop_assert_eq!(back, expect);
+    Ok(())
 }
 
 /// An order-sensitive mixing rule: distinguishes window cells from one
@@ -140,6 +218,54 @@ proptest! {
     #[test]
     fn pack_roundtrip_bool(sites in proptest::collection::vec(any::<bool>(), 0..300)) {
         prop_assert_eq!(pack_roundtrip(&sites), sites);
+    }
+
+    /// Every window start column 0–64 and ragged widths, for byte and
+    /// one-bit sites: the unpacker writes the window and nothing else.
+    #[test]
+    fn unpack_rows_writes_any_window(
+        rows in 1usize..4,
+        start in 0usize..=64,
+        width in 1usize..=140,
+        extra in 0usize..70,
+        top in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let cols = start + width + extra;
+        let kept = top.min(rows - 1)..rows;
+        let bytes = seeded(rows, cols, seed, |x| x as u8);
+        unpack_writes_the_window::<u8, 8>(&bytes, kept.clone(), start, width, 0xA5)?;
+        let flags = seeded(rows, cols, seed, |x| x & 1 == 1);
+        unpack_writes_the_window::<bool, 1>(&flags, kept.clone(), start, width, true)?;
+        unpack_writes_the_window::<bool, 1>(&flags, kept, start, width, false)?;
+    }
+
+    /// A window packed into existing planes at any row and column
+    /// replaces exactly its own sites.
+    #[test]
+    fn pack_window_replaces_only_its_sites(
+        rows in 1usize..5,
+        cols in 1usize..200,
+        at in (0usize..5, 0usize..200),
+        size in (1usize..5, 1usize..140),
+        seed in any::<u64>(),
+    ) {
+        let at = (at.0 % rows, at.1 % cols);
+        let (h, w) = (size.0.min(rows - at.0), size.1.min(cols - at.1));
+        let base = seeded(rows, cols, seed, |x| x as u8);
+        let patch = seeded(h, w, !seed, |x| x as u8);
+        pack_window_overwrites_only_the_window::<u8, 8>(&base, &patch, at)?;
+        // Planes narrower than the site drop its high bits.
+        let low = Grid::from_fn(base.shape(), |c| base.get(c) & 0xF);
+        let low_patch = Grid::from_fn(patch.shape(), |c| patch.get(c) & 0xF);
+        let mut planes: [Vec<u64>; 4] = pack_rows(&low, |_, _| Ok::<_, ()>(())).unwrap();
+        pack_window(&mut planes, cols, at, &patch);
+        let mut want: [Vec<u64>; 4] = pack_rows(&low, |_, _| Ok::<_, ()>(())).unwrap();
+        pack_window(&mut want, cols, at, &low_patch);
+        prop_assert_eq!(planes, want);
+        let flags = seeded(rows, cols, seed, |x| x & 1 == 1);
+        let flag_patch = seeded(h, w, !seed, |x| x & 1 == 1);
+        pack_window_overwrites_only_the_window::<bool, 1>(&flags, &flag_patch, at)?;
     }
 
     #[test]

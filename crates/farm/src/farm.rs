@@ -26,10 +26,15 @@
 //! ([`FaultPlan::spares`]): halo-link weather leaves it on the fast
 //! path. The board computes its block with the kernel and charges the
 //! ticks and traffic the cycle engine would count
-//! ([`Pipeline::run_kernel`], DESIGN.md §19). The kernel packs its
+//! ([`Pipeline::kernel_cost`], DESIGN.md §19). The kernel packs its
 //! bit-planes from the board's rows and unpacks only the owned window
-//! into the next lattice. Every report field is the same either way;
-//! only host time moves.
+//! into the next lattice. Within a step whose lattice nothing reads
+//! between passes — no audit, fault plan, watchdog, encoding barrier,
+//! overlap or local replay budget without a rollback behind it — each
+//! board keeps its planes from pass to pass: it writes
+//! only the frame its neighbours import as halo, imports only its own
+//! halo, and the lattice is built whole only by the step's last pass.
+//! Every report field is the same either way; only host time moves.
 //!
 //! The price is redundant halo recompute (each exchanged column is
 //! evolved by two boards) and link time at the barrier; the machine
@@ -81,7 +86,9 @@ use lattice_core::units::{
     u64_from_usize, usize_from_u64, Bits, BitsPerTick, Cells, Hz, Sites, SitesPerSec, SitesPerTick,
     Ticks,
 };
-use lattice_core::{checkpoint, Grid, LatticeError, RowSink, RowSource, Rule, Shape, State};
+use lattice_core::{
+    checkpoint, BlockKernel, Grid, LatticeError, RowSink, RowSource, Rule, Shape, State,
+};
 use lattice_engines_sim::{
     Component, EngineCost, EngineReport, FaultCtx, FaultPlan, FaultStats, Pipeline, RecoveryStats,
     RunOptions, SpaEngine, SpaRunOptions,
@@ -787,19 +794,80 @@ fn crop<S: State>(
     Grid::from_vec(Shape::grid2(rows, width)?, data)
 }
 
-/// Copies `block`, a rectangle `width` sites wide, into `dst` (a
-/// lattice `cols` sites wide) with its top-left site at `(r0, c0)`, one
-/// row segment at a time.
-fn paste<S: State>(
+/// Copies the window `rows × span` of `owned`, block `blk`'s owned
+/// sites (`blk.width` to a row), into their place in `dst`, a lattice
+/// `cols` sites wide, one row segment at a time.
+fn paste_window<S: State>(
     dst: &mut [S],
     cols: usize,
-    (r0, c0): (usize, usize),
-    block: &[S],
-    width: usize,
+    blk: &Block,
+    owned: &[S],
+    (rows, span): (Range<usize>, Range<usize>),
 ) {
-    for (r, row) in block.chunks_exact(width).enumerate() {
-        let d = (r0 + r) * cols + c0;
-        dst[d..d + width].copy_from_slice(row);
+    for r in rows {
+        let (d, o) = ((blk.row0 + r) * cols + blk.col0, r * blk.width);
+        dst[d + span.start..d + span.end].copy_from_slice(&owned[o + span.start..o + span.end]);
+    }
+}
+
+/// The owned windows (owned coordinates) a resident board exports at
+/// the end of a pass: the `k` rows and columns along every side some
+/// board imports as halo — a neighbour across a seam, or, for the
+/// on-board wrap rows of a torus with one board row, the board itself.
+/// They hold every site another board's (or this board's own) halo
+/// reads, corners included.
+fn frame(blk: &Block, k: usize, wrap: usize) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
+    let (h, w) = (blk.rows, blk.width);
+    [
+        (blk.halo_up > 0 || wrap > 0, 0..k.min(h), 0..w),
+        (blk.halo_down > 0 || wrap > 0, h.saturating_sub(k)..h, 0..w),
+        (blk.halo_left > 0, 0..h, 0..k.min(w)),
+        (blk.halo_right > 0, 0..h, w.saturating_sub(k)..w),
+    ]
+    .into_iter()
+    .filter_map(|(on, rows, span)| on.then_some((rows, span)))
+}
+
+/// The halo of a board's augmented block, as whole-height columns and
+/// owned-width rows (on-board wrap rows included): every augmented
+/// site outside the owned window, which a resident board imports
+/// before each pass it runs on its kept planes.
+fn halo(blk: &Block, wrap: usize) -> impl Iterator<Item = Region2d> {
+    let (aug_h, top, left) = (blk.aug_height(wrap), wrap + blk.halo_up, blk.halo_left);
+    let rect = |r0, height, a0, width| Region2d {
+        r0,
+        height,
+        a0,
+        width,
+        own_r_lo: 0,
+        own_r_hi: 0,
+        own_lo: 0,
+        own_hi: 0,
+        boundary: false,
+    };
+    [
+        rect(0, aug_h, 0, left),
+        rect(0, aug_h, left + blk.width, blk.halo_right),
+        rect(0, top, left, blk.width),
+        rect(top + blk.rows, aug_h - top - blk.rows, left, blk.width),
+    ]
+    .into_iter()
+    .filter(|g| g.height > 0 && g.width > 0)
+}
+
+/// A block of sites that are all `S::from_word(u64::MAX)`: in tests a
+/// resident board imports it over its halo first, so a halo site that
+/// the real import misses fails the bit-exactness oracles.
+#[cfg(test)]
+struct Poison(Shape);
+
+#[cfg(test)]
+impl<S: State> RowSource<S> for Poison {
+    fn shape(&self) -> Shape {
+        self.0
+    }
+    fn fill_row(&self, _r: usize, row: &mut [S]) {
+        row.fill(S::from_word(u64::MAX));
     }
 }
 
@@ -849,6 +917,9 @@ struct BoardFailure {
     error: LatticeError,
 }
 
+/// Machine-wide audit callback: `(lattice before, lattice after)` a pass.
+type MachineAudit<'f, S> = dyn FnMut(&Grid<S>, &Grid<S>) -> Result<(), LatticeError> + 'f;
+
 /// Per-board audit callback: `(physical board, aug before, aug after)`.
 pub type ShardAudit<'f, S> = dyn FnMut(usize, &Grid<S>, &Grid<S>) -> Result<(), LatticeError> + 'f;
 
@@ -869,18 +940,28 @@ struct PassParams<'a> {
     attempts: &'a [u64],
     arq_retries: u32,
     watchdog: Option<Duration>,
+    /// Whether the boards keep their planes after this pass, exporting
+    /// only their frames into the next lattice, instead of writing
+    /// their whole owned windows (DESIGN.md §19, "Resident boards").
+    keep: bool,
     /// The committed previous pass's interior-sweep time: the window
     /// this pass's (staged) halo transfer was hidden under. Zero when
     /// the previous pass failed, rolled back, or did not stage.
     overlap_credit: Ticks,
 }
 
+/// A board's kernel state, kept across the passes of a step.
+type Planes<S> = Box<dyn BlockKernel<S>>;
+
 /// What one board's worker hands back: one engine cost per sweep
 /// region, and, when a per-board audit is attached, each region's
-/// augmented block before and after.
+/// augmented block before and after. `planes` goes out with the job
+/// holding the board's kept planes, if any, and comes back holding
+/// them again when the job keeps them.
 struct BoardWork<S: State> {
     costs: Vec<EngineCost>,
     audited: Vec<(Grid<S>, Grid<S>)>,
+    planes: Option<Planes<S>>,
 }
 
 impl<S: State> BoardWork<S> {
@@ -889,6 +970,7 @@ impl<S: State> BoardWork<S> {
         BoardWork {
             costs: Vec::with_capacity(regions),
             audited: Vec::with_capacity(if audited { regions } else { 0 }),
+            planes: None,
         }
     }
 }
@@ -918,8 +1000,11 @@ struct BoardJob<'a, S: State> {
     t0: u64,
     /// Whether a per-board audit wants the augmented blocks back.
     audited: bool,
+    /// Whether the board keeps its planes after the pass and writes
+    /// only its [`frame`] (see [`PassParams::keep`]).
+    keep: bool,
     /// The board's result vectors, allocated by the supervisor with the
-    /// rest of the job; see [`Done::Board`].
+    /// rest of the job, and its kept planes; see [`Done::Board`].
     work: BoardWork<S>,
 }
 
@@ -961,6 +1046,10 @@ struct StepCrew<'scope, 'env, S: State> {
     /// A lattice buffer nothing reads any more: the one the last commit
     /// or rewind replaced, reused as the next pass's lattice.
     spare: Option<Vec<S>>,
+    /// Block `i`'s kept planes between two passes of the step. They go
+    /// out with each of the block's jobs and come back with its answer,
+    /// so they live on the thread that runs the block, which frees them.
+    planes: Vec<Option<Planes<S>>>,
 }
 
 impl<'env, S: State> StepCrew<'_, 'env, S> {
@@ -1226,7 +1315,8 @@ fn load_shard_checkpoints<S: State>(
                 detail: "shard checkpoint does not match its block's shape".into(),
             });
         }
-        paste(grid.as_mut_slice(), shape.cols(), (blk.row0, blk.col0), sg.as_slice(), blk.width);
+        let owned = (0..blk.rows, 0..blk.width);
+        paste_window(grid.as_mut_slice(), shape.cols(), blk, sg.as_slice(), owned);
     }
     Ok((grid, time.unwrap_or(Ticks::ZERO).get()))
 }
@@ -1235,11 +1325,16 @@ fn load_shard_checkpoints<S: State>(
 /// with the board's received frames laid over it, evolved `k`
 /// generations, and its owned window written into `owned`, the board's
 /// rows of the next lattice. A WSA board whose chips no fault can reach
-/// streams rows straight from lattice to next lattice through the
-/// rule's block kernel. Every other board — SPA, chips a fault can
-/// reach, rules or blocks without a kernel — and every audited board
-/// builds each region's augmented block, runs it, and copies the owned
-/// window out; an audited board hands those blocks back for the audit.
+/// runs the rule's block kernel ([`Rule::block_kernel`]): built from the
+/// region's rows, or, when the board kept its planes from the last pass
+/// (`work.planes`), on those planes with only its [`halo`] imported from
+/// the lattice. A board that keeps its planes after the pass (`keep`)
+/// writes only its [`frame`] and hands the planes back; any other
+/// writes its whole owned window. Every other board — SPA, chips a
+/// fault can reach, rules or blocks without a kernel — and every
+/// audited board builds each region's augmented block, runs it, and
+/// copies the owned window out; an audited board hands those blocks
+/// back for the audit.
 fn run_board<R: Rule>(
     rule: &R,
     engine: ShardEngine,
@@ -1259,6 +1354,7 @@ fn run_board<R: Rule>(
         }
         _ => None,
     };
+    let mut kept = work.planes.take();
     for region in &job.regions {
         let src = RegionRows {
             aug,
@@ -1268,14 +1364,42 @@ fn run_board<R: Rule>(
         };
         let mut sink = OwnedRows { segs: owned, region, top: aug.top(), left: job.block.halo_left };
         let origin = (job.origin.0.wrapping_add(region.r0), job.origin.1.wrapping_add(region.a0));
-        if !audited {
-            if let Some(cost) =
-                kernel.and_then(|pipe| pipe.run_kernel(rule, &src, &mut sink, t0, origin))
-            {
-                work.costs.push(cost);
-                continue;
+        let cost = kernel.filter(|_| !audited).and_then(|p| p.kernel_cost::<R::S>(src.shape));
+        let planes = if cost.is_none() {
+            None
+        } else if let Some(mut planes) = kept.take() {
+            for g in halo(&job.block, job.wrap) {
+                let shape = Shape::grid2(g.height, g.width)?;
+                #[cfg(test)]
+                planes.import((g.r0, g.a0), &Poison(shape));
+                planes.import((g.r0, g.a0), &RegionRows { aug, ex: &job.ex, region: &g, shape });
             }
+            Some(planes)
+        } else {
+            rule.block_kernel(&src, t0, origin)
+        };
+        if let (Some(cost), Some(mut planes)) = (cost, planes) {
+            planes.run(u64_from_usize(k));
+            if job.keep {
+                for (rows, span) in frame(&job.block, k, job.wrap) {
+                    let g = Region2d {
+                        own_r_lo: rows.start,
+                        own_r_hi: rows.end,
+                        own_lo: span.start,
+                        own_hi: span.end,
+                        ..*region
+                    };
+                    let (top, left) = (sink.top, sink.left);
+                    planes.unpack(&mut OwnedRows { segs: &mut *sink.segs, region: &g, top, left });
+                }
+                work.planes = Some(planes);
+            } else {
+                planes.unpack(&mut sink);
+            }
+            work.costs.push(cost);
+            continue;
         }
+        debug_assert!(kept.is_none(), "kept planes reach only a board on the kernel");
         let before = Grid::from_rows(&src);
         let fast = kernel.filter(|_| audited).and_then(|pipe| {
             let mut after = Grid::new(src.shape);
@@ -1673,6 +1797,9 @@ impl LatticeFarm {
         if cache.next.len() != shape.len() {
             cache.next = recycle(std::mem::take(&mut cache.next), shape.len());
         }
+        if crew.planes.len() < pp.blocks.len() {
+            crew.planes.resize_with(pp.blocks.len(), || None);
+        }
         let mut own = None;
         let mut handed = Vec::with_capacity(pp.blocks.len());
         for block in pp.blocks {
@@ -1684,12 +1811,14 @@ impl LatticeFarm {
             let ex = cached(cache.boards[i].exchange.as_ref(), i, "halo exchange")?;
             let regions = sweep_regions2d(block, pp.k, self.overlap, wrap);
             let audited = shard_audit.is_some();
+            let mut work = BoardWork::with_capacity(regions.len(), audited);
+            work.planes = crew.planes[i].take();
             let job = BoardJob {
                 lattice: grid.clone(),
                 block: *block,
                 wrap,
                 ex: ex.clone(),
-                work: BoardWork::with_capacity(regions.len(), audited),
+                work,
                 regions,
                 ctx: plan
                     .map(|p| FaultCtx::for_shard(p, u64_from_usize(b), pp.pass, pp.attempts[b])),
@@ -1704,6 +1833,7 @@ impl LatticeFarm {
                 k: pp.k,
                 t0: pp.t_now,
                 audited,
+                keep: pp.keep,
             };
             if i == 0 {
                 own = Some(job);
@@ -1735,8 +1865,17 @@ impl LatticeFarm {
             match answer {
                 Answer::Done(Done::Board(work, window, _job)) => {
                     let b = &pp.blocks[i];
-                    if work.is_ok() {
-                        paste(&mut cache.next, cols, (b.row0, b.col0), &window, b.width);
+                    match &work {
+                        // A board that keeps its planes wrote only its frame.
+                        Ok(w) if w.planes.is_some() => {
+                            for f in frame(b, pp.k, wrap) {
+                                paste_window(&mut cache.next, cols, b, &window, f);
+                            }
+                        }
+                        Ok(_) => {
+                            paste_window(&mut cache.next, cols, b, &window, (0..b.rows, 0..b.width))
+                        }
+                        Err(_) => {}
                     }
                     crew.windows[i - 1] = window;
                     results[i] = Some(work);
@@ -1767,7 +1906,10 @@ impl LatticeFarm {
                         None => Ok(()),
                     };
                     match verdict {
-                        Ok(()) => cache.boards[i].costs = Some(work.costs),
+                        Ok(()) => {
+                            cache.boards[i].costs = Some(work.costs);
+                            crew.planes[i] = work.planes;
+                        }
                         Err(e) => {
                             failure.get_or_insert(BoardFailure { slab: Some(i), error: e });
                         }
@@ -1902,7 +2044,8 @@ impl LatticeFarm {
     /// `t0`, in passes of the configured depth (the final pass may be
     /// shallower): a one-step session under a zero recovery budget, so
     /// it borrows `grid`, takes no checkpoint barrier, and fails on the
-    /// first detection.
+    /// first detection. Nothing reads the lattice between its passes, so
+    /// kernel boards keep their planes across them.
     ///
     /// Bit-exactness contract: equals the reference
     /// `lattice_core::evolve` under the farm's boundary.
@@ -1917,7 +2060,7 @@ impl LatticeFarm {
         let mut session =
             self.session_inner(Committed::Borrowed(grid), t0, PlanRef::None, &none, None)?;
         session.step(rule, generations)?;
-        Ok(session.finish().report)
+        Ok(session.finish()?.report)
     }
 
     /// [`LatticeFarm::run`] hardened against hardware faults through the
@@ -1989,7 +2132,7 @@ impl LatticeFarm {
         if let Some(s) = sink {
             session.checkpoint(Some(s))?;
         }
-        Ok(session.finish())
+        session.finish()
     }
 
     /// Opens a re-entrant run: the full recovery-ladder state of
@@ -2112,6 +2255,7 @@ impl LatticeFarm {
             retries_left: cfg.max_retries,
             retired_left: max_retired,
             current: grid,
+            partial: false,
             t_now: t0,
             passes: 0,
             passes_since_ckpt: 0,
@@ -2171,7 +2315,10 @@ impl PlanRef<'_> {
 /// A `step` that returns an error has exhausted the recovery ladder
 /// mid-pass; the session's lattice is the last committed state, but its
 /// retry budgets are spent — the session should be checkpointed (to
-/// salvage the state) or discarded, not stepped again.
+/// salvage the state) or discarded, not stepped again. If the boards
+/// had kept their planes across that pass, the lattice holds only
+/// their frames: the session is then lost, and `grid`, `report`,
+/// `finish`, `step` and `checkpoint` refuse it.
 pub struct FarmSession<'p, S: State> {
     farm: LatticeFarm,
     cfg: FarmRecoveryConfig,
@@ -2203,6 +2350,10 @@ pub struct FarmSession<'p, S: State> {
     /// The last committed lattice: the caller's own until the first
     /// pass commits when the session borrows it.
     current: Committed<'p, S>,
+    /// Whether `current` holds only the boards' frames, the rest of the
+    /// lattice living in the planes the boards kept: true between the
+    /// passes of a step that keep them, never once a step returns `Ok`.
+    partial: bool,
     t_now: u64,
     /// Committed passes (re-commits after a rollback included), which
     /// is also the logical pass number (fault-epoch key) of the next.
@@ -2224,9 +2375,11 @@ impl<'p, S: State> FarmSession<'p, S> {
         self.passes
     }
 
-    /// The last committed lattice.
-    pub fn grid(&self) -> &Grid<S> {
-        &self.current
+    /// The last committed lattice; an error once a failed step has
+    /// lost it.
+    pub fn grid(&self) -> Result<&Grid<S>, LatticeError> {
+        self.whole()?;
+        Ok(&self.current)
     }
 
     /// Recovery actions taken so far.
@@ -2237,15 +2390,17 @@ impl<'p, S: State> FarmSession<'p, S> {
     /// A mid-run snapshot of the machine report: the accounting of
     /// every committed pass so far, with the current lattice. The
     /// session keeps running — this is what the daemon's `stats`
-    /// endpoint serves between steps.
-    pub fn report(&self) -> FarmReport<S> {
+    /// endpoint serves between steps. An error once a failed step has
+    /// lost the lattice.
+    pub fn report(&self) -> Result<FarmReport<S>, LatticeError> {
+        self.whole()?;
         let faults = self.plan.get().map(|p| p.stats().since(self.fault_base)).unwrap_or_default();
-        self.totals.clone().finish(
+        Ok(self.totals.clone().finish(
             Grid::clone(&self.current),
             self.passes,
             self.farm.shards(),
             faults,
-        )
+        ))
     }
 
     /// Takes a fresh checkpoint barrier *now* (pushed to `sink` when one
@@ -2258,6 +2413,7 @@ impl<'p, S: State> FarmSession<'p, S> {
         &mut self,
         mut sink: Option<&mut (dyn SnapshotSink + '_)>,
     ) -> Result<(), LatticeError> {
+        self.whole()?;
         self.barrier(&mut sink, true, None)
     }
 
@@ -2305,8 +2461,14 @@ impl<'p, S: State> FarmSession<'p, S> {
     }
 
     /// Advances the run `n` generations through the recovery ladder.
+    ///
+    /// With no audit to read each pass, a step on WSA boards without a
+    /// fault plan, injected worker fault, watchdog, overlap or a local
+    /// replay budget that no rollback backs keeps each board's planes
+    /// from pass to pass and builds the lattice only where something
+    /// reads it (DESIGN.md §19, "Resident boards").
     pub fn step<R: Rule<S = S>>(&mut self, rule: &R, n: u64) -> Result<(), LatticeError> {
-        self.step_audited(rule, n, |_, _| Ok(()), None, None)
+        self.step_inner(rule, n, None, None, None)
     }
 
     /// [`FarmSession::step`] with the machine-wide and per-board audits
@@ -2315,18 +2477,32 @@ impl<'p, S: State> FarmSession<'p, S> {
     /// crosses. A rollback may legally rewind behind the chunk's start
     /// (the barrier is wherever `checkpoint_every` last put it); the
     /// chunk still ends at the same absolute generation.
-    ///
-    /// The step's board crew lives exactly as long as this call: one
-    /// helper thread per board past the first, spawned by its first job
-    /// and joined before the call returns (DESIGN.md §19, "The board crew").
     pub fn step_audited<R: Rule<S = S>>(
         &mut self,
         rule: &R,
         n: u64,
         mut audit: impl FnMut(&Grid<S>, &Grid<S>) -> Result<(), LatticeError>,
         shard_audit: Option<&mut ShardAudit<'_, S>>,
+        sink: Option<&mut (dyn SnapshotSink + '_)>,
+    ) -> Result<(), LatticeError> {
+        self.step_inner(rule, n, Some(&mut audit), shard_audit, sink)
+    }
+
+    /// The one step both entry points take, the machine audit an
+    /// `Option` so a step can say it has none.
+    ///
+    /// The step's board crew lives exactly as long as this call: one
+    /// helper thread per board past the first, spawned by its first job
+    /// and joined before the call returns (DESIGN.md §19, "The board crew").
+    fn step_inner<R: Rule<S = S>>(
+        &mut self,
+        rule: &R,
+        n: u64,
+        audit: Option<&mut MachineAudit<'_, S>>,
+        shard_audit: Option<&mut ShardAudit<'_, S>>,
         mut sink: Option<&mut (dyn SnapshotSink + '_)>,
     ) -> Result<(), LatticeError> {
+        self.whole()?;
         if n == 0 {
             return Ok(());
         }
@@ -2335,18 +2511,54 @@ impl<'p, S: State> FarmSession<'p, S> {
         let (engine, fault) = (self.farm.engine, self.farm.worker_fault);
         let work: &Work<'_, S> = &move |job| help(rule, engine, fault, job);
         std::thread::scope(|scope| {
-            let mut crew =
-                StepCrew { crew: Crew::new(scope, work), windows: Vec::new(), spare: None };
-            self.run_passes(
-                rule,
-                self.t_now + n,
-                plan,
-                &mut crew,
-                &mut audit,
-                shard_audit,
-                &mut sink,
-            )
+            let mut crew = StepCrew {
+                crew: Crew::new(scope, work),
+                windows: Vec::new(),
+                spare: None,
+                planes: Vec::new(),
+            };
+            self.run_passes(rule, self.t_now + n, plan, &mut crew, audit, shard_audit, &mut sink)
         })
+    }
+
+    /// Whether the boards may keep their planes after a `k`-deep pass
+    /// starting at the current generation: only when nothing reads the
+    /// lattice it would build. The lattice is built when the pass is
+    /// the step's last (or the next is shallower, with other blocks),
+    /// when a barrier after it encodes, when an audit reads every pass,
+    /// under overlap (the ship-ahead reads it), on SPA boards (cycle
+    /// engines read whole blocks), when a fault plan, an injected
+    /// worker fault or a watchdog could make a ladder level replay a
+    /// board from it, and when local replay (level 2) is budgeted with
+    /// no restoring level behind it: a board that fails on kept planes
+    /// cannot replay alone, so only a rewind can still save the step.
+    fn keeps(&self, k: usize, t_end: u64, audited: bool, plan: bool, sink: bool) -> bool {
+        let farm = &self.farm;
+        let barrier_encodes = self.passes_since_ckpt + 1 >= self.cfg.checkpoint_every
+            && (sink || self.cfg.restores());
+        matches!(farm.engine, ShardEngine::Wsa { .. })
+            && !farm.overlap
+            && !audited
+            && !plan
+            && farm.worker_fault.is_none()
+            && self.cfg.watchdog.is_none()
+            && (self.cfg.local_retries == 0 || self.cfg.restores())
+            && !barrier_encodes
+            && t_end - self.t_now >= 2 * u64_from_usize(k)
+    }
+
+    /// Refuses to read or extend a session whose lattice was lost: a
+    /// step that failed between two passes whose boards kept their
+    /// planes leaves only the boards' frames in it.
+    fn whole(&self) -> Result<(), LatticeError> {
+        if self.partial {
+            return Err(LatticeError::InvalidConfig(
+                "the session's lattice was lost when a step failed between passes that \
+                 kept their planes"
+                    .into(),
+            ));
+        }
+        Ok(())
     }
 
     /// The pass loop of one step, on the step's crew.
@@ -2357,19 +2569,21 @@ impl<'p, S: State> FarmSession<'p, S> {
         t_end: u64,
         plan: Option<&'env FaultPlan>,
         crew: &mut StepCrew<'_, 'env, S>,
-        audit: &mut impl FnMut(&Grid<S>, &Grid<S>) -> Result<(), LatticeError>,
+        mut audit: Option<&mut MachineAudit<'_, S>>,
         mut shard_audit: Option<&mut ShardAudit<'_, S>>,
         sink: &mut Option<&mut (dyn SnapshotSink + '_)>,
     ) -> Result<(), LatticeError>
     where
         'p: 'env,
     {
+        let audited = audit.is_some() || shard_audit.is_some();
         'run: while self.t_now < t_end {
             if self.passes_since_ckpt >= self.cfg.checkpoint_every {
                 self.barrier(sink, false, Some(crew))?;
             }
             let k = self.farm.depth.min(usize_from_u64(t_end - self.t_now));
             let blocks = self.farm.blocks_at(self.rows, self.cols, self.phys.len(), k)?;
+            let keep = self.keeps(k, t_end, audited, plan.is_some(), sink.is_some());
             let mut cache = PassCache::new(blocks.len(), crew.next_lattice(self.shape.len()));
             loop {
                 let pp = PassParams {
@@ -2384,6 +2598,7 @@ impl<'p, S: State> FarmSession<'p, S> {
                     attempts: &self.attempts,
                     arq_retries: self.cfg.arq_retries,
                     watchdog: self.cfg.watchdog,
+                    keep,
                     overlap_credit: self.credit,
                 };
                 let res = self
@@ -2401,9 +2616,11 @@ impl<'p, S: State> FarmSession<'p, S> {
                         shard_audit.as_deref_mut(),
                         crew,
                     )
-                    .and_then(|out| match audit(&self.current, &out.grid) {
-                        Ok(()) => Ok(out),
-                        Err(e) => Err(BoardFailure { slab: None, error: e }),
+                    .and_then(|out| {
+                        match audit.as_deref_mut().map(|a| a(&self.current, &out.grid)) {
+                            Some(Err(e)) => Err(BoardFailure { slab: None, error: e }),
+                            _ => Ok(out),
+                        }
                     });
                 match res {
                     Ok(out) => {
@@ -2411,6 +2628,7 @@ impl<'p, S: State> FarmSession<'p, S> {
                         self.credit = out.interior_ticks;
                         let next = Committed::Shared(Arc::new(out.grid));
                         crew.spare = std::mem::replace(&mut self.current, next).reclaim();
+                        self.partial = keep;
                         self.t_now += u64_from_usize(k);
                         self.passes += 1;
                         self.passes_since_ckpt += 1;
@@ -2429,8 +2647,10 @@ impl<'p, S: State> FarmSession<'p, S> {
                         self.credit = Ticks::ZERO;
                         // Level 2 — roll back just the failed board and
                         // replay its buffered halos; the cache keeps
-                        // every other board's clean work.
-                        if let Some(i) = fail.slab {
+                        // every other board's clean work. A board that
+                        // ran on its kept planes cannot replay: the
+                        // lattice holds only its frame.
+                        if let Some(i) = fail.slab.filter(|_| !self.partial) {
                             let b = self.phys[i];
                             if self.local_left[b] > 0 {
                                 self.local_left[b] -= 1;
@@ -2446,6 +2666,7 @@ impl<'p, S: State> FarmSession<'p, S> {
                         if self.retries_left > 0 {
                             self.retries_left -= 1;
                             self.recovery.rollbacks += 1;
+                            crew.planes.clear();
                             crew.spare = self.rewind()?;
                             continue 'run;
                         }
@@ -2458,6 +2679,7 @@ impl<'p, S: State> FarmSession<'p, S> {
                                 self.recovery.boards_retired += 1;
                                 let b = self.phys.remove(i);
                                 self.totals.per_shard[b].retired = true;
+                                crew.planes.clear();
                                 crew.spare = self.rewind()?;
                                 // Only reachable on single-row grids
                                 // (`session_inner` gates the degrade
@@ -2489,6 +2711,7 @@ impl<'p, S: State> FarmSession<'p, S> {
     fn rewind(&mut self) -> Result<Option<Vec<S>>, LatticeError> {
         let (g, t) = load_shard_checkpoints::<S>(&self.ckpt, &self.ckpt_slabs, self.shape)?;
         let discarded = std::mem::replace(&mut self.current, Committed::Shared(Arc::new(g)));
+        self.partial = false;
         self.t_now = t;
         self.passes_since_ckpt = 0;
         for a in self.attempts.iter_mut() {
@@ -2498,10 +2721,12 @@ impl<'p, S: State> FarmSession<'p, S> {
     }
 
     /// Closes the session: the final machine report and recovery tally,
-    /// identical to what the one-shot entry points return.
-    pub fn finish(self) -> FarmFtRun<S> {
+    /// identical to what the one-shot entry points return. An error
+    /// once a failed step has lost the lattice.
+    pub fn finish(self) -> Result<FarmFtRun<S>, LatticeError> {
+        self.whole()?;
         let faults = self.plan.get().map(|p| p.stats().since(self.fault_base)).unwrap_or_default();
-        FarmFtRun {
+        Ok(FarmFtRun {
             report: self.totals.finish(
                 self.current.into_grid(),
                 self.passes,
@@ -2509,7 +2734,7 @@ impl<'p, S: State> FarmSession<'p, S> {
                 faults,
             ),
             recovery: self.recovery,
-        }
+        })
     }
 }
 
@@ -2543,7 +2768,7 @@ mod tests {
         }
     }
 
-    /// HPP that counts how often a board reaches its block kernel.
+    /// HPP that counts how often a board builds its block kernel.
     struct CountingKernel {
         hpp: HppRule,
         calls: std::sync::atomic::AtomicUsize,
@@ -2554,16 +2779,14 @@ mod tests {
         fn update(&self, w: &lattice_core::Window<u8>) -> u8 {
             self.hpp.update(w)
         }
-        fn evolve_block(
+        fn block_kernel(
             &self,
             src: &dyn RowSource<u8>,
-            sink: &mut dyn RowSink<u8>,
             t0: u64,
-            generations: usize,
             origin: (usize, usize),
-        ) -> bool {
+        ) -> Option<Box<dyn BlockKernel<u8>>> {
             self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.hpp.evolve_block(src, sink, t0, generations, origin)
+            self.hpp.block_kernel(src, t0, origin)
         }
     }
 
@@ -2581,12 +2804,22 @@ mod tests {
         // forward the hook or every board silently runs cycle by cycle.
         let report = farm.run(&&rule, &g, 0, 5).unwrap();
         assert_eq!(report.grid(), &reference);
-        assert_eq!(calls(), 3 * 3, "one kernel call per board per pass");
+        // Each board builds its planes from the lattice twice: for pass
+        // 1, whose planes pass 2 runs on, and for the shallow pass 3,
+        // whose blocks differ.
+        assert_eq!(calls(), 2 * 3, "one kernel build per board per lattice read");
+        // Four full-depth passes build once and stay resident.
+        let long = farm.run(&&rule, &g, 0, 8).unwrap();
+        assert_eq!(long.grid(), &evolve(&g, &rule.hpp, Boundary::null(), 0, 8));
+        assert_eq!(long.passes, 4);
+        assert_eq!(calls(), 3, "the planes stay resident through a reference");
         // Overlap: one call per sweep region.
         let overlapped = farm.with_overlap(true).run(&&rule, &g, 0, 5).unwrap();
         assert_eq!(overlapped.grid(), &reference);
         assert!(calls() > 3 * 3);
 
+        // Under a fault plan and an audit every pass reads the lattice:
+        // one kernel build per board per pass.
         let cfg = FarmRecoveryConfig::default();
         let run = |plan: &FaultPlan| {
             farm.run_with_recovery(&&rule, &g, 0, 5, Some(plan), &cfg, |_, _| Ok(())).unwrap()
@@ -2629,6 +2862,89 @@ mod tests {
         let spa = LatticeFarm::new(3, ShardEngine::Spa { slice_width: 1 }, 2);
         assert_eq!(spa.run(&&rule, &g, 0, 5).unwrap().grid(), &reference);
         assert_eq!(calls(), 0);
+    }
+
+    #[test]
+    fn audits_read_every_committed_pass() {
+        // A 2×2 torus grid, 7 generations at k = 2: four passes, the
+        // last shallow. Each audit is called once per committed pass
+        // (the per-board one once per board), with the whole lattice,
+        // or the board's augmented block, before and after the pass.
+        let (g, rule) = hpp_world(12, 24, 6);
+        let farm = LatticeFarm::new(1, ShardEngine::Wsa { width: 2 }, 2)
+            .with_grid(2, 2)
+            .with_periodic(true);
+        let mut machine = Vec::new();
+        let mut boards = Vec::new();
+        let mut shard = |b: usize, before: &Grid<u8>, after: &Grid<u8>| {
+            boards.push((b, before.clone(), after.clone()));
+            Ok(())
+        };
+        let audit = |before: &Grid<u8>, after: &Grid<u8>| {
+            machine.push((before.clone(), after.clone()));
+            Ok(())
+        };
+        let none = FarmRecoveryConfig::NONE;
+        let ft = farm
+            .run_with_recovery_audited(&rule, &g, 0, 7, None, &none, audit, Some(&mut shard), None)
+            .unwrap();
+        let at = |t: u64| evolve(&g, &rule, Boundary::Periodic, 0, t);
+        assert_eq!(ft.report.grid(), &at(7));
+        let passes = [(0u64, 2usize), (2, 2), (4, 2), (6, 1)];
+        assert_eq!(machine.len(), passes.len());
+        for ((before, after), (t, k)) in machine.iter().zip(passes) {
+            assert_eq!((before, after), (&at(t), &at(t + k as u64)), "pass at {t}");
+        }
+        assert_eq!(boards.len(), 4 * passes.len());
+        for (j, (b, before, after)) in boards.iter().enumerate() {
+            let (t, k) = passes[j / 4];
+            let blocks = partition2d(12, 24, 2, 2, k, true).unwrap();
+            let lattice = at(t);
+            let aug = Augmented::new(&lattice, &blocks[j % 4], 0);
+            let shape = Shape::grid2(aug.rows(), blocks[j % 4].aug_width()).unwrap();
+            let mut want = Grid::new(shape);
+            for (r, row) in want.as_mut_slice().chunks_exact_mut(shape.cols()).enumerate() {
+                aug.copy_row(r, 0, row);
+            }
+            assert_eq!((*b, before), (j % 4, &want), "board {j}");
+            assert_eq!(after, &evolve(before, &rule, Boundary::null(), t, k as u64));
+        }
+    }
+
+    #[test]
+    fn resident_boards_import_every_halo_site() {
+        // Boards that keep their planes import their halos from the
+        // frames the last pass wrote; every halo site is poisoned
+        // before the import and every unwritten lattice site before
+        // the pass, so a site either one misses fails the reference.
+        // One-board grids on the torus import from themselves, and a
+        // single board row keeps its wrap rows on board.
+        for (gr, gc) in [(1usize, 1usize), (1, 2), (2, 1), (2, 2), (3, 1)] {
+            for periodic in [false, true] {
+                for k in 1..=3usize {
+                    let (rows, cols) = (gr * (k + 2) + 1, gc * (k + 1) + 67);
+                    let boundary = if periodic { Boundary::Periodic } else { Boundary::null() };
+                    let farm = LatticeFarm::new(1, ShardEngine::Wsa { width: 1 }, k)
+                        .with_grid(gr, gc)
+                        .with_periodic(periodic);
+                    let case = format!("{gr}×{gc} periodic={periodic} k={k}");
+                    let (hpp, rule) = hpp_world(rows, cols, k as u64);
+                    let report = farm.run(&rule, &hpp, 1, 3 * k as u64 + 1).unwrap();
+                    let want = evolve(&hpp, &rule, boundary, 1, 3 * k as u64 + 1);
+                    assert_eq!(report.grid(), &want, "HPP {case}");
+                    let rows = rows + rows % 2;
+                    let even = Shape::grid2(rows, cols).unwrap();
+                    let fhp = init::random_fhp(even, FhpVariant::I, 0.4, 5, periodic).unwrap();
+                    let mut frule = FhpRule::new(FhpVariant::I, 7);
+                    if periodic {
+                        frule = frule.with_wrap(rows, cols);
+                    }
+                    let report = farm.run(&frule, &fhp, 2, 3 * k as u64).unwrap();
+                    let want = evolve(&fhp, &frule, boundary, 2, 3 * k as u64);
+                    assert_eq!(report.grid(), &want, "FHP-I {case}");
+                }
+            }
+        }
     }
 
     /// HPP without its block kernel: every board runs the cycle engine.
@@ -2711,6 +3027,7 @@ mod tests {
                 k,
                 t0: 0,
                 audited: false,
+                keep: false,
             };
             let mut next = vec![0xAAu8; shape.len()];
             let owned = &mut owned_rows(&mut next, 24, &blocks)[0];
@@ -3312,9 +3629,9 @@ mod tests {
                 sess.step(&rule, n).unwrap();
             }
             assert_eq!(sess.time(), 17, "overlap={overlap}");
-            let mid = sess.report();
+            let mid = sess.report().unwrap();
             assert_eq!(mid.grid(), one.report.grid(), "mid-run snapshot sees the lattice");
-            let ft = sess.finish();
+            let ft = sess.finish().unwrap();
             assert_eq!(ft.report.grid(), one.report.grid(), "overlap={overlap}");
             assert_eq!(ft.report.machine.generations, one.report.machine.generations);
             // A chunk that ends mid-depth closes with a shallower pass,
@@ -3336,7 +3653,7 @@ mod tests {
         let one = farm.run_with_recovery(&rule, &g, 0, 10, None, &cfg, |_, _| Ok(())).unwrap();
         let mut sess = farm.session_owned(&g, 0, None, &cfg, None).unwrap();
         sess.step(&rule, 10).unwrap();
-        let ft = sess.finish();
+        let ft = sess.finish().unwrap();
         assert_eq!(ft.report.grid(), one.report.grid());
         assert_eq!(ft.report.overlapped_ticks, one.report.overlapped_ticks);
         assert_eq!(ft.report.halo_ticks, one.report.halo_ticks);
@@ -3368,7 +3685,7 @@ mod tests {
             sess.step(&rule, n).unwrap();
             left -= n;
         }
-        let ft = sess.finish();
+        let ft = sess.finish().unwrap();
         assert_eq!(ft.report.grid(), &reference, "chunked recovered run is bit-exact");
         assert!(ft.recovery.detected >= 1);
         assert_eq!(ft.recovery.detected, ft.recovery.retransmits, "all absorbed at level 1");
@@ -3387,7 +3704,7 @@ mod tests {
         assert_eq!(sess.recovery().checkpoints, after_open + 2);
         sess.step(&rule, 4).unwrap();
         let reference = evolve(&g, &rule, Boundary::null(), 0, 8);
-        assert_eq!(sess.grid(), &reference);
+        assert_eq!(sess.grid().unwrap(), &reference);
 
         // A barrier is encoded only when something can read it. With no
         // restoring budget and no sink, periodic barriers fall due every
@@ -3399,7 +3716,7 @@ mod tests {
         // ...while an explicit checkpoint still snapshots both blocks.
         sess.checkpoint(None).unwrap();
         assert_eq!(sess.recovery().checkpoints, 2);
-        assert_eq!(sess.grid(), &evolve(&g, &rule, Boundary::null(), 0, 4));
+        assert_eq!(sess.grid().unwrap(), &evolve(&g, &rule, Boundary::null(), 0, 4));
         // A global retry budget, a degrade budget, or a sink brings the
         // opening barrier back.
         let degrade =
@@ -3549,7 +3866,7 @@ mod tests {
             farm.session_owned(&g, 0, None, &FarmRecoveryConfig::default(), None).unwrap();
         sess.step(&rule, 5).unwrap();
         let reference = evolve(&g, &rule, Boundary::null(), 0, 5);
-        assert_eq!(sess.grid(), &reference);
+        assert_eq!(sess.grid().unwrap(), &reference);
     }
 
     #[test]
@@ -3571,7 +3888,7 @@ mod tests {
             sess.step(&rule, n).unwrap();
             sess.checkpoint(None).unwrap();
         }
-        assert_eq!(sess.grid(), &reference);
+        assert_eq!(sess.grid().unwrap(), &reference);
     }
 
     /// HPP whose block kernel panics once, at `at`: the generation and
@@ -3587,18 +3904,16 @@ mod tests {
         fn update(&self, w: &lattice_core::Window<u8>) -> u8 {
             self.hpp.update(w)
         }
-        fn evolve_block(
+        fn block_kernel(
             &self,
             src: &dyn RowSource<u8>,
-            sink: &mut dyn RowSink<u8>,
             t0: u64,
-            generations: usize,
             origin: (usize, usize),
-        ) -> bool {
+        ) -> Option<Box<dyn BlockKernel<u8>>> {
             if (t0, origin.1) == self.at && self.armed.swap(false, Ordering::SeqCst) {
                 panic!("injected board panic");
             }
-            self.hpp.evolve_block(src, sink, t0, generations, origin)
+            self.hpp.block_kernel(src, t0, origin)
         }
     }
 
@@ -3702,5 +4017,99 @@ mod tests {
         assert_eq!(ft.recovery.local_rollbacks, 1);
         assert_eq!(crew::spawns() - before, 2);
         assert_eq!(ft.report.grid(), &evolve(&g, &rule, Boundary::null(), 0, 24));
+    }
+
+    /// HPP whose kernel panics once, in the `run` that starts at
+    /// generation `at` — a board that fails on its kept planes.
+    struct PanicInRun {
+        hpp: HppRule,
+        at: u64,
+        armed: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    struct Ticking {
+        inner: Box<dyn BlockKernel<u8>>,
+        t: u64,
+        at: u64,
+        armed: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl BlockKernel<u8> for Ticking {
+        fn run(&mut self, generations: u64) {
+            if self.t == self.at && self.armed.swap(false, Ordering::SeqCst) {
+                panic!("injected kernel panic");
+            }
+            self.inner.run(generations);
+            self.t += generations;
+        }
+        fn import(&mut self, at: (usize, usize), src: &dyn RowSource<u8>) {
+            self.inner.import(at, src);
+        }
+        fn unpack(&self, sink: &mut dyn RowSink<u8>) {
+            self.inner.unpack(sink);
+        }
+    }
+
+    impl Rule for PanicInRun {
+        type S = u8;
+        fn update(&self, w: &lattice_core::Window<u8>) -> u8 {
+            self.hpp.update(w)
+        }
+        fn block_kernel(
+            &self,
+            src: &dyn RowSource<u8>,
+            t0: u64,
+            origin: (usize, usize),
+        ) -> Option<Box<dyn BlockKernel<u8>>> {
+            let inner = self.hpp.block_kernel(src, t0, origin)?;
+            Some(Box::new(Ticking { inner, t: t0, at: self.at, armed: Arc::clone(&self.armed) }))
+        }
+    }
+
+    #[test]
+    fn a_board_failing_on_its_kept_planes_rewinds_or_loses_the_step() {
+        // Pass 4 of an 8-pass step runs on the planes pass 3 kept; the
+        // lattice holds only the boards' frames, so the failed board
+        // cannot replay alone. A local budget with no global retry behind
+        // it therefore keeps no planes, and the board replays alone as on
+        // the per-pass path. With a global retry the boards keep their
+        // planes and the step rewinds to the opening barrier, bit-exact;
+        // with no budget at all the step fails and the session refuses
+        // every read and step after it.
+        let (g, hpp) = hpp_world(8, 40, 3);
+        let farm = LatticeFarm::new(2, ShardEngine::Wsa { width: 1 }, 1).with_periodic(true);
+        let rule = PanicInRun { hpp, at: 3, armed: Arc::new(true.into()) };
+        let reference = evolve(&g, &rule.hpp, Boundary::Periodic, 0, 8);
+        let local_only = FarmRecoveryConfig {
+            max_retries: 0,
+            local_retries: 2,
+            checkpoint_every: u64::MAX,
+            ..FarmRecoveryConfig::NONE
+        };
+        let global = FarmRecoveryConfig { max_retries: 1, ..local_only };
+        for (cfg, local, rollbacks) in [(local_only, 1, 0), (global, 0, 1)] {
+            rule.armed.store(true, Ordering::SeqCst);
+            let mut session = farm.session_owned(&g, 0, None, &cfg, None).unwrap();
+            session.step(&rule, 8).unwrap();
+            let recovery = session.recovery();
+            assert_eq!((recovery.detected, recovery.local_rollbacks), (1, local), "{cfg:?}");
+            assert_eq!(recovery.rollbacks, rollbacks, "{cfg:?}");
+            assert_eq!(session.grid().unwrap(), &reference, "{cfg:?}");
+        }
+        rule.armed.store(true, Ordering::SeqCst);
+        let none = FarmRecoveryConfig::NONE;
+        let mut session = farm.session_owned(&g, 0, None, &none, None).unwrap();
+        let err = session.step(&rule, 8).unwrap_err();
+        assert!(matches!(err, LatticeError::BoardDown { .. }), "{err}");
+        let refusals = [
+            session.grid().map(drop),
+            session.report().map(drop),
+            session.step(&rule, 1),
+            session.checkpoint(None),
+        ];
+        for refused in refusals {
+            assert!(refused.unwrap_err().to_string().contains("was lost"));
+        }
+        assert!(session.finish().is_err());
     }
 }

@@ -13,7 +13,10 @@
 //! `k`-deep halos over finite-bandwidth, parity-checked inter-board
 //! links ([`BoardLink`]), then compute `k` generations concurrently,
 //! each board reading its block from the committed lattice and writing
-//! its owned rows of the next one.
+//! its owned rows of the next one. When nothing reads the lattice
+//! between two passes (no audit, fault plan, barrier or overlap), a
+//! board on the bit-plane kernel keeps its planes instead, writes only
+//! the frame its neighbours import, and imports only its halo.
 //!
 //! Three contracts, all enforced by tests:
 //!

@@ -29,14 +29,18 @@
 //! [`RowSource`] and unpacks only the window a [`RowSink`] keeps, so a
 //! board reads the lattice once and writes its owned sites once.
 //!
+//! It is also [`HppRule`]'s [`BlockKernel`]: a farm board keeps the
+//! planes across the passes of a step, importing only its halo
+//! between them ([`pack_window`]).
+//!
 //! Packing, unpacking and the row shift are [`lattice_core::bits`]'s
 //! [`pack_rows`], [`unpack_rows`] and [`shift_row`].
 //!
 //! [`HppRule`]: crate::hpp::HppRule
 
 use crate::hpp::HPP_MASK;
-use lattice_core::bits::{pack_rows, shift_row, unpack_rows};
-use lattice_core::{Grid, LatticeError, RowSink, RowSource, Shape};
+use lattice_core::bits::{pack_rows, pack_window, shift_row, unpack_rows};
+use lattice_core::{BlockKernel, Grid, LatticeError, RowSink, RowSource, Shape};
 
 /// The index of the first site with bits outside `mask`. A lattice
 /// that has none costs one OR fold, which vectorises.
@@ -188,6 +192,20 @@ impl HppBitLattice {
     /// Total particle count.
     pub fn mass(&self) -> u64 {
         self.planes.iter().flat_map(|p| p.iter()).map(|w| w.count_ones() as u64).sum()
+    }
+}
+
+impl BlockKernel<u8> for HppBitLattice {
+    fn run(&mut self, generations: u64) {
+        HppBitLattice::run(self, generations);
+    }
+
+    fn import(&mut self, at: (usize, usize), src: &dyn RowSource<u8>) {
+        pack_window(&mut self.planes, self.cols, at, src);
+    }
+
+    fn unpack(&self, sink: &mut dyn RowSink<u8>) {
+        HppBitLattice::unpack(self, sink);
     }
 }
 

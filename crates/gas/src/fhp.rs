@@ -39,7 +39,7 @@
 use crate::fhp_bitparallel::FhpBitLattice;
 use crate::table::{CollisionTable, Invariants};
 use crate::{is_obstacle, prng, OBSTACLE_BIT};
-use lattice_core::{RowSink, RowSource, Rule, Window};
+use lattice_core::{BlockKernel, RowSource, Rule, Window};
 
 /// Rest-particle bit (FHP-II/III).
 pub const REST_BIT: u8 = 1 << 6;
@@ -406,33 +406,23 @@ impl Rule for FhpRule {
     }
 
     /// The FHP-I bit-plane kernel under the null boundary
-    /// ([`FhpBitLattice::from_rows_null`]): packs the planes from `src`
-    /// a row at a time, keys each head-on pair's chirality on its
-    /// global coordinate (`origin` plus its block offset, reduced onto
-    /// the torus when the rule has one) and generation, and unpacks
-    /// only the window `sink` keeps. FHP-II/III, blocks with obstacle,
-    /// rest or other non-channel bits, and non-2-D blocks are declined
-    /// before `sink` is touched.
-    fn evolve_block(
+    /// ([`FhpBitLattice::from_rows_null`]), packed from `src` a row at a
+    /// time: each head-on pair's chirality is keyed on its global
+    /// coordinate (`origin` plus its block offset, reduced onto the
+    /// torus when the rule has one) and generation, and the kernel's
+    /// clock starts at `t0`. FHP-II/III, blocks with obstacle, rest or
+    /// other non-channel bits, and non-2-D blocks are declined.
+    fn block_kernel(
         &self,
         src: &dyn RowSource<u8>,
-        sink: &mut dyn RowSink<u8>,
         t0: u64,
-        generations: usize,
         origin: (usize, usize),
-    ) -> bool {
+    ) -> Option<Box<dyn BlockKernel<u8>>> {
         if self.variant != FhpVariant::I {
-            return false;
+            return None;
         }
-        let (Ok(mut bits), Ok(steps)) = (
-            FhpBitLattice::from_rows_null(src, self.seed, t0, origin, self.wrap),
-            u64::try_from(generations),
-        ) else {
-            return false;
-        };
-        bits.run(steps);
-        bits.unpack(sink);
-        true
+        let bits = FhpBitLattice::from_rows_null(src, self.seed, t0, origin, self.wrap).ok()?;
+        Some(Box::new(bits))
     }
 }
 
@@ -698,6 +688,51 @@ mod tests {
             let mut out = Grid::filled(shape, 0xAA);
             prop_assert!(rule.evolve_block(&g, &mut out, t0, k, origin));
             prop_assert_eq!(out, reference);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A resident kernel chains: `a` generations, a window of fresh
+        /// sites imported, `b` more, equals the per-site rule evolving
+        /// the block `a` generations, the window overwritten, and `b`
+        /// more — the clock and the global chirality keys carry over.
+        #[test]
+        fn resident_kernel_chains_runs_and_imports(
+            rows in 1usize..=10,
+            cols in 1usize..=130,
+            a in 0u64..=4,
+            b in 1u64..=4,
+            at in (0usize..10, 0usize..130),
+            size in (1usize..=10, 1usize..=130),
+            t0 in 0u64..1000,
+            origin in (origin_axis(), origin_axis()),
+            wrap in prop_oneof![Just(None), (1usize..=300, 1usize..=300).prop_map(Some)],
+            seed in any::<u64>(),
+        ) {
+            let shape = Shape::grid2(rows, cols).unwrap();
+            let g = crate::init::random_fhp(shape, FhpVariant::I, 0.5, seed, false).unwrap();
+            let at = (at.0 % rows, at.1 % cols);
+            let size = (size.0.min(rows - at.0), size.1.min(cols - at.1));
+            let patch_shape = Shape::grid2(size.0, size.1).unwrap();
+            let patch = crate::init::random_fhp(patch_shape, FhpVariant::I, 0.5, !seed, false).unwrap();
+            let mut rule = FhpRule::new(FhpVariant::I, seed ^ 0x5e7);
+            if let Some((wr, wc)) = wrap {
+                rule = rule.with_wrap(wr, wc);
+            }
+            let mut kernel = rule.block_kernel(&g, t0, origin).unwrap();
+            kernel.run(a);
+            kernel.import(at, &patch);
+            kernel.run(b);
+            let mut out = Grid::filled(shape, 0xAA);
+            kernel.unpack(&mut out);
+            let seen = AtOrigin { rule: &rule, origin };
+            let mut mid = evolve(&g, &seen, Boundary::null(), t0, a);
+            for (i, &site) in patch.as_slice().iter().enumerate() {
+                mid.set(Coord::c2(at.0 + i / size.1, at.1 + i % size.1), site);
+            }
+            prop_assert_eq!(out, evolve(&mid, &seen, Boundary::null(), t0 + a, b));
         }
     }
 

@@ -43,16 +43,18 @@
 //! larger lattice: its site `(r, c)` is global `(origin.0 + r,
 //! origin.1 + c)`, wrapping, which sets both the chirality key and the
 //! row parity that picks each diagonal's half-cell shift, and zeros
-//! stream in at every edge. That mode is what [`FhpRule`]'s
-//! `evolve_block` runs for a farm board's halo-framed block.
+//! stream in at every edge. That mode is [`FhpRule`]'s
+//! [`BlockKernel`] for a farm board's halo-framed block: the board
+//! keeps it across the passes of a step, the chirality keys stay the
+//! block's global ones, and the clock advances in `run`.
 //!
 //! [`FhpRule`]: crate::fhp::FhpRule
 
 use crate::bitparallel::{first_outside, move_rows};
 use crate::fhp::{fhp_invariants, FHP_MOVE_MASK};
 use crate::prng;
-use lattice_core::bits::{pack_rows, shift_row, unpack_rows};
-use lattice_core::{Grid, LatticeError, RowSink, RowSource, Shape};
+use lattice_core::bits::{pack_rows, pack_window, shift_row, unpack_rows};
+use lattice_core::{BlockKernel, Grid, LatticeError, RowSink, RowSource, Shape};
 
 /// An FHP-I lattice as six channel bit-planes, 64 sites per word,
 /// packed along rows. Periodic (hex torus, even row count) or null
@@ -281,6 +283,20 @@ impl FhpBitLattice {
             let inv = fhp_invariants(s);
             (px + inv.momentum[0] as i64, py + inv.momentum[1] as i64)
         })
+    }
+}
+
+impl BlockKernel<u8> for FhpBitLattice {
+    fn run(&mut self, generations: u64) {
+        FhpBitLattice::run(self, generations);
+    }
+
+    fn import(&mut self, at: (usize, usize), src: &dyn RowSource<u8>) {
+        pack_window(&mut self.planes, self.cols, at, src);
+    }
+
+    fn unpack(&self, sink: &mut dyn RowSink<u8>) {
+        FhpBitLattice::unpack(self, sink);
     }
 }
 

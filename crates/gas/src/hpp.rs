@@ -19,7 +19,7 @@ use crate::bitparallel::HppBitLattice;
 use crate::prng;
 use crate::table::{CollisionTable, Invariants};
 use crate::{is_obstacle, OBSTACLE_BIT};
-use lattice_core::{RowSink, RowSource, Rule, Window};
+use lattice_core::{BlockKernel, RowSource, Rule, Window};
 
 /// Particle channel directions, counterclockwise from +x.
 ///
@@ -182,27 +182,18 @@ impl Rule for HppRule {
     }
 
     /// The bit-plane kernel under the null boundary
-    /// ([`HppBitLattice::from_rows_null`]): packs the planes from `src`
-    /// a row at a time and unpacks only the window `sink` keeps. HPP is
-    /// deterministic and coordinate-free, so `t0` and `origin` do not
-    /// enter. Blocks with obstacle (or any other non-channel) bits, and
-    /// non-2-D blocks, are declined before `sink` is touched.
-    fn evolve_block(
+    /// ([`HppBitLattice::from_rows_null`]), packed from `src` a row at
+    /// a time. HPP is deterministic and coordinate-free, so `t0` and
+    /// `origin` do not enter. Blocks with obstacle (or any other
+    /// non-channel) bits, and non-2-D blocks, are declined.
+    fn block_kernel(
         &self,
         src: &dyn RowSource<u8>,
-        sink: &mut dyn RowSink<u8>,
         _t0: u64,
-        generations: usize,
         _origin: (usize, usize),
-    ) -> bool {
-        let (Ok(mut bits), Ok(steps)) =
-            (HppBitLattice::from_rows_null(src), u64::try_from(generations))
-        else {
-            return false;
-        };
-        bits.run(steps);
-        bits.unpack(sink);
-        true
+    ) -> Option<Box<dyn BlockKernel<u8>>> {
+        let bits = HppBitLattice::from_rows_null(src).ok()?;
+        Some(Box::new(bits))
     }
 }
 
@@ -210,7 +201,7 @@ impl Rule for HppRule {
 mod tests {
     use super::*;
     use crate::init;
-    use lattice_core::{evolve, Boundary, Coord, Grid, Shape};
+    use lattice_core::{evolve, Boundary, Coord, Grid, RowSink, Shape};
     use proptest::prelude::*;
     use std::ops::Range;
 
@@ -353,6 +344,38 @@ mod tests {
         assert_eq!(out, Grid::filled(shape, 0xAA), "a declined block leaves the sink alone");
         let line: Grid<u8> = Grid::new(Shape::line(8).unwrap());
         assert!(!rule.evolve_block(&line, &mut line.clone(), 0, 1, (0, 0)));
+    }
+
+    #[test]
+    fn a_resident_kernel_chains_runs_and_imports() {
+        // `a` generations, a window of fresh sites imported (across
+        // word boundaries, at the edges, the whole block), `b` more:
+        // the same as evolving, overwriting the window, and evolving.
+        let rule = HppRule::new();
+        for (rows, cols, at, size) in [
+            (6usize, 70usize, (1usize, 60usize), (3usize, 9usize)),
+            (5, 130, (0, 0), (5, 2)),
+            (5, 130, (0, 128), (5, 2)),
+            (4, 64, (3, 1), (1, 63)),
+            (3, 9, (0, 0), (3, 9)),
+        ] {
+            let shape = Shape::grid2(rows, cols).unwrap();
+            let g = init::random_hpp(shape, 0.5, (rows * cols) as u64).unwrap();
+            let patch_shape = Shape::grid2(size.0, size.1).unwrap();
+            let patch = init::random_hpp(patch_shape, 0.5, 3).unwrap();
+            let mut kernel = rule.block_kernel(&g, 0, (0, 0)).unwrap();
+            kernel.run(2);
+            kernel.import(at, &patch);
+            kernel.run(3);
+            let mut out = Grid::filled(shape, 0xAA);
+            kernel.unpack(&mut out);
+            let mut mid = evolve(&g, &rule, Boundary::null(), 0, 2);
+            for (i, &site) in patch.as_slice().iter().enumerate() {
+                mid.set(Coord::c2(at.0 + i / size.1, at.1 + i % size.1), site);
+            }
+            let want = evolve(&mid, &rule, Boundary::null(), 2, 3);
+            assert_eq!(out, want, "{rows}x{cols} at {at:?} size {size:?}");
+        }
     }
 
     /// A `shape`-sized block of a torus lattice whose site `(0, 0)` is

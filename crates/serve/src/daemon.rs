@@ -304,7 +304,7 @@ impl ServerState {
             let Some(store) = live.store.as_mut() else { return Ok(()) };
             live.session.checkpoint(Some(store))?;
             let time = live.session.time();
-            let rep = live.session.report();
+            let rep = live.session.report()?;
             let rec = live.session.recovery();
             entry.carried.passes += rep.passes;
             entry.carried.machine_ticks += rep.machine_ticks().get();
@@ -350,8 +350,10 @@ impl ServerState {
         if let SessState::Live(live) = &mut entry.state {
             let time = live.session.time();
             if let Some(store) = live.store.as_mut() {
-                // Best-effort salvage: the failed step already rolled
-                // back to the last committed state.
+                // Best-effort salvage: the failed step left the last
+                // committed state, unless its boards had kept their
+                // planes across the failed pass; then the lattice is
+                // lost and the session refuses the checkpoint.
                 let _ = live.session.checkpoint(Some(store));
                 let mut meta = entry.spec.to_json();
                 if let Value::Obj(pairs) = &mut meta {
@@ -359,13 +361,7 @@ impl ServerState {
                 }
                 let _ = store.commit_meta(meta.render().as_bytes());
             }
-            let rep = live.session.report();
             let rec = live.session.recovery();
-            entry.carried.passes += rep.passes;
-            entry.carried.machine_ticks += rep.machine_ticks().get();
-            entry.carried.halo_ticks += rep.halo_ticks.get();
-            entry.carried.overlapped_ticks += rep.overlapped_ticks.get();
-            entry.carried.retransmit_ticks += rep.retransmit_ticks.get();
             // Same conservation-set reads as `evict` above (ladder
             // counter, not the committed-pass report).
             // lattice-lint: allow(counter-mutation)
@@ -379,8 +375,16 @@ impl ServerState {
             // lattice-lint: allow(counter-mutation)
             entry.carried.boards_retired += rec.boards_retired;
             entry.carried.checkpoints += rec.checkpoints;
-            entry.carried.useful_updates += rep.useful_updates().get();
-            entry.carried.halo_bits += rep.halo_traffic.bits_in;
+            // A lost lattice takes its passes' report with it.
+            if let Ok(rep) = live.session.report() {
+                entry.carried.passes += rep.passes;
+                entry.carried.machine_ticks += rep.machine_ticks().get();
+                entry.carried.halo_ticks += rep.halo_ticks.get();
+                entry.carried.overlapped_ticks += rep.overlapped_ticks.get();
+                entry.carried.retransmit_ticks += rep.retransmit_ticks.get();
+                entry.carried.useful_updates += rep.useful_updates().get();
+                entry.carried.halo_bits += rep.halo_traffic.bits_in;
+            }
             entry.state = SessState::Poisoned { time, reason: reason.to_string() };
         }
     }
@@ -413,7 +417,7 @@ impl ServerState {
     fn report_frame(&mut self, name: &str) -> Result<ReportFrame, LatticeError> {
         let clock = Technology::paper_1987().clock().get();
         let live = self.live(name)?;
-        let rep = live.session.report();
+        let rep = live.session.report()?;
         let rec = live.session.recovery();
         let time = live.session.time();
         let entry = self.sessions.get(name).ok_or_else(|| no_such(name))?;
@@ -828,7 +832,7 @@ fn query(st: &mut ServerState, name: &str, what: &Query) -> Result<Response, Lat
         Query::Report => Ok(Response::Report(st.report_frame(name)?)),
         Query::Observables => {
             let live = st.live(name)?;
-            let obs = Observables::measure(live.session.grid(), live.rule.model());
+            let obs = Observables::measure(live.session.grid()?, live.rule.model());
             Ok(Response::Observables {
                 session: name.to_string(),
                 time: live.session.time(),
@@ -840,7 +844,7 @@ fn query(st: &mut ServerState, name: &str, what: &Query) -> Result<Response, Lat
         }
         Query::Region { row0, col0, rows, cols } => {
             let live = st.live(name)?;
-            let grid = live.session.grid();
+            let grid = live.session.grid()?;
             let shape = grid.shape();
             let (g_rows, g_cols) = (shape.rows(), shape.cols());
             let r0 = (*row0).min(g_rows);

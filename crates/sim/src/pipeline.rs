@@ -12,7 +12,7 @@ use crate::metrics::{EngineCost, EngineReport};
 use crate::stage::{LineBufferStage, StageConfig};
 use lattice_core::bits::{StreamParity, Traffic};
 use lattice_core::units::{u64_from_usize, Cells, Sites, Ticks};
-use lattice_core::{Grid, LatticeError, RowSink, RowSource, Rule, State};
+use lattice_core::{Grid, LatticeError, RowSink, RowSource, Rule, Shape, State};
 use lattice_vlsi::wsa::sweep_ticks;
 
 /// Per-run options beyond the geometry: the stream origin, fault
@@ -102,17 +102,13 @@ impl Pipeline {
     /// run's pass on chips no fault can reach
     /// ([`crate::FaultPlan::spares`]): the rule's block kernel
     /// ([`Rule::evolve_block`]) reads the block from `src` a row at a
-    /// time and writes the window `sink` keeps, and every count comes
-    /// from the geometry — ticks from the exact closed form
-    /// [`lattice_vlsi::wsa::sweep_ticks`], one stream each way through
-    /// memory and through every stage's pins. The cost, with the
-    /// block's evolved lattice, equals [`Pipeline::run_at`]'s report
-    /// field for field.
+    /// time and writes the window `sink` keeps, and the cost is
+    /// [`Pipeline::kernel_cost`]'s. The cost, with the block's evolved
+    /// lattice, equals [`Pipeline::run_at`]'s report field for field.
     ///
     /// `None`, with `sink` untouched, when the rule has no kernel for
-    /// this block, or the run is one the cycle engine would reject
-    /// (zero width or depth) or stream differently (rank 1); the caller
-    /// then runs [`Pipeline::run_opts`].
+    /// this block or the geometry has no kernel cost; the caller then
+    /// runs [`Pipeline::run_opts`].
     pub fn run_kernel<R: Rule>(
         &self,
         rule: &R,
@@ -121,23 +117,36 @@ impl Pipeline {
         t0: u64,
         origin: (usize, usize),
     ) -> Option<EngineCost> {
-        let shape = src.shape();
+        let cost = self.kernel_cost::<R::S>(src.shape())?;
+        rule.evolve_block(src, sink, t0, self.depth, origin).then_some(cost)
+    }
+
+    /// What one pass over a block of `shape` costs, from the geometry
+    /// alone: ticks from the exact closed form
+    /// [`lattice_vlsi::wsa::sweep_ticks`], one stream each way through
+    /// memory and through every stage's pins, and the stage's
+    /// shift-register cells. A block kernel's pass bills exactly this,
+    /// however it computed the lattice: in one call
+    /// ([`Pipeline::run_kernel`]) or on planes a board keeps between
+    /// passes.
+    ///
+    /// `None` for a run the cycle engine would reject (zero width or
+    /// depth) or stream differently (rank 1).
+    pub fn kernel_cost<S: State>(&self, shape: Shape) -> Option<EngineCost> {
         let p = u32::try_from(self.width).ok()?;
         let stages = u32::try_from(self.depth).ok()?;
         if self.depth == 0 || p == 0 || shape.rank() != 2 {
             return None;
         }
-        if !rule.evolve_block(src, sink, t0, self.depth, origin) {
-            return None;
-        }
-        let (n, k, d_bits) = (u128::from(u64_from_usize(shape.len())), self.depth, R::S::BITS);
+        let (n, k, d_bits) = (u128::from(u64_from_usize(shape.len())), self.depth, S::BITS);
         let mut memory = Traffic::new();
         memory.record_in(n, d_bits);
         memory.record_out(n, d_bits);
         let mut pins = Traffic::new();
         pins.record_in(n * u128::from(u64_from_usize(k)), d_bits);
         pins.record_out(n * u128::from(u64_from_usize(k)), d_bits);
-        let cfg = StageConfig { shape, width: self.width, fill: R::S::default(), gen: t0, origin };
+        let cfg =
+            StageConfig { shape, width: self.width, fill: S::default(), gen: 0, origin: (0, 0) };
         Some(EngineCost {
             generations: u64_from_usize(k),
             updates: Sites::new(u64_from_usize(shape.len() * k)),

@@ -452,6 +452,102 @@ proptest! {
     }
 }
 
+/// One resident-boards case: a fault-free, unaudited farm on WSA
+/// boards, whose boards keep their planes across the passes of a step.
+#[derive(Debug, Clone, Copy)]
+struct ResidentCase {
+    gas: Gas,
+    /// Board grid `(R, C)`.
+    layout: (usize, usize),
+    /// Owned rows and columns per board beyond the pass depth, and the
+    /// ragged rows and columns the last board row and column add.
+    extra: (usize, usize),
+    ragged: (usize, usize),
+    periodic: bool,
+    depth: usize,
+    gens: u64,
+    t0: u64,
+    seed: u64,
+}
+
+/// No recovery budget, no barrier: what `LatticeFarm::run` steps under.
+fn no_recovery() -> FarmRecoveryConfig {
+    FarmRecoveryConfig {
+        max_retries: 0,
+        checkpoint_every: u64::MAX,
+        arq_retries: 0,
+        local_retries: 0,
+        watchdog: None,
+        degrade: None,
+    }
+}
+
+/// `LatticeFarm::run` (resident boards) equals the per-pass path — a
+/// session stepped one pass at a time, whose every pass builds the
+/// lattice, and chained one-pass `run` calls — and the cycle-level run:
+/// the whole `FarmReport`, and the lattice equals `evolve`.
+fn assert_resident_boards_are_exact(c: ResidentCase) {
+    let (gr, gc) = c.layout;
+    let rows = c.gas.rows(gr * (c.depth + c.extra.0) + c.ragged.0, c.periodic);
+    let cols = gc * (c.depth + c.extra.1) + c.ragged.1;
+    let grid = c.gas.lattice(Shape::grid2(rows, cols).unwrap(), 0.4, c.seed, c.periodic);
+    match c.gas {
+        Gas::Hpp => resident_boards_are_exact(&HppRule::new(), &grid, &c),
+        Gas::Fhp1 => {
+            resident_boards_are_exact(&Gas::fhp1(c.seed, rows, cols, c.periodic), &grid, &c)
+        }
+    }
+}
+
+fn resident_boards_are_exact<R: Rule<S = u8>>(rule: &R, grid: &Grid<u8>, c: &ResidentCase) {
+    let boundary = if c.periodic { Boundary::Periodic } else { Boundary::null() };
+    let farm = LatticeFarm::new(1, ShardEngine::Wsa { width: 2 }, c.depth)
+        .with_grid(c.layout.0, c.layout.1)
+        .with_periodic(c.periodic)
+        .with_link(BoardLink::new(8.0));
+    let resident = farm.run(rule, grid, c.t0, c.gens).unwrap();
+    assert_eq!(resident.grid(), &evolve(grid, rule, boundary, c.t0, c.gens), "{c:?}");
+    assert_eq!(resident, farm.run(&CycleOnly(rule), grid, c.t0, c.gens).unwrap(), "{c:?}");
+    let mut session = farm.session_owned(grid, c.t0, None, &no_recovery(), None).unwrap();
+    let (mut chained, mut t, mut ticks) = (grid.clone(), c.t0, 0);
+    while t < c.t0 + c.gens {
+        let k = (c.depth as u64).min(c.t0 + c.gens - t);
+        session.step(rule, k).unwrap();
+        let pass = farm.run(rule, &chained, t, k).unwrap();
+        assert_eq!(pass.passes, 1);
+        ticks += pass.machine_ticks().get();
+        chained = pass.machine.grid;
+        t += k;
+    }
+    assert_eq!(session.report().unwrap(), resident, "{c:?}");
+    assert_eq!((&chained, ticks), (resident.grid(), resident.machine_ticks().get()), "{c:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Resident boards over a seeded sample: HPP and FHP-I (even rows
+    /// and the wrapped rule on the torus), board grids 1×1, 1×2, 2×1,
+    /// 2×2 and 3×1 with ragged slabs, both boundaries, `k` 1–4, and
+    /// generation counts that need not be a multiple of `k`.
+    #[test]
+    fn resident_boards_equal_the_per_pass_path(
+        gas in gas(),
+        layout in prop_oneof![Just((1usize, 1usize)), Just((1, 2)), Just((2, 1)), Just((2, 2)), Just((3, 1))],
+        extra in (0usize..6, 0usize..70),
+        ragged in (0usize..3, 0usize..3),
+        periodic in any::<bool>(),
+        depth in 1usize..=4,
+        gens in 1u64..=13,
+        t0 in 0u64..3,
+        seed in any::<u64>(),
+    ) {
+        assert_resident_boards_are_exact(ResidentCase {
+            gas, layout, extra, ragged, periodic, depth, gens, t0, seed,
+        });
+    }
+}
+
 /// One faulted shadow-oracle case: a farm on WSA boards under
 /// transient weather on every board's halo links (both tiers), through
 /// the recovery ladder.
