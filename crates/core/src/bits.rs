@@ -9,11 +9,14 @@
 //! the bit-parallel gas kernels, reading it a row at a time from a
 //! [`RowSource`]; [`pack_window`] packs a window into planes that
 //! already exist; [`unpack_rows`] writes back only the window a
-//! [`RowSink`] keeps; [`shift_row`] streams a plane along its rows.
+//! [`RowSink`] keeps; [`copy_planes`] and [`paste_planes`] move a
+//! window between planes as plane words; [`shift_row`] streams a plane
+//! along its rows.
 //! Checkpoint images store the same planes as bytes.
 
 use crate::grid::{RowSink, RowSource};
 use crate::rule::State;
+use std::ops::Range;
 
 /// Cumulative I/O traffic counter, in bits.
 ///
@@ -92,8 +95,9 @@ const PARITY_POLY: u64 = 0x42F0_E1EB_A9EA_3693;
 
 /// `PARITY_BYTE[b]`: eight LFSR steps of zero sites from the word
 /// `b << 56` — what the top byte of the word feeds back while the fold
-/// shifts it out.
-const PARITY_BYTE: [u64; 256] = {
+/// shifts it out. The checkpoint store's CRC-64 folds its bytes through
+/// the same table.
+pub(crate) const PARITY_BYTE: [u64; 256] = {
     let mut t = [0u64; 256];
     let mut b = 0;
     while b < 256 {
@@ -302,16 +306,88 @@ pub fn unpack_rows<S: State, const N: usize>(
 ) {
     let wpr = cols.div_ceil(64);
     let (rows, window) = sink.window();
-    let (q0, shift) = (window.start / 64, window.start % 64);
     for r in rows {
         let words = planes.each_ref().map(|p| &p[r * wpr..][..wpr]);
         for (j, chunk) in sink.row_mut(r).chunks_mut(64).enumerate() {
-            let q = q0 + j;
-            let aligned = words.map(|w| match w.get(q + 1) {
-                Some(hi) if shift > 0 => w[q] >> shift | hi << (64 - shift),
-                _ => w[q] >> shift,
-            });
+            let aligned = words.map(|w| bits_at(w, window.start + 64 * j));
             unpack_word(&aligned, chunk);
+        }
+    }
+}
+
+/// The 64 bits of a plane row from bit `c` on, shifted down to bit 0;
+/// bits past the row's end read zero.
+#[inline]
+fn bits_at(row: &[u64], c: usize) -> u64 {
+    let (q, shift) = (c / 64, c % 64);
+    match row.get(q + 1) {
+        Some(hi) if shift > 0 => row[q] >> shift | hi << (64 - shift),
+        _ => row[q] >> shift,
+    }
+}
+
+/// Replaces the `n ≤ 64` bits of a plane row from bit `c` on with the
+/// low `n` bits of `w`; every other bit is kept.
+#[inline]
+fn put_bits(row: &mut [u64], c: usize, w: u64, n: usize) {
+    let (q, shift) = (c / 64, c % 64);
+    let mask = tail_mask(n);
+    let w = w & mask;
+    row[q] = row[q] & !(mask << shift) | w << shift;
+    if shift > 0 && shift + n > 64 {
+        let back = 64 - shift;
+        row[q + 1] = row[q + 1] & !(mask >> back) | w >> back;
+    }
+}
+
+/// Copies the window `rows × span` of [`pack_rows`] planes of a block
+/// `cols` sites wide into `frame`, replacing its contents: plane by
+/// plane, row by row, each row shifted down to start a fresh word, as
+/// [`pack_rows`] lays out a block of the window's shape. A resident
+/// board ships its halo frames as these words, and [`paste_planes`]
+/// takes them into the neighbour's planes with no byte per site in
+/// between.
+pub fn copy_planes<const N: usize>(
+    planes: &[Vec<u64>; N],
+    cols: usize,
+    (rows, span): (Range<usize>, Range<usize>),
+    frame: &mut Vec<u64>,
+) {
+    assert!(span.end <= cols, "window spills past the block's {cols} columns");
+    let (wpr, fwpr) = (cols.div_ceil(64), span.len().div_ceil(64));
+    frame.clear();
+    frame.reserve(N * rows.len() * fwpr);
+    for plane in planes {
+        for row in plane[rows.start * wpr..rows.end * wpr].chunks_exact(wpr) {
+            for j in 0..fwpr {
+                frame.push(bits_at(row, span.start + 64 * j));
+            }
+        }
+    }
+}
+
+/// Inverse of [`copy_planes`]: overwrites the window whose top-left
+/// site is `at` and whose shape is `(rows, width)` with a frame copied
+/// from a window of that shape; every other bit is kept.
+pub fn paste_planes<const N: usize>(
+    planes: &mut [Vec<u64>; N],
+    cols: usize,
+    at: (usize, usize),
+    (rows, width): (usize, usize),
+    frame: &[u64],
+) {
+    assert!(at.1 + width <= cols, "window spills past the block's {cols} columns");
+    let (wpr, fwpr) = (cols.div_ceil(64), width.div_ceil(64));
+    assert_eq!(frame.len(), N * rows * fwpr, "a frame of another window's shape");
+    if frame.is_empty() {
+        return;
+    }
+    for (plane, words) in planes.iter_mut().zip(frame.chunks_exact(rows * fwpr)) {
+        let dst = plane[at.0 * wpr..(at.0 + rows) * wpr].chunks_exact_mut(wpr);
+        for (row, src) in dst.zip(words.chunks_exact(fwpr)) {
+            for (j, &w) in src.iter().enumerate() {
+                put_bits(row, at.1 + 64 * j, w, (width - 64 * j).min(64));
+            }
         }
     }
 }
@@ -339,16 +415,8 @@ pub fn pack_window<S: State, const N: usize>(
         let base = (at.0 + r) * wpr;
         for (j, chunk) in row.chunks(64).enumerate() {
             pack_word(chunk, &mut word);
-            let c = at.1 + 64 * j;
-            let (q, shift) = (base + c / 64, c % 64);
-            let mask = tail_mask(chunk.len());
-            let spills = shift > 0 && shift + chunk.len() > 64;
             for (plane, w) in planes.iter_mut().zip(word) {
-                plane[q] = plane[q] & !(mask << shift) | w << shift;
-                if spills {
-                    let back = 64 - shift;
-                    plane[q + 1] = plane[q + 1] & !(mask >> back) | w >> back;
-                }
+                put_bits(&mut plane[base..][..wpr], at.1 + 64 * j, w, chunk.len());
             }
         }
     }
@@ -398,7 +466,6 @@ pub fn shift_row(row: &mut [u64], cols: usize, east: bool, periodic: bool) {
 mod tests {
     use super::*;
     use crate::{Grid, Shape};
-    use std::ops::Range;
 
     #[test]
     fn traffic_accounting() {
@@ -520,6 +587,42 @@ mod tests {
                 }
             });
             assert_eq!(sink.out, expect, "{rows:?} x {cols:?}");
+        }
+    }
+
+    #[test]
+    fn plane_frames_move_any_window_between_blocks() {
+        // A window of one block's planes pasted into another block at
+        // another offset: word-aligned or not, one site to whole rows.
+        let src = Grid::from_fn(Shape::grid2(5, 200).unwrap(), |c| {
+            (c.row() * 200 + c.col()).wrapping_mul(37) as u8
+        });
+        let from: [Vec<u64>; 8] = pack_rows(&src, |_, _| Ok::<_, ()>(())).unwrap();
+        let dst_shape = Shape::grid2(6, 150).unwrap();
+        let dst = Grid::from_fn(dst_shape, |c| (c.row() * 150 + c.col()).wrapping_mul(11) as u8);
+        let mut frame = vec![7u64; 3];
+        for (rows, span, at) in [
+            (0..5, 0..1, (1usize, 0usize)),
+            (1..4, 63..64, (0, 149)),
+            (0..5, 5..69, (1, 60)),
+            (2..3, 64..200, (5, 0)),
+            (0..2, 71..199, (3, 1)),
+            (4..4, 9..19, (0, 0)),
+        ] {
+            let mut to: [Vec<u64>; 8] = pack_rows(&dst, |_, _| Ok::<_, ()>(())).unwrap();
+            copy_planes(&from, 200, (rows.clone(), span.clone()), &mut frame);
+            paste_planes(&mut to, 150, at, (rows.len(), span.len()), &frame);
+            let mut back = Grid::new(dst_shape);
+            unpack_rows(&to, 150, &mut back);
+            let expect = Grid::from_fn(dst_shape, |c| {
+                let (r, col) = (c.row().wrapping_sub(at.0), c.col().wrapping_sub(at.1));
+                if r < rows.len() && col < span.len() {
+                    src.get(crate::Coord::c2(rows.start + r, span.start + col))
+                } else {
+                    dst.get(c)
+                }
+            });
+            assert_eq!(back, expect, "{rows:?} x {span:?} to {at:?}");
         }
     }
 

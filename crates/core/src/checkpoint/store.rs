@@ -35,6 +35,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use crate::bits;
 use crate::coord::Shape;
 use crate::grid::Grid;
 use crate::rule::State;
@@ -51,10 +52,6 @@ pub const SNAP_VERSION: u16 = 2;
 /// The two generation slots of the double buffer.
 pub const GEN_FILES: [&str; 2] = ["gen0.lck", "gen1.lck"];
 
-/// CRC-64/ECMA-182 polynomial — deliberately the same one the engine's
-/// stream-parity hardware folds with, so the store needs no new math.
-const CRC_POLY: u64 = 0x42F0_E1EB_A9EA_3693;
-
 /// Fixed bytes before the shard table: magic, version, seq, time, count.
 const SNAP_HEADER: usize = 4 + 2 + 8 + 8 + 4;
 /// Bytes before each shard's image: col0, row0, image length.
@@ -62,17 +59,14 @@ const SHARD_HEADER: usize = 8 + 8 + 8;
 /// Trailing CRC-64 footer.
 const SNAP_FOOTER: usize = 8;
 
-/// CRC-64/ECMA-182 over `bytes` (bit-at-a-time Galois fold; snapshot
-/// commits are rare and small, so table-free is fine).
+/// CRC-64/ECMA-182 over `bytes`, MSB first, a byte per step through
+/// [`bits::PARITY_BYTE`]: the stream-parity table, whose polynomial
+/// and fold are this CRC's, so the store needs no new math. A serve
+/// step commits a few KiB and folds them twice (encode and read-back).
 pub fn crc64(bytes: &[u8]) -> u64 {
-    let mut crc = 0u64;
-    for &b in bytes {
-        crc ^= u64::from(b) << 56;
-        for _ in 0..8 {
-            crc = if crc & (1 << 63) != 0 { (crc << 1) ^ CRC_POLY } else { crc << 1 };
-        }
-    }
-    crc
+    bytes
+        .iter()
+        .fold(0u64, |crc, &b| (crc << 8) ^ bits::PARITY_BYTE[usize::from((crc >> 56) as u8 ^ b)])
 }
 
 fn store_err(site: &str, detail: String) -> LatticeError {
@@ -1097,6 +1091,29 @@ mod tests {
     fn crc64_matches_known_reflection_free_vector() {
         // CRC-64/ECMA-182 ("DLC") of "123456789".
         assert_eq!(crc64(b"123456789"), 0x6C40_DF5F_0B49_7347);
+        assert_eq!(crc64_bitwise(b"123456789"), 0x6C40_DF5F_0B49_7347);
+    }
+
+    /// The bit-at-a-time Galois fold the table replaces: the oracle.
+    fn crc64_bitwise(bytes: &[u8]) -> u64 {
+        const POLY: u64 = 0x42F0_E1EB_A9EA_3693;
+        let mut crc = 0u64;
+        for &b in bytes {
+            crc ^= u64::from(b) << 56;
+            for _ in 0..8 {
+                crc = if crc & (1 << 63) != 0 { (crc << 1) ^ POLY } else { crc << 1 };
+            }
+        }
+        crc
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc64_equals_the_bitwise_fold(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..5001usize),
+        ) {
+            proptest::prop_assert_eq!(crc64(&bytes), crc64_bitwise(&bytes));
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::grid::{RowSink, RowSource};
 use crate::window::Window;
+use std::ops::Range;
 
 /// A site value: small, copyable, with a fixed bit width.
 ///
@@ -100,11 +101,12 @@ pub trait Rule: Sync {
     /// Contract: after `run(a)`, [`BlockKernel::import`]s, `run(b)`, …,
     /// every site [`BlockKernel::unpack`] writes equals the same site of
     /// `evolve` under `Boundary::null()` (with the rule seeing those
-    /// global coordinates) of the block, run `a` generations from `t0`,
-    /// with the imported sites overwritten, run `b` more, and so on. A
-    /// rule that cannot honour that for this block — wrong rank, state
-    /// bits its kernel does not model — returns `None`, and the caller
-    /// takes the site-by-site path. The default has no kernel.
+    /// global coordinates; on the torus along an axis the state
+    /// [`BlockKernel::wrap`]s) of the block, run `a` generations from
+    /// `t0`, with the imported sites overwritten, run `b` more, and so
+    /// on. A rule that cannot honour that for this block — wrong rank,
+    /// state bits its kernel does not model — returns `None`, and the
+    /// caller takes the site-by-site path. The default has no kernel.
     fn block_kernel(
         &self,
         src: &dyn RowSource<Self::S>,
@@ -158,6 +160,28 @@ pub trait BlockKernel<S: State>: Send {
 
     /// Writes the sites of the window `sink` keeps, and only those.
     fn unpack(&self, sink: &mut dyn RowSink<S>);
+
+    /// Copies the window `(rows, cols)` of the state into `frame`, its
+    /// old contents replaced, in the kernel's own words: a frame that
+    /// [`BlockKernel::paste`] of a kernel of the same rule takes into a
+    /// window of the same shape. A farm board ships its halo frames to
+    /// its neighbours this way, with no byte per site in between.
+    fn copy(&self, window: (Range<usize>, Range<usize>), frame: &mut Vec<u64>);
+
+    /// Overwrites the window whose top-left site is `at` and whose shape
+    /// is `(rows, cols)` with a frame [`BlockKernel::copy`] wrote of a
+    /// window of that shape; every other site is kept. Like an
+    /// [`BlockKernel::import`] of the frame's sites.
+    fn paste(&mut self, at: (usize, usize), shape: (usize, usize), frame: &[u64]);
+
+    /// Makes the state a torus along its rows (its top and bottom edges
+    /// meet) and along its columns, as asked, from the next
+    /// [`BlockKernel::run`] on: sites streaming off such an edge enter
+    /// at the other instead of being lost. `false`, with nothing
+    /// changed, when the kernel cannot wrap an axis asked for. A farm
+    /// board whose block spans a whole torus axis wraps it this way
+    /// instead of importing a halo along it.
+    fn wrap(&mut self, rows: bool, cols: bool) -> bool;
 }
 
 impl<R: Rule + ?Sized> Rule for &R {

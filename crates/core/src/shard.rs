@@ -22,6 +22,39 @@ struct Span {
     halo_hi: usize,
 }
 
+/// The lattice axis a [`partition`] splits, in the words its errors
+/// use: a farm's row axis is cut into board rows, its column axis into
+/// shards.
+struct Axis {
+    sites: &'static str,
+    short: &'static str,
+    part: &'static str,
+    parts: &'static str,
+    sides: &'static str,
+    extent: &'static str,
+    piece: &'static str,
+}
+
+const COLUMNS: Axis = Axis {
+    sites: "columns",
+    short: "cols",
+    part: "shard",
+    parts: "shards",
+    sides: "left and right",
+    extent: "wide",
+    piece: "slab",
+};
+
+const ROWS: Axis = Axis {
+    sites: "rows",
+    short: "rows",
+    part: "board row",
+    parts: "board rows",
+    sides: "upper and lower",
+    extent: "deep",
+    piece: "band",
+};
+
 /// Splits an `n`-site axis into `parts` balanced contiguous spans with a
 /// `halo`-site exchange margin (the generations per pass).
 ///
@@ -37,19 +70,21 @@ struct Span {
 /// span's halo windows would import overlapping or self-owned sites
 /// (for a single part the wrap would have to circle the lattice more
 /// than once), so the exchange geometry is ill-formed and the request
-/// is rejected with a structured error.
+/// is rejected with a structured error naming `axis`.
 fn partition(
     n: usize,
     parts: usize,
     halo: usize,
     periodic: bool,
+    axis: &Axis,
 ) -> Result<Vec<Span>, LatticeError> {
+    let Axis { sites, short, part, parts: part_plural, sides, extent, piece } = axis;
     if parts == 0 {
         return Err(LatticeError::InvalidConfig("a farm needs at least one shard".into()));
     }
     if parts > n {
         return Err(LatticeError::InvalidConfig(format!(
-            "{parts} shards over {n} columns leaves a board with no slab"
+            "{parts} {part_plural} over {n} {sites} leaves a board with no {piece}"
         )));
     }
     let base = n / parts;
@@ -60,9 +95,9 @@ fn partition(
         // past the immediate neighbor, so checking the minimum
         // suffices.
         return Err(LatticeError::InvalidConfig(format!(
-            "torus shard {extra} owns {base} columns but the halo is {halo} wide: its \
-             left and right halo windows would import overlapping or self-owned \
-             columns ({n} cols / {parts} shards, depth {halo})"
+            "torus {part} {extra} owns {base} {sites} but the halo is {halo} {extent}: its \
+             {sides} halo windows would import overlapping or self-owned \
+             {sites} ({n} {short} / {parts} {part_plural}, depth {halo})"
         )));
     }
     let mut spans = Vec::with_capacity(parts);
@@ -161,11 +196,11 @@ pub fn partition2d(
     halo: usize,
     periodic: bool,
 ) -> Result<Vec<Block>, LatticeError> {
-    let col_spans = partition(cols, grid_cols, halo, periodic)?;
+    let col_spans = partition(cols, grid_cols, halo, periodic, &COLUMNS)?;
     let row_spans = if grid_rows == 1 {
         vec![Span { start: 0, len: rows, halo_lo: 0, halo_hi: 0 }]
     } else {
-        partition(rows, grid_rows, halo, periodic)?
+        partition(rows, grid_rows, halo, periodic, &ROWS)?
     };
     let mut blocks = Vec::with_capacity(grid_rows * grid_cols);
     for (grid_row, rs) in row_spans.iter().enumerate() {
@@ -465,6 +500,29 @@ mod tests {
         // circle the lattice more than once (width < halo).
         assert!(partition2d(5, 8, 1, 1, 5, true).is_ok());
         assert!(partition2d(5, 2, 1, 1, 5, true).is_err());
+    }
+
+    #[test]
+    fn partition_errors_name_the_axis_they_reject() {
+        let text = |rows, cols, gr, gc| partition2d(rows, cols, gr, gc, 2, true).unwrap_err();
+        // Three board rows over four rows on the torus at depth 2.
+        assert_eq!(
+            text(4, 8, 3, 1).to_string(),
+            "invalid configuration: torus board row 1 owns 1 rows but the halo is 2 deep: \
+             its upper and lower halo windows would import overlapping or self-owned rows \
+             (4 rows / 3 board rows, depth 2)"
+        );
+        // The transposed request fails on the column axis.
+        assert_eq!(
+            text(8, 4, 1, 3).to_string(),
+            "invalid configuration: torus shard 1 owns 1 columns but the halo is 2 wide: \
+             its left and right halo windows would import overlapping or self-owned columns \
+             (4 cols / 3 shards, depth 2)"
+        );
+        let none = partition2d(2, 8, 3, 1, 1, false).unwrap_err().to_string();
+        assert!(none.contains("3 board rows over 2 rows leaves a board with no band"), "{none}");
+        let none = partition2d(8, 2, 1, 3, 1, false).unwrap_err().to_string();
+        assert!(none.contains("3 shards over 2 columns leaves a board with no slab"), "{none}");
     }
 
     #[test]

@@ -28,12 +28,12 @@
 //! ticks and traffic the cycle engine would count
 //! ([`Pipeline::kernel_cost`], DESIGN.md §19). The kernel packs its
 //! bit-planes from the board's rows and unpacks only the owned window
-//! into the next lattice. Within a step whose lattice nothing reads
-//! between passes — no audit, fault plan, watchdog, encoding barrier,
-//! overlap or local replay budget without a rollback behind it — each
-//! board keeps its planes from pass to pass: it writes
-//! only the frame its neighbours import as halo, imports only its own
-//! halo, and the lattice is built whole only by the step's last pass.
+//! into the next lattice. A run of passes whose lattices nothing reads
+//! between them — no audit, fault plan, watchdog, encoding barrier,
+//! overlap or local replay budget without a rollback behind it — goes
+//! to each board as one job (`crate::resident`): the board keeps its
+//! planes from pass to pass, trades its halo frames as plane words with
+//! its neighbours, and the lattice is built once, at the run's end.
 //! Every report field is the same either way; only host time moves.
 //!
 //! The price is redundant halo recompute (each exchanged column is
@@ -80,15 +80,14 @@ use crate::link::{BoardLink, HaloWindow};
 use crate::partition::{
     max_aug_width2d, partition2d, partition2d_checked, sweep_regions2d, Block, Region2d,
 };
+use crate::resident::{self, BoardRun, RunParams, Stop, Unrun};
 use lattice_core::bits::Traffic;
 use lattice_core::checkpoint::store::{ShardBlob, SnapshotSink};
 use lattice_core::units::{
     u64_from_usize, usize_from_u64, Bits, BitsPerTick, Cells, Hz, Sites, SitesPerSec, SitesPerTick,
     Ticks,
 };
-use lattice_core::{
-    checkpoint, BlockKernel, Grid, LatticeError, RowSink, RowSource, Rule, Shape, State,
-};
+use lattice_core::{checkpoint, Grid, LatticeError, RowSink, RowSource, Rule, Shape, State};
 use lattice_engines_sim::{
     Component, EngineCost, EngineReport, FaultCtx, FaultPlan, FaultStats, Pipeline, RecoveryStats,
     RunOptions, SpaEngine, SpaRunOptions,
@@ -480,7 +479,7 @@ impl<S: State> PassCache<S> {
 /// `buf` resized to `n` sites, for a writer that overwrites every one
 /// of them. In tests the old contents are poisoned first, so the
 /// bit-exactness oracles catch any site a pass leaves unwritten.
-fn recycle<S: State>(mut buf: Vec<S>, n: usize) -> Vec<S> {
+pub(crate) fn recycle<S: State>(mut buf: Vec<S>, n: usize) -> Vec<S> {
     buf.resize(n, S::default());
     #[cfg(test)]
     buf.fill(S::from_word(u64::MAX));
@@ -489,7 +488,7 @@ fn recycle<S: State>(mut buf: Vec<S>, n: usize) -> Vec<S> {
 
 /// The committed lattice as a job holds it: the caller's own until a
 /// session's first pass commits, shared with the board crew after.
-enum Committed<'a, S: State> {
+pub(crate) enum Committed<'a, S: State> {
     Borrowed(&'a Grid<S>),
     Shared(Arc<Grid<S>>),
 }
@@ -537,7 +536,7 @@ impl<S: State> Committed<'_, S> {
 /// the indexes wrap; null-boundary halos are clamped at the lattice
 /// edges, so there they never do.
 #[derive(Clone, Copy)]
-struct Augmented<'a, S: State> {
+pub(crate) struct Augmented<'a, S: State> {
     lattice: &'a Grid<S>,
     block: &'a Block,
     /// On-board vertical wrap rows per side.
@@ -547,7 +546,7 @@ struct Augmented<'a, S: State> {
 }
 
 impl<'a, S: State> Augmented<'a, S> {
-    fn new(lattice: &'a Grid<S>, block: &'a Block, wrap: usize) -> Self {
+    pub(crate) fn new(lattice: &'a Grid<S>, block: &'a Block, wrap: usize) -> Self {
         let (rows, cols) = (lattice.shape().rows(), lattice.shape().cols());
         Augmented {
             lattice,
@@ -591,7 +590,7 @@ impl<'a, S: State> Augmented<'a, S> {
     /// Copies augmented row `r` from column `a0` on into `row`: at most
     /// three lattice segments on the torus (left halo, body, right
     /// halo), one under the null boundary.
-    fn copy_row(&self, r: usize, a0: usize, mut row: &mut [S]) {
+    pub(crate) fn copy_row(&self, r: usize, a0: usize, mut row: &mut [S]) {
         let src = self.lattice_row(r);
         let mut c = wrapped(self.col_start + a0, src.len());
         while !row.is_empty() {
@@ -725,11 +724,11 @@ impl<S: State> RowSource<S> for RegionRows<'_, S> {
 /// rows of the next lattice: region row `r` is owned row
 /// `r + region.r0 − top`, region column `c` owned column
 /// `c + region.a0 − halo_left`.
-struct OwnedRows<'s, 'n, S: State> {
-    segs: &'s mut [&'n mut [S]],
-    region: &'s Region2d,
-    top: usize,
-    left: usize,
+pub(crate) struct OwnedRows<'s, 'n, S: State> {
+    pub(crate) segs: &'s mut [&'n mut [S]],
+    pub(crate) region: &'s Region2d,
+    pub(crate) top: usize,
+    pub(crate) left: usize,
 }
 
 impl<S: State> RowSink<S> for OwnedRows<'_, '_, S> {
@@ -760,7 +759,7 @@ fn keep_window<S: State>(grid: &Grid<S>, sink: &mut dyn RowSink<S>) {
 /// Splits `next` (a lattice `cols` sites wide) into every block's owned
 /// rows: entry `i` holds block `i`'s rows top to bottom, `width` sites
 /// each. The blocks tile the lattice, so each site goes to one block.
-fn owned_rows<'n, S: State>(
+pub(crate) fn owned_rows<'n, S: State>(
     next: &'n mut [S],
     cols: usize,
     blocks: &[Block],
@@ -797,7 +796,7 @@ fn crop<S: State>(
 /// Copies the window `rows × span` of `owned`, block `blk`'s owned
 /// sites (`blk.width` to a row), into their place in `dst`, a lattice
 /// `cols` sites wide, one row segment at a time.
-fn paste_window<S: State>(
+pub(crate) fn paste_window<S: State>(
     dst: &mut [S],
     cols: usize,
     blk: &Block,
@@ -807,67 +806,6 @@ fn paste_window<S: State>(
     for r in rows {
         let (d, o) = ((blk.row0 + r) * cols + blk.col0, r * blk.width);
         dst[d + span.start..d + span.end].copy_from_slice(&owned[o + span.start..o + span.end]);
-    }
-}
-
-/// The owned windows (owned coordinates) a resident board exports at
-/// the end of a pass: the `k` rows and columns along every side some
-/// board imports as halo — a neighbour across a seam, or, for the
-/// on-board wrap rows of a torus with one board row, the board itself.
-/// They hold every site another board's (or this board's own) halo
-/// reads, corners included.
-fn frame(blk: &Block, k: usize, wrap: usize) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
-    let (h, w) = (blk.rows, blk.width);
-    [
-        (blk.halo_up > 0 || wrap > 0, 0..k.min(h), 0..w),
-        (blk.halo_down > 0 || wrap > 0, h.saturating_sub(k)..h, 0..w),
-        (blk.halo_left > 0, 0..h, 0..k.min(w)),
-        (blk.halo_right > 0, 0..h, w.saturating_sub(k)..w),
-    ]
-    .into_iter()
-    .filter_map(|(on, rows, span)| on.then_some((rows, span)))
-}
-
-/// The halo of a board's augmented block, as whole-height columns and
-/// owned-width rows (on-board wrap rows included): every augmented
-/// site outside the owned window, which a resident board imports
-/// before each pass it runs on its kept planes.
-fn halo(blk: &Block, wrap: usize) -> impl Iterator<Item = Region2d> {
-    let (aug_h, top, left) = (blk.aug_height(wrap), wrap + blk.halo_up, blk.halo_left);
-    let rect = |r0, height, a0, width| Region2d {
-        r0,
-        height,
-        a0,
-        width,
-        own_r_lo: 0,
-        own_r_hi: 0,
-        own_lo: 0,
-        own_hi: 0,
-        boundary: false,
-    };
-    [
-        rect(0, aug_h, 0, left),
-        rect(0, aug_h, left + blk.width, blk.halo_right),
-        rect(0, top, left, blk.width),
-        rect(top + blk.rows, aug_h - top - blk.rows, left, blk.width),
-    ]
-    .into_iter()
-    .filter(|g| g.height > 0 && g.width > 0)
-}
-
-/// A block of sites that are all `S::from_word(u64::MAX)`: in tests a
-/// resident board imports it over its halo first, so a halo site that
-/// the real import misses fails the bit-exactness oracles.
-#[cfg(test)]
-struct Poison(Shape);
-
-#[cfg(test)]
-impl<S: State> RowSource<S> for Poison {
-    fn shape(&self) -> Shape {
-        self.0
-    }
-    fn fill_row(&self, _r: usize, row: &mut [S]) {
-        row.fill(S::from_word(u64::MAX));
     }
 }
 
@@ -910,11 +848,19 @@ fn cached<T>(entry: Option<T>, slab: usize, what: &str) -> Result<T, BoardFailur
 }
 
 /// A failure inside one pass attempt, localized when possible.
-struct BoardFailure {
+pub(crate) struct BoardFailure {
     /// Slab index the failure is localized to; `None` for machine-wide
     /// failures (the global audit), which skip ladder level 2.
-    slab: Option<usize>,
-    error: LatticeError,
+    pub(crate) slab: Option<usize>,
+    pub(crate) error: LatticeError,
+}
+
+/// What the recovery ladder did about a failure: replay the failed
+/// board alone (level 2), or rewind every board to the barrier (levels
+/// 3 and 4).
+enum Rung {
+    Replay,
+    Rewind,
 }
 
 /// Machine-wide audit callback: `(lattice before, lattice after)` a pass.
@@ -940,28 +886,18 @@ struct PassParams<'a> {
     attempts: &'a [u64],
     arq_retries: u32,
     watchdog: Option<Duration>,
-    /// Whether the boards keep their planes after this pass, exporting
-    /// only their frames into the next lattice, instead of writing
-    /// their whole owned windows (DESIGN.md §19, "Resident boards").
-    keep: bool,
     /// The committed previous pass's interior-sweep time: the window
     /// this pass's (staged) halo transfer was hidden under. Zero when
     /// the previous pass failed, rolled back, or did not stage.
     overlap_credit: Ticks,
 }
 
-/// A board's kernel state, kept across the passes of a step.
-type Planes<S> = Box<dyn BlockKernel<S>>;
-
 /// What one board's worker hands back: one engine cost per sweep
 /// region, and, when a per-board audit is attached, each region's
-/// augmented block before and after. `planes` goes out with the job
-/// holding the board's kept planes, if any, and comes back holding
-/// them again when the job keeps them.
-struct BoardWork<S: State> {
+/// augmented block before and after.
+pub(crate) struct BoardWork<S: State> {
     costs: Vec<EngineCost>,
     audited: Vec<(Grid<S>, Grid<S>)>,
-    planes: Option<Planes<S>>,
 }
 
 impl<S: State> BoardWork<S> {
@@ -970,7 +906,6 @@ impl<S: State> BoardWork<S> {
         BoardWork {
             costs: Vec::with_capacity(regions),
             audited: Vec::with_capacity(if audited { regions } else { 0 }),
-            planes: None,
         }
     }
 }
@@ -981,7 +916,7 @@ type BoardResult<S> = Option<Result<BoardWork<S>, LatticeError>>;
 /// One board's work order for a pass: the committed lattice, the
 /// board's block and a copy of its buffered exchange, so the order can
 /// cross to a crew helper.
-struct BoardJob<'a, S: State> {
+pub(crate) struct BoardJob<'a, S: State> {
     lattice: Committed<'a, S>,
     block: Block,
     /// On-board vertical wrap rows per side.
@@ -1000,24 +935,22 @@ struct BoardJob<'a, S: State> {
     t0: u64,
     /// Whether a per-board audit wants the augmented blocks back.
     audited: bool,
-    /// Whether the board keeps its planes after the pass and writes
-    /// only its [`frame`] (see [`PassParams::keep`]).
-    keep: bool,
     /// The board's result vectors, allocated by the supervisor with the
-    /// rest of the job, and its kept planes; see [`Done::Board`].
+    /// rest of the job; see [`Done::Board`].
     work: BoardWork<S>,
 }
 
-/// What a crew helper is handed: one board's pass, with the buffer it
-/// writes the board's owned window into, or one slab's checkpoint
-/// encode at a barrier.
-enum Job<'a, S: State> {
+/// What a crew helper is handed: one board's pass or resident run,
+/// with the buffer it writes the board's owned window into, or one
+/// slab's checkpoint encode at a barrier.
+pub(crate) enum Job<'a, S: State> {
     Board(Box<BoardJob<'a, S>>, Vec<S>),
+    Run(Box<BoardRun<'a, S>>, Vec<S>),
     Save(Committed<'a, S>, Block, u64),
 }
 
-/// A helper's answer: the board's work and its filled window buffer,
-/// or the slab's encoded blob.
+/// A helper's answer: the board's work (or how its run ended) and its
+/// filled window buffer, or the slab's encoded blob.
 ///
 /// A board's answer also hands its job back, so the supervisor frees
 /// the small allocations it made for it (the box, the regions, the
@@ -1028,45 +961,50 @@ enum Job<'a, S: State> {
 /// state, in cache lines the supervisor's engine writes on the other
 /// core. On farm-fine that false sharing cost about a fifth of the
 /// throughput (DESIGN.md §19, "The board crew").
-enum Done<'a, S: State> {
+pub(crate) enum Done<'a, S: State> {
     Board(Result<BoardWork<S>, LatticeError>, Vec<S>, Box<BoardJob<'a, S>>),
+    Run(Result<(), Stop>, Vec<S>, Box<BoardRun<'a, S>>),
     Save(Result<Vec<u8>, LatticeError>),
 }
 
 /// What every helper of a step runs on the jobs it is handed.
-type Work<'a, S> = dyn Fn(Job<'a, S>) -> Option<Done<'a, S>> + Sync + 'a;
+pub(crate) type Work<'a, S> = dyn Fn(Job<'a, S>) -> Option<Done<'a, S>> + Sync + 'a;
 
 /// The board crew of one [`FarmSession::step`], with the buffers its
 /// passes recycle. The supervisor runs block 0 of every pass and the
 /// first slab of every barrier itself; helper `h` takes block `h + 1`.
-struct StepCrew<'scope, 'env, S: State> {
-    crew: Crew<'scope, 'env, Work<'env, S>, Job<'env, S>, Done<'env, S>>,
+pub(crate) struct StepCrew<'scope, 'env, S: State> {
+    pub(crate) crew: Crew<'scope, 'env, Work<'env, S>, Job<'env, S>, Done<'env, S>>,
     /// Helper `h`'s window buffer while it is not out on a job.
-    windows: Vec<Vec<S>>,
+    pub(crate) windows: Vec<Vec<S>>,
     /// A lattice buffer nothing reads any more: the one the last commit
     /// or rewind replaced, reused as the next pass's lattice.
-    spare: Option<Vec<S>>,
-    /// Block `i`'s kept planes between two passes of the step. They go
-    /// out with each of the block's jobs and come back with its answer,
-    /// so they live on the thread that runs the block, which frees them.
-    planes: Vec<Option<Planes<S>>>,
+    pub(crate) spare: Option<Vec<S>>,
+    /// The resident runs' mailboxes, four per block, kept for the step.
+    pub(crate) links: Arc<[resident::Mailbox]>,
+    /// The next resident run's first mailbox tag: tags never repeat
+    /// within a step.
+    pub(crate) tags: u64,
+    /// Whether a resident run may still be tried: a rule with no kernel
+    /// for some block sends the rest of the step down the per-pass path.
+    resident: bool,
 }
 
 impl<'env, S: State> StepCrew<'_, 'env, S> {
     /// The next pass's lattice buffer: the spare when there is one.
-    fn next_lattice(&mut self, n: usize) -> Vec<S> {
+    pub(crate) fn next_lattice(&mut self, n: usize) -> Vec<S> {
         recycle(self.spare.take().unwrap_or_default(), n)
     }
 
-    /// Hands block `i ≥ 1`'s pass to its helper, with the helper's
-    /// window buffer; returns the ticket.
-    fn dispatch(&mut self, i: usize, job: BoardJob<'env, S>) -> u64 {
+    /// Hands block `i ≥ 1`'s job, built around the helper's window
+    /// buffer, to its helper; returns the ticket.
+    pub(crate) fn dispatch(&mut self, i: usize, job: impl FnOnce(Vec<S>) -> Job<'env, S>) -> u64 {
         let h = i - 1;
         if self.windows.len() <= h {
             self.windows.resize_with(h + 1, Vec::new);
         }
         let window = std::mem::take(&mut self.windows[h]);
-        self.crew.dispatch(h, Job::Board(Box::new(job), window))
+        self.crew.dispatch(h, job(window))
     }
 
     /// [`save_shard_checkpoints`] with slab `i ≥ 1` encoded by helper
@@ -1095,10 +1033,9 @@ impl<'env, S: State> StepCrew<'_, 'env, S> {
     }
 }
 
-/// What one pass produced, before aggregation. `costs` holds the
-/// per-board *folded* cost (regions composed sequentially).
-struct PassOutcome<S: State> {
-    grid: Grid<S>,
+/// One pass's bill, before aggregation. `costs` holds the per-board
+/// *folded* cost (regions composed sequentially).
+struct PassOutcome {
     costs: Vec<EngineCost>,
     halo_traffic: Traffic,
     halo_ticks: Ticks,
@@ -1188,12 +1125,7 @@ impl Totals {
     /// no longer fits in a `u64` is a configuration the report cannot
     /// describe: the pass is refused with
     /// [`LatticeError::InvalidConfig`] and nothing is folded in.
-    fn absorb<S: State>(
-        &mut self,
-        out: &PassOutcome<S>,
-        k: u64,
-        phys: &[usize],
-    ) -> Result<(), LatticeError> {
+    fn absorb(&mut self, out: &PassOutcome, k: u64, phys: &[usize]) -> Result<(), LatticeError> {
         let ticks = (self.compute_ticks.checked_add(out.boundary_ticks + out.interior_ticks))
             .zip(self.halo_ticks.checked_add(out.halo_ticks))
             .filter(|(compute, halo)| compute.checked_add(*halo).is_some());
@@ -1325,16 +1257,11 @@ fn load_shard_checkpoints<S: State>(
 /// with the board's received frames laid over it, evolved `k`
 /// generations, and its owned window written into `owned`, the board's
 /// rows of the next lattice. A WSA board whose chips no fault can reach
-/// runs the rule's block kernel ([`Rule::block_kernel`]): built from the
-/// region's rows, or, when the board kept its planes from the last pass
-/// (`work.planes`), on those planes with only its [`halo`] imported from
-/// the lattice. A board that keeps its planes after the pass (`keep`)
-/// writes only its [`frame`] and hands the planes back; any other
-/// writes its whole owned window. Every other board — SPA, chips a
-/// fault can reach, rules or blocks without a kernel — and every
-/// audited board builds each region's augmented block, runs it, and
-/// copies the owned window out; an audited board hands those blocks
-/// back for the audit.
+/// runs the rule's block kernel ([`Rule::block_kernel`]), built from the
+/// region's rows. Every other board — SPA, chips a fault can reach,
+/// rules or blocks without a kernel — and every audited board builds
+/// each region's augmented block, runs it, and copies the owned window
+/// out; an audited board hands those blocks back for the audit.
 fn run_board<R: Rule>(
     rule: &R,
     engine: ShardEngine,
@@ -1354,7 +1281,6 @@ fn run_board<R: Rule>(
         }
         _ => None,
     };
-    let mut kept = work.planes.take();
     for region in &job.regions {
         let src = RegionRows {
             aug,
@@ -1365,41 +1291,13 @@ fn run_board<R: Rule>(
         let mut sink = OwnedRows { segs: owned, region, top: aug.top(), left: job.block.halo_left };
         let origin = (job.origin.0.wrapping_add(region.r0), job.origin.1.wrapping_add(region.a0));
         let cost = kernel.filter(|_| !audited).and_then(|p| p.kernel_cost::<R::S>(src.shape));
-        let planes = if cost.is_none() {
-            None
-        } else if let Some(mut planes) = kept.take() {
-            for g in halo(&job.block, job.wrap) {
-                let shape = Shape::grid2(g.height, g.width)?;
-                #[cfg(test)]
-                planes.import((g.r0, g.a0), &Poison(shape));
-                planes.import((g.r0, g.a0), &RegionRows { aug, ex: &job.ex, region: &g, shape });
-            }
-            Some(planes)
-        } else {
-            rule.block_kernel(&src, t0, origin)
-        };
+        let planes = cost.and_then(|_| rule.block_kernel(&src, t0, origin));
         if let (Some(cost), Some(mut planes)) = (cost, planes) {
             planes.run(u64_from_usize(k));
-            if job.keep {
-                for (rows, span) in frame(&job.block, k, job.wrap) {
-                    let g = Region2d {
-                        own_r_lo: rows.start,
-                        own_r_hi: rows.end,
-                        own_lo: span.start,
-                        own_hi: span.end,
-                        ..*region
-                    };
-                    let (top, left) = (sink.top, sink.left);
-                    planes.unpack(&mut OwnedRows { segs: &mut *sink.segs, region: &g, top, left });
-                }
-                work.planes = Some(planes);
-            } else {
-                planes.unpack(&mut sink);
-            }
+            planes.unpack(&mut sink);
             work.costs.push(cost);
             continue;
         }
-        debug_assert!(kept.is_none(), "kept planes reach only a board on the kernel");
         let before = Grid::from_rows(&src);
         let fast = kernel.filter(|_| audited).and_then(|pipe| {
             let mut after = Grid::new(src.shape);
@@ -1477,6 +1375,7 @@ fn help<'a, R: Rule>(
             drop(owned);
             Some(Done::Board(work, window, job))
         }
+        Job::Run(job, window) => Some(resident::help(rule, job, window)),
         Job::Save(lattice, block, t) => Some(Done::Save(save_block(&lattice, &block, t))),
     }
 }
@@ -1747,7 +1646,7 @@ impl LatticeFarm {
         recovery: &mut RecoveryStats,
         mut shard_audit: Option<&mut ShardAudit<'_, R::S>>,
         crew: &mut StepCrew<'_, 'env, R::S>,
-    ) -> Result<PassOutcome<R::S>, BoardFailure> {
+    ) -> Result<(Grid<R::S>, PassOutcome), BoardFailure> {
         let shape = grid.shape();
         let (rows, cols) = (shape.rows(), shape.cols());
         let grid_rows = if pp.blocks.is_empty() {
@@ -1797,9 +1696,6 @@ impl LatticeFarm {
         if cache.next.len() != shape.len() {
             cache.next = recycle(std::mem::take(&mut cache.next), shape.len());
         }
-        if crew.planes.len() < pp.blocks.len() {
-            crew.planes.resize_with(pp.blocks.len(), || None);
-        }
         let mut own = None;
         let mut handed = Vec::with_capacity(pp.blocks.len());
         for block in pp.blocks {
@@ -1811,8 +1707,7 @@ impl LatticeFarm {
             let ex = cached(cache.boards[i].exchange.as_ref(), i, "halo exchange")?;
             let regions = sweep_regions2d(block, pp.k, self.overlap, wrap);
             let audited = shard_audit.is_some();
-            let mut work = BoardWork::with_capacity(regions.len(), audited);
-            work.planes = crew.planes[i].take();
+            let work = BoardWork::with_capacity(regions.len(), audited);
             let job = BoardJob {
                 lattice: grid.clone(),
                 block: *block,
@@ -1833,12 +1728,11 @@ impl LatticeFarm {
                 k: pp.k,
                 t0: pp.t_now,
                 audited,
-                keep: pp.keep,
             };
             if i == 0 {
                 own = Some(job);
             } else {
-                handed.push((i, crew.dispatch(i, job)));
+                handed.push((i, crew.dispatch(i, |w| Job::Board(Box::new(job), w))));
             }
         }
         let mut results: Vec<BoardResult<R::S>> = (0..pp.blocks.len()).map(|_| None).collect();
@@ -1865,23 +1759,14 @@ impl LatticeFarm {
             match answer {
                 Answer::Done(Done::Board(work, window, _job)) => {
                     let b = &pp.blocks[i];
-                    match &work {
-                        // A board that keeps its planes wrote only its frame.
-                        Ok(w) if w.planes.is_some() => {
-                            for f in frame(b, pp.k, wrap) {
-                                paste_window(&mut cache.next, cols, b, &window, f);
-                            }
-                        }
-                        Ok(_) => {
-                            paste_window(&mut cache.next, cols, b, &window, (0..b.rows, 0..b.width))
-                        }
-                        Err(_) => {}
+                    if work.is_ok() {
+                        paste_window(&mut cache.next, cols, b, &window, (0..b.rows, 0..b.width));
                     }
                     crew.windows[i - 1] = window;
                     results[i] = Some(work);
                 }
                 Answer::Missed => timed_out = true,
-                Answer::Died | Answer::Done(Done::Save(_)) => {}
+                Answer::Died | Answer::Done(_) => {}
             }
         }
 
@@ -1906,10 +1791,7 @@ impl LatticeFarm {
                         None => Ok(()),
                     };
                     match verdict {
-                        Ok(()) => {
-                            cache.boards[i].costs = Some(work.costs);
-                            crew.planes[i] = work.planes;
-                        }
+                        Ok(()) => cache.boards[i].costs = Some(work.costs),
                         Err(e) => {
                             failure.get_or_insert(BoardFailure { slab: Some(i), error: e });
                         }
@@ -1935,57 +1817,22 @@ impl LatticeFarm {
             return Err(f);
         }
 
-        // Phase 3 — settle the barrier's link-time bill (slowest board,
-        // retransmissions included), and split the compute bill into
-        // the boundary and interior barriers.
-        let mut halo_traffic = Traffic::new();
-        let mut halo_ticks = Ticks::ZERO;
-        let mut base_ticks = Ticks::ZERO;
-        let mut boundary_ticks = Ticks::ZERO;
-        let mut interior_ticks = Ticks::ZERO;
-        let mut all_staged = true;
-        let mut halo_bits_per_board = Vec::with_capacity(pp.blocks.len());
-        let mut retransmits_per_board = Vec::with_capacity(pp.blocks.len());
+        // Phase 3 — settle the bill.
         let mut costs = Vec::with_capacity(pp.blocks.len());
         for block in pp.blocks {
-            let i = block.index;
-            let ex = cached(cache.boards[i].exchange.as_ref(), i, "halo exchange")?;
-            halo_traffic.merge(ex.traffic);
-            // The two tiers are separate wires, so a board's halo wait
-            // is the slower tier, retransmissions included; the barrier
-            // then waits for the slowest board.
-            let base = self.link.transfer_ticks(ex.bits);
-            let base_v = self.link_inter.transfer_ticks(ex.bits_inter);
-            // Saturating: a wait past `u64::MAX` ticks stays there, and
-            // `Totals::absorb` refuses the pass.
-            let full = |t: Ticks, retransmits: u32| {
-                Ticks::new(t.get().saturating_mul(1 + u64::from(retransmits)))
-            };
-            let board_full = full(base, ex.retransmits).max(full(base_v, ex.retransmits_inter));
-            halo_ticks = halo_ticks.max(board_full);
-            base_ticks = base_ticks.max(base.max(base_v));
-            all_staged &= ex.staged;
-            halo_bits_per_board.push(ex.bits + ex.bits_inter);
-            retransmits_per_board.push(ex.retransmits + ex.retransmits_inter);
-            let region_costs = cached(cache.boards[i].costs.take(), i, "engine costs")?;
-            let regions = sweep_regions2d(block, pp.k, self.overlap, wrap);
-            let mut board_boundary = Ticks::ZERO;
-            let mut board_interior = Ticks::ZERO;
-            for (region, cost) in regions.iter().zip(&region_costs) {
-                if region.boundary {
-                    board_boundary += cost.ticks;
-                } else {
-                    board_interior += cost.ticks;
-                }
-            }
-            boundary_ticks = boundary_ticks.max(board_boundary);
-            interior_ticks = interior_ticks.max(board_interior);
-            costs.push(fold_regions(region_costs));
+            costs.push(cached(
+                cache.boards[block.index].costs.take(),
+                block.index,
+                "engine costs",
+            )?);
         }
-        // A staged transfer ran concurrently with the previous pass's
-        // interior sweep, so up to that much of it is already paid for.
-        let overlapped_ticks =
-            if all_staged { halo_ticks.min(pp.overlap_credit) } else { Ticks::ZERO };
+        let mut boards = Vec::with_capacity(pp.blocks.len());
+        for (block, costs) in pp.blocks.iter().zip(costs) {
+            let ex =
+                cached(cache.boards[block.index].exchange.as_ref(), block.index, "halo exchange")?;
+            boards.push((block, ex, costs));
+        }
+        let bill = self.settle(boards, pp.k, wrap, pp.overlap_credit);
         let next = Grid::from_vec(shape, std::mem::take(&mut cache.next))
             .map_err(|e| BoardFailure { slab: None, error: e })?;
 
@@ -2026,8 +1873,66 @@ impl LatticeFarm {
                     .map_err(|e| BoardFailure { slab: Some(i), error: e })?;
             }
         }
-        Ok(PassOutcome {
-            grid: next,
+        Ok((next, bill))
+    }
+
+    /// Settles one pass's bill: the barrier's link time (the slowest
+    /// board, retransmissions included), and the compute time split into
+    /// the boundary and interior barriers. `boards` holds each block
+    /// with its exchange and its per-region engine costs, in block order.
+    fn settle<S: State>(
+        &self,
+        boards: Vec<(&Block, &ExchangeOutcome<S>, Vec<EngineCost>)>,
+        k: usize,
+        wrap: usize,
+        overlap_credit: Ticks,
+    ) -> PassOutcome {
+        let mut halo_traffic = Traffic::new();
+        let mut halo_ticks = Ticks::ZERO;
+        let mut base_ticks = Ticks::ZERO;
+        let mut boundary_ticks = Ticks::ZERO;
+        let mut interior_ticks = Ticks::ZERO;
+        let mut all_staged = true;
+        let mut halo_bits_per_board = Vec::with_capacity(boards.len());
+        let mut retransmits_per_board = Vec::with_capacity(boards.len());
+        let mut costs = Vec::with_capacity(boards.len());
+        for (block, ex, region_costs) in boards {
+            halo_traffic.merge(ex.traffic);
+            // The two tiers are separate wires, so a board's halo wait
+            // is the slower tier, retransmissions included; the barrier
+            // then waits for the slowest board.
+            let base = self.link.transfer_ticks(ex.bits);
+            let base_v = self.link_inter.transfer_ticks(ex.bits_inter);
+            // Saturating: a wait past `u64::MAX` ticks stays there, and
+            // `Totals::absorb` refuses the pass.
+            let full = |t: Ticks, retransmits: u32| {
+                Ticks::new(t.get().saturating_mul(1 + u64::from(retransmits)))
+            };
+            let board_full = full(base, ex.retransmits).max(full(base_v, ex.retransmits_inter));
+            halo_ticks = halo_ticks.max(board_full);
+            base_ticks = base_ticks.max(base.max(base_v));
+            all_staged &= ex.staged;
+            halo_bits_per_board.push(ex.bits + ex.bits_inter);
+            retransmits_per_board.push(ex.retransmits + ex.retransmits_inter);
+            let regions = sweep_regions2d(block, k, self.overlap, wrap);
+            let mut board_boundary = Ticks::ZERO;
+            let mut board_interior = Ticks::ZERO;
+            for (region, cost) in regions.iter().zip(&region_costs) {
+                if region.boundary {
+                    board_boundary += cost.ticks;
+                } else {
+                    board_interior += cost.ticks;
+                }
+            }
+            boundary_ticks = boundary_ticks.max(board_boundary);
+            interior_ticks = interior_ticks.max(board_interior);
+            costs.push(fold_regions(region_costs));
+        }
+        // A staged transfer ran concurrently with the previous pass's
+        // interior sweep, so up to that much of it is already paid for.
+        let overlapped_ticks =
+            if all_staged { halo_ticks.min(overlap_credit) } else { Ticks::ZERO };
+        PassOutcome {
             costs,
             halo_traffic,
             halo_ticks,
@@ -2037,7 +1942,7 @@ impl LatticeFarm {
             boundary_ticks,
             interior_ticks,
             overlapped_ticks,
-        })
+        }
     }
 
     /// Runs `generations` of `rule` over `grid` starting at generation
@@ -2045,7 +1950,7 @@ impl LatticeFarm {
     /// shallower): a one-step session under a zero recovery budget, so
     /// it borrows `grid`, takes no checkpoint barrier, and fails on the
     /// first detection. Nothing reads the lattice between its passes, so
-    /// kernel boards keep their planes across them.
+    /// kernel boards run them as one resident run.
     ///
     /// Bit-exactness contract: equals the reference
     /// `lattice_core::evolve` under the farm's boundary.
@@ -2255,7 +2160,6 @@ impl LatticeFarm {
             retries_left: cfg.max_retries,
             retired_left: max_retired,
             current: grid,
-            partial: false,
             t_now: t0,
             passes: 0,
             passes_since_ckpt: 0,
@@ -2313,12 +2217,11 @@ impl PlanRef<'_> {
 /// always encodes one.
 ///
 /// A `step` that returns an error has exhausted the recovery ladder
-/// mid-pass; the session's lattice is the last committed state, but its
-/// retry budgets are spent — the session should be checkpointed (to
-/// salvage the state) or discarded, not stepped again. If the boards
-/// had kept their planes across that pass, the lattice holds only
-/// their frames: the session is then lost, and `grid`, `report`,
-/// `finish`, `step` and `checkpoint` refuse it.
+/// mid-pass; the session's lattice is the last committed state (a
+/// resident run commits only at its end, so a run that failed leaves
+/// the lattice it started from), but its retry budgets are spent — the
+/// session should be checkpointed (to salvage the state) or discarded,
+/// not stepped again.
 pub struct FarmSession<'p, S: State> {
     farm: LatticeFarm,
     cfg: FarmRecoveryConfig,
@@ -2350,10 +2253,6 @@ pub struct FarmSession<'p, S: State> {
     /// The last committed lattice: the caller's own until the first
     /// pass commits when the session borrows it.
     current: Committed<'p, S>,
-    /// Whether `current` holds only the boards' frames, the rest of the
-    /// lattice living in the planes the boards kept: true between the
-    /// passes of a step that keep them, never once a step returns `Ok`.
-    partial: bool,
     t_now: u64,
     /// Committed passes (re-commits after a rollback included), which
     /// is also the logical pass number (fault-epoch key) of the next.
@@ -2375,10 +2274,9 @@ impl<'p, S: State> FarmSession<'p, S> {
         self.passes
     }
 
-    /// The last committed lattice; an error once a failed step has
-    /// lost it.
+    /// The last committed lattice: after a failed step, the one the
+    /// failed pass or resident run started from.
     pub fn grid(&self) -> Result<&Grid<S>, LatticeError> {
-        self.whole()?;
         Ok(&self.current)
     }
 
@@ -2390,10 +2288,8 @@ impl<'p, S: State> FarmSession<'p, S> {
     /// A mid-run snapshot of the machine report: the accounting of
     /// every committed pass so far, with the current lattice. The
     /// session keeps running — this is what the daemon's `stats`
-    /// endpoint serves between steps. An error once a failed step has
-    /// lost the lattice.
+    /// endpoint serves between steps.
     pub fn report(&self) -> Result<FarmReport<S>, LatticeError> {
-        self.whole()?;
         let faults = self.plan.get().map(|p| p.stats().since(self.fault_base)).unwrap_or_default();
         Ok(self.totals.clone().finish(
             Grid::clone(&self.current),
@@ -2413,7 +2309,6 @@ impl<'p, S: State> FarmSession<'p, S> {
         &mut self,
         mut sink: Option<&mut (dyn SnapshotSink + '_)>,
     ) -> Result<(), LatticeError> {
-        self.whole()?;
         self.barrier(&mut sink, true, None)
     }
 
@@ -2464,9 +2359,9 @@ impl<'p, S: State> FarmSession<'p, S> {
     ///
     /// With no audit to read each pass, a step on WSA boards without a
     /// fault plan, injected worker fault, watchdog, overlap or a local
-    /// replay budget that no rollback backs keeps each board's planes
-    /// from pass to pass and builds the lattice only where something
-    /// reads it (DESIGN.md §19, "Resident boards").
+    /// replay budget that no rollback backs hands each board its passes
+    /// as one resident run, and builds the lattice only where something
+    /// reads it (DESIGN.md §19, "Resident runs").
     pub fn step<R: Rule<S = S>>(&mut self, rule: &R, n: u64) -> Result<(), LatticeError> {
         self.step_inner(rule, n, None, None, None)
     }
@@ -2502,7 +2397,6 @@ impl<'p, S: State> FarmSession<'p, S> {
         shard_audit: Option<&mut ShardAudit<'_, S>>,
         mut sink: Option<&mut (dyn SnapshotSink + '_)>,
     ) -> Result<(), LatticeError> {
-        self.whole()?;
         if n == 0 {
             return Ok(());
         }
@@ -2515,50 +2409,45 @@ impl<'p, S: State> FarmSession<'p, S> {
                 crew: Crew::new(scope, work),
                 windows: Vec::new(),
                 spare: None,
-                planes: Vec::new(),
+                links: Arc::new([]),
+                tags: 0,
+                resident: true,
             };
             self.run_passes(rule, self.t_now + n, plan, &mut crew, audit, shard_audit, &mut sink)
         })
     }
 
-    /// Whether the boards may keep their planes after a `k`-deep pass
-    /// starting at the current generation: only when nothing reads the
-    /// lattice it would build. The lattice is built when the pass is
-    /// the step's last (or the next is shallower, with other blocks),
-    /// when a barrier after it encodes, when an audit reads every pass,
-    /// under overlap (the ship-ahead reads it), on SPA boards (cycle
-    /// engines read whole blocks), when a fault plan, an injected
+    /// How many `k`-deep passes from the current generation one
+    /// resident run takes: every pass whose lattice nothing reads, and
+    /// the pass after the last of them, which builds it; zero when the
+    /// first pass's lattice is read. A pass's lattice is read when the
+    /// pass is the step's last (or the next is shallower, with other
+    /// blocks), when a barrier after it encodes, when an audit reads
+    /// every pass, under overlap (the ship-ahead reads it), on SPA boards
+    /// (cycle engines read whole blocks), when a fault plan, an injected
     /// worker fault or a watchdog could make a ladder level replay a
     /// board from it, and when local replay (level 2) is budgeted with
-    /// no restoring level behind it: a board that fails on kept planes
-    /// cannot replay alone, so only a rewind can still save the step.
-    fn keeps(&self, k: usize, t_end: u64, audited: bool, plan: bool, sink: bool) -> bool {
-        let farm = &self.farm;
-        let barrier_encodes = self.passes_since_ckpt + 1 >= self.cfg.checkpoint_every
-            && (sink || self.cfg.restores());
-        matches!(farm.engine, ShardEngine::Wsa { .. })
+    /// no restoring level behind it: a run cannot replay one board
+    /// alone, so only a rewind can still save it.
+    fn resident_passes(&self, k: usize, t_end: u64, audited: bool, plan: bool, sink: bool) -> u64 {
+        let (farm, cfg) = (&self.farm, &self.cfg);
+        let quiet = matches!(farm.engine, ShardEngine::Wsa { .. })
             && !farm.overlap
             && !audited
             && !plan
             && farm.worker_fault.is_none()
-            && self.cfg.watchdog.is_none()
-            && (self.cfg.local_retries == 0 || self.cfg.restores())
-            && !barrier_encodes
-            && t_end - self.t_now >= 2 * u64_from_usize(k)
-    }
-
-    /// Refuses to read or extend a session whose lattice was lost: a
-    /// step that failed between two passes whose boards kept their
-    /// planes leaves only the boards' frames in it.
-    fn whole(&self) -> Result<(), LatticeError> {
-        if self.partial {
-            return Err(LatticeError::InvalidConfig(
-                "the session's lattice was lost when a step failed between passes that \
-                 kept their planes"
-                    .into(),
-            ));
+            && cfg.watchdog.is_none()
+            && (cfg.local_retries == 0 || cfg.restores());
+        let (k, encodes) = (u64_from_usize(k), sink || cfg.restores());
+        let (mut since, mut t, mut kept) = (self.passes_since_ckpt, self.t_now, 0);
+        while quiet && t_end - t >= 2 * k && !(encodes && since + 1 >= cfg.checkpoint_every) {
+            (since, t, kept) = ((since + 1) % cfg.checkpoint_every, t + k, kept + 1);
         }
-        Ok(())
+        if kept == 0 {
+            0
+        } else {
+            kept + 1
+        }
     }
 
     /// The pass loop of one step, on the step's crew.
@@ -2583,7 +2472,17 @@ impl<'p, S: State> FarmSession<'p, S> {
             }
             let k = self.farm.depth.min(usize_from_u64(t_end - self.t_now));
             let blocks = self.farm.blocks_at(self.rows, self.cols, self.phys.len(), k)?;
-            let keep = self.keeps(k, t_end, audited, plan.is_some(), sink.is_some());
+            let run = self.resident_passes(k, t_end, audited, plan.is_some(), sink.is_some());
+            if run > 0 && crew.resident {
+                match self.run_resident(rule, k, run, &blocks, crew, sink)? {
+                    None => continue 'run,
+                    Some(Unrun::Declined) => crew.resident = false,
+                    Some(Unrun::Failed(fail)) => {
+                        self.escalate(fail, false, crew, sink)?;
+                        continue 'run;
+                    }
+                }
+            }
             let mut cache = PassCache::new(blocks.len(), crew.next_lattice(self.shape.len()));
             loop {
                 let pp = PassParams {
@@ -2598,7 +2497,6 @@ impl<'p, S: State> FarmSession<'p, S> {
                     attempts: &self.attempts,
                     arq_retries: self.cfg.arq_retries,
                     watchdog: self.cfg.watchdog,
-                    keep,
                     overlap_credit: self.credit,
                 };
                 let res = self
@@ -2616,93 +2514,192 @@ impl<'p, S: State> FarmSession<'p, S> {
                         shard_audit.as_deref_mut(),
                         crew,
                     )
-                    .and_then(|out| {
-                        match audit.as_deref_mut().map(|a| a(&self.current, &out.grid)) {
+                    .and_then(|(grid, out)| {
+                        match audit.as_deref_mut().map(|a| a(&self.current, &grid)) {
                             Some(Err(e)) => Err(BoardFailure { slab: None, error: e }),
-                            _ => Ok(out),
+                            _ => Ok((grid, out)),
                         }
                     });
                 match res {
-                    Ok(out) => {
+                    Ok((grid, out)) => {
                         self.totals.absorb(&out, u64_from_usize(k), &self.phys)?;
                         self.credit = out.interior_ticks;
-                        let next = Committed::Shared(Arc::new(out.grid));
-                        crew.spare = std::mem::replace(&mut self.current, next).reclaim();
-                        self.partial = keep;
-                        self.t_now += u64_from_usize(k);
-                        self.passes += 1;
-                        self.passes_since_ckpt += 1;
+                        self.commit(grid, k, crew);
                         continue 'run;
                     }
-                    Err(fail) => {
-                        self.recovery.detected += 1;
-                        // Any failure voids the overlap window: staged
-                        // frames carry a pre-rollback attempt epoch and
-                        // a possibly pre-rollback lattice, so the retry
-                        // re-exchanges at the barrier, serialized, and
-                        // earns no overlap credit.
-                        for w in self.windows.iter_mut() {
-                            w.invalidate();
-                        }
-                        self.credit = Ticks::ZERO;
-                        // Level 2 — roll back just the failed board and
-                        // replay its buffered halos; the cache keeps
-                        // every other board's clean work. A board that
-                        // ran on its kept planes cannot replay: the
-                        // lattice holds only its frame.
-                        if let Some(i) = fail.slab.filter(|_| !self.partial) {
-                            let b = self.phys[i];
-                            if self.local_left[b] > 0 {
-                                self.local_left[b] -= 1;
-                                self.recovery.local_rollbacks += 1;
-                                self.totals.per_shard[b].local_rollbacks += 1;
-                                self.attempts[b] += 1;
-                                continue;
-                            }
-                        }
-                        // Level 3 — the pre-ladder behavior: every
-                        // board reloads the last barrier, every epoch
-                        // re-seeds.
-                        if self.retries_left > 0 {
-                            self.retries_left -= 1;
-                            self.recovery.rollbacks += 1;
-                            crew.planes.clear();
-                            crew.spare = self.rewind()?;
-                            continue 'run;
-                        }
-                        // Level 4 — retire the board that exhausted its
-                        // ladder and re-partition its slab onto the
-                        // survivors.
-                        if let Some(i) = fail.slab {
-                            if self.retired_left > 0 && self.phys.len() > 1 {
-                                self.retired_left -= 1;
-                                self.recovery.boards_retired += 1;
-                                let b = self.phys.remove(i);
-                                self.totals.per_shard[b].retired = true;
-                                crew.planes.clear();
-                                crew.spare = self.rewind()?;
-                                // Only reachable on single-row grids
-                                // (`session_inner` gates the degrade
-                                // budget), so the reshape is columnar.
-                                self.ckpt_slabs = partition2d(
-                                    self.rows,
-                                    self.cols,
-                                    1,
-                                    self.phys.len(),
-                                    self.farm.depth,
-                                    self.farm.periodic,
-                                )?;
-                                self.totals.regeom(&self.ckpt_slabs, &self.phys);
-                                self.barrier(sink, false, Some(crew))?;
-                                continue 'run;
-                            }
-                        }
-                        return Err(fail.error);
-                    }
+                    Err(fail) => match self.escalate(fail, true, crew, sink)? {
+                        Rung::Replay => continue,
+                        Rung::Rewind => continue 'run,
+                    },
                 }
             }
         }
         Ok(())
+    }
+
+    /// Commits `grid` as the lattice one `k`-deep pass further on.
+    fn commit<'env>(&mut self, grid: Grid<S>, k: usize, crew: &mut StepCrew<'_, 'env, S>)
+    where
+        'p: 'env,
+    {
+        let next = Committed::Shared(Arc::new(grid));
+        crew.spare = std::mem::replace(&mut self.current, next).reclaim();
+        self.t_now += u64_from_usize(k);
+        self.passes += 1;
+        self.passes_since_ckpt += 1;
+    }
+
+    /// Runs the `n` passes of depth `k` from the current generation as
+    /// one resident run and commits it: the bill of every pass, from
+    /// geometry, absorbed in pass order, and the lattice once. `None`
+    /// when it committed; nothing is committed when it did not. The
+    /// bill is drawn up first, so a run whose ticks overflow is refused
+    /// before it runs.
+    fn run_resident<'env, R: Rule<S = S>>(
+        &mut self,
+        rule: &R,
+        k: usize,
+        n: u64,
+        blocks: &[Block],
+        crew: &mut StepCrew<'_, 'env, S>,
+        sink: &mut Option<&mut (dyn SnapshotSink + '_)>,
+    ) -> Result<Option<Unrun>, LatticeError>
+    where
+        'p: 'env,
+    {
+        let ShardEngine::Wsa { width } = self.farm.engine else { return Ok(Some(Unrun::Declined)) };
+        let grid = self.farm.grid_at(blocks.len());
+        let wrap = self.farm.wrap_at(grid.0, k);
+        let mut totals = self.totals.clone();
+        let (mut pos, mut pos_inter) = (self.halo_pos.clone(), self.halo_pos_inter.clone());
+        // Every pass of the run has the same blocks and depth, and none
+        // is staged, so every pass bills the same; each still moves the
+        // links' stream positions.
+        let mut bill: Option<PassOutcome> = None;
+        for _ in 0..n {
+            let mut exs = Vec::with_capacity(blocks.len());
+            for block in blocks {
+                let (aug, b) = (Augmented::new(&self.current, block, wrap), self.phys[block.index]);
+                exs.push(self.farm.exchange_board(
+                    aug,
+                    b,
+                    None,
+                    self.link_chip_base,
+                    &mut pos[b],
+                    &mut pos_inter[b],
+                    self.cfg.arq_retries,
+                    &mut self.recovery,
+                    false,
+                )?);
+            }
+            if bill.is_none() {
+                let mut costs = Vec::with_capacity(blocks.len());
+                for block in blocks {
+                    let shape = Shape::grid2(block.aug_height(wrap), block.aug_width())?;
+                    let Some(cost) = Pipeline::wide(width, k).kernel_cost::<S>(shape) else {
+                        return Ok(Some(Unrun::Declined));
+                    };
+                    costs.push(vec![cost]);
+                }
+                let boards = blocks.iter().zip(&exs).zip(costs).map(|((b, ex), c)| (b, ex, c));
+                bill = Some(self.farm.settle(boards.collect(), k, wrap, self.credit));
+            }
+            if let Some(out) = &bill {
+                totals.absorb(out, u64_from_usize(k), &self.phys)?;
+            }
+        }
+        let periodic = self.farm.periodic;
+        let rp =
+            RunParams { blocks, phys: &self.phys, grid, periodic, k, t0: self.t_now, passes: n };
+        let next = match resident::run(rule, &self.current, &rp, crew) {
+            Ok(next) => Grid::from_vec(self.shape, next)?,
+            Err(unrun) => return Ok(Some(unrun)),
+        };
+        (self.totals, self.halo_pos, self.halo_pos_inter) = (totals, pos, pos_inter);
+        self.credit = bill.map_or(Ticks::ZERO, |out| out.interior_ticks);
+        for _ in 1..n {
+            self.t_now += u64_from_usize(k);
+            self.passes += 1;
+            self.passes_since_ckpt += 1;
+            // A barrier that falls due inside the run does not encode
+            // (`resident_passes`): it only closes the window.
+            if self.passes_since_ckpt >= self.cfg.checkpoint_every {
+                self.barrier(sink, false, Some(crew))?;
+            }
+        }
+        self.commit(next, k, crew);
+        Ok(None)
+    }
+
+    /// Answers a failed pass attempt or resident run with the ladder's
+    /// next level: `Ok(Rung::Replay)` to replay the failed board alone,
+    /// `Ok(Rung::Rewind)` once every board has reloaded the barrier, the
+    /// failure's error when no level is left. A resident run is not
+    /// `replayable`: it committed nothing a board could replay from.
+    fn escalate<'env>(
+        &mut self,
+        fail: BoardFailure,
+        replayable: bool,
+        crew: &mut StepCrew<'_, 'env, S>,
+        sink: &mut Option<&mut (dyn SnapshotSink + '_)>,
+    ) -> Result<Rung, LatticeError>
+    where
+        'p: 'env,
+    {
+        self.recovery.detected += 1;
+        // Any failure voids the overlap window: staged frames carry a
+        // pre-rollback attempt epoch and a possibly pre-rollback
+        // lattice, so the retry re-exchanges at the barrier, serialized,
+        // and earns no overlap credit.
+        for w in self.windows.iter_mut() {
+            w.invalidate();
+        }
+        self.credit = Ticks::ZERO;
+        // Level 2 — roll back just the failed board and replay its
+        // buffered halos; the cache keeps every other board's clean work.
+        if let Some(i) = fail.slab.filter(|_| replayable) {
+            let b = self.phys[i];
+            if self.local_left[b] > 0 {
+                self.local_left[b] -= 1;
+                self.recovery.local_rollbacks += 1;
+                self.totals.per_shard[b].local_rollbacks += 1;
+                self.attempts[b] += 1;
+                return Ok(Rung::Replay);
+            }
+        }
+        // Level 3 — the pre-ladder behavior: every board reloads the
+        // last barrier, every epoch re-seeds.
+        if self.retries_left > 0 {
+            self.retries_left -= 1;
+            self.recovery.rollbacks += 1;
+            crew.spare = self.rewind()?;
+            return Ok(Rung::Rewind);
+        }
+        // Level 4 — retire the board that exhausted its ladder and
+        // re-partition its slab onto the survivors.
+        if let Some(i) = fail.slab {
+            if self.retired_left > 0 && self.phys.len() > 1 {
+                self.retired_left -= 1;
+                self.recovery.boards_retired += 1;
+                let b = self.phys.remove(i);
+                self.totals.per_shard[b].retired = true;
+                crew.spare = self.rewind()?;
+                // Only reachable on single-row grids (`session_inner`
+                // gates the degrade budget), so the reshape is columnar.
+                self.ckpt_slabs = partition2d(
+                    self.rows,
+                    self.cols,
+                    1,
+                    self.phys.len(),
+                    self.farm.depth,
+                    self.farm.periodic,
+                )?;
+                self.totals.regeom(&self.ckpt_slabs, &self.phys);
+                self.barrier(sink, false, Some(crew))?;
+                return Ok(Rung::Rewind);
+            }
+        }
+        Err(fail.error)
     }
 
     /// Rewinds every board to the in-memory barrier (ladder levels 3
@@ -2711,7 +2708,6 @@ impl<'p, S: State> FarmSession<'p, S> {
     fn rewind(&mut self) -> Result<Option<Vec<S>>, LatticeError> {
         let (g, t) = load_shard_checkpoints::<S>(&self.ckpt, &self.ckpt_slabs, self.shape)?;
         let discarded = std::mem::replace(&mut self.current, Committed::Shared(Arc::new(g)));
-        self.partial = false;
         self.t_now = t;
         self.passes_since_ckpt = 0;
         for a in self.attempts.iter_mut() {
@@ -2721,10 +2717,8 @@ impl<'p, S: State> FarmSession<'p, S> {
     }
 
     /// Closes the session: the final machine report and recovery tally,
-    /// identical to what the one-shot entry points return. An error
-    /// once a failed step has lost the lattice.
+    /// identical to what the one-shot entry points return.
     pub fn finish(self) -> Result<FarmFtRun<S>, LatticeError> {
-        self.whole()?;
         let faults = self.plan.get().map(|p| p.stats().since(self.fault_base)).unwrap_or_default();
         Ok(FarmFtRun {
             report: self.totals.finish(
@@ -2744,6 +2738,7 @@ mod tests {
     use crate::crew;
     use lattice_core::checkpoint::store::{CheckpointStore, MemBackend};
     use lattice_core::units::f64_from_u64;
+    use lattice_core::BlockKernel;
     use lattice_core::{evolve, Boundary};
     use lattice_engines_sim::{Component, Fault, FaultKind};
     use lattice_gas::hpp::HppDir;
@@ -2913,12 +2908,11 @@ mod tests {
 
     #[test]
     fn resident_boards_import_every_halo_site() {
-        // Boards that keep their planes import their halos from the
-        // frames the last pass wrote; every halo site is poisoned
-        // before the import and every unwritten lattice site before
-        // the pass, so a site either one misses fails the reference.
-        // One-board grids on the torus import from themselves, and a
-        // single board row keeps its wrap rows on board.
+        // Resident boards take their halos from their neighbours' plane
+        // frames; every halo site is poisoned before the hops and every
+        // unwritten lattice site before the run, so a site either one
+        // misses fails the reference. A one-wide board axis on the
+        // torus wraps inside the board's own kernel.
         for (gr, gc) in [(1usize, 1usize), (1, 2), (2, 1), (2, 2), (3, 1)] {
             for periodic in [false, true] {
                 for k in 1..=3usize {
@@ -3027,7 +3021,6 @@ mod tests {
                 k,
                 t0: 0,
                 audited: false,
-                keep: false,
             };
             let mut next = vec![0xAAu8; shape.len()];
             let owned = &mut owned_rows(&mut next, 24, &blocks)[0];
@@ -4020,23 +4013,24 @@ mod tests {
     }
 
     /// HPP whose kernel panics once, in the `run` that starts at
-    /// generation `at` — a board that fails on its kept planes.
+    /// generation `at.0` on the board whose first augmented column is
+    /// `at.1`: a board failing mid-run.
     struct PanicInRun {
         hpp: HppRule,
-        at: u64,
+        at: (u64, usize),
         armed: Arc<std::sync::atomic::AtomicBool>,
     }
 
     struct Ticking {
         inner: Box<dyn BlockKernel<u8>>,
         t: u64,
-        at: u64,
+        at: Option<u64>,
         armed: Arc<std::sync::atomic::AtomicBool>,
     }
 
     impl BlockKernel<u8> for Ticking {
         fn run(&mut self, generations: u64) {
-            if self.t == self.at && self.armed.swap(false, Ordering::SeqCst) {
+            if self.at == Some(self.t) && self.armed.swap(false, Ordering::SeqCst) {
                 panic!("injected kernel panic");
             }
             self.inner.run(generations);
@@ -4047,6 +4041,15 @@ mod tests {
         }
         fn unpack(&self, sink: &mut dyn RowSink<u8>) {
             self.inner.unpack(sink);
+        }
+        fn copy(&self, window: (Range<usize>, Range<usize>), frame: &mut Vec<u64>) {
+            self.inner.copy(window, frame);
+        }
+        fn paste(&mut self, at: (usize, usize), shape: (usize, usize), frame: &[u64]) {
+            self.inner.paste(at, shape, frame);
+        }
+        fn wrap(&mut self, rows: bool, cols: bool) -> bool {
+            self.inner.wrap(rows, cols)
         }
     }
 
@@ -4062,54 +4065,59 @@ mod tests {
             origin: (usize, usize),
         ) -> Option<Box<dyn BlockKernel<u8>>> {
             let inner = self.hpp.block_kernel(src, t0, origin)?;
-            Some(Box::new(Ticking { inner, t: t0, at: self.at, armed: Arc::clone(&self.armed) }))
+            let at = (origin.1 == self.at.1).then_some(self.at.0);
+            Some(Box::new(Ticking { inner, t: t0, at, armed: Arc::clone(&self.armed) }))
         }
     }
 
     #[test]
-    fn a_board_failing_on_its_kept_planes_rewinds_or_loses_the_step() {
-        // Pass 4 of an 8-pass step runs on the planes pass 3 kept; the
-        // lattice holds only the boards' frames, so the failed board
-        // cannot replay alone. A local budget with no global retry behind
-        // it therefore keeps no planes, and the board replays alone as on
-        // the per-pass path. With a global retry the boards keep their
-        // planes and the step rewinds to the opening barrier, bit-exact;
-        // with no budget at all the step fails and the session refuses
-        // every read and step after it.
+    fn a_board_panicking_mid_run_rewinds_or_leaves_the_run_start() {
+        // A kernel panic in pass 4 of an 8-pass step, on the supervisor's
+        // board (0, whose first augmented column wraps to the lattice's
+        // last) or on the helper's (1, column 19). Under a local budget
+        // with no restoring level behind it the step is not resident and
+        // the board replays alone. Otherwise the step is one resident
+        // run: the board poisons its mailboxes, so its neighbour stops
+        // instead of waiting, and the run fails. Nothing commits mid-run:
+        // a global retry rewinds to the opening barrier, bit-exact, and
+        // with no budget the session still holds the lattice the run
+        // started from, serves it, and steps on from it.
         let (g, hpp) = hpp_world(8, 40, 3);
         let farm = LatticeFarm::new(2, ShardEngine::Wsa { width: 1 }, 1).with_periodic(true);
-        let rule = PanicInRun { hpp, at: 3, armed: Arc::new(true.into()) };
-        let reference = evolve(&g, &rule.hpp, Boundary::Periodic, 0, 8);
-        let local_only = FarmRecoveryConfig {
-            max_retries: 0,
-            local_retries: 2,
-            checkpoint_every: u64::MAX,
-            ..FarmRecoveryConfig::NONE
-        };
-        let global = FarmRecoveryConfig { max_retries: 1, ..local_only };
-        for (cfg, local, rollbacks) in [(local_only, 1, 0), (global, 0, 1)] {
-            rule.armed.store(true, Ordering::SeqCst);
-            let mut session = farm.session_owned(&g, 0, None, &cfg, None).unwrap();
-            session.step(&rule, 8).unwrap();
-            let recovery = session.recovery();
-            assert_eq!((recovery.detected, recovery.local_rollbacks), (1, local), "{cfg:?}");
-            assert_eq!(recovery.rollbacks, rollbacks, "{cfg:?}");
-            assert_eq!(session.grid().unwrap(), &reference, "{cfg:?}");
-        }
-        rule.armed.store(true, Ordering::SeqCst);
+        let at = |t| evolve(&g, &hpp, Boundary::Periodic, 0, t);
         let none = FarmRecoveryConfig::NONE;
-        let mut session = farm.session_owned(&g, 0, None, &none, None).unwrap();
-        let err = session.step(&rule, 8).unwrap_err();
-        assert!(matches!(err, LatticeError::BoardDown { .. }), "{err}");
-        let refusals = [
-            session.grid().map(drop),
-            session.report().map(drop),
-            session.step(&rule, 1),
-            session.checkpoint(None),
-        ];
-        for refused in refusals {
-            assert!(refused.unwrap_err().to_string().contains("was lost"));
+        let local_only = FarmRecoveryConfig { local_retries: 2, ..none };
+        let global = FarmRecoveryConfig { max_retries: 1, ..local_only };
+        let panics = |t, column| PanicInRun {
+            hpp: HppRule::new(),
+            at: (t, column),
+            armed: Arc::new(true.into()),
+        };
+        for (board, column) in [(0usize, usize::MAX), (1, 19)] {
+            for (cfg, local, rollbacks) in [(local_only, 1, 0), (global, 0, 1)] {
+                let mut session = farm.session_owned(&g, 0, None, &cfg, None).unwrap();
+                session.step(&panics(3, column), 8).unwrap();
+                let recovery = session.recovery();
+                let case = format!("board {board}, {cfg:?}");
+                assert_eq!((recovery.detected, recovery.local_rollbacks), (1, local), "{case}");
+                assert_eq!(recovery.rollbacks, rollbacks, "{case}");
+                assert_eq!(session.grid().unwrap(), &at(8), "{case}");
+                assert_eq!(session.report().unwrap().passes, 8, "only the rerun commits: {case}");
+            }
+
+            let mut session = farm.session_owned(&g, 0, None, &none, None).unwrap();
+            session.step(&hpp, 3).unwrap();
+            let err = session.step(&panics(6, column), 8).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("board {board} down: worker died before reporting")
+            );
+            assert_eq!((session.time(), session.grid().unwrap()), (3, &at(3)), "board {board}");
+            let report = session.report().unwrap();
+            assert_eq!((report.passes, report.grid()), (3, &at(3)), "board {board}");
+            session.checkpoint(None).unwrap();
+            session.step(&hpp, 8).unwrap();
+            assert_eq!(session.finish().unwrap().report.grid(), &at(11), "board {board}");
         }
-        assert!(session.finish().is_err());
     }
 }

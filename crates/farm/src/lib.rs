@@ -14,9 +14,10 @@
 //! links ([`BoardLink`]), then compute `k` generations concurrently,
 //! each board reading its block from the committed lattice and writing
 //! its owned rows of the next one. When nothing reads the lattice
-//! between two passes (no audit, fault plan, barrier or overlap), a
-//! board on the bit-plane kernel keeps its planes instead, writes only
-//! the frame its neighbours import, and imports only its halo.
+//! between passes (no audit, fault plan, barrier or overlap), each
+//! board on the bit-plane kernel takes the whole run of them as one job,
+//! keeps its planes, and trades its halo frames with its neighbours as
+//! plane words; the lattice is built once, at the run's end.
 //!
 //! Three contracts, all enforced by tests:
 //!
@@ -54,6 +55,7 @@ mod crew;
 pub mod farm;
 pub mod link;
 pub mod partition;
+mod resident;
 
 pub use farm::{
     FarmDegradeConfig, FarmFtRun, FarmRecoveryConfig, FarmReport, FarmSession, LatticeFarm,

@@ -47,6 +47,17 @@
 //! that a stale result is never committed, every job is answered
 //! exactly once, nothing deadlocks, and every helper is joined before
 //! the step returns.
+//!
+//! A fourth model (`loom_mailbox_*`) checks the resident runs'
+//! mailboxes (`crates/farm/src/resident.rs`): boards on a board grid
+//! that each run a whole run of passes, trading frames through one-deep,
+//! pass-tagged mailboxes, rows first and then columns, with a board that
+//! may panic at any point of the first run and poison its mailboxes, and
+//! a second run on the same mailboxes after it. It asserts that no board
+//! imports a frame from another pass (a failed run's leftovers
+//! included), that nothing deadlocks on any grid (a one-wide torus axis
+//! wraps inside the board and has no mailbox), and that a panicking
+//! board's poison reaches every board waiting on it.
 
 use std::collections::{BTreeSet, HashSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -1162,4 +1173,346 @@ fn loom_crew_deaths_and_timeouts_together() {
 fn loom_crew_two_timeouts() {
     let states = run_crew_model(CrewModel::new(2, 2, 0, 2));
     assert!(states >= 100_000, "explorer degenerated: only {states} states");
+}
+
+// ---------------------------------------------------------------------------
+// The resident-run mailbox model (`crates/farm/src/resident.rs`). Each
+// board of an R × C grid runs `passes` passes as one job: it computes,
+// and between passes completes its halo in two hops, rows then columns:
+// it posts its edge into each neighbour's mailbox on that axis, then
+// takes each of its own. A mailbox holds one frame, tagged with its pass;
+// tags never repeat within a step, and the second run's start past the
+// first's. A post waits while the mailbox holds an untaken frame of its
+// own run (a frame an earlier run left is overwritten); a take waits for
+// its own pass's tag. A board that fails poisons every mailbox it posts
+// to or takes from, for the rest of its run; a board that meets poison
+// fails and poisons in turn. The supervisor starts the second run once
+// every board of the first has finished or failed.
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum Act {
+    Compute,
+    /// Post this pass's frame into mailbox `m`.
+    Post(usize),
+    /// Take this pass's frame from mailbox `m`.
+    Take(usize),
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum Status {
+    Running,
+    Done,
+    Failed,
+}
+
+#[derive(Clone, Hash, Debug)]
+struct MailBoard {
+    /// The board's actions in order, each with its pass.
+    program: Vec<(u64, Act)>,
+    pc: usize,
+    status: Status,
+}
+
+#[derive(Clone, Copy, Hash, Debug, Default)]
+struct Mbox {
+    /// The tag of the untaken frame.
+    full: Option<u64>,
+    /// Waits on a tag below this fail.
+    poisoned_below: u64,
+}
+
+#[derive(Clone, Hash, Debug)]
+struct MailModel {
+    boards: Vec<MailBoard>,
+    mailboxes: Vec<Mbox>,
+    /// Per board, the mailboxes it posts to or takes from.
+    touches: Vec<Vec<usize>>,
+    passes: u64,
+    /// The run under way (0 or 1) and whether the supervisor finished.
+    run: u64,
+    finished: bool,
+    panics_left: u32,
+    /// A broken board that takes whatever frame waits, whatever its tag.
+    ignore_tags: bool,
+    /// A broken board that fails without poisoning its mailboxes.
+    drop_poison: bool,
+}
+
+impl MailModel {
+    /// Boards on an `r × c` grid; a one-wide torus axis wraps inside the
+    /// board, so only an axis with two or more boards has links, and
+    /// the null boundary has none past the grid's edge.
+    fn new(r: usize, c: usize, periodic: bool, passes: u64, panics: u32) -> MailModel {
+        let sides = |gr: usize, gc: usize| {
+            let up = r > 1 && (periodic || gr > 0);
+            let down = r > 1 && (periodic || gr + 1 < r);
+            let left = c > 1 && (periodic || gc > 0);
+            let right = c > 1 && (periodic || gc + 1 < c);
+            // (side, has halo, neighbour): sides 0..4 are up, down,
+            // left, right; the neighbour's side facing back is `s ^ 1`.
+            [
+                (0, up, ((gr + r - 1) % r) * c + gc),
+                (1, down, ((gr + 1) % r) * c + gc),
+                (2, left, gr * c + (gc + c - 1) % c),
+                (3, right, gr * c + (gc + 1) % c),
+            ]
+        };
+        let mut touches = vec![Vec::new(); r * c];
+        let boards = (0..r * c)
+            .map(|i| {
+                let all = sides(i / c, i % c);
+                for &(s, on, nbr) in &all {
+                    if on {
+                        touches[i].push(4 * i + s);
+                        touches[i].push(4 * nbr + (s ^ 1));
+                    }
+                }
+                MailBoard {
+                    program: Self::program(i, &all, passes, 0),
+                    pc: 0,
+                    status: Status::Running,
+                }
+            })
+            .collect();
+        MailModel {
+            boards,
+            mailboxes: vec![Mbox::default(); 4 * r * c],
+            touches,
+            passes,
+            run: 0,
+            finished: false,
+            panics_left: panics,
+            ignore_tags: false,
+            drop_poison: false,
+        }
+    }
+
+    /// Board `i`'s actions for the run whose first tag is `tag0`.
+    fn program(
+        i: usize,
+        sides: &[(usize, bool, usize); 4],
+        passes: u64,
+        tag0: u64,
+    ) -> Vec<(u64, Act)> {
+        let mut acts = Vec::new();
+        for p in 0..passes {
+            let tag = tag0 + p;
+            acts.push((tag, Act::Compute));
+            if p + 1 == passes {
+                break;
+            }
+            for hop in [&sides[..2], &sides[2..]] {
+                for &(s, on, nbr) in hop {
+                    if on {
+                        acts.push((tag, Act::Post(4 * nbr + (s ^ 1))));
+                    }
+                }
+                for &(s, on, _) in hop {
+                    if on {
+                        acts.push((tag, Act::Take(4 * i + s)));
+                    }
+                }
+            }
+        }
+        acts
+    }
+
+    fn tag0(&self) -> u64 {
+        self.run * self.passes
+    }
+
+    /// Board `b` fails: it poisons every mailbox it touches for the rest
+    /// of its run.
+    fn fail(&mut self, b: usize) {
+        self.boards[b].status = Status::Failed;
+        if !self.drop_poison {
+            let end = self.tag0() + self.passes;
+            for &m in &self.touches[b] {
+                self.mailboxes[m].poisoned_below = self.mailboxes[m].poisoned_below.max(end);
+            }
+        }
+    }
+
+    /// Whether board `b`'s next action can run (or meet poison).
+    fn enabled(&self, b: usize) -> bool {
+        let board = &self.boards[b];
+        if board.status != Status::Running {
+            return false;
+        }
+        let Some(&(tag, act)) = board.program.get(board.pc) else { return true };
+        match act {
+            Act::Compute => true,
+            Act::Post(m) | Act::Take(m) if tag < self.mailboxes[m].poisoned_below => true,
+            Act::Post(m) => self.mailboxes[m].full.is_none_or(|t| t < self.tag0()),
+            Act::Take(m) if self.ignore_tags => self.mailboxes[m].full.is_some(),
+            Act::Take(m) => self.mailboxes[m].full == Some(tag),
+        }
+    }
+
+    fn step(&mut self, b: usize) {
+        let (pc, tag0) = (self.boards[b].pc, self.tag0());
+        let Some(&(tag, act)) = self.boards[b].program.get(pc) else {
+            self.boards[b].status = Status::Done;
+            return;
+        };
+        match act {
+            Act::Post(m) | Act::Take(m) if tag < self.mailboxes[m].poisoned_below => {
+                return self.fail(b);
+            }
+            Act::Compute => {}
+            Act::Post(m) => self.mailboxes[m].full = Some(tag),
+            Act::Take(m) => {
+                let got = self.mailboxes[m].full.take();
+                assert_eq!(
+                    got,
+                    Some(tag),
+                    "board {b} imported a frame tagged {got:?} for pass tag {tag} (run from {tag0})"
+                );
+            }
+        }
+        self.boards[b].pc += 1;
+    }
+
+    /// Every enabled move: `(board, panics)`, and the supervisor's start
+    /// of the second run as `None`.
+    fn moves(&self) -> Vec<Option<(usize, bool)>> {
+        let mut out = Vec::new();
+        let settled = self.boards.iter().all(|b| b.status != Status::Running);
+        if settled && !self.finished {
+            out.push(None);
+        }
+        for b in (0..self.boards.len()).filter(|&b| self.enabled(b)) {
+            out.push(Some((b, false)));
+        }
+        if self.run == 0 && self.panics_left > 0 {
+            let running =
+                self.boards.iter().enumerate().filter(|(_, x)| x.status == Status::Running);
+            out.extend(running.map(|(b, _)| Some((b, true))));
+        }
+        out
+    }
+
+    fn apply(&mut self, mv: Option<(usize, bool)>) {
+        match mv {
+            None if self.run == 0 => {
+                // The same actions on the same mailboxes, under the
+                // second run's tags.
+                self.run = 1;
+                let passes = self.passes;
+                for board in &mut self.boards {
+                    let program = board.program.iter().map(|&(t, a)| (t + passes, a)).collect();
+                    *board = MailBoard { program, pc: 0, status: Status::Running };
+                }
+            }
+            None => self.finished = true,
+            Some((b, true)) => {
+                self.panics_left -= 1;
+                self.fail(b);
+            }
+            Some((b, false)) => self.step(b),
+        }
+    }
+
+    fn check_final(&self) {
+        assert!(self.finished, "the supervisor never saw every board of run {} finish", self.run);
+        for (b, board) in self.boards.iter().enumerate() {
+            assert_eq!(board.status, Status::Done, "board {b} ended the retry {:?}", board.status);
+        }
+    }
+}
+
+/// Explores every interleaving of the mailbox model; returns the number
+/// of distinct reachable states.
+fn run_mail_model(model: MailModel) -> u64 {
+    fn explore(m: &MailModel, seen: &mut HashSet<u64>, terminals: &mut u64) {
+        let mut h = DefaultHasher::new();
+        m.hash(&mut h);
+        if !seen.insert(h.finish()) {
+            return;
+        }
+        assert!(seen.len() < 5_000_000, "state budget exhausted — shrink the model");
+        let moves = m.moves();
+        if moves.is_empty() {
+            m.check_final();
+            *terminals += 1;
+            return;
+        }
+        for mv in moves {
+            let mut next = m.clone();
+            next.apply(mv);
+            explore(&next, seen, terminals);
+        }
+    }
+    let mut seen = HashSet::new();
+    let mut terminals = 0;
+    explore(&model, &mut seen, &mut terminals);
+    assert!(terminals >= 1, "no maximal schedule reached");
+    seen.len() as u64
+}
+
+/// Two boards side by side under the null boundary: one link each way.
+#[test]
+fn loom_mailbox_two_boards_in_a_row() {
+    let states = run_mail_model(MailModel::new(1, 2, false, 3, 1));
+    assert!(states >= 100, "explorer degenerated: only {states} states");
+}
+
+/// farm-fine's grid: two board rows on the torus, whose up and down
+/// neighbours are the same board over two links, and a one-wide column
+/// axis that wraps inside each board.
+#[test]
+fn loom_mailbox_two_board_rows_on_the_torus() {
+    let states = run_mail_model(MailModel::new(2, 1, true, 3, 1));
+    assert!(states >= 100, "explorer degenerated: only {states} states");
+}
+
+/// One board on the torus: both axes wrap inside it, no mailbox at all.
+#[test]
+fn loom_mailbox_one_board_on_the_torus() {
+    let states = run_mail_model(MailModel::new(1, 1, true, 3, 1));
+    assert!(states >= 5, "explorer degenerated: only {states} states");
+}
+
+/// Sanity: a board that takes whatever frame waits imports a frame a
+/// failed run left behind.
+#[test]
+fn loom_mailbox_model_detects_a_frame_of_another_pass() {
+    let result = std::panic::catch_unwind(|| {
+        let mut model = MailModel::new(1, 2, false, 2, 1);
+        model.ignore_tags = true;
+        run_mail_model(model)
+    });
+    assert!(result.is_err(), "the model failed to detect a frame of another pass");
+}
+
+/// Sanity: a board that fails without poisoning leaves its neighbour
+/// waiting forever.
+#[test]
+fn loom_mailbox_model_detects_dropped_poison() {
+    let result = std::panic::catch_unwind(|| {
+        let mut model = MailModel::new(2, 1, true, 2, 1);
+        model.drop_poison = true;
+        run_mail_model(model)
+    });
+    assert!(result.is_err(), "the model failed to detect a neighbour left waiting");
+}
+
+/// The deep mailbox configurations: a 2 × 2 torus, whose column frames
+/// carry the corners the row frames delivered, and three-board rings
+/// on either axis.
+#[cfg(loom)]
+#[test]
+fn loom_mailbox_two_by_two_torus() {
+    let states = run_mail_model(MailModel::new(2, 2, true, 2, 1));
+    assert!(states >= 1_000, "explorer degenerated: only {states} states");
+}
+
+#[cfg(loom)]
+#[test]
+fn loom_mailbox_three_board_rings() {
+    for (r, c) in [(3, 1), (1, 3)] {
+        let states = run_mail_model(MailModel::new(r, c, true, 2, 1));
+        assert!(states >= 1_000, "explorer degenerated: only {states} states");
+    }
 }

@@ -39,8 +39,11 @@
 //! [`HppRule`]: crate::hpp::HppRule
 
 use crate::hpp::HPP_MASK;
-use lattice_core::bits::{pack_rows, pack_window, shift_row, unpack_rows};
+use lattice_core::bits::{
+    copy_planes, pack_rows, pack_window, paste_planes, shift_row, unpack_rows,
+};
 use lattice_core::{BlockKernel, Grid, LatticeError, RowSink, RowSource, Shape};
+use std::ops::Range;
 
 /// The index of the first site with bits outside `mask`. A lattice
 /// that has none costs one OR fold, which vectorises.
@@ -77,8 +80,10 @@ pub struct HppBitLattice {
     rows: usize,
     cols: usize,
     words_per_row: usize,
-    /// Toroidal wrap when set; otherwise streaming shifts in zeros.
-    periodic: bool,
+    /// Toroidal wrap of the rows (N/S streaming) and of the columns
+    /// (E/W) when set; otherwise streaming shifts in zeros there.
+    wrap_rows: bool,
+    wrap_cols: bool,
     /// `planes[ch][row * words_per_row + w]`.
     planes: [Vec<u64>; 4],
 }
@@ -112,7 +117,15 @@ impl HppBitLattice {
                 row[c]
             ))),
         })?;
-        Ok(HppBitLattice { rows, cols, words_per_row: cols.div_ceil(64), periodic, planes })
+        let words_per_row = cols.div_ceil(64);
+        Ok(HppBitLattice {
+            rows,
+            cols,
+            words_per_row,
+            wrap_rows: periodic,
+            wrap_cols: periodic,
+            planes,
+        })
     }
 
     /// Unpacks to a byte-per-site grid.
@@ -161,18 +174,18 @@ impl HppBitLattice {
     /// zeros under the null boundary.
     pub fn stream(&mut self) {
         let wpr = self.words_per_row;
-        let (cols, periodic) = (self.cols, self.periodic);
+        let (cols, wrap_rows, wrap_cols) = (self.cols, self.wrap_rows, self.wrap_cols);
         // Channel order is `HppDir`'s: E, N, W, S.
         let [east, north, west, south] = &mut self.planes;
         for row in east.chunks_exact_mut(wpr) {
-            shift_row(row, cols, true, periodic);
+            shift_row(row, cols, true, wrap_cols);
         }
         for row in west.chunks_exact_mut(wpr) {
-            shift_row(row, cols, false, periodic);
+            shift_row(row, cols, false, wrap_cols);
         }
         // N movers go to row - 1, S movers to row + 1.
-        move_rows(north, wpr, true, periodic);
-        move_rows(south, wpr, false, periodic);
+        move_rows(north, wpr, true, wrap_rows);
+        move_rows(south, wpr, false, wrap_rows);
     }
 
     /// One full generation: collide then stream (matching
@@ -206,6 +219,19 @@ impl BlockKernel<u8> for HppBitLattice {
 
     fn unpack(&self, sink: &mut dyn RowSink<u8>) {
         HppBitLattice::unpack(self, sink);
+    }
+
+    fn copy(&self, window: (Range<usize>, Range<usize>), frame: &mut Vec<u64>) {
+        copy_planes(&self.planes, self.cols, window, frame);
+    }
+
+    fn paste(&mut self, at: (usize, usize), shape: (usize, usize), frame: &[u64]) {
+        paste_planes(&mut self.planes, self.cols, at, shape, frame);
+    }
+
+    fn wrap(&mut self, rows: bool, cols: bool) -> bool {
+        (self.wrap_rows, self.wrap_cols) = (rows, cols);
+        true
     }
 }
 

@@ -756,6 +756,26 @@ mod tests {
         assert!(rule.evolve_block(&g, &mut out, 0, 2, (0, 0)));
     }
 
+    #[test]
+    fn a_wrapped_kernel_is_the_hex_torus() {
+        let (rows, cols) = (8, 70);
+        let g =
+            crate::init::random_fhp(Shape::grid2(rows, cols).unwrap(), FhpVariant::I, 0.4, 5, true)
+                .unwrap();
+        let rule = FhpRule::new(FhpVariant::I, 11).with_wrap(rows, cols);
+        let mut kernel = rule.block_kernel(&g, 3, (0, 0)).unwrap();
+        assert!(kernel.wrap(true, true));
+        kernel.run(6);
+        let mut out = Grid::new(g.shape());
+        kernel.unpack(&mut out);
+        assert_eq!(out, evolve(&g, &rule, Boundary::Periodic, 3, 6));
+        // The odd-r rows pair up only over an even count.
+        let odd = Grid::from_fn(Shape::grid2(7, cols).unwrap(), |c| g.get(c));
+        let mut kernel = rule.block_kernel(&odd, 0, (0, 0)).unwrap();
+        assert!(!kernel.wrap(true, false));
+        assert!(kernel.wrap(false, true));
+    }
+
     fn total_invariants(g: &Grid<u8>) -> (u64, i64, i64) {
         g.as_slice().iter().fold((0, 0, 0), |(m, px, py), &s| {
             let inv = fhp_invariants(s & FHP_GAS_MASK);

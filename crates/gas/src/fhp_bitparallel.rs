@@ -53,8 +53,11 @@
 use crate::bitparallel::{first_outside, move_rows};
 use crate::fhp::{fhp_invariants, FHP_MOVE_MASK};
 use crate::prng;
-use lattice_core::bits::{pack_rows, pack_window, shift_row, unpack_rows};
+use lattice_core::bits::{
+    copy_planes, pack_rows, pack_window, paste_planes, shift_row, unpack_rows,
+};
 use lattice_core::{BlockKernel, Grid, LatticeError, RowSink, RowSource, Shape};
+use std::ops::Range;
 
 /// An FHP-I lattice as six channel bit-planes, 64 sites per word,
 /// packed along rows. Periodic (hex torus, even row count) or null
@@ -64,8 +67,11 @@ pub struct FhpBitLattice {
     rows: usize,
     cols: usize,
     words_per_row: usize,
-    /// Toroidal wrap when set; otherwise streaming shifts in zeros.
-    periodic: bool,
+    /// Toroidal wrap of the rows (the diagonal channels' row moves) and
+    /// of the columns (every shift along a row) when set; otherwise
+    /// streaming shifts in zeros there.
+    wrap_rows: bool,
+    wrap_cols: bool,
     /// `planes[ch][row * words_per_row + w]`, channels in
     /// [`crate::fhp::FhpDir`] order.
     planes: [Vec<u64>; 6],
@@ -167,7 +173,8 @@ impl FhpBitLattice {
             rows,
             cols,
             words_per_row: cols.div_ceil(64),
-            periodic,
+            wrap_rows: periodic,
+            wrap_cols: periodic,
             planes,
             row_keys: (0..rows).map(|r| axis_key(origin.0, r, wrap_rows) << 32).collect(),
             col_keys: (0..cols).map(|c| axis_key(origin.1, c, wrap_cols)).collect(),
@@ -229,15 +236,15 @@ impl FhpBitLattice {
     /// [`crate::fhp::FhpDir`]'s offsets). Wraps on the torus, shifts in
     /// zeros under the null boundary.
     pub fn stream(&mut self) {
-        let (wpr, cols, periodic, parity0) =
-            (self.words_per_row, self.cols, self.periodic, self.parity0);
+        let (wpr, cols, parity0) = (self.words_per_row, self.cols, self.parity0);
+        let (wrap_rows, wrap_cols) = (self.wrap_rows, self.wrap_cols);
         // Channel order is `FhpDir`'s: E, NE, NW, W, SW, SE.
         let [east, ne, nw, west, sw, se] = &mut self.planes;
         for row in east.chunks_exact_mut(wpr) {
-            shift_row(row, cols, true, periodic);
+            shift_row(row, cols, true, wrap_cols);
         }
         for row in west.chunks_exact_mut(wpr) {
-            shift_row(row, cols, false, periodic);
+            shift_row(row, cols, false, wrap_cols);
         }
         // A particle moving NE from an odd source row lands one column
         // east, from an even one in the same column; NW lands one column
@@ -247,11 +254,11 @@ impl FhpBitLattice {
         for (plane, up, east) in
             [(ne, true, true), (nw, true, false), (se, false, true), (sw, false, false)]
         {
-            move_rows(plane, wpr, up, periodic);
+            move_rows(plane, wpr, up, wrap_rows);
             for (d, row) in plane.chunks_exact_mut(wpr).enumerate() {
                 let odd_source = (parity0 ^ d) & 1 == 0;
                 if odd_source == east {
-                    shift_row(row, cols, east, periodic);
+                    shift_row(row, cols, east, wrap_cols);
                 }
             }
         }
@@ -297,6 +304,23 @@ impl BlockKernel<u8> for FhpBitLattice {
 
     fn unpack(&self, sink: &mut dyn RowSink<u8>) {
         FhpBitLattice::unpack(self, sink);
+    }
+
+    fn copy(&self, window: (Range<usize>, Range<usize>), frame: &mut Vec<u64>) {
+        copy_planes(&self.planes, self.cols, window, frame);
+    }
+
+    fn paste(&mut self, at: (usize, usize), shape: (usize, usize), frame: &[u64]) {
+        paste_planes(&mut self.planes, self.cols, at, shape, frame);
+    }
+
+    fn wrap(&mut self, rows: bool, cols: bool) -> bool {
+        // The hex torus's odd-r rows pair up only over an even count.
+        if rows && !self.rows.is_multiple_of(2) {
+            return false;
+        }
+        (self.wrap_rows, self.wrap_cols) = (rows, cols);
+        true
     }
 }
 

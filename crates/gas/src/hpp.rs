@@ -378,6 +378,46 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_kernel_pastes_another_kernels_frames_and_wraps_the_torus() {
+        // A window copied out of one kernel's planes and pasted into
+        // another's is an import of that window's sites.
+        let rule = HppRule::new();
+        let shape = Shape::grid2(6, 131).unwrap();
+        let (g, other) =
+            (init::random_hpp(shape, 0.5, 8).unwrap(), init::random_hpp(shape, 0.5, 9).unwrap());
+        let mut donor = rule.block_kernel(&other, 0, (0, 0)).unwrap();
+        donor.run(2);
+        let sites = evolve(&other, &rule, Boundary::null(), 0, 2);
+        for (rows, cols, at) in
+            [(0..6, 0..1, (0, 130)), (1..3, 60..131, (4, 0)), (5..6, 3..67, (0, 64))]
+        {
+            let size = (rows.len(), cols.len());
+            let window = Grid::from_fn(Shape::grid2(size.0, size.1).unwrap(), |c| {
+                sites.get(Coord::c2(rows.start + c.row(), cols.start + c.col()))
+            });
+            let (mut pasted, mut imported) = (
+                rule.block_kernel(&g, 0, (0, 0)).unwrap(),
+                rule.block_kernel(&g, 0, (0, 0)).unwrap(),
+            );
+            let mut frame = Vec::new();
+            donor.copy((rows, cols), &mut frame);
+            pasted.paste(at, size, &frame);
+            imported.import(at, &window);
+            let (mut a, mut b) = (Grid::new(shape), Grid::new(shape));
+            pasted.unpack(&mut a);
+            imported.unpack(&mut b);
+            assert_eq!(a, b, "{size:?} at {at:?}");
+        }
+        // Wrapped on both axes, a null-boundary block is the torus.
+        let mut torus = rule.block_kernel(&g, 0, (0, 0)).unwrap();
+        assert!(torus.wrap(true, true));
+        torus.run(5);
+        let mut out = Grid::new(shape);
+        torus.unpack(&mut out);
+        assert_eq!(out, evolve(&g, &rule, Boundary::Periodic, 0, 5));
+    }
+
     /// A `shape`-sized block of a torus lattice whose site `(0, 0)` is
     /// lattice site `at`: its rows and columns wrap, as many times as
     /// the block is larger than the lattice.

@@ -43,8 +43,10 @@ pub const LOCK_SCOPE: [&str; 2] = ["crates/serve/src/", "crates/farm/src/"];
 
 /// The declared global lock order, outermost first. Every lock in
 /// [`LOCK_SCOPE`] must appear here, and no function may acquire a
-/// lock while holding one that sorts after it.
-pub const LOCK_ORDER: [&str; 1] = ["state"];
+/// lock while holding one that sorts after it: the daemon's
+/// `ServerState`, then a resident-run mailbox's frame words
+/// (`crates/farm/src/resident.rs`), held only to copy one frame.
+pub const LOCK_ORDER: [&str; 2] = ["state", "frame"];
 
 /// The wire-protocol module whose enums the exhaustiveness rule
 /// audits.

@@ -351,9 +351,9 @@ impl ServerState {
             let time = live.session.time();
             if let Some(store) = live.store.as_mut() {
                 // Best-effort salvage: the failed step left the last
-                // committed state, unless its boards had kept their
-                // planes across the failed pass; then the lattice is
-                // lost and the session refuses the checkpoint.
+                // committed state (a resident run commits only at its
+                // end, so a failed one leaves the lattice it started
+                // from).
                 let _ = live.session.checkpoint(Some(store));
                 let mut meta = entry.spec.to_json();
                 if let Value::Obj(pairs) = &mut meta {
@@ -375,7 +375,6 @@ impl ServerState {
             // lattice-lint: allow(counter-mutation)
             entry.carried.boards_retired += rec.boards_retired;
             entry.carried.checkpoints += rec.checkpoints;
-            // A lost lattice takes its passes' report with it.
             if let Ok(rep) = live.session.report() {
                 entry.carried.passes += rep.passes;
                 entry.carried.machine_ticks += rep.machine_ticks().get();

@@ -198,6 +198,23 @@ fn bad_flag_values_fail_cleanly() {
 }
 
 #[test]
+fn torus_partition_errors_name_the_axis_they_reject() {
+    let farm = |grid: &str, rows: &str, cols: &str| {
+        let args = ["farm", "--periodic", "--grid", grid, "--rows", rows, "--cols", cols];
+        let (code, out, err) = lattice_within(60, &[&args[..], &["--depth", "2"]].concat());
+        assert_eq!(code, Some(2), "{grid}: {err}");
+        assert!(out.is_empty(), "{grid}: {out}");
+        err
+    };
+    let rows = farm("3x1", "4", "8");
+    assert!(rows.contains("torus board row 1 owns 1 rows but the halo is 2 deep"), "{rows}");
+    assert!(rows.contains("(4 rows / 3 board rows, depth 2)"), "{rows}");
+    let cols = farm("1x3", "8", "4");
+    assert!(cols.contains("torus shard 1 owns 1 columns but the halo is 2 wide"), "{cols}");
+    assert!(cols.contains("(4 cols / 3 shards, depth 2)"), "{cols}");
+}
+
+#[test]
 fn every_subcommand_rejects_unknown_repeated_and_mismatched_flags() {
     const SUBCOMMANDS: [&str; 14] = [
         "gas",
