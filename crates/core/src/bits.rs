@@ -3,12 +3,12 @@
 //!
 //! The paper's central quantities are measured in *bits per clock tick*
 //! across chip pins and the main-memory channel. [`Traffic`] is the
-//! counter type every simulator uses. [`pack_word`]/[`unpack_word`] are
-//! the one site packer: bit `p` of 64 consecutive sites becomes one
-//! word of plane `p`. [`pack_rows`] lays a 2-D block out that way for
+//! counter type every simulator uses. One transpose network is the
+//! site packer: bit `p` of 64 consecutive sites becomes one word of
+//! plane `p`, 128 sites at a time ([`pack_word`]/[`unpack_word`] wrap
+//! it for up to 64 sites). [`pack_rows`] lays a 2-D block out that way for
 //! the bit-parallel gas kernels, reading it a row at a time from a
-//! [`RowSource`]; [`pack_window`] packs a window into planes that
-//! already exist; [`unpack_rows`] writes back only the window a
+//! [`RowSource`]; [`unpack_rows`] writes back only the window a
 //! [`RowSink`] keeps; [`copy_planes`] and [`paste_planes`] move a
 //! window between planes as plane words; [`shift_row`] streams a plane
 //! along its rows.
@@ -158,107 +158,118 @@ impl StreamParity {
     }
 }
 
-/// Bit 0 of each of eight packed bytes.
-const LOW_BITS: u64 = 0x0101_0101_0101_0101;
-
-/// Multiplying a word whose bytes are each 0 or 1 by this constant
-/// gathers byte `j` into bit `56 + j`: the partial products land on
-/// distinct bit positions, so no carry disturbs the top byte.
-const GATHER: u64 = 0x0102_0408_1020_4080;
-
-/// `SPREAD[b]` has byte `j` equal to bit `j` of `b`: the inverse of the
-/// [`GATHER`] multiply.
-const SPREAD: [u64; 256] = {
-    let mut t = [0u64; 256];
-    let mut b = 0;
-    while b < 256 {
-        let mut j = 0;
-        while j < 8 {
-            t[b] |= ((b as u64 >> j) & 1) << (8 * j);
-            j += 1;
-        }
-        b += 1;
+/// Transposes the 8×8 bit matrix of each word's bytes: bit `8k + j`
+/// trades places with bit `8j + k`.
+#[inline(always)]
+fn transpose8(mut x: [u64; 2]) -> [u64; 2] {
+    for (shift, mask) in
+        [(7, 0x00AA_00AA_00AA_00AA), (14, 0x0000_CCCC_0000_CCCC), (28, 0xF0F0_F0F0)]
+    {
+        let t = [(x[0] ^ x[0] >> shift) & mask, (x[1] ^ x[1] >> shift) & mask];
+        x = [x[0] ^ t[0] ^ t[0] << shift, x[1] ^ t[1] ^ t[1] << shift];
     }
-    t
-};
-
-/// Byte lanes in a site word, eight bits each.
-const fn lanes<S: State>() -> usize {
-    S::BITS.div_ceil(8) as usize
+    x
 }
 
-/// Ors bit `p` of each of eight sites into byte `j` of `planes[p]`.
-#[inline]
-fn gather_eight<S: State>(eight: &[S; 8], j: usize, planes: &mut [u64]) {
-    for lane in 0..lanes::<S>() {
-        // Byte `lane` of the eight site words as one word: a plain
-        // little-endian load when the sites are bytes.
-        let x = eight
-            .iter()
-            .enumerate()
-            .fold(0u64, |x, (k, s)| x | (s.to_word() >> (8 * lane) & 0xFF) << (8 * k));
-        for (p, word) in planes.iter_mut().skip(8 * lane).take(8).enumerate() {
-            *word |= (((x >> p) & LOW_BITS).wrapping_mul(GATHER) >> 56) << (8 * j);
-        }
+/// Swaps bit `b` of the word index with bit `b` of the bit index. The
+/// three swaps commute, and each is its own inverse.
+#[inline(always)]
+fn swap_index_bit(w: &mut [[u64; 2]; 8], b: usize) {
+    let (s, mask) =
+        (1 << b, [0x5555_5555_5555_5555, 0x3333_3333_3333_3333, 0x0F0F_0F0F_0F0F_0F0F][b]);
+    for j in (0..8).filter(|j| j & s == 0) {
+        let (lo, hi) = (w[j], w[j | s]);
+        let t = [(lo[0] >> s ^ hi[0]) & mask, (lo[1] >> s ^ hi[1]) & mask];
+        w[j] = [lo[0] ^ t[0] << s, lo[1] ^ t[1] << s];
+        w[j | s] = [hi[0] ^ t[0], hi[1] ^ t[1]];
     }
 }
 
-/// The eight sites whose bits sit in byte `j` of the plane words.
-#[inline]
-fn spread_eight<S: State>(planes: &[u64], j: usize) -> [S; 8] {
-    let mut words = [0u64; 8];
-    for lane in 0..lanes::<S>() {
-        let x = planes
-            .iter()
-            .skip(8 * lane)
-            .take(8)
-            .enumerate()
-            .fold(0u64, |x, (p, word)| x | SPREAD[usize::from((word >> (8 * j)) as u8)] << p);
-        for (k, w) in words.iter_mut().enumerate() {
-            *w |= (x >> (8 * k) & 0xFF) << (8 * lane);
+/// Packs 128 sites, two 64-site chunks side by side, into
+/// `planes.len()` ≤ [`State::BITS`] bit-planes: bit `s` of
+/// `planes[p][i]` is bit `p` of site `64i + s`. Returns the OR of every
+/// site word, for the caller's legality check.
+///
+/// Each byte lane goes through the same network. Its eight lane words
+/// per chunk ([`State::lane_word`]) hold bit `p` of site `8j + k` at
+/// word `j`, bit `8k + p`; three [`swap_index_bit`]s take it to word
+/// `p`, bit `8k + j`, and a [`transpose8`] of each word to bit
+/// `8j + k`. Every step is one shift, xor and mask applied alike to
+/// both chunks, so the pair shares each vector operation.
+#[inline(always)]
+pub(crate) fn pack_pair<S: State>(sites: &[S; 128], planes: &mut [[u64; 2]]) -> u64 {
+    let (eights, _) = sites.as_chunks::<8>();
+    let mut any = 0;
+    for lane in 0..S::BITS.div_ceil(8) as usize {
+        let mut w = [[0; 2]; 8];
+        let mut or = 0;
+        for (j, word) in w.iter_mut().enumerate() {
+            *word = [S::lane_word(&eights[j], lane), S::lane_word(&eights[8 + j], lane)];
+            or |= word[0] | word[1];
+        }
+        any |= ([32, 16, 8].into_iter().fold(or, |x, s| x | x >> s) & 0xFF) << (8 * lane);
+        let out = planes.get_mut(8 * lane..).unwrap_or_default();
+        if !out.is_empty() {
+            swap_index_bit(&mut w, 0);
+            swap_index_bit(&mut w, 1);
+            swap_index_bit(&mut w, 2);
+            for (plane, word) in out.iter_mut().zip(w) {
+                *plane = transpose8(word);
+            }
         }
     }
-    words.map(S::from_word)
+    any
 }
+
+/// Inverse of [`pack_pair`]: sets each of 128 sites from its plane
+/// bits, through the same network run backwards; site bits at and
+/// above `planes.len()` come out zero.
+#[inline(always)]
+pub(crate) fn unpack_pair<S: State>(planes: &[[u64; 2]], sites: &mut [S; 128]) {
+    let (eights, _) = sites.as_chunks_mut::<8>();
+    for lane in 0..S::BITS.div_ceil(8) as usize {
+        let mut w = [[0; 2]; 8];
+        for (word, &plane) in w.iter_mut().zip(planes.iter().skip(8 * lane)) {
+            *word = transpose8(plane);
+        }
+        swap_index_bit(&mut w, 2);
+        swap_index_bit(&mut w, 1);
+        swap_index_bit(&mut w, 0);
+        for (j, [lo, hi]) in w.into_iter().enumerate() {
+            S::set_lane_word(&mut eights[j], lane, lo);
+            S::set_lane_word(&mut eights[8 + j], lane, hi);
+        }
+    }
+}
+
+/// Most planes a site has: [`State::BITS`] is at most 32.
+pub(crate) const MAX_PLANES: usize = 32;
 
 /// Packs up to 64 sites into bit-plane words: bit `j` of `planes[p]`
 /// is bit `p` of `sites[j]`. Site bits at and above `planes.len()` are
-/// dropped, and plane bits past `sites.len()` are zero.
-///
-/// Eight sites move per word operation: each byte lane of eight site
-/// words is loaded as one word, and one mask-and-multiply per plane
-/// gathers that plane's eight bits into a byte.
+/// dropped, and plane bits past `sites.len()` are zero. The same
+/// transpose as [`pack_rows`], on one padded chunk.
 #[inline]
 pub fn pack_word<S: State>(sites: &[S], planes: &mut [u64]) {
     debug_assert!(sites.len() <= 64 && planes.len() <= S::BITS as usize);
-    planes.fill(0);
-    let (groups, tail) = sites.as_chunks::<8>();
-    for (j, eight) in groups.iter().enumerate() {
-        gather_eight(eight, j, planes);
-    }
-    if !tail.is_empty() {
-        let mut last = [S::default(); 8];
-        last[..tail.len()].copy_from_slice(tail);
-        gather_eight(&last, groups.len(), planes);
-    }
+    let mut chunk = [S::default(); 128];
+    chunk[..sites.len()].copy_from_slice(sites);
+    let mut words = [[0; 2]; MAX_PLANES];
+    pack_pair(&chunk, &mut words[..planes.len()]);
+    planes.iter_mut().zip(words).for_each(|(plane, [word, _])| *plane = word);
 }
 
 /// Inverse of [`pack_word`]: sets each of `sites` (at most 64) from bit
 /// `j` of the plane words; site bits at and above `planes.len()` come
-/// out zero. A 256-entry table spreads a byte of plane bits back over
-/// eight sites.
+/// out zero.
 #[inline]
 pub fn unpack_word<S: State>(planes: &[u64], sites: &mut [S]) {
     debug_assert!(sites.len() <= 64 && planes.len() <= S::BITS as usize);
-    let (groups, tail) = sites.as_chunks_mut::<8>();
-    let full = groups.len();
-    for (j, eight) in groups.iter_mut().enumerate() {
-        *eight = spread_eight(planes, j);
-    }
-    if !tail.is_empty() {
-        let n = tail.len();
-        tail.copy_from_slice(&spread_eight::<S>(planes, full)[..n]);
-    }
+    let mut words = [[0; 2]; MAX_PLANES];
+    words.iter_mut().zip(planes).for_each(|(word, &plane)| word[0] = plane);
+    let mut chunk = [S::default(); 128];
+    unpack_pair(&words[..planes.len()], &mut chunk);
+    sites.copy_from_slice(&chunk[..sites.len()]);
 }
 
 /// Bit-planes that hold every site of `sites`: the bit length of the
@@ -269,36 +280,46 @@ pub fn planes_needed<S: State>(sites: &[S]) -> usize {
     (64 - any.leading_zeros() as usize).max(1)
 }
 
-/// Packs the rows of `src` into `N` bit-planes with [`pack_word`], one
-/// row at a time through a buffer of one row's sites. Each row starts
-/// a fresh word: plane `p` holds `⌈cols/64⌉` words per row, and bit `j`
-/// of row `r`'s word `w` is bit `p` of site `(r, 64w + j)`. `check`
-/// sees each row before it is packed; its first error ends the pack.
+/// Packs the rows of `src` into `N` bit-planes, one row at a time
+/// through a buffer of one row's sites. Each row starts a fresh word:
+/// plane `p` holds `⌈cols/64⌉` words per row, and bit `j` of row `r`'s
+/// word `w` is bit `p` of site `(r, 64w + j)`. The buffer's padding
+/// past `cols` stays default, so the row moves through
+/// [`pack_pair`] as whole pairs of 64-site chunks, and each plane
+/// word is written in place. `check` sees each row once it is packed,
+/// with the OR of its site words; its first error ends the pack.
 pub fn pack_rows<S: State, const N: usize, E>(
     src: &dyn RowSource<S>,
-    mut check: impl FnMut(usize, &[S]) -> Result<(), E>,
+    mut check: impl FnMut(usize, &[S], u64) -> Result<(), E>,
 ) -> Result<[Vec<u64>; N], E> {
     let shape = src.shape();
     let (rows, cols) = (shape.rows(), shape.cols());
-    let mut planes = std::array::from_fn(|_| Vec::with_capacity(rows * cols.div_ceil(64)));
-    let mut row = vec![S::default(); cols];
-    let mut word = [0u64; N];
+    let wpr = cols.div_ceil(64);
+    let mut planes: [Vec<u64>; N] = std::array::from_fn(|_| vec![0; rows * wpr]);
+    let mut row = vec![S::default(); 128 * wpr.div_ceil(2)];
     for r in 0..rows {
-        src.fill_row(r, &mut row);
-        check(r, &row)?;
-        for chunk in row.chunks(64) {
-            pack_word(chunk, &mut word);
-            for (plane, w) in planes.iter_mut().zip(word) {
-                plane.push(w);
+        src.fill_row(r, &mut row[..cols]);
+        let mut any = 0;
+        for (i, pair) in row.as_chunks::<128>().0.iter().enumerate() {
+            let mut words = [[0; 2]; N];
+            any |= pack_pair(pair, &mut words);
+            let at = r * wpr + 2 * i;
+            for (plane, [lo, hi]) in planes.iter_mut().zip(words) {
+                plane[at] = lo;
+                if 2 * i + 1 < wpr {
+                    plane[at + 1] = hi;
+                }
             }
         }
+        check(r, &row[..cols], any)?;
     }
     Ok(planes)
 }
 
 /// Inverse of [`pack_rows`] over the window `sink` keeps: each kept
-/// row is unpacked straight from its plane words, shifted to the
-/// window's first column, so no site outside the window is touched.
+/// row is unpacked straight from its plane words, 128 sites at a time
+/// from words shifted once to the window's column, so no site outside
+/// the window is touched.
 pub fn unpack_rows<S: State, const N: usize>(
     planes: &[Vec<u64>; N],
     cols: usize,
@@ -306,13 +327,39 @@ pub fn unpack_rows<S: State, const N: usize>(
 ) {
     let wpr = cols.div_ceil(64);
     let (rows, window) = sink.window();
+    let (q, shift) = (window.start / 64, window.start % 64);
+    let mut spare = [S::default(); 128];
     for r in rows {
         let words = planes.each_ref().map(|p| &p[r * wpr..][..wpr]);
-        for (j, chunk) in sink.row_mut(r).chunks_mut(64).enumerate() {
-            let aligned = words.map(|w| bits_at(w, window.start + 64 * j));
-            unpack_word(&aligned, chunk);
+        let (pairs, tail) = sink.row_mut(r).as_chunks_mut::<128>();
+        let full = pairs.len();
+        for (i, sites) in pairs.iter_mut().enumerate() {
+            unpack_pair(&window_words(&words, q + 2 * i, shift), sites);
+        }
+        if !tail.is_empty() {
+            unpack_pair(&window_words(&words, q + 2 * full, shift), &mut spare);
+            let n = tail.len();
+            tail.copy_from_slice(&spare[..n]);
         }
     }
+}
+
+/// Words `q` and `q + 1` of each plane row, shifted down by `shift`
+/// bits with the next word's low bits above them; bits past the row's
+/// end read zero.
+#[inline(always)]
+fn window_words<const N: usize>(rows: &[&[u64]; N], q: usize, shift: usize) -> [[u64; 2]; N] {
+    let mut words = [[0; 2]; N];
+    for (pair, row) in words.iter_mut().zip(rows) {
+        let [lo, mid, hi] = match row.get(q..q + 3) {
+            Some(&[lo, mid, hi]) => [lo, mid, hi],
+            _ => [q, q + 1, q + 2].map(|w| row.get(w).copied().unwrap_or(0)),
+        };
+        // Two shifts where one would be `<< 64` when `shift` is 0.
+        *pair =
+            [lo >> shift | (mid << 1) << (63 - shift), mid >> shift | (hi << 1) << (63 - shift)];
+    }
+    words
 }
 
 /// The 64 bits of a plane row from bit `c` on, shifted down to bit 0;
@@ -387,36 +434,6 @@ pub fn paste_planes<const N: usize>(
         for (row, src) in dst.zip(words.chunks_exact(fwpr)) {
             for (j, &w) in src.iter().enumerate() {
                 put_bits(row, at.1 + 64 * j, w, (width - 64 * j).min(64));
-            }
-        }
-    }
-}
-
-/// Packs the rows of `src` into existing [`pack_rows`] planes of a
-/// block `cols` sites wide, over the window whose top-left site is
-/// `at` and whose shape is `src`'s: the plane bits of the window's
-/// sites are replaced, every other bit is kept. Site bits at and above
-/// `N` are dropped, as [`pack_word`] drops them. A resident block
-/// imports its halo this way.
-pub fn pack_window<S: State, const N: usize>(
-    planes: &mut [Vec<u64>; N],
-    cols: usize,
-    at: (usize, usize),
-    src: &dyn RowSource<S>,
-) {
-    let shape = src.shape();
-    let (rows, width) = (shape.rows(), shape.cols());
-    assert!(at.1 + width <= cols, "window spills past the block's {cols} columns");
-    let wpr = cols.div_ceil(64);
-    let mut row = vec![S::default(); width];
-    let mut word = [0u64; N];
-    for r in 0..rows {
-        src.fill_row(r, &mut row);
-        let base = (at.0 + r) * wpr;
-        for (j, chunk) in row.chunks(64).enumerate() {
-            pack_word(chunk, &mut word);
-            for (plane, w) in planes.iter_mut().zip(word) {
-                put_bits(&mut plane[base..][..wpr], at.1 + 64 * j, w, chunk.len());
             }
         }
     }
@@ -537,14 +554,14 @@ mod tests {
         let sites: Vec<u8> =
             (0..140).map(|i| u8::from(i % 70 == 0) | u8::from(i == 139) << 1).collect();
         let grid = Grid::from_vec(Shape::grid2(2, 70).unwrap(), sites).unwrap();
-        let planes: [Vec<u64>; 2] = pack_rows(&grid, |_, _| Ok::<_, ()>(())).unwrap();
+        let planes: [Vec<u64>; 2] = pack_rows(&grid, |_, _, _| Ok::<_, ()>(())).unwrap();
         assert_eq!(planes[0], [1, 0, 1, 0]);
         assert_eq!(planes[1], [0, 0, 0, 1 << 5]);
         let mut back = Grid::new(grid.shape());
         unpack_rows(&planes, 70, &mut back);
         assert_eq!(back, grid);
         // The row check sees each row and can stop the pack.
-        let refused = pack_rows::<u8, 2, usize>(&grid, |r, row| match row[69] {
+        let refused = pack_rows::<u8, 2, usize>(&grid, |r, row, _| match row[69] {
             0 => Ok(()),
             _ => Err(r),
         });
@@ -572,7 +589,7 @@ mod tests {
     fn unpack_writes_only_the_window_from_any_column() {
         let shape = Shape::grid2(3, 200).unwrap();
         let grid = Grid::from_fn(shape, |c| (c.row() * 200 + c.col()).wrapping_mul(37) as u8);
-        let planes: [Vec<u64>; 8] = pack_rows(&grid, |_, _| Ok::<_, ()>(())).unwrap();
+        let planes: [Vec<u64>; 8] = pack_rows(&grid, |_, _, _| Ok::<_, ()>(())).unwrap();
         for (rows, cols) in
             [(0..3, 0..200), (1..2, 5..69), (0..3, 63..64), (2..3, 64..200), (0..2, 71..199)]
         {
@@ -597,7 +614,7 @@ mod tests {
         let src = Grid::from_fn(Shape::grid2(5, 200).unwrap(), |c| {
             (c.row() * 200 + c.col()).wrapping_mul(37) as u8
         });
-        let from: [Vec<u64>; 8] = pack_rows(&src, |_, _| Ok::<_, ()>(())).unwrap();
+        let from: [Vec<u64>; 8] = pack_rows(&src, |_, _, _| Ok::<_, ()>(())).unwrap();
         let dst_shape = Shape::grid2(6, 150).unwrap();
         let dst = Grid::from_fn(dst_shape, |c| (c.row() * 150 + c.col()).wrapping_mul(11) as u8);
         let mut frame = vec![7u64; 3];
@@ -609,7 +626,7 @@ mod tests {
             (0..2, 71..199, (3, 1)),
             (4..4, 9..19, (0, 0)),
         ] {
-            let mut to: [Vec<u64>; 8] = pack_rows(&dst, |_, _| Ok::<_, ()>(())).unwrap();
+            let mut to: [Vec<u64>; 8] = pack_rows(&dst, |_, _, _| Ok::<_, ()>(())).unwrap();
             copy_planes(&from, 200, (rows.clone(), span.clone()), &mut frame);
             paste_planes(&mut to, 150, at, (rows.len(), span.len()), &frame);
             let mut back = Grid::new(dst_shape);

@@ -23,7 +23,7 @@
 
 pub mod store;
 
-use crate::bits::{pack_word, planes_needed, unpack_word};
+use crate::bits::{pack_pair, planes_needed, unpack_pair, MAX_PLANES};
 use crate::coord::Shape;
 use crate::grid::Grid;
 use crate::rule::State;
@@ -59,13 +59,18 @@ pub fn save<S: State>(grid: &Grid<S>, time: Ticks) -> Vec<u8> {
     out.push(planes as u8);
     let body = out.len();
     out.resize(body + planes * plane_bytes, 0);
-    let mut words = [0u64; 64];
-    for (w, chunk) in data.chunks(64).enumerate() {
-        pack_word(chunk, &mut words[..planes]);
-        let n = chunk.len().div_ceil(8);
-        for (p, word) in words[..planes].iter().enumerate() {
-            let at = body + p * plane_bytes + 8 * w;
-            out[at..at + n].copy_from_slice(&word.to_le_bytes()[..n]);
+    let mut words = [[0; 2]; MAX_PLANES];
+    let (pairs, tail) = data.as_chunks::<128>();
+    let mut last = [S::default(); 128];
+    last[..tail.len()].copy_from_slice(tail);
+    // Two words, sixteen bytes, of each plane per 128 sites.
+    for (i, pair) in pairs.iter().chain([&last]).enumerate() {
+        pack_pair(pair, &mut words[..planes]);
+        let n = plane_bytes.saturating_sub(16 * i).min(16);
+        for (p, [lo, hi]) in words[..planes].iter().enumerate() {
+            let at = body + p * plane_bytes + 16 * i;
+            out[at..at + n]
+                .copy_from_slice(&[lo.to_le_bytes(), hi.to_le_bytes()].as_flattened()[..n]);
         }
     }
     out
@@ -138,17 +143,21 @@ pub fn load<S: State>(bytes: &[u8]) -> Result<(Grid<S>, Ticks), LatticeError> {
 
     let body = &bytes[head..];
     let mut data = vec![S::default(); shape.len()];
-    let mut words = [0u64; 64];
-    for (w, chunk) in data.chunks_mut(64).enumerate() {
-        let n = chunk.len().div_ceil(8);
+    let mut words = [[0; 2]; MAX_PLANES];
+    let (pairs, tail) = data.as_chunks_mut::<128>();
+    let mut last = [S::default(); 128];
+    for (i, pair) in pairs.iter_mut().chain([&mut last]).enumerate() {
+        let n = plane_bytes.saturating_sub(16 * i).min(16);
         for (p, word) in words[..planes].iter_mut().enumerate() {
-            let mut b = [0u8; 8];
-            let at = p * plane_bytes + 8 * w;
-            b[..n].copy_from_slice(&body[at..at + n]);
-            *word = u64::from_le_bytes(b);
+            let mut b = [[0u8; 8]; 2];
+            let at = p * plane_bytes + 16 * i;
+            b.as_flattened_mut()[..n].copy_from_slice(&body[at..at + n]);
+            *word = [u64::from_le_bytes(b[0]), u64::from_le_bytes(b[1])];
         }
-        unpack_word(&words[..planes], chunk);
+        unpack_pair(&words[..planes], pair);
     }
+    let n = tail.len();
+    tail.copy_from_slice(&last[..n]);
     Ok((Grid::from_vec(shape, data)?, time))
 }
 

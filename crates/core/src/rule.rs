@@ -28,6 +28,24 @@ pub trait State: Copy + Default + PartialEq + Eq + std::fmt::Debug + Send + Sync
     /// Inverse of [`State::to_word`]. Implementations must ignore bits
     /// above [`State::BITS`].
     fn from_word(w: u64) -> Self;
+
+    /// Byte `lane` of eight sites' words as one little-endian word, as
+    /// the bit-plane transposes ([`crate::bits`]) read sites; a byte
+    /// site overrides it with one load.
+    #[inline(always)]
+    fn lane_word(eight: &[Self; 8], lane: usize) -> u64 {
+        u64::from_le_bytes(eight.map(|s| (s.to_word() >> (8 * lane)) as u8))
+    }
+
+    /// Inverse of [`State::lane_word`]: replaces byte `lane` of each of
+    /// eight sites' words with byte `k` of `x`, keeping its other bytes.
+    #[inline(always)]
+    fn set_lane_word(eight: &mut [Self; 8], lane: usize, x: u64) {
+        let (shift, keep) = (8 * lane, !(0xFF << (8 * lane)));
+        for (s, byte) in eight.iter_mut().zip(x.to_le_bytes()) {
+            *s = Self::from_word(s.to_word() & keep | u64::from(byte) << shift);
+        }
+    }
 }
 
 impl State for u8 {
@@ -37,6 +55,14 @@ impl State for u8 {
     }
     fn from_word(w: u64) -> Self {
         w as u8
+    }
+    #[inline(always)]
+    fn lane_word(eight: &[u8; 8], _lane: usize) -> u64 {
+        u64::from_le_bytes(*eight)
+    }
+    #[inline(always)]
+    fn set_lane_word(eight: &mut [u8; 8], _lane: usize, x: u64) {
+        *eight = x.to_le_bytes();
     }
 }
 
@@ -96,17 +122,18 @@ pub trait Rule: Sync {
     /// `(origin.0 + r, origin.1 + c)`, wrapping), read once, a row at a
     /// time, into the kernel's own state. That state then lives as long
     /// as its owner keeps it: a farm board keeps it across the passes of
-    /// a step and imports only its halo between them.
+    /// a step and takes in only its halo between them.
     ///
-    /// Contract: after `run(a)`, [`BlockKernel::import`]s, `run(b)`, …,
+    /// Contract: after `run(a)`, [`BlockKernel::paste`]s, `run(b)`, …,
     /// every site [`BlockKernel::unpack`] writes equals the same site of
     /// `evolve` under `Boundary::null()` (with the rule seeing those
     /// global coordinates; on the torus along an axis the state
     /// [`BlockKernel::wrap`]s) of the block, run `a` generations from
-    /// `t0`, with the imported sites overwritten, run `b` more, and so
-    /// on. A rule that cannot honour that for this block — wrong rank,
-    /// state bits its kernel does not model — returns `None`, and the
-    /// caller takes the site-by-site path. The default has no kernel.
+    /// `t0`, with the pasted windows' sites overwritten, run `b` more,
+    /// and so on. A rule that cannot honour that for this block — wrong
+    /// rank, state bits its kernel does not model — returns `None`, and
+    /// the caller takes the site-by-site path. The default has no
+    /// kernel.
     fn block_kernel(
         &self,
         src: &dyn RowSource<Self::S>,
@@ -144,19 +171,14 @@ pub trait Rule: Sync {
 }
 
 /// A block's state inside a rule's kernel ([`Rule::block_kernel`]):
-/// it evolves in place under the null boundary, takes fresh sites into
-/// any window, and writes any window back out. Site `(r, c)` of the
-/// state is site `(r, c)` of the block it was built from, and it keeps
-/// that block's global coordinates and its own generation clock.
+/// it evolves in place under the null boundary, trades any window with
+/// a kernel of the same rule, and writes any window back out. Site
+/// `(r, c)` of the state is site `(r, c)` of the block it was built
+/// from, and it keeps that block's global coordinates and its own
+/// generation clock.
 pub trait BlockKernel<S: State>: Send {
     /// Evolves `generations` steps, advancing the clock.
     fn run(&mut self, generations: u64);
-
-    /// Overwrites the sites of the window whose top-left site is `at`,
-    /// and whose shape is `src`'s, with the rows `src` reads; every
-    /// other site is kept. Site bits the kernel does not model are
-    /// dropped, so the sites should come from the same rule's lattice.
-    fn import(&mut self, at: (usize, usize), src: &dyn RowSource<S>);
 
     /// Writes the sites of the window `sink` keeps, and only those.
     fn unpack(&self, sink: &mut dyn RowSink<S>);
@@ -170,8 +192,8 @@ pub trait BlockKernel<S: State>: Send {
 
     /// Overwrites the window whose top-left site is `at` and whose shape
     /// is `(rows, cols)` with a frame [`BlockKernel::copy`] wrote of a
-    /// window of that shape; every other site is kept. Like an
-    /// [`BlockKernel::import`] of the frame's sites.
+    /// window of that shape; every other site is kept: the copied
+    /// window's sites now stand there.
     fn paste(&mut self, at: (usize, usize), shape: (usize, usize), frame: &[u64]);
 
     /// Makes the state a torus along its rows (its top and bottom edges
@@ -180,7 +202,7 @@ pub trait BlockKernel<S: State>: Send {
     /// at the other instead of being lost. `false`, with nothing
     /// changed, when the kernel cannot wrap an axis asked for. A farm
     /// board whose block spans a whole torus axis wraps it this way
-    /// instead of importing a halo along it.
+    /// instead of taking in a halo along it.
     fn wrap(&mut self, rows: bool, cols: bool) -> bool;
 }
 

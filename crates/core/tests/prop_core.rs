@@ -1,11 +1,11 @@
 //! Property-based tests for lattice-core invariants.
 
 use lattice_core::{
-    bits::{pack_rows, pack_window, pack_word, unpack_rows, unpack_word, StreamParity},
+    bits::{pack_rows, pack_word, unpack_rows, unpack_word, StreamParity},
     evolve_into, evolve_parallel,
     raster::staggered_order,
     window::{index_offset, offset_index, window_len},
-    Boundary, Grid, RowSink, Rule, Shape, State, Window,
+    Boundary, Coord, Grid, RowSink, Rule, Shape, State, Window,
 };
 use proptest::prelude::*;
 use std::ops::Range;
@@ -58,7 +58,7 @@ fn unpack_writes_the_window<S: State, const N: usize>(
     fill: S,
 ) -> Result<(), TestCaseError> {
     let (shape, cols) = (grid.shape(), grid.shape().cols());
-    let planes: [Vec<u64>; N] = pack_rows(grid, |_, _| Ok::<_, ()>(())).unwrap();
+    let planes: [Vec<u64>; N] = pack_rows(grid, |_, _, _| Ok::<_, ()>(())).unwrap();
     let window = start..start + width;
     let mut sink =
         Kept { out: Grid::filled(shape, fill), rows: rows.clone(), cols: window.clone() };
@@ -74,28 +74,35 @@ fn unpack_writes_the_window<S: State, const N: usize>(
     Ok(())
 }
 
-/// `pack_window` of `patch` at `at` into `base`'s planes unpacks to
-/// `base` with `patch` laid over it.
-fn pack_window_overwrites_only_the_window<S: State, const N: usize>(
-    base: &Grid<S>,
-    patch: &Grid<S>,
-    at: (usize, usize),
-) -> Result<(), TestCaseError> {
-    let (shape, cols) = (base.shape(), base.shape().cols());
-    let (h, w) = (patch.shape().rows(), patch.shape().cols());
-    let mut planes: [Vec<u64>; N] = pack_rows(base, |_, _| Ok::<_, ()>(())).unwrap();
-    pack_window(&mut planes, cols, at, patch);
-    let mut back = Grid::new(shape);
-    unpack_rows(&planes, cols, &mut back);
-    let expect = Grid::from_fn(shape, |c| {
-        let (r, k) = (c.row().wrapping_sub(at.0), c.col().wrapping_sub(at.1));
-        if r < h && k < w {
-            patch.get(lattice_core::Coord::c2(r, k))
-        } else {
-            base.get(c)
+/// The [`pack_rows`] layout, stated plane bit by plane bit: bit `j` of
+/// plane `p`'s word `w` of row `r` is bit `p` of site `(r, 64w + j)`,
+/// and zero past the row's last site. The OR each row's check sees is
+/// the OR of that row's site words.
+fn planes_follow_the_layout<S: State, const N: usize>(grid: &Grid<S>) -> Result<(), TestCaseError> {
+    let (rows, cols) = (grid.shape().rows(), grid.shape().cols());
+    let wpr = cols.div_ceil(64);
+    let mut ors = Vec::new();
+    let planes: [Vec<u64>; N] = pack_rows(grid, |r, row, any| {
+        ors.push((r, row.len(), any));
+        Ok::<_, ()>(())
+    })
+    .unwrap();
+    prop_assert_eq!(ors.len(), rows);
+    for (r, &seen) in ors.iter().enumerate() {
+        let any = (0..cols).fold(0, |a, c| a | grid.get(Coord::c2(r, c)).to_word());
+        prop_assert_eq!(seen, (r, cols, any));
+    }
+    for (p, plane) in planes.iter().enumerate() {
+        prop_assert_eq!(plane.len(), rows * wpr);
+        for (i, &word) in plane.iter().enumerate() {
+            let (r, w) = (i / wpr, i % wpr);
+            for j in 0..64 {
+                let c = 64 * w + j;
+                let site = if c < cols { grid.get(Coord::c2(r, c)).to_word() >> p & 1 } else { 0 };
+                prop_assert_eq!(word >> j & 1, site, "plane {} row {} site {}", p, r, c);
+            }
         }
-    });
-    prop_assert_eq!(back, expect);
+    }
     Ok(())
 }
 
@@ -220,8 +227,9 @@ proptest! {
         prop_assert_eq!(pack_roundtrip(&sites), sites);
     }
 
-    /// Every window start column 0–64 and ragged widths, for byte and
-    /// one-bit sites: the unpacker writes the window and nothing else.
+    /// Every window start column 0–64 and ragged widths, for byte sites
+    /// on 8, 6 and 4 planes and for one-bit sites: the unpacker writes
+    /// the window and nothing else.
     #[test]
     fn unpack_rows_writes_any_window(
         rows in 1usize..4,
@@ -235,41 +243,45 @@ proptest! {
         let kept = top.min(rows - 1)..rows;
         let bytes = seeded(rows, cols, seed, |x| x as u8);
         unpack_writes_the_window::<u8, 8>(&bytes, kept.clone(), start, width, 0xA5)?;
+        // HPP's and FHP-I's plane counts, on sites that fit them.
+        let hpp = seeded(rows, cols, seed, |x| x as u8 & 0xF);
+        unpack_writes_the_window::<u8, 4>(&hpp, kept.clone(), start, width, 0xA5)?;
+        let fhp = seeded(rows, cols, seed, |x| x as u8 & 0x3F);
+        unpack_writes_the_window::<u8, 6>(&fhp, kept.clone(), start, width, 0xA5)?;
         let flags = seeded(rows, cols, seed, |x| x & 1 == 1);
         unpack_writes_the_window::<bool, 1>(&flags, kept.clone(), start, width, true)?;
         unpack_writes_the_window::<bool, 1>(&flags, kept, start, width, false)?;
     }
 
-    /// A window packed into existing planes at any row and column
-    /// replaces exactly its own sites.
+    /// Every plane bit of a packed block sits where the layout says,
+    /// for every plane count the kernels, the checkpoint codec and the
+    /// region frames use, on widths that fill whole words and leave
+    /// ragged ones.
     #[test]
-    fn pack_window_replaces_only_its_sites(
-        rows in 1usize..5,
-        cols in 1usize..200,
-        at in (0usize..5, 0usize..200),
-        size in (1usize..5, 1usize..140),
+    fn pack_rows_puts_every_site_bit_where_the_layout_says(
+        rows in 1usize..4,
+        cols in 1usize..=200,
         seed in any::<u64>(),
     ) {
-        let at = (at.0 % rows, at.1 % cols);
-        let (h, w) = (size.0.min(rows - at.0), size.1.min(cols - at.1));
-        let base = seeded(rows, cols, seed, |x| x as u8);
-        let patch = seeded(h, w, !seed, |x| x as u8);
-        pack_window_overwrites_only_the_window::<u8, 8>(&base, &patch, at)?;
-        // Planes narrower than the site drop its high bits.
-        let low = Grid::from_fn(base.shape(), |c| base.get(c) & 0xF);
-        let low_patch = Grid::from_fn(patch.shape(), |c| patch.get(c) & 0xF);
-        let mut planes: [Vec<u64>; 4] = pack_rows(&low, |_, _| Ok::<_, ()>(())).unwrap();
-        pack_window(&mut planes, cols, at, &patch);
-        let mut want: [Vec<u64>; 4] = pack_rows(&low, |_, _| Ok::<_, ()>(())).unwrap();
-        pack_window(&mut want, cols, at, &low_patch);
-        prop_assert_eq!(planes, want);
-        let flags = seeded(rows, cols, seed, |x| x & 1 == 1);
-        let flag_patch = seeded(h, w, !seed, |x| x & 1 == 1);
-        pack_window_overwrites_only_the_window::<bool, 1>(&flags, &flag_patch, at)?;
+        let bytes = seeded(rows, cols, seed, |x| x as u8);
+        planes_follow_the_layout::<u8, 1>(&bytes)?;
+        planes_follow_the_layout::<u8, 4>(&bytes)?;
+        planes_follow_the_layout::<u8, 6>(&bytes)?;
+        planes_follow_the_layout::<u8, 8>(&bytes)?;
+        let wide = seeded(rows, cols, seed, |x| x as u16);
+        planes_follow_the_layout::<u16, 9>(&wide)?;
+        planes_follow_the_layout::<u16, 16>(&wide)?;
+        planes_follow_the_layout::<u32, 32>(&seeded(rows, cols, seed, |x| x as u32))?;
+        planes_follow_the_layout::<bool, 1>(&seeded(rows, cols, seed, |x| x & 1 == 1))?;
     }
 
     #[test]
     fn pack_roundtrip_u16(sites in proptest::collection::vec(any::<u16>(), 0..300)) {
+        prop_assert_eq!(pack_roundtrip(&sites), sites);
+    }
+
+    #[test]
+    fn pack_roundtrip_u32(sites in proptest::collection::vec(any::<u32>(), 0..300)) {
         prop_assert_eq!(pack_roundtrip(&sites), sites);
     }
 

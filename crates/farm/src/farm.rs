@@ -4036,9 +4036,6 @@ mod tests {
             self.inner.run(generations);
             self.t += generations;
         }
-        fn import(&mut self, at: (usize, usize), src: &dyn RowSource<u8>) {
-            self.inner.import(at, src);
-        }
         fn unpack(&self, sink: &mut dyn RowSink<u8>) {
             self.inner.unpack(sink);
         }

@@ -400,33 +400,27 @@ fn evolve<R: Rule>(
 
 /// Overwrites every site of the kernel's block `(height, width, top,
 /// left)` outside the owned window — two full-height columns and two
-/// owned-width rows, drawn from the frame alone — with
-/// `S::from_word(u64::MAX)`, so a halo site the hops miss fails the
-/// bit-exactness oracles.
+/// owned-width rows, drawn from the frame alone — with every plane bit
+/// set, through the kernel's own `copy` and `paste`, so a halo site the
+/// hops miss fails the bit-exactness oracles.
 #[cfg(test)]
 fn poison_halo<S: State>(
     planes: &mut dyn BlockKernel<S>,
     (height, width, top, left): (usize, usize, usize, usize),
     blk: &Block,
 ) {
-    struct Poison(Shape);
-    impl<S: State> RowSource<S> for Poison {
-        fn shape(&self) -> Shape {
-            self.0
-        }
-        fn fill_row(&self, _r: usize, row: &mut [S]) {
-            row.fill(S::from_word(u64::MAX));
-        }
-    }
     let (right, bottom) = (left + blk.width, top + blk.rows);
+    let mut frame = Vec::new();
     for (r0, rows, a0, cols) in [
         (0, height, 0, left),
         (0, height, right, width - right),
         (0, top, left, blk.width),
         (bottom, height - bottom, left, blk.width),
     ] {
-        if let (true, Ok(shape)) = (rows * cols > 0, Shape::grid2(rows, cols)) {
-            planes.import((r0, a0), &Poison(shape));
+        if rows * cols > 0 {
+            planes.copy((r0..r0 + rows, a0..a0 + cols), &mut frame);
+            frame.fill(u64::MAX);
+            planes.paste((r0, a0), (rows, cols), &frame);
         }
     }
 }

@@ -30,8 +30,8 @@
 //! board reads the lattice once and writes its owned sites once.
 //!
 //! It is also [`HppRule`]'s [`BlockKernel`]: a farm board keeps the
-//! planes across the passes of a step, importing only its halo
-//! between them ([`pack_window`]).
+//! planes across the passes of a step, pasting in only its halo
+//! between them ([`paste_planes`]).
 //!
 //! Packing, unpacking and the row shift are [`lattice_core::bits`]'s
 //! [`pack_rows`], [`unpack_rows`] and [`shift_row`].
@@ -39,16 +39,15 @@
 //! [`HppRule`]: crate::hpp::HppRule
 
 use crate::hpp::HPP_MASK;
-use lattice_core::bits::{
-    copy_planes, pack_rows, pack_window, paste_planes, shift_row, unpack_rows,
-};
+use lattice_core::bits::{copy_planes, pack_rows, paste_planes, shift_row, unpack_rows};
 use lattice_core::{BlockKernel, Grid, LatticeError, RowSink, RowSource, Shape};
 use std::ops::Range;
 
-/// The index of the first site with bits outside `mask`. A lattice
-/// that has none costs one OR fold, which vectorises.
-pub(crate) fn first_outside(sites: &[u8], mask: u8) -> Option<usize> {
-    if sites.iter().fold(0, |any, s| any | s) & !mask == 0 {
+/// The index of the first site with bits outside `mask`, given `any`,
+/// the OR of the sites that [`pack_rows`] folded while packing them: a
+/// row that has none is not read again.
+pub(crate) fn first_outside(sites: &[u8], any: u64, mask: u8) -> Option<usize> {
+    if any & !u64::from(mask) == 0 {
         return None;
     }
     sites.iter().position(|s| s & !mask != 0)
@@ -109,7 +108,7 @@ impl HppBitLattice {
             return Err(LatticeError::BadRank { rank: shape.rank() });
         }
         let (rows, cols) = (shape.rows(), shape.cols());
-        let planes = pack_rows(src, |r, row| match first_outside(row, HPP_MASK) {
+        let planes = pack_rows(src, |r, row, any| match first_outside(row, any, HPP_MASK) {
             None => Ok(()),
             Some(c) => Err(LatticeError::InvalidConfig(format!(
                 "site ({r},{c}) = {:#04x} has non-HPP bits (obstacles are \
@@ -211,10 +210,6 @@ impl HppBitLattice {
 impl BlockKernel<u8> for HppBitLattice {
     fn run(&mut self, generations: u64) {
         HppBitLattice::run(self, generations);
-    }
-
-    fn import(&mut self, at: (usize, usize), src: &dyn RowSource<u8>) {
-        pack_window(&mut self.planes, self.cols, at, src);
     }
 
     fn unpack(&self, sink: &mut dyn RowSink<u8>) {

@@ -695,11 +695,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// A resident kernel chains: `a` generations, a window of fresh
-        /// sites imported, `b` more, equals the per-site rule evolving
+        /// sites pasted in, `b` more, equals the per-site rule evolving
         /// the block `a` generations, the window overwritten, and `b`
         /// more — the clock and the global chirality keys carry over.
         #[test]
-        fn resident_kernel_chains_runs_and_imports(
+        fn resident_kernel_chains_runs_and_pastes(
             rows in 1usize..=10,
             cols in 1usize..=130,
             a in 0u64..=4,
@@ -722,8 +722,10 @@ mod tests {
                 rule = rule.with_wrap(wr, wc);
             }
             let mut kernel = rule.block_kernel(&g, t0, origin).unwrap();
+            let mut frame = Vec::new();
+            rule.block_kernel(&patch, 0, (0, 0)).unwrap().copy((0..size.0, 0..size.1), &mut frame);
             kernel.run(a);
-            kernel.import(at, &patch);
+            kernel.paste(at, size, &frame);
             kernel.run(b);
             let mut out = Grid::filled(shape, 0xAA);
             kernel.unpack(&mut out);

@@ -53,9 +53,7 @@
 use crate::bitparallel::{first_outside, move_rows};
 use crate::fhp::{fhp_invariants, FHP_MOVE_MASK};
 use crate::prng;
-use lattice_core::bits::{
-    copy_planes, pack_rows, pack_window, paste_planes, shift_row, unpack_rows,
-};
+use lattice_core::bits::{copy_planes, pack_rows, paste_planes, shift_row, unpack_rows};
 use lattice_core::{BlockKernel, Grid, LatticeError, RowSink, RowSource, Shape};
 use std::ops::Range;
 
@@ -161,7 +159,7 @@ impl FhpBitLattice {
             return Err(LatticeError::BadRank { rank: shape.rank() });
         }
         let (rows, cols) = (shape.rows(), shape.cols());
-        let planes = pack_rows(src, |r, row| match first_outside(row, FHP_MOVE_MASK) {
+        let planes = pack_rows(src, |r, row, any| match first_outside(row, any, FHP_MOVE_MASK) {
             None => Ok(()),
             Some(c) => Err(LatticeError::InvalidConfig(format!(
                 "site ({r},{c}) = {:#04x} has non-FHP-I bits",
@@ -296,10 +294,6 @@ impl FhpBitLattice {
 impl BlockKernel<u8> for FhpBitLattice {
     fn run(&mut self, generations: u64) {
         FhpBitLattice::run(self, generations);
-    }
-
-    fn import(&mut self, at: (usize, usize), src: &dyn RowSource<u8>) {
-        pack_window(&mut self.planes, self.cols, at, src);
     }
 
     fn unpack(&self, sink: &mut dyn RowSink<u8>) {

@@ -347,8 +347,8 @@ mod tests {
     }
 
     #[test]
-    fn a_resident_kernel_chains_runs_and_imports() {
-        // `a` generations, a window of fresh sites imported (across
+    fn a_resident_kernel_chains_runs_and_pastes() {
+        // `a` generations, a window of fresh sites pasted in (across
         // word boundaries, at the edges, the whole block), `b` more:
         // the same as evolving, overwriting the window, and evolving.
         let rule = HppRule::new();
@@ -364,8 +364,10 @@ mod tests {
             let patch_shape = Shape::grid2(size.0, size.1).unwrap();
             let patch = init::random_hpp(patch_shape, 0.5, 3).unwrap();
             let mut kernel = rule.block_kernel(&g, 0, (0, 0)).unwrap();
+            let mut frame = Vec::new();
+            rule.block_kernel(&patch, 0, (0, 0)).unwrap().copy((0..size.0, 0..size.1), &mut frame);
             kernel.run(2);
-            kernel.import(at, &patch);
+            kernel.paste(at, size, &frame);
             kernel.run(3);
             let mut out = Grid::filled(shape, 0xAA);
             kernel.unpack(&mut out);
@@ -381,7 +383,7 @@ mod tests {
     #[test]
     fn a_kernel_pastes_another_kernels_frames_and_wraps_the_torus() {
         // A window copied out of one kernel's planes and pasted into
-        // another's is an import of that window's sites.
+        // another's overwrites exactly that window with its sites.
         let rule = HppRule::new();
         let shape = Shape::grid2(6, 131).unwrap();
         let (g, other) =
@@ -393,21 +395,18 @@ mod tests {
             [(0..6, 0..1, (0, 130)), (1..3, 60..131, (4, 0)), (5..6, 3..67, (0, 64))]
         {
             let size = (rows.len(), cols.len());
-            let window = Grid::from_fn(Shape::grid2(size.0, size.1).unwrap(), |c| {
-                sites.get(Coord::c2(rows.start + c.row(), cols.start + c.col()))
-            });
-            let (mut pasted, mut imported) = (
-                rule.block_kernel(&g, 0, (0, 0)).unwrap(),
-                rule.block_kernel(&g, 0, (0, 0)).unwrap(),
-            );
+            let mut want = g.clone();
+            for (r, c) in rows.clone().flat_map(|r| cols.clone().map(move |c| (r, c))) {
+                let site = sites.get(Coord::c2(r, c));
+                want.set(Coord::c2(at.0 + r - rows.start, at.1 + c - cols.start), site);
+            }
+            let mut pasted = rule.block_kernel(&g, 0, (0, 0)).unwrap();
             let mut frame = Vec::new();
             donor.copy((rows, cols), &mut frame);
             pasted.paste(at, size, &frame);
-            imported.import(at, &window);
-            let (mut a, mut b) = (Grid::new(shape), Grid::new(shape));
-            pasted.unpack(&mut a);
-            imported.unpack(&mut b);
-            assert_eq!(a, b, "{size:?} at {at:?}");
+            let mut out = Grid::new(shape);
+            pasted.unpack(&mut out);
+            assert_eq!(out, want, "{size:?} at {at:?}");
         }
         // Wrapped on both axes, a null-boundary block is the torus.
         let mut torus = rule.block_kernel(&g, 0, (0, 0)).unwrap();

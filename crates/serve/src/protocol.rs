@@ -13,7 +13,9 @@
 //! hostile peer gets an `"ok": false` line, not a daemon crash.
 
 use crate::json::{self, Value};
-use lattice_core::bits::{pack_word, planes_needed, tail_mask, unpack_word};
+use lattice_core::bits::{pack_rows, planes_needed, tail_mask, unpack_rows};
+use lattice_core::{Grid, Shape};
+use std::convert::Infallible;
 use std::fmt;
 
 /// Default per-channel site density for freshly created sessions and
@@ -722,29 +724,22 @@ const HEX: &[u8; 16] = b"0123456789abcdef";
 
 /// A region's sites as bit-planes: the plane count — the checkpoint
 /// image's rule, [`planes_needed`] — and one hex string in the
-/// [`lattice_core::bits::pack_rows`] layout (each `cols`-site row
-/// starts a fresh 64-site word; bit `j` of a row's word `w` is site
-/// `64w + j`), planes in order 0, 1, …, each plane's words row by row,
-/// every word as 16 lowercase hex digits, most significant first.
-/// `cells` holds `rows × cols` sites. Only the `planes` planes written
-/// are packed, one [`pack_word`] per 64-site chunk, as
+/// [`pack_rows`] layout (each `cols`-site row starts a fresh 64-site
+/// word; bit `j` of a row's word `w` is site `64w + j`), planes in
+/// order 0, 1, …, each plane's words row by row, every word as 16
+/// lowercase hex digits, most significant first. `cells` holds
+/// `rows × cols` sites. Only the `planes` planes written are kept, as
 /// [`decode_region`] unpacks them.
 fn region_sites(cells: &[u8], cols: usize) -> (usize, String) {
     let planes = planes_needed(cells);
-    if cells.is_empty() {
+    let sites = |s: Shape| Grid::from_vec(s, cells[..s.len()].to_vec());
+    let Ok(grid) = Shape::grid2(cells.len() / cols.max(1), cols).and_then(sites) else {
         return (planes, String::new());
-    }
-    let plane_words = cells.len() / cols * cols.div_ceil(64);
-    let mut packed = vec![0u64; planes * plane_words];
-    let mut words = [0u64; 8];
-    for (i, chunk) in cells.chunks_exact(cols).flat_map(|row| row.chunks(64)).enumerate() {
-        pack_word(chunk, &mut words[..planes]);
-        for (p, &word) in words[..planes].iter().enumerate() {
-            packed[p * plane_words + i] = word;
-        }
-    }
-    let mut hex = String::with_capacity(packed.len() * 16);
-    for word in packed {
+    };
+    let packed: [Vec<u64>; 8] =
+        pack_rows(&grid, |_, _, _| Ok::<_, Infallible>(())).unwrap_or_else(|e| match e {});
+    let mut hex = String::with_capacity(planes * packed[0].len() * 16);
+    for word in packed[..planes].iter().flatten() {
         for nibble in (0..16).rev() {
             hex.push(char::from(HEX[(word >> (4 * nibble) & 0xF) as usize]));
         }
@@ -770,7 +765,8 @@ fn decode_region(
     }
     let overflow = || bad(format!("{rows}×{cols} at {planes} planes overflows"));
     let sites = rows.checked_mul(cols).ok_or_else(overflow)?;
-    let plane_words = rows.checked_mul(cols.div_ceil(64)).ok_or_else(overflow)?;
+    let wpr = cols.div_ceil(64);
+    let plane_words = rows.checked_mul(wpr).ok_or_else(overflow)?;
     let expect = plane_words.checked_mul(16 * planes).ok_or_else(overflow)?;
     if hex.len() != expect {
         return Err(bad(format!(
@@ -778,23 +774,19 @@ fn decode_region(
             hex.len()
         )));
     }
-    let mut cells = vec![0u8; sites];
-    if sites == 0 {
-        return Ok(cells);
+    let Ok(shape) = Shape::grid2(rows, cols) else { return Ok(vec![0; sites]) };
+    let mut words: [Vec<u64>; 8] = std::array::from_fn(|_| vec![0; plane_words]);
+    for (digits, word) in hex.as_bytes().chunks_exact(16).zip(words.iter_mut().flatten()) {
+        *word = hex_word(digits).ok_or_else(|| bad("non-hex digit".into()))?;
     }
-    let digits = hex.as_bytes();
-    let mut words = [0u64; 8];
-    for (i, chunk) in cells.chunks_mut(cols).flat_map(|row| row.chunks_mut(64)).enumerate() {
-        for (p, word) in words[..planes].iter_mut().enumerate() {
-            let at = (p * plane_words + i) * 16;
-            *word = hex_word(&digits[at..at + 16]).ok_or_else(|| bad("non-hex digit".into()))?;
-            if *word & !tail_mask(chunk.len()) != 0 {
-                return Err(bad("padding bits set past a row's last site".into()));
-            }
+    for row in words.iter().flat_map(|plane| plane.chunks_exact(wpr)) {
+        if row[wpr - 1] & !tail_mask(cols) != 0 {
+            return Err(bad("padding bits set past a row's last site".into()));
         }
-        unpack_word(&words[..planes], chunk);
     }
-    Ok(cells)
+    let mut cells = Grid::new(shape);
+    unpack_rows(&words, cols, &mut cells);
+    Ok(cells.into_vec())
 }
 
 /// Sixteen lowercase hex digits as a word, most significant first.

@@ -376,3 +376,54 @@ fn region_decoder_rejects_every_pinned_bad_frame() {
         "obsolete",
     );
 }
+
+/// The `sites` hex the region frame format states for `cells`, written
+/// out site by site: planes in order, each plane's rows in order, each
+/// row as ⌈cols/64⌉ words where bit `j` of word `w` is bit `p` of site
+/// `64w + j`, every word as 16 lowercase hex digits, most significant
+/// first.
+fn stated_hex(cells: &[u8], cols: usize, planes: usize) -> String {
+    let mut hex = String::new();
+    for p in 0..planes {
+        for row in cells.chunks(cols) {
+            for w in 0..cols.div_ceil(64) {
+                let word = (0..64)
+                    .filter_map(|j| row.get(64 * w + j).map(|s| u64::from(s >> p & 1) << j))
+                    .fold(0u64, |a, b| a | b);
+                hex.push_str(&format!("{word:016x}"));
+            }
+        }
+    }
+    hex
+}
+
+#[test]
+fn region_frames_carry_the_stated_hex() {
+    // Sites of every bit length up to 8, on widths that fill whole
+    // words and leave ragged ones, with a hashed pattern per site.
+    for (rows, cols) in [(1, 1), (3, 64), (2, 70), (4, 130), (5, 200)] {
+        for bits in [1u32, 4, 6, 8] {
+            let mask = ((1u16 << bits) - 1) as u8;
+            let cells: Vec<u8> = (0..rows * cols)
+                .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8 & mask)
+                .collect();
+            let planes =
+                (8 - cells.iter().fold(0u8, |a, &c| a | c).leading_zeros() as usize).max(1);
+            let resp = Response::Region {
+                session: "s".into(),
+                time: 3,
+                row0: 0,
+                col0: 0,
+                rows,
+                cols,
+                cells: cells.clone(),
+            };
+            let line = resp.to_line();
+            let frame = json::parse(&line).unwrap();
+            assert_eq!(frame.get("planes").and_then(json::Value::as_usize), Some(planes));
+            let sites = frame.get("sites").and_then(json::Value::as_str).unwrap_or_default();
+            assert_eq!(sites, stated_hex(&cells, cols, planes), "{rows}x{cols} at {bits} bits");
+            assert_eq!(Response::from_line(&line), Ok(resp));
+        }
+    }
+}

@@ -6,10 +6,10 @@
 //! restored lattice.
 
 use lattice_engines::core::units::Ticks;
-use lattice_engines::core::{checkpoint, Shape};
+use lattice_engines::core::{checkpoint, Grid, Shape};
 use lattice_engines::gas::audit::{AuditMode, ConservationAudit};
-use lattice_engines::gas::init;
 use lattice_engines::gas::observe::Model;
+use lattice_engines::gas::{init, FhpVariant};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::Index;
@@ -67,5 +67,57 @@ proptest! {
             }
         };
         prop_assert!(!silent_corruption, "flip of bit {bit} at byte {i} was silent");
+    }
+}
+
+/// The image the format's header comment states for `g` at `time`,
+/// written out site by site: the header, then `planes` planes of
+/// ⌈sites/8⌉ bytes where bit `j` of plane `p`'s byte `k` is bit `p` of
+/// site `8k + j`.
+fn stated_image(g: &Grid<u8>, time: u64) -> Vec<u8> {
+    let sites = g.as_slice();
+    let or = sites.iter().fold(0u8, |a, &s| a | s);
+    let planes = (8 - or.leading_zeros() as usize).max(1);
+    let mut out = b"LGCK".to_vec();
+    out.extend_from_slice(&3u16.to_le_bytes());
+    out.extend_from_slice(&[2, 8]);
+    for d in g.shape().dims() {
+        out.extend_from_slice(&(*d as u64).to_le_bytes());
+    }
+    out.extend_from_slice(&(sites.len() as u64).to_le_bytes());
+    out.extend_from_slice(&time.to_le_bytes());
+    out.push(planes as u8);
+    for p in 0..planes {
+        for k in 0..sites.len().div_ceil(8) {
+            let byte = (0..8)
+                .filter_map(|j| sites.get(8 * k + j).map(|s| (s >> p & 1) << j))
+                .fold(0u8, |a, b| a | b);
+            out.push(byte);
+        }
+    }
+    out
+}
+
+#[test]
+fn checkpoint_images_are_the_stated_bytes() {
+    // A 2×3 lattice in full: two planes, one byte each.
+    let tiny = Grid::from_vec(Shape::grid2(2, 3).unwrap(), vec![1, 2, 3, 0, 1, 2]).unwrap();
+    let mut want = b"LGCK\x03\x00\x02\x08".to_vec();
+    want.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]);
+    want.extend_from_slice(&[6, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 2]);
+    want.extend_from_slice(&[0b01_0101, 0b10_0110]);
+    assert_eq!(checkpoint::save(&tiny, Ticks::new(9)), want);
+    assert_eq!(stated_image(&tiny, 9), want);
+    // HPP (4 planes) and FHP-I (6 planes) lattices whose site counts
+    // fill whole 64-site words and leave ragged ones.
+    for (rows, cols) in [(4, 64), (5, 37), (3, 130)] {
+        let shape = Shape::grid2(rows, cols).unwrap();
+        let hpp = init::random_hpp(shape, 0.5, (rows * cols) as u64).unwrap();
+        let fhp = init::random_fhp(shape, FhpVariant::I, 0.5, cols as u64, false).unwrap();
+        for (name, g) in [("hpp", hpp), ("fhp", fhp)] {
+            let image = checkpoint::save(&g, Ticks::new(41));
+            assert_eq!(image, stated_image(&g, 41), "{name} {rows}x{cols}");
+            assert_eq!(checkpoint::load::<u8>(&image).unwrap(), (g, Ticks::new(41)));
+        }
     }
 }
