@@ -2,11 +2,10 @@
 //!
 //! Measures the software cost of one generation for each gas model on
 //! the reference engine — the quantity a host CPU brings to the table
-//! against which the paper's hardware engines are the alternative — and
-//! the scaling of the crossbeam-parallel reference engine.
+//! against which the paper's hardware engines are the alternative.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lattice_core::{evolve_into, evolve_parallel, Boundary, Grid, Shape};
+use lattice_core::{evolve_into, Boundary, Grid, Shape};
 use lattice_gas::{init, FhpRule, FhpVariant, HppRule};
 
 fn bench_models(c: &mut Criterion) {
@@ -31,22 +30,6 @@ fn bench_models(c: &mut Criterion) {
         group.bench_function(name, |b| {
             let mut dst = Grid::new(shape);
             b.iter(|| evolve_into(&grid, &mut dst, &rule, Boundary::Periodic, 0).unwrap());
-        });
-    }
-    group.finish();
-}
-
-fn bench_parallel_scaling(c: &mut Criterion) {
-    let shape = Shape::grid2(512, 512).unwrap();
-    let grid = init::random_fhp(shape, FhpVariant::III, 0.3, 2, true).unwrap();
-    let rule = FhpRule::new(FhpVariant::III, 3).with_wrap(512, 512);
-    let mut group = c.benchmark_group("parallel_reference_engine");
-    group.throughput(Throughput::Elements(shape.len() as u64));
-    group.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            let mut dst = Grid::new(shape);
-            b.iter(|| evolve_parallel(&grid, &mut dst, &rule, Boundary::Periodic, 0, t).unwrap());
         });
     }
     group.finish();
@@ -119,11 +102,5 @@ fn bench_tiled_locality(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_models,
-    bench_parallel_scaling,
-    bench_bitparallel,
-    bench_tiled_locality
-);
+criterion_group!(benches, bench_models, bench_bitparallel, bench_tiled_locality);
 criterion_main!(benches);

@@ -76,7 +76,7 @@ impl Traffic {
 /// the stream into a `StreamParity`; any single flipped bit on the link
 /// makes the words disagree (each step is a bijection), and a dropped
 /// or duplicated site makes the counts disagree. Because site `j`'s
-/// contribution ends up multiplied by `x^(n-1-j)` in GF(2)[x] mod the
+/// contribution ends up multiplied by `x^(n-1-j)` in GF(2)\[x\] mod the
 /// CRC polynomial, identical flips at two different positions can never
 /// cancel — which is exactly the pattern a stuck output driver
 /// produces, and the pattern a plain (or merely rotated) XOR parity
@@ -285,7 +285,7 @@ pub fn planes_needed<S: State>(sites: &[S]) -> usize {
 /// plane `p` holds `⌈cols/64⌉` words per row, and bit `j` of row `r`'s
 /// word `w` is bit `p` of site `(r, 64w + j)`. The buffer's padding
 /// past `cols` stays default, so the row moves through
-/// [`pack_pair`] as whole pairs of 64-site chunks, and each plane
+/// `pack_pair` as whole pairs of 64-site chunks, and each plane
 /// word is written in place. `check` sees each row once it is packed,
 /// with the OR of its site words; its first error ends the pack.
 pub fn pack_rows<S: State, const N: usize, E>(

@@ -60,7 +60,7 @@ const SHARD_HEADER: usize = 8 + 8 + 8;
 const SNAP_FOOTER: usize = 8;
 
 /// CRC-64/ECMA-182 over `bytes`, MSB first, a byte per step through
-/// [`bits::PARITY_BYTE`]: the stream-parity table, whose polynomial
+/// `bits::PARITY_BYTE`: the stream-parity table, whose polynomial
 /// and fold are this CRC's, so the store needs no new math. A serve
 /// step commits a few KiB and folds them twice (encode and read-back).
 pub fn crc64(bytes: &[u8]) -> u64 {

@@ -4,12 +4,6 @@
 //! against: a plain double-buffered synchronous update, one whole lattice
 //! generation at a time. Its output defines "correct" for every engine in
 //! `lattice-engines-sim`.
-//!
-//! Two implementations are provided: a sequential one and a
-//! crossbeam-scoped thread-parallel one that splits the raster range into
-//! contiguous chunks (uniformity of the rule makes this embarrassingly
-//! parallel; see the Rayon-style data-parallel idiom, realized here with
-//! scoped threads since `rayon` is not among the approved dependencies).
 
 use crate::boundary::Boundary;
 use crate::grid::Grid;
@@ -55,49 +49,6 @@ pub fn evolve<R: Rule>(
     ev.into_grid()
 }
 
-/// Thread-parallel single-generation update using crossbeam scoped threads.
-///
-/// Produces bit-identical output to [`evolve_into`]: the update is a pure
-/// function of the source grid, so any partition of the site range gives
-/// the same result.
-pub fn evolve_parallel<R: Rule>(
-    src: &Grid<R::S>,
-    dst: &mut Grid<R::S>,
-    rule: &R,
-    boundary: Boundary<R::S>,
-    time: u64,
-    threads: usize,
-) -> Result<(), LatticeError> {
-    if src.shape() != dst.shape() {
-        return Err(LatticeError::ShapeMismatch {
-            left: src.shape().dims().to_vec(),
-            right: dst.shape().dims().to_vec(),
-        });
-    }
-    let threads = threads.max(1);
-    let shape = src.shape();
-    let n = shape.len();
-    if threads == 1 || n < 2 * threads {
-        return evolve_into(src, dst, rule, boundary, time);
-    }
-    let chunk = n.div_ceil(threads);
-    let dst_slice = dst.as_mut_slice();
-    crossbeam::thread::scope(|scope| {
-        for (ci, out) in dst_slice.chunks_mut(chunk).enumerate() {
-            let start = ci * chunk;
-            scope.spawn(move |_| {
-                for (off, slot) in out.iter_mut().enumerate() {
-                    let idx = start + off;
-                    let w = src.window(shape.coord(idx), time, boundary);
-                    *slot = rule.update(&w);
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    Ok(())
-}
-
 /// A double-buffered evolution driver that tracks the generation number.
 #[derive(Debug, Clone)]
 pub struct Evolver<S: crate::State> {
@@ -133,14 +84,6 @@ impl<S: crate::State> Evolver<S> {
     /// Advances one generation with `rule`.
     pub fn step<R: Rule<S = S>>(&mut self, rule: &R) {
         evolve_into(&self.front, &mut self.back, rule, self.boundary, self.time)
-            .expect("front and back buffers share a shape");
-        std::mem::swap(&mut self.front, &mut self.back);
-        self.time += 1;
-    }
-
-    /// Advances one generation using `threads` worker threads.
-    pub fn step_parallel<R: Rule<S = S>>(&mut self, rule: &R, threads: usize) {
-        evolve_parallel(&self.front, &mut self.back, rule, self.boundary, self.time, threads)
             .expect("front and back buffers share a shape");
         std::mem::swap(&mut self.front, &mut self.back);
         self.time += 1;
@@ -218,28 +161,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let shape = Shape::grid2(13, 17).unwrap();
-        let g = ramp(shape);
-        for boundary in [Boundary::null(), Boundary::Periodic] {
-            let mut seq = Grid::new(shape);
-            evolve_into(&g, &mut seq, &SumRule, boundary, 5).unwrap();
-            for threads in [1, 2, 3, 8, 64] {
-                let mut par = Grid::new(shape);
-                evolve_parallel(&g, &mut par, &SumRule, boundary, 5, threads).unwrap();
-                assert_eq!(par, seq, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn evolver_tracks_time_and_swaps_buffers() {
         let g = ramp(Shape::grid2(4, 4).unwrap());
         let mut ev = Evolver::new(g.clone(), Boundary::null(), 10);
         assert_eq!(ev.time(), 10);
         ev.step(&SumRule);
         assert_eq!(ev.time(), 11);
-        ev.step_parallel(&SumRule, 4);
+        ev.step(&SumRule);
         assert_eq!(ev.time(), 12);
 
         let two_step = evolve(&g, &SumRule, Boundary::null(), 10, 2);

@@ -68,7 +68,7 @@ pub mod window;
 
 pub use boundary::Boundary;
 pub use coord::{Coord, Shape, MAX_DIMS};
-pub use engine::{evolve, evolve_into, evolve_parallel, Evolver};
+pub use engine::{evolve, evolve_into, Evolver};
 pub use error::LatticeError;
 pub use grid::{Grid, RowSink, RowSource};
 pub use raster::RasterScan;

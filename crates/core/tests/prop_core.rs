@@ -2,10 +2,9 @@
 
 use lattice_core::{
     bits::{pack_rows, pack_word, unpack_rows, unpack_word, StreamParity},
-    evolve_into, evolve_parallel,
     raster::staggered_order,
     window::{index_offset, offset_index, window_len},
-    Boundary, Coord, Grid, RowSink, Rule, Shape, State, Window,
+    Boundary, Coord, Grid, RowSink, Shape, State,
 };
 use proptest::prelude::*;
 use std::ops::Range;
@@ -106,18 +105,6 @@ fn planes_follow_the_layout<S: State, const N: usize>(grid: &Grid<S>) -> Result<
     Ok(())
 }
 
-/// An order-sensitive mixing rule: distinguishes window cells from one
-/// another, so any gather bug shows up.
-struct MixRule;
-impl Rule for MixRule {
-    type S = u8;
-    fn update(&self, w: &Window<u8>) -> u8 {
-        w.cells().iter().enumerate().fold(w.time() as u8, |acc, (i, &c)| {
-            acc.wrapping_mul(31).wrapping_add(c).wrapping_add(i as u8)
-        })
-    }
-}
-
 fn arb_shape() -> impl Strategy<Value = Shape> {
     prop_oneof![
         (1usize..40).prop_map(|n| Shape::line(n).unwrap()),
@@ -197,24 +184,6 @@ proptest! {
         // Offsetting back by the negated delta returns to the origin.
         let neg: Vec<isize> = delta.iter().map(|d| -d).collect();
         prop_assert_eq!(shape.offset(moved, &neg, true).unwrap(), c);
-    }
-
-    #[test]
-    fn parallel_engine_matches_sequential(
-        shape in arb_shape().prop_filter("len>1", |s| s.len() > 1),
-        seed in any::<u64>(),
-        threads in 1usize..9,
-        periodic in any::<bool>(),
-    ) {
-        let grid = Grid::from_fn(shape, |c| {
-            (shape.linear(c) as u64).wrapping_mul(seed | 1).to_le_bytes()[0]
-        });
-        let boundary = if periodic { Boundary::Periodic } else { Boundary::null() };
-        let mut seq = Grid::new(shape);
-        let mut par = Grid::new(shape);
-        evolve_into(&grid, &mut seq, &MixRule, boundary, 3).unwrap();
-        evolve_parallel(&grid, &mut par, &MixRule, boundary, 3, threads).unwrap();
-        prop_assert_eq!(seq, par);
     }
 
     #[test]

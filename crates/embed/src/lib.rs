@@ -18,7 +18,7 @@
 //! This crate provides:
 //!
 //! * [`Embedding`] — a bijection `array ↔ stream position` with span and
-//!   neighborhood-diameter measurement ([`span`], [`window_span`]);
+//!   neighborhood-diameter measurement ([`span()`], [`window_span`]);
 //! * canonical embeddings ([`maps`]): row-major, boustrophedon, block
 //!   row-major, Morton (Z-order), and Hilbert;
 //! * an exact branch-and-bound decision procedure ([`search`]) verifying

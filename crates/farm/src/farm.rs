@@ -6,32 +6,29 @@
 //! checked), read straight from the committed lattice, then runs its
 //! cycle-level engine — a WSA pipeline (§4) or an SPA slice array (§5)
 //! — for `k` generations over the halo-augmented slab, on the step's
-//! board crew ([`crate::crew`]): board 0 on the calling thread, every
-//! other board on the helper that serves it for the whole step. The
-//! board reads that slab a row at a time from the lattice, with the
-//! received frames laid over it. Board 0 writes its owned sites
-//! straight into its own rows of the next lattice; a helper writes its
-//! owned window into a buffer the caller copies in, so no host gather
-//! copies the lattice at the barrier. A slab
-//! augmented with `k` true generation-`t` columns per interior side
-//! evolves `k` generations with every owned column bit-exact (boundary
-//! pollution travels one column per generation), so the farmed run
-//! equals the single-engine reference *exactly*, for HPP and — via the
+//! board crew: board 0 on the calling thread, every other board on the
+//! helper that serves it for the whole step. The board reads that slab
+//! a row at a time from the lattice, with the received frames laid over
+//! it, and writes its owned sites straight into its rows of the next
+//! lattice (a helper through a window buffer the caller copies in), so
+//! no host gather copies the lattice at the barrier. A slab augmented
+//! with `k` true generation-`t` columns per interior side evolves `k`
+//! generations with every owned column bit-exact (boundary pollution
+//! travels one column per generation), so the farmed run equals the
+//! single-engine reference *exactly*, for HPP and — via the
 //! origin-aware stream framing the engines already speak — for
 //! coordinate-dependent FHP, on both the null boundary and the torus.
 //!
-//! A WSA board whose rule supplies a block kernel
-//! ([`Rule::evolve_block`]) skips the cycle loop whenever no fault in
-//! the plan can fire on the engine chips it would drive
-//! ([`FaultPlan::spares`]): halo-link weather leaves it on the fast
-//! path. The board computes its block with the kernel and charges the
-//! ticks and traffic the cycle engine would count
-//! ([`Pipeline::kernel_cost`], DESIGN.md §19). The kernel packs its
-//! bit-planes from the board's rows and unpacks only the owned window
-//! into the next lattice. A run of passes whose lattices nothing reads
-//! between them — no audit, fault plan, watchdog, encoding barrier,
-//! overlap or local replay budget without a rollback behind it — goes
-//! to each board as one job (`crate::resident`): the board keeps its
+//! A WSA board whose rule supplies a block kernel ([`Rule::block_kernel`],
+//! whose one-pass case is `Rule::evolve_block`) skips the cycle loop
+//! whenever no fault in the plan can fire on the engine chips it drives
+//! ([`FaultPlan::spares`](lattice_engines_sim::FaultPlan::spares)):
+//! halo-link weather leaves it on the fast path. The board computes its
+//! block with the kernel and charges the ticks and traffic the cycle
+//! engine would count
+//! ([`Pipeline::kernel_cost`](lattice_engines_sim::Pipeline::kernel_cost),
+//! DESIGN.md §19). Across a run of passes whose lattices nothing reads
+//! (the crate's `Readers` value names who does), each board keeps its
 //! planes from pass to pass, trades its halo frames as plane words with
 //! its neighbours, and the lattice is built once, at the run's end.
 //! Every report field is the same either way; only host time moves.
@@ -41,61 +38,33 @@
 //! report accounts both, which is what the analytical board model in
 //! `lattice-vlsi` predicts and `tab_farm_scaling` cross-checks.
 //!
-//! Every entry point runs the one pass loop, [`FarmSession::step_audited`]:
+//! Every entry point runs [`FarmSession`]'s one pass loop:
 //! [`LatticeFarm::run`] is a one-step session under a zero recovery
 //! budget, [`LatticeFarm::run_with_recovery`] a one-step session under
 //! the caller's, and [`LatticeFarm::session_owned`] hands the session to
-//! the caller. A checkpoint barrier is encoded only when something can
-//! read it: a durable sink, or a ladder level that restores it (a global
-//! retry budget or a degrade budget).
+//! the caller.
 //!
-//! # The recovery ladder
-//!
-//! At machine scale the dominant cost of a transient upset is not the
-//! flip but how far recovery propagates, so
-//! [`LatticeFarm::run_with_recovery`] escalates through four levels,
-//! each containing the fault at the layer that detected it:
-//!
-//! 1. **Link ARQ** — a parity failure on a halo frame retransmits just
-//!    that frame ([`BoardLink::transmit_arq`]); the wire never rewinds,
-//!    so the retry draws fresh transient weather.
-//! 2. **Local rollback** — an engine/audit/watchdog failure on one
-//!    board rewinds only that board to the top of the pass and replays
-//!    its buffered inbound halos; neighbors stall, they don't rewind.
-//! 3. **Global rollback** — when the local budget is exhausted (or the
-//!    failure isn't localizable, like a machine-wide audit), all boards
-//!    reload the last checkpoint barrier.
-//! 4. **Degraded re-partitioning** — a board that exhausts the whole
-//!    ladder is retired under a [`FarmDegradeConfig`]: the lattice is
-//!    re-partitioned onto the survivors (`lattice_core::shard`), a
-//!    fresh barrier is taken, and the run continues slower but exact.
-//!
-//! Every detection is answered by exactly one ladder action, so
-//! `detected == retransmits + local_rollbacks + rollbacks +
-//! boards_retired` on any successful run (see
-//! [`lattice_engines_sim::RecoveryStats`]).
+//! This module holds the farm's configuration, validation, entry points
+//! and report types; the seams of a pass (`exchange`, `board`, `pass`,
+//! `session`, `ladder`, `resident`, `crew`) are crate-private modules,
+//! mapped in DESIGN.md §10.
 
-use crate::crew::{Answer, Crew};
-use crate::link::{BoardLink, HaloWindow};
-use crate::partition::{
-    max_aug_width2d, partition2d, partition2d_checked, sweep_regions2d, Block, Region2d,
-};
-use crate::resident::{self, BoardRun, RunParams, Stop, Unrun};
+use crate::board::Committed;
+use crate::link::BoardLink;
+use crate::partition::{max_aug_width2d, partition2d, Block};
+use crate::session::PlanRef;
 use lattice_core::bits::Traffic;
-use lattice_core::checkpoint::store::{ShardBlob, SnapshotSink};
+use lattice_core::checkpoint::store::SnapshotSink;
 use lattice_core::units::{
-    u64_from_usize, usize_from_u64, Bits, BitsPerTick, Cells, Hz, Sites, SitesPerSec, SitesPerTick,
-    Ticks,
+    u64_from_usize, Bits, BitsPerTick, Hz, Sites, SitesPerSec, SitesPerTick, Ticks,
 };
-use lattice_core::{checkpoint, Grid, LatticeError, RowSink, RowSource, Rule, Shape, State};
-use lattice_engines_sim::{
-    Component, EngineCost, EngineReport, FaultCtx, FaultPlan, FaultStats, Pipeline, RecoveryStats,
-    RunOptions, SpaEngine, SpaRunOptions,
-};
-use std::ops::{Deref, Range};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use lattice_core::{Grid, LatticeError, Rule, State};
+use lattice_engines_sim::{EngineReport, FaultPlan, RecoveryStats};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+pub use crate::pass::ShardAudit;
+pub use crate::session::FarmSession;
 
 /// Which cycle-level engine every board runs over its slab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,9 +147,9 @@ pub struct LatticeFarm {
     /// Overlap halo exchange with interior compute: each pass splits
     /// into a boundary sweep (the seam-adjacent columns) and an
     /// interior sweep; the boundary columns are computed first and
-    /// their halo frames for pass `n + 1` ship over double-buffered
-    /// links ([`HaloWindow`]) while pass `n`'s interior is still
-    /// evolving. The next pass barriers on halo *arrival*, so its
+    /// their halo frames for pass `n + 1` ship over double-buffered links
+    /// ([`HaloWindow`](crate::HaloWindow)) while pass `n`'s interior is
+    /// still evolving. The next pass barriers on halo *arrival*, so its
     /// transfer time is hidden up to the previous interior sweep:
     /// per-pass machine time becomes `boundary + max(interior, halo)`
     /// instead of `compute + halo`. Results are bit-exact either way.
@@ -383,7 +352,7 @@ impl FarmRecoveryConfig {
     /// No budget at any level: the first detection fails the run, and
     /// no periodic barrier falls due. What [`LatticeFarm::run`] steps
     /// under.
-    const NONE: Self = FarmRecoveryConfig {
+    pub(crate) const NONE: Self = FarmRecoveryConfig {
         max_retries: 0,
         checkpoint_every: u64::MAX,
         arq_retries: 0,
@@ -395,7 +364,7 @@ impl FarmRecoveryConfig {
     /// Whether a ladder level can restore a checkpoint barrier: global
     /// rollback (level 3) and retirement (level 4) reload it; ARQ and
     /// local replay never do.
-    fn restores(&self) -> bool {
+    pub(crate) fn restores(&self) -> bool {
         self.max_retries > 0 || self.degrade.is_some()
     }
 }
@@ -408,976 +377,6 @@ pub struct FarmFtRun<S: State> {
     pub report: FarmReport<S>,
     /// Recovery actions taken (checkpoints are counted per shard blob).
     pub recovery: RecoveryStats,
-}
-
-/// A board's halo exchange, buffered so local retries can replay it:
-/// only the received frames, which the board lays over the committed
-/// lattice as it reads its augmented block. The horizontal
-/// (intra-rack) and vertical (inter-rack) frames cross *different
-/// wires*, so their bits and retransmits are billed per tier;
-/// `bits`/`retransmits` are the intra-rack figures (the only nonzero
-/// ones for a columnar farm).
-#[derive(Clone)]
-struct ExchangeOutcome<S: State> {
-    /// The received halo-column frame: each halo column over the full
-    /// augmented height, in [`Augmented::halo_cols`] order. `None` when
-    /// no fault can reach the wire: the frame then arrives as the
-    /// lattice holds it, and the board reads those sites in place.
-    cols: Option<Vec<S>>,
-    /// The received halo-row frame: each halo row over the owned
-    /// width, in [`Augmented::halo_rows`] order; `None` as for `cols`.
-    rows: Option<Vec<S>>,
-    bits: Bits,
-    retransmits: u32,
-    /// Bits over the inter-rack (vertical) tier; zero at `R = 1`.
-    bits_inter: Bits,
-    /// Retransmits on the inter-rack tier; zero at `R = 1`.
-    retransmits_inter: u32,
-    traffic: Traffic,
-    /// Whether this frame was shipped ahead during the previous pass's
-    /// interior sweep (taken from a [`HaloWindow`]) — the condition for
-    /// crediting its transfer time as overlapped.
-    staged: bool,
-}
-
-/// The sender-ahead frame a board stages into its neighbor-facing
-/// [`HaloWindow`] during a pass's interior sweep: either the delivered
-/// exchange, or the link error its ARQ budget could not clear (which
-/// must surface at the *arrival* barrier it belongs to, not the pass
-/// that shipped it).
-type StagedHalo<S> = HaloWindow<Result<ExchangeOutcome<S>, LatticeError>>;
-
-/// What one board has produced so far within the current pass. The
-/// cache state encodes what a retry must redo: a link failure leaves
-/// `exchange` empty (re-exchange), an engine/audit failure leaves
-/// `exchange` buffered but `costs` empty (replay the buffered halos).
-/// `costs` holds one engine cost per sweep region, in
-/// [`sweep_regions2d`] order (a single entry when overlap is off).
-struct BoardCache<S: State> {
-    exchange: Option<ExchangeOutcome<S>>,
-    costs: Option<Vec<EngineCost>>,
-}
-
-/// One pass's work so far: every board's cache, and the next lattice,
-/// into whose owned rows each board writes its result. A local
-/// rollback rewrites only the failed board's rows; a global rollback
-/// drops the whole cache.
-struct PassCache<S: State> {
-    boards: Vec<BoardCache<S>>,
-    next: Vec<S>,
-}
-
-impl<S: State> PassCache<S> {
-    fn new(boards: usize, next: Vec<S>) -> Self {
-        PassCache {
-            boards: (0..boards).map(|_| BoardCache { exchange: None, costs: None }).collect(),
-            next,
-        }
-    }
-}
-
-/// `buf` resized to `n` sites, for a writer that overwrites every one
-/// of them. In tests the old contents are poisoned first, so the
-/// bit-exactness oracles catch any site a pass leaves unwritten.
-pub(crate) fn recycle<S: State>(mut buf: Vec<S>, n: usize) -> Vec<S> {
-    buf.resize(n, S::default());
-    #[cfg(test)]
-    buf.fill(S::from_word(u64::MAX));
-    buf
-}
-
-/// The committed lattice as a job holds it: the caller's own until a
-/// session's first pass commits, shared with the board crew after.
-pub(crate) enum Committed<'a, S: State> {
-    Borrowed(&'a Grid<S>),
-    Shared(Arc<Grid<S>>),
-}
-
-impl<S: State> Clone for Committed<'_, S> {
-    fn clone(&self) -> Self {
-        match self {
-            Committed::Borrowed(g) => Committed::Borrowed(g),
-            Committed::Shared(g) => Committed::Shared(Arc::clone(g)),
-        }
-    }
-}
-
-impl<S: State> Deref for Committed<'_, S> {
-    type Target = Grid<S>;
-
-    fn deref(&self) -> &Grid<S> {
-        match self {
-            Committed::Borrowed(g) => g,
-            Committed::Shared(g) => g,
-        }
-    }
-}
-
-impl<S: State> Committed<'_, S> {
-    /// The lattice's buffer, if no one else holds it any more.
-    fn reclaim(self) -> Option<Vec<S>> {
-        match self {
-            Committed::Borrowed(_) => None,
-            Committed::Shared(g) => Arc::try_unwrap(g).ok().map(Grid::into_vec),
-        }
-    }
-
-    fn into_grid(self) -> Grid<S> {
-        match self {
-            Committed::Borrowed(g) => g.clone(),
-            Committed::Shared(g) => Arc::try_unwrap(g).unwrap_or_else(|g| Grid::clone(&g)),
-        }
-    }
-}
-
-/// A board's halo-augmented block over the committed lattice, read in
-/// place: augmented site `(r, c)` is lattice site
-/// `((row_start + r) mod rows, (col_start + c) mod cols)`. On the torus
-/// the indexes wrap; null-boundary halos are clamped at the lattice
-/// edges, so there they never do.
-#[derive(Clone, Copy)]
-pub(crate) struct Augmented<'a, S: State> {
-    lattice: &'a Grid<S>,
-    block: &'a Block,
-    /// On-board vertical wrap rows per side.
-    wrap: usize,
-    row_start: usize,
-    col_start: usize,
-}
-
-impl<'a, S: State> Augmented<'a, S> {
-    pub(crate) fn new(lattice: &'a Grid<S>, block: &'a Block, wrap: usize) -> Self {
-        let (rows, cols) = (lattice.shape().rows(), lattice.shape().cols());
-        Augmented {
-            lattice,
-            block,
-            wrap,
-            row_start: (block.row0 + rows - (wrap + block.halo_up) % rows) % rows,
-            col_start: (block.col0 + cols - block.halo_left % cols) % cols,
-        }
-    }
-
-    /// Augmented rows.
-    fn rows(&self) -> usize {
-        self.block.aug_height(self.wrap)
-    }
-
-    /// The first owned augmented row.
-    fn top(&self) -> usize {
-        self.wrap + self.block.halo_up
-    }
-
-    /// The lattice row under augmented row `r`.
-    fn lattice_row(&self, r: usize) -> &'a [S] {
-        let shape = self.lattice.shape();
-        let cols = shape.cols();
-        &self.lattice.as_slice()[wrapped(self.row_start + r, shape.rows()) * cols..][..cols]
-    }
-
-    /// The halo columns, in frame order: they span the full augmented
-    /// height, so corners and the torus's on-board wrap rows ride them.
-    fn halo_cols(&self) -> impl Iterator<Item = usize> {
-        let b = self.block;
-        (0..b.halo_left).chain(b.halo_left + b.width..b.aug_width())
-    }
-
-    /// The halo rows, in frame order: they span only the owned width.
-    fn halo_rows(&self) -> impl Iterator<Item = usize> {
-        let (b, top) = (self.block, self.top());
-        (top - b.halo_up..top).chain(top + b.rows..top + b.rows + b.halo_down)
-    }
-
-    /// Copies augmented row `r` from column `a0` on into `row`: at most
-    /// three lattice segments on the torus (left halo, body, right
-    /// halo), one under the null boundary.
-    pub(crate) fn copy_row(&self, r: usize, a0: usize, mut row: &mut [S]) {
-        let src = self.lattice_row(r);
-        let mut c = wrapped(self.col_start + a0, src.len());
-        while !row.is_empty() {
-            let take = row.len().min(src.len() - c);
-            let (head, rest) = row.split_at_mut(take);
-            head.copy_from_slice(&src[c..c + take]);
-            (row, c) = (rest, 0);
-        }
-    }
-
-    /// Sites in the halo-column frame.
-    fn column_sites(&self) -> usize {
-        (self.block.halo_left + self.block.halo_right) * self.rows()
-    }
-
-    /// Sites in the halo-row frame.
-    fn row_sites(&self) -> usize {
-        (self.block.halo_up + self.block.halo_down) * self.block.width
-    }
-
-    /// The halo-column frame as the neighbors send it, read a lattice
-    /// row at a time.
-    fn column_frame(&self) -> Vec<S> {
-        let (rows, cols) = (self.rows(), self.lattice.shape().cols());
-        let at: Vec<usize> = self.halo_cols().map(|c| (self.col_start + c) % cols).collect();
-        let mut frame = vec![S::default(); at.len() * rows];
-        for r in 0..rows {
-            let src = self.lattice_row(r);
-            for (j, &c) in at.iter().enumerate() {
-                frame[j * rows + r] = src[c];
-            }
-        }
-        frame
-    }
-
-    /// The halo-row frame as the neighbors send it.
-    fn row_frame(&self) -> Vec<S> {
-        let owned = self.block.col0..self.block.col_end();
-        self.halo_rows().flat_map(|r| self.lattice_row(r)[owned.clone()].iter().copied()).collect()
-    }
-}
-
-/// Moves one `n`-site halo frame over `link` into board `b` with ARQ,
-/// returning the received frame, its bits and the retransmissions it
-/// took. A wire no fault can reach would deliver the frame as sent, so
-/// it is billed — `n · D` bits each way, `n` stream positions — without
-/// being read or moved, and the frame comes back `None`: the board
-/// reads those sites in place.
-#[allow(clippy::too_many_arguments)]
-fn ship<S: State>(
-    link: &BoardLink,
-    n: usize,
-    frame: impl FnOnce() -> Vec<S>,
-    b: usize,
-    faults: Option<(FaultCtx<'_>, usize)>,
-    pos: &mut u64,
-    traffic: &mut Traffic,
-    arq_retries: u32,
-    recovery: &mut RecoveryStats,
-) -> Result<(Option<Vec<S>>, Bits, u32), LatticeError> {
-    let bits = Bits::for_items(n, <S as State>::BITS);
-    let live = faults.filter(|&(ctx, chip)| ctx.stream(Component::Link, chip, 0).is_live());
-    if live.is_none() {
-        traffic.record_out(u128::from(u64_from_usize(n)), S::BITS);
-        traffic.record_in(u128::from(u64_from_usize(n)), S::BITS);
-        *pos += u64_from_usize(n);
-        return Ok((None, bits, 0));
-    }
-    let mut retransmits = 0u32;
-    let received =
-        link.transmit_arq(&frame(), b, live, pos, traffic, arq_retries, &mut retransmits);
-    // Every retransmission is one detection the ARQ level already
-    // answered; a final failure is the one unanswered detection that
-    // escalates to the caller's ladder.
-    recovery.detected += u64::from(retransmits);
-    recovery.retransmits += u64::from(retransmits);
-    Ok((Some(received?), bits, retransmits))
-}
-
-/// `i mod n`, without a division for the common `i < n`.
-fn wrapped(i: usize, n: usize) -> usize {
-    if i < n {
-        i
-    } else {
-        i % n
-    }
-}
-
-/// One sweep region of a board's augmented block as its engine reads
-/// it: each row copied from the committed lattice, with the received
-/// halo frames laid over it — so a frame that was corrupted on the wire
-/// but passed parity reaches the engine as it arrived.
-struct RegionRows<'a, S: State> {
-    aug: Augmented<'a, S>,
-    ex: &'a ExchangeOutcome<S>,
-    region: &'a Region2d,
-    shape: Shape,
-}
-
-impl<S: State> RowSource<S> for RegionRows<'_, S> {
-    fn shape(&self) -> Shape {
-        self.shape
-    }
-
-    fn fill_row(&self, r: usize, row: &mut [S]) {
-        let (b, region) = (self.aug.block, self.region);
-        let ar = region.r0 + r;
-        let span = region.a0..region.a0 + region.width;
-        self.aug.copy_row(ar, region.a0, row);
-        if let Some(cols) = &self.ex.cols {
-            let aug_rows = self.aug.rows();
-            for (j, c) in self.aug.halo_cols().enumerate() {
-                if span.contains(&c) {
-                    row[c - region.a0] = cols[j * aug_rows + ar];
-                }
-            }
-        }
-        let Some(rows) = &self.ex.rows else { return };
-        if let Some(j) = self.aug.halo_rows().position(|h| h == ar) {
-            let lo = b.halo_left.max(span.start);
-            let hi = (b.halo_left + b.width).min(span.end);
-            if lo < hi {
-                let from = &rows[j * b.width + lo - b.halo_left..][..hi - lo];
-                row[lo - region.a0..hi - region.a0].copy_from_slice(from);
-            }
-        }
-    }
-}
-
-/// One sweep region's owned window, written straight into the board's
-/// rows of the next lattice: region row `r` is owned row
-/// `r + region.r0 − top`, region column `c` owned column
-/// `c + region.a0 − halo_left`.
-pub(crate) struct OwnedRows<'s, 'n, S: State> {
-    pub(crate) segs: &'s mut [&'n mut [S]],
-    pub(crate) region: &'s Region2d,
-    pub(crate) top: usize,
-    pub(crate) left: usize,
-}
-
-impl<S: State> RowSink<S> for OwnedRows<'_, '_, S> {
-    fn window(&self) -> (Range<usize>, Range<usize>) {
-        let (g, top, left) = (self.region, self.top, self.left);
-        (
-            top + g.own_r_lo - g.r0..top + g.own_r_hi - g.r0,
-            left + g.own_lo - g.a0..left + g.own_hi - g.a0,
-        )
-    }
-
-    fn row_mut(&mut self, r: usize) -> &mut [S] {
-        let g = self.region;
-        &mut self.segs[r + g.r0 - self.top][g.own_lo..g.own_hi]
-    }
-}
-
-/// Copies the window `sink` keeps out of `grid`, a block of the sink's
-/// shape.
-fn keep_window<S: State>(grid: &Grid<S>, sink: &mut dyn RowSink<S>) {
-    let cols = grid.shape().cols();
-    let (rows, window) = sink.window();
-    for r in rows {
-        sink.row_mut(r).copy_from_slice(&grid.as_slice()[r * cols..][window.clone()]);
-    }
-}
-
-/// Splits `next` (a lattice `cols` sites wide) into every block's owned
-/// rows: entry `i` holds block `i`'s rows top to bottom, `width` sites
-/// each. The blocks tile the lattice, so each site goes to one block.
-pub(crate) fn owned_rows<'n, S: State>(
-    next: &'n mut [S],
-    cols: usize,
-    blocks: &[Block],
-) -> Vec<Vec<&'n mut [S]>> {
-    let mut owned: Vec<Vec<&mut [S]>> = blocks.iter().map(|b| Vec::with_capacity(b.rows)).collect();
-    let mut by_col: Vec<&Block> = blocks.iter().collect();
-    by_col.sort_by_key(|b| b.col0);
-    for (r, row) in next.chunks_exact_mut(cols).enumerate() {
-        let (mut rest, mut at) = (row, 0);
-        for b in by_col.iter().filter(|b| (b.row0..b.row_end()).contains(&r)) {
-            let (seg, tail) = std::mem::take(&mut rest)[b.col0 - at..].split_at_mut(b.width);
-            owned[b.index].push(seg);
-            (rest, at) = (tail, b.col_end());
-        }
-    }
-    owned
-}
-
-/// The `rows × width` rectangle of `grid` whose top-left site is
-/// `(r0, c0)`, copied row by row.
-fn crop<S: State>(
-    grid: &Grid<S>,
-    (r0, c0): (usize, usize),
-    (rows, width): (usize, usize),
-) -> Result<Grid<S>, LatticeError> {
-    let cols = grid.shape().cols();
-    let mut data = Vec::with_capacity(rows * width);
-    for row in grid.as_slice().chunks_exact(cols).skip(r0).take(rows) {
-        data.extend_from_slice(&row[c0..c0 + width]);
-    }
-    Grid::from_vec(Shape::grid2(rows, width)?, data)
-}
-
-/// Copies the window `rows × span` of `owned`, block `blk`'s owned
-/// sites (`blk.width` to a row), into their place in `dst`, a lattice
-/// `cols` sites wide, one row segment at a time.
-pub(crate) fn paste_window<S: State>(
-    dst: &mut [S],
-    cols: usize,
-    blk: &Block,
-    owned: &[S],
-    (rows, span): (Range<usize>, Range<usize>),
-) {
-    for r in rows {
-        let (d, o) = ((blk.row0 + r) * cols + blk.col0, r * blk.width);
-        dst[d + span.start..d + span.end].copy_from_slice(&owned[o + span.start..o + span.end]);
-    }
-}
-
-/// Sequential composition of one board's sweep regions within a pass:
-/// the regions run back to back on the same silicon, so ticks, updates,
-/// and traffic add, while pipeline geometry (`stages`, `width`) and
-/// capacity figures stay the board's maxima and `generations` stays the
-/// pass depth. The dual of [`EngineReport::merge`], which composes
-/// *concurrent* engines (ticks max, stages add).
-fn fold_regions(mut costs: Vec<EngineCost>) -> EngineCost {
-    let mut folded = costs.remove(0);
-    for r in costs {
-        folded.generations = folded.generations.max(r.generations);
-        folded.updates += r.updates;
-        folded.ticks += r.ticks;
-        folded.memory_traffic.merge(r.memory_traffic);
-        folded.pin_traffic.merge(r.pin_traffic);
-        folded.side_traffic.merge(r.side_traffic);
-        folded.offchip_sr_traffic.merge(r.offchip_sr_traffic);
-        folded.sr_cells_per_stage = folded.sr_cells_per_stage.max(r.sr_cells_per_stage);
-        folded.stages = folded.stages.max(r.stages);
-        folded.width = folded.width.max(r.width);
-        folded.faults.merge(r.faults);
-    }
-    folded
-}
-
-/// Converts a missing cache entry — a supervisor-logic invariant, not a
-/// hardware fault — into a localized [`BoardFailure`] instead of a
-/// panic, so a supervisor bug degrades into the recovery ladder rather
-/// than tearing the farm down.
-fn cached<T>(entry: Option<T>, slab: usize, what: &str) -> Result<T, BoardFailure> {
-    entry.ok_or_else(|| BoardFailure {
-        slab: Some(slab),
-        error: LatticeError::Corrupted {
-            site: format!("board cache, slab {slab}"),
-            detail: format!("{what} missing from the pass cache"),
-        },
-    })
-}
-
-/// A failure inside one pass attempt, localized when possible.
-pub(crate) struct BoardFailure {
-    /// Slab index the failure is localized to; `None` for machine-wide
-    /// failures (the global audit), which skip ladder level 2.
-    pub(crate) slab: Option<usize>,
-    pub(crate) error: LatticeError,
-}
-
-/// What the recovery ladder did about a failure: replay the failed
-/// board alone (level 2), or rewind every board to the barrier (levels
-/// 3 and 4).
-enum Rung {
-    Replay,
-    Rewind,
-}
-
-/// Machine-wide audit callback: `(lattice before, lattice after)` a pass.
-type MachineAudit<'f, S> = dyn FnMut(&Grid<S>, &Grid<S>) -> Result<(), LatticeError> + 'f;
-
-/// Per-board audit callback: `(physical board, aug before, aug after)`.
-pub type ShardAudit<'f, S> = dyn FnMut(usize, &Grid<S>, &Grid<S>) -> Result<(), LatticeError> + 'f;
-
-/// Geometry and policy shared by every board of one pass attempt.
-struct PassParams<'a> {
-    k: usize,
-    t_now: u64,
-    /// End of the whole run — overlap mode needs it to know whether a
-    /// next pass exists (and how deep it is) when shipping ahead.
-    t_end: u64,
-    pass: u64,
-    blocks: &'a [Block],
-    /// Block index → physical board id (identity until boards retire).
-    phys: &'a [usize],
-    stride: usize,
-    link_chip_base: usize,
-    /// Per physical board attempt epochs.
-    attempts: &'a [u64],
-    arq_retries: u32,
-    watchdog: Option<Duration>,
-    /// The committed previous pass's interior-sweep time: the window
-    /// this pass's (staged) halo transfer was hidden under. Zero when
-    /// the previous pass failed, rolled back, or did not stage.
-    overlap_credit: Ticks,
-}
-
-/// What one board's worker hands back: one engine cost per sweep
-/// region, and, when a per-board audit is attached, each region's
-/// augmented block before and after.
-pub(crate) struct BoardWork<S: State> {
-    costs: Vec<EngineCost>,
-    audited: Vec<(Grid<S>, Grid<S>)>,
-}
-
-impl<S: State> BoardWork<S> {
-    /// Room for `regions` regions' results, allocated up front.
-    fn with_capacity(regions: usize, audited: bool) -> Self {
-        BoardWork {
-            costs: Vec::with_capacity(regions),
-            audited: Vec::with_capacity(if audited { regions } else { 0 }),
-        }
-    }
-}
-
-/// A board's compute outcome: absent until its worker reports.
-type BoardResult<S> = Option<Result<BoardWork<S>, LatticeError>>;
-
-/// One board's work order for a pass: the committed lattice, the
-/// board's block and a copy of its buffered exchange, so the order can
-/// cross to a crew helper.
-pub(crate) struct BoardJob<'a, S: State> {
-    lattice: Committed<'a, S>,
-    block: Block,
-    /// On-board vertical wrap rows per side.
-    wrap: usize,
-    ex: ExchangeOutcome<S>,
-    /// Sweep regions in execution order (boundary first); one full
-    /// region when overlap is off.
-    regions: Vec<Region2d>,
-    ctx: Option<FaultCtx<'a>>,
-    origin: (usize, usize),
-    chip0: usize,
-    phys: usize,
-    pass: u64,
-    attempt: u64,
-    k: usize,
-    t0: u64,
-    /// Whether a per-board audit wants the augmented blocks back.
-    audited: bool,
-    /// The board's result vectors, allocated by the supervisor with the
-    /// rest of the job; see [`Done::Board`].
-    work: BoardWork<S>,
-}
-
-/// What a crew helper is handed: one board's pass or resident run,
-/// with the buffer it writes the board's owned window into, or one
-/// slab's checkpoint encode at a barrier.
-pub(crate) enum Job<'a, S: State> {
-    Board(Box<BoardJob<'a, S>>, Vec<S>),
-    Run(Box<BoardRun<'a, S>>, Vec<S>),
-    Save(Committed<'a, S>, Block, u64),
-}
-
-/// A helper's answer: the board's work (or how its run ended) and its
-/// filled window buffer, or the slab's encoded blob.
-///
-/// A board's answer also hands its job back, so the supervisor frees
-/// the small allocations it made for it (the box, the regions, the
-/// frame copies, the result vectors), and the helper frees only what it
-/// allocated itself. The allocator caches small freed blocks per
-/// thread, whichever thread allocated them: a helper freeing the
-/// supervisor's blocks would hand them to its own engine's per-tick
-/// state, in cache lines the supervisor's engine writes on the other
-/// core. On farm-fine that false sharing cost about a fifth of the
-/// throughput (DESIGN.md §19, "The board crew").
-pub(crate) enum Done<'a, S: State> {
-    Board(Result<BoardWork<S>, LatticeError>, Vec<S>, Box<BoardJob<'a, S>>),
-    Run(Result<(), Stop>, Vec<S>, Box<BoardRun<'a, S>>),
-    Save(Result<Vec<u8>, LatticeError>),
-}
-
-/// What every helper of a step runs on the jobs it is handed.
-pub(crate) type Work<'a, S> = dyn Fn(Job<'a, S>) -> Option<Done<'a, S>> + Sync + 'a;
-
-/// The board crew of one [`FarmSession::step`], with the buffers its
-/// passes recycle. The supervisor runs block 0 of every pass and the
-/// first slab of every barrier itself; helper `h` takes block `h + 1`.
-pub(crate) struct StepCrew<'scope, 'env, S: State> {
-    pub(crate) crew: Crew<'scope, 'env, Work<'env, S>, Job<'env, S>, Done<'env, S>>,
-    /// Helper `h`'s window buffer while it is not out on a job.
-    pub(crate) windows: Vec<Vec<S>>,
-    /// A lattice buffer nothing reads any more: the one the last commit
-    /// or rewind replaced, reused as the next pass's lattice.
-    pub(crate) spare: Option<Vec<S>>,
-    /// The resident runs' mailboxes, four per block, kept for the step.
-    pub(crate) links: Arc<[resident::Mailbox]>,
-    /// The next resident run's first mailbox tag: tags never repeat
-    /// within a step.
-    pub(crate) tags: u64,
-    /// Whether a resident run may still be tried: a rule with no kernel
-    /// for some block sends the rest of the step down the per-pass path.
-    resident: bool,
-}
-
-impl<'env, S: State> StepCrew<'_, 'env, S> {
-    /// The next pass's lattice buffer: the spare when there is one.
-    pub(crate) fn next_lattice(&mut self, n: usize) -> Vec<S> {
-        recycle(self.spare.take().unwrap_or_default(), n)
-    }
-
-    /// Hands block `i ≥ 1`'s job, built around the helper's window
-    /// buffer, to its helper; returns the ticket.
-    pub(crate) fn dispatch(&mut self, i: usize, job: impl FnOnce(Vec<S>) -> Job<'env, S>) -> u64 {
-        let h = i - 1;
-        if self.windows.len() <= h {
-            self.windows.resize_with(h + 1, Vec::new);
-        }
-        let window = std::mem::take(&mut self.windows[h]);
-        self.crew.dispatch(h, job(window))
-    }
-
-    /// [`save_shard_checkpoints`] with slab `i ≥ 1` encoded by helper
-    /// `i − 1` while the supervisor encodes slab 0.
-    fn save(
-        &mut self,
-        lattice: &Committed<'env, S>,
-        blocks: &[Block],
-        t: u64,
-    ) -> Result<Vec<Vec<u8>>, LatticeError> {
-        let tickets: Vec<u64> = (1..blocks.len())
-            .map(|i| self.crew.dispatch(i - 1, Job::Save(lattice.clone(), blocks[i], t)))
-            .collect();
-        let first = blocks.first().map(|blk| save_block(lattice, blk, t));
-        let rest = self.crew.collect(&tickets, None);
-        first
-            .into_iter()
-            .chain(rest.into_iter().map(|answer| match answer {
-                Answer::Done(Done::Save(blob)) => blob,
-                _ => Err(LatticeError::Corrupted {
-                    site: "farm".into(),
-                    detail: "a farm thread panicked".into(),
-                }),
-            }))
-            .collect()
-    }
-}
-
-/// One pass's bill, before aggregation. `costs` holds the per-board
-/// *folded* cost (regions composed sequentially).
-struct PassOutcome {
-    costs: Vec<EngineCost>,
-    halo_traffic: Traffic,
-    halo_ticks: Ticks,
-    retransmit_ticks: Ticks,
-    halo_bits_per_board: Vec<Bits>,
-    retransmits_per_board: Vec<u32>,
-    /// Slowest board's boundary-sweep time (zero when overlap is off:
-    /// the whole sweep is interior).
-    boundary_ticks: Ticks,
-    /// Slowest board's interior-sweep time — the window the *next*
-    /// pass's halo transfer can hide under.
-    interior_ticks: Ticks,
-    /// The share of this pass's `halo_ticks` that was hidden under the
-    /// previous pass's interior sweep: `min(credit, halo_ticks)` when
-    /// every frame arrived staged, zero otherwise.
-    overlapped_ticks: Ticks,
-}
-
-/// Cross-pass accumulators for the machine report. `Clone` so a live
-/// [`FarmSession`] can snapshot a mid-run [`FarmReport`] without
-/// disturbing the accumulators.
-#[derive(Clone)]
-struct Totals {
-    updates: Sites,
-    compute_ticks: Ticks,
-    generations: u64,
-    memory: Traffic,
-    pins: Traffic,
-    side: Traffic,
-    offchip: Traffic,
-    sr: Cells,
-    stages: u32,
-    width: u32,
-    halo_traffic: Traffic,
-    halo_ticks: Ticks,
-    retransmit_ticks: Ticks,
-    overlapped_ticks: Ticks,
-    retransmits: u64,
-    per_shard: Vec<ShardStats>,
-}
-
-impl Totals {
-    fn new(blocks: &[Block]) -> Self {
-        Totals {
-            updates: Sites::ZERO,
-            compute_ticks: Ticks::ZERO,
-            generations: 0,
-            memory: Traffic::new(),
-            pins: Traffic::new(),
-            side: Traffic::new(),
-            offchip: Traffic::new(),
-            sr: Cells::ZERO,
-            stages: 0,
-            width: 0,
-            halo_traffic: Traffic::new(),
-            halo_ticks: Ticks::ZERO,
-            retransmit_ticks: Ticks::ZERO,
-            overlapped_ticks: Ticks::ZERO,
-            retransmits: 0,
-            per_shard: blocks
-                .iter()
-                .map(|b| ShardStats {
-                    shard: b.index,
-                    row0: b.row0,
-                    rows: b.rows,
-                    col0: b.col0,
-                    cols: b.width,
-                    updates: Sites::ZERO,
-                    ticks: Ticks::ZERO,
-                    halo_in_bits: Bits::ZERO,
-                    retransmits: 0,
-                    local_rollbacks: 0,
-                    retired: false,
-                })
-                .collect(),
-        }
-    }
-
-    /// Folds one pass in: shard reports compose in parallel (via
-    /// [`EngineReport::merge`]), passes compose sequentially (ticks and
-    /// updates add). The pass's compute time is the boundary barrier
-    /// plus the interior barrier — each phase waits on its slowest
-    /// board — which reduces to the slowest board's full sweep when
-    /// overlap is off. `phys` maps slab index → physical board.
-    ///
-    /// A link so slow that the machine's tick count (compute plus halo)
-    /// no longer fits in a `u64` is a configuration the report cannot
-    /// describe: the pass is refused with
-    /// [`LatticeError::InvalidConfig`] and nothing is folded in.
-    fn absorb(&mut self, out: &PassOutcome, k: u64, phys: &[usize]) -> Result<(), LatticeError> {
-        let ticks = (self.compute_ticks.checked_add(out.boundary_ticks + out.interior_ticks))
-            .zip(self.halo_ticks.checked_add(out.halo_ticks))
-            .filter(|(compute, halo)| compute.checked_add(*halo).is_some());
-        let Some((compute_ticks, halo_ticks)) = ticks else {
-            return Err(LatticeError::InvalidConfig(
-                "the halo links are too slow: the machine's tick count overflows a u64".into(),
-            ));
-        };
-        // The boards' parallel composition, field by field as
-        // `EngineReport::merge` folds it (counters add, capacities take
-        // the maximum, chips add up across boards), without copying a
-        // board lattice.
-        let mut pass_stages = 0u32;
-        for r in &out.costs {
-            self.updates += r.updates;
-            self.memory.merge(r.memory_traffic);
-            self.pins.merge(r.pin_traffic);
-            self.side.merge(r.side_traffic);
-            self.offchip.merge(r.offchip_sr_traffic);
-            self.sr = self.sr.max(r.sr_cells_per_stage);
-            self.width = self.width.max(r.width);
-            pass_stages += r.stages;
-        }
-        self.compute_ticks = compute_ticks;
-        self.generations += k;
-        self.stages = self.stages.max(pass_stages);
-        self.halo_traffic.merge(out.halo_traffic);
-        self.halo_ticks = halo_ticks;
-        self.retransmit_ticks += out.retransmit_ticks;
-        self.overlapped_ticks += out.overlapped_ticks;
-        for (i, report) in out.costs.iter().enumerate() {
-            let stats = &mut self.per_shard[phys[i]];
-            stats.updates += report.updates;
-            stats.ticks += report.ticks;
-            stats.halo_in_bits += out.halo_bits_per_board[i];
-            stats.retransmits += u64::from(out.retransmits_per_board[i]);
-            self.retransmits += u64::from(out.retransmits_per_board[i]);
-        }
-        Ok(())
-    }
-
-    /// Re-records the block geometry after a degraded re-partitioning.
-    fn regeom(&mut self, blocks: &[Block], phys: &[usize]) {
-        for (i, b) in blocks.iter().enumerate() {
-            self.per_shard[phys[i]].row0 = b.row0;
-            self.per_shard[phys[i]].rows = b.rows;
-            self.per_shard[phys[i]].col0 = b.col0;
-            self.per_shard[phys[i]].cols = b.width;
-        }
-    }
-
-    fn finish<S: State>(
-        self,
-        grid: Grid<S>,
-        passes: u64,
-        shards: usize,
-        faults: FaultStats,
-    ) -> FarmReport<S> {
-        FarmReport {
-            machine: EngineReport {
-                grid,
-                generations: self.generations,
-                updates: self.updates,
-                ticks: self.compute_ticks,
-                memory_traffic: self.memory,
-                pin_traffic: self.pins,
-                side_traffic: self.side,
-                offchip_sr_traffic: self.offchip,
-                sr_cells_per_stage: self.sr,
-                stages: self.stages,
-                width: self.width,
-                faults,
-            },
-            passes,
-            shards,
-            per_shard: self.per_shard,
-            halo_traffic: self.halo_traffic,
-            halo_ticks: self.halo_ticks,
-            retransmit_ticks: self.retransmit_ticks,
-            overlapped_ticks: self.overlapped_ticks,
-            retransmits: self.retransmits,
-        }
-    }
-}
-
-/// One block's slab of `grid` at generation `t`, through the
-/// checkpoint codec.
-fn save_block<S: State>(grid: &Grid<S>, blk: &Block, t: u64) -> Result<Vec<u8>, LatticeError> {
-    let sg = crop(grid, (blk.row0, blk.col0), (blk.rows, blk.width))?;
-    Ok(checkpoint::save(&sg, Ticks::new(t)))
-}
-
-fn save_shard_checkpoints<S: State>(
-    grid: &Grid<S>,
-    blocks: &[Block],
-    t: u64,
-) -> Result<Vec<Vec<u8>>, LatticeError> {
-    blocks.iter().map(|blk| save_block(grid, blk, t)).collect()
-}
-
-fn load_shard_checkpoints<S: State>(
-    blobs: &[Vec<u8>],
-    blocks: &[Block],
-    shape: Shape,
-) -> Result<(Grid<S>, u64), LatticeError> {
-    let mut grid = Grid::new(shape);
-    let mut time: Option<Ticks> = None;
-    for (blob, blk) in blobs.iter().zip(blocks) {
-        let (sg, t) = checkpoint::load::<S>(blob)?;
-        if *time.get_or_insert(t) != t {
-            return Err(LatticeError::Corrupted {
-                site: format!("shard {} checkpoint", blk.index),
-                detail: "shard checkpoints disagree on generation".into(),
-            });
-        }
-        if sg.shape() != Shape::grid2(blk.rows, blk.width)? {
-            return Err(LatticeError::Corrupted {
-                site: format!("shard {} checkpoint", blk.index),
-                detail: "shard checkpoint does not match its block's shape".into(),
-            });
-        }
-        let owned = (0..blk.rows, 0..blk.width);
-        paste_window(grid.as_mut_slice(), shape.cols(), blk, sg.as_slice(), owned);
-    }
-    Ok((grid, time.unwrap_or(Ticks::ZERO).get()))
-}
-
-/// One board's pass: each sweep region read from the committed lattice
-/// with the board's received frames laid over it, evolved `k`
-/// generations, and its owned window written into `owned`, the board's
-/// rows of the next lattice. A WSA board whose chips no fault can reach
-/// runs the rule's block kernel ([`Rule::block_kernel`]), built from the
-/// region's rows. Every other board — SPA, chips a fault can reach,
-/// rules or blocks without a kernel — and every audited board builds
-/// each region's augmented block, runs it, and copies the owned window
-/// out; an audited board hands those blocks back for the audit.
-fn run_board<R: Rule>(
-    rule: &R,
-    engine: ShardEngine,
-    job: &BoardJob<'_, R::S>,
-    owned: &mut [&mut [R::S]],
-    mut work: BoardWork<R::S>,
-) -> Result<BoardWork<R::S>, LatticeError> {
-    let (k, t0, audited) = (job.k, job.t0, job.audited);
-    let aug = Augmented::new(&job.lattice, &job.block, job.wrap);
-    let chips: Vec<usize> = (job.chip0..job.chip0 + k).collect();
-    // A board whose chips no fault can reach takes the rule's block
-    // kernel when it has one for the block; the counts are the cycle
-    // engine's.
-    let kernel = match engine {
-        ShardEngine::Wsa { width } if job.ctx.is_none_or(|c| c.plan.spares(&chips)) => {
-            Some(Pipeline::wide(width, k))
-        }
-        _ => None,
-    };
-    for region in &job.regions {
-        let src = RegionRows {
-            aug,
-            ex: &job.ex,
-            region,
-            shape: Shape::grid2(region.height, region.width)?,
-        };
-        let mut sink = OwnedRows { segs: owned, region, top: aug.top(), left: job.block.halo_left };
-        let origin = (job.origin.0.wrapping_add(region.r0), job.origin.1.wrapping_add(region.a0));
-        let cost = kernel.filter(|_| !audited).and_then(|p| p.kernel_cost::<R::S>(src.shape));
-        let planes = cost.and_then(|_| rule.block_kernel(&src, t0, origin));
-        if let (Some(cost), Some(mut planes)) = (cost, planes) {
-            planes.run(u64_from_usize(k));
-            planes.unpack(&mut sink);
-            work.costs.push(cost);
-            continue;
-        }
-        let before = Grid::from_rows(&src);
-        let fast = kernel.filter(|_| audited).and_then(|pipe| {
-            let mut after = Grid::new(src.shape);
-            pipe.run_kernel(rule, &before, &mut after, t0, origin).map(|cost| cost.with_grid(after))
-        });
-        let report = match (fast, engine) {
-            (Some(report), _) => report,
-            (None, ShardEngine::Wsa { width }) => {
-                let opts = RunOptions {
-                    origin,
-                    faults: job.ctx,
-                    chip_ids: Some(&chips),
-                    offchip_from: None,
-                };
-                Pipeline::wide(width, k).run_opts(rule, &before, t0, opts)?
-            }
-            (None, ShardEngine::Spa { slice_width }) => {
-                let opts = SpaRunOptions { origin, faults: job.ctx, chip_offset: job.chip0 };
-                SpaEngine::new(slice_width, k).run_opts(rule, &before, t0, opts)?
-            }
-        };
-        keep_window(&report.grid, &mut sink);
-        work.costs.push(report.cost());
-        if audited {
-            work.audited.push((before, report.grid));
-        }
-    }
-    Ok(work)
-}
-
-/// One board's pass as its worker runs it, injected misbehavior
-/// included: `None` when the worker dies before reporting, by an
-/// injected [`WorkerFault::Die`] or a panic, which is contained here.
-fn work_board<R: Rule>(
-    rule: &R,
-    engine: ShardEngine,
-    fault: Option<WorkerFaultSpec>,
-    job: &mut BoardJob<'_, R::S>,
-    owned: &mut [&mut [R::S]],
-) -> Option<Result<BoardWork<R::S>, LatticeError>> {
-    let work = std::mem::replace(&mut job.work, BoardWork::with_capacity(0, false));
-    let due = fault.filter(|f| (f.board, f.pass, f.attempt) == (job.phys, job.pass, job.attempt));
-    catch_unwind(AssertUnwindSafe(|| {
-        match due.map(|f| f.fault) {
-            Some(WorkerFault::Hang { millis }) => {
-                // Fault *injection*, not lattice state: a hang stalls the
-                // worker but the recovery outcome is decided by the
-                // watchdog, not by how long this sleeps.
-                // lattice-lint: allow(determinism)
-                std::thread::sleep(Duration::from_millis(millis))
-            }
-            Some(WorkerFault::Die) => return None,
-            None => {}
-        }
-        Some(run_board(rule, engine, job, owned, work))
-    }))
-    .ok()
-    .flatten()
-}
-
-/// A crew helper's side of a [`Job`]. A board's job goes back with the
-/// answer (see [`Done::Board`]).
-fn help<'a, R: Rule>(
-    rule: &R,
-    engine: ShardEngine,
-    fault: Option<WorkerFaultSpec>,
-    job: Job<'a, R::S>,
-) -> Option<Done<'a, R::S>> {
-    match job {
-        Job::Board(mut job, window) => {
-            let width = job.block.width;
-            let mut window = recycle(window, job.block.rows * width);
-            let mut owned: Vec<&mut [R::S]> = window.chunks_exact_mut(width).collect();
-            let work = work_board(rule, engine, fault, &mut job, &mut owned)?;
-            drop(owned);
-            Some(Done::Board(work, window, job))
-        }
-        Job::Run(job, window) => Some(resident::help(rule, job, window)),
-        Job::Save(lattice, block, t) => Some(Done::Save(save_block(&lattice, &block, t))),
-    }
 }
 
 impl LatticeFarm {
@@ -1419,12 +418,10 @@ impl LatticeFarm {
         self
     }
 
-    /// Enables (or disables) overlapped halo exchange: boundary sweeps
-    /// first, next-pass frames shipped during the interior sweep over
-    /// double-buffered links, barrier on arrival. Bit-exact either way;
-    /// only the tick accounting changes. SPA boards require
-    /// `slice_width == 1` under overlap (the sweep regions are not
-    /// generally slice-aligned).
+    /// Enables (or disables) overlapped halo exchange
+    /// ([`LatticeFarm::overlap`]). SPA boards then require
+    /// `slice_width == 1`: the sweep regions are not generally
+    /// slice-aligned.
     pub fn with_overlap(mut self, overlap: bool) -> Self {
         self.overlap = overlap;
         self
@@ -1452,7 +449,7 @@ impl LatticeFarm {
         self
     }
 
-    fn validate<S: State>(&self, grid: &Grid<S>) -> Result<(), LatticeError> {
+    pub(crate) fn validate<S: State>(&self, grid: &Grid<S>) -> Result<(), LatticeError> {
         if grid.shape().rank() != 2 {
             return Err(LatticeError::InvalidConfig("a farm shards a 2-D lattice".into()));
         }
@@ -1487,7 +484,7 @@ impl LatticeFarm {
     /// full strength, a columnar `(1, shards)` layout once degraded
     /// re-partitioning has retired boards (level 4 is gated to
     /// single-row grids, so the reshape is always columnar).
-    fn grid_at(&self, shards: usize) -> (usize, usize) {
+    pub(crate) fn grid_at(&self, shards: usize) -> (usize, usize) {
         if shards == self.shards() {
             self.grid
         } else {
@@ -1499,7 +496,7 @@ impl LatticeFarm {
     /// board grid keeps the torus's vertical wrap on board (exactly the
     /// columnar farm's augmented rows); a multi-row grid imports wrap
     /// rows as ordinary halo rows over the inter-rack links instead.
-    fn wrap_at(&self, grid_rows: usize, k: usize) -> usize {
+    pub(crate) fn wrap_at(&self, grid_rows: usize, k: usize) -> usize {
         if self.periodic && grid_rows == 1 {
             k
         } else {
@@ -1508,7 +505,7 @@ impl LatticeFarm {
     }
 
     /// The block layout at `shards` live boards and pass depth `k`.
-    fn blocks_at(
+    pub(crate) fn blocks_at(
         &self,
         rows: usize,
         cols: usize,
@@ -1519,430 +516,33 @@ impl LatticeFarm {
         partition2d(rows, cols, gr, gc, k, self.periodic)
     }
 
-    /// Physical chips per board at `shards` boards: board `b` owns chip
+    /// Physical chips per board under a degrade budget of
+    /// `max_retired` boards, which must leave one: board `b` owns chip
     /// ids `[b·stride, (b+1)·stride)`, stable across passes (the final
     /// shallow pass uses a prefix), so stuck-at faults follow silicon.
-    fn chip_stride_at(
+    /// The stride fits every shard count the budget can reach: degraded
+    /// re-partitioning widens slabs, and chip ids must not move when it
+    /// does, or stuck-at faults would jump between boards.
+    pub(crate) fn chip_stride(
         &self,
         rows: usize,
         cols: usize,
-        shards: usize,
+        max_retired: usize,
     ) -> Result<usize, LatticeError> {
-        Ok(match self.engine {
-            ShardEngine::Wsa { .. } => self.depth,
-            ShardEngine::Spa { slice_width } => {
-                let (gr, gc) = self.grid_at(shards);
-                let max_aug = max_aug_width2d(rows, cols, gr, gc, self.depth, self.periodic)?;
-                self.depth * max_aug.div_ceil(slice_width)
-            }
-        })
-    }
-
-    /// The chip stride sized for every shard count the farm can reach:
-    /// degraded re-partitioning widens slabs, and chip ids must not
-    /// move when it does, or stuck-at faults would jump between boards.
-    fn chip_stride_range(
-        &self,
-        rows: usize,
-        cols: usize,
-        smin: usize,
-    ) -> Result<usize, LatticeError> {
+        let shards = self.shards();
+        if max_retired >= shards {
+            return Err(LatticeError::InvalidConfig(
+                "degrade budget must leave at least one board".into(),
+            ));
+        }
+        let ShardEngine::Spa { slice_width } = self.engine else { return Ok(self.depth) };
         let mut stride = 0usize;
-        for s in smin..=self.shards() {
-            stride = stride.max(self.chip_stride_at(rows, cols, s)?);
+        for s in shards - max_retired..=shards {
+            let (gr, gc) = self.grid_at(s);
+            let max_aug = max_aug_width2d(rows, cols, gr, gc, self.depth, self.periodic)?;
+            stride = stride.max(self.depth * max_aug.div_ceil(slice_width));
         }
         Ok(stride)
-    }
-
-    /// Moves one board's halo frames across its links (with ARQ),
-    /// reading them straight from the lattice `aug` sits on: halo
-    /// *columns* — the full augmented height, corners included — on
-    /// the intra-rack tier, halo *rows* (owned width only, so corner
-    /// sites are billed once) on the inter-rack tier. Only the received
-    /// frames are kept. Shared by the arrival-barrier exchange and the
-    /// overlap mode's ship-ahead staging — the same code path, so the
-    /// two can never disagree on frame contents, parity, or the links'
-    /// fault-stream positions.
-    #[allow(clippy::too_many_arguments)]
-    fn exchange_board<S: State>(
-        &self,
-        aug: Augmented<'_, S>,
-        b: usize,
-        ctx: Option<FaultCtx<'_>>,
-        link_chip_base: usize,
-        pos: &mut u64,
-        pos_inter: &mut u64,
-        arq_retries: u32,
-        recovery: &mut RecoveryStats,
-        staged: bool,
-    ) -> Result<ExchangeOutcome<S>, LatticeError> {
-        let mut traffic = Traffic::new();
-        // Halo columns cross the intra-rack tier; owned columns stay on
-        // board.
-        let (cols, bits, retransmits) = ship(
-            &self.link,
-            aug.column_sites(),
-            || aug.column_frame(),
-            b,
-            ctx.map(|ctx| (ctx, link_chip_base + b)),
-            pos,
-            &mut traffic,
-            arq_retries,
-            recovery,
-        )?;
-        // Halo rows (owned width only — the corners already crossed in
-        // the column frames) cross the inter-rack tier. A single-row
-        // board grid has no vertical seams, so this tier stays idle and
-        // the columnar farm's byte-for-byte behavior is preserved.
-        let (rows, bits_inter, retransmits_inter) = match aug.row_sites() {
-            0 => (None, Bits::ZERO, 0),
-            n => ship(
-                &self.link_inter,
-                n,
-                || aug.row_frame(),
-                b,
-                ctx.map(|ctx| (ctx, link_chip_base + self.shards() + b)),
-                pos_inter,
-                &mut traffic,
-                arq_retries,
-                recovery,
-            )?,
-        };
-        Ok(ExchangeOutcome {
-            cols,
-            rows,
-            bits,
-            bits_inter,
-            retransmits,
-            retransmits_inter,
-            traffic,
-            staged,
-        })
-    }
-
-    /// One attempt at a bulk-synchronous superstep: halo *arrival* (a
-    /// staged frame from the previous pass's ship-ahead, or a barrier
-    /// exchange with ARQ) for every board lacking a buffered frame,
-    /// concurrent compute (with watchdog) for every board lacking a
-    /// cost — block 0 on this thread, straight into its rows of the
-    /// next lattice, every other block on its crew helper, whose owned
-    /// window is then copied in; boundary sweep regions first — then
-    /// (in overlap mode) the next pass's frames ship while the interior
-    /// regions evolve, and the per-board audit, if attached, checks each
-    /// fresh board. Clean per-board work is cached in `cache`, so
-    /// retrying after a localized failure redoes only the failed
-    /// board's work — that containment *is* ladder level 2.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt_pass<'env, R: Rule>(
-        &self,
-        rule: &R,
-        grid: &Committed<'env, R::S>,
-        pp: &PassParams<'_>,
-        plan: Option<&'env FaultPlan>,
-        halo_pos: &mut [u64],
-        halo_pos_inter: &mut [u64],
-        cache: &mut PassCache<R::S>,
-        windows: &mut [StagedHalo<R::S>],
-        recovery: &mut RecoveryStats,
-        mut shard_audit: Option<&mut ShardAudit<'_, R::S>>,
-        crew: &mut StepCrew<'_, 'env, R::S>,
-    ) -> Result<(Grid<R::S>, PassOutcome), BoardFailure> {
-        let shape = grid.shape();
-        let (rows, cols) = (shape.rows(), shape.cols());
-        let grid_rows = if pp.blocks.is_empty() {
-            1
-        } else {
-            pp.blocks.iter().map(|b| b.grid_row).max().unwrap_or(0) + 1
-        };
-        let wrap = self.wrap_at(grid_rows, pp.k);
-
-        // Phase 1 — halo arrival for boards without a buffered frame:
-        // claim the staged (shipped-ahead) frame if one is in the
-        // window, otherwise exchange at the barrier, serialized.
-        for block in pp.blocks {
-            let i = block.index;
-            if cache.boards[i].exchange.is_some() {
-                continue;
-            }
-            let b = pp.phys[i];
-            let fail = |error: LatticeError| BoardFailure { slab: Some(i), error };
-            let staged = windows[b].take(pp.pass).map_err(fail)?;
-            let ex = match staged {
-                Some(frame) => frame.map_err(fail)?,
-                None => {
-                    let ctx = plan.map(|p| {
-                        FaultCtx::for_shard(p, u64_from_usize(b), pp.pass, pp.attempts[b])
-                    });
-                    self.exchange_board(
-                        Augmented::new(grid, block, wrap),
-                        b,
-                        ctx,
-                        pp.link_chip_base,
-                        &mut halo_pos[b],
-                        &mut halo_pos_inter[b],
-                        pp.arq_retries,
-                        recovery,
-                        false,
-                    )
-                    .map_err(fail)?
-                }
-            };
-            cache.boards[i].exchange = Some(ex);
-        }
-
-        // Phase 2 — boards without a cost compute concurrently, one
-        // engine sub-run per sweep region (boundary regions first):
-        // helpers first, so they start while this thread runs block 0.
-        if cache.next.len() != shape.len() {
-            cache.next = recycle(std::mem::take(&mut cache.next), shape.len());
-        }
-        let mut own = None;
-        let mut handed = Vec::with_capacity(pp.blocks.len());
-        for block in pp.blocks {
-            let i = block.index;
-            if cache.boards[i].costs.is_some() {
-                continue;
-            }
-            let b = pp.phys[i];
-            let ex = cached(cache.boards[i].exchange.as_ref(), i, "halo exchange")?;
-            let regions = sweep_regions2d(block, pp.k, self.overlap, wrap);
-            let audited = shard_audit.is_some();
-            let work = BoardWork::with_capacity(regions.len(), audited);
-            let job = BoardJob {
-                lattice: grid.clone(),
-                block: *block,
-                wrap,
-                ex: ex.clone(),
-                work,
-                regions,
-                ctx: plan
-                    .map(|p| FaultCtx::for_shard(p, u64_from_usize(b), pp.pass, pp.attempts[b])),
-                origin: (
-                    block.row0.wrapping_sub(wrap + block.halo_up),
-                    block.col0.wrapping_sub(block.halo_left),
-                ),
-                chip0: b * pp.stride,
-                phys: b,
-                pass: pp.pass,
-                attempt: pp.attempts[b],
-                k: pp.k,
-                t0: pp.t_now,
-                audited,
-            };
-            if i == 0 {
-                own = Some(job);
-            } else {
-                handed.push((i, crew.dispatch(i, |w| Job::Board(Box::new(job), w))));
-            }
-        }
-        let mut results: Vec<BoardResult<R::S>> = (0..pp.blocks.len()).map(|_| None).collect();
-        // The watchdog clock bounds *wall time to detection*; which
-        // boards are retired (and every lattice bit) is decided by the
-        // deterministic retry ladder.
-        // lattice-lint: allow(determinism)
-        let deadline = pp.watchdog.map(|d| Instant::now() + d);
-        let mut timed_out = false;
-        if let Some(mut job) = own {
-            let mut owned = owned_rows(&mut cache.next, cols, &pp.blocks[..1]);
-            let work = work_board(rule, self.engine, self.worker_fault, &mut job, &mut owned[0]);
-            // A board that reports after the deadline has missed it,
-            // whichever thread it ran on.
-            // lattice-lint: allow(determinism)
-            if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                timed_out = true;
-            } else {
-                results[0] = work;
-            }
-        }
-        let tickets: Vec<u64> = handed.iter().map(|&(_, t)| t).collect();
-        for (&(i, _), answer) in handed.iter().zip(crew.crew.collect(&tickets, deadline)) {
-            match answer {
-                Answer::Done(Done::Board(work, window, _job)) => {
-                    let b = &pp.blocks[i];
-                    if work.is_ok() {
-                        paste_window(&mut cache.next, cols, b, &window, (0..b.rows, 0..b.width));
-                    }
-                    crew.windows[i - 1] = window;
-                    results[i] = Some(work);
-                }
-                Answer::Missed => timed_out = true,
-                Answer::Died | Answer::Done(_) => {}
-            }
-        }
-
-        // Accept every clean board (neighbors must not redo work when
-        // one board fails), audit each fresh one region by region when
-        // an audit is attached, and surface the first failure in slab
-        // order.
-        let mut failure: Option<BoardFailure> = None;
-        for block in pp.blocks {
-            let i = block.index;
-            if cache.boards[i].costs.is_some() {
-                continue;
-            }
-            let b = pp.phys[i];
-            match results[i].take() {
-                Some(Ok(work)) => {
-                    let verdict = match shard_audit.as_deref_mut() {
-                        Some(audit) => work
-                            .audited
-                            .iter()
-                            .try_for_each(|(before, after)| audit(b, before, after)),
-                        None => Ok(()),
-                    };
-                    match verdict {
-                        Ok(()) => cache.boards[i].costs = Some(work.costs),
-                        Err(e) => {
-                            failure.get_or_insert(BoardFailure { slab: Some(i), error: e });
-                        }
-                    }
-                }
-                Some(Err(e)) => {
-                    failure.get_or_insert(BoardFailure { slab: Some(i), error: e });
-                }
-                None => {
-                    let cause = if timed_out {
-                        "missed the watchdog deadline"
-                    } else {
-                        "worker died before reporting"
-                    };
-                    failure.get_or_insert(BoardFailure {
-                        slab: Some(i),
-                        error: LatticeError::BoardDown { shard: b, cause: cause.into() },
-                    });
-                }
-            }
-        }
-        if let Some(f) = failure {
-            return Err(f);
-        }
-
-        // Phase 3 — settle the bill.
-        let mut costs = Vec::with_capacity(pp.blocks.len());
-        for block in pp.blocks {
-            costs.push(cached(
-                cache.boards[block.index].costs.take(),
-                block.index,
-                "engine costs",
-            )?);
-        }
-        let mut boards = Vec::with_capacity(pp.blocks.len());
-        for (block, costs) in pp.blocks.iter().zip(costs) {
-            let ex =
-                cached(cache.boards[block.index].exchange.as_ref(), block.index, "halo exchange")?;
-            boards.push((block, ex, costs));
-        }
-        let bill = self.settle(boards, pp.k, wrap, pp.overlap_credit);
-        let next = Grid::from_vec(shape, std::mem::take(&mut cache.next))
-            .map_err(|e| BoardFailure { slab: None, error: e })?;
-
-        // Ship ahead: with another pass coming, read the next pass's
-        // halo frames from the next lattice — their contents are fully
-        // determined by the boundary sweeps — move them over the links
-        // now (this is the transfer the next pass's `overlap_credit`
-        // hides), and stage them in the double-buffer windows for the
-        // arrival barrier to claim. A frame whose ARQ budget exhausts is
-        // staged as the error itself: it must surface at the barrier it
-        // belongs to.
-        if self.overlap && pp.t_now + u64_from_usize(pp.k) < pp.t_end {
-            let t_next = pp.t_now + u64_from_usize(pp.k);
-            let k_next = self.depth.min(usize_from_u64(pp.t_end - t_next));
-            let blocks_next = self
-                .blocks_at(rows, cols, pp.blocks.len(), k_next)
-                .map_err(|e| BoardFailure { slab: None, error: e })?;
-            let wrap_next = self.wrap_at(grid_rows, k_next);
-            for block in &blocks_next {
-                let i = block.index;
-                let b = pp.phys[i];
-                let ctx = plan.map(|p| {
-                    FaultCtx::for_shard(p, u64_from_usize(b), pp.pass + 1, pp.attempts[b])
-                });
-                let frame = self.exchange_board(
-                    Augmented::new(&next, block, wrap_next),
-                    b,
-                    ctx,
-                    pp.link_chip_base,
-                    &mut halo_pos[b],
-                    &mut halo_pos_inter[b],
-                    pp.arq_retries,
-                    recovery,
-                    true,
-                );
-                windows[b]
-                    .stage(pp.pass + 1, frame)
-                    .map_err(|e| BoardFailure { slab: Some(i), error: e })?;
-            }
-        }
-        Ok((next, bill))
-    }
-
-    /// Settles one pass's bill: the barrier's link time (the slowest
-    /// board, retransmissions included), and the compute time split into
-    /// the boundary and interior barriers. `boards` holds each block
-    /// with its exchange and its per-region engine costs, in block order.
-    fn settle<S: State>(
-        &self,
-        boards: Vec<(&Block, &ExchangeOutcome<S>, Vec<EngineCost>)>,
-        k: usize,
-        wrap: usize,
-        overlap_credit: Ticks,
-    ) -> PassOutcome {
-        let mut halo_traffic = Traffic::new();
-        let mut halo_ticks = Ticks::ZERO;
-        let mut base_ticks = Ticks::ZERO;
-        let mut boundary_ticks = Ticks::ZERO;
-        let mut interior_ticks = Ticks::ZERO;
-        let mut all_staged = true;
-        let mut halo_bits_per_board = Vec::with_capacity(boards.len());
-        let mut retransmits_per_board = Vec::with_capacity(boards.len());
-        let mut costs = Vec::with_capacity(boards.len());
-        for (block, ex, region_costs) in boards {
-            halo_traffic.merge(ex.traffic);
-            // The two tiers are separate wires, so a board's halo wait
-            // is the slower tier, retransmissions included; the barrier
-            // then waits for the slowest board.
-            let base = self.link.transfer_ticks(ex.bits);
-            let base_v = self.link_inter.transfer_ticks(ex.bits_inter);
-            // Saturating: a wait past `u64::MAX` ticks stays there, and
-            // `Totals::absorb` refuses the pass.
-            let full = |t: Ticks, retransmits: u32| {
-                Ticks::new(t.get().saturating_mul(1 + u64::from(retransmits)))
-            };
-            let board_full = full(base, ex.retransmits).max(full(base_v, ex.retransmits_inter));
-            halo_ticks = halo_ticks.max(board_full);
-            base_ticks = base_ticks.max(base.max(base_v));
-            all_staged &= ex.staged;
-            halo_bits_per_board.push(ex.bits + ex.bits_inter);
-            retransmits_per_board.push(ex.retransmits + ex.retransmits_inter);
-            let regions = sweep_regions2d(block, k, self.overlap, wrap);
-            let mut board_boundary = Ticks::ZERO;
-            let mut board_interior = Ticks::ZERO;
-            for (region, cost) in regions.iter().zip(&region_costs) {
-                if region.boundary {
-                    board_boundary += cost.ticks;
-                } else {
-                    board_interior += cost.ticks;
-                }
-            }
-            boundary_ticks = boundary_ticks.max(board_boundary);
-            interior_ticks = interior_ticks.max(board_interior);
-            costs.push(fold_regions(region_costs));
-        }
-        // A staged transfer ran concurrently with the previous pass's
-        // interior sweep, so up to that much of it is already paid for.
-        let overlapped_ticks =
-            if all_staged { halo_ticks.min(overlap_credit) } else { Ticks::ZERO };
-        PassOutcome {
-            costs,
-            halo_traffic,
-            halo_ticks,
-            retransmit_ticks: halo_ticks - base_ticks,
-            halo_bits_per_board,
-            retransmits_per_board,
-            boundary_ticks,
-            interior_ticks,
-            overlapped_ticks,
-        }
     }
 
     /// Runs `generations` of `rule` over `grid` starting at generation
@@ -1965,7 +565,7 @@ impl LatticeFarm {
         let mut session =
             self.session_inner(Committed::Borrowed(grid), t0, PlanRef::None, &none, None)?;
         session.step(rule, generations)?;
-        Ok(session.finish()?.report)
+        Ok(session.finish().report)
     }
 
     /// [`LatticeFarm::run`] hardened against hardware faults through the
@@ -2007,7 +607,8 @@ impl LatticeFarm {
     /// With a `sink` attached, level 0 of the ladder is persistence:
     /// every checkpoint barrier (initial, periodic, post-re-partition,
     /// and final state) is also pushed to `sink` as a shard-consistent
-    /// durable snapshot — one [`ShardBlob`] per block, stamped with the
+    /// durable snapshot — one
+    /// [`ShardBlob`](lattice_core::checkpoint::store::ShardBlob) per block, stamped with the
     /// block's first owned row and column so a resume can reassemble the
     /// lattice even after degraded re-partitioning changed the layout. A
     /// killed farm resumes bit-exact: reassemble the newest snapshot and
@@ -2037,7 +638,7 @@ impl LatticeFarm {
         if let Some(s) = sink {
             session.checkpoint(Some(s))?;
         }
-        session.finish()
+        Ok(session.finish())
     }
 
     /// Opens a re-entrant run: the full recovery-ladder state of
@@ -2064,8 +665,9 @@ impl LatticeFarm {
 
     /// The physical chip id of board `b`'s *intra-rack* halo link under
     /// this farm's chip numbering, for a `rows`×`cols` lattice with a
-    /// degrade budget of `max_retired` boards — the id a [`Fault`]
-    /// targeting [`Component::Link`](lattice_engines_sim::Component::Link)
+    /// degrade budget of `max_retired` boards — the id a
+    /// [`Fault`](lattice_engines_sim::Fault) targeting
+    /// [`Component::Link`](lattice_engines_sim::Component::Link)
     /// must carry to afflict exactly that board's link. The board's
     /// inter-rack link (idle on single-row grids) occupies the second
     /// bank of link ids, [`LatticeFarm::link_chip_inter`].
@@ -2082,13 +684,7 @@ impl LatticeFarm {
                 "board {b} out of range for {shards} shard(s)"
             )));
         }
-        if max_retired >= shards {
-            return Err(LatticeError::InvalidConfig(
-                "degrade budget must leave at least one board".into(),
-            ));
-        }
-        let stride = self.chip_stride_range(rows, cols, shards - max_retired)?;
-        Ok(shards * stride + b)
+        Ok(shards * self.chip_stride(rows, cols, max_retired)? + b)
     }
 
     /// The physical chip id of board `b`'s *inter-rack* (vertical-tier)
@@ -2104,645 +700,26 @@ impl LatticeFarm {
     ) -> Result<usize, LatticeError> {
         Ok(self.link_chip(rows, cols, max_retired, b)? + self.shards())
     }
-
-    fn session_inner<'p, S: State>(
-        &self,
-        grid: Committed<'p, S>,
-        t0: u64,
-        plan: PlanRef<'p>,
-        cfg: &FarmRecoveryConfig,
-        mut sink: Option<&mut (dyn SnapshotSink + '_)>,
-    ) -> Result<FarmSession<'p, S>, LatticeError> {
-        self.validate(&grid)?;
-        if cfg.checkpoint_every == 0 {
-            return Err(LatticeError::InvalidConfig("checkpoint interval must be ≥ 1".into()));
-        }
-        let shards = self.shards();
-        let max_retired = cfg.degrade.map_or(0, |d| d.max_retired);
-        if max_retired >= shards {
-            return Err(LatticeError::InvalidConfig(
-                "degrade budget must leave at least one board".into(),
-            ));
-        }
-        if max_retired > 0 && self.grid.0 > 1 {
-            return Err(LatticeError::InvalidConfig(
-                "degraded re-partitioning is columnar: a degrade budget needs a \
-                 single-row board grid"
-                    .into(),
-            ));
-        }
-        let fault_base = plan.get().map(|p| p.stats()).unwrap_or_default();
-        let shape = grid.shape();
-        let (rows, cols) = (shape.rows(), shape.cols());
-        let stride = self.chip_stride_range(rows, cols, shards - max_retired)?;
-        let (gr, gc) = self.grid;
-        let ckpt_slabs = partition2d_checked(rows, cols, gr, gc, self.depth, self.periodic)?;
-        let mut session = FarmSession {
-            farm: *self,
-            cfg: *cfg,
-            plan,
-            fault_base,
-            shape,
-            rows,
-            cols,
-            stride,
-            link_chip_base: shards * stride,
-            phys: (0..shards).collect(),
-            totals: Totals::new(&ckpt_slabs),
-            ckpt_slabs,
-            recovery: RecoveryStats::default(),
-            halo_pos: vec![0u64; shards],
-            halo_pos_inter: vec![0u64; shards],
-            windows: (0..shards).map(|_| HaloWindow::new()).collect(),
-            credit: Ticks::ZERO,
-            attempts: vec![0u64; shards],
-            local_left: vec![cfg.local_retries; shards],
-            retries_left: cfg.max_retries,
-            retired_left: max_retired,
-            current: grid,
-            t_now: t0,
-            passes: 0,
-            passes_since_ckpt: 0,
-            ckpt: Vec::new(),
-        };
-        session.barrier(&mut sink, false, None)?;
-        Ok(session)
-    }
-}
-
-/// How a [`FarmSession`] holds its fault plan: borrowed from the
-/// caller (the one-shot entry points), owned by the session
-/// ([`LatticeFarm::session_owned`]), or absent.
-#[derive(Clone)]
-enum PlanRef<'p> {
-    None,
-    Borrowed(&'p FaultPlan),
-    Owned(Arc<FaultPlan>),
-}
-
-impl PlanRef<'_> {
-    fn get(&self) -> Option<&FaultPlan> {
-        match self {
-            PlanRef::None => None,
-            PlanRef::Borrowed(p) => Some(p),
-            PlanRef::Owned(p) => Some(p),
-        }
-    }
-}
-
-/// A re-entrant farm run: the recovery ladder's entire cross-pass state
-/// — lattice, checkpoint barrier, retry budgets, fault-stream and
-/// attempt epochs, overlap windows, accounting — held between
-/// [`FarmSession::step`] calls, so a caller (the `lattice-serve`
-/// daemon's worker pool, most importantly) can interleave many runs by
-/// advancing each a bounded number of generations at a time.
-///
-/// This is the farm's only pass loop: [`LatticeFarm::run`] and
-/// [`LatticeFarm::run_with_recovery`] are one-`step` sessions over the
-/// caller's lattice, borrowed until the first pass commits, and
-/// [`LatticeFarm::session_owned`] opens one over a copy.
-///
-/// Bit-exactness contract: any chunking of `generations` into `step`
-/// calls produces the same lattice as one [`LatticeFarm::run_with_recovery`]
-/// call. Only the overlap *accounting* can differ: ship-ahead staging
-/// never crosses a `step` boundary, so a chunk seam behaves like pass
-/// 0's cold start — the first pass of the next chunk exchanges at the
-/// barrier, serialized, and earns no `overlapped_ticks` credit.
-///
-/// Checkpoint barriers (opening, periodic, post-re-partition) are
-/// encoded only when something can read them: a sink attached to the
-/// call, or a global retry or degrade budget that restores them. The
-/// window still closes every `checkpoint_every` passes either way,
-/// re-arming the retry budgets. An explicit [`FarmSession::checkpoint`]
-/// always encodes one.
-///
-/// A `step` that returns an error has exhausted the recovery ladder
-/// mid-pass; the session's lattice is the last committed state (a
-/// resident run commits only at its end, so a run that failed leaves
-/// the lattice it started from), but its retry budgets are spent — the
-/// session should be checkpointed (to salvage the state) or discarded,
-/// not stepped again.
-pub struct FarmSession<'p, S: State> {
-    farm: LatticeFarm,
-    cfg: FarmRecoveryConfig,
-    plan: PlanRef<'p>,
-    fault_base: FaultStats,
-    shape: Shape,
-    rows: usize,
-    cols: usize,
-    stride: usize,
-    link_chip_base: usize,
-    /// Slab index → physical board id (identity until boards retire).
-    phys: Vec<usize>,
-    /// Block geometry of the current checkpoint barrier.
-    ckpt_slabs: Vec<Block>,
-    totals: Totals,
-    recovery: RecoveryStats,
-    /// Per-board link fault-stream positions (absolute wire positions,
-    /// so chunking cannot change which bits the weather flips).
-    halo_pos: Vec<u64>,
-    /// Same, for the inter-rack tier's separate wires.
-    halo_pos_inter: Vec<u64>,
-    windows: Vec<StagedHalo<S>>,
-    credit: Ticks,
-    /// Per physical board attempt epochs.
-    attempts: Vec<u64>,
-    local_left: Vec<u32>,
-    retries_left: u32,
-    retired_left: usize,
-    /// The last committed lattice: the caller's own until the first
-    /// pass commits when the session borrows it.
-    current: Committed<'p, S>,
-    t_now: u64,
-    /// Committed passes (re-commits after a rollback included), which
-    /// is also the logical pass number (fault-epoch key) of the next.
-    passes: u64,
-    passes_since_ckpt: u64,
-    /// The in-memory checkpoint barrier (one codec blob per slab);
-    /// empty until a barrier is encoded.
-    ckpt: Vec<Vec<u8>>,
-}
-
-impl<'p, S: State> FarmSession<'p, S> {
-    /// The current generation (absolute — resuming FHP needs it).
-    pub fn time(&self) -> u64 {
-        self.t_now
-    }
-
-    /// Committed passes so far (re-commits after a rollback included).
-    pub fn passes(&self) -> u64 {
-        self.passes
-    }
-
-    /// The last committed lattice: after a failed step, the one the
-    /// failed pass or resident run started from.
-    pub fn grid(&self) -> Result<&Grid<S>, LatticeError> {
-        Ok(&self.current)
-    }
-
-    /// Recovery actions taken so far.
-    pub fn recovery(&self) -> RecoveryStats {
-        self.recovery
-    }
-
-    /// A mid-run snapshot of the machine report: the accounting of
-    /// every committed pass so far, with the current lattice. The
-    /// session keeps running — this is what the daemon's `stats`
-    /// endpoint serves between steps.
-    pub fn report(&self) -> Result<FarmReport<S>, LatticeError> {
-        let faults = self.plan.get().map(|p| p.stats().since(self.fault_base)).unwrap_or_default();
-        Ok(self.totals.clone().finish(
-            Grid::clone(&self.current),
-            self.passes,
-            self.farm.shards(),
-            faults,
-        ))
-    }
-
-    /// Takes a fresh checkpoint barrier *now* (pushed to `sink` when one
-    /// is attached) and re-arms the retry budgets, exactly like the
-    /// periodic barrier inside a run. This is the daemon's durable
-    /// commit after a step, and its eviction write: a session restored
-    /// from the sink's newest snapshot (via `reassemble` + a new
-    /// session at the recorded generation) is bit-exact.
-    pub fn checkpoint(
-        &mut self,
-        mut sink: Option<&mut (dyn SnapshotSink + '_)>,
-    ) -> Result<(), LatticeError> {
-        self.barrier(&mut sink, true, None)
-    }
-
-    /// Closes the checkpoint window: re-arms the retry budgets and,
-    /// when `force`d or something can read it (a sink, or a ladder
-    /// level that restores it), snapshots every block through the real
-    /// checkpoint codec, bills the recovery accounting, and pushes the
-    /// shard blobs to the sink as one shard-consistent snapshot. Within
-    /// a step the slabs are encoded on the step's `crew`.
-    fn barrier<'env>(
-        &mut self,
-        sink: &mut Option<&mut (dyn SnapshotSink + '_)>,
-        force: bool,
-        crew: Option<&mut StepCrew<'_, 'env, S>>,
-    ) -> Result<(), LatticeError>
-    where
-        'p: 'env,
-    {
-        if force || sink.is_some() || self.cfg.restores() {
-            let blobs = match crew {
-                Some(crew) => crew.save(&self.current, &self.ckpt_slabs, self.t_now)?,
-                None => save_shard_checkpoints(&self.current, &self.ckpt_slabs, self.t_now)?,
-            };
-            self.recovery.checkpoints += u64_from_usize(blobs.len());
-            self.recovery.checkpoint_bytes +=
-                blobs.iter().map(|b| u64_from_usize(b.len())).sum::<u64>();
-            if let Some(s) = sink.as_deref_mut() {
-                let shards: Vec<ShardBlob> = blobs
-                    .iter()
-                    .zip(&self.ckpt_slabs)
-                    .map(|(blob, blk)| ShardBlob {
-                        col0: u64_from_usize(blk.col0),
-                        row0: u64_from_usize(blk.row0),
-                        blob: blob.clone(),
-                    })
-                    .collect();
-                s.persist(Ticks::new(self.t_now), &shards)?;
-            }
-            self.ckpt = blobs;
-        }
-        self.passes_since_ckpt = 0;
-        self.retries_left = self.cfg.max_retries;
-        self.local_left.fill(self.cfg.local_retries);
-        Ok(())
-    }
-
-    /// Advances the run `n` generations through the recovery ladder.
-    ///
-    /// With no audit to read each pass, a step on WSA boards without a
-    /// fault plan, injected worker fault, watchdog, overlap or a local
-    /// replay budget that no rollback backs hands each board its passes
-    /// as one resident run, and builds the lattice only where something
-    /// reads it (DESIGN.md §19, "Resident runs").
-    pub fn step<R: Rule<S = S>>(&mut self, rule: &R, n: u64) -> Result<(), LatticeError> {
-        self.step_inner(rule, n, None, None, None)
-    }
-
-    /// [`FarmSession::step`] with the machine-wide and per-board audits
-    /// of [`LatticeFarm::run_with_recovery_audited`], and an optional
-    /// durable `sink` receiving every checkpoint barrier the chunk
-    /// crosses. A rollback may legally rewind behind the chunk's start
-    /// (the barrier is wherever `checkpoint_every` last put it); the
-    /// chunk still ends at the same absolute generation.
-    pub fn step_audited<R: Rule<S = S>>(
-        &mut self,
-        rule: &R,
-        n: u64,
-        mut audit: impl FnMut(&Grid<S>, &Grid<S>) -> Result<(), LatticeError>,
-        shard_audit: Option<&mut ShardAudit<'_, S>>,
-        sink: Option<&mut (dyn SnapshotSink + '_)>,
-    ) -> Result<(), LatticeError> {
-        self.step_inner(rule, n, Some(&mut audit), shard_audit, sink)
-    }
-
-    /// The one step both entry points take, the machine audit an
-    /// `Option` so a step can say it has none.
-    ///
-    /// The step's board crew lives exactly as long as this call: one
-    /// helper thread per board past the first, spawned by its first job
-    /// and joined before the call returns (DESIGN.md §19, "The board crew").
-    fn step_inner<R: Rule<S = S>>(
-        &mut self,
-        rule: &R,
-        n: u64,
-        audit: Option<&mut MachineAudit<'_, S>>,
-        shard_audit: Option<&mut ShardAudit<'_, S>>,
-        mut sink: Option<&mut (dyn SnapshotSink + '_)>,
-    ) -> Result<(), LatticeError> {
-        if n == 0 {
-            return Ok(());
-        }
-        let plan = self.plan.clone();
-        let plan = plan.get();
-        let (engine, fault) = (self.farm.engine, self.farm.worker_fault);
-        let work: &Work<'_, S> = &move |job| help(rule, engine, fault, job);
-        std::thread::scope(|scope| {
-            let mut crew = StepCrew {
-                crew: Crew::new(scope, work),
-                windows: Vec::new(),
-                spare: None,
-                links: Arc::new([]),
-                tags: 0,
-                resident: true,
-            };
-            self.run_passes(rule, self.t_now + n, plan, &mut crew, audit, shard_audit, &mut sink)
-        })
-    }
-
-    /// How many `k`-deep passes from the current generation one
-    /// resident run takes: every pass whose lattice nothing reads, and
-    /// the pass after the last of them, which builds it; zero when the
-    /// first pass's lattice is read. A pass's lattice is read when the
-    /// pass is the step's last (or the next is shallower, with other
-    /// blocks), when a barrier after it encodes, when an audit reads
-    /// every pass, under overlap (the ship-ahead reads it), on SPA boards
-    /// (cycle engines read whole blocks), when a fault plan, an injected
-    /// worker fault or a watchdog could make a ladder level replay a
-    /// board from it, and when local replay (level 2) is budgeted with
-    /// no restoring level behind it: a run cannot replay one board
-    /// alone, so only a rewind can still save it.
-    fn resident_passes(&self, k: usize, t_end: u64, audited: bool, plan: bool, sink: bool) -> u64 {
-        let (farm, cfg) = (&self.farm, &self.cfg);
-        let quiet = matches!(farm.engine, ShardEngine::Wsa { .. })
-            && !farm.overlap
-            && !audited
-            && !plan
-            && farm.worker_fault.is_none()
-            && cfg.watchdog.is_none()
-            && (cfg.local_retries == 0 || cfg.restores());
-        let (k, encodes) = (u64_from_usize(k), sink || cfg.restores());
-        let (mut since, mut t, mut kept) = (self.passes_since_ckpt, self.t_now, 0);
-        while quiet && t_end - t >= 2 * k && !(encodes && since + 1 >= cfg.checkpoint_every) {
-            (since, t, kept) = ((since + 1) % cfg.checkpoint_every, t + k, kept + 1);
-        }
-        if kept == 0 {
-            0
-        } else {
-            kept + 1
-        }
-    }
-
-    /// The pass loop of one step, on the step's crew.
-    #[allow(clippy::too_many_arguments)]
-    fn run_passes<'env, R: Rule<S = S>>(
-        &mut self,
-        rule: &R,
-        t_end: u64,
-        plan: Option<&'env FaultPlan>,
-        crew: &mut StepCrew<'_, 'env, S>,
-        mut audit: Option<&mut MachineAudit<'_, S>>,
-        mut shard_audit: Option<&mut ShardAudit<'_, S>>,
-        sink: &mut Option<&mut (dyn SnapshotSink + '_)>,
-    ) -> Result<(), LatticeError>
-    where
-        'p: 'env,
-    {
-        let audited = audit.is_some() || shard_audit.is_some();
-        'run: while self.t_now < t_end {
-            if self.passes_since_ckpt >= self.cfg.checkpoint_every {
-                self.barrier(sink, false, Some(crew))?;
-            }
-            let k = self.farm.depth.min(usize_from_u64(t_end - self.t_now));
-            let blocks = self.farm.blocks_at(self.rows, self.cols, self.phys.len(), k)?;
-            let run = self.resident_passes(k, t_end, audited, plan.is_some(), sink.is_some());
-            if run > 0 && crew.resident {
-                match self.run_resident(rule, k, run, &blocks, crew, sink)? {
-                    None => continue 'run,
-                    Some(Unrun::Declined) => crew.resident = false,
-                    Some(Unrun::Failed(fail)) => {
-                        self.escalate(fail, false, crew, sink)?;
-                        continue 'run;
-                    }
-                }
-            }
-            let mut cache = PassCache::new(blocks.len(), crew.next_lattice(self.shape.len()));
-            loop {
-                let pp = PassParams {
-                    k,
-                    t_now: self.t_now,
-                    t_end,
-                    pass: self.passes,
-                    blocks: &blocks,
-                    phys: &self.phys,
-                    stride: self.stride,
-                    link_chip_base: self.link_chip_base,
-                    attempts: &self.attempts,
-                    arq_retries: self.cfg.arq_retries,
-                    watchdog: self.cfg.watchdog,
-                    overlap_credit: self.credit,
-                };
-                let res = self
-                    .farm
-                    .attempt_pass(
-                        rule,
-                        &self.current,
-                        &pp,
-                        plan,
-                        &mut self.halo_pos,
-                        &mut self.halo_pos_inter,
-                        &mut cache,
-                        &mut self.windows,
-                        &mut self.recovery,
-                        shard_audit.as_deref_mut(),
-                        crew,
-                    )
-                    .and_then(|(grid, out)| {
-                        match audit.as_deref_mut().map(|a| a(&self.current, &grid)) {
-                            Some(Err(e)) => Err(BoardFailure { slab: None, error: e }),
-                            _ => Ok((grid, out)),
-                        }
-                    });
-                match res {
-                    Ok((grid, out)) => {
-                        self.totals.absorb(&out, u64_from_usize(k), &self.phys)?;
-                        self.credit = out.interior_ticks;
-                        self.commit(grid, k, crew);
-                        continue 'run;
-                    }
-                    Err(fail) => match self.escalate(fail, true, crew, sink)? {
-                        Rung::Replay => continue,
-                        Rung::Rewind => continue 'run,
-                    },
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Commits `grid` as the lattice one `k`-deep pass further on.
-    fn commit<'env>(&mut self, grid: Grid<S>, k: usize, crew: &mut StepCrew<'_, 'env, S>)
-    where
-        'p: 'env,
-    {
-        let next = Committed::Shared(Arc::new(grid));
-        crew.spare = std::mem::replace(&mut self.current, next).reclaim();
-        self.t_now += u64_from_usize(k);
-        self.passes += 1;
-        self.passes_since_ckpt += 1;
-    }
-
-    /// Runs the `n` passes of depth `k` from the current generation as
-    /// one resident run and commits it: the bill of every pass, from
-    /// geometry, absorbed in pass order, and the lattice once. `None`
-    /// when it committed; nothing is committed when it did not. The
-    /// bill is drawn up first, so a run whose ticks overflow is refused
-    /// before it runs.
-    fn run_resident<'env, R: Rule<S = S>>(
-        &mut self,
-        rule: &R,
-        k: usize,
-        n: u64,
-        blocks: &[Block],
-        crew: &mut StepCrew<'_, 'env, S>,
-        sink: &mut Option<&mut (dyn SnapshotSink + '_)>,
-    ) -> Result<Option<Unrun>, LatticeError>
-    where
-        'p: 'env,
-    {
-        let ShardEngine::Wsa { width } = self.farm.engine else { return Ok(Some(Unrun::Declined)) };
-        let grid = self.farm.grid_at(blocks.len());
-        let wrap = self.farm.wrap_at(grid.0, k);
-        let mut totals = self.totals.clone();
-        let (mut pos, mut pos_inter) = (self.halo_pos.clone(), self.halo_pos_inter.clone());
-        // Every pass of the run has the same blocks and depth, and none
-        // is staged, so every pass bills the same; each still moves the
-        // links' stream positions.
-        let mut bill: Option<PassOutcome> = None;
-        for _ in 0..n {
-            let mut exs = Vec::with_capacity(blocks.len());
-            for block in blocks {
-                let (aug, b) = (Augmented::new(&self.current, block, wrap), self.phys[block.index]);
-                exs.push(self.farm.exchange_board(
-                    aug,
-                    b,
-                    None,
-                    self.link_chip_base,
-                    &mut pos[b],
-                    &mut pos_inter[b],
-                    self.cfg.arq_retries,
-                    &mut self.recovery,
-                    false,
-                )?);
-            }
-            if bill.is_none() {
-                let mut costs = Vec::with_capacity(blocks.len());
-                for block in blocks {
-                    let shape = Shape::grid2(block.aug_height(wrap), block.aug_width())?;
-                    let Some(cost) = Pipeline::wide(width, k).kernel_cost::<S>(shape) else {
-                        return Ok(Some(Unrun::Declined));
-                    };
-                    costs.push(vec![cost]);
-                }
-                let boards = blocks.iter().zip(&exs).zip(costs).map(|((b, ex), c)| (b, ex, c));
-                bill = Some(self.farm.settle(boards.collect(), k, wrap, self.credit));
-            }
-            if let Some(out) = &bill {
-                totals.absorb(out, u64_from_usize(k), &self.phys)?;
-            }
-        }
-        let periodic = self.farm.periodic;
-        let rp =
-            RunParams { blocks, phys: &self.phys, grid, periodic, k, t0: self.t_now, passes: n };
-        let next = match resident::run(rule, &self.current, &rp, crew) {
-            Ok(next) => Grid::from_vec(self.shape, next)?,
-            Err(unrun) => return Ok(Some(unrun)),
-        };
-        (self.totals, self.halo_pos, self.halo_pos_inter) = (totals, pos, pos_inter);
-        self.credit = bill.map_or(Ticks::ZERO, |out| out.interior_ticks);
-        for _ in 1..n {
-            self.t_now += u64_from_usize(k);
-            self.passes += 1;
-            self.passes_since_ckpt += 1;
-            // A barrier that falls due inside the run does not encode
-            // (`resident_passes`): it only closes the window.
-            if self.passes_since_ckpt >= self.cfg.checkpoint_every {
-                self.barrier(sink, false, Some(crew))?;
-            }
-        }
-        self.commit(next, k, crew);
-        Ok(None)
-    }
-
-    /// Answers a failed pass attempt or resident run with the ladder's
-    /// next level: `Ok(Rung::Replay)` to replay the failed board alone,
-    /// `Ok(Rung::Rewind)` once every board has reloaded the barrier, the
-    /// failure's error when no level is left. A resident run is not
-    /// `replayable`: it committed nothing a board could replay from.
-    fn escalate<'env>(
-        &mut self,
-        fail: BoardFailure,
-        replayable: bool,
-        crew: &mut StepCrew<'_, 'env, S>,
-        sink: &mut Option<&mut (dyn SnapshotSink + '_)>,
-    ) -> Result<Rung, LatticeError>
-    where
-        'p: 'env,
-    {
-        self.recovery.detected += 1;
-        // Any failure voids the overlap window: staged frames carry a
-        // pre-rollback attempt epoch and a possibly pre-rollback
-        // lattice, so the retry re-exchanges at the barrier, serialized,
-        // and earns no overlap credit.
-        for w in self.windows.iter_mut() {
-            w.invalidate();
-        }
-        self.credit = Ticks::ZERO;
-        // Level 2 — roll back just the failed board and replay its
-        // buffered halos; the cache keeps every other board's clean work.
-        if let Some(i) = fail.slab.filter(|_| replayable) {
-            let b = self.phys[i];
-            if self.local_left[b] > 0 {
-                self.local_left[b] -= 1;
-                self.recovery.local_rollbacks += 1;
-                self.totals.per_shard[b].local_rollbacks += 1;
-                self.attempts[b] += 1;
-                return Ok(Rung::Replay);
-            }
-        }
-        // Level 3 — the pre-ladder behavior: every board reloads the
-        // last barrier, every epoch re-seeds.
-        if self.retries_left > 0 {
-            self.retries_left -= 1;
-            self.recovery.rollbacks += 1;
-            crew.spare = self.rewind()?;
-            return Ok(Rung::Rewind);
-        }
-        // Level 4 — retire the board that exhausted its ladder and
-        // re-partition its slab onto the survivors.
-        if let Some(i) = fail.slab {
-            if self.retired_left > 0 && self.phys.len() > 1 {
-                self.retired_left -= 1;
-                self.recovery.boards_retired += 1;
-                let b = self.phys.remove(i);
-                self.totals.per_shard[b].retired = true;
-                crew.spare = self.rewind()?;
-                // Only reachable on single-row grids (`session_inner`
-                // gates the degrade budget), so the reshape is columnar.
-                self.ckpt_slabs = partition2d(
-                    self.rows,
-                    self.cols,
-                    1,
-                    self.phys.len(),
-                    self.farm.depth,
-                    self.farm.periodic,
-                )?;
-                self.totals.regeom(&self.ckpt_slabs, &self.phys);
-                self.barrier(sink, false, Some(crew))?;
-                return Ok(Rung::Rewind);
-            }
-        }
-        Err(fail.error)
-    }
-
-    /// Rewinds every board to the in-memory barrier (ladder levels 3
-    /// and 4) and re-seeds every board's attempt epoch; returns the
-    /// discarded lattice's buffer when nothing else holds it.
-    fn rewind(&mut self) -> Result<Option<Vec<S>>, LatticeError> {
-        let (g, t) = load_shard_checkpoints::<S>(&self.ckpt, &self.ckpt_slabs, self.shape)?;
-        let discarded = std::mem::replace(&mut self.current, Committed::Shared(Arc::new(g)));
-        self.t_now = t;
-        self.passes_since_ckpt = 0;
-        for a in self.attempts.iter_mut() {
-            *a += 1;
-        }
-        Ok(discarded.reclaim())
-    }
-
-    /// Closes the session: the final machine report and recovery tally,
-    /// identical to what the one-shot entry points return.
-    pub fn finish(self) -> Result<FarmFtRun<S>, LatticeError> {
-        let faults = self.plan.get().map(|p| p.stats().since(self.fault_base)).unwrap_or_default();
-        Ok(FarmFtRun {
-            report: self.totals.finish(
-                self.current.into_grid(),
-                self.passes,
-                self.farm.shards(),
-                faults,
-            ),
-            recovery: self.recovery,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::board::{run_board, BoardJob, BoardWork};
     use crate::crew;
+    use crate::exchange::{owned_rows, Augmented, ExchangeOutcome};
+    use crate::partition::sweep_regions2d;
+    use crate::session::crop;
     use lattice_core::checkpoint::store::{CheckpointStore, MemBackend};
     use lattice_core::units::f64_from_u64;
     use lattice_core::BlockKernel;
     use lattice_core::{evolve, Boundary};
+    use lattice_core::{RowSink, RowSource, Shape};
+    use lattice_engines_sim::FaultCtx;
     use lattice_engines_sim::{Component, Fault, FaultKind};
     use lattice_gas::hpp::HppDir;
     use lattice_gas::{init, FhpRule, FhpVariant, HppRule};
+    use std::ops::Range;
     use std::sync::atomic::Ordering;
 
     fn hpp_world(rows: usize, cols: usize, seed: u64) -> (Grid<u8>, HppRule) {
@@ -2973,8 +950,8 @@ mod tests {
             kind: FaultKind::Transient { bit: 0, rate: 0.0 },
         });
         let exchange = |ctx| {
-            let (mut pos, mut pos_v, mut rec) = (0, 0, RecoveryStats::default());
-            farm.exchange_board(aug, 0, ctx, 0, &mut pos, &mut pos_v, 0, &mut rec, false).unwrap()
+            let (mut pos, mut rec) = ([0, 0], RecoveryStats::default());
+            farm.exchange_board(aug, 0, ctx, 0, &mut pos, 0, &mut rec, false).unwrap()
         };
         let quiet = exchange(None);
         assert_eq!((quiet.cols.as_ref(), quiet.rows.as_ref()), (None, None));
@@ -3055,22 +1032,6 @@ mod tests {
                 crop(&reference, (block.row0, block.col0), (block.rows, block.width)).unwrap()
             );
         }
-    }
-
-    #[test]
-    fn a_shard_checkpoint_of_the_wrong_shape_is_rejected() {
-        let (g, _) = hpp_world(6, 10, 2);
-        let blocks = partition2d(6, 10, 1, 2, 1, false).unwrap();
-        let mut blobs = save_shard_checkpoints(&g, &blocks, 4).unwrap();
-        let (back, t) = load_shard_checkpoints::<u8>(&blobs, &blocks, g.shape()).unwrap();
-        assert_eq!((back, t), (g.clone(), 4));
-        // A self-consistent blob for a block one column too narrow.
-        let narrow = Grid::<u8>::new(Shape::grid2(6, 4).unwrap());
-        blobs[1] = checkpoint::save(&narrow, Ticks::new(4));
-        assert!(matches!(
-            load_shard_checkpoints::<u8>(&blobs, &blocks, g.shape()),
-            Err(LatticeError::Corrupted { .. })
-        ));
     }
 
     #[test]
@@ -3622,9 +1583,9 @@ mod tests {
                 sess.step(&rule, n).unwrap();
             }
             assert_eq!(sess.time(), 17, "overlap={overlap}");
-            let mid = sess.report().unwrap();
+            let mid = sess.report();
             assert_eq!(mid.grid(), one.report.grid(), "mid-run snapshot sees the lattice");
-            let ft = sess.finish().unwrap();
+            let ft = sess.finish();
             assert_eq!(ft.report.grid(), one.report.grid(), "overlap={overlap}");
             assert_eq!(ft.report.machine.generations, one.report.machine.generations);
             // A chunk that ends mid-depth closes with a shallower pass,
@@ -3646,7 +1607,7 @@ mod tests {
         let one = farm.run_with_recovery(&rule, &g, 0, 10, None, &cfg, |_, _| Ok(())).unwrap();
         let mut sess = farm.session_owned(&g, 0, None, &cfg, None).unwrap();
         sess.step(&rule, 10).unwrap();
-        let ft = sess.finish().unwrap();
+        let ft = sess.finish();
         assert_eq!(ft.report.grid(), one.report.grid());
         assert_eq!(ft.report.overlapped_ticks, one.report.overlapped_ticks);
         assert_eq!(ft.report.halo_ticks, one.report.halo_ticks);
@@ -3678,7 +1639,7 @@ mod tests {
             sess.step(&rule, n).unwrap();
             left -= n;
         }
-        let ft = sess.finish().unwrap();
+        let ft = sess.finish();
         assert_eq!(ft.report.grid(), &reference, "chunked recovered run is bit-exact");
         assert!(ft.recovery.detected >= 1);
         assert_eq!(ft.recovery.detected, ft.recovery.retransmits, "all absorbed at level 1");
@@ -3697,7 +1658,7 @@ mod tests {
         assert_eq!(sess.recovery().checkpoints, after_open + 2);
         sess.step(&rule, 4).unwrap();
         let reference = evolve(&g, &rule, Boundary::null(), 0, 8);
-        assert_eq!(sess.grid().unwrap(), &reference);
+        assert_eq!(sess.grid(), &reference);
 
         // A barrier is encoded only when something can read it. With no
         // restoring budget and no sink, periodic barriers fall due every
@@ -3709,7 +1670,7 @@ mod tests {
         // ...while an explicit checkpoint still snapshots both blocks.
         sess.checkpoint(None).unwrap();
         assert_eq!(sess.recovery().checkpoints, 2);
-        assert_eq!(sess.grid().unwrap(), &evolve(&g, &rule, Boundary::null(), 0, 4));
+        assert_eq!(sess.grid(), &evolve(&g, &rule, Boundary::null(), 0, 4));
         // A global retry budget, a degrade budget, or a sink brings the
         // opening barrier back.
         let degrade =
@@ -3859,7 +1820,7 @@ mod tests {
             farm.session_owned(&g, 0, None, &FarmRecoveryConfig::default(), None).unwrap();
         sess.step(&rule, 5).unwrap();
         let reference = evolve(&g, &rule, Boundary::null(), 0, 5);
-        assert_eq!(sess.grid().unwrap(), &reference);
+        assert_eq!(sess.grid(), &reference);
     }
 
     #[test]
@@ -3881,7 +1842,7 @@ mod tests {
             sess.step(&rule, n).unwrap();
             sess.checkpoint(None).unwrap();
         }
-        assert_eq!(sess.grid().unwrap(), &reference);
+        assert_eq!(sess.grid(), &reference);
     }
 
     /// HPP whose block kernel panics once, at `at`: the generation and
@@ -4098,8 +2059,8 @@ mod tests {
                 let case = format!("board {board}, {cfg:?}");
                 assert_eq!((recovery.detected, recovery.local_rollbacks), (1, local), "{case}");
                 assert_eq!(recovery.rollbacks, rollbacks, "{case}");
-                assert_eq!(session.grid().unwrap(), &at(8), "{case}");
-                assert_eq!(session.report().unwrap().passes, 8, "only the rerun commits: {case}");
+                assert_eq!(session.grid(), &at(8), "{case}");
+                assert_eq!(session.report().passes, 8, "only the rerun commits: {case}");
             }
 
             let mut session = farm.session_owned(&g, 0, None, &none, None).unwrap();
@@ -4109,12 +2070,12 @@ mod tests {
                 err.to_string(),
                 format!("board {board} down: worker died before reporting")
             );
-            assert_eq!((session.time(), session.grid().unwrap()), (3, &at(3)), "board {board}");
-            let report = session.report().unwrap();
+            assert_eq!((session.time(), session.grid()), (3, &at(3)), "board {board}");
+            let report = session.report();
             assert_eq!((report.passes, report.grid()), (3, &at(3)), "board {board}");
             session.checkpoint(None).unwrap();
             session.step(&hpp, 8).unwrap();
-            assert_eq!(session.finish().unwrap().report.grid(), &at(11), "board {board}");
+            assert_eq!(session.finish().report.grid(), &at(11), "board {board}");
         }
     }
 }

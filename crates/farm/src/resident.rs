@@ -2,7 +2,7 @@
 //! handed to each board as one job.
 //!
 //! When the pass loop finds a run of passes whose lattices nothing reads
-//! between them (`FarmSession::resident_passes`), each board gets the
+//! between them (`crate::session::Readers`), each board gets the
 //! whole run at once: board 0 on the supervisor, board `i` on crew helper
 //! `i − 1`. A board reads its block from the run's start lattice once,
 //! into its rule's [`BlockKernel`], and then, pass after pass, evolves
@@ -38,11 +38,10 @@
 //! taker waits past it. `loom_mailbox_*` in `tests/loom_halo.rs`
 //! model-checks this protocol.
 
+use crate::board::{recycle, Committed, Done, Job, StepCrew};
 use crate::crew::Answer;
-use crate::farm::{
-    owned_rows, paste_window, recycle, Augmented, BoardFailure, Committed, Done, Job, OwnedRows,
-    StepCrew,
-};
+use crate::exchange::{owned_rows, paste_window, Augmented, OwnedRows};
+use crate::ladder::BoardFailure;
 use crate::partition::{Block, Region2d};
 use lattice_core::{BlockKernel, LatticeError, RowSource, Rule, Shape, State};
 use std::cell::Cell;

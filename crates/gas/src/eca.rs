@@ -1,6 +1,6 @@
 //! Elementary (Wolfram) cellular automata.
 //!
-//! The paper's ref [16] (Steiglitz & Morita) describes "a high-performance
+//! The paper's ref \[16\] (Steiglitz & Morita) describes "a high-performance
 //! custom processor for a one-dimensional cellular automaton" — the
 //! direct ancestor of the serial-pipelined lattice engines analyzed here.
 //! Elementary CAs are the canonical 1-bit-per-site workload for that

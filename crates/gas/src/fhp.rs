@@ -1,4 +1,4 @@
-//! The FHP lattice gas (Frisch, Hasslacher & Pomeau — paper ref [3]).
+//! The FHP lattice gas (Frisch, Hasslacher & Pomeau — paper ref \[3\]).
 //!
 //! Six unit-speed channels on a hexagonal lattice; "in a two-dimensional
 //! hexagonally connected lattice, it has been shown that the Navier-Stokes

@@ -1,7 +1,7 @@
 //! A three-dimensional orthogonal lattice gas.
 //!
 //! §2 of the paper: "Extensions to three-dimensional gases are just now
-//! being formulated [1]" (d'Humières–Lallemand–Frisch). The bounds of §7
+//! being formulated \[1\]" (d'Humières–Lallemand–Frisch). The bounds of §7
 //! assume exactly an orthogonal integer lattice with nearest-neighbor
 //! edges ("we are assuming the minimum connectivity for G", §7
 //! assumption one) — so for the d = 3 experiments we implement the orthogonal

@@ -1,4 +1,4 @@
-//! The HPP lattice gas (Hardy, Pomeau & de Pazzis, 1973 — paper ref [4]).
+//! The HPP lattice gas (Hardy, Pomeau & de Pazzis, 1973 — paper ref \[4\]).
 //!
 //! Four unit-speed particle channels on the orthogonal lattice. The only
 //! collision: an exactly head-on pair with both transverse channels empty

@@ -1,4 +1,4 @@
-//! The sequential red-blue pebble game (Hong & Kung, paper ref [5]).
+//! The sequential red-blue pebble game (Hong & Kung, paper ref \[5\]).
 //!
 //! Rules (§7):
 //!

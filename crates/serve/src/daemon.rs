@@ -1,7 +1,7 @@
 //! The lattice-as-a-service daemon.
 //!
 //! One listener thread accepts connections; each connection gets a
-//! handler thread; all handlers share one [`ServerState`] behind a
+//! handler thread; all handlers share one `ServerState` behind a
 //! mutex, so requests across connections serialize at the state (the
 //! engines themselves are the expensive part and run inside the
 //! critical section — this daemon multiplexes *sessions*, not cores).
@@ -304,7 +304,7 @@ impl ServerState {
             let Some(store) = live.store.as_mut() else { return Ok(()) };
             live.session.checkpoint(Some(store))?;
             let time = live.session.time();
-            let rep = live.session.report()?;
+            let rep = live.session.report();
             let rec = live.session.recovery();
             entry.carried.passes += rep.passes;
             entry.carried.machine_ticks += rep.machine_ticks().get();
@@ -375,15 +375,14 @@ impl ServerState {
             // lattice-lint: allow(counter-mutation)
             entry.carried.boards_retired += rec.boards_retired;
             entry.carried.checkpoints += rec.checkpoints;
-            if let Ok(rep) = live.session.report() {
-                entry.carried.passes += rep.passes;
-                entry.carried.machine_ticks += rep.machine_ticks().get();
-                entry.carried.halo_ticks += rep.halo_ticks.get();
-                entry.carried.overlapped_ticks += rep.overlapped_ticks.get();
-                entry.carried.retransmit_ticks += rep.retransmit_ticks.get();
-                entry.carried.useful_updates += rep.useful_updates().get();
-                entry.carried.halo_bits += rep.halo_traffic.bits_in;
-            }
+            let rep = live.session.report();
+            entry.carried.passes += rep.passes;
+            entry.carried.machine_ticks += rep.machine_ticks().get();
+            entry.carried.halo_ticks += rep.halo_ticks.get();
+            entry.carried.overlapped_ticks += rep.overlapped_ticks.get();
+            entry.carried.retransmit_ticks += rep.retransmit_ticks.get();
+            entry.carried.useful_updates += rep.useful_updates().get();
+            entry.carried.halo_bits += rep.halo_traffic.bits_in;
             entry.state = SessState::Poisoned { time, reason: reason.to_string() };
         }
     }
@@ -416,7 +415,7 @@ impl ServerState {
     fn report_frame(&mut self, name: &str) -> Result<ReportFrame, LatticeError> {
         let clock = Technology::paper_1987().clock().get();
         let live = self.live(name)?;
-        let rep = live.session.report()?;
+        let rep = live.session.report();
         let rec = live.session.recovery();
         let time = live.session.time();
         let entry = self.sessions.get(name).ok_or_else(|| no_such(name))?;
@@ -831,7 +830,7 @@ fn query(st: &mut ServerState, name: &str, what: &Query) -> Result<Response, Lat
         Query::Report => Ok(Response::Report(st.report_frame(name)?)),
         Query::Observables => {
             let live = st.live(name)?;
-            let obs = Observables::measure(live.session.grid()?, live.rule.model());
+            let obs = Observables::measure(live.session.grid(), live.rule.model());
             Ok(Response::Observables {
                 session: name.to_string(),
                 time: live.session.time(),
@@ -843,7 +842,7 @@ fn query(st: &mut ServerState, name: &str, what: &Query) -> Result<Response, Lat
         }
         Query::Region { row0, col0, rows, cols } => {
             let live = st.live(name)?;
-            let grid = live.session.grid()?;
+            let grid = live.session.grid();
             let shape = grid.shape();
             let (g_rows, g_cols) = (shape.rows(), shape.cols());
             let r0 = (*row0).min(g_rows);

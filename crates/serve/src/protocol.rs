@@ -6,7 +6,7 @@
 //! discriminator, responses carry `"ok"` plus a `"kind"`. The grammar
 //! is written out in `DESIGN.md` §15; the codec here is the single
 //! source of truth, and the proptest suite round-trips every frame
-//! variant through [`json`](crate::json).
+//! variant through [`json`].
 //!
 //! Unknown fields are ignored (forward compatibility); missing or
 //! ill-typed required fields are a [`ProtoError`], never a panic — a

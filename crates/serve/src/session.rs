@@ -401,7 +401,7 @@ mod tests {
                 GasRule::Hpp(r) => evolve(&grid, r, boundary, 0, 10),
                 GasRule::Fhp(r) => evolve(&grid, r, boundary, 0, 10),
             };
-            assert_eq!(session.grid().unwrap(), &reference, "{model} periodic={periodic}");
+            assert_eq!(session.grid(), &reference, "{model} periodic={periodic}");
         }
     }
 

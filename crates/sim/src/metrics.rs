@@ -42,7 +42,7 @@ pub struct EngineReport<S: State> {
 /// [`crate::Pipeline::run_kernel`] returns, its lattice having gone
 /// straight to the caller's row sink. [`EngineCost::with_grid`] and
 /// [`EngineReport::cost`] convert between the two.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct EngineCost {
     /// Generations computed.
     pub generations: u64,

@@ -4,7 +4,7 @@
 //! excludes CLI crates); every command parses to a typed request and
 //! executes to a string, so the whole surface is unit-testable without
 //! spawning processes. Each subcommand declares its flags once, as the
-//! accessor calls in [`read`]: parsing, the errors for unknown, repeated
+//! accessor calls in `read`: parsing, the errors for unknown, repeated
 //! and mode-mismatched flags (exit 2), and [`usage`] all derive from
 //! those calls.
 //!

@@ -519,7 +519,7 @@ fn resident_boards_are_exact<R: Rule<S = u8>>(rule: &R, grid: &Grid<u8>, c: &Res
         chained = pass.machine.grid;
         t += k;
     }
-    assert_eq!(session.report().unwrap(), resident, "{c:?}");
+    assert_eq!(session.report(), resident, "{c:?}");
     assert_eq!((&chained, ticks), (resident.grid(), resident.machine_ticks().get()), "{c:?}");
 }
 
