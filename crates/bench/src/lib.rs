@@ -1,8 +1,9 @@
 //! # lattice-bench
 //!
 //! The paper-reproduction harness: one binary per table/figure of the
-//! paper's evaluation (see EXPERIMENTS.md for the index), plus criterion
-//! micro-benchmarks of the underlying kernels.
+//! paper's evaluation (see EXPERIMENTS.md for the index). These print
+//! model-clock results; host-clock timing of the kernels, farm and
+//! daemon is the `benchmark/` package's job.
 //!
 //! Every binary prints a [`Table`] in markdown (default) or CSV
 //! (`--csv`), with the paper's reported values alongside ours where the

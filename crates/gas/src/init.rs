@@ -14,11 +14,27 @@ use lattice_core::{Coord, Grid, LatticeError, Shape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Refuses a `name`d probability outside `[0, 1]` (NaN included).
+fn check_probability(name: &str, p: f64) -> Result<(), LatticeError> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(())
+    } else {
+        Err(LatticeError::InvalidConfig(format!("{name} must be in [0, 1], got {p}")))
+    }
+}
+
 /// Fills each particle channel of each site independently with
-/// probability `density` (the per-channel occupation, 0..=1).
-fn random_mask_grid(shape: Shape, mask: u8, density: f64, seed: u64) -> Grid<u8> {
+/// probability `density` (the per-channel occupation); a density
+/// outside `[0, 1]` is refused.
+fn random_mask_grid(
+    shape: Shape,
+    mask: u8,
+    density: f64,
+    seed: u64,
+) -> Result<Grid<u8>, LatticeError> {
+    check_probability("density", density)?;
     let mut rng = StdRng::seed_from_u64(seed);
-    Grid::from_fn(shape, |_| {
+    Ok(Grid::from_fn(shape, |_| {
         let mut s = 0u8;
         for b in 0..8 {
             if mask & (1 << b) != 0 && rng.gen_bool(density) {
@@ -26,7 +42,7 @@ fn random_mask_grid(shape: Shape, mask: u8, density: f64, seed: u64) -> Grid<u8>
             }
         }
         s
-    })
+    }))
 }
 
 /// Random HPP gas at per-channel density `density`.
@@ -34,7 +50,7 @@ pub fn random_hpp(shape: Shape, density: f64, seed: u64) -> Result<Grid<u8>, Lat
     if shape.rank() != 2 {
         return Err(LatticeError::BadRank { rank: shape.rank() });
     }
-    Ok(random_mask_grid(shape, HPP_MASK, density, seed))
+    random_mask_grid(shape, HPP_MASK, density, seed)
 }
 
 /// Random FHP gas at per-channel density `density`.
@@ -62,12 +78,12 @@ pub fn random_fhp(
         FhpVariant::I => FHP_MOVE_MASK,
         FhpVariant::II | FhpVariant::III => FHP_MOVE_MASK | REST_BIT,
     };
-    Ok(random_mask_grid(shape, mask, density, seed))
+    random_mask_grid(shape, mask, density, seed)
 }
 
 /// Random 1-D gas on a line.
 pub fn random_gas1d(n: usize, density: f64, seed: u64) -> Result<Grid<u8>, LatticeError> {
-    Ok(random_mask_grid(Shape::line(n)?, GAS1D_MASK, density, seed))
+    random_mask_grid(Shape::line(n)?, GAS1D_MASK, density, seed)
 }
 
 /// Random 3-D gas in a box.
@@ -78,7 +94,7 @@ pub fn random_gas3d(
     density: f64,
     seed: u64,
 ) -> Result<Grid<u8>, LatticeError> {
-    Ok(random_mask_grid(Shape::grid3(depth, rows, cols)?, GAS3D_MASK, density, seed))
+    random_mask_grid(Shape::grid3(depth, rows, cols)?, GAS3D_MASK, density, seed)
 }
 
 /// A directed FHP flow: background gas at `density` everywhere, with the
@@ -92,6 +108,7 @@ pub fn fhp_wind(
     seed: u64,
     periodic: bool,
 ) -> Result<Grid<u8>, LatticeError> {
+    check_probability("drive", drive)?;
     let base = random_fhp(shape, variant, density, seed, periodic)?;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x00ff_00ff_00ff_00ff);
     Ok(Grid::from_fn(shape, |c| {
@@ -153,8 +170,8 @@ pub fn hpp_density_step(
     seed: u64,
 ) -> Result<Grid<u8>, LatticeError> {
     let shape = Shape::grid2(rows, cols)?;
-    let left = random_mask_grid(shape, HPP_MASK, high, seed);
-    let right = random_mask_grid(shape, HPP_MASK, low, seed.wrapping_add(1));
+    let left = random_mask_grid(shape, HPP_MASK, high, seed)?;
+    let right = random_mask_grid(shape, HPP_MASK, low, seed.wrapping_add(1))?;
     Ok(Grid::from_fn(shape, |c| if c.col() < cols / 2 { left.get(c) } else { right.get(c) }))
 }
 
@@ -264,5 +281,39 @@ mod tests {
         let g3 = random_gas3d(4, 5, 6, 0.5, 3).unwrap();
         assert_eq!(g3.shape().dims(), &[4, 5, 6]);
         assert!(g3.count(|s| s != 0) > 20);
+    }
+
+    #[test]
+    fn every_density_taking_constructor_rejects_a_non_probability() {
+        let shape = Shape::grid2(8, 8).unwrap();
+        let build = |p: f64| -> Vec<Result<Grid<u8>, LatticeError>> {
+            vec![
+                random_hpp(shape, p, 1),
+                random_fhp(shape, FhpVariant::II, p, 1, true),
+                random_gas1d(8, p, 1),
+                random_gas3d(2, 4, 4, p, 1),
+                fhp_wind(shape, FhpVariant::I, p, 0.5, 1, true),
+                fhp_wind(shape, FhpVariant::I, 0.2, p, 1, true),
+                channel_with_plate(8, 8, FhpVariant::I, p, 0.5, 4, 0.5, 1),
+                channel_with_plate(8, 8, FhpVariant::I, 0.2, p, 4, 0.5, 1),
+                hpp_density_step(8, 8, p, 0.1, 1),
+                hpp_density_step(8, 8, 0.8, p, 1),
+            ]
+        };
+        for bad in [1.5, -0.1, f64::NAN] {
+            for (i, r) in build(bad).into_iter().enumerate() {
+                match r {
+                    Err(LatticeError::InvalidConfig(msg)) => {
+                        assert!(msg.contains("must be in [0, 1]"), "constructor {i}: {msg}")
+                    }
+                    other => panic!("constructor {i} at {bad}: {other:?}"),
+                }
+            }
+        }
+        for good in [0.0, 1.0] {
+            for (i, r) in build(good).into_iter().enumerate() {
+                assert!(r.is_ok(), "constructor {i} at {good}: {r:?}");
+            }
+        }
     }
 }

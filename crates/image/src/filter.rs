@@ -151,12 +151,16 @@ mod tests {
     fn filters_run_bit_exact_on_engines() {
         use lattice_engines_sim::{Pipeline, SpaEngine};
         let img = gradient_image();
-        for depth in [1usize, 2] {
-            let reference = evolve(&img, &Median3, Boundary::Fixed(0), 0, depth as u64);
-            let wsa = Pipeline::wide(2, depth).run(&Median3, &img, 0).unwrap();
-            assert_eq!(wsa.grid, reference, "WSA depth {depth}");
-            let spa = SpaEngine::new(4, depth).run(&Median3, &img, 0).unwrap();
-            assert_eq!(spa.grid, reference, "SPA depth {depth}");
+        let rules: [&dyn Rule<S = u8>; 2] = [&Median3, &BoxBlur];
+        for rule in rules {
+            let name = rule.name();
+            for depth in [1usize, 2] {
+                let reference = evolve(&img, &rule, Boundary::Fixed(0), 0, depth as u64);
+                let wsa = Pipeline::wide(2, depth).run(&rule, &img, 0).unwrap();
+                assert_eq!(wsa.grid, reference, "{name} on WSA depth {depth}");
+                let spa = SpaEngine::new(4, depth).run(&rule, &img, 0).unwrap();
+                assert_eq!(spa.grid, reference, "{name} on SPA depth {depth}");
+            }
         }
     }
 }

@@ -22,17 +22,13 @@
 //!   3×3 structuring elements (with the duality and idempotence laws
 //!   property-tested);
 //! * [`filter`] — box blur, median, threshold, and Sobel edge magnitude
-//!   on 8-bit images;
-//! * [`compose`] — run a sequence of heterogeneous stages, host-side or
-//!   through a pipelined engine.
+//!   on 8-bit images.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compose;
 pub mod filter;
 pub mod morphology;
 
-pub use compose::run_stages;
 pub use filter::{BoxBlur, Median3, Sobel, Threshold};
 pub use morphology::{Dilate, Erode, StructuringElement};

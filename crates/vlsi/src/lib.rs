@@ -35,7 +35,6 @@ pub mod ablation;
 pub mod compare;
 pub mod competitors;
 pub mod farm;
-pub mod report;
 pub mod spa;
 pub mod tech;
 pub mod wsa;

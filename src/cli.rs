@@ -813,7 +813,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
         Command::Resume { load, model, steps, seed, periodic, save } => {
             run_resume(&load, &model, steps, seed, periodic, save.as_deref())
         }
-        Command::Design { l, rate, budget } => Ok(run_design(l, rate, budget)),
+        Command::Design { l, rate, budget } => run_design(l, rate, budget),
         Command::Pebble { d, r, t, s } => run_pebble(d, r, t, s),
         Command::Image { chain, rows, cols, seed } => run_image(&chain, rows, cols, seed),
         Command::Waveform { width, depth, rows, cols } => {
@@ -1049,7 +1049,13 @@ fn run_image(chain: &str, rows: usize, cols: usize, seed: u64) -> Result<String,
     Ok(log)
 }
 
-fn run_design(l: u32, rate: f64, budget: u32) -> String {
+fn run_design(l: u32, rate: f64, budget: u32) -> Result<String, CliError> {
+    if l == 0 {
+        return Err(CliError("design: --l must be at least 1".into()));
+    }
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(CliError(format!("design: --rate must be finite and positive, got {rate}")));
+    }
     let tech = Technology::paper_1987();
     let wsa = Wsa::new(tech);
     let spa = Spa::new(tech);
@@ -1095,7 +1101,7 @@ fn run_design(l: u32, rate: f64, budget: u32) -> String {
                               bandwidth, not processing, is the wall\n",
         ),
     }
-    out
+    Ok(out)
 }
 
 /// The fault-rate ladder the sweeps climb: multiples of `--rate`,
@@ -2737,6 +2743,11 @@ fn ratchet_against_baseline(
 fn run_pebble(d: usize, r: usize, t: usize, s: usize) -> Result<String, CliError> {
     if d == 0 || d > 3 {
         return Err(CliError("pebble: --d must be 1, 2, or 3".into()));
+    }
+    for (flag, v) in [("r", r), ("t", t), ("s", s)] {
+        if v == 0 {
+            return Err(CliError(format!("pebble: --{flag} must be at least 1")));
+        }
     }
     let graph = LatticeGraph::new(d, r, t);
     let n = graph.n_vertices() as u64;

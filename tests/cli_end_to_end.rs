@@ -283,6 +283,46 @@ fn huge_steps_are_refused_promptly() {
 }
 
 #[test]
+fn out_of_range_densities_sizes_and_rates_are_refused() {
+    // A density is a probability, a lattice edge, horizon or memory
+    // holds at least one site, and a target rate is finite and positive:
+    // anything else is refused before any work, with exit 2.
+    for (args, message) in [
+        (&["gas", "--density", "1.5"][..], "density must be in [0, 1], got 1.5"),
+        (&["gas", "--density", "NaN"], "density must be in [0, 1], got NaN"),
+        (&["gas", "--density", "-0.1"], "density must be in [0, 1], got -0.1"),
+        (&["pebble", "--r", "0"], "pebble: --r must be at least 1"),
+        (&["pebble", "--t", "0"], "pebble: --t must be at least 1"),
+        (&["pebble", "--s", "0"], "pebble: --s must be at least 1"),
+        (&["design", "--l", "0"], "design: --l must be at least 1"),
+        (&["design", "--rate", "inf"], "design: --rate must be finite and positive, got inf"),
+        (&["design", "--rate", "NaN"], "design: --rate must be finite and positive, got NaN"),
+        (&["design", "--rate", "-5"], "design: --rate must be finite and positive, got -5"),
+        (&["design", "--rate", "0"], "design: --rate must be finite and positive, got 0"),
+    ] {
+        let (code, out, err) = lattice_within(60, args);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(err.contains(message), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?}: {out}");
+    }
+    // The edges of the valid ranges and the defaults still run.
+    for args in [
+        &["gas"][..],
+        &["gas", "--density", "0"],
+        &["gas", "--density", "1"],
+        &["pebble"],
+        &["design"],
+    ] {
+        let (code, out, err) = lattice_within(60, args);
+        assert_eq!(code, Some(0), "{args:?}: {err}");
+        assert!(!out.is_empty(), "{args:?}");
+    }
+    let (code, out, err) = lattice_within(60, &["design", "--budget", "0"]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(out.contains("no architecture fits"), "{out}");
+}
+
+#[test]
 fn links_too_slow_to_count_ticks_are_refused() {
     // A link so slow that the machine's tick count overflows a u64
     // must fail the run, not print a wrapped report; a capacity that
