@@ -150,7 +150,7 @@ impl<S: State> Grid<S> {
 }
 
 /// A block of sites read one row at a time: what a block kernel
-/// ([`crate::Rule::evolve_block`]) packs its input from. A [`Grid`] is
+/// ([`crate::Rule::block_kernel`]) packs its input from. A [`Grid`] is
 /// its own source; a farm board's source builds each row from the
 /// committed lattice with its received halo frames laid over it.
 pub trait RowSource<S: State> {

@@ -143,31 +143,6 @@ pub trait Rule: Sync {
         let _ = (src, t0, origin);
         None
     }
-
-    /// One pass of the block kernel: builds it over `src` (see
-    /// [`Rule::block_kernel`]), runs `generations` steps, and writes
-    /// only the rows and columns `sink` keeps.
-    ///
-    /// `true` means every kept site of `sink` now equals the same site
-    /// of `evolve(block, self, Boundary::null(), t0, generations)`
-    /// (with the rule seeing those global coordinates); `false` means
-    /// the rule has no kernel for the block, and `sink` is untouched.
-    /// Rules implement [`Rule::block_kernel`], not this.
-    #[must_use]
-    fn evolve_block(
-        &self,
-        src: &dyn RowSource<Self::S>,
-        sink: &mut dyn RowSink<Self::S>,
-        t0: u64,
-        generations: usize,
-        origin: (usize, usize),
-    ) -> bool {
-        let Ok(steps) = u64::try_from(generations) else { return false };
-        let Some(mut block) = self.block_kernel(src, t0, origin) else { return false };
-        block.run(steps);
-        block.unpack(sink);
-        true
-    }
 }
 
 /// A block's state inside a rule's kernel ([`Rule::block_kernel`]):

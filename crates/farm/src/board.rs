@@ -9,7 +9,7 @@ use crate::partition::{Block, Region2d};
 use crate::resident::{self, BoardRun, Stop};
 use crate::session::save_block;
 use lattice_core::units::u64_from_usize;
-use lattice_core::{Grid, LatticeError, Rule, Shape, State};
+use lattice_core::{Grid, LatticeError, RowSource, Rule, Shape, State};
 use lattice_engines_sim::{EngineCost, FaultCtx, Pipeline, RunOptions, SpaEngine, SpaRunOptions};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -214,9 +214,10 @@ impl<'env, S: State> StepCrew<'_, 'env, S> {
 /// rows of the next lattice. A WSA board whose chips no fault can reach
 /// runs the rule's block kernel ([`Rule::block_kernel`]), built from the
 /// region's rows. Every other board — SPA, chips a fault can reach,
-/// rules or blocks without a kernel — and every audited board builds
-/// each region's augmented block, runs it, and copies the owned window
-/// out; an audited board hands those blocks back for the audit.
+/// rules or blocks without a kernel — builds each region's augmented
+/// block, runs it, and copies the owned window out. An audited board
+/// builds the augmented block either way and hands it back, before and
+/// after, for the audit.
 pub(crate) fn run_board<R: Rule>(
     rule: &R,
     engine: ShardEngine,
@@ -245,22 +246,26 @@ pub(crate) fn run_board<R: Rule>(
         };
         let mut sink = OwnedRows { segs: owned, region, top: aug.top(), left: job.block.halo_left };
         let origin = (job.origin.0.wrapping_add(region.r0), job.origin.1.wrapping_add(region.a0));
-        let cost = kernel.filter(|_| !audited).and_then(|p| p.kernel_cost::<R::S>(src.shape));
-        let planes = cost.and_then(|_| rule.block_kernel(&src, t0, origin));
-        if let (Some(cost), Some(mut planes)) = (cost, planes) {
+        let before = audited.then(|| Grid::from_rows(&src));
+        let from: &dyn RowSource<R::S> = before.as_ref().map_or(&src, |g| g);
+        let cost = kernel.and_then(|p| p.kernel_cost::<R::S>(src.shape));
+        let planes = cost.and_then(|_| rule.block_kernel(from, t0, origin));
+        if let Some((cost, mut planes)) = cost.zip(planes) {
             planes.run(u64_from_usize(k));
-            planes.unpack(&mut sink);
             work.costs.push(cost);
+            let Some(before) = before else {
+                planes.unpack(&mut sink);
+                continue;
+            };
+            let mut after = Grid::new(src.shape);
+            planes.unpack(&mut after);
+            keep_window(&after, &mut sink);
+            work.audited.push((before, after));
             continue;
         }
-        let before = Grid::from_rows(&src);
-        let fast = kernel.filter(|_| audited).and_then(|pipe| {
-            let mut after = Grid::new(src.shape);
-            pipe.run_kernel(rule, &before, &mut after, t0, origin).map(|cost| cost.with_grid(after))
-        });
-        let report = match (fast, engine) {
-            (Some(report), _) => report,
-            (None, ShardEngine::Wsa { width }) => {
+        let before = before.unwrap_or_else(|| Grid::from_rows(&src));
+        let report = match engine {
+            ShardEngine::Wsa { width } => {
                 let opts = RunOptions {
                     origin,
                     faults: job.ctx,
@@ -269,7 +274,7 @@ pub(crate) fn run_board<R: Rule>(
                 };
                 Pipeline::wide(width, k).run_opts(rule, &before, t0, opts)?
             }
-            (None, ShardEngine::Spa { slice_width }) => {
+            ShardEngine::Spa { slice_width } => {
                 let opts = SpaRunOptions { origin, faults: job.ctx, chip_offset: job.chip0 };
                 SpaEngine::new(slice_width, k).run_opts(rule, &before, t0, opts)?
             }

@@ -19,8 +19,8 @@
 //! origin-aware stream framing the engines already speak — for
 //! coordinate-dependent FHP, on both the null boundary and the torus.
 //!
-//! A WSA board whose rule supplies a block kernel ([`Rule::block_kernel`],
-//! whose one-pass case is `Rule::evolve_block`) skips the cycle loop
+//! A WSA board whose rule supplies a block kernel ([`Rule::block_kernel`])
+//! skips the cycle loop
 //! whenever no fault in the plan can fire on the engine chips it drives
 //! ([`FaultPlan::spares`](lattice_engines_sim::FaultPlan::spares)):
 //! halo-link weather leaves it on the fast path. The board computes its
@@ -880,6 +880,42 @@ mod tests {
             }
             assert_eq!((*b, before), (j % 4, &want), "board {j}");
             assert_eq!(after, &evolve(before, &rule, Boundary::null(), t, k as u64));
+        }
+    }
+
+    #[test]
+    fn a_per_board_audit_leaves_the_report_alone() {
+        // An audited board builds its block kernel from the augmented
+        // block it hands the audit, and bills the same pass: HPP and
+        // FHP-I farms report the same run with and without the audit.
+        fn same_run<R: Rule<S = u8>>(rule: &R, g: &Grid<u8>, farm: &LatticeFarm) {
+            let plain = farm.run(rule, g, 3, 7).unwrap();
+            let mut audits = 0;
+            let mut shard = |_: usize, before: &Grid<u8>, after: &Grid<u8>| {
+                assert_eq!(before.shape(), after.shape());
+                audits += 1;
+                Ok(())
+            };
+            let none = FarmRecoveryConfig::NONE;
+            let ok = |_: &Grid<u8>, _: &Grid<u8>| Ok(());
+            let audited = farm
+                .run_with_recovery_audited(rule, g, 3, 7, None, &none, ok, Some(&mut shard), None)
+                .unwrap();
+            assert_eq!(audited.report, plain, "{}", rule.name());
+            assert_eq!(audits, farm.shards() * 4, "{}: a board audit per pass", rule.name());
+        }
+        let (g, hpp) = hpp_world(12, 26, 4);
+        let fhp_grid =
+            init::random_fhp(Shape::grid2(12, 26).unwrap(), FhpVariant::I, 0.4, 5, true).unwrap();
+        let fhp = FhpRule::new(FhpVariant::I, 6).with_wrap(12, 26);
+        for farm in [
+            LatticeFarm::new(3, ShardEngine::Wsa { width: 2 }, 2),
+            LatticeFarm::new(4, ShardEngine::Wsa { width: 1 }, 2)
+                .with_grid(2, 2)
+                .with_periodic(true),
+        ] {
+            same_run(&hpp, &g, &farm);
+            same_run(&fhp, &fhp_grid, &farm);
         }
     }
 

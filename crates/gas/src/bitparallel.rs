@@ -8,8 +8,14 @@
 //! such machines is limited … by the communication bandwidth … and by
 //! the memory capacity", not raw ALU throughput.
 //!
-//! [`HppBitLattice`] implements the HPP gas this way, bit-exactly equal
-//! to the table-driven [`HppRule`] under periodic boundaries (HPP is
+//! [`BitLattice`] is that store for every gas: `N` channel bit-planes,
+//! their geometry and boundary, packing and unpacking, the step loop,
+//! the mass count and the [`BlockKernel`] a farm board keeps. A gas
+//! ([`BitGas`]) supplies only its own part: the channel bits it models,
+//! its collision as word logic, its streaming geometry and any clock.
+//! [`HppBitLattice`] is HPP's; [`FhpBitLattice`] is FHP-I's.
+//!
+//! [`Hpp`] is bit-exactly equal to the table-driven [`HppRule`] (HPP is
 //! deterministic, so exact equivalence is testable). The collision
 //! formula: with channels `e, n, w, s`,
 //!
@@ -22,36 +28,24 @@
 //!
 //! Two boundaries are supported: the torus ([`HppBitLattice::from_grid`])
 //! and the paper's null boundary ([`HppBitLattice::from_rows_null`]),
-//! where streaming shifts zeros in at every edge. The null mode is what
-//! [`HppRule`]'s `evolve_block` runs for a farm board's halo-framed
-//! block, so it must equal the table engine on every site, edges
-//! included. It packs the block a row at a time from a
-//! [`RowSource`] and unpacks only the window a [`RowSink`] keeps, so a
-//! board reads the lattice once and writes its owned sites once.
-//!
-//! It is also [`HppRule`]'s [`BlockKernel`]: a farm board keeps the
-//! planes across the passes of a step, pasting in only its halo
-//! between them ([`paste_planes`]).
+//! where streaming shifts zeros in at every edge. The null mode is
+//! [`HppRule`]'s [`BlockKernel`] for a farm board's halo-framed block,
+//! so it must equal the table engine on every site, edges included. It
+//! packs the block a row at a time from a [`RowSource`] and unpacks only
+//! the window a [`RowSink`] keeps, so a board reads the lattice once and
+//! writes its owned sites once; between the passes of a step the board
+//! keeps the planes and pastes in only its halo ([`paste_planes`]).
 //!
 //! Packing, unpacking and the row shift are [`lattice_core::bits`]'s
 //! [`pack_rows`], [`unpack_rows`] and [`shift_row`].
 //!
 //! [`HppRule`]: crate::hpp::HppRule
+//! [`FhpBitLattice`]: crate::fhp_bitparallel::FhpBitLattice
 
 use crate::hpp::HPP_MASK;
 use lattice_core::bits::{copy_planes, pack_rows, paste_planes, shift_row, unpack_rows};
 use lattice_core::{BlockKernel, Grid, LatticeError, RowSink, RowSource, Shape};
 use std::ops::Range;
-
-/// The index of the first site with bits outside `mask`, given `any`,
-/// the OR of the sites that [`pack_rows`] folded while packing them: a
-/// row that has none is not read again.
-pub(crate) fn first_outside(sites: &[u8], any: u64, mask: u8) -> Option<usize> {
-    if any & !u64::from(mask) == 0 {
-        return None;
-    }
-    sites.iter().position(|s| s & !mask != 0)
-}
 
 /// Moves every row of a plane of `wpr`-word rows one row up (toward
 /// row 0) or down. The row entering at the edge is the one leaving the
@@ -72,58 +66,85 @@ pub(crate) fn move_rows(plane: &mut [u64], wpr: usize, up: bool, periodic: bool)
     }
 }
 
-/// An HPP lattice stored as four channel bit-planes, 64 sites per word,
-/// packed along rows. Periodic or null boundaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HppBitLattice {
-    rows: usize,
-    cols: usize,
-    words_per_row: usize,
-    /// Toroidal wrap of the rows (N/S streaming) and of the columns
-    /// (E/W) when set; otherwise streaming shifts in zeros there.
-    wrap_rows: bool,
-    wrap_cols: bool,
-    /// `planes[ch][row * words_per_row + w]`.
-    planes: [Vec<u64>; 4],
+/// One gas's part of a [`BitLattice`] of `N` channel planes: the bits
+/// it models, its collision as word logic and its streaming geometry.
+pub trait BitGas<const N: usize>: Sized + Send {
+    /// The channel bits, bit `p` in plane `p`. A site with any other
+    /// bit is refused.
+    const CHANNELS: u8;
+    /// The refusal's tail: `site (r,c) = 0x.. has ` and then this.
+    const FOREIGN: &'static str;
+    /// The rows close into a torus only over a multiple of this.
+    const ROW_PERIOD: usize = 1;
+
+    /// The collision, in place on every plane word.
+    fn collide(lat: &mut BitLattice<Self, N>);
+
+    /// The streaming step, in place, wrapping the axes `lat` wraps.
+    fn stream(lat: &mut BitLattice<Self, N>);
+
+    /// Advances the gas's own clock one generation, if it has one.
+    fn tick(&mut self) {}
 }
 
-impl HppBitLattice {
-    /// Packs a byte-per-site HPP grid (2-D) into bit-planes, on the
-    /// torus.
-    pub fn from_grid(grid: &Grid<u8>) -> Result<Self, LatticeError> {
-        Self::pack(grid, true)
-    }
+/// A lattice stored as `N` channel bit-planes, 64 sites per word,
+/// packed along rows, evolving under gas `G`. Periodic or null
+/// boundaries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BitLattice<G, const N: usize> {
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) words_per_row: usize,
+    /// Toroidal wrap of the rows (every row move) and of the columns
+    /// (every shift along a row) when set; otherwise streaming shifts
+    /// in zeros there.
+    pub(crate) wrap_rows: bool,
+    pub(crate) wrap_cols: bool,
+    /// `planes[ch][row * words_per_row + w]`.
+    pub(crate) planes: [Vec<u64>; N],
+    pub(crate) gas: G,
+}
 
-    /// Packs the byte-per-site HPP block `src` reads (2-D), a row at a
-    /// time, into bit-planes under the null boundary: particles
-    /// streaming off an edge are lost and nothing streams in, exactly
-    /// like `evolve(block, &HppRule::new(), Boundary::null(), ..)`.
-    pub fn from_rows_null(src: &dyn RowSource<u8>) -> Result<Self, LatticeError> {
-        Self::pack(src, false)
-    }
+/// The HPP gas's part of a [`BitLattice`]: four planes in
+/// [`crate::hpp::HppDir`] order (E, N, W, S), the head-on swap, and the
+/// square stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hpp;
 
-    fn pack(src: &dyn RowSource<u8>, periodic: bool) -> Result<Self, LatticeError> {
+/// An HPP lattice as four channel bit-planes.
+pub type HppBitLattice = BitLattice<Hpp, 4>;
+
+impl<G: BitGas<N>, const N: usize> BitLattice<G, N> {
+    /// Packs the byte-per-site 2-D block `src` reads, a row at a time,
+    /// with both axes wrapping when `periodic`; `gas(rows, cols)` makes
+    /// the gas's part once the sites are known to fit it.
+    pub(crate) fn pack(
+        src: &dyn RowSource<u8>,
+        periodic: bool,
+        gas: impl FnOnce(usize, usize) -> G,
+    ) -> Result<Self, LatticeError> {
         let shape = src.shape();
         if shape.rank() != 2 {
             return Err(LatticeError::BadRank { rank: shape.rank() });
         }
         let (rows, cols) = (shape.rows(), shape.cols());
-        let planes = pack_rows(src, |r, row, any| match first_outside(row, any, HPP_MASK) {
-            None => Ok(()),
-            Some(c) => Err(LatticeError::InvalidConfig(format!(
-                "site ({r},{c}) = {:#04x} has non-HPP bits (obstacles are \
-                 not supported by the bit-parallel kernel)",
-                row[c]
-            ))),
+        let planes = pack_rows(src, |r, row, any| {
+            // A row whose OR has no foreign bit is not read again.
+            if any & !u64::from(G::CHANNELS) == 0 {
+                return Ok(());
+            }
+            let c = row.iter().position(|s| s & !G::CHANNELS != 0).unwrap_or(0);
+            let why = format!("site ({r},{c}) = {:#04x} has {}", row[c], G::FOREIGN);
+            Err(LatticeError::InvalidConfig(why))
         })?;
-        let words_per_row = cols.div_ceil(64);
-        Ok(HppBitLattice {
+        Ok(BitLattice {
             rows,
             cols,
-            words_per_row,
+            words_per_row: cols.div_ceil(64),
             wrap_rows: periodic,
             wrap_cols: periodic,
             planes,
+            gas: gas(rows, cols),
         })
     }
 
@@ -140,58 +161,24 @@ impl HppBitLattice {
         unpack_rows(&self.planes, self.cols, sink);
     }
 
-    /// Lattice rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Lattice columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Applies the collision step in place: word-parallel boolean
     /// algebra, no per-site branching.
     pub fn collide(&mut self) {
-        // Phantom sites beyond `cols` hold no particles, and a swap
-        // needs a head-on pair, so they never collide into existence.
-        // Channel order is `HppDir`'s: E, N, W, S.
-        let [pe, pn, pw, ps] = &mut self.planes;
-        for (((e, n), w), s) in
-            pe.iter_mut().zip(pn.iter_mut()).zip(pw.iter_mut()).zip(ps.iter_mut())
-        {
-            let swap = (*e & *w & !*n & !*s) | (*n & *s & !*e & !*w);
-            *e ^= swap;
-            *n ^= swap;
-            *w ^= swap;
-            *s ^= swap;
-        }
+        G::collide(self);
     }
 
-    /// Applies the streaming step: E/W planes shift along rows, N/S
-    /// planes move whole rows, wrapping on the torus and shifting in
-    /// zeros under the null boundary.
+    /// Applies the streaming step, wrapping on the torus and shifting
+    /// in zeros under the null boundary.
     pub fn stream(&mut self) {
-        let wpr = self.words_per_row;
-        let (cols, wrap_rows, wrap_cols) = (self.cols, self.wrap_rows, self.wrap_cols);
-        // Channel order is `HppDir`'s: E, N, W, S.
-        let [east, north, west, south] = &mut self.planes;
-        for row in east.chunks_exact_mut(wpr) {
-            shift_row(row, cols, true, wrap_cols);
-        }
-        for row in west.chunks_exact_mut(wpr) {
-            shift_row(row, cols, false, wrap_cols);
-        }
-        // N movers go to row - 1, S movers to row + 1.
-        move_rows(north, wpr, true, wrap_rows);
-        move_rows(south, wpr, false, wrap_rows);
+        G::stream(self);
     }
 
-    /// One full generation: collide then stream (matching
-    /// [`crate::hpp::HppRule`]'s fused update order).
+    /// One full generation: collide then stream (matching the table
+    /// rules' fused update order).
     pub fn step(&mut self) {
         self.collide();
         self.stream();
+        self.gas.tick();
     }
 
     /// Evolves `steps` generations.
@@ -207,13 +194,13 @@ impl HppBitLattice {
     }
 }
 
-impl BlockKernel<u8> for HppBitLattice {
+impl<G: BitGas<N>, const N: usize> BlockKernel<u8> for BitLattice<G, N> {
     fn run(&mut self, generations: u64) {
-        HppBitLattice::run(self, generations);
+        BitLattice::run(self, generations);
     }
 
     fn unpack(&self, sink: &mut dyn RowSink<u8>) {
-        HppBitLattice::unpack(self, sink);
+        BitLattice::unpack(self, sink);
     }
 
     fn copy(&self, window: (Range<usize>, Range<usize>), frame: &mut Vec<u64>) {
@@ -225,26 +212,101 @@ impl BlockKernel<u8> for HppBitLattice {
     }
 
     fn wrap(&mut self, rows: bool, cols: bool) -> bool {
+        if rows && !self.rows.is_multiple_of(G::ROW_PERIOD) {
+            return false;
+        }
         (self.wrap_rows, self.wrap_cols) = (rows, cols);
         true
+    }
+}
+
+impl HppBitLattice {
+    /// Packs a byte-per-site HPP grid (2-D) into bit-planes, on the
+    /// torus.
+    pub fn from_grid(grid: &Grid<u8>) -> Result<Self, LatticeError> {
+        Self::pack(grid, true, |_, _| Hpp)
+    }
+
+    /// Packs the byte-per-site HPP block `src` reads (2-D), a row at a
+    /// time, into bit-planes under the null boundary: particles
+    /// streaming off an edge are lost and nothing streams in, exactly
+    /// like `evolve(block, &HppRule::new(), Boundary::null(), ..)`.
+    pub fn from_rows_null(src: &dyn RowSource<u8>) -> Result<Self, LatticeError> {
+        Self::pack(src, false, |_, _| Hpp)
+    }
+}
+
+impl BitGas<4> for Hpp {
+    const CHANNELS: u8 = HPP_MASK;
+    const FOREIGN: &'static str =
+        "non-HPP bits (obstacles are not supported by the bit-parallel kernel)";
+
+    fn collide(lat: &mut HppBitLattice) {
+        // Phantom sites beyond `cols` hold no particles, and a swap
+        // needs a head-on pair, so they never collide into existence.
+        // Channel order is `HppDir`'s: E, N, W, S.
+        let [pe, pn, pw, ps] = &mut lat.planes;
+        for (((e, n), w), s) in
+            pe.iter_mut().zip(pn.iter_mut()).zip(pw.iter_mut()).zip(ps.iter_mut())
+        {
+            let swap = (*e & *w & !*n & !*s) | (*n & *s & !*e & !*w);
+            *e ^= swap;
+            *n ^= swap;
+            *w ^= swap;
+            *s ^= swap;
+        }
+    }
+
+    /// E/W planes shift along rows, N/S planes move whole rows.
+    fn stream(lat: &mut HppBitLattice) {
+        let wpr = lat.words_per_row;
+        let (cols, wrap_rows, wrap_cols) = (lat.cols, lat.wrap_rows, lat.wrap_cols);
+        // Channel order is `HppDir`'s: E, N, W, S.
+        let [east, north, west, south] = &mut lat.planes;
+        for row in east.chunks_exact_mut(wpr) {
+            shift_row(row, cols, true, wrap_cols);
+        }
+        for row in west.chunks_exact_mut(wpr) {
+            shift_row(row, cols, false, wrap_cols);
+        }
+        // N movers go to row - 1, S movers to row + 1.
+        move_rows(north, wpr, true, wrap_rows);
+        move_rows(south, wpr, false, wrap_rows);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fhp::FhpVariant;
+    use crate::fhp_bitparallel::FhpBitLattice;
     use crate::hpp::{HppDir, HppRule};
     use crate::init;
     use lattice_core::{evolve, Boundary, Coord};
 
     #[test]
     fn pack_unpack_roundtrip() {
-        for (rows, cols) in [(4usize, 7usize), (1, 1), (2, 9), (8, 64), (3, 65), (5, 130), (2, 127)]
-        {
+        // Both gases over one table; FHP-I's hex torus takes the even
+        // row counts.
+        for (rows, cols) in [
+            (4usize, 7usize),
+            (1, 1),
+            (2, 9),
+            (8, 64),
+            (3, 65),
+            (6, 65),
+            (5, 130),
+            (4, 130),
+            (2, 127),
+        ] {
             let shape = Shape::grid2(rows, cols).unwrap();
             let g = init::random_hpp(shape, 0.4, 9).unwrap();
-            let packed = HppBitLattice::from_grid(&g).unwrap();
-            assert_eq!(packed.to_grid(), g, "{rows}x{cols}");
+            assert_eq!(HppBitLattice::from_grid(&g).unwrap().to_grid(), g, "hpp {rows}x{cols}");
+            if rows % 2 == 0 {
+                let g = init::random_fhp(shape, FhpVariant::I, 0.4, 9, true).unwrap();
+                let packed = FhpBitLattice::from_grid(&g, 1).unwrap();
+                assert_eq!(packed.to_grid(), g, "fhp-1 {rows}x{cols}");
+            }
         }
     }
 
@@ -252,8 +314,10 @@ mod tests {
     fn rejects_non_hpp_bits() {
         let shape = Shape::grid2(2, 2).unwrap();
         let mut g = Grid::new(shape);
-        g.set_linear(0, crate::OBSTACLE_BIT);
-        assert!(HppBitLattice::from_grid(&g).is_err());
+        g.set_linear(3, crate::OBSTACLE_BIT);
+        let why = "site (1,1) = 0x80 has non-HPP bits (obstacles are not supported by the \
+                   bit-parallel kernel)";
+        assert_eq!(HppBitLattice::from_grid(&g), Err(LatticeError::InvalidConfig(why.into())));
         let g1: Grid<u8> = Grid::new(Shape::line(4).unwrap());
         assert!(HppBitLattice::from_grid(&g1).is_err());
     }

@@ -685,8 +685,10 @@ mod tests {
             }
             let reference =
                 evolve(&g, &AtOrigin { rule: &rule, origin }, Boundary::null(), t0, k as u64);
+            let mut kernel = rule.block_kernel(&g, t0, origin).unwrap();
+            kernel.run(k as u64);
             let mut out = Grid::filled(shape, 0xAA);
-            prop_assert!(rule.evolve_block(&g, &mut out, t0, k, origin));
+            kernel.unpack(&mut out);
             prop_assert_eq!(out, reference);
         }
     }
@@ -742,20 +744,18 @@ mod tests {
     fn block_kernel_declines_other_variants_and_non_channel_bits() {
         let shape = Shape::grid2(4, 6).unwrap();
         let g = crate::init::random_fhp(shape, FhpVariant::I, 0.4, 1, false).unwrap();
-        let mut out = Grid::filled(shape, 0xAA);
         for variant in [FhpVariant::II, FhpVariant::III] {
-            assert!(!FhpRule::new(variant, 3).evolve_block(&g, &mut out, 0, 2, (0, 0)));
+            assert!(FhpRule::new(variant, 3).block_kernel(&g, 0, (0, 0)).is_none());
         }
         let rule = FhpRule::new(FhpVariant::I, 3);
         for bit in [OBSTACLE_BIT, REST_BIT] {
             let mut walled = g.clone();
             walled.set_linear(7, bit);
-            assert!(!rule.evolve_block(&walled, &mut out, 0, 2, (0, 0)));
+            assert!(rule.block_kernel(&walled, 0, (0, 0)).is_none());
         }
         let line: Grid<u8> = Grid::new(Shape::line(8).unwrap());
-        assert!(!rule.evolve_block(&line, &mut line.clone(), 0, 1, (0, 0)));
-        assert_eq!(out, Grid::filled(shape, 0xAA), "a declined block leaves the sink alone");
-        assert!(rule.evolve_block(&g, &mut out, 0, 2, (0, 0)));
+        assert!(rule.block_kernel(&line, 0, (0, 0)).is_none());
+        assert!(rule.block_kernel(&g, 0, (0, 0)).is_some());
     }
 
     #[test]

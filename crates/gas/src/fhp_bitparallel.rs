@@ -48,31 +48,24 @@
 //! keeps it across the passes of a step, the chirality keys stay the
 //! block's global ones, and the clock advances in `run`.
 //!
+//! [`FhpBitLattice`] is the shared [`BitLattice`] store; this module
+//! holds only FHP-I's part of it ([`FhpI`]).
+//!
 //! [`FhpRule`]: crate::fhp::FhpRule
+//! [`BlockKernel`]: lattice_core::BlockKernel
 
-use crate::bitparallel::{first_outside, move_rows};
+use crate::bitparallel::{move_rows, BitGas, BitLattice};
 use crate::fhp::{fhp_invariants, FHP_MOVE_MASK};
 use crate::prng;
-use lattice_core::bits::{copy_planes, pack_rows, paste_planes, shift_row, unpack_rows};
-use lattice_core::{BlockKernel, Grid, LatticeError, RowSink, RowSource, Shape};
-use std::ops::Range;
+use lattice_core::bits::shift_row;
+use lattice_core::{Grid, LatticeError, RowSource};
 
-/// An FHP-I lattice as six channel bit-planes, 64 sites per word,
-/// packed along rows. Periodic (hex torus, even row count) or null
-/// boundaries.
+/// The FHP-I gas's part of a [`BitLattice`]: six planes in
+/// [`crate::fhp::FhpDir`] order, the collision algebra with its
+/// chirality keys and clock, and the hex stream. Its rows close into a
+/// torus only over an even count.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FhpBitLattice {
-    rows: usize,
-    cols: usize,
-    words_per_row: usize,
-    /// Toroidal wrap of the rows (the diagonal channels' row moves) and
-    /// of the columns (every shift along a row) when set; otherwise
-    /// streaming shifts in zeros there.
-    wrap_rows: bool,
-    wrap_cols: bool,
-    /// `planes[ch][row * words_per_row + w]`, channels in
-    /// [`crate::fhp::FhpDir`] order.
-    planes: [Vec<u64>; 6],
+pub struct FhpI {
     /// The high half of each row's chirality key: its global row,
     /// shifted up 32 bits.
     row_keys: Vec<u64>,
@@ -84,6 +77,10 @@ pub struct FhpBitLattice {
     seed: u64,
     time: u64,
 }
+
+/// An FHP-I lattice as six channel bit-planes. Periodic (hex torus,
+/// even row count) or null boundaries.
+pub type FhpBitLattice = BitLattice<FhpI, 6>;
 
 /// Global coordinate `origin + i` along one axis, reduced onto a torus
 /// axis of `len` sites exactly as [`crate::fhp::FhpRule`] reduces it.
@@ -122,11 +119,12 @@ impl FhpBitLattice {
         if shape.rank() != 2 {
             return Err(LatticeError::BadRank { rank: shape.rank() });
         }
-        let (rows, cols) = (shape.rows(), shape.cols());
-        if rows % 2 != 0 {
+        if !shape.rows().is_multiple_of(FhpI::ROW_PERIOD) {
             return Err(LatticeError::InvalidConfig("hex torus needs an even row count".into()));
         }
-        Self::pack(grid, seed, 0, (0, 0), Some((rows, cols)), true)
+        Self::pack(grid, true, |rows, cols| {
+            FhpI::new((rows, cols), seed, 0, (0, 0), Some((rows, cols)))
+        })
     }
 
     /// Packs the byte-per-site FHP-I block `src` reads (2-D), a row at
@@ -143,68 +141,58 @@ impl FhpBitLattice {
         origin: (usize, usize),
         wrap: Option<(usize, usize)>,
     ) -> Result<Self, LatticeError> {
-        Self::pack(src, seed, t0, origin, wrap, false)
+        Self::pack(src, false, |rows, cols| FhpI::new((rows, cols), seed, t0, origin, wrap))
     }
 
-    fn pack(
-        src: &dyn RowSource<u8>,
+    /// Current generation.
+    pub fn time(&self) -> u64 {
+        self.gas.time
+    }
+
+    /// Total momentum in the doubled-x integer basis.
+    pub fn momentum(&self) -> (i64, i64) {
+        let g = self.to_grid();
+        g.as_slice().iter().fold((0, 0), |(px, py), &s| {
+            let inv = fhp_invariants(s);
+            (px + inv.momentum[0] as i64, py + inv.momentum[1] as i64)
+        })
+    }
+}
+
+impl FhpI {
+    /// The gas of a `(rows, cols)` block whose site `(r, c)` is global
+    /// `(origin.0 + r, origin.1 + c)`, reduced onto `wrap`'s torus when
+    /// given, at generation `t0`.
+    fn new(
+        (rows, cols): (usize, usize),
         seed: u64,
         t0: u64,
         origin: (usize, usize),
         wrap: Option<(usize, usize)>,
-        periodic: bool,
-    ) -> Result<Self, LatticeError> {
-        let shape = src.shape();
-        if shape.rank() != 2 {
-            return Err(LatticeError::BadRank { rank: shape.rank() });
-        }
-        let (rows, cols) = (shape.rows(), shape.cols());
-        let planes = pack_rows(src, |r, row, any| match first_outside(row, any, FHP_MOVE_MASK) {
-            None => Ok(()),
-            Some(c) => Err(LatticeError::InvalidConfig(format!(
-                "site ({r},{c}) = {:#04x} has non-FHP-I bits",
-                row[c]
-            ))),
-        })?;
+    ) -> Self {
         let (wrap_rows, wrap_cols) = (wrap.map(|w| w.0), wrap.map(|w| w.1));
-        Ok(FhpBitLattice {
-            rows,
-            cols,
-            words_per_row: cols.div_ceil(64),
-            wrap_rows: periodic,
-            wrap_cols: periodic,
-            planes,
+        FhpI {
             row_keys: (0..rows).map(|r| axis_key(origin.0, r, wrap_rows) << 32).collect(),
             col_keys: (0..cols).map(|c| axis_key(origin.1, c, wrap_cols)).collect(),
             parity0: origin.0 & 1,
             seed,
             time: t0,
-        })
+        }
     }
+}
 
-    /// Unpacks to a byte-per-site grid.
-    pub fn to_grid(&self) -> Grid<u8> {
-        let shape = Shape::grid2(self.rows, self.cols).expect("valid dimensions");
-        let mut out = Grid::new(shape);
-        self.unpack(&mut out);
-        out
-    }
-
-    /// Writes the sites of the window `sink` keeps, and only those.
-    pub fn unpack(&self, sink: &mut dyn RowSink<u8>) {
-        unpack_rows(&self.planes, self.cols, sink);
-    }
-
-    /// Current generation.
-    pub fn time(&self) -> u64 {
-        self.time
-    }
+impl BitGas<6> for FhpI {
+    const CHANNELS: u8 = FHP_MOVE_MASK;
+    const FOREIGN: &'static str = "non-FHP-I bits";
+    /// The hex torus's odd-r rows pair up only over an even count.
+    const ROW_PERIOD: usize = 2;
 
     /// Word-parallel FHP-I collision over the whole lattice. Phantom
     /// sites beyond `cols` hold no particles, and every collision needs
     /// particles, so they stay empty.
-    pub fn collide(&mut self) {
-        let FhpBitLattice { words_per_row: wpr, planes, row_keys, col_keys, seed, time, .. } = self;
+    fn collide(lat: &mut FhpBitLattice) {
+        let BitLattice { words_per_row: wpr, planes, gas, .. } = lat;
+        let FhpI { row_keys, col_keys, seed, time, .. } = gas;
         for (r, &row_key) in row_keys.iter().enumerate() {
             for (w, cols) in col_keys.chunks(64).enumerate() {
                 let i = r * *wpr + w;
@@ -231,13 +219,12 @@ impl FhpBitLattice {
     /// Hex streaming: E/W shift along rows; the four diagonal channels
     /// move one row, with a half-cell column shift picked by the source
     /// row's global parity (odd-r brick layout, matching
-    /// [`crate::fhp::FhpDir`]'s offsets). Wraps on the torus, shifts in
-    /// zeros under the null boundary.
-    pub fn stream(&mut self) {
-        let (wpr, cols, parity0) = (self.words_per_row, self.cols, self.parity0);
-        let (wrap_rows, wrap_cols) = (self.wrap_rows, self.wrap_cols);
+    /// [`crate::fhp::FhpDir`]'s offsets).
+    fn stream(lat: &mut FhpBitLattice) {
+        let (wpr, cols, parity0) = (lat.words_per_row, lat.cols, lat.gas.parity0);
+        let (wrap_rows, wrap_cols) = (lat.wrap_rows, lat.wrap_cols);
         // Channel order is `FhpDir`'s: E, NE, NW, W, SW, SE.
-        let [east, ne, nw, west, sw, se] = &mut self.planes;
+        let [east, ne, nw, west, sw, se] = &mut lat.planes;
         for row in east.chunks_exact_mut(wpr) {
             shift_row(row, cols, true, wrap_cols);
         }
@@ -262,59 +249,8 @@ impl FhpBitLattice {
         }
     }
 
-    /// One generation: collide then stream.
-    pub fn step(&mut self) {
-        self.collide();
-        self.stream();
+    fn tick(&mut self) {
         self.time += 1;
-    }
-
-    /// Evolves `steps` generations.
-    pub fn run(&mut self, steps: u64) {
-        for _ in 0..steps {
-            self.step();
-        }
-    }
-
-    /// Total particles.
-    pub fn mass(&self) -> u64 {
-        self.planes.iter().flat_map(|p| p.iter()).map(|w| w.count_ones() as u64).sum()
-    }
-
-    /// Total momentum in the doubled-x integer basis.
-    pub fn momentum(&self) -> (i64, i64) {
-        let g = self.to_grid();
-        g.as_slice().iter().fold((0, 0), |(px, py), &s| {
-            let inv = fhp_invariants(s);
-            (px + inv.momentum[0] as i64, py + inv.momentum[1] as i64)
-        })
-    }
-}
-
-impl BlockKernel<u8> for FhpBitLattice {
-    fn run(&mut self, generations: u64) {
-        FhpBitLattice::run(self, generations);
-    }
-
-    fn unpack(&self, sink: &mut dyn RowSink<u8>) {
-        FhpBitLattice::unpack(self, sink);
-    }
-
-    fn copy(&self, window: (Range<usize>, Range<usize>), frame: &mut Vec<u64>) {
-        copy_planes(&self.planes, self.cols, window, frame);
-    }
-
-    fn paste(&mut self, at: (usize, usize), shape: (usize, usize), frame: &[u64]) {
-        paste_planes(&mut self.planes, self.cols, at, shape, frame);
-    }
-
-    fn wrap(&mut self, rows: bool, cols: bool) -> bool {
-        // The hex torus's odd-r rows pair up only over an even count.
-        if rows && !self.rows.is_multiple_of(2) {
-            return false;
-        }
-        (self.wrap_rows, self.wrap_cols) = (rows, cols);
-        true
     }
 }
 
@@ -323,18 +259,8 @@ mod tests {
     use super::*;
     use crate::fhp::{FhpDir, FhpRule, FhpVariant};
     use crate::init;
-    use lattice_core::{evolve, Boundary, Coord};
+    use lattice_core::{evolve, Boundary, Coord, Shape};
     use proptest::prelude::*;
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        for (rows, cols) in [(4usize, 7usize), (8, 64), (6, 65), (4, 130)] {
-            let shape = Shape::grid2(rows, cols).unwrap();
-            let g = init::random_fhp(shape, FhpVariant::I, 0.4, 9, true).unwrap();
-            let packed = FhpBitLattice::from_grid(&g, 1).unwrap();
-            assert_eq!(packed.to_grid(), g, "{rows}x{cols}");
-        }
-    }
 
     #[test]
     fn rejects_bad_inputs() {
@@ -344,7 +270,8 @@ mod tests {
         for bit in [crate::OBSTACLE_BIT, crate::fhp::REST_BIT] {
             let mut g = Grid::new(Shape::grid2(4, 4).unwrap());
             g.set_linear(5, bit);
-            assert!(FhpBitLattice::from_grid(&g, 1).is_err());
+            let why = format!("site (1,1) = {bit:#04x} has non-FHP-I bits");
+            assert_eq!(FhpBitLattice::from_grid(&g, 1), Err(LatticeError::InvalidConfig(why)));
             assert!(FhpBitLattice::from_rows_null(&g, 1, 0, (0, 0), None).is_err());
         }
         let line: Grid<u8> = Grid::new(Shape::line(8).unwrap());

@@ -324,10 +324,12 @@ mod tests {
             let g = Grid::from_fn(shape, |c| {
                 (prng::site_hash(shape.linear(c) as u64, 2, 13) & HPP_MASK as u64) as u8
             });
-            for gens in 0..4usize {
-                let reference = evolve(&g, &rule, Boundary::null(), 7, gens as u64);
+            for gens in 0..4u64 {
+                let reference = evolve(&g, &rule, Boundary::null(), 7, gens);
+                let mut kernel = rule.block_kernel(&g, 7, (3, usize::MAX)).unwrap();
+                kernel.run(gens);
                 let mut out = Grid::new(shape);
-                assert!(rule.evolve_block(&g, &mut out, 7, gens, (3, usize::MAX)));
+                kernel.unpack(&mut out);
                 assert_eq!(out, reference);
             }
         }
@@ -339,11 +341,9 @@ mod tests {
         let shape = Shape::grid2(3, 5).unwrap();
         let mut g = Grid::new(shape);
         g.set(Coord::c2(1, 2), OBSTACLE_BIT);
-        let mut out = Grid::filled(shape, 0xAA);
-        assert!(!rule.evolve_block(&g, &mut out, 0, 2, (0, 0)));
-        assert_eq!(out, Grid::filled(shape, 0xAA), "a declined block leaves the sink alone");
+        assert!(rule.block_kernel(&g, 0, (0, 0)).is_none());
         let line: Grid<u8> = Grid::new(Shape::line(8).unwrap());
-        assert!(!rule.evolve_block(&line, &mut line.clone(), 0, 1, (0, 0)));
+        assert!(rule.block_kernel(&line, 0, (0, 0)).is_none());
     }
 
     #[test]
@@ -495,7 +495,9 @@ mod tests {
                 cols: span(cols, window.2, window.3),
                 handed: vec![0; rows],
             };
-            prop_assert!(HppRule::new().evolve_block(&src, &mut sink, 0, k, (0, 0)));
+            let mut kernel = HppRule::new().block_kernel(&src, 0, (0, 0)).unwrap();
+            kernel.run(k as u64);
+            kernel.unpack(&mut sink);
             for r in 0..rows {
                 let kept_row = sink.rows.contains(&r);
                 prop_assert_eq!(sink.handed[r], usize::from(kept_row), "row {}", r);

@@ -39,9 +39,10 @@ pub struct EngineReport<S: State> {
 }
 
 /// An engine run's counted costs without its lattice: what
-/// [`crate::Pipeline::run_kernel`] returns, its lattice having gone
-/// straight to the caller's row sink. [`EngineCost::with_grid`] and
-/// [`EngineReport::cost`] convert between the two.
+/// [`crate::Pipeline::kernel_cost`] bills a block kernel's pass, its
+/// lattice having gone straight to the caller's row sink.
+/// [`EngineCost::with_grid`] and [`EngineReport::cost`] convert between
+/// the two.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct EngineCost {
     /// Generations computed.

@@ -12,7 +12,7 @@ use crate::metrics::{EngineCost, EngineReport};
 use crate::stage::{LineBufferStage, StageConfig};
 use lattice_core::bits::{StreamParity, Traffic};
 use lattice_core::units::{u64_from_usize, Cells, Sites, Ticks};
-use lattice_core::{Grid, LatticeError, RowSink, RowSource, Rule, Shape, State};
+use lattice_core::{Grid, LatticeError, Rule, Shape, State};
 use lattice_vlsi::wsa::sweep_ticks;
 
 /// Per-run options beyond the geometry: the stream origin, fault
@@ -98,37 +98,15 @@ impl Pipeline {
         self.run_opts(rule, grid, t0, RunOptions { origin, ..RunOptions::default() })
     }
 
-    /// The fault-free pass without the cycle loop — also a faulted
-    /// run's pass on chips no fault can reach
-    /// ([`crate::FaultPlan::spares`]): the rule's block kernel
-    /// ([`Rule::evolve_block`]) reads the block from `src` a row at a
-    /// time and writes the window `sink` keeps, and the cost is
-    /// [`Pipeline::kernel_cost`]'s. The cost, with the block's evolved
-    /// lattice, equals [`Pipeline::run_at`]'s report field for field.
-    ///
-    /// `None`, with `sink` untouched, when the rule has no kernel for
-    /// this block or the geometry has no kernel cost; the caller then
-    /// runs [`Pipeline::run_opts`].
-    pub fn run_kernel<R: Rule>(
-        &self,
-        rule: &R,
-        src: &dyn RowSource<R::S>,
-        sink: &mut dyn RowSink<R::S>,
-        t0: u64,
-        origin: (usize, usize),
-    ) -> Option<EngineCost> {
-        let cost = self.kernel_cost::<R::S>(src.shape())?;
-        rule.evolve_block(src, sink, t0, self.depth, origin).then_some(cost)
-    }
-
     /// What one pass over a block of `shape` costs, from the geometry
     /// alone: ticks from the exact closed form
     /// [`lattice_vlsi::wsa::sweep_ticks`], one stream each way through
     /// memory and through every stage's pins, and the stage's
-    /// shift-register cells. A block kernel's pass bills exactly this,
-    /// however it computed the lattice: in one call
-    /// ([`Pipeline::run_kernel`]) or on planes a board keeps between
-    /// passes.
+    /// shift-register cells. A block kernel's pass
+    /// ([`Rule::block_kernel`]) bills exactly this, whether the kernel
+    /// lives for one pass or a board keeps its planes between passes.
+    /// It is also a faulted run's pass on chips no fault can reach
+    /// ([`crate::FaultPlan::spares`]).
     ///
     /// `None` for a run the cycle engine would reject (zero width or
     /// depth) or stream differently (rank 1).
@@ -412,21 +390,28 @@ mod tests {
         }
     }
 
-    /// `run_kernel`'s cost with its lattice equals `run_at`'s whole
-    /// report, over widths, depths, start generations and origins that
-    /// wrap.
+    /// The pass a block kernel bills and computes — `kernel_cost`, and
+    /// `block_kernel` run `depth` generations and unpacked — equals
+    /// `run_at`'s whole report, over widths, depths, start generations
+    /// and origins that wrap.
     fn assert_kernel_report_equals_the_cycle_report<R: Rule<S = u8>>(rule: &R, g: &Grid<u8>) {
         let (rows, cols) = (g.shape().rows(), g.shape().cols());
         let origins = [(0usize, 0usize), (3, 5), (usize::MAX, usize::MAX - 2), (7, usize::MAX)];
         for (width, depth) in [(1usize, 1usize), (2, 3), (3, 2), (4, 5)] {
             for (t0, &origin) in origins.iter().enumerate() {
                 let pipe = Pipeline::wide(width, depth);
+                let cost = pipe.kernel_cost::<u8>(g.shape()).unwrap();
+                let mut kernel = rule.block_kernel(g, t0 as u64, origin).unwrap();
+                kernel.run(depth as u64);
                 let mut out = Grid::new(g.shape());
-                let fast = pipe.run_kernel(rule, g, &mut out, t0 as u64, origin).unwrap();
-                let fast = fast.with_grid(out);
+                kernel.unpack(&mut out);
                 let cycle = pipe.run_at(rule, g, t0 as u64, origin).unwrap();
                 let name = rule.name();
-                assert_eq!(fast, cycle, "{name} {rows}x{cols} P={width} k={depth} {origin:?}");
+                assert_eq!(
+                    cost.with_grid(out),
+                    cycle,
+                    "{name} {rows}x{cols} P={width} k={depth} {origin:?}"
+                );
             }
         }
     }
@@ -454,27 +439,27 @@ mod tests {
     fn kernel_declines_what_it_cannot_charge_exactly() {
         let shape = Shape::grid2(4, 6).unwrap();
         let g = lattice_gas::init::random_hpp(shape, 0.4, 1).unwrap();
-        let mut out = Grid::new(shape);
         // No kernel: FHP-II/III, and obstacles under HPP or FHP-I, keep
         // the cycle engine.
         for variant in [FhpVariant::II, FhpVariant::III] {
             let grid = lattice_gas::init::random_fhp(shape, variant, 0.3, 2, false).unwrap();
-            let fhp = FhpRule::new(variant, 3);
-            assert!(Pipeline::wide(2, 2).run_kernel(&fhp, &grid, &mut out, 0, (0, 0)).is_none());
+            assert!(FhpRule::new(variant, 3).block_kernel(&grid, 0, (0, 0)).is_none());
         }
         let mut fhp_walled =
             lattice_gas::init::random_fhp(shape, FhpVariant::I, 0.3, 2, false).unwrap();
         fhp_walled.set_linear(5, lattice_gas::OBSTACLE_BIT);
         let fhp = FhpRule::new(FhpVariant::I, 3);
-        assert!(Pipeline::wide(2, 2).run_kernel(&fhp, &fhp_walled, &mut out, 0, (0, 0)).is_none());
+        assert!(fhp.block_kernel(&fhp_walled, 0, (0, 0)).is_none());
         let mut walled = g.clone();
         walled.set_linear(5, lattice_gas::OBSTACLE_BIT);
         let hpp = HppRule::new();
-        assert!(Pipeline::wide(2, 2).run_kernel(&hpp, &walled, &mut out, 0, (0, 0)).is_none());
-        // Configurations the cycle engine rejects stay its errors.
-        assert!(Pipeline::wide(2, 0).run_kernel(&hpp, &g, &mut out, 0, (0, 0)).is_none());
-        assert!(Pipeline::wide(0, 2).run_kernel(&hpp, &g, &mut out, 0, (0, 0)).is_none());
-        assert_eq!(out, Grid::new(shape), "a declined run leaves the sink alone");
+        assert!(hpp.block_kernel(&walled, 0, (0, 0)).is_none());
+        // Configurations the cycle engine rejects have no kernel cost,
+        // though the rule has a kernel for the block.
+        assert!(hpp.block_kernel(&g, 0, (0, 0)).is_some());
+        assert!(Pipeline::wide(2, 2).kernel_cost::<u8>(shape).is_some());
+        assert!(Pipeline::wide(2, 0).kernel_cost::<u8>(shape).is_none());
+        assert!(Pipeline::wide(0, 2).kernel_cost::<u8>(shape).is_none());
     }
 
     #[test]

@@ -468,6 +468,19 @@ impl Flags {
         Ok(on)
     }
 
+    /// Refuses `--name`, when given, unless the engine chosen by
+    /// `--selector` is `reader`, the one engine that reads the flag.
+    fn only_for(&self, name: &str, selector: (&str, &str), reader: &str) -> Result<(), CliError> {
+        let (selector, engine) = selector;
+        if engine == reader || self.given.iter().all(|(n, ..)| n != name) {
+            return Ok(());
+        }
+        Err(CliError(format!(
+            "{}: --{name} is read only by --{selector} {reader}, not by --{selector} {engine}",
+            self.label
+        )))
+    }
+
     /// A `--name HINT` the subcommand cannot run without; its absence
     /// is reported by [`Flags::finish`], after any unknown flag.
     fn required(&mut self, name: &str, hint: &str) -> Result<String, CliError> {
@@ -650,15 +663,15 @@ fn read(cmd: &str, f: &mut Flags) -> Result<Command, CliError> {
             periodic: f.switch("periodic")?,
             save: f.opt("save", "FILE")?,
         },
-        "engine" => Command::Engine {
-            arch: f.get("arch", String::from("wsa"))?,
-            width: f.get("width", 2)?,
-            depth: f.get("depth", 4)?,
-            slice_width: f.get("slice-width", 16)?,
-            rows: f.get("rows", 48)?,
-            cols: f.get("cols", 96)?,
-            seed: f.get("seed", 42)?,
-        },
+        "engine" => {
+            let arch = f.get("arch", String::from("wsa"))?;
+            let (width, depth) = (f.get("width", 2)?, f.get("depth", 4)?);
+            let slice_width = f.get("slice-width", 16)?;
+            f.only_for("width", ("arch", &arch), "wsa")?;
+            f.only_for("slice-width", ("arch", &arch), "spa")?;
+            let (rows, cols, seed) = (f.get("rows", 48)?, f.get("cols", 96)?, f.get("seed", 42)?);
+            Command::Engine { arch, width, depth, slice_width, rows, cols, seed }
+        }
         "resume" => Command::Resume {
             load: f.required("load", "FILE")?,
             model: f.get("model", String::from("fhp1"))?,
@@ -725,7 +738,7 @@ fn read(cmd: &str, f: &mut Flags) -> Result<Command, CliError> {
                     "farm: --grid {gr}x{gc} disagrees with --shards {shards}"
                 )));
             }
-            Command::Farm(FarmArgs {
+            let args = FarmArgs {
                 spec: SessionSpec {
                     shards,
                     grid,
@@ -748,7 +761,10 @@ fn read(cmd: &str, f: &mut Flags) -> Result<Command, CliError> {
                 checkpoint_dir: f.opt("checkpoint-dir", "DIR")?,
                 ckpt_every: f.get("ckpt-every", 1)?,
                 resume: f.switch("resume")?,
-            })
+            };
+            f.only_for("width", ("engine", &args.spec.engine), "wsa")?;
+            f.only_for("slice-width", ("engine", &args.spec.engine), "spa")?;
+            Command::Farm(args)
         }
         "chaos" => {
             let serve = f.mode("serve")?;
@@ -1962,10 +1978,12 @@ fn run_request(
     use crate::serve::{is_timeout_error, Client, Request, Response};
     use std::time::Duration;
 
-    if timeout_secs.is_nan() || timeout_secs <= 0.0 {
-        return Err(CliError("request: --timeout must be positive seconds".into()));
+    if !(1e-3..=3600.0).contains(&timeout_secs) {
+        return Err(CliError(format!(
+            "request: --timeout must be between 0.001 and 3600 seconds, got {timeout_secs:?}"
+        )));
     }
-    let timeout = Duration::from_secs_f64(timeout_secs.min(3600.0));
+    let timeout = Duration::from_secs_f64(timeout_secs);
     let mut request = Request::from_line(line).map_err(|e| CliError(format!("request: {e}")))?;
     if retries > 0 {
         if let Request::Step { id: id @ None, .. } = &mut request {
@@ -2420,8 +2438,10 @@ fn run_bench(args: BenchArgs) -> Result<String, CliError> {
     if !(0.0..1.0).contains(&tolerance) {
         return Err(CliError("bench: --tolerance must be in [0, 1)".into()));
     }
-    if link_bits.is_nan() || link_bits <= 0.0 {
-        return Err(CliError("bench: --link-bits must be positive".into()));
+    if !(link_bits.is_finite() && link_bits > 0.0) {
+        return Err(CliError(format!(
+            "bench: --link-bits must be positive and finite (0 < F < inf), got {link_bits:?}"
+        )));
     }
     if let Some((gr, gc)) = board_grid {
         if gr > rows || gc > cols {
@@ -2437,8 +2457,10 @@ fn run_bench(args: BenchArgs) -> Result<String, CliError> {
                 .into(),
         ));
     }
-    if tier_bits.is_some_and(|b| b.is_nan() || b <= 0.0) {
-        return Err(CliError("bench: --tier-bits must be positive".into()));
+    if let Some(b) = tier_bits.filter(|b| !(b.is_finite() && *b > 0.0)) {
+        return Err(CliError(format!(
+            "bench: --tier-bits must be positive and finite (0 < F < inf), got {b:?}"
+        )));
     }
     let shard_counts: Vec<usize> = shards_list
         .split(',')

@@ -287,6 +287,9 @@ fn out_of_range_densities_sizes_and_rates_are_refused() {
     // A density is a probability, a lattice edge, horizon or memory
     // holds at least one site, and a target rate is finite and positive:
     // anything else is refused before any work, with exit 2.
+    let line = r#"{"op":"create","session":"x"}"#;
+    let request =
+        |timeout| ["request", "--addr", "127.0.0.1:1", "--line", line, "--timeout", timeout];
     for (args, message) in [
         (&["gas", "--density", "1.5"][..], "density must be in [0, 1], got 1.5"),
         (&["gas", "--density", "NaN"], "density must be in [0, 1], got NaN"),
@@ -299,6 +302,16 @@ fn out_of_range_densities_sizes_and_rates_are_refused() {
         (&["design", "--rate", "NaN"], "design: --rate must be finite and positive, got NaN"),
         (&["design", "--rate", "-5"], "design: --rate must be finite and positive, got -5"),
         (&["design", "--rate", "0"], "design: --rate must be finite and positive, got 0"),
+        // A timeout that rounds to zero or would be clamped, and a link
+        // capacity that is not finite, name the accepted range.
+        (&request("1e-300"), "request: --timeout must be between 0.001 and 3600 seconds"),
+        (&request("1e300"), "request: --timeout must be between 0.001 and 3600 seconds"),
+        (&request("NaN"), "request: --timeout must be between 0.001 and 3600 seconds"),
+        (&["bench", "--link-bits", "inf"], "--link-bits must be positive and finite (0 < F < inf)"),
+        (
+            &["bench", "--grid", "2x2", "--tier-bits", "inf"],
+            "--tier-bits must be positive and finite (0 < F < inf)",
+        ),
     ] {
         let (code, out, err) = lattice_within(60, args);
         assert_eq!(code, Some(2), "{args:?}: {err}");
@@ -320,6 +333,13 @@ fn out_of_range_densities_sizes_and_rates_are_refused() {
     let (code, out, err) = lattice_within(60, &["design", "--budget", "0"]);
     assert_eq!(code, Some(0), "{err}");
     assert!(out.contains("no architecture fits"), "{out}");
+    // The timeout's edges pass the check: nothing listens on port 1, so
+    // the request fails at connect instead (exit 3).
+    for timeout in ["0.001", "3600"] {
+        let (code, _, err) = lattice_within(60, &request(timeout));
+        assert_eq!(code, Some(3), "--timeout {timeout}: {err}");
+        assert!(err.starts_with("request: transport"), "--timeout {timeout}: {err}");
+    }
 }
 
 #[test]
@@ -336,5 +356,49 @@ fn links_too_slow_to_count_ticks_are_refused() {
         assert_eq!(code, Some(2), "{args:?}: {err}");
         assert!(err.contains("overflows") || err.contains("finite"), "{args:?}: {err}");
         assert!(!out.contains("machine ticks"), "{args:?}: {out}");
+    }
+}
+
+#[test]
+fn geometry_flags_the_chosen_engine_does_not_read_are_refused() {
+    // `--width` is read only by WSA and `--slice-width` only by SPA:
+    // given to another engine, the flag is named with the engine and
+    // nothing runs.
+    for (args, message) in [
+        (
+            &["engine", "--arch", "serial", "--width", "7"][..],
+            "engine: --width is read only by --arch wsa, not by --arch serial",
+        ),
+        (
+            &["engine", "--arch", "wsa", "--slice-width", "0"],
+            "engine: --slice-width is read only by --arch spa, not by --arch wsa",
+        ),
+        (
+            &["engine", "--arch", "wsae", "--slice-width", "3"],
+            "engine: --slice-width is read only by --arch spa, not by --arch wsae",
+        ),
+        (
+            &["farm", "--engine", "spa", "--width", "9"],
+            "farm: --width is read only by --engine wsa, not by --engine spa",
+        ),
+        (
+            &["farm", "--engine", "wsa", "--slice-width", "0"],
+            "farm: --slice-width is read only by --engine spa, not by --engine wsa",
+        ),
+    ] {
+        let (code, out, err) = lattice_within(60, args);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(err.contains(message), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?}: {out}");
+    }
+    // The engine that reads the flag still takes it.
+    for args in [
+        &["engine", "--arch", "wsa", "--width", "3", "--rows", "8", "--cols", "16"][..],
+        &["engine", "--arch", "spa", "--slice-width", "4", "--rows", "8", "--cols", "16"],
+        &["farm", "--engine", "spa", "--slice-width", "1", "--rows", "8", "--cols", "24"],
+    ] {
+        let (code, out, err) = lattice_within(60, args);
+        assert_eq!(code, Some(0), "{args:?}: {err}");
+        assert!(!out.is_empty(), "{args:?}");
     }
 }
